@@ -151,9 +151,6 @@ class Tensor:
         """A leaf constant sharing this tensor's values."""
         return Tensor(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accum_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)

@@ -30,11 +30,11 @@ from .diffcore import (
     sincos_encoding,
 )
 from .diffcore.ops import _deformable_core
-from .diffcore.tensor import add, mul, stack
+from .diffcore.tensor import add, mul
 from .dynstream import (
     ObjImageAttnParams,
     ObjSelfAttnParams,
-    ObjectQuery,
+    QuerySet,
     _obj_image_cross_attention,
     _obj_self_attention,
     normalize_anchors,
@@ -44,6 +44,7 @@ from .statstream import (
     BevGrid,
     BevImageAttnParams,
     TemporalAttnParams,
+    _cells_from_flat,
     bev_image_cross_attention,
     metric_to_cell,
     temporal_grid_attention,
@@ -102,6 +103,9 @@ class DualLayerParams:
 
 
 def _dynamic_static_core(latents: Tensor, anchors: np.ndarray, grid: BevGrid, params: DynStaticParams) -> Tensor:
+    """Object queries deformably attend to the BEV grid around their anchor;
+    queries anchored outside the grid pass through residually. Returns the
+    updated (n, L) latent matrix."""
     h, w = grid.spec.dims
     refs = metric_to_cell(grid.spec, anchors[:, :2])
     in_hull = (
@@ -112,25 +116,13 @@ def _dynamic_static_core(latents: Tensor, anchors: np.ndarray, grid: BevGrid, pa
     return layernorm(add(latents, out), params.ln_g, params.ln_b)
 
 
-def dynamic_static_cross_attention(
-    queries: Sequence[ObjectQuery], grid: BevGrid, params: DynStaticParams
-) -> Tensor:
-    """Object queries deformably attend to the BEV grid around their anchor;
-    queries anchored outside the grid pass through residually. Returns the
-    updated (n, L) latent matrix."""
-    latents = stack([q.latent for q in queries])
-    anchors = np.stack([q.anchor_xyz for q in queries])
-    return _dynamic_static_core(latents, anchors, grid, params)
-
-
 def _static_dynamic_core(
-    grid: BevGrid, latents: Optional[Tensor], anchors: Optional[np.ndarray],
-    params: StaticDynParams, ranges: np.ndarray,
+    grid: BevGrid, latents: Tensor, anchors: np.ndarray, params: StaticDynParams, ranges: np.ndarray,
 ) -> BevGrid:
-    from .statstream import _cells_from_flat
-
+    """Bidirectional-variant block: every BEV cell attends over all object
+    latents keyed with anchor positional encodings."""
     q = grid.cells_flat()
-    if latents is None or latents.data.shape[0] == 0:
+    if latents.data.shape[0] == 0:
         combined = mul(q, 0.0)
     else:
         enc = sincos_encoding(normalize_anchors(anchors, ranges), params.n_freqs)
@@ -139,25 +131,6 @@ def _static_dynamic_core(
         combined = multi_head_attention(q, keys, latents, params.heads, params.attn)
     new_flat = layernorm(add(q, combined), params.ln_g, params.ln_b)
     return BevGrid(spec=grid.spec, cells=_cells_from_flat(new_flat, grid.spec), validity=grid.validity)
-
-
-def static_dynamic_cross_attention(
-    grid: BevGrid,
-    queries: Sequence[ObjectQuery],
-    params: StaticDynParams,
-    flags: VariantFlags,
-    ranges: np.ndarray,
-) -> BevGrid:
-    """Bidirectional-variant block: every BEV cell attends over all object
-    latents keyed with anchor positional encodings."""
-    if flags.interaction != "bidirectional":
-        raise ValueError("static-dynamic cross-attention requires the bidirectional variant")
-    if queries:
-        latents = stack([q.latent for q in queries])
-        anchors = np.stack([q.anchor_xyz for q in queries])
-    else:
-        latents, anchors = None, None
-    return _static_dynamic_core(grid, latents, anchors, params, ranges)
 
 
 def _ffn(latents: Tensor, params: FfnParams) -> Tensor:
@@ -177,8 +150,6 @@ def forward_layer(
 ) -> tuple[Tensor, BevGrid]:
     """One dual-stream layer over the stacked (n, L) object latents and the
     BEV grid; returns both updated streams with unchanged shapes."""
-    from .statstream import _cells_from_flat  # noqa: F401  (re-export guard)
-
     latents = _obj_self_attention(latents, anchors, params.obj_self, ranges)
     latents = _obj_image_cross_attention(latents, anchors, features, cameras, params.obj_image)
 
@@ -198,7 +169,7 @@ def forward_layer(
 
 
 def forward_stack(
-    queries: Sequence[ObjectQuery],
+    queries: QuerySet,
     grid: BevGrid,
     warped_prev: Optional[BevGrid],
     features: Mapping[str, FeatureMap],
@@ -214,8 +185,7 @@ def forward_stack(
     """
     if not layer_params:
         raise ValueError("forward_stack needs at least one layer")
-    latents = stack([q.latent for q in queries])
-    anchors = np.stack([q.anchor_xyz for q in queries])
+    latents, anchors = queries.latents, queries.anchor_xyz
     for params in layer_params:
         latents, grid = forward_layer(
             latents, anchors, grid, warped_prev, features, cameras, flags, params, ranges

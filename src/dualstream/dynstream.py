@@ -1,5 +1,6 @@
-"""Dynamic stream: object queries with motion-compensated temporal
-propagation, top-k memory and object-to-image cross-attention.
+"""Dynamic stream: the object query set with motion-compensated temporal
+propagation, top-k memory as an index select, and the object self- and
+object-to-image attention blocks.
 
 Anchors used for projection geometry and positional encodings are detached
 values; gradients reach the learned spawn anchors through the box-decode
@@ -9,7 +10,7 @@ residual path.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -27,49 +28,68 @@ from .diffcore import (
     sincos_encoding,
 )
 from .diffcore.ops import _deformable_core, softmax
-from .diffcore.tensor import add, concat, getitem, mul, reshape, stack
+from .diffcore.tensor import add, concat, getitem, mul, reshape, stack, take_rows
 from .geom3d import CAMERA_SLOTS, CameraModel, Pose, project_points, rot2
 
 
 @dataclass
-class ObjectQuery:
-    """One latent per hypothesized agent, carrying its geometric belief."""
+class QuerySet:
+    """Object queries as one struct of arrays, one row per hypothesized agent.
 
-    latent: Tensor                 # (L,)
-    anchor: Tensor                 # (3,) m, current ego frame
-    velocity_estimate: np.ndarray  # (2,) m/s, current ego frame
-    score: float = 0.0
-    identity: Optional[int] = None
-    age: int = 0
+    ``ids`` holds carried track identities, -1 where a query has none.
+    """
+
+    latents: Tensor          # (n, L)
+    anchors: Tensor          # (n, 3) m, current ego frame
+    velocities: np.ndarray   # (n, 2) m/s, current ego frame
+    scores: np.ndarray       # (n,)
+    ids: np.ndarray          # (n,) int
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.anchor.data)):
-            raise ValueError("query anchor must be finite")
-        if not (0.0 <= self.score <= 1.0):
-            raise ValueError("query score must lie in [0, 1]")
+        self.velocities = np.asarray(self.velocities, dtype=np.float64)
+        self.scores = np.asarray(self.scores, dtype=np.float64)
+        self.ids = np.asarray(self.ids, dtype=np.int64)
+        n = len(self)
+        if (self.anchors.data.shape != (n, 3) or self.velocities.shape != (n, 2)
+                or self.scores.shape != (n,) or self.ids.shape != (n,)):
+            raise ValueError("query fields must all hold one row per query")
+        if not np.all(np.isfinite(self.anchors.data)):
+            raise ValueError("query anchors must be finite")
+        if not np.all((self.scores >= 0.0) & (self.scores <= 1.0)):
+            raise ValueError("query scores must lie in [0, 1]")
+
+    def __len__(self) -> int:
+        return self.latents.data.shape[0]
 
     @property
     def anchor_xyz(self) -> np.ndarray:
-        return np.asarray(self.anchor.data, dtype=np.float64)
-
-
-@dataclass
-class QueryMemory:
-    """Top-k propagated queries from the previous step, score-descending."""
-
-    queries: list[ObjectQuery]
-    capacity: int
-
-    def __post_init__(self):
-        if len(self.queries) > self.capacity:
-            raise ValueError(f"memory holds {len(self.queries)} > capacity {self.capacity}")
-        scores = [q.score for q in self.queries]
-        if any(a < b for a, b in zip(scores, scores[1:])):
-            raise ValueError("memory queries must be sorted by score, descending")
+        return np.asarray(self.anchors.data, dtype=np.float64)
 
     @staticmethod
-    def empty(capacity: int) -> "QueryMemory":
-        return QueryMemory(queries=[], capacity=capacity)
+    def empty(latent_dim: int) -> "QuerySet":
+        return QuerySet(latents=Tensor(np.zeros((0, latent_dim))), anchors=Tensor(np.zeros((0, 3))),
+                        velocities=np.zeros((0, 2)), scores=np.zeros(0), ids=np.zeros(0))
+
+    def take(self, idx: np.ndarray) -> "QuerySet":
+        """Rows ``idx`` in that order, as one index select per field."""
+        return QuerySet(latents=take_rows(self.latents, idx), anchors=take_rows(self.anchors, idx),
+                        velocities=self.velocities[idx], scores=self.scores[idx], ids=self.ids[idx])
+
+    def detached(self) -> "QuerySet":
+        """The same rows with the gradient history of latents and anchors cut."""
+        return replace(self, latents=self.latents.detach(), anchors=self.anchors.detach())
+
+    def __add__(self, other: "QuerySet") -> "QuerySet":
+        """Rows of ``self`` followed by the rows of ``other``."""
+        if not len(other):
+            return self
+        if not len(self):
+            return other
+        return QuerySet(latents=concat([self.latents, other.latents]),
+                        anchors=concat([self.anchors, other.anchors]),
+                        velocities=np.concatenate([self.velocities, other.velocities]),
+                        scores=np.concatenate([self.scores, other.scores]),
+                        ids=np.concatenate([self.ids, other.ids]))
 
 
 @dataclass
@@ -78,7 +98,7 @@ class SpawnParams:
     anchor_logits: Tensor  # (N_max, 3), sigmoid-mapped into the detection range
 
 
-def spawn_queries(n_new: int, params: SpawnParams, ranges: np.ndarray) -> list[ObjectQuery]:
+def spawn_queries(n_new: int, params: SpawnParams, ranges: np.ndarray) -> QuerySet:
     """First ``n_new`` learned queries; anchors sigmoid-mapped into ``ranges``.
 
     ``ranges`` is (2, 3): row 0 the per-axis minima, row 1 the maxima.
@@ -89,20 +109,10 @@ def spawn_queries(n_new: int, params: SpawnParams, ranges: np.ndarray) -> list[O
     if n_new > params.embeddings.data.shape[0]:
         raise ValueError("n_new exceeds the learned spawn pool")
     lo, hi = np.asarray(ranges[0], dtype=np.float64), np.asarray(ranges[1], dtype=np.float64)
-    out = []
-    for i in range(n_new):
-        anchor = add(mul(sigmoid(getitem(params.anchor_logits, i)), (hi - lo)), lo)
-        out.append(
-            ObjectQuery(
-                latent=getitem(params.embeddings, i),
-                anchor=anchor,
-                velocity_estimate=np.zeros(2),
-                score=0.0,
-                identity=None,
-                age=0,
-            )
-        )
-    return out
+    rows = slice(0, n_new)
+    anchors = add(mul(sigmoid(getitem(params.anchor_logits, rows)), (hi - lo)), lo)
+    return QuerySet(latents=getitem(params.embeddings, rows), anchors=anchors,
+                    velocities=np.zeros((n_new, 2)), scores=np.zeros(n_new), ids=np.full(n_new, -1))
 
 
 @dataclass
@@ -119,12 +129,12 @@ def _flatten_se2(delta: Pose) -> np.ndarray:
 
 
 def propagate(
-    memory: QueryMemory,
+    memory: QuerySet,
     delta: Pose,
     dt: float,
     params: MotionParams,
     compensate_object_motion: bool = True,
-) -> list[ObjectQuery]:
+) -> QuerySet:
     """Carry memory queries one step forward.
 
     Geometric part: a constant-velocity step in the old frame (object
@@ -134,45 +144,31 @@ def propagate(
     """
     if dt < 0:
         raise ValueError("dt must be >= 0")
-    if not memory.queries:
-        return []
-    n = len(memory.queries)
-    anchors = np.stack([q.anchor_xyz for q in memory.queries])
-    vels = np.stack([q.velocity_estimate for q in memory.queries]).astype(np.float64)
+    if not len(memory):
+        return memory
+    anchors = memory.anchor_xyz
+    vels = memory.velocities
     if compensate_object_motion:
         anchors = anchors.copy()
         anchors[:, :2] += vels * dt
     new_anchors = delta.apply_points(anchors)
     new_vels = vels @ rot2(delta.rotation).T
 
-    latents = stack([q.latent for q in memory.queries])
-    cond = np.tile(np.concatenate([_flatten_se2(delta), [dt]]), (n, 1))
+    latents = memory.latents
+    cond = np.tile(np.concatenate([_flatten_se2(delta), [dt]]), (len(memory), 1))
     feats = concat([latents, Tensor(cond.astype(latents.dtype))], axis=1)
     new_latents = add(latents, mlp(feats, params.mlp))
-
-    out = []
-    for i, q in enumerate(memory.queries):
-        out.append(
-            ObjectQuery(
-                latent=getitem(new_latents, i),
-                anchor=Tensor(new_anchors[i].astype(latents.dtype)),
-                velocity_estimate=new_vels[i],
-                score=q.score,
-                identity=q.identity,
-                age=q.age + 1,
-            )
-        )
-    return out
+    return replace(memory, latents=new_latents, anchors=Tensor(new_anchors.astype(latents.dtype)),
+                   velocities=new_vels)
 
 
-def select_topk(queries: Sequence[ObjectQuery], scores: Sequence[float], k: int) -> QueryMemory:
-    """k highest-score queries, score-descending; ties keep the lower index."""
+def select_topk(queries: QuerySet, k: int) -> tuple[QuerySet, np.ndarray]:
+    """The k highest-score queries, score-descending (ties keep the lower
+    index), and the source row of each."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    scores = np.asarray(scores, dtype=np.float64)
-    order = np.lexsort((np.arange(len(scores)), -scores))[:k]
-    picked = [replace(queries[i], score=float(scores[i])) for i in order]
-    return QueryMemory(queries=picked, capacity=k)
+    order = np.lexsort((np.arange(len(queries)), -queries.scores))[:k]
+    return queries.take(order), order
 
 
 def normalize_anchors(anchors: np.ndarray, ranges: np.ndarray) -> np.ndarray:
@@ -192,21 +188,13 @@ class ObjSelfAttnParams:
 
 
 def _obj_self_attention(latents: Tensor, anchors: np.ndarray, params: ObjSelfAttnParams, ranges: np.ndarray) -> Tensor:
+    """Self-attention over the (n, L) query latents with anchor encodings on
+    q/k. Returns the updated (n, L) latent matrix."""
     enc = sincos_encoding(normalize_anchors(anchors, ranges), params.n_freqs)
     pe = linear(Tensor(enc.astype(latents.dtype)), params.pe_w, params.pe_b)
     qk = add(latents, pe)
     attn_out = multi_head_attention(qk, qk, latents, params.heads, params.attn)
     return layernorm(add(latents, attn_out), params.ln_g, params.ln_b)
-
-
-def obj_self_attention(queries: Sequence[ObjectQuery], params: ObjSelfAttnParams, ranges: np.ndarray) -> Tensor:
-    """Self-attention over the query set with anchor encodings on q/k.
-
-    Returns the updated (n, L) latent matrix.
-    """
-    latents = stack([q.latent for q in queries])
-    anchors = np.stack([q.anchor_xyz for q in queries])
-    return _obj_self_attention(latents, anchors, params, ranges)
 
 
 @dataclass
@@ -228,6 +216,11 @@ def _obj_image_cross_attention(
     cameras: Mapping[str, CameraModel],
     params: ObjImageAttnParams,
 ) -> Tensor:
+    """Project each anchor into the available cameras, deformably sample the
+    per-camera features at the projections, and aggregate across cameras by
+    visibility-masked attention weights. Cameras absent from ``features``
+    are unavailable and contribute nothing. Returns the (n, L) latents.
+    """
     n = latents.data.shape[0]
     per_cam: list[tuple[int, Tensor, np.ndarray]] = []
     for slot, name in enumerate(CAMERA_SLOTS):
@@ -257,19 +250,3 @@ def _obj_image_cross_attention(
             term = mul(out, w)
             combined = term if combined is None else add(combined, term)
     return layernorm(add(latents, combined), params.ln_g, params.ln_b)
-
-
-def obj_image_cross_attention(
-    queries: Sequence[ObjectQuery],
-    features: Mapping[str, FeatureMap],
-    cameras: Mapping[str, CameraModel],
-    params: ObjImageAttnParams,
-) -> Tensor:
-    """Project each anchor into the available cameras, deformably sample the
-    per-camera features at the projections, and aggregate across cameras by
-    visibility-masked attention weights. Cameras absent from ``features``
-    are unavailable and contribute nothing. Returns the (n, L) latents.
-    """
-    latents = stack([q.latent for q in queries])
-    anchors = np.stack([q.anchor_xyz for q in queries])
-    return _obj_image_cross_attention(latents, anchors, features, cameras, params)

@@ -120,13 +120,6 @@ class Pose:
             return np.array([xy[0], xy[1], p[2]])
         return self.rotation @ p + self.translation
 
-    def apply_vector(self, vec) -> np.ndarray:
-        """Rotate a direction vector (no translation)."""
-        v = np.asarray(vec, dtype=np.float64)
-        if self.dim == 2:
-            return rot2(self.rotation) @ v[:2]
-        return self.rotation @ v
-
     def apply_points(self, points: np.ndarray) -> np.ndarray:
         """Vectorized apply_point for an (n, 2|3) array."""
         p = np.asarray(points, dtype=np.float64)
@@ -184,12 +177,6 @@ class BoundingBox3D:
         if np.any(self.size <= 0):
             raise ValueError("box sizes must be strictly positive")
         object.__setattr__(self, "yaw", wrap_angle(float(self.yaw)))
-
-    def corners_ground(self) -> np.ndarray:
-        """(4, 2) ground-plane corners in the box's parent frame."""
-        w, l = self.size[0], self.size[1]
-        local = np.array([[l, w], [l, -w], [-l, -w], [-l, w]]) * 0.5
-        return local @ rot2(self.yaw).T + self.center[:2]
 
 
 def transform_box(t: Pose, b: BoundingBox3D) -> BoundingBox3D:

@@ -10,25 +10,23 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .diffcore import MlpParams, ShapeError, Tensor, gelu, linear, sigmoid, softplus
+from .diffcore import ShapeError, Tensor, gelu, linear, no_grad, sigmoid, softplus
 from .diffcore.tensor import (
     absolute,
     add,
-    atan2,
+    concat,
     div,
-    exp,
     getitem,
     mean,
     mul,
     power,
-    reshape,
-    stack,
     sub,
     sum_,
+    take_rows,
     tanh,
 )
-from .geom3d import BoundingBox3D, Pose, wrap_angle
-from .dynstream import ObjectQuery
+from .dynstream import QuerySet
+from .geom3d import BoundingBox3D, Pose
 
 
 @dataclass
@@ -56,69 +54,56 @@ class DecodeParams:
 
 
 @dataclass
+class HeadOutputs:
+    """Batched decode outputs, one row per query: the tensors the loss
+    differentiates through and the detection scores."""
+
+    class_logits: Tensor   # (n, n_classes)
+    center: Tensor         # (n, 3)
+    log_size: Tensor       # (n, 3)
+    sincos: Tensor         # (n, 2)
+    velocity: Tensor       # (n, 2)
+    scores: np.ndarray     # (n,) float64 sigmoid of the max class logit
+
+    def __len__(self) -> int:
+        return self.class_logits.data.shape[0]
+
+
+@dataclass
 class Detection:
-    """Decoded box plus the tensors the loss differentiates through."""
+    """One decoded box and the track identity its query carried in."""
 
     box: BoundingBox3D
-    query_index: int
-    class_logits: Tensor       # (n_classes,)
-    center_t: Tensor           # (3,)
-    log_size_t: Tensor         # (3,)
-    sincos_t: Tensor           # (2,)
-    velocity_t: Tensor         # (2,)
     prior_identity: Optional[int] = None
 
-    @property
-    def score(self) -> float:
-        return float(1.0 / (1.0 + math.exp(-float(np.max(self.class_logits.data)))))
 
-    @property
-    def label(self) -> int:
-        return int(np.argmax(self.class_logits.data))
-
-
-def decode_boxes(queries: Sequence[ObjectQuery], latents: Tensor, params: DecodeParams) -> list[Detection]:
+def decode_boxes(queries: QuerySet, latents: Tensor, params: DecodeParams) -> tuple[HeadOutputs, list[Detection]]:
     """Decode every query latent into a box: center = anchor + bounded
-    offset, sizes = exp(logits) * class-free prior, yaw = atan2(sin, cos)."""
-    if not queries:
-        return []
-    n = latents.data.shape[0]
-    anchors = stack([q.anchor for q in queries])
+    offset, sizes = exp(logits) * class-free prior, yaw = atan2(sin, cos).
+    Returns the batched head outputs and one detection per query."""
     hidden = gelu(linear(latents, params.w_hidden, params.b_hidden))
-    center = add(anchors, mul(tanh(linear(hidden, params.w_center, params.b_center)),
-                              params.offset_scale))
+    center = add(queries.anchors, mul(tanh(linear(hidden, params.w_center, params.b_center)),
+                                      params.offset_scale))
     log_size = linear(hidden, params.w_size, params.b_size)
     sincos = linear(hidden, params.w_yaw, params.b_yaw)
     vel = linear(hidden, params.w_vel, params.b_vel)
     logits = linear(hidden, params.w_cls, params.b_cls)
+    scores = 1.0 / (1.0 + np.exp(-logits.data.max(axis=1).astype(np.float64)))
+    out = HeadOutputs(class_logits=logits, center=center, log_size=log_size, sincos=sincos,
+                      velocity=vel, scores=scores)
 
+    centers = center.data.astype(np.float64)
     sizes = np.exp(log_size.data) * params.size_prior
-    yaws = np.arctan2(sincos.data[:, 0], sincos.data[:, 1])
-    out = []
-    for i in range(n):
-        cl = getitem(logits, i)
-        score = float(1.0 / (1.0 + np.exp(-np.max(cl.data))))
-        box = BoundingBox3D(
-            center=center.data[i].astype(np.float64),
-            size=sizes[i].astype(np.float64),
-            yaw=float(yaws[i]),
-            velocity=vel.data[i].astype(np.float64),
-            label=int(np.argmax(cl.data)),
-            score=score,
-        )
-        out.append(
-            Detection(
-                box=box,
-                query_index=i,
-                class_logits=cl,
-                center_t=getitem(center, i),
-                log_size_t=getitem(log_size, i),
-                sincos_t=getitem(sincos, i),
-                velocity_t=getitem(vel, i),
-                prior_identity=queries[i].identity,
-            )
-        )
-    return out
+    yaws = np.arctan2(sincos.data[:, 0], sincos.data[:, 1]).tolist()
+    vels = vel.data.astype(np.float64)
+    labels = logits.data.argmax(axis=1).tolist()
+    detections = [
+        Detection(box=BoundingBox3D(center=centers[i], size=sizes[i], yaw=yaws[i], velocity=vels[i],
+                                    label=labels[i], score=float(scores[i])),
+                  prior_identity=None if queries.ids[i] < 0 else int(queries.ids[i]))
+        for i in range(len(out))
+    ]
+    return out, detections
 
 
 @dataclass
@@ -170,46 +155,39 @@ def _normalized_gt(box: BoundingBox3D, ranges: np.ndarray, weights: LossWeights,
     return np.concatenate([center, log_size, sc, vel])
 
 
-def _normalized_pred_rows(dets: Sequence[Detection], ranges: np.ndarray, weights: LossWeights,
-                          size_prior: np.ndarray) -> Tensor:
+def _normalized_pred(out: HeadOutputs, ranges: np.ndarray, weights: LossWeights) -> Tensor:
+    """(n, 10) box parameters in the units of ``_normalized_gt``."""
     lo, hi = np.asarray(ranges[0]), np.asarray(ranges[1])
-    rows = []
-    for d in dets:
-        center = div(sub(d.center_t, lo), hi - lo)
-        from .diffcore.tensor import concat
-
-        rows.append(concat([center, d.log_size_t, d.sincos_t,
-                            mul(d.velocity_t, 1.0 / weights.velocity_norm)], axis=0))
-    return stack(rows)
+    center = div(sub(out.center, lo), hi - lo)
+    return concat([center, out.log_size, out.sincos,
+                   mul(out.velocity, 1.0 / weights.velocity_norm)], axis=1)
 
 
 def detection_cost_matrix(
-    detections: Sequence[Detection],
+    out: HeadOutputs,
     gt_boxes: Sequence[BoundingBox3D],
     ranges: np.ndarray,
     weights: LossWeights,
     size_prior: np.ndarray,
 ) -> np.ndarray:
     """Matching cost with the same terms as the loss: negative class
-    probability plus weighted L1 on the normalized box parameters."""
-    n, m = len(detections), len(gt_boxes)
-    cost = np.zeros((n, m))
+    probability plus weighted L1 on the normalized box parameters. Nothing
+    is recorded on the tape."""
+    n, m = len(out), len(gt_boxes)
     if n == 0 or m == 0:
-        return cost
-    pred = _normalized_pred_rows(detections, ranges, weights, size_prior).data
-    probs = 1.0 / (1.0 + np.exp(-np.stack([d.class_logits.data for d in detections])))
-    for j, gt in enumerate(gt_boxes):
-        u = _normalized_gt(gt, ranges, weights, size_prior)
-        l1 = np.abs(pred - u)
-        center_term = l1[:, :3].sum(axis=1)
-        box_term = l1[:, 3:].sum(axis=1)
-        cls_term = -probs[:, gt.label]
-        cost[:, j] = weights.cls * cls_term + weights.center * center_term + weights.box * box_term
-    return cost
+        return np.zeros((n, m))
+    with no_grad():
+        pred = _normalized_pred(out, ranges, weights).data
+    probs = 1.0 / (1.0 + np.exp(-out.class_logits.data))
+    gt = np.stack([_normalized_gt(b, ranges, weights, size_prior) for b in gt_boxes])
+    l1 = np.abs(pred[:, None, :] - gt[None, :, :])
+    cls_term = -probs[:, [b.label for b in gt_boxes]]
+    return (weights.cls * cls_term + weights.center * l1[:, :, :3].sum(axis=2)
+            + weights.box * l1[:, :, 3:].sum(axis=2))
 
 
 def detection_loss(
-    detections: Sequence[Detection],
+    out: HeadOutputs,
     gt_boxes: Sequence[BoundingBox3D],
     assignment: Assignment,
     ranges: np.ndarray,
@@ -219,10 +197,10 @@ def detection_loss(
 ) -> Tensor:
     """Focal classification over all queries (unmatched -> background) plus
     L1 on the matched normalized box parameters."""
-    if not detections:
+    if not len(out):
         raise ValueError("detection_loss needs at least one detection")
-    logits = stack([d.class_logits for d in detections])
-    targets = np.zeros((len(detections), n_classes))
+    logits = out.class_logits
+    targets = np.zeros((len(out), n_classes))
     for p, g in assignment.pairs:
         targets[p, gt_boxes[g].label] = 1.0
 
@@ -236,8 +214,7 @@ def detection_loss(
     loss = mul(sum_(focal), weights.cls / denom)
 
     if assignment.pairs:
-        matched = [detections[pi] for pi, _ in assignment.pairs]
-        pred = _normalized_pred_rows(matched, ranges, weights, size_prior)
+        pred = take_rows(_normalized_pred(out, ranges, weights), [pi for pi, _ in assignment.pairs])
         gt = np.stack([_normalized_gt(gt_boxes[gi], ranges, weights, size_prior)
                        for _, gi in assignment.pairs])
         l1 = absolute(sub(pred, gt.astype(pred.dtype)))
@@ -269,13 +246,6 @@ class Track:
     label: int
     score: float
     frames_since_update: int = 0
-
-
-@dataclass
-class TrackedBox:
-    box: BoundingBox3D            # ego frame, as detected
-    track_id: int
-    score: float
 
 
 def greedy_track(

@@ -4,7 +4,7 @@ dual-stream layers and the task heads, stepped frame by frame."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
@@ -21,17 +21,16 @@ from .dualformer import (
 )
 from .dynstream import (
     MotionParams,
-    ObjectQuery,
     ObjImageAttnParams,
     ObjSelfAttnParams,
-    QueryMemory,
+    QuerySet,
     propagate,
     select_topk,
     spawn_queries,
     SpawnParams,
 )
 from .geom3d import CameraModel, Pose, ego_delta
-from .heads import DecodeParams, Detection, decode_boxes
+from .heads import DecodeParams, Detection, HeadOutputs, decode_boxes
 from .params import (
     ParamStore,
     glorot,
@@ -49,33 +48,28 @@ _MODEL_SEED_SALT = 0xD0A1
 
 @dataclass
 class StreamState:
-    """Belief carried between frames: query memory, BEV grid, last ego pose."""
+    """Belief carried between frames: top-k query memory, BEV grid, last ego pose."""
 
-    memory: QueryMemory
+    memory: QuerySet
     grid: Optional[BevGrid]
     prev_pose: Optional[Pose]
 
     def detached(self) -> "StreamState":
         """Cut the gradient history of the carried belief."""
-        mem = QueryMemory(
-            queries=[replace(q, latent=q.latent.detach(), anchor=q.anchor.detach())
-                     for q in self.memory.queries],
-            capacity=self.memory.capacity,
-        )
         grid = None
         if self.grid is not None:
             grid = BevGrid(spec=self.grid.spec, cells=self.grid.cells.detach(),
                            validity=self.grid.validity)
-        return StreamState(memory=mem, grid=grid, prev_pose=self.prev_pose)
+        return StreamState(memory=self.memory.detached(), grid=grid, prev_pose=self.prev_pose)
 
 
 @dataclass
 class StepResult:
     detections: list[Detection]
+    outputs: HeadOutputs               # batched head tensors the losses read
     seg_logits: Tensor
     state: StreamState
     memory_source_indices: np.ndarray  # detection index backing each memory slot
-    queries: list[ObjectQuery]         # queries as fed to the stack (for probes)
 
 
 def _make_pe(store: ParamStore, prefix: str, rng, d_coords: int, n_freqs: int, latent: int):
@@ -117,6 +111,7 @@ def build_layer_params(store: ParamStore, prefix: str, rng, cfg: Config) -> Dual
     bev_image = BevImageAttnParams(
         deform=make_deformable_params(store, f"{prefix}.bev_img.deform", rng, L, L, P),
         pe_w=pe_w, pe_b=pe_b, ln_g=g, ln_b=b, n_freqs=F,
+        pillar_heights=tuple(cfg.pillar_height_list()),
     )
 
     g, b = make_layernorm_params(store, f"{prefix}.dyn_static.ln", L)
@@ -180,7 +175,6 @@ class DualStreamModel:
             extent=(-cfg.bev_extent, cfg.bev_extent, -cfg.bev_extent, cfg.bev_extent),
         )
         self.ranges = cfg.detection_ranges()
-        self.pillar_heights = tuple(cfg.pillar_height_list())
 
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _MODEL_SEED_SALT]))
         store = ParamStore()
@@ -200,7 +194,7 @@ class DualStreamModel:
         self.store = store
 
     def initial_state(self) -> StreamState:
-        return StreamState(memory=QueryMemory.empty(self.cfg.topk), grid=None, prev_pose=None)
+        return StreamState(memory=QuerySet.empty(self.cfg.latent_dim), grid=None, prev_pose=None)
 
     def encode_images(self, images: Mapping[str, Optional[np.ndarray]]) -> dict[str, FeatureMap]:
         feats = {}
@@ -225,12 +219,11 @@ class DualStreamModel:
         if state.prev_pose is not None:
             delta = ego_delta(state.prev_pose, frame.ego_pose)
 
-        propagated: list[ObjectQuery] = []
-        if cfg.propagate_queries and state.memory.queries:
-            propagated = propagate(state.memory, delta, dt, self.motion,
-                                   compensate_object_motion=cfg.compensate_object_motion)
-        n_new = max(cfg.n_queries - len(propagated), 0)
-        queries = propagated + spawn_queries(n_new, self.spawn, self.ranges)
+        queries = QuerySet.empty(cfg.latent_dim)
+        if cfg.propagate_queries and len(state.memory):
+            queries = propagate(state.memory, delta, dt, self.motion,
+                                compensate_object_motion=cfg.compensate_object_motion)
+        queries = queries + spawn_queries(max(cfg.n_queries - len(queries), 0), self.spawn, self.ranges)
 
         h, w = self.bev_spec.dims
         grid = BevGrid(spec=self.bev_spec, cells=self.bev_init, validity=np.ones((h, w), dtype=bool))
@@ -241,33 +234,16 @@ class DualStreamModel:
         latents, grid_out = forward_stack(
             queries, grid, warped, features, cameras, self.flags, self.layers, self.ranges
         )
-        detections = decode_boxes(queries, latents, self.decode)
+        outputs, detections = decode_boxes(queries, latents, self.decode)
         seg_logits = segmentation_head(grid_out, self.seg)
 
-        from .diffcore.tensor import getitem
-
-        updated = []
-        scores = []
-        for det, q in zip(detections, queries):
-            updated.append(
-                ObjectQuery(
-                    latent=getitem(latents, det.query_index),
-                    anchor=Tensor(det.box.center.astype(latents.dtype)),
-                    velocity_estimate=det.box.velocity.copy(),
-                    score=det.score,
-                    identity=q.identity,
-                    age=q.age,
-                )
-            )
-            scores.append(det.score)
-        memory = select_topk(updated, scores, cfg.topk)
-        order = np.lexsort((np.arange(len(scores)), -np.asarray(scores)))[: cfg.topk]
-
-        new_state = StreamState(memory=memory, grid=grid_out, prev_pose=frame.ego_pose)
+        decoded = QuerySet(latents=latents, anchors=Tensor(outputs.center.data),
+                           velocities=outputs.velocity.data, scores=outputs.scores, ids=queries.ids)
+        memory, source = select_topk(decoded, cfg.topk)
         return StepResult(
             detections=detections,
+            outputs=outputs,
             seg_logits=seg_logits,
-            state=new_state,
-            memory_source_indices=order,
-            queries=queries,
+            state=StreamState(memory=memory, grid=grid_out, prev_pose=frame.ego_pose),
+            memory_source_indices=source,
         )

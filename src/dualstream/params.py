@@ -34,15 +34,9 @@ class ParamStore:
     def names(self) -> list[str]:
         return list(self._params)
 
-    def n_scalars(self) -> int:
-        return sum(t.data.size for t in self._params.values())
-
     def zero_grads(self) -> None:
         for t in self._params.values():
             t.grad = None
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self._params.items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         missing = set(self._params) - set(arrays)

@@ -71,13 +71,12 @@ def run_inference(
                 boxes = [d.box for d in res.detections]
                 prior_ids = [d.prior_identity for d in res.detections]
                 assigned = tracker.step(boxes, prior_ids, frame.ego_pose, dataset.dt)
-                track_ids: list[Optional[int]] = [None] * len(boxes)
+                track_id_of_det = np.full(len(boxes), -1, dtype=np.int64)
                 for det_idx, tid in assigned:
-                    track_ids[det_idx] = tid
-                id_of_det = dict(assigned)
-                for slot, det_idx in enumerate(res.memory_source_indices):
-                    q = state.memory.queries[slot]
-                    q.identity = id_of_det.get(int(det_idx), q.identity)
+                    track_id_of_det[det_idx] = tid
+                # memory slots inherit the track id given to their source detection
+                carried = track_id_of_det[res.memory_source_indices]
+                state.memory.ids = np.where(carried >= 0, carried, state.memory.ids)
 
                 pred = res.seg_logits.data >= 0.0
                 gt = frame.gt_seg >= 0.5
@@ -85,7 +84,7 @@ def run_inference(
                 union += np.logical_or(pred, gt).sum(axis=(1, 2))
                 frames.append(FrameRecord(
                     pred_boxes=boxes,
-                    track_ids=track_ids,
+                    track_ids=[None if tid < 0 else tid for tid in track_id_of_det.tolist()],
                     gt_boxes=frame.gt_boxes,
                     gt_ids=frame.gt_ids,
                     ego_velocity=frame.ego_velocity,

@@ -13,7 +13,7 @@ bilinear interpolation is well-defined without border effects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -192,6 +192,7 @@ class BevImageAttnParams:
     ln_g: Tensor
     ln_b: Tensor
     n_freqs: int = 8
+    pillar_heights: tuple[float, ...] = (-1.0, 0.0, 1.0, 2.0)   # m above each cell center
 
 
 def bev_image_cross_attention(
@@ -199,7 +200,6 @@ def bev_image_cross_attention(
     features: Mapping[str, FeatureMap],
     cameras: Mapping[str, CameraModel],
     params: BevImageAttnParams,
-    pillar_heights: Sequence[float] = (-1.0, 0.0, 1.0, 2.0),
 ) -> BevGrid:
     """Lift pillar points above each cell center, project them into the
     available cameras and average the deformable samples over all hits.
@@ -208,9 +208,9 @@ def bev_image_cross_attention(
     n = spec.dims[0] * spec.dims[1]
     q = grid.cells_flat()
     centers = cell_center_grid(spec)
-    nz = len(pillar_heights)
+    nz = len(params.pillar_heights)
     pts = np.concatenate(
-        [np.concatenate([centers, np.full((n, 1), z)], axis=1) for z in pillar_heights], axis=0
+        [np.concatenate([centers, np.full((n, 1), z)], axis=1) for z in params.pillar_heights], axis=0
     )  # (nz*n, 3)
     q_rep = concat([q] * nz, axis=0) if features else None
 

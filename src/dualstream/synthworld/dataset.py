@@ -16,7 +16,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -295,13 +295,6 @@ class Dataset:
             gt_seg=read_tensor(fdir / "gt_seg.dstn"),
             availability=availability,
         )
-
-    def iter_scene(self, scene_id: int) -> Iterator[FrameSample]:
-        meta = next((s for s in self.scenes if s["id"] == scene_id), None)
-        if meta is None:
-            raise DatasetError(f"scene {scene_id} not in index")
-        for t in range(meta["n_frames"]):
-            yield self.load_frame(scene_id, t)
 
 
 def read_dataset(path) -> Dataset:

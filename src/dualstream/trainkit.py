@@ -127,10 +127,10 @@ def frame_loss(model: DualStreamModel, result, frame, cfg: Config):
         cls=cfg.loss_weight_cls, center=cfg.loss_weight_center, box=cfg.loss_weight_box,
         focal_alpha=cfg.focal_alpha, focal_gamma=cfg.focal_gamma, velocity_norm=cfg.velocity_norm,
     )
-    cost = detection_cost_matrix(result.detections, frame.gt_boxes, model.ranges, weights,
+    cost = detection_cost_matrix(result.outputs, frame.gt_boxes, model.ranges, weights,
                                  model.decode.size_prior)
     assignment = hungarian_match(cost)
-    det = detection_loss(result.detections, frame.gt_boxes, assignment, model.ranges, weights,
+    det = detection_loss(result.outputs, frame.gt_boxes, assignment, model.ranges, weights,
                          model.decode.size_prior, n_classes=2)
     seg = segmentation_loss(result.seg_logits, frame.gt_seg)
     return det, seg
@@ -157,7 +157,7 @@ def streaming_train(
     total_steps_override: Optional[int] = None,
     on_step: Optional[Callable[[TrainLogRow], None]] = None,
 ) -> tuple[TrainResult, OptimizerState]:
-    """Iterate scenes frame by frame carrying QueryMemory and BevGrid,
+    """Iterate scenes frame by frame carrying the top-k query memory and the BEV grid,
     detaching state every ``truncation_horizon`` frames, with one optimizer
     step per frame-batch. Honors the per-frame sensor schedules stored in
     the dataset.

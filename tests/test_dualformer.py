@@ -1,18 +1,17 @@
 import numpy as np
-import pytest
 from util import t64
 
 from dualstream.configio import Config
 from dualstream.diffcore import Tensor, backward, finite_diff_check, fresh_tape, layernorm, use_dtype
-from dualstream.diffcore.tensor import getitem, mul, stack, sum_
+from dualstream.diffcore.tensor import mul, sum_
 from dualstream.dualformer import (
     VariantFlags,
-    dynamic_static_cross_attention,
+    _dynamic_static_core,
+    _static_dynamic_core,
     forward_layer,
     forward_stack,
-    static_dynamic_cross_attention,
 )
-from dualstream.dynstream import ObjectQuery
+from dualstream.dynstream import QuerySet
 from dualstream.model import DualStreamModel, build_layer_params
 from dualstream.params import ParamStore
 from dualstream.statstream import BevGrid, BevSpec, metric_to_cell
@@ -31,12 +30,12 @@ def layer_params(rng_seed=0, cfg=CFG):
     return build_layer_params(store, "layer0", rng, cfg), store
 
 
-def make_query(rng, anchor=None):
-    return ObjectQuery(
-        latent=t64(rng.normal(size=L)),
-        anchor=t64(anchor if anchor is not None else rng.uniform(-2.5, 2.5, 3)),
-        velocity_estimate=np.zeros(2),
-        score=0.5,
+def make_queries(rng, n=1, anchors=None):
+    """n queries with random latents; unset anchors are drawn in [-2.5, 2.5]^3."""
+    return QuerySet(
+        latents=t64(rng.normal(size=(n, L))),
+        anchors=t64(anchors if anchors is not None else rng.uniform(-2.5, 2.5, (n, 3))),
+        velocities=np.zeros((n, 2)), scores=np.full(n, 0.5), ids=np.full(n, -1),
     )
 
 
@@ -52,9 +51,9 @@ class TestDynamicStatic:
             params, _ = layer_params()
             p = params.dyn_static
             grid = make_grid(rng)
-            q = make_query(rng, anchor=[10.0, 0.0, 0.0])
-            out = dynamic_static_cross_attention([q], grid, p)
-            want = layernorm(t64(q.latent.data[None, :]), p.ln_g, p.ln_b).data
+            q = make_queries(rng, anchors=[[10.0, 0.0, 0.0]])
+            out = _dynamic_static_core(q.latents, q.anchor_xyz, grid, p)
+            want = layernorm(q.latents, p.ln_g, p.ln_b).data
             np.testing.assert_allclose(out.data, want, atol=1e-12)
 
     def test_degenerate_equals_grid_bilinear(self, rng):
@@ -67,11 +66,11 @@ class TestDynamicStatic:
             p = DynStaticParams(deform=make_deformable_params(rng, L, L, 1, degenerate=True),
                                 ln_g=g_, ln_b=b_)
             grid = make_grid(rng)
-            q = make_query(rng, anchor=[0.7, -1.2, 0.0])
-            out = dynamic_static_cross_attention([q], grid, p)
+            q = make_queries(rng, anchors=[[0.7, -1.2, 0.0]])
+            out = _dynamic_static_core(q.latents, q.anchor_xyz, grid, p)
             ref = metric_to_cell(SPEC, np.array([0.7, -1.2]))
             sample = bilinear_sample(grid.cells, t64(ref[None, :])).data[0]
-            want = layernorm(t64((q.latent.data + sample)[None, :]), p.ln_g, p.ln_b).data
+            want = layernorm(t64(q.latents.data + sample), p.ln_g, p.ln_b).data
             np.testing.assert_allclose(out.data, want, atol=1e-10)
 
     def test_batch_matches_per_query_loop(self, rng):
@@ -79,17 +78,15 @@ class TestDynamicStatic:
             params, _ = layer_params()
             p = params.dyn_static
             grid = make_grid(rng)
-            qs = [make_query(rng) for _ in range(3)]
-            batch = dynamic_static_cross_attention(qs, grid, p).data
-            for i, q in enumerate(qs):
-                solo = dynamic_static_cross_attention([q], grid, p).data[0]
+            qs = make_queries(rng, 3)
+            batch = _dynamic_static_core(qs.latents, qs.anchor_xyz, grid, p).data
+            for i in range(3):
+                q = qs.take([i])
+                solo = _dynamic_static_core(q.latents, q.anchor_xyz, grid, p).data[0]
                 np.testing.assert_allclose(batch[i], solo, atol=1e-5)
 
 
 class TestStaticDynamic:
-    def flags(self):
-        return VariantFlags(interaction="bidirectional", temporal_bev=True)
-
     def bidir_params(self, seed=0):
         cfg = Config(latent_dim=L, heads=2, n_points=2, interaction="bidirectional",
                      bev_cells=6, bev_extent=3.0, patch=8, image_height=16, image_width=32,
@@ -97,19 +94,12 @@ class TestStaticDynamic:
         store = ParamStore()
         return build_layer_params(store, "layer0", np.random.default_rng(seed), cfg)
 
-    def test_requires_bidirectional(self, rng):
-        params = self.bidir_params()
-        grid = make_grid(rng)
-        with pytest.raises(ValueError):
-            static_dynamic_cross_attention(grid, [], params.static_dyn,
-                                           VariantFlags(interaction="full"), RANGES)
-
     def test_zero_queries_identity_path(self, rng):
         with use_dtype(np.float64):
             params = self.bidir_params()
             p = params.static_dyn
             grid = make_grid(rng)
-            out = static_dynamic_cross_attention(grid, [], p, self.flags(), RANGES)
+            out = _static_dynamic_core(grid, t64(np.zeros((0, L))), np.zeros((0, 3)), p, RANGES)
             want = layernorm(grid.cells_flat(), p.ln_g, p.ln_b).data
             np.testing.assert_allclose(out.cells.data.reshape(L, -1).T, want, atol=1e-12)
 
@@ -118,10 +108,10 @@ class TestStaticDynamic:
             params = self.bidir_params()
             p = params.static_dyn
             grid = make_grid(rng)
-            q = make_query(rng)
-            out = static_dynamic_cross_attention(grid, [q], p, self.flags(), RANGES)
+            q = make_queries(rng)
+            out = _static_dynamic_core(grid, q.latents, q.anchor_xyz, p, RANGES)
             # single-key attention: every cell receives proj(v)
-            v = q.latent.data @ p.attn.wv.data + p.attn.bv.data
+            v = q.latents.data[0] @ p.attn.wv.data + p.attn.bv.data
             proj = v @ p.attn.wo.data + p.attn.bo.data
             flat = grid.cells_flat().data
             want = layernorm(t64(flat + proj[None, :]), p.ln_g, p.ln_b).data
@@ -132,10 +122,10 @@ class TestStaticDynamic:
             params = self.bidir_params()
             p = params.static_dyn
             grid = make_grid(rng)
-            qs = [make_query(rng) for _ in range(5)]
-            perm = list(rng.permutation(5))
-            out1 = static_dynamic_cross_attention(grid, qs, p, self.flags(), RANGES)
-            out2 = static_dynamic_cross_attention(grid, [qs[i] for i in perm], p, self.flags(), RANGES)
+            qs = make_queries(rng, 5)
+            moved = qs.take(rng.permutation(5))
+            out1 = _static_dynamic_core(grid, qs.latents, qs.anchor_xyz, p, RANGES)
+            out2 = _static_dynamic_core(grid, moved.latents, moved.anchor_xyz, p, RANGES)
             np.testing.assert_array_equal(out1.cells.data, out2.cells.data)
 
 
@@ -164,7 +154,7 @@ class TestForwardLayerAblations:
             model = micro_model(interaction="none")
             frames, rig, dt = micro_frame(model)
             features = model.encode_images(frames[0].images)
-            queries = [make_query(rng) for _ in range(4)]
+            queries = make_queries(rng, 4)
             grid_a = make_grid(rng, model.bev_spec)
             grid_b = make_grid(rng, model.bev_spec)  # arbitrary other grid
             flags = VariantFlags(interaction="none", temporal_bev=False)
@@ -181,8 +171,8 @@ class TestForwardLayerAblations:
             features = model.encode_images(frames[0].images)
             grid = make_grid(rng, model.bev_spec)
             flags = VariantFlags(interaction="full", temporal_bev=True)
-            qs_a = [make_query(rng) for _ in range(4)]
-            qs_b = [make_query(rng) for _ in range(4)]
+            qs_a = make_queries(rng, 4)
+            qs_b = make_queries(rng, 4)
             _, grid_a = forward_stack(qs_a, grid, None, features, rig, flags,
                                       model.layers, model.ranges)
             _, grid_b = forward_stack(qs_b, grid, None, features, rig, flags,
@@ -195,7 +185,7 @@ class TestForwardLayerAblations:
             frames, rig, dt = micro_frame(model)
             features = model.encode_images(frames[0].images)
             flags = VariantFlags(interaction="full", temporal_bev=False)
-            queries = [make_query(rng, anchor=[0.5, 0.5, 0.0]) for _ in range(2)]
+            queries = make_queries(rng, 2, anchors=np.tile([0.5, 0.5, 0.0], (2, 1)))
             grid = make_grid(rng, model.bev_spec)
             out1, _ = forward_stack(queries, grid, None, features, rig, flags,
                                     model.layers, model.ranges)
@@ -213,12 +203,10 @@ class TestForwardLayerAblations:
             frames, rig, dt = micro_frame(model)
             features = model.encode_images(frames[0].images)
             flags = model.flags
-            queries = [make_query(rng) for _ in range(5)]
+            queries = make_queries(rng, 5)
             grid = make_grid(rng, model.bev_spec)
             latents, grid_out = forward_layer(
-                stack([q.latent for q in queries]),
-                np.stack([q.anchor_xyz for q in queries]),
-                grid, None, features, rig, flags, model.layers[0], model.ranges)
+                queries.latents, queries.anchor_xyz, grid, None, features, rig, flags, model.layers[0], model.ranges)
             assert latents.data.shape == (5, L)
             assert grid_out.cells.data.shape == grid.cells.data.shape
 
@@ -230,12 +218,12 @@ class TestForwardLayerAblations:
                     frames, rig, dt = micro_frame(model)
                     features = model.encode_images(frames[0].images)
                     flags = VariantFlags(interaction=interaction, temporal_bev=temporal)
-                    qs = [make_query(rng) for _ in range(4)]
-                    perm = list(rng.permutation(4))
+                    qs = make_queries(rng, 4)
+                    perm = rng.permutation(4)
                     grid = make_grid(rng, model.bev_spec)
                     out1, _ = forward_stack(qs, grid, None, features, rig, flags,
                                             model.layers, model.ranges)
-                    out2, _ = forward_stack([qs[i] for i in perm], grid, None, features, rig,
+                    out2, _ = forward_stack(qs.take(perm), grid, None, features, rig,
                                             flags, model.layers, model.ranges)
                     np.testing.assert_array_equal(out1.data[perm], out2.data)
 
@@ -246,14 +234,12 @@ class TestForwardStack:
             model = micro_model()
             frames, rig, dt = micro_frame(model)
             features = model.encode_images(frames[0].images)
-            queries = [make_query(rng) for _ in range(4)]
+            queries = make_queries(rng, 4)
             grid = make_grid(rng, model.bev_spec)
             stacked, grid_s = forward_stack(queries, grid, None, features, rig, model.flags,
                                             model.layers[:1], model.ranges)
             single, grid_l = forward_layer(
-                stack([q.latent for q in queries]),
-                np.stack([q.anchor_xyz for q in queries]),
-                grid, None, features, rig, model.flags, model.layers[0], model.ranges)
+                queries.latents, queries.anchor_xyz, grid, None, features, rig, model.flags, model.layers[0], model.ranges)
             np.testing.assert_array_equal(stacked.data, single.data)
             np.testing.assert_array_equal(grid_s.cells.data, grid_l.cells.data)
 
@@ -264,7 +250,7 @@ class TestForwardStack:
                 model = micro_model(seed=3)
                 frames, rig, dt = micro_frame(model)
                 features = model.encode_images(frames[0].images)
-                queries = [make_query(np.random.default_rng(1)) for _ in range(4)]
+                queries = make_queries(np.random.default_rng(1), 4)
                 grid = make_grid(np.random.default_rng(2), model.bev_spec)
                 out, _ = forward_stack(queries, grid, None, features, rig, model.flags,
                                        model.layers, model.ranges)
@@ -279,7 +265,7 @@ class TestForwardStack:
             model = DualStreamModel(cfg)
             frames, rig, dt = micro_frame(model)
             features = model.encode_images(frames[0].images)
-            queries = [make_query(rng) for _ in range(3)]
+            queries = make_queries(rng, 3)
             grid = BevGrid(spec=model.bev_spec, cells=model.bev_init,
                            validity=np.ones(model.bev_spec.dims, bool))
 
@@ -304,3 +290,19 @@ class TestForwardStack:
 
             err = finite_diff_check(fn, [probe], eps=1e-5, coord_limit=12)
             assert err <= 1e-4
+
+
+class TestConfigReachesBlocks:
+    def test_pillar_heights_change_bev_output(self):
+        from dataclasses import replace
+
+        with use_dtype(np.float64):
+            grids = []
+            for heights in ("-1,0,1,2", "0"):
+                model = DualStreamModel(replace(CFG, pillar_heights=heights))
+                assert model.layers[0].bev_image.pillar_heights == tuple(
+                    float(z) for z in heights.split(","))
+                frames, rig, dt = micro_frame(model)
+                res = model.forward_frame(frames[0], rig, model.initial_state(), dt)
+                grids.append(res.state.grid.cells.data)
+        assert np.abs(grids[0] - grids[1]).max() > 1e-6

@@ -4,35 +4,37 @@ import numpy as np
 import pytest
 from util import make_attention_params, make_deformable_params, make_ln, make_mlp_params, t64
 
-from dualstream.diffcore import FeatureMap, Tensor, layernorm, use_dtype
-from dualstream.diffcore.tensor import stack
+from dualstream.configio import Config
+from dualstream.diffcore import FeatureMap, active_tape, layernorm, use_dtype
 from dualstream.dynstream import (
     MotionParams,
-    ObjectQuery,
     ObjImageAttnParams,
     ObjSelfAttnParams,
-    QueryMemory,
+    QuerySet,
     SpawnParams,
-    obj_image_cross_attention,
-    obj_self_attention,
+    _obj_image_cross_attention,
+    _obj_self_attention,
     propagate,
     select_topk,
     spawn_queries,
 )
 from dualstream.geom3d import CameraModel, Pose
+from dualstream.heads import decode_boxes
+from dualstream.model import build_decode_params
+from dualstream.params import ParamStore
 
 RANGES = np.array([[-16.0, -16.0, -3.0], [16.0, 16.0, 3.0]])
 L = 8
 
 
-def make_query(rng, anchor=None, vel=None, score=0.5, identity=None, age=0):
-    return ObjectQuery(
-        latent=t64(rng.normal(size=L)),
-        anchor=t64(anchor if anchor is not None else rng.uniform(-10, 10, 3)),
-        velocity_estimate=np.asarray(vel if vel is not None else np.zeros(2), dtype=np.float64),
-        score=score,
-        identity=identity,
-        age=age,
+def make_queries(rng, n=1, anchors=None, vels=None, scores=None, ids=None, grad=False):
+    """n queries with random latents; unset anchors are drawn in [-10, 10]^3."""
+    return QuerySet(
+        latents=t64(rng.normal(size=(n, L)), grad=grad),
+        anchors=t64(anchors if anchors is not None else rng.uniform(-10, 10, (n, 3))),
+        velocities=np.zeros((n, 2)) if vels is None else vels,
+        scores=np.full(n, 0.5) if scores is None else scores,
+        ids=np.arange(n) if ids is None else ids,
     )
 
 
@@ -45,21 +47,20 @@ def spawn_params(rng, n=6):
 
 class TestSpawn:
     def test_zero_gives_empty(self, rng):
-        assert spawn_queries(0, spawn_params(rng), RANGES) == []
+        assert len(spawn_queries(0, spawn_params(rng), RANGES)) == 0
 
     def test_anchors_inside_detection_range(self, rng):
         qs = spawn_queries(6, spawn_params(rng), RANGES)
-        for q in qs:
-            assert np.all(q.anchor_xyz >= RANGES[0]) and np.all(q.anchor_xyz <= RANGES[1])
-            assert q.age == 0 and q.identity is None and q.score == 0.0
+        assert len(qs) == 6
+        assert np.all(qs.anchor_xyz >= RANGES[0]) and np.all(qs.anchor_xyz <= RANGES[1])
+        assert np.all(qs.ids == -1) and np.all(qs.scores == 0.0)
 
     def test_two_calls_identical(self, rng):
         p = spawn_params(rng)
         a = spawn_queries(4, p, RANGES)
         b = spawn_queries(4, p, RANGES)
-        for qa, qb in zip(a, b):
-            np.testing.assert_array_equal(qa.latent.data, qb.latent.data)
-            np.testing.assert_array_equal(qa.anchor.data, qb.anchor.data)
+        np.testing.assert_array_equal(a.latents.data, b.latents.data)
+        np.testing.assert_array_equal(a.anchors.data, b.anchors.data)
 
 
 def zero_motion_params():
@@ -68,70 +69,124 @@ def zero_motion_params():
 
 class TestPropagate:
     def test_stationary_anchors_unchanged(self, rng):
-        qs = [make_query(rng, vel=[0.0, 0.0]) for _ in range(3)]
-        mem = QueryMemory(queries=sorted(qs, key=lambda q: -q.score), capacity=3)
+        mem = make_queries(rng, 3)
         out = propagate(mem, Pose.identity(2), 0.7, zero_motion_params())
-        for q_in, q_out in zip(mem.queries, out):
-            np.testing.assert_allclose(q_out.anchor_xyz, q_in.anchor_xyz, atol=1e-12)
-            assert q_out.age == q_in.age + 1
+        np.testing.assert_allclose(out.anchor_xyz, mem.anchor_xyz, atol=1e-12)
 
     def test_ego_advance_pose_compose_oracle(self, rng):
-        q = make_query(rng, anchor=[10.0, 0.0, 0.0], vel=[0.0, 0.0])
-        mem = QueryMemory(queries=[q], capacity=1)
+        mem = make_queries(rng, anchors=[[10.0, 0.0, 0.0]])
         delta = Pose.se2(0.0, -2.0, 0.0)  # ego advanced +2 m in x
         out = propagate(mem, delta, 0.5, zero_motion_params())
-        np.testing.assert_allclose(out[0].anchor_xyz, [8.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(out.anchor_xyz, [[8.0, 0.0, 0.0]], atol=1e-12)
 
     def test_kinematics_oracle(self, rng):
-        q = make_query(rng, anchor=[1.0, 2.0, 0.5], vel=[5.0, 0.0])
-        mem = QueryMemory(queries=[q], capacity=1)
+        mem = make_queries(rng, anchors=[[1.0, 2.0, 0.5]], vels=[[5.0, 0.0]])
         out = propagate(mem, Pose.identity(2), 0.5, zero_motion_params())
-        np.testing.assert_allclose(out[0].anchor_xyz, [3.5, 2.0, 0.5], atol=1e-12)
+        np.testing.assert_allclose(out.anchor_xyz, [[3.5, 2.0, 0.5]], atol=1e-12)
 
     def test_velocity_rotated_by_delta(self, rng):
-        q = make_query(rng, anchor=[0.0, 0.0, 0.0], vel=[3.0, 0.0])
-        mem = QueryMemory(queries=[q], capacity=1)
+        mem = make_queries(rng, anchors=[[0.0, 0.0, 0.0]], vels=[[3.0, 0.0]])
         delta = Pose.se2(math.pi / 2, 0.0, 0.0)
         out = propagate(mem, delta, 0.0, zero_motion_params())
-        np.testing.assert_allclose(out[0].velocity_estimate, [0.0, 3.0], atol=1e-12)
+        np.testing.assert_allclose(out.velocities, [[0.0, 3.0]], atol=1e-12)
 
     def test_compensation_flag_skips_object_motion(self, rng):
-        q = make_query(rng, anchor=[1.0, 1.0, 0.0], vel=[4.0, 0.0])
-        mem = QueryMemory(queries=[q], capacity=1)
+        mem = make_queries(rng, anchors=[[1.0, 1.0, 0.0]], vels=[[4.0, 0.0]])
         out = propagate(mem, Pose.identity(2), 0.5, zero_motion_params(),
                         compensate_object_motion=False)
-        np.testing.assert_allclose(out[0].anchor_xyz, [1.0, 1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(out.anchor_xyz, [[1.0, 1.0, 0.0]], atol=1e-12)
 
     def test_latent_gets_motion_mlp_residual(self, rng):
         params = MotionParams(mlp=make_mlp_params(rng, L + 7, 6, L))
-        q = make_query(rng)
-        mem = QueryMemory(queries=[q], capacity=1)
+        mem = make_queries(rng)
         out = propagate(mem, Pose.se2(0.1, 1.0, -0.5), 0.5, params)
-        assert not np.allclose(out[0].latent.data, q.latent.data)
+        assert not np.allclose(out.latents.data, mem.latents.data)
 
 
 class TestSelectTopk:
     def test_k_at_least_n_keeps_all_sorted(self, rng):
-        qs = [make_query(rng, score=s) for s in (0.2, 0.9, 0.5)]
-        mem = select_topk(qs, [0.2, 0.9, 0.5], 5)
-        assert [q.score for q in mem.queries] == [0.9, 0.5, 0.2]
+        qs = make_queries(rng, 3, scores=[0.2, 0.9, 0.5])
+        mem, order = select_topk(qs, 5)
+        assert mem.scores.tolist() == [0.9, 0.5, 0.2]
+        assert order.tolist() == [1, 2, 0]
 
     def test_k_zero_empty(self, rng):
-        mem = select_topk([make_query(rng)], [0.5], 0)
-        assert mem.queries == []
+        mem, order = select_topk(make_queries(rng), 0)
+        assert len(mem) == 0 and len(order) == 0
 
     def test_tie_break_lower_index(self, rng):
-        qs = [make_query(rng, identity=i) for i in range(4)]
-        mem = select_topk(qs, [0.1, 0.9, 0.9, 0.3], 2)
-        assert [q.identity for q in mem.queries] == [1, 2]
+        qs = make_queries(rng, 4, scores=[0.1, 0.9, 0.9, 0.3])
+        mem, _ = select_topk(qs, 2)
+        assert mem.ids.tolist() == [1, 2]
 
     def test_deterministic(self, rng):
-        qs = [make_query(rng) for _ in range(6)]
-        scores = list(rng.uniform(size=6))
-        a = select_topk(qs, scores, 3)
-        b = select_topk(qs, scores, 3)
-        assert [q.identity for q in a.queries] == [q.identity for q in b.queries]
-        assert [q.score for q in a.queries] == [q.score for q in b.queries]
+        qs = make_queries(rng, 6, scores=rng.uniform(size=6))
+        a, _ = select_topk(qs, 3)
+        b, _ = select_topk(qs, 3)
+        assert a.ids.tolist() == b.ids.tolist()
+        assert a.scores.tolist() == b.scores.tolist()
+
+    def test_rows_follow_the_order(self, rng):
+        qs = make_queries(rng, 5, scores=rng.uniform(size=5))
+        mem, order = select_topk(qs, 3)
+        np.testing.assert_array_equal(mem.latents.data, qs.latents.data[order])
+        np.testing.assert_array_equal(mem.anchors.data, qs.anchors.data[order])
+        np.testing.assert_array_equal(mem.ids, qs.ids[order])
+
+
+class TestQuerySetInvariants:
+    def test_non_finite_anchor_rejected(self, rng):
+        anchors = rng.uniform(-1, 1, (3, 3))
+        anchors[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            make_queries(rng, 3, anchors=anchors)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan])
+    def test_score_outside_unit_interval_rejected(self, rng, bad):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            make_queries(rng, 2, scores=[0.5, bad])
+
+    def test_row_count_mismatch_rejected(self, rng):
+        with pytest.raises(ValueError, match="one row per query"):
+            make_queries(rng, 2, ids=[0, 1, 2])
+
+    def test_concat_keeps_row_order(self, rng):
+        a, b = make_queries(rng, 2), make_queries(rng, 3, ids=[7, 8, 9])
+        both = a + b
+        np.testing.assert_array_equal(both.latents.data, np.concatenate([a.latents.data, b.latents.data]))
+        assert both.ids.tolist() == [0, 1, 7, 8, 9]
+        assert (a + QuerySet.empty(L)) is a and (QuerySet.empty(L) + b) is b
+
+
+class TestTapeCountIndependentOfQueryCount:
+    """Each per-frame query step records a fixed number of tape entries."""
+
+    @staticmethod
+    def entries(fn):
+        tape = active_tape()
+        before = tape.position()
+        fn()
+        n = tape.position() - before
+        tape.drop_before(tape.position())
+        return n
+
+    def counts(self, n):
+        rng = np.random.default_rng(n)
+        mem = make_queries(rng, n, grad=True)
+        params = MotionParams(mlp=make_mlp_params(rng, L + 7, 6, L))
+        spawn = spawn_params(rng, n=n)
+        decode = build_decode_params(ParamStore(), "decode", rng, Config(latent_dim=L, decode_hidden=6))
+        return (
+            self.entries(lambda: spawn_queries(n, spawn, RANGES)),
+            self.entries(lambda: propagate(mem, Pose.se2(0.1, 1.0, -0.5), 0.5, params)),
+            self.entries(lambda: select_topk(mem, n // 2)),
+            self.entries(lambda: decode_boxes(mem, mem.latents, decode)),
+        )
+
+    def test_same_at_8_and_16_queries(self):
+        small, large = self.counts(8), self.counts(16)
+        assert all(c > 0 for c in small)
+        assert small == large
 
 
 def self_attn_params(rng, identity=False):
@@ -149,34 +204,35 @@ class TestObjSelfAttention:
     def test_single_query_residual_form(self, rng):
         with use_dtype(np.float64):
             p = self_attn_params(rng)
-            q = make_query(rng)
-            out = obj_self_attention([q], p, RANGES)
-            v = q.latent.data @ p.attn.wv.data + p.attn.bv.data
+            q = make_queries(rng)
+            out = _obj_self_attention(q.latents, q.anchor_xyz, p, RANGES)
+            v = q.latents.data[0] @ p.attn.wv.data + p.attn.bv.data
             proj = v @ p.attn.wo.data + p.attn.bo.data
-            want = layernorm(t64((q.latent.data + proj)[None, :]), p.ln_g, p.ln_b).data
+            want = layernorm(t64((q.latents.data[0] + proj)[None, :]), p.ln_g, p.ln_b).data
             np.testing.assert_allclose(out.data, want, atol=1e-12)
 
     def test_permutation_equivariance_bitwise(self, rng):
         with use_dtype(np.float64):
             p = self_attn_params(rng)
             p.pe_w.data = rng.normal(size=p.pe_w.data.shape) * 0.1
-            qs = [make_query(rng) for _ in range(6)]
-            perm = list(rng.permutation(6))
-            out1 = obj_self_attention(qs, p, RANGES).data
-            out2 = obj_self_attention([qs[i] for i in perm], p, RANGES).data
+            qs = make_queries(rng, 6)
+            perm = rng.permutation(6)
+            moved = qs.take(perm)
+            out1 = _obj_self_attention(qs.latents, qs.anchor_xyz, p, RANGES).data
+            out2 = _obj_self_attention(moved.latents, moved.anchor_xyz, p, RANGES).data
         np.testing.assert_array_equal(out1[perm], out2)
 
     def test_two_query_hand_unrolled_oracle(self, rng):
         with use_dtype(np.float64):
             p = self_attn_params(rng)
-            qs = [make_query(rng) for _ in range(2)]
-            got = obj_self_attention(qs, p, RANGES).data
+            qs = make_queries(rng, 2)
+            got = _obj_self_attention(qs.latents, qs.anchor_xyz, p, RANGES).data
 
             from dualstream.diffcore.ops import sincos_encoding
             from dualstream.dynstream import normalize_anchors
 
-            lat = np.stack([q.latent.data for q in qs])
-            anch = np.stack([q.anchor_xyz for q in qs])
+            lat = qs.latents.data
+            anch = qs.anchor_xyz
             pe = sincos_encoding(normalize_anchors(anch, RANGES), 8) @ p.pe_w.data + p.pe_b.data
             qk = lat + pe
             dh = L // 2
@@ -237,9 +293,9 @@ class TestObjImageCrossAttention:
             p = img_attn_params(rng)
             cam = front_camera()
             fm = feature_map(rng, cam)
-            q = make_query(rng, anchor=[-5.0, 0.0, 0.0])  # behind the front camera
-            out = obj_image_cross_attention([q], {"front": fm}, {"front": cam}, p)
-            want = layernorm(t64(q.latent.data[None, :]), p.ln_g, p.ln_b).data
+            q = make_queries(rng, anchors=[[-5.0, 0.0, 0.0]])  # behind the front camera
+            out = _obj_image_cross_attention(q.latents, q.anchor_xyz, {"front": fm}, {"front": cam}, p)
+            want = layernorm(q.latents, p.ln_g, p.ln_b).data
             np.testing.assert_allclose(out.data, want, atol=1e-12)
 
     def test_degenerate_equals_bilinear_sample(self, rng):
@@ -247,16 +303,16 @@ class TestObjImageCrossAttention:
             p = img_attn_params(rng, degenerate=True)
             cam = front_camera()
             fm = feature_map(rng, cam)
-            q = make_query(rng, anchor=[8.0, 0.3, 0.2])
-            out = obj_image_cross_attention([q], {"front": fm}, {"front": cam}, p)
+            q = make_queries(rng, anchors=[[8.0, 0.3, 0.2]])
+            out = _obj_image_cross_attention(q.latents, q.anchor_xyz, {"front": fm}, {"front": cam}, p)
 
             from dualstream.diffcore import bilinear_sample
             from dualstream.geom3d import project
 
-            uv, _ = project(cam, q.anchor_xyz)
+            uv, _ = project(cam, q.anchor_xyz[0])
             coords = np.array([[uv[1] / fm.stride - 0.5, uv[0] / fm.stride - 0.5]])
             sample = bilinear_sample(fm.data, t64(coords)).data[0]
-            want = layernorm(t64((q.latent.data + sample)[None, :]), p.ln_g, p.ln_b).data
+            want = layernorm(t64(q.latents.data + sample), p.ln_g, p.ln_b).data
             np.testing.assert_allclose(out.data, want, atol=1e-10)
 
     def test_two_cameras_equal_weights_mean(self, rng):
@@ -267,18 +323,18 @@ class TestObjImageCrossAttention:
             # anchor visible in both: impossible for opposing cameras, so use
             # two queries and verify against the per-camera bilinear samples
             # aggregated by the (uniform) softmax over visible cameras.
-            q = make_query(rng, anchor=[8.0, 0.0, 0.5])
+            q = make_queries(rng, anchors=[[8.0, 0.0, 0.5]])
             cams = {"front": cam_f, "back": cam_b}
             fms = {"front": fm_f, "back": fm_b}
-            out = obj_image_cross_attention([q], fms, cams, p)
+            out = _obj_image_cross_attention(q.latents, q.anchor_xyz, fms, cams, p)
 
             from dualstream.diffcore import bilinear_sample
             from dualstream.geom3d import project
 
-            uv, _ = project(cam_f, q.anchor_xyz)
+            uv, _ = project(cam_f, q.anchor_xyz[0])
             coords = np.array([[uv[1] / fm_f.stride - 0.5, uv[0] / fm_f.stride - 0.5]])
             sample = bilinear_sample(fm_f.data, t64(coords)).data[0]
-            want = layernorm(t64((q.latent.data + sample)[None, :]), p.ln_g, p.ln_b).data
+            want = layernorm(t64(q.latents.data + sample), p.ln_g, p.ln_b).data
             np.testing.assert_allclose(out.data, want, atol=1e-10)
 
     def test_forced_equal_weights_mean_of_two_cameras(self, rng):
@@ -291,19 +347,19 @@ class TestObjImageCrossAttention:
                                 extrinsic=cam_a.extrinsic, width=cam_a.width,
                                 height=cam_a.height, name="front-left")
             fm_a, fm_b = feature_map(rng, cam_a), feature_map(rng, cam_b)
-            q = make_query(rng, anchor=[8.0, 0.3, 0.2])
-            out = obj_image_cross_attention(
-                [q], {"front": fm_a, "front-left": fm_b},
+            q = make_queries(rng, anchors=[[8.0, 0.3, 0.2]])
+            out = _obj_image_cross_attention(
+                q.latents, q.anchor_xyz, {"front": fm_a, "front-left": fm_b},
                 {"front": cam_a, "front-left": cam_b}, p)
 
             from dualstream.diffcore import bilinear_sample
             from dualstream.geom3d import project
 
-            uv, _ = project(cam_a, q.anchor_xyz)
+            uv, _ = project(cam_a, q.anchor_xyz[0])
             coords = np.array([[uv[1] / fm_a.stride - 0.5, uv[0] / fm_a.stride - 0.5]])
             sa = bilinear_sample(fm_a.data, t64(coords)).data[0]
             sb = bilinear_sample(fm_b.data, t64(coords)).data[0]
-            want = layernorm(t64((q.latent.data + 0.5 * (sa + sb))[None, :]), p.ln_g, p.ln_b).data
+            want = layernorm(t64(q.latents.data + 0.5 * (sa + sb)), p.ln_g, p.ln_b).data
             np.testing.assert_allclose(out.data, want, atol=1e-10)
 
     def test_permutation_equivariance_bitwise(self, rng):
@@ -311,21 +367,11 @@ class TestObjImageCrossAttention:
             p = img_attn_params(rng)
             cam = front_camera()
             fm = feature_map(rng, cam)
-            qs = [make_query(rng, anchor=[rng.uniform(4, 12), rng.uniform(-2, 2), 0.0])
-                  for _ in range(5)]
-            perm = list(rng.permutation(5))
-            out1 = obj_image_cross_attention(qs, {"front": fm}, {"front": cam}, p).data
-            out2 = obj_image_cross_attention([qs[i] for i in perm], {"front": fm}, {"front": cam}, p).data
+            anchors = np.stack([rng.uniform(4, 12, 5), rng.uniform(-2, 2, 5), np.zeros(5)], axis=1)
+            qs = make_queries(rng, 5, anchors=anchors)
+            perm = rng.permutation(5)
+            moved = qs.take(perm)
+            out1 = _obj_image_cross_attention(qs.latents, qs.anchor_xyz, {"front": fm}, {"front": cam}, p).data
+            out2 = _obj_image_cross_attention(moved.latents, moved.anchor_xyz, {"front": fm},
+                                              {"front": cam}, p).data
         np.testing.assert_array_equal(out1[perm], out2)
-
-
-class TestQueryMemoryInvariants:
-    def test_capacity_enforced(self, rng):
-        qs = [make_query(rng, score=0.5), make_query(rng, score=0.4)]
-        with pytest.raises(ValueError):
-            QueryMemory(queries=qs, capacity=1)
-
-    def test_sorted_enforced(self, rng):
-        qs = [make_query(rng, score=0.1), make_query(rng, score=0.9)]
-        with pytest.raises(ValueError):
-            QueryMemory(queries=qs, capacity=4)

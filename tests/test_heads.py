@@ -6,13 +6,13 @@ import pytest
 from util import t64
 
 from dualstream.configio import Config
-from dualstream.diffcore import Tensor, finite_diff_check, use_dtype
-from dualstream.diffcore.tensor import ShapeError, stack, sum_
-from dualstream.dynstream import MotionParams, ObjectQuery, QueryMemory, propagate
+from dualstream.diffcore import Tensor, active_tape, finite_diff_check, use_dtype
+from dualstream.diffcore.tensor import ShapeError
+from dualstream.dynstream import MotionParams, QuerySet, propagate
 from dualstream.geom3d import BoundingBox3D, Pose
 from dualstream.heads import (
     Assignment,
-    DecodeParams,
+    HeadOutputs,
     LossWeights,
     Track,
     decode_boxes,
@@ -40,19 +40,18 @@ def decode_params(seed=0, zero=False):
     return p
 
 
-def query(rng, anchor=None):
-    return ObjectQuery(latent=t64(rng.normal(size=L)),
-                       anchor=t64(anchor if anchor is not None else rng.uniform(-5, 5, 3)),
-                       velocity_estimate=np.zeros(2), score=0.5)
+def queries(rng, n=1, anchors=None):
+    return QuerySet(latents=t64(rng.normal(size=(n, L))),
+                    anchors=t64(anchors if anchors is not None else rng.uniform(-5, 5, (n, 3))),
+                    velocities=np.zeros((n, 2)), scores=np.full(n, 0.5), ids=np.full(n, -1))
 
 
 class TestDecodeBoxes:
     def test_zero_head_decodes_anchor_prior_zero_yaw(self, rng):
         with use_dtype(np.float64):
             p = decode_params(zero=True)
-            qs = [query(rng, anchor=[2.0, -1.0, 0.3])]
-            latents = stack([q.latent for q in qs])
-            dets = decode_boxes(qs, latents, p)
+            qs = queries(rng, anchors=[[2.0, -1.0, 0.3]])
+            _, dets = decode_boxes(qs, qs.latents, p)
             d = dets[0]
             np.testing.assert_allclose(d.box.center, [2.0, -1.0, 0.3], atol=1e-12)
             np.testing.assert_allclose(d.box.size, p.size_prior, atol=1e-12)
@@ -62,36 +61,45 @@ class TestDecodeBoxes:
         with use_dtype(np.float64):
             p = decode_params(zero=True)
             p.b_yaw.data = np.array([1.0, 0.0])
-            qs = [query(rng)]
-            dets = decode_boxes(qs, stack([q.latent for q in qs]), p)
+            qs = queries(rng)
+            _, dets = decode_boxes(qs, qs.latents, p)
             assert dets[0].box.yaw == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_decoded_velocity_feeds_propagate_roundtrip(self, rng):
         with use_dtype(np.float64):
             p = decode_params()
-            qs = [query(rng, anchor=[1.0, 2.0, 0.0])]
-            dets = decode_boxes(qs, stack([q.latent for q in qs]), p)
+            qs = queries(rng, anchors=[[1.0, 2.0, 0.0]])
+            out, dets = decode_boxes(qs, qs.latents, p)
             vel = dets[0].box.velocity
-            carried = ObjectQuery(latent=qs[0].latent, anchor=t64(dets[0].box.center),
-                                  velocity_estimate=vel.copy(), score=dets[0].score)
-            mem = QueryMemory(queries=[carried], capacity=1)
+            mem = QuerySet(latents=qs.latents, anchors=t64(out.center.data),
+                           velocities=out.velocity.data, scores=out.scores, ids=qs.ids)
             from util import make_mlp_params
 
             zero_mlp = MotionParams(mlp=make_mlp_params(np.random.default_rng(0), L + 7, 4, L, zero=True))
-            out = propagate(mem, Pose.identity(2), 0.5, zero_mlp)
+            moved = propagate(mem, Pose.identity(2), 0.5, zero_mlp)
             want = dets[0].box.center.copy()
             want[:2] += vel * 0.5
-            np.testing.assert_allclose(out[0].anchor_xyz, want, atol=1e-12)
+            np.testing.assert_allclose(moved.anchor_xyz[0], want, atol=1e-12)
 
     def test_score_is_sigmoid_of_max_logit(self, rng):
         with use_dtype(np.float64):
             p = decode_params()
-            qs = [query(rng) for _ in range(3)]
-            dets = decode_boxes(qs, stack([q.latent for q in qs]), p)
-            for d in dets:
-                want = 1.0 / (1.0 + math.exp(-float(np.max(d.class_logits.data))))
-                assert d.score == pytest.approx(want, abs=1e-12)
-                assert 0.0 <= d.score <= 1.0
+            qs = queries(rng, 3)
+            out, dets = decode_boxes(qs, qs.latents, p)
+            for i, d in enumerate(dets):
+                want = 1.0 / (1.0 + math.exp(-float(np.max(out.class_logits.data[i]))))
+                assert d.box.score == pytest.approx(want, abs=1e-12)
+                assert d.box.score == out.scores[i]
+                assert 0.0 <= d.box.score <= 1.0
+                assert d.box.label == int(np.argmax(out.class_logits.data[i]))
+
+    def test_prior_identity_from_query_ids(self, rng):
+        with use_dtype(np.float64):
+            p = decode_params()
+            qs = queries(rng, 3)
+            qs.ids = np.array([4, -1, 0])
+            _, dets = decode_boxes(qs, qs.latents, p)
+            assert [d.prior_identity for d in dets] == [4, None, 0]
 
 
 def brute_force_min_cost(cost):
@@ -148,24 +156,24 @@ def gt_box(center, yaw=0.0, vel=(0.0, 0.0), label=0, size=(1.5, 2.5, 1.5)):
 
 
 def perfect_detections(gts, p, confident=10.0):
-    """Build Detection objects that exactly reproduce the GT boxes."""
-    from dualstream.heads import Detection
+    """Head outputs that exactly reproduce the GT boxes, one row per box."""
+    logits = np.full((len(gts), 2), -confident)
+    logits[np.arange(len(gts)), [g.label for g in gts]] = confident
+    return HeadOutputs(
+        class_logits=t64(logits),
+        center=t64([g.center for g in gts]),
+        log_size=t64([np.log(g.size / p.size_prior) for g in gts]),
+        sincos=t64([[math.sin(g.yaw), math.cos(g.yaw)] for g in gts]),
+        velocity=t64([g.velocity for g in gts]),
+        scores=1.0 / (1.0 + np.exp(-logits.max(axis=1))),
+    )
 
-    dets = []
-    for i, g in enumerate(gts):
-        logits = np.full(2, -confident)
-        logits[g.label] = confident
-        dets.append(Detection(
-            box=BoundingBox3D(center=g.center.copy(), size=g.size.copy(), yaw=g.yaw,
-                              velocity=g.velocity.copy(), label=g.label, score=1.0),
-            query_index=i,
-            class_logits=t64(logits),
-            center_t=t64(g.center),
-            log_size_t=t64(np.log(g.size / p.size_prior)),
-            sincos_t=t64([math.sin(g.yaw), math.cos(g.yaw)]),
-            velocity_t=t64(g.velocity),
-        ))
-    return dets
+
+def take(out, rows):
+    """The head-output rows ``rows`` in that order."""
+    return HeadOutputs(*(t64(t.data[rows]) for t in (out.class_logits, out.center, out.log_size,
+                                                     out.sincos, out.velocity)),
+                       scores=out.scores[rows])
 
 
 class TestDetectionLoss:
@@ -183,13 +191,13 @@ class TestDetectionLoss:
     def test_empty_gt_pure_background_focal(self, rng):
         with use_dtype(np.float64):
             p = decode_params()
-            qs = [query(rng) for _ in range(4)]
-            dets = decode_boxes(qs, stack([q.latent for q in qs]), p)
+            qs = queries(rng, 4)
+            out, _ = decode_boxes(qs, qs.latents, p)
             a = Assignment(pairs=[], unmatched_preds=list(range(4)), unmatched_gts=[])
             w = LossWeights()
-            loss = detection_loss(dets, [], a, RANGES, w, p.size_prior, n_classes=2)
+            loss = detection_loss(out, [], a, RANGES, w, p.size_prior, n_classes=2)
             # hand-computed background focal
-            logits = np.stack([d.class_logits.data for d in dets])
+            logits = out.class_logits.data
             pr = 1.0 / (1.0 + np.exp(-logits))
             want = ((1 - w.focal_alpha) * pr ** w.focal_gamma * np.log1p(np.exp(logits))).sum()
             assert float(loss.data) == pytest.approx(want, rel=1e-9)
@@ -198,15 +206,15 @@ class TestDetectionLoss:
         with use_dtype(np.float64):
             p = decode_params()
             gts = [gt_box([1.0, 2.0, 0.0]), gt_box([-3.0, 0.5, 0.2], label=1)]
-            qs = [query(rng) for _ in range(3)]
-            latents = Tensor(np.stack([q.latent.data for q in qs]), requires_grad=True)
+            qs = queries(rng, 3)
+            latents = Tensor(qs.latents.data.copy(), requires_grad=True)
             w = LossWeights()
 
             def fn(lat):
-                dets = decode_boxes(qs, lat, p)
-                cost = detection_cost_matrix(dets, gts, RANGES, w, p.size_prior)
+                out, _ = decode_boxes(qs, lat, p)
+                cost = detection_cost_matrix(out, gts, RANGES, w, p.size_prior)
                 a = hungarian_match(cost)
-                return detection_loss(dets, gts, a, RANGES, w, p.size_prior, n_classes=2)
+                return detection_loss(out, gts, a, RANGES, w, p.size_prior, n_classes=2)
 
             assert finite_diff_check(fn, [latents], eps=1e-6) <= 1e-4
 
@@ -215,8 +223,8 @@ class TestDetectionLoss:
             p = decode_params()
             gts = [gt_box([1.0, 2.0, 0.0]), gt_box([-3.0, 0.5, 0.2], label=1),
                    gt_box([4.0, -2.0, 0.1])]
-            qs = [query(rng) for _ in range(5)]
-            dets = decode_boxes(qs, stack([q.latent for q in qs]), p)
+            qs = queries(rng, 5)
+            dets, _ = decode_boxes(qs, qs.latents, p)
             w = LossWeights()
 
             def full_loss(dets_, gts_):
@@ -226,7 +234,20 @@ class TestDetectionLoss:
 
             base = full_loss(dets, gts)
             assert full_loss(dets, [gts[2], gts[0], gts[1]]) == pytest.approx(base, rel=1e-12)
-            assert full_loss([dets[3], dets[1], dets[4], dets[0], dets[2]], gts) == pytest.approx(base, rel=1e-12)
+            assert full_loss(take(dets, [3, 1, 4, 0, 2]), gts) == pytest.approx(base, rel=1e-12)
+
+    def test_cost_matrix_records_nothing(self, rng):
+        p = decode_params()
+        gts = [gt_box([1.0, 2.0, 0.0]), gt_box([-3.0, 0.5, 0.2], label=1)]
+        qs = queries(rng, 4)
+        latents = Tensor(qs.latents.data.copy(), requires_grad=True)
+        out, _ = decode_boxes(qs, latents, p)
+        tape = active_tape()
+        before = tape.position()
+        cost = detection_cost_matrix(out, gts, RANGES, LossWeights(), p.size_prior)
+        assert tape.position() == before
+        assert cost.shape == (4, 2) and np.all(np.isfinite(cost))
+        tape.drop_before(tape.position())
 
 
 class TestSegmentationLoss:

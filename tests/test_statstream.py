@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -265,8 +266,8 @@ class TestBevImageCrossAttention:
 
             fm = FeatureMap(data=fm_data, camera="front", stride=8)
             grid = make_grid(rng)
-            out = bev_image_cross_attention(grid, {"front": fm}, {"front": cam}, p,
-                                            pillar_heights=(0.0,))
+            out = bev_image_cross_attention(grid, {"front": fm}, {"front": cam},
+                                            replace(p, pillar_heights=(0.0,)))
             # rows with x < 0 sit behind the forward camera: pure residual
             flat = layernorm(grid.cells_flat(), p.ln_g, p.ln_b).data
             h, w = SPEC.dims
@@ -283,8 +284,8 @@ class TestBevImageCrossAttention:
 
             fm = FeatureMap(data=Tensor(rng.normal(size=(L, 4, 8))), camera="front", stride=8)
             grid = make_grid(rng)
-            out = bev_image_cross_attention(grid, {"front": fm}, {"front": cam}, p,
-                                            pillar_heights=(0.5,))
+            out = bev_image_cross_attention(grid, {"front": fm}, {"front": cam},
+                                            replace(p, pillar_heights=(0.5,)))
             h, w = SPEC.dims
             got = out.cells.data.reshape(L, -1).T
             centers = cell_to_metric(SPEC, grid_coords(SPEC))
@@ -315,8 +316,8 @@ class TestBevImageCrossAttention:
             fm = FeatureMap(data=Tensor(rng.normal(size=(L, 8, 16))), camera="front", stride=4)
             grid = make_grid(rng)
             heights = (-0.3, 0.3)
-            out = bev_image_cross_attention(grid, {"front": fm}, {"front": cam}, p,
-                                            pillar_heights=heights)
+            out = bev_image_cross_attention(grid, {"front": fm}, {"front": cam},
+                                            replace(p, pillar_heights=heights))
             got = out.cells.data.reshape(L, -1).T
             centers = cell_to_metric(SPEC, grid_coords(SPEC))
             flat = grid.cells_flat().data

@@ -349,7 +349,7 @@ class TestEgoFrameBoxes:
 
     def test_propagation_consistency_with_world(self):
         # exact-velocity propagation lands on the GT next-frame center
-        from dualstream.dynstream import MotionParams, ObjectQuery, QueryMemory, propagate
+        from dualstream.dynstream import MotionParams, QuerySet, propagate
         from dualstream.geom3d import ego_delta
         from dualstream.diffcore import MlpParams, Tensor, use_dtype
 
@@ -363,14 +363,13 @@ class TestEgoFrameBoxes:
             for t in range(scene.duration - 1):
                 boxes_t, ids_t = ego_frame_boxes(scene, t)
                 boxes_t1, ids_t1 = ego_frame_boxes(scene, t + 1)
-                queries = [
-                    ObjectQuery(latent=Tensor(np.zeros(64)), anchor=Tensor(b.center),
-                                velocity_estimate=b.velocity, score=1.0)
-                    for b in boxes_t
-                ]
-                mem = QueryMemory(queries=queries, capacity=len(queries))
+                n = len(boxes_t)
+                mem = QuerySet(latents=Tensor(np.zeros((n, 64))),
+                               anchors=Tensor(np.stack([b.center for b in boxes_t])),
+                               velocities=np.stack([b.velocity for b in boxes_t]),
+                               scores=np.ones(n), ids=ids_t)
                 delta = ego_delta(scene.ego_trajectory[t], scene.ego_trajectory[t + 1])
                 moved = propagate(mem, delta, scene.dt, MotionParams(mlp=zeros_mlp))
-                for q, tid in zip(moved, ids_t):
+                for anchor, tid in zip(moved.anchor_xyz, moved.ids):
                     want = boxes_t1[ids_t1.index(tid)].center
-                    np.testing.assert_allclose(q.anchor_xyz, want, atol=1e-6)
+                    np.testing.assert_allclose(anchor, want, atol=1e-6)
