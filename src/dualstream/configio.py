@@ -38,7 +38,6 @@ class Config:
     image_height: int = 64
     image_width: int = 128
     schedule: str = "full"             # full | alternating
-    seg_lane_width: float = 1.0
     # BEV grid / detection range
     bev_cells: int = 32
     bev_extent: float = 16.0           # half-range, meters; square grid

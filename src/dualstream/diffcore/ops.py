@@ -1,8 +1,8 @@
 """Differentiable building blocks: transformer layers and grid sampling.
 
-Set-valued reductions inside attention (softmax denominator and the weighted
-value sum over keys) add their terms in value-sorted order, so outputs are
-invariant at the bit level to permutations of the key set.
+Attention treats its keys as an unordered set: it first puts the (key, value)
+rows in one canonical order, so outputs and parameter gradients are invariant
+at the bit level to permutations of the key set.
 """
 
 from __future__ import annotations
@@ -24,12 +24,7 @@ from .tensor import (
 )
 
 
-def _sorted_sum(arr: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
-    """Permutation-invariant float sum: add in ascending value order."""
-    return np.sort(arr, axis=axis).sum(axis=axis, keepdims=keepdims)
-
-
-def softmax(x: Tensor, axis: int = -1, canonical: bool = False) -> Tensor:
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stabilized softmax along ``axis``.
 
     Max-subtraction uses detached values, which leaves both the forward
@@ -37,11 +32,7 @@ def softmax(x: Tensor, axis: int = -1, canonical: bool = False) -> Tensor:
     """
     m = np.max(x.data, axis=axis, keepdims=True)
     e = np.exp(x.data - m)
-    if canonical:
-        denom = _sorted_sum(e, axis=axis, keepdims=True)
-    else:
-        denom = e.sum(axis=axis, keepdims=True)
-    s = e / denom
+    s = e / e.sum(axis=axis, keepdims=True)
 
     def bwd(g, grads):
         tmp = g * s
@@ -126,43 +117,29 @@ class AttentionParams:
     bo: Tensor
 
 
-def _weighted_values(w: Tensor, v: Tensor) -> Tensor:
-    """Per-query weighted sum over keys: (h,n,k) x (h,k,d) -> (h,n,d).
-
-    The sum over keys runs in value-sorted order (permutation invariant).
-    """
-    prod = w.data[..., :, :, None] * v.data[..., None, :, :]
-    data = _sorted_sum(prod, axis=-2)
-    wd, vd = w.data, v.data
-
-    def bwd(g, grads):
-        if w.requires_grad:
-            _accumulate(w, np.matmul(g, vd.swapaxes(-1, -2)), grads)
-        if v.requires_grad:
-            _accumulate(v, np.matmul(wd.swapaxes(-1, -2), g), grads)
-
-    return _make(data, (w, v), bwd)
-
-
 def multi_head_attention(
     query: Tensor,
     key: Tensor,
     value: Tensor,
     heads: int,
     params: AttentionParams,
-    mask: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Scaled dot-product attention with ``heads`` parallel heads.
 
-    ``mask`` is an optional (n_q, n_k) boolean array; False keys are excluded.
+    The (key, value) rows are gathered in lexicographic order first, so any
+    permutation of the key set yields identical arrays: the output and the
+    gradients of ``params`` are bitwise invariant to key order. Equal key
+    rows with different values still get one fixed order. Queries keep their
+    order, so self-attention is row-equivariant.
     """
-    from .tensor import matmul, reshape, transpose
+    from .tensor import matmul, reshape, take_rows, transpose
 
     n_q, dim = query.data.shape
-    n_k = key.data.shape[0]
     if dim % heads != 0:
         raise ShapeError(f"embedding dim {dim} not divisible by {heads} heads")
     dh = dim // heads
+    order = np.lexsort(np.concatenate([key.data, value.data], axis=1).T[::-1])
+    key, value = take_rows(key, order), take_rows(value, order)
 
     def to_heads(t):
         return transpose(reshape(t, (-1, heads, dh)), (1, 0, 2))
@@ -173,11 +150,7 @@ def multi_head_attention(
 
     scores = matmul(q, transpose(k, (0, 2, 1)))
     scores = scores * (1.0 / math.sqrt(dh))
-    if mask is not None:
-        penalty = np.where(mask, 0.0, -1e30).astype(scores.dtype)
-        scores = add(scores, penalty[None, :, :])
-    attn = softmax(scores, axis=-1, canonical=True)
-    ctx = _weighted_values(attn, v)
+    ctx = matmul(softmax(scores, axis=-1), v)
     merged = reshape(transpose(ctx, (1, 0, 2)), (n_q, dim))
     return linear(merged, params.wo, params.bo)
 
@@ -343,17 +316,6 @@ def _deformable_core(
     out = linear(pooled, params.w_out, params.b_out)
     out = mul(out, any_valid.astype(out.dtype)[:, None])
     return out, any_valid
-
-
-def deformable_attention(
-    queries: Tensor,
-    reference_points: np.ndarray,
-    value_grid: Tensor,
-    params: DeformableParams,
-    valid_mask: Optional[np.ndarray] = None,
-) -> Tensor:
-    out, _ = _deformable_core(queries, reference_points, value_grid, params, valid_mask)
-    return out
 
 
 @dataclass

@@ -28,7 +28,7 @@ from .diffcore import (
     sincos_encoding,
 )
 from .diffcore.ops import _deformable_core, softmax
-from .diffcore.tensor import add, concat, getitem, mul, reshape, stack, take_rows
+from .diffcore.tensor import add, concat, getitem, mul, reshape, stack, sum_, take_rows, transpose
 from .geom3d import CAMERA_SLOTS, CameraModel, Pose, project_points, rot2
 
 
@@ -239,14 +239,11 @@ def _obj_image_cross_attention(
     if not per_cam:
         combined = mul(latents, 0.0)
     else:
+        slots = np.array([slot for slot, _, _ in per_cam])
         logits = linear(latents, params.cam_w, params.cam_b)  # (n, 6)
-        cols = stack([getitem(logits, (slice(None), slot)) for slot, _, _ in per_cam], axis=1)
+        cols = transpose(take_rows(transpose(logits, (1, 0)), slots), (1, 0))
         mask = np.stack([anyv for _, _, anyv in per_cam], axis=1)
         cols = add(cols, np.where(mask, 0.0, -1e30))
-        weights = softmax(cols, axis=-1)
-        combined = None
-        for c, (_, out, _) in enumerate(per_cam):
-            w = reshape(getitem(weights, (slice(None), c)), (n, 1))
-            term = mul(out, w)
-            combined = term if combined is None else add(combined, term)
+        weights = reshape(softmax(cols, axis=-1), (n, len(per_cam), 1))
+        combined = sum_(mul(stack([out for _, out, _ in per_cam], axis=1), weights), axis=1)
     return layernorm(add(latents, combined), params.ln_g, params.ln_b)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -203,17 +204,6 @@ class TestMultiHeadAttention:
         with pytest.raises(ShapeError):
             multi_head_attention(q, q, q, 4, p)
 
-    def test_mask_excludes_keys(self, rng):
-        dim = 4
-        p = self.make_params(rng, dim)
-        q = t64(rng.normal(size=(2, dim)))
-        k = t64(rng.normal(size=(3, dim)))
-        v = t64(rng.normal(size=(3, dim)))
-        mask = np.array([[True, True, False], [True, True, False]])
-        got = multi_head_attention(q, k, v, 2, p, mask=mask).data
-        want = multi_head_attention(q, k[:2], v[:2], 2, p).data
-        np.testing.assert_allclose(got, want, atol=1e-10)
-
     def test_permutation_equivariance_bitwise(self, rng):
         dim = 8
         with use_dtype(np.float64):
@@ -223,6 +213,25 @@ class TestMultiHeadAttention:
             out1 = multi_head_attention(t64(x), t64(x), t64(x), 2, p).data
             out2 = multi_head_attention(t64(x[perm]), t64(x[perm]), t64(x[perm]), 2, p).data
         np.testing.assert_array_equal(out1[perm], out2)
+
+    def test_key_permutation_invariance_with_gradients(self, rng):
+        dim = 8
+        p = self.make_params(rng, dim)
+        q = rng.normal(size=(3, dim))
+        k = rng.normal(size=(7, dim))
+        v = rng.normal(size=(7, dim))
+        k[4] = k[1]  # equal key rows carrying different values
+        runs = []
+        for perm in (np.arange(7), np.arange(7)[::-1], rng.permutation(7)):
+            with fresh_tape():
+                for f in fields(p):
+                    getattr(p, f.name).grad = None
+                out = multi_head_attention(t64(q), t64(k[perm]), t64(v[perm]), 2, p)
+                backward(sum_(tanh(out)))
+            runs.append([out.data] + [getattr(p, f.name).grad for f in fields(p)])
+        for run in runs[1:]:
+            for got, want in zip(run, runs[0]):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestBilinear:
@@ -310,7 +319,7 @@ class TestDeformable:
         grid = t64(rng.normal(size=(L, 5, 5)))
         queries = t64(rng.normal(size=(4, L)))
         refs = rng.uniform(0.0, 4.0, size=(4, 2))
-        out = dc.deformable_attention(queries, refs, grid, params)
+        out = _deformable_core(queries, refs, grid, params)[0]
         want = bilinear_sample(grid, t64(refs))
         np.testing.assert_array_equal(out.data, want.data)
 
@@ -321,7 +330,7 @@ class TestDeformable:
         grid = t64(rng.normal(size=(L, 4, 4)))
         queries = t64(rng.normal(size=(1, L)))
         refs = np.array([[1.0, 2.0]])
-        out = dc.deformable_attention(queries, refs, grid, params)
+        out = _deformable_core(queries, refs, grid, params)[0]
         want = grid.data[:, 1, 2]
         np.testing.assert_allclose(out.data[0], want, atol=1e-12)
 
@@ -333,7 +342,7 @@ class TestDeformable:
         grid = t64(rng.normal(size=(L, 4, 4)))
         queries = t64(rng.normal(size=(1, L)))
         refs = np.array([[1.0, 1.0]])
-        out = dc.deformable_attention(queries, refs, grid, params)
+        out = _deformable_core(queries, refs, grid, params)[0]
         want = 0.5 * (grid.data[:, 1, 1] + grid.data[:, 2, 1])
         np.testing.assert_allclose(out.data[0], want, atol=1e-12)
 
@@ -376,7 +385,7 @@ class TestDeformable:
             grid = t64(rng.normal(size=(C, 6, 6)))
             queries = t64(rng.normal(size=(5, L)))
             refs = rng.uniform(-1.0, 6.0, size=(5, 2))
-            got = dc.deformable_attention(queries, refs, grid, params).data
+            got = _deformable_core(queries, refs, grid, params)[0].data
             want = self.deformable_enumeration_oracle(queries.data, refs, grid.data, params)
             np.testing.assert_allclose(got, want, atol=1e-5)
 
@@ -390,7 +399,7 @@ class TestDeformable:
         def fn(q, g, w_off):
             p2 = DeformableParams(P, w_off, params.b_off, params.w_wgt, params.b_wgt,
                                   params.w_val, params.w_out, params.b_out)
-            return sum_(tanh(dc.deformable_attention(q, refs, g, p2)))
+            return sum_(tanh(_deformable_core(q, refs, g, p2)[0]))
 
         err = finite_diff_check(fn, [queries, grid, params.w_off], eps=1e-6)
         assert err <= 1e-4
@@ -495,6 +504,7 @@ OPS_FOR_SWEEP = [
     ("mean", lambda rng: _unary_case(rng, lambda x: mean(x, axis=-1))),
     ("stack", lambda rng: _stack_case(rng)),
     ("transpose", lambda rng: _unary_case(rng, lambda x: transpose(x, (1, 0)))),
+    ("multi_head_attention", lambda rng: _attention_case(rng)),
 ]
 
 
@@ -518,6 +528,16 @@ def _matmul_case(rng):
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     return lambda x, y: sum_(tanh(matmul(x, y))), [a, b]
+
+
+def _attention_case(rng):
+    # key and value gradients flow back through the canonical key order
+    dim = 4
+    w = lambda: Tensor(rng.normal(size=(dim, dim)) / 2)
+    b = lambda: Tensor(rng.normal(size=dim) / 2)
+    p = AttentionParams(w(), b(), w(), b(), w(), b(), w(), b())
+    q, k, v = (Tensor(rng.normal(size=(n, dim)), requires_grad=True) for n in (3, 5, 5))
+    return lambda x, y, z: sum_(tanh(multi_head_attention(x, y, z, 2, p))), [q, k, v]
 
 
 def _concat_case(rng):
