@@ -162,24 +162,15 @@ def cmd_train(args) -> int:
         step = res.rows[-1].step if res.rows else step
         result.rows.extend(res.rows)
         ck = out / f"ckpt_epoch_{epoch + 1}"
-        save_checkpoint(ck, model, opt, cfg, step)
-        _stamp_epoch(ck, epoch + 1)
+        save_checkpoint(ck, model, opt, cfg, step, epoch=epoch + 1)
     final = out / "checkpoint"
-    save_checkpoint(final, model, opt, cfg, step)
-    _stamp_epoch(final, epoch_end)
+    save_checkpoint(final, model, opt, cfg, step, epoch=epoch_end)
 
     (out / "loss.csv").write_text(result.to_csv(), encoding="utf-8")
     write_manifest(out, "train", cfg, cfg.seed,
                    config_path=str(args.config or args.resume), data_hash=dataset_hash(Path(args.data)))
     print(f"trained to step {step} (epoch {epoch_end}/{cfg.epochs}); checkpoint at {final}")
     return EXIT_OK
-
-
-def _stamp_epoch(ckpt_dir: Path, epoch: int) -> None:
-    meta_path = ckpt_dir / "meta.json"
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    meta["epoch"] = epoch
-    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
 def cmd_eval(args) -> int:

@@ -3,6 +3,12 @@
 Attention treats its keys as an unordered set: it first puts the (key, value)
 rows in one canonical order, so outputs and parameter gradients are invariant
 at the bit level to permutations of the key set.
+
+Every bilinear and deformable read goes through one sampling plan: a sparse
+(samples, table rows) matrix of bilinear weights built once per read. The
+forward is one sparse product, the value gradient its transpose product,
+and the coordinate gradient and the validity of each sample come from the
+same indices, so the summation order is fixed and no scatter is needed.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 
 from .tensor import (
     ShapeError,
@@ -155,55 +162,81 @@ def multi_head_attention(
     return linear(merged, params.wo, params.bo)
 
 
-def _bilinear_flat(flat: Tensor, h: int, w: int, coords) -> Tensor:
-    """Bilinear sampling against an (H*W, C) row-major value matrix.
+@dataclass
+class SamplingPlan:
+    """Bilinear reads of ``n`` continuous (row, col) points from a row-major
+    value table, as sparse matrices over the table's rows.
 
-    Gathers contiguous rows, which is much faster than channel-first
-    indexing; bilinear_sample wraps this behind the (C, H, W) contract.
+    ``weights`` is the (n, rows) CSR matrix holding each sample's four
+    neighbour rows in the order 00, 01, 10, 11 and their bilinear weights,
+    with the border-zero mask folded in: a sample outside its grid's
+    cell-center hull has four zero weights. A sample on the far border
+    repeats its clamped row with weight zero. ``slope_data`` holds the
+    derivatives of ``weights.data`` along the row and the column coordinate.
     """
-    coords = _wrap(coords, like=flat)
-    if flat.ndim != 2 or coords.ndim != 2 or coords.data.shape[1] != 2:
-        raise ShapeError("bilinear sampling needs values (H*W, C) and coords (n, 2)")
-    cd = coords.data
-    ci, cj = cd[:, 0], cd[:, 1]
+
+    inside: np.ndarray              # (n,) bool
+    weights: sparse.csr_array       # (n, rows)
+    slope_data: np.ndarray          # (2, 4n)
+
+    def valid(self, mask: np.ndarray) -> np.ndarray:
+        """(n,) True where a sample is inside and every neighbour with
+        nonzero weight is True in the (rows,) ``mask``."""
+        cols = self.weights.indices.reshape(-1, 4)
+        zero = self.weights.data.reshape(-1, 4) == 0
+        return self.inside & np.all(mask[cols] | zero, axis=1)
+
+    def slopes(self) -> sparse.csr_array:
+        """(2n, rows): the d/di rows of every sample, then the d/dj rows."""
+        n, rows = self.weights.shape
+        return sparse.csr_array((self.slope_data.ravel(), np.tile(self.weights.indices, 2),
+                                 np.arange(0, 8 * n + 1, 4)), shape=(2 * n, rows))
+
+
+def sampling_plan(coords: np.ndarray, h, w, rows: int, base=0, dtype=np.float64) -> SamplingPlan:
+    """Plan the bilinear reads of (n, 2) ``coords`` from a table of ``rows``.
+
+    Sample k reads the ``h`` x ``w`` grid stored row-major from table row
+    ``base``; ``h``, ``w`` and ``base`` are scalars or (n,) arrays, so one
+    plan can read several stacked grids, each sample clamped to its own.
+    Weights are built in ``dtype``, the value table's dtype.
+    """
+    n = coords.shape[0]
+    ci, cj = coords[:, 0], coords[:, 1]
     inside = (ci >= 0) & (ci <= h - 1) & (cj >= 0) & (cj <= w - 1)
     i0 = np.clip(np.floor(ci), 0, h - 1).astype(np.int64)
     j0 = np.clip(np.floor(cj), 0, w - 1).astype(np.int64)
     i1 = np.minimum(i0 + 1, h - 1)
     j1 = np.minimum(j0 + 1, w - 1)
-    di = np.where(inside, ci - i0, 0.0)[:, None]
-    dj = np.where(inside, cj - j0, 0.0)[:, None]
+    di = np.where(inside, ci - i0, 0.0)
+    dj = np.where(inside, cj - j0, 0.0)
+    row0, row1 = base + i0 * w, base + i1 * w
+    cols = np.stack([row0 + j0, row0 + j1, row1 + j0, row1 + j1], axis=1)
+    ins = inside.astype(np.float64)[:, None]
+    wts = np.stack([(1 - di) * (1 - dj), (1 - di) * dj, di * (1 - dj), di * dj], axis=1) * ins
+    slopes = np.array([[-(1 - dj), -dj, 1 - dj, dj], [-(1 - di), 1 - di, -di, di]]).transpose(0, 2, 1) * ins
+    m = sparse.csr_array((wts.astype(dtype).ravel(), cols.ravel(), np.arange(0, 4 * n + 1, 4)), shape=(n, rows))
+    return SamplingPlan(inside=inside, weights=m, slope_data=slopes.astype(dtype).reshape(2, -1))
+
+
+def _bilinear_flat(flat: Tensor, coords: Tensor, plan: SamplingPlan) -> Tensor:
+    """Read the (rows, C) value table through ``plan``, planned from ``coords``.
+
+    Forward is ``weights @ V``; the value gradient is ``weights.T @ g`` and
+    the coordinate gradient comes from the slope matrices on the same
+    indices. Each output row sums its four neighbours in a fixed order, so
+    values and gradients are bitwise reproducible.
+    """
     fd = np.ascontiguousarray(flat.data)
-    lin00 = i0 * w + j0
-    lin01 = i0 * w + j1
-    lin10 = i1 * w + j0
-    lin11 = i1 * w + j1
-    g00 = np.take(fd, lin00, axis=0)
-    g01 = np.take(fd, lin01, axis=0)
-    g10 = np.take(fd, lin10, axis=0)
-    g11 = np.take(fd, lin11, axis=0)
-    w00 = (1 - di) * (1 - dj)
-    w01 = (1 - di) * dj
-    w10 = di * (1 - dj)
-    w11 = di * dj
-    insf = inside.astype(fd.dtype)[:, None]
-    data = (w00 * g00 + w01 * g01 + w10 * g10 + w11 * g11) * insf
+    data = plan.weights @ fd
 
     def bwd(g, grads):
-        gt = g * insf  # (n, C)
+        g = np.ascontiguousarray(g)
         if flat.requires_grad:
-            gg = np.zeros_like(fd)
-            np.add.at(gg, lin00, w00 * gt)
-            np.add.at(gg, lin01, w01 * gt)
-            np.add.at(gg, lin10, w10 * gt)
-            np.add.at(gg, lin11, w11 * gt)
-            _accumulate(flat, gg, grads)
+            _accumulate(flat, plan.weights.T @ g, grads)
         if coords.requires_grad:
-            dvi = -(1 - dj) * g00 - dj * g01 + (1 - dj) * g10 + dj * g11
-            dvj = -(1 - di) * g00 + (1 - di) * g01 - di * g10 + di * g11
-            gi = np.einsum("nc,nc->n", gt, dvi)
-            gj = np.einsum("nc,nc->n", gt, dvj)
-            _accumulate(coords, np.stack([gi, gj], axis=1), grads)
+            dv = (plan.slopes() @ fd).reshape(2, g.shape[0], fd.shape[1])
+            _accumulate(coords, np.einsum("knc,nc->nk", dv, g), grads)
 
     return _make(data, (flat, coords), bwd)
 
@@ -217,16 +250,17 @@ def bilinear_sample(grid: Tensor, coords) -> Tensor:
     """
     from .tensor import reshape, transpose
 
-    if grid.ndim != 3:
+    coords = _wrap(coords, like=grid)
+    if grid.ndim != 3 or coords.ndim != 2 or coords.data.shape[1] != 2:
         raise ShapeError("bilinear_sample needs grid (C,H,W) and coords (n,2)")
     C, H, W = grid.data.shape
     flat = transpose(reshape(grid, (C, H * W)), (1, 0))
-    return _bilinear_flat(flat, H, W, coords)
+    return _bilinear_flat(flat, coords, sampling_plan(coords.data, H, W, H * W, dtype=grid.dtype))
 
 
 @dataclass
 class DeformableParams:
-    """Projections for deformable attention over one value grid."""
+    """Projections for deformable attention over one value table."""
 
     n_points: int
     w_off: Tensor   # (L, n_points*2)
@@ -238,75 +272,65 @@ class DeformableParams:
     b_out: Tensor
 
 
-def _neighbors_valid(valid: np.ndarray, ci, cj, H: int, W: int) -> np.ndarray:
-    """True where every bilinear neighbor with nonzero weight is valid."""
-    inside = (ci >= 0) & (ci <= H - 1) & (cj >= 0) & (cj <= W - 1)
-    i0 = np.clip(np.floor(ci), 0, H - 1).astype(np.int64)
-    j0 = np.clip(np.floor(cj), 0, W - 1).astype(np.int64)
-    i1 = np.minimum(i0 + 1, H - 1)
-    j1 = np.minimum(j0 + 1, W - 1)
-    di = ci - i0
-    dj = cj - j0
-    ok = inside.copy()
-    for ii, jj, wt in (
-        (i0, j0, (1 - di) * (1 - dj)),
-        (i0, j1, (1 - di) * dj),
-        (i1, j0, di * (1 - dj)),
-        (i1, j1, di * dj),
-    ):
-        ok &= valid[ii, jj] | (wt <= 0)
-    return ok
-
-
 def _deformable_core(
     queries: Tensor,
     reference_points: np.ndarray,
-    value_grid: Tensor,
+    value_grid,
     params: DeformableParams,
     valid_mask: Optional[np.ndarray] = None,
     query_valid: Optional[np.ndarray] = None,
+    grid_of: Optional[np.ndarray] = None,
 ):
     """Deformable attention returning (output, per-query any-valid mask).
 
     Per query: predict ``n_points`` offsets and softmax weights from the
-    latent, bilinear-sample the value-projected grid at reference+offset,
-    return the weighted sum through the output projection. Sampling points
-    that fall out of range (or on invalid cells of ``valid_mask``) are
-    dropped from the weight softmax; queries with no surviving point give a
-    zero output and a False mask entry.
+    latent, read the value-projected grid at reference+offset through one
+    sampling plan, return the weighted sum through the output projection.
+    Sampling points out of range, or with a nonzero bilinear weight on a
+    False cell of the (H, W) ``valid_mask``, are dropped from the weight
+    softmax; queries with no surviving point give a zero output and a False
+    mask entry.
+
+    ``value_grid`` is one (C, H, W) tensor or a sequence of them, such as
+    the cameras' feature maps; a sequence is stacked into one value table
+    and ``grid_of`` (n,) names the grid each query reads, so one call serves
+    every camera. Only queries with ``query_valid`` set are computed.
     """
-    from .tensor import mul, reshape, scatter_rows, sum_, take_rows, transpose
+    from .tensor import concat, mul, reshape, scatter_rows, sum_, take_rows, transpose
 
     n, L = queries.data.shape
+    grids = [value_grid] if isinstance(value_grid, Tensor) else list(value_grid)
+    grid_of = np.zeros(n, dtype=np.int64) if grid_of is None else np.asarray(grid_of, dtype=np.int64)
+    refs = np.asarray(reference_points, dtype=np.float64)
     if query_valid is not None:
         # run on the valid subset only; most queries miss most cameras
         qv = np.asarray(query_valid, dtype=bool)
         if not qv.any():
             return Tensor(np.zeros((n, L), dtype=queries.dtype)), np.zeros(n, dtype=bool)
         idx = np.nonzero(qv)[0]
-        refs = np.asarray(reference_points, dtype=np.float64)[idx]
-        out_sub, anyv_sub = _deformable_core(take_rows(queries, idx), refs, value_grid, params, valid_mask)
+        out_sub, anyv_sub = _deformable_core(take_rows(queries, idx), refs[idx], grids, params,
+                                             valid_mask, grid_of=grid_of[idx])
         anyv = np.zeros(n, dtype=bool)
         anyv[idx] = anyv_sub
         return scatter_rows(out_sub, idx, n), anyv
 
     P = params.n_points
-    C, H, W = value_grid.data.shape
+    C = grids[0].data.shape[0]
+    dims = np.array([g.data.shape[1:] for g in grids], dtype=np.int64)   # (grids, 2)
+    sizes = dims[:, 0] * dims[:, 1]
+    bases = np.concatenate([[0], np.cumsum(sizes)[:-1]])
 
-    vflat = transpose(reshape(value_grid, (C, H * W)), (1, 0))
-    vproj = linear(vflat, params.w_val)
+    flats = [transpose(reshape(g, (C, int(s))), (1, 0)) for g, s in zip(grids, sizes)]
+    vproj = linear(flats[0] if len(flats) == 1 else concat(flats, axis=0), params.w_val)
 
     offsets = reshape(linear(queries, params.w_off, params.b_off), (n, P, 2))
-    ref = np.asarray(reference_points, dtype=np.float64)[:, None, :]
-    coords = add(offsets, ref)
-    flat = reshape(coords, (n * P, 2))
-    sampled = reshape(_bilinear_flat(vproj, H, W, flat), (n, P, -1))
+    coords = reshape(add(offsets, refs[:, None, :]), (n * P, 2))
+    g = np.repeat(grid_of, P)
+    plan = sampling_plan(coords.data, dims[g, 0], dims[g, 1], int(sizes.sum()), bases[g], dtype=vproj.dtype)
+    sampled = reshape(_bilinear_flat(vproj, coords, plan), (n, P, vproj.data.shape[1]))
 
-    cd = flat.data.reshape(n, P, 2)
-    ci, cj = cd[..., 0], cd[..., 1]
-    pv = (ci >= 0) & (ci <= H - 1) & (cj >= 0) & (cj <= W - 1)
-    if valid_mask is not None:
-        pv &= _neighbors_valid(valid_mask, ci, cj, H, W)
+    pv = plan.inside if valid_mask is None else plan.valid(np.asarray(valid_mask, dtype=bool).ravel())
+    pv = pv.reshape(n, P)
     any_valid = pv.any(axis=1)
 
     logits = linear(queries, params.w_wgt, params.b_wgt)
@@ -375,4 +399,4 @@ def sincos_encoding(values: np.ndarray, n_freqs: int = 8) -> np.ndarray:
     freqs = np.pi * (2.0 ** np.arange(n_freqs))
     ang = v[..., None] * freqs  # (n, d, F)
     enc = np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
-    return enc.reshape(v.shape[0], -1)
+    return enc.reshape(v.shape[0], v.shape[1] * 2 * n_freqs)

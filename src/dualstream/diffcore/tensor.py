@@ -577,22 +577,49 @@ def getitem(a: Tensor, idx) -> Tensor:
     return _make(data, (a,), bwd)
 
 
-def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather rows by an integer index array (repeats allowed)."""
+def sparse_matmul(m, a: Tensor) -> Tensor:
+    """Product of a constant scipy.sparse matrix ``m`` and a 2-D tensor.
+
+    Rows of ``m`` can select, repeat or sum rows of ``a``; the gradient is
+    ``m.T @ g``. Both products add the stored entries in a fixed order, so
+    results are bitwise reproducible.
+    """
+    data = m @ np.ascontiguousarray(a.data)
+
+    def bwd(g, grads):
+        _accumulate(a, m.T @ np.ascontiguousarray(g), grads)
+
+    return _make(data, (a,), bwd)
+
+
+def _unique_rows(idx, n: int) -> np.ndarray:
+    """``idx`` as int64 after checking it names each of ``n`` rows at most once."""
     idx = np.asarray(idx, dtype=np.int64)
+    hit = np.zeros(n, dtype=bool)
+    hit[idx] = True
+    if np.count_nonzero(hit) != idx.size:
+        raise ValueError("row index repeats a row")
+    return idx
+
+
+def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
+    """Gather rows by an index array naming each row at most once; a
+    repeated row raises ValueError."""
+    idx = _unique_rows(idx, a.data.shape[0])
     data = np.take(a.data, idx, axis=0)
 
     def bwd(g, grads):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
+        ga[idx] = g
         _accumulate(a, ga, grads)
 
     return _make(data, (a,), bwd)
 
 
 def scatter_rows(a: Tensor, idx: np.ndarray, n: int) -> Tensor:
-    """Place rows of ``a`` at unique positions ``idx`` in an n-row zero canvas."""
-    idx = np.asarray(idx, dtype=np.int64)
+    """Place rows of ``a`` at unique positions ``idx`` in an n-row zero
+    canvas; a repeated position raises ValueError."""
+    idx = _unique_rows(idx, n)
     data = np.zeros((n,) + a.data.shape[1:], dtype=a.data.dtype)
     data[idx] = a.data
 

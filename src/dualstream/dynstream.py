@@ -28,7 +28,7 @@ from .diffcore import (
     sincos_encoding,
 )
 from .diffcore.ops import _deformable_core, softmax
-from .diffcore.tensor import add, concat, getitem, mul, reshape, stack, sum_, take_rows, transpose
+from .diffcore.tensor import add, concat, getitem, mul, reshape, sum_, take_rows, transpose
 from .geom3d import CAMERA_SLOTS, CameraModel, Pose, project_points, rot2
 
 
@@ -217,33 +217,37 @@ def _obj_image_cross_attention(
     params: ObjImageAttnParams,
 ) -> Tensor:
     """Project each anchor into the available cameras, deformably sample the
-    per-camera features at the projections, and aggregate across cameras by
-    visibility-masked attention weights. Cameras absent from ``features``
-    are unavailable and contribute nothing. Returns the (n, L) latents.
+    per-camera features at the projections (one call over the stacked
+    camera tables), and aggregate across cameras by visibility-masked
+    attention weights. Cameras absent from ``features`` are unavailable and
+    contribute nothing. Returns the (n, L) latents.
     """
-    n = latents.data.shape[0]
-    per_cam: list[tuple[int, Tensor, np.ndarray]] = []
-    for slot, name in enumerate(CAMERA_SLOTS):
-        if name not in features:
-            continue
-        fm = features[name]
-        cam = cameras[name]
-        uv, _, valid = project_points(cam, anchors)
-        fcoords = np.stack([uv[:, 1] / fm.stride - 0.5, uv[:, 0] / fm.stride - 0.5], axis=1)
-        out, anyv = _deformable_core(latents, fcoords, fm.data, params.deform, query_valid=valid)
-        enc = sincos_encoding(np.stack([uv[:, 0] / cam.width, uv[:, 1] / cam.height], axis=1), params.n_freqs)
-        pe = linear(Tensor(enc.astype(out.dtype)), params.pe_w, params.pe_b)
-        out = add(out, mul(pe, anyv.astype(out.dtype)[:, None]))
-        per_cam.append((slot, out, anyv))
+    n, L = latents.data.shape
+    names = [name for name in CAMERA_SLOTS if name in features]
+    if not names:
+        return layernorm(add(latents, mul(latents, 0.0)), params.ln_g, params.ln_b)
 
-    if not per_cam:
-        combined = mul(latents, 0.0)
-    else:
-        slots = np.array([slot for slot, _, _ in per_cam])
-        logits = linear(latents, params.cam_w, params.cam_b)  # (n, 6)
-        cols = transpose(take_rows(transpose(logits, (1, 0)), slots), (1, 0))
-        mask = np.stack([anyv for _, _, anyv in per_cam], axis=1)
-        cols = add(cols, np.where(mask, 0.0, -1e30))
-        weights = reshape(softmax(cols, axis=-1), (n, len(per_cam), 1))
-        combined = sum_(mul(stack([out for _, out, _ in per_cam], axis=1), weights), axis=1)
+    # one deformable call over every (camera, query) pair, camera-major
+    k = len(names)
+    fcoords, pix, valid = [], [], []
+    for name in names:
+        fm, cam = features[name], cameras[name]
+        uv, _, v = project_points(cam, anchors)
+        fcoords.append(np.stack([uv[:, 1] / fm.stride - 0.5, uv[:, 0] / fm.stride - 0.5], axis=1))
+        pix.append(np.stack([uv[:, 0] / cam.width, uv[:, 1] / cam.height], axis=1))
+        valid.append(v)
+    out, anyv = _deformable_core(concat([latents] * k), np.concatenate(fcoords),
+                                 [features[name].data for name in names], params.deform,
+                                 query_valid=np.concatenate(valid), grid_of=np.repeat(np.arange(k), n))
+    enc = sincos_encoding(np.concatenate(pix), params.n_freqs)
+    pe = linear(Tensor(enc.astype(out.dtype)), params.pe_w, params.pe_b)
+    out = add(out, mul(pe, anyv.astype(out.dtype)[:, None]))
+    per_cam = transpose(reshape(out, (k, n, L)), (1, 0, 2))   # (n, k, L)
+
+    slots = np.array([CAMERA_SLOTS.index(name) for name in names])
+    logits = linear(latents, params.cam_w, params.cam_b)  # (n, 6)
+    cols = transpose(take_rows(transpose(logits, (1, 0)), slots), (1, 0))
+    cols = add(cols, np.where(anyv.reshape(k, n).T, 0.0, -1e30))
+    weights = reshape(softmax(cols, axis=-1), (n, k, 1))
+    combined = sum_(mul(per_cam, weights), axis=1)
     return layernorm(add(latents, combined), params.ln_g, params.ln_b)

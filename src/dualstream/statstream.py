@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
+from scipy import sparse
 
 from .diffcore import (
     DeformableParams,
@@ -32,7 +33,7 @@ from .diffcore import (
     transpose,
 )
 from .diffcore.ops import _deformable_core
-from .diffcore.tensor import add, concat, mul, scatter_rows, sum_
+from .diffcore.tensor import add, mul, sparse_matmul
 from .geom3d import CameraModel, Pose, invert, project_points
 
 
@@ -203,7 +204,9 @@ def bev_image_cross_attention(
 ) -> BevGrid:
     """Lift pillar points above each cell center, project them into the
     available cameras and average the deformable samples over all hits.
-    Cells with no valid projection pass through on the residual path."""
+    The cameras' feature maps form one stacked value table, read by one
+    deformable call. Cells with no valid projection pass through on the
+    residual path."""
     spec = grid.spec
     n = spec.dims[0] * spec.dims[1]
     q = grid.cells_flat()
@@ -212,31 +215,32 @@ def bev_image_cross_attention(
     pts = np.concatenate(
         [np.concatenate([centers, np.full((n, 1), z)], axis=1) for z in params.pillar_heights], axis=0
     )  # (nz*n, 3)
-    q_rep = concat([q] * nz, axis=0) if features else None
-
-    total = None
-    counts = np.zeros(n)
-    for name in sorted(features):
-        fm = features[name]
-        cam = cameras[name]
-        uv, _, valid = project_points(cam, pts)
-        fcoords = np.stack([uv[:, 1] / fm.stride - 0.5, uv[:, 0] / fm.stride - 0.5], axis=1)
-        out, anyv = _deformable_core(q_rep, fcoords, fm.data, params.deform, query_valid=valid)
-        aidx = np.nonzero(anyv)[0]
-        if aidx.size:
-            # pixel encodings only where the camera actually contributed
-            pix = sincos_encoding(
-                np.stack([uv[aidx, 0] / cam.width, uv[aidx, 1] / cam.height], axis=1), params.n_freqs
-            )
-            pe = linear(Tensor(pix.astype(out.dtype)), params.pe_w, params.pe_b)
-            out = add(out, scatter_rows(pe, aidx, nz * n))
-        cam_sum = sum_(reshape(out, (nz, n, -1)), axis=0)
-        total = cam_sum if total is None else add(total, cam_sum)
-        counts += anyv.reshape(nz, n).sum(axis=0)
-
-    if total is None:
+    names = sorted(features)
+    if not names:
         combined = mul(q, 0.0)
     else:
+        # every (camera, pillar point) pair that projects into its camera,
+        # camera-major; ``pick`` selects each pair's cell query
+        fcoords, pix, valid = [], [], []
+        for name in names:
+            fm, cam = features[name], cameras[name]
+            uv, _, v = project_points(cam, pts)
+            fcoords.append(np.stack([uv[:, 1] / fm.stride - 0.5, uv[:, 0] / fm.stride - 0.5], axis=1))
+            pix.append(np.stack([uv[:, 0] / cam.width, uv[:, 1] / cam.height], axis=1))
+            valid.append(v)
+        pairs = np.nonzero(np.concatenate(valid))[0]
+        cells = pairs % n
+        pick = sparse.csr_array((np.ones(pairs.size, dtype=q.dtype), cells, np.arange(pairs.size + 1)),
+                                shape=(pairs.size, n))
+        out, anyv = _deformable_core(sparse_matmul(pick, q), np.concatenate(fcoords)[pairs],
+                                     [features[name].data for name in names], params.deform,
+                                     grid_of=pairs // (nz * n))
+        # pixel encodings only where a camera actually contributed
+        enc = sincos_encoding(np.concatenate(pix)[pairs], params.n_freqs)
+        pe = linear(Tensor(enc.astype(out.dtype)), params.pe_w, params.pe_b)
+        out = add(out, mul(pe, anyv.astype(out.dtype)[:, None]))
+        total = sparse_matmul(pick.T, out)
+        counts = np.bincount(cells, weights=anyv, minlength=n)
         combined = mul(total, (1.0 / np.maximum(counts, 1.0))[:, None])
     new_flat = layernorm(add(q, combined), params.ln_g, params.ln_b)
     return BevGrid(spec=spec, cells=_cells_from_flat(new_flat, spec), validity=grid.validity)

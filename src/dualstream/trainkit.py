@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -24,7 +26,7 @@ CHECKPOINT_VERSION = 1
 
 
 class NumericError(RuntimeError):
-    """Training hit a non-finite loss; carries the step diagnostics."""
+    """Training hit a non-finite loss or gradient; carries the step diagnostics."""
 
 
 @dataclass
@@ -207,6 +209,12 @@ def streaming_train(
                     model.store.zero_grads()
                     backward(loss)
                     norm = clip_gradients(model.store, cfg.grad_clip)
+                    if not math.isfinite(norm):
+                        bad = next((name for name, t in model.store.items()
+                                    if t.grad is not None and not np.all(np.isfinite(t.grad))),
+                                   "none (the squared norm overflowed)")
+                        raise NumericError(f"non-finite gradient norm {norm} at step {step}; "
+                                           f"first non-finite gradient: {bad}")
                     lr = cosine_lr(cfg.learning_rate, cfg.cosine_floor, step, total_steps)
                     optimizer_step(model.store, opt, lr, cfg.weight_decay, skip_prefixes=skip)
                     step += 1
@@ -232,24 +240,47 @@ def _safe_name(name: str) -> str:
     return name.replace("/", "_")
 
 
-def save_checkpoint(path, model: DualStreamModel, opt: OptimizerState, cfg: Config, step: int) -> None:
+def save_checkpoint(path, model: DualStreamModel, opt: OptimizerState, cfg: Config, step: int,
+                    epoch: Optional[int] = None) -> None:
+    """Write the checkpoint into a sibling temp directory, then rename it into
+    place, so an interrupted save leaves the previous checkpoint untouched.
+    ``epoch``, when given, is recorded in the metadata for ``--resume``."""
     root = Path(path)
-    (root / "params").mkdir(parents=True, exist_ok=True)
-    (root / "opt_m").mkdir(exist_ok=True)
-    (root / "opt_v").mkdir(exist_ok=True)
-    names = model.store.names()
-    for name, t in model.store.items():
-        write_tensor(root / "params" / f"{_safe_name(name)}.dstn", t.data)
-        write_tensor(root / "opt_m" / f"{_safe_name(name)}.dstn", opt.m[name])
-        write_tensor(root / "opt_v" / f"{_safe_name(name)}.dstn", opt.v[name])
-    meta = {
-        "format_version": CHECKPOINT_VERSION,
-        "step": step,
-        "opt_step": opt.step,
-        "config": config_to_dict(cfg),
-        "param_names": names,
-    }
-    (root / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    root.parent.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(prefix=f".{root.name}.", dir=root.parent))
+    try:
+        for sub in ("params", "opt_m", "opt_v"):
+            (tmp / sub).mkdir()
+        names = model.store.names()
+        for name, t in model.store.items():
+            write_tensor(tmp / "params" / f"{_safe_name(name)}.dstn", t.data)
+            write_tensor(tmp / "opt_m" / f"{_safe_name(name)}.dstn", opt.m[name])
+            write_tensor(tmp / "opt_v" / f"{_safe_name(name)}.dstn", opt.v[name])
+        meta = {
+            "format_version": CHECKPOINT_VERSION,
+            "step": step,
+            "opt_step": opt.step,
+            "config": config_to_dict(cfg),
+            "param_names": names,
+        }
+        if epoch is not None:
+            meta["epoch"] = epoch
+        (tmp / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+        if root.exists():
+            # a directory cannot be renamed over a non-empty one: move the old one aside first
+            old = Path(tempfile.mkdtemp(prefix=f".{root.name}.old.", dir=root.parent)) / root.name
+            root.rename(old)
+            try:
+                tmp.rename(root)
+            except BaseException:
+                old.rename(root)
+                raise
+            shutil.rmtree(old.parent)
+        else:
+            tmp.rename(root)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[Config, dict, OptimizerState, int]:

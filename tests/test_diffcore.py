@@ -31,11 +31,14 @@ from dualstream.diffcore.tensor import (
     mean,
     mul,
     reshape,
+    scatter_rows,
     sigmoid,
     softplus,
+    sparse_matmul,
     stack,
     sub,
     sum_,
+    take_rows,
     tanh,
     transpose,
 )
@@ -346,6 +349,28 @@ class TestDeformable:
         want = 0.5 * (grid.data[:, 1, 1] + grid.data[:, 2, 1])
         np.testing.assert_allclose(out.data[0], want, atol=1e-12)
 
+    def test_valid_mask_drops_points_with_weighted_invalid_neighbours(self, rng):
+        # point 0 at the reference, point 1 half a column to its right;
+        # zero weight logits, so the surviving points are averaged
+        L = 3
+        params = make_deformable_params(rng, L, L, 2, degenerate=True)
+        params.b_off.data[:] = np.array([0.0, 0.0, 0.0, 0.5])
+        grid = t64(rng.normal(size=(L, 4, 4)))
+        valid = np.ones((4, 4), dtype=bool)
+        valid[2, 2] = False
+        refs = np.array([
+            [1.0, 1.0],   # (1, 1) and (1, 1.5): the invalid cell has zero weight for both, both kept
+            [1.5, 1.0],   # (1.5, 1) kept (zero weight on the invalid cell); (1.5, 1.5) weights it, dropped
+            [2.0, 2.0],   # (2, 2) is the invalid cell; (2, 2.5) weights it: every point dropped
+        ])
+        queries = t64(rng.normal(size=(3, L)))
+        out, any_valid = _deformable_core(queries, refs, grid, params, valid_mask=valid)
+        g = grid.data
+        np.testing.assert_array_equal(any_valid, [True, True, False])
+        np.testing.assert_allclose(out.data[0], 0.5 * (g[:, 1, 1] + 0.5 * (g[:, 1, 1] + g[:, 1, 2])), atol=1e-12)
+        np.testing.assert_allclose(out.data[1], 0.5 * (g[:, 1, 1] + g[:, 2, 1]), atol=1e-12)
+        np.testing.assert_array_equal(out.data[2], np.zeros(L))
+
     def deformable_enumeration_oracle(self, queries, refs, grid, p):
         """Dense oracle: enumerate every sample point explicitly with numpy."""
         n, L = queries.shape
@@ -505,6 +530,9 @@ OPS_FOR_SWEEP = [
     ("stack", lambda rng: _stack_case(rng)),
     ("transpose", lambda rng: _unary_case(rng, lambda x: transpose(x, (1, 0)))),
     ("multi_head_attention", lambda rng: _attention_case(rng)),
+    ("take_rows", lambda rng: _take_rows_case(rng)),
+    ("scatter_rows", lambda rng: _scatter_rows_case(rng)),
+    ("sparse_matmul", lambda rng: _sparse_matmul_case(rng)),
 ]
 
 
@@ -540,6 +568,27 @@ def _attention_case(rng):
     return lambda x, y, z: sum_(tanh(multi_head_attention(x, y, z, 2, p))), [q, k, v]
 
 
+def _take_rows_case(rng):
+    a = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    idx = rng.permutation(6)[:4]
+    return lambda x: sum_(mul(take_rows(x, idx), take_rows(x, idx))), [a]
+
+
+def _scatter_rows_case(rng):
+    a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    idx = rng.permutation(7)[:4]
+    return lambda x: sum_(tanh(add(scatter_rows(x, idx, 7), 0.5))), [a]
+
+
+def _sparse_matmul_case(rng):
+    # rows that repeat, sum and skip rows of the operand
+    from scipy import sparse
+
+    m = sparse.random_array((5, 6), density=0.4, rng=rng, format="csr") + sparse.eye_array(5, 6, format="csr")
+    a = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    return lambda x: sum_(tanh(sparse_matmul(m, x))), [a]
+
+
 def _concat_case(rng):
     a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
@@ -573,6 +622,22 @@ def _stack_case(rng):
     a = Tensor(rng.normal(size=(3,)).reshape(1, 3), requires_grad=True)
     b = Tensor(rng.normal(size=(3,)).reshape(1, 3), requires_grad=True)
     return lambda x, y: sum_(tanh(concat([x, y], axis=0))), [a, b]
+
+
+def test_take_rows_rejects_repeated_rows():
+    a = Tensor(np.arange(12.0).reshape(4, 3))
+    np.testing.assert_array_equal(take_rows(a, [3, 0]).data, a.data[[3, 0]])
+    for idx in ([1, 0, 1], [3, -1]):
+        with pytest.raises(ValueError, match="repeats"):
+            take_rows(a, idx)
+
+
+def test_scatter_rows_rejects_repeated_rows():
+    a = Tensor(np.arange(6.0).reshape(2, 3))
+    np.testing.assert_array_equal(scatter_rows(a, [3, 0], 4).data[[3, 0]], a.data)
+    for idx in ([1, 1], [3, -1]):
+        with pytest.raises(ValueError, match="repeats"):
+            scatter_rows(a, idx, 4)
 
 
 @pytest.mark.parametrize("name,case", OPS_FOR_SWEEP, ids=[n for n, _ in OPS_FOR_SWEEP])

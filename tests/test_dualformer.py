@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from util import t64
 
 from dualstream.configio import Config
@@ -306,3 +307,138 @@ class TestConfigReachesBlocks:
                 res = model.forward_frame(frames[0], rig, model.initial_state(), dt)
                 grids.append(res.state.grid.cells.data)
         assert np.abs(grids[0] - grids[1]).max() > 1e-6
+
+
+def per_camera_bev_image(grid, features, cameras, p):
+    """BEV-to-image attention as one deformable call per camera, each camera's
+    pillar hits summed, then the cameras added in name order."""
+    from dualstream.diffcore import linear, sincos_encoding
+    from dualstream.diffcore.ops import _deformable_core
+    from dualstream.diffcore.tensor import add, concat, reshape, scatter_rows
+    from dualstream.geom3d import project_points
+    from dualstream.statstream import cell_center_grid
+
+    n = grid.spec.dims[0] * grid.spec.dims[1]
+    q = grid.cells_flat()
+    nz = len(p.pillar_heights)
+    centers = cell_center_grid(grid.spec)
+    pts = np.concatenate([np.concatenate([centers, np.full((n, 1), z)], axis=1) for z in p.pillar_heights])
+    q_rep = concat([q] * nz)
+    total, counts = None, np.zeros(n)
+    for name in sorted(features):
+        fm, cam = features[name], cameras[name]
+        uv, _, valid = project_points(cam, pts)
+        fcoords = np.stack([uv[:, 1] / fm.stride - 0.5, uv[:, 0] / fm.stride - 0.5], axis=1)
+        out, anyv = _deformable_core(q_rep, fcoords, fm.data, p.deform, query_valid=valid)
+        aidx = np.nonzero(anyv)[0]
+        if aidx.size:
+            pix = sincos_encoding(np.stack([uv[aidx, 0] / cam.width, uv[aidx, 1] / cam.height], axis=1), p.n_freqs)
+            out = add(out, scatter_rows(linear(Tensor(pix), p.pe_w, p.pe_b), aidx, nz * n))
+        cam_sum = sum_(reshape(out, (nz, n, -1)), axis=0)
+        total = cam_sum if total is None else add(total, cam_sum)
+        counts += anyv.reshape(nz, n).sum(axis=0)
+    combined = mul(q, 0.0) if total is None else mul(total, (1.0 / np.maximum(counts, 1.0))[:, None])
+    return layernorm(add(q, combined), p.ln_g, p.ln_b)
+
+
+def per_camera_obj_image(latents, anchors, features, cameras, p):
+    """Object-to-image attention as one deformable call per camera, combined
+    by the visibility-masked camera softmax."""
+    from dualstream.diffcore import linear, sincos_encoding, softmax, stack
+    from dualstream.diffcore.ops import _deformable_core
+    from dualstream.diffcore.tensor import add, reshape, take_rows, transpose
+    from dualstream.geom3d import CAMERA_SLOTS, project_points
+
+    n = latents.data.shape[0]
+    slots, outs, masks = [], [], []
+    for slot, name in enumerate(CAMERA_SLOTS):
+        if name not in features:
+            continue
+        fm, cam = features[name], cameras[name]
+        uv, _, valid = project_points(cam, anchors)
+        fcoords = np.stack([uv[:, 1] / fm.stride - 0.5, uv[:, 0] / fm.stride - 0.5], axis=1)
+        out, anyv = _deformable_core(latents, fcoords, fm.data, p.deform, query_valid=valid)
+        enc = sincos_encoding(np.stack([uv[:, 0] / cam.width, uv[:, 1] / cam.height], axis=1), p.n_freqs)
+        out = add(out, mul(linear(Tensor(enc), p.pe_w, p.pe_b), anyv.astype(np.float64)[:, None]))
+        slots.append(slot)
+        outs.append(out)
+        masks.append(anyv)
+    logits = linear(latents, p.cam_w, p.cam_b)
+    cols = transpose(take_rows(transpose(logits, (1, 0)), np.array(slots)), (1, 0))
+    cols = add(cols, np.where(np.stack(masks, axis=1), 0.0, -1e30))
+    weights = reshape(softmax(cols, axis=-1), (n, len(outs), 1))
+    combined = sum_(mul(stack(outs, axis=1), weights), axis=1)
+    return layernorm(add(latents, combined), p.ln_g, p.ln_b)
+
+
+def seen_anchors(rng, rig, n):
+    """n anchors, each projecting well inside the feature map of some camera."""
+    from dualstream.geom3d import project_points
+
+    pts = rng.uniform([-6.0, -6.0, -0.5], [6.0, 6.0, 1.5], size=(4000, 3))
+    seen = np.zeros(len(pts), dtype=bool)
+    for cam in rig.values():
+        uv, _, valid = project_points(cam, pts)
+        seen |= valid & (np.abs(uv[:, 0] / cam.width - 0.5) < 0.3) & (np.abs(uv[:, 1] / cam.height - 0.5) < 0.2)
+    return pts[seen][:n]
+
+
+CAMERA_SUBSETS = [None, ("front", "back-left", "front-right"), ("front",)]
+
+
+class TestCameraBlocksMatchPerCameraLoop:
+    """The camera blocks stack the cameras into one value table and make one
+    deformable call; values and gradients match one call per camera."""
+
+    def run(self, block, leaf, model, rng):
+        from dualstream.diffcore import tanh
+
+        with fresh_tape():
+            model.store.zero_grads()
+            leaf.grad = None
+            out = block()
+            backward(sum_(tanh(out)))
+        grads = {name: t.grad.copy() for name, t in model.store.items() if t.grad is not None}
+        return out.data, leaf.grad.copy(), grads
+
+    def check(self, got, want):
+        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
+        assert got[2].keys() == want[2].keys()
+        for name in want[2]:
+            np.testing.assert_allclose(got[2][name], want[2][name], rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("cams", CAMERA_SUBSETS, ids=["all", "three", "one"])
+    def test_bev_image(self, rng, cams):
+        from dualstream.statstream import bev_image_cross_attention
+
+        with use_dtype(np.float64):
+            model = micro_model()
+            frames, rig, _ = micro_frame(model)
+            p = model.layers[0].bev_image
+            grid = make_grid(rng, model.bev_spec)
+            grid.cells.requires_grad = True
+            feats = {k: v for k, v in model.encode_images(frames[0].images).items() if cams is None or k in cams}
+            got = self.run(lambda: bev_image_cross_attention(grid, feats, rig, p).cells_flat(), grid.cells, model, rng)
+            want = self.run(lambda: per_camera_bev_image(grid, feats, rig, p), grid.cells, model, rng)
+        assert np.abs(got[0] - grid.cells_flat().data).max() > 1e-3   # the cameras contribute
+        self.check(got, want)
+
+    @pytest.mark.parametrize("cams", CAMERA_SUBSETS, ids=["all", "three", "one"])
+    def test_obj_image(self, rng, cams):
+        from dualstream.dynstream import _obj_image_cross_attention
+
+        with use_dtype(np.float64):
+            model = micro_model()
+            frames, rig, _ = micro_frame(model)
+            p = model.layers[0].obj_image
+            q = make_queries(rng, 24, anchors=seen_anchors(rng, rig, 24))
+            q.latents.requires_grad = True
+            feats = {k: v for k, v in model.encode_images(frames[0].images).items() if cams is None or k in cams}
+            got = self.run(lambda: _obj_image_cross_attention(q.latents, q.anchor_xyz, feats, rig, p),
+                           q.latents, model, rng)
+            want = self.run(lambda: per_camera_obj_image(q.latents, q.anchor_xyz, feats, rig, p),
+                            q.latents, model, rng)
+            alone = layernorm(q.latents, p.ln_g, p.ln_b).data
+        assert np.abs(got[0] - alone).max() > 1e-3   # the cameras contribute
+        self.check(got, want)
