@@ -27,6 +27,7 @@ from .synthworld.scene import WorldConfig, SceneConfigError
 from .trainkit import (
     NumericError,
     OptimizerState,
+    _safe_name,
     model_from_checkpoint,
     save_checkpoint,
     streaming_train,
@@ -250,7 +251,7 @@ def cmd_inspect(args) -> int:
 
         total = 0
         for name in names:
-            arr = read_tensor(path / "params" / f"{name.replace('/', '_')}.dstn")
+            arr = read_tensor(path / "params" / f"{_safe_name(name)}.dstn")
             total += arr.size
         print(f"parameters: {len(names)} tensors, {total} scalars")
         for name in names[:10]:

@@ -1,9 +1,13 @@
-"""Detection, tracking and segmentation metrics with the velocity-sliced and
-sensor-drop protocols.
+"""Detection and tracking metrics, the velocity slice and the report that
+carries them (the runner pools segmentation IoU itself).
 
 Conventions (echoed into every report):
-  * detection matching is greedy by descending score on 2D center distance,
-    one ground truth per prediction;
+  * every metric matches with ``heads.greedy_match`` on 2D center distance,
+    once per frame: predictions in descending score order (equal scores in
+    index order) each take the nearest unmatched ground truth within the
+    threshold, ties to the lower ground-truth index. A score cut keeps a
+    prefix of that order, so the pairs at any cut are the first pairs of
+    the uncut match;
   * AP integrates the right-envelope precision over recall in [0.1, 1],
     normalized by 0.9;
   * TP errors are computed at the third distance threshold (the scaled 2 m);
@@ -18,13 +22,13 @@ Conventions (echoed into every report):
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .geom3d import BoundingBox3D, wrap_angle
+from .heads import center_distances, greedy_match
 
 BASE_AP_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)
 TP_THRESHOLD_INDEX = 2  # the scaled 2 m entry
@@ -49,40 +53,19 @@ class SceneRecord:
     frames: list[FrameRecord]
 
 
-def center_distance(a: BoundingBox3D, b: BoundingBox3D) -> float:
-    return float(np.linalg.norm(a.center[:2] - b.center[:2]))
-
-
-def _greedy_match_frame(preds: Sequence[BoundingBox3D], gts: Sequence[BoundingBox3D],
-                        threshold: float):
-    """Greedy by descending score, nearest unmatched GT within threshold.
-
-    Returns (pairs, unmatched_pred_indices): pairs are (pred_i, gt_j).
-    """
+def _match_frame(preds: Sequence[BoundingBox3D], gts: Sequence[BoundingBox3D], threshold: float):
+    """One frame's greedy match: (pred index, gt index, distance) triples in
+    the order made, that is by descending prediction score."""
     order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
-    taken: set[int] = set()
-    pairs, unmatched = [], []
-    for i in order:
-        best_j, best_d = None, threshold
-        for j, gt in enumerate(gts):
-            if j in taken:
-                continue
-            d = center_distance(preds[i], gt)
-            if d <= best_d and (best_j is None or d < best_d):
-                best_j, best_d = j, d
-        if best_j is None:
-            unmatched.append(i)
-        else:
-            taken.add(best_j)
-            pairs.append((i, best_j))
-    return pairs, unmatched
+    dist = center_distances([p.center[:2] for p in preds], [g.center[:2] for g in gts])
+    return greedy_match(dist, order, threshold)
 
 
 @dataclass
 class ClassDetectionResult:
     ap: float
     n_gt: int
-    matches: list[tuple[BoundingBox3D, BoundingBox3D]]  # at the TP threshold
+    matches: list[tuple[BoundingBox3D, BoundingBox3D, float]]  # (pred, gt, distance)
 
 
 def detection_ap(scenes: Sequence[SceneRecord], label: int, dist_threshold: float) -> ClassDetectionResult:
@@ -93,44 +76,23 @@ def detection_ap(scenes: Sequence[SceneRecord], label: int, dist_threshold: floa
     area under the right-envelope precision over recall in [0.1, 1],
     normalized by 0.9.
     """
-    entries = []  # (score, frame_key, pred)
+    entries = []  # (score, frame key, pred index, pred, (gt, distance) or None)
     n_gt = 0
-    frame_gts = {}
     for s_idx, scene in enumerate(scenes):
         for f_idx, fr in enumerate(scene.frames):
-            key = (s_idx, f_idx)
+            preds = [(i, p) for i, p in enumerate(fr.pred_boxes) if p.label == label]
             gts = [g for g in fr.gt_boxes if g.label == label]
-            frame_gts[key] = gts
             n_gt += len(gts)
-            for p_idx, p in enumerate(fr.pred_boxes):
-                if p.label == label:
-                    entries.append((p.score, key, p_idx, p))
+            pairs = _match_frame([p for _, p in preds], gts, dist_threshold)
+            hit = {r: (gts[j], d) for r, j, d in pairs}
+            entries += [(p.score, (s_idx, f_idx), i, p, hit.get(r)) for r, (i, p) in enumerate(preds)]
     result = ClassDetectionResult(ap=0.0, n_gt=n_gt, matches=[])
     if n_gt == 0:
         return result
     entries.sort(key=lambda e: (-e[0], e[1], e[2]))
-    taken: dict[tuple, set] = {k: set() for k in frame_gts}
-    tp, fp = 0, 0
-    recalls, precisions = [], []
-    for score, key, _, pred in entries:
-        gts = frame_gts[key]
-        best_j, best_d = None, dist_threshold
-        for j, gt in enumerate(gts):
-            if j in taken[key]:
-                continue
-            d = center_distance(pred, gt)
-            if best_j is None or d < best_d:
-                if d <= dist_threshold:
-                    best_j, best_d = j, d
-        if best_j is None:
-            fp += 1
-        else:
-            taken[key].add(best_j)
-            tp += 1
-            result.matches.append((pred, gts[best_j]))
-        recalls.append(tp / n_gt)
-        precisions.append(tp / (tp + fp))
-    result.ap = _envelope_ap(np.array(recalls), np.array(precisions))
+    result.matches = [(p, *m) for *_, p, m in entries if m is not None]
+    tp = np.cumsum([m is not None for *_, m in entries], dtype=np.int64)
+    result.ap = _envelope_ap(tp / n_gt, tp / np.arange(1, len(entries) + 1))
     return result
 
 
@@ -149,13 +111,14 @@ def _envelope_ap(recalls: np.ndarray, precisions: np.ndarray, min_recall: float 
     return area / (1.0 - min_recall)
 
 
-def tp_errors(matches: Sequence[tuple[BoundingBox3D, BoundingBox3D]]):
-    """(mATE, mAOE, mAVE) over matched pairs; None each when no matches."""
+def tp_errors(matches: Sequence[tuple[BoundingBox3D, BoundingBox3D, float]]):
+    """(mATE, mAOE, mAVE) over matched (pred, gt, distance) triples; None
+    each when no matches."""
     if not matches:
         return {"mATE": None, "mAOE": None, "mAVE": None}
-    ate = float(np.mean([center_distance(p, g) for p, g in matches]))
-    aoe = float(np.mean([abs(wrap_angle(p.yaw - g.yaw)) for p, g in matches]))
-    ave = float(np.mean([np.linalg.norm(p.velocity - g.velocity) for p, g in matches]))
+    ate = float(np.mean([d for _, _, d in matches]))
+    aoe = float(np.mean([abs(wrap_angle(p.yaw - g.yaw)) for p, g, _ in matches]))
+    ave = float(np.mean([np.linalg.norm(p.velocity - g.velocity) for p, g, _ in matches]))
     return {"mATE": ate, "mAOE": aoe, "mAVE": ave}
 
 
@@ -170,36 +133,36 @@ def nds(mean_ap: float, errors: dict) -> float:
             continue
         num += 1.0 - min(1.0, err / norm)
         weight += 1.0
-    return num / weight if weight else 0.0
+    return num / weight
 
 
 # ---------------------------------------------------------------------------
 # tracking
 
-def _frame_track_matches(fr: FrameRecord, threshold: float, min_score: float):
-    """Greedy matching of tracked predictions (score >= min_score) to GT."""
-    preds, tids = [], []
-    for p, tid in zip(fr.pred_boxes, fr.track_ids):
-        if tid is not None and p.score >= min_score:
-            preds.append(p)
-            tids.append(tid)
-    pairs, unmatched = _greedy_match_frame(preds, fr.gt_boxes, threshold)
-    matched = [(tids[i], fr.gt_ids[j], center_distance(preds[i], fr.gt_boxes[j])) for i, j in pairs]
-    return matched, len(unmatched), len(fr.gt_boxes) - len(pairs)
+def _match_tracked(fr: FrameRecord, threshold: float):
+    """Match one frame's tracked predictions with no score cut. Returns their
+    scores, the frame's GT count and the (score, track id, gt id, distance)
+    of each pair in the order made, so the pairs at a cut are a prefix."""
+    tracked = [(p, tid) for p, tid in zip(fr.pred_boxes, fr.track_ids) if tid is not None]
+    pairs = _match_frame([p for p, _ in tracked], fr.gt_boxes, threshold)
+    return ([p.score for p, _ in tracked], len(fr.gt_boxes),
+            [(tracked[i][0].score, tracked[i][1], fr.gt_ids[j], d) for i, j, d in pairs])
 
 
-def _tracking_counts(scenes: Sequence[SceneRecord], threshold: float, min_score: float):
-    """(TP, FP, FN, IDS, mean matched distance) at one score threshold."""
+def _tracking_counts(matched: Sequence[Sequence[tuple]], min_score: float):
+    """(TP, FP, FN, IDS, mean matched distance) at one score cut, read from
+    the per-scene lists of ``_match_tracked`` results."""
     tp = fp = fn = ids = 0
     dists = []
-    for scene in scenes:
+    for frames in matched:
         last_match: dict[int, int] = {}  # gt id -> last matched track id
-        for fr in scene.frames:
-            matched, n_fp, n_fn = _frame_track_matches(fr, threshold, min_score)
-            tp += len(matched)
-            fp += n_fp
-            fn += n_fn
-            for tid, gid, d in matched:
+        for scores, n_gt, pairs in frames:
+            kept = sum(s >= min_score for s in scores)
+            made = pairs[:sum(p[0] >= min_score for p in pairs)]
+            tp += len(made)
+            fp += kept - len(made)
+            fn += n_gt - len(made)
+            for _, tid, gid, d in made:
                 dists.append(d)
                 if gid in last_match and last_match[gid] != tid:
                     ids += 1
@@ -212,7 +175,7 @@ def amota(scenes: Sequence[SceneRecord], threshold: float):
     """Recall-swept tracking metrics.
 
     Returns dict with AMOTA, AMOTP, recall (max achieved), IDS (headline,
-    at no score cut).
+    at no score cut). Each frame is matched once; every cut reads a prefix.
     """
     n_gt = sum(len(fr.gt_boxes) for s in scenes for fr in s.frames)
     scores = sorted(
@@ -220,7 +183,8 @@ def amota(scenes: Sequence[SceneRecord], threshold: float):
          for p, tid in zip(fr.pred_boxes, fr.track_ids) if tid is not None},
         reverse=True,
     )
-    _, _, _, ids_headline, _ = _tracking_counts(scenes, threshold, min_score=0.0)
+    matched = [[_match_tracked(fr, threshold) for fr in s.frames] for s in scenes]
+    _, _, _, ids_headline, _ = _tracking_counts(matched, min_score=0.0)
     if n_gt == 0 or not scores:
         return {"AMOTA": 0.0, "AMOTP": None, "recall": 0.0, "IDS": ids_headline}
 
@@ -231,7 +195,7 @@ def amota(scenes: Sequence[SceneRecord], threshold: float):
         scores = [scores[i] for i in idx]
     curve = []
     for s in scores:
-        tp, fp, fn, ids_r, motp = _tracking_counts(scenes, threshold, min_score=s)
+        tp, fp, fn, ids_r, motp = _tracking_counts(matched, min_score=s)
         recall = tp / n_gt
         curve.append((recall, s, tp, fp, fn, ids_r, motp))
     max_recall = max(c[0] for c in curve)
@@ -257,31 +221,6 @@ def amota(scenes: Sequence[SceneRecord], threshold: float):
 
 
 # ---------------------------------------------------------------------------
-# segmentation
-
-def seg_iou(prob_or_logit: np.ndarray, gt_masks: np.ndarray, threshold: float = 0.5,
-            logits: bool = True) -> list[float]:
-    """Per-class IoU of the binarized prediction; both-empty counts as 1."""
-    if prob_or_logit.shape != gt_masks.shape:
-        raise ValueError(f"shape mismatch {prob_or_logit.shape} vs {gt_masks.shape}")
-    if logits:
-        pred = prob_or_logit >= _logit(threshold)
-    else:
-        pred = prob_or_logit >= threshold
-    gt = gt_masks >= 0.5
-    out = []
-    for c in range(pred.shape[0]):
-        inter = np.logical_and(pred[c], gt[c]).sum()
-        union = np.logical_or(pred[c], gt[c]).sum()
-        out.append(1.0 if union == 0 else float(inter / union))
-    return out
-
-
-def _logit(p: float) -> float:
-    return math.log(p / (1.0 - p))
-
-
-# ---------------------------------------------------------------------------
 # slicing and the full report
 
 def _speed(box: BoundingBox3D) -> float:
@@ -302,8 +241,8 @@ def velocity_slice_records(scenes: Sequence[SceneRecord], v_min: float,
         frames = []
         for fr in scene.frames:
             keep_gt = [_in_velocity_slice(g, fr.ego_velocity, v_min) for g in fr.gt_boxes]
-            pairs, _ = _greedy_match_frame(fr.pred_boxes, fr.gt_boxes, match_threshold)
-            drop_pred = {i for i, j in pairs if not keep_gt[j]}
+            pairs = _match_frame(fr.pred_boxes, fr.gt_boxes, match_threshold)
+            drop_pred = {i for i, j, _ in pairs if not keep_gt[j]}
             keep_idx = [i for i in range(len(fr.pred_boxes)) if i not in drop_pred]
             frames.append(FrameRecord(
                 pred_boxes=[fr.pred_boxes[i] for i in keep_idx],
@@ -401,11 +340,3 @@ class EvalReport:
         for key, val in sorted(self.seg.items()):
             lines.append(f"all,seg_{key},{val!r}")
         return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_json(text: str) -> "EvalReport":
-        doc = json.loads(text)
-        slices = {name: SliceMetrics(**{k: v for k, v in d.items()}) for name, d in doc["slices"].items()}
-        return EvalReport(run_id=doc["run_id"], code_version=doc["code_version"],
-                          config=doc["config"], conventions=doc["conventions"],
-                          slices=slices, seg=doc.get("seg", {}))

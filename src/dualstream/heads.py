@@ -135,6 +135,35 @@ def hungarian_match(cost_matrix: np.ndarray) -> Assignment:
     )
 
 
+def center_distances(a, b) -> np.ndarray:
+    """(n, m) ground-plane distances between the xy rows of ``a`` (n, 2) and
+    ``b`` (m, 2). Each entry reduces through the same BLAS dot as
+    ``np.linalg.norm`` of its one difference vector, so both give equal floats."""
+    d = np.reshape(a, (-1, 1, 2)) - np.reshape(b, (1, -1, 2))
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+
+
+def greedy_match(dist: np.ndarray, order: Sequence[int], max_dist: float,
+                 free: Optional[np.ndarray] = None) -> list[tuple[int, int, float]]:
+    """Greedy assignment on an (n_rows, n_cols) distance matrix.
+
+    Rows are visited in ``order``; each takes the nearest still-free column
+    within ``max_dist``, ties to the lower column index. ``free`` marks the
+    columns open at the start (default all). Returns the (row, col,
+    distance) triples in the order they were made.
+    """
+    free = np.ones(dist.shape[1], dtype=bool) if free is None else free.copy()
+    pairs = []
+    for i in order:
+        row = dist[i]
+        cand = np.flatnonzero(free & (row <= max_dist))
+        if cand.size:
+            j = int(cand[np.argmin(row[cand])])
+            free[j] = False
+            pairs.append((int(i), j, float(row[j])))
+    return pairs
+
+
 @dataclass
 class LossWeights:
     cls: float = 1.0
@@ -267,37 +296,27 @@ def greedy_track(
     spawn strictly increasing ids; unmatched tracks persist ``max_age``
     frames. Returns (det_index, track_id) pairs, surviving tracks, next_id.
     """
-    predicted = {t.track_id: t.center[:2] + t.velocity[:2] * dt for t in tracks}
     by_id = {t.track_id: t for t in tracks}
+    tids = sorted(by_id)   # columns in id order, so distance ties go to the lower id
+    col_of = {tid: c for c, tid in enumerate(tids)}
+    predicted = [by_id[tid].center[:2] + by_id[tid].velocity[:2] * dt for tid in tids]
+    dist = center_distances([d.center[:2] for d in detections], predicted)
     order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
-    claimed: set[int] = set()
+    free = np.ones(len(tids), dtype=bool)
     assigned: list[tuple[int, int]] = []
-    matched_dets: set[int] = set()
 
     # pass 1: carried identities act as matching priors
     for i in order:
-        pid = prior_ids[i]
-        if pid is None or pid in claimed or pid not in predicted:
-            continue
-        if np.linalg.norm(detections[i].center[:2] - predicted[pid]) <= max_dist:
-            claimed.add(pid)
-            matched_dets.add(i)
-            assigned.append((i, pid))
+        c = col_of.get(prior_ids[i])
+        if c is not None and free[c] and dist[i, c] <= max_dist:
+            free[c] = False
+            assigned.append((i, tids[c]))
+    matched_dets = {i for i, _ in assigned}
 
-    # pass 2: greedy nearest-center for the rest (ties -> lower track id)
-    for i in order:
-        if i in matched_dets:
-            continue
-        candidates = sorted(
-            (float(np.linalg.norm(detections[i].center[:2] - pc)), tid)
-            for tid, pc in predicted.items()
-            if tid not in claimed
-        )
-        if candidates and candidates[0][0] <= max_dist:
-            tid = candidates[0][1]
-            claimed.add(tid)
-            matched_dets.add(i)
-            assigned.append((i, tid))
+    # pass 2: greedy nearest-center for the rest
+    pairs = greedy_match(dist, [i for i in order if i not in matched_dets], max_dist, free)
+    assigned += [(i, tids[c]) for i, c, _ in pairs]
+    matched_dets.update(i for i, _, _ in pairs)
 
     # pass 3: spawn new tracks
     for i in order:

@@ -79,10 +79,7 @@ def metric_to_cell(spec: BevSpec, xy) -> np.ndarray:
 
 def cell_center_grid(spec: BevSpec) -> np.ndarray:
     """(H*W, 2) metric centers of every cell, row-major."""
-    h, w = spec.dims
-    ii, jj = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    ij = np.stack([ii.reshape(-1), jj.reshape(-1)], axis=1).astype(np.float64)
-    return cell_to_metric(spec, ij)
+    return cell_to_metric(spec, grid_coords(spec))
 
 
 def grid_coords(spec: BevSpec) -> np.ndarray:

@@ -15,9 +15,11 @@ from dualstream.heads import (
     HeadOutputs,
     LossWeights,
     Track,
+    center_distances,
     decode_boxes,
     detection_cost_matrix,
     detection_loss,
+    greedy_match,
     greedy_track,
     hungarian_match,
     segmentation_loss,
@@ -330,6 +332,15 @@ class TestGreedyTrack:
         want = sorted((i, best_perm[i]) for i in range(2))
         assert assigned == want
 
+    def test_equal_distances_go_to_the_lower_track_id(self):
+        # the higher id comes first in ``tracks``; both are exactly 1 m away
+        tracks = [
+            Track(track_id=9, center=np.array([1.0, 0.0, 0.0]), velocity=np.zeros(2), label=0, score=0.9),
+            Track(track_id=4, center=np.array([-1.0, 0.0, 0.0]), velocity=np.zeros(2), label=0, score=0.9),
+        ]
+        assigned, _, _ = greedy_track([det([0.0, 0.0, 0.0], 0.8)], [None], tracks, dt=0.5, next_id=10)
+        assert assigned == [(0, 4)]
+
     def test_prior_identity_claims_track_first(self):
         tracks = [
             Track(track_id=0, center=np.array([0.0, 0.0, 0.0]), velocity=np.zeros(2),
@@ -362,3 +373,37 @@ class TestGreedyTrack:
             assert len(tracks) == 1
         _, tracks, _ = greedy_track([], [], tracks, dt=0.5, next_id=10, max_age=3)
         assert tracks == []
+
+
+class TestGreedyMatch:
+    def test_score_order_then_nearest_free_column(self):
+        dist = np.array([[0.5, 0.2, 3.0],
+                         [0.1, 0.3, 0.4]])
+        # row 1 goes first and takes column 0; row 0 then takes its nearest, column 1
+        assert greedy_match(dist, [1, 0], max_dist=1.0) == [(1, 0, 0.1), (0, 1, 0.2)]
+        # row 0 first takes column 1; row 1 still takes column 0
+        assert greedy_match(dist, [0, 1], max_dist=1.0) == [(0, 1, 0.2), (1, 0, 0.1)]
+
+    def test_ties_go_to_the_lower_column_and_max_dist_is_inclusive(self):
+        dist = np.array([[2.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+        assert greedy_match(dist, [0, 1], max_dist=1.0) == [(0, 1, 1.0), (1, 0, 1.0)]
+        assert greedy_match(dist, [0, 1], max_dist=0.999) == []
+
+    def test_free_mask_and_skipped_rows(self):
+        dist = np.array([[0.1, 0.2], [0.3, 0.1], [0.0, 0.0]])
+        free = np.array([False, True])
+        assert greedy_match(dist, [0, 1], max_dist=1.0, free=free) == [(0, 1, 0.2)]
+        assert free.tolist() == [False, True]   # the caller's mask is not modified
+        assert greedy_match(np.zeros((0, 3)), [], 1.0) == []
+        assert greedy_match(np.zeros((2, 0)), [0, 1], 1.0) == []
+
+    def test_nan_distance_never_matches(self):
+        assert greedy_match(np.array([[np.nan, 0.5]]), [0], max_dist=1.0) == [(0, 1, 0.5)]
+
+    def test_center_distances_equal_per_pair_norm(self, rng):
+        a = rng.normal(scale=20.0, size=(40, 2)) * rng.choice([1e-3, 1.0, 1e3], size=(40, 1))
+        b = rng.normal(scale=20.0, size=(30, 2))
+        want = np.array([[np.linalg.norm(x - y) for y in b] for x in a])
+        assert np.array_equal(center_distances(a, b), want)
+        assert center_distances(np.zeros((0, 2)), b).shape == (0, 30)
+        assert center_distances([], []).shape == (0, 0)
