@@ -1,21 +1,25 @@
-"""Op-level microbenchmarks of the sparse sampling plan (pytest-benchmark).
+"""Op-level microbenchmarks of the sparse sampling plan and the deformable
+aggregation built on it (pytest-benchmark).
 
 Not part of the tier-1 suite (``testpaths`` is ``tests``). Run from the
 repository root with BLAS pinned to one thread:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest -q microbench
 
-The two shapes are those of a training frame: BEV temporal attention reads
+The plan shapes are those of a training frame: BEV temporal attention reads
 4096 samples (1024 cells x 4 points) from a 1024 x 64 value table, and a
 camera cross-attention reads about 2,600 samples from a stacked 32 x 64
-camera table (4 x 8 feature cells).
+camera table (4 x 8 feature cells). The deformable shape is BEV-to-image at
+the default config: 1024 cell queries own about 3,684 reads (projecting
+(camera, pillar point) pairs) of six stacked 64 x 4 x 8 camera maps, with 4
+points per read.
 """
 
 import numpy as np
 import pytest
 
 from dualstream.diffcore import Tensor, backward, fresh_tape, sum_
-from dualstream.diffcore.ops import _bilinear_flat, sampling_plan
+from dualstream.diffcore.ops import DeformableParams, _bilinear_flat, _deformable_core, sampling_plan
 
 SHAPES = {"bev_4096x1024": (4096, 32, 32), "camera_2600x32": (2600, 4, 8)}
 CHANNELS = 64
@@ -29,13 +33,18 @@ def _case(name):
     return fd, cd, h, w
 
 
+def _unit_read(flat, coords, cd, h, w):
+    n = cd.shape[0]
+    return _bilinear_flat(flat, coords, sampling_plan(cd, h, w, h * w), Tensor(np.ones(n)), np.arange(n + 1))
+
+
 @pytest.mark.parametrize("name", SHAPES)
 def test_plan_forward(benchmark, name):
     fd, cd, h, w = _case(name)
     flat, coords = Tensor(fd), Tensor(cd)
 
     def forward():
-        return _bilinear_flat(flat, coords, sampling_plan(cd, h, w, h * w)).data
+        return _unit_read(flat, coords, cd, h, w).data
 
     assert benchmark(forward).shape == (cd.shape[0], CHANNELS)
 
@@ -48,8 +57,52 @@ def test_plan_forward_backward(benchmark, name):
     def step():
         flat, coords = Tensor(fd, requires_grad=True), Tensor(cd, requires_grad=True)
         with fresh_tape():
-            backward(sum_(_bilinear_flat(flat, coords, sampling_plan(cd, h, w, h * w)) * g))
+            backward(sum_(_unit_read(flat, coords, cd, h, w) * g))
         return flat.grad, coords.grad
 
     gv, gc = benchmark(step)
     assert gv.shape == fd.shape and gc.shape == cd.shape
+
+
+CELLS, READS, CAMERAS, POINTS = 1024, 3684, 6, 4
+
+
+def _bev_image_case():
+    rng = np.random.default_rng(2)
+    L = CHANNELS
+
+    def w(*shape, std=1.0):
+        return Tensor(rng.normal(size=shape) * std / np.sqrt(shape[0]), requires_grad=True)
+
+    params = DeformableParams(n_points=POINTS, w_off=w(L, 2 * POINTS, std=0.3), b_off=w(2 * POINTS),
+                              w_wgt=w(L, POINTS), b_wgt=w(POINTS), w_val=w(L, L), w_out=w(L, L), b_out=w(L))
+    queries = Tensor(rng.normal(size=(CELLS, L)), requires_grad=True)
+    maps = [Tensor(rng.normal(size=(L, 4, 8)), requires_grad=True) for _ in range(CAMERAS)]
+    owner = np.sort(rng.integers(0, CELLS, READS))
+    refs = np.stack([rng.uniform(0, 3, READS), rng.uniform(0, 7, READS)], axis=1)
+    return queries, refs, maps, params, owner, rng.integers(0, CAMERAS, READS)
+
+
+def test_deformable_bev_image_forward(benchmark):
+    queries, refs, maps, params, owner, grid_of = _bev_image_case()
+
+    def forward():
+        with fresh_tape():
+            return _deformable_core(queries, refs, maps, params, owner=owner, grid_of=grid_of)[0].data
+
+    assert benchmark(forward).shape == (CELLS, CHANNELS)
+
+
+def test_deformable_bev_image_forward_backward(benchmark):
+    queries, refs, maps, params, owner, grid_of = _bev_image_case()
+    g = Tensor(np.random.default_rng(3).normal(size=(CELLS, CHANNELS)))
+
+    def step():
+        for t in [queries, *maps, params.w_off, params.w_wgt, params.w_val, params.w_out]:
+            t.grad = None
+        with fresh_tape():
+            backward(sum_(_deformable_core(queries, refs, maps, params, owner=owner, grid_of=grid_of)[0] * g))
+        return queries.grad, params.w_off.grad
+
+    gq, goff = benchmark(step)
+    assert gq.shape == (CELLS, CHANNELS) and goff.shape == (CHANNELS, 2 * POINTS)

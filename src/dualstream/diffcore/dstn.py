@@ -11,8 +11,12 @@ Layout (all little-endian):
 
 from __future__ import annotations
 
+import shutil
 import struct
+import uuid
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -73,3 +77,32 @@ def read_tensor(path) -> np.ndarray:
     if not p.exists():
         raise DstnError(f"{p}: missing tensor file")
     return tensor_from_bytes(p.read_bytes(), source=str(p))
+
+
+@contextmanager
+def atomic_directory(path) -> Iterator[Path]:
+    """Yield a sibling temp directory to write ``path``'s contents into, then
+    rename it into place, replacing what was there. If the block raises, it
+    is removed: an interrupted write leaves ``path`` as it was."""
+    root = Path(path)
+    root.parent.mkdir(parents=True, exist_ok=True)
+    # mkdir, unlike mkdtemp, gives the directory the umask's permissions
+    tmp = root.parent / f".{root.name}.{uuid.uuid4().hex}"
+    tmp.mkdir()
+    try:
+        yield tmp
+        if root.exists():
+            # a directory cannot be renamed over a non-empty one: move the old one aside first
+            old = root.parent / f".{root.name}.old.{uuid.uuid4().hex}"
+            root.rename(old)
+            try:
+                tmp.rename(root)
+            except BaseException:
+                old.rename(root)
+                raise
+            shutil.rmtree(old)
+        else:
+            tmp.rename(root)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise

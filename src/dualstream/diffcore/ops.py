@@ -6,9 +6,13 @@ at the bit level to permutations of the key set.
 
 Every bilinear and deformable read goes through one sampling plan: a sparse
 (samples, table rows) matrix of bilinear weights built once per read. The
-forward is one sparse product, the value gradient its transpose product,
-and the coordinate gradient and the validity of each sample come from the
-same indices, so the summation order is fixed and no scatter is needed.
+read op sums weighted runs of samples with the weights folded into the plan's
+rows: one sparse product forward, its transpose for the value gradient, and
+the weight and coordinate gradients and each sample's validity from the same
+indices, so no scatter is needed. A deformable query owns a sorted run of
+reads of the stacked value table (whose rows ``valid_mask`` masks) and
+returns the mean over those that keep a point; that mean is folded into the
+point weights too, so pooling over cameras, heights or time is the one read.
 """
 
 from __future__ import annotations
@@ -186,11 +190,12 @@ class SamplingPlan:
         zero = self.weights.data.reshape(-1, 4) == 0
         return self.inside & np.all(mask[cols] | zero, axis=1)
 
-    def slopes(self) -> sparse.csr_array:
-        """(2n, rows): the d/di rows of every sample, then the d/dj rows."""
+    def rows_and_slopes(self) -> sparse.csr_array:
+        """(3n, rows): every sample's rows, then its d/di rows, then its d/dj rows."""
         n, rows = self.weights.shape
-        return sparse.csr_array((self.slope_data.ravel(), np.tile(self.weights.indices, 2),
-                                 np.arange(0, 8 * n + 1, 4)), shape=(2 * n, rows))
+        data = np.concatenate([self.weights.data, self.slope_data.ravel()])
+        return sparse.csr_array((data, np.tile(self.weights.indices, 3), np.arange(0, 12 * n + 1, 4)),
+                                shape=(3 * n, rows))
 
 
 def sampling_plan(coords: np.ndarray, h, w, rows: int, base=0, dtype=np.float64) -> SamplingPlan:
@@ -219,26 +224,37 @@ def sampling_plan(coords: np.ndarray, h, w, rows: int, base=0, dtype=np.float64)
     return SamplingPlan(inside=inside, weights=m, slope_data=slopes.astype(dtype).reshape(2, -1))
 
 
-def _bilinear_flat(flat: Tensor, coords: Tensor, plan: SamplingPlan) -> Tensor:
-    """Read the (rows, C) value table through ``plan``, planned from ``coords``.
+def _bilinear_flat(flat: Tensor, coords: Tensor, plan: SamplingPlan, wts: Tensor, starts: np.ndarray) -> Tensor:
+    """Read the (rows, C) value table through ``plan``, planned from ``coords``:
+    output row k is the ``wts``-weighted sum of samples ``starts[k]:starts[k+1]``
+    (one weight per sample, in any shape).
 
-    Forward is ``weights @ V``; the value gradient is ``weights.T @ g`` and
-    the coordinate gradient comes from the slope matrices on the same
-    indices. Each output row sums its four neighbours in a fixed order, so
-    values and gradients are bitwise reproducible.
+    Forward is ``A @ V`` with the weights folded into the plan's rows; the
+    value gradient is ``A.T @ g``, a weight's gradient its sample's read
+    dotted with its row's gradient, and the coordinate gradient comes from the
+    slope matrices. Sums run in a fixed order, so results are bitwise
+    reproducible.
     """
     fd = np.ascontiguousarray(flat.data)
-    data = plan.weights @ fd
+    w = wts.data.ravel()
+    a = sparse.csr_array((plan.weights.data * np.repeat(w, 4), plan.weights.indices, 4 * np.asarray(starts)),
+                         shape=(len(starts) - 1, fd.shape[0]))
+    data = a @ fd
 
     def bwd(g, grads):
         g = np.ascontiguousarray(g)
         if flat.requires_grad:
-            _accumulate(flat, plan.weights.T @ g, grads)
-        if coords.requires_grad:
-            dv = (plan.slopes() @ fd).reshape(2, g.shape[0], fd.shape[1])
-            _accumulate(coords, np.einsum("knc,nc->nk", dv, g), grads)
+            _accumulate(flat, a.T @ g, grads)
+        if wts.requires_grad or coords.requires_grad:
+            g_sample = g[np.repeat(np.arange(g.shape[0]), np.diff(starts))]
+            reads = (plan.rows_and_slopes() @ fd).reshape(3, w.size, fd.shape[1])
+            dots = np.einsum("knc,nc->kn", reads, g_sample)
+            if wts.requires_grad:
+                _accumulate(wts, dots[0].reshape(wts.data.shape), grads)
+            if coords.requires_grad:
+                _accumulate(coords, (dots[1:] * w).T, grads)
 
-    return _make(data, (flat, coords), bwd)
+    return _make(data, (flat, coords, wts), bwd)
 
 
 def bilinear_sample(grid: Tensor, coords) -> Tensor:
@@ -254,8 +270,10 @@ def bilinear_sample(grid: Tensor, coords) -> Tensor:
     if grid.ndim != 3 or coords.ndim != 2 or coords.data.shape[1] != 2:
         raise ShapeError("bilinear_sample needs grid (C,H,W) and coords (n,2)")
     C, H, W = grid.data.shape
+    n = coords.data.shape[0]
     flat = transpose(reshape(grid, (C, H * W)), (1, 0))
-    return _bilinear_flat(flat, coords, sampling_plan(coords.data, H, W, H * W, dtype=grid.dtype))
+    plan = sampling_plan(coords.data, H, W, H * W, dtype=grid.dtype)
+    return _bilinear_flat(flat, coords, plan, Tensor(np.ones(n, dtype=grid.dtype)), np.arange(n + 1))
 
 
 @dataclass
@@ -278,42 +296,34 @@ def _deformable_core(
     value_grid,
     params: DeformableParams,
     valid_mask: Optional[np.ndarray] = None,
-    query_valid: Optional[np.ndarray] = None,
+    owner: Optional[np.ndarray] = None,
     grid_of: Optional[np.ndarray] = None,
 ):
-    """Deformable attention returning (output, per-query any-valid mask).
+    """Deformable attention of each query over its reads, returning the
+    (queries, L) output and each read's share of its query's mean.
 
-    Per query: predict ``n_points`` offsets and softmax weights from the
-    latent, read the value-projected grid at reference+offset through one
-    sampling plan, return the weighted sum through the output projection.
-    Sampling points out of range, or with a nonzero bilinear weight on a
-    False cell of the (H, W) ``valid_mask``, are dropped from the weight
-    softmax; queries with no surviving point give a zero output and a False
-    mask entry.
-
-    ``value_grid`` is one (C, H, W) tensor or a sequence of them, such as
-    the cameras' feature maps; a sequence is stacked into one value table
-    and ``grid_of`` (n,) names the grid each query reads, so one call serves
-    every camera. Only queries with ``query_valid`` set are computed.
+    Read r is reference point r, made for query ``owner[r]`` (sorted; by
+    default one read per query) in grid ``grid_of[r]`` of ``value_grid``, one
+    (C, H, W) tensor or a sequence stacked into one value table. Offsets and
+    point logits come once per query. A read samples the value-projected
+    table at reference + offset for each of ``n_points`` points; points out
+    of range, or with a nonzero bilinear weight on a False row of
+    ``valid_mask`` (a mask over the table's rows), leave the read's weight
+    softmax, and a read keeping none is a miss. A query's output is the mean
+    over its hit reads through ``w_out``, plus ``b_out`` if it has a hit, and
+    zero otherwise; the shares (1/hits, 0 for a miss) are folded into the
+    point weights.
     """
-    from .tensor import concat, mul, reshape, scatter_rows, sum_, take_rows, transpose
+    from .tensor import concat, matmul, mul, reshape, sparse_matmul, transpose
 
     n, L = queries.data.shape
     grids = [value_grid] if isinstance(value_grid, Tensor) else list(value_grid)
-    grid_of = np.zeros(n, dtype=np.int64) if grid_of is None else np.asarray(grid_of, dtype=np.int64)
+    owner = np.arange(n) if owner is None else np.asarray(owner, dtype=np.int64)
+    if np.any(np.diff(owner) < 0):
+        raise ValueError("deformable reads must be sorted by owner")
+    m = owner.size
+    grid_of = np.zeros(m, dtype=np.int64) if grid_of is None else np.asarray(grid_of, dtype=np.int64)
     refs = np.asarray(reference_points, dtype=np.float64)
-    if query_valid is not None:
-        # run on the valid subset only; most queries miss most cameras
-        qv = np.asarray(query_valid, dtype=bool)
-        if not qv.any():
-            return Tensor(np.zeros((n, L), dtype=queries.dtype)), np.zeros(n, dtype=bool)
-        idx = np.nonzero(qv)[0]
-        out_sub, anyv_sub = _deformable_core(take_rows(queries, idx), refs[idx], grids, params,
-                                             valid_mask, grid_of=grid_of[idx])
-        anyv = np.zeros(n, dtype=bool)
-        anyv[idx] = anyv_sub
-        return scatter_rows(out_sub, idx, n), anyv
-
     P = params.n_points
     C = grids[0].data.shape[0]
     dims = np.array([g.data.shape[1:] for g in grids], dtype=np.int64)   # (grids, 2)
@@ -323,23 +333,24 @@ def _deformable_core(
     flats = [transpose(reshape(g, (C, int(s))), (1, 0)) for g, s in zip(grids, sizes)]
     vproj = linear(flats[0] if len(flats) == 1 else concat(flats, axis=0), params.w_val)
 
-    offsets = reshape(linear(queries, params.w_off, params.b_off), (n, P, 2))
-    coords = reshape(add(offsets, refs[:, None, :]), (n * P, 2))
+    offsets = linear(queries, params.w_off, params.b_off)
+    logits = linear(queries, params.w_wgt, params.b_wgt)
+    if not np.array_equal(owner, np.arange(n)):
+        pick = sparse.csr_array((np.ones(m, dtype=queries.dtype), owner, np.arange(m + 1)), shape=(m, n))
+        offsets, logits = sparse_matmul(pick, offsets), sparse_matmul(pick, logits)
+    coords = reshape(add(reshape(offsets, (m, P, 2)), refs[:, None, :]), (m * P, 2))
     g = np.repeat(grid_of, P)
     plan = sampling_plan(coords.data, dims[g, 0], dims[g, 1], int(sizes.sum()), bases[g], dtype=vproj.dtype)
-    sampled = reshape(_bilinear_flat(vproj, coords, plan), (n, P, vproj.data.shape[1]))
 
-    pv = plan.inside if valid_mask is None else plan.valid(np.asarray(valid_mask, dtype=bool).ravel())
-    pv = pv.reshape(n, P)
-    any_valid = pv.any(axis=1)
+    kept = (plan.inside if valid_mask is None else plan.valid(np.asarray(valid_mask, dtype=bool).ravel())).reshape(m, P)
+    hit = kept.any(axis=1)
+    hits = np.bincount(owner, weights=hit, minlength=n)
+    share = hit / np.maximum(hits, 1.0)[owner]
 
-    logits = linear(queries, params.w_wgt, params.b_wgt)
-    logits = add(logits, np.where(pv, 0.0, -1e30))
-    wts = softmax(logits, axis=-1)
-    pooled = sum_(mul(reshape(wts, (n, P, 1)), sampled), axis=1)
-    out = linear(pooled, params.w_out, params.b_out)
-    out = mul(out, any_valid.astype(out.dtype)[:, None])
-    return out, any_valid
+    wts = mul(softmax(add(logits, np.where(kept, 0.0, -1e30)), axis=-1), share[:, None])
+    pooled = _bilinear_flat(vproj, coords, plan, wts, np.searchsorted(owner, np.arange(n + 1)) * P)
+    out = add(matmul(pooled, params.w_out), mul(params.b_out, (hits > 0).astype(pooled.dtype)[:, None]))
+    return out, share
 
 
 @dataclass

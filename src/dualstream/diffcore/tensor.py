@@ -9,7 +9,6 @@ used by the gradient checks.
 
 from __future__ import annotations
 
-import math
 import threading
 from typing import Iterable, Sequence, Union
 
@@ -592,38 +591,19 @@ def sparse_matmul(m, a: Tensor) -> Tensor:
     return _make(data, (a,), bwd)
 
 
-def _unique_rows(idx, n: int) -> np.ndarray:
-    """``idx`` as int64 after checking it names each of ``n`` rows at most once."""
-    idx = np.asarray(idx, dtype=np.int64)
-    hit = np.zeros(n, dtype=bool)
-    hit[idx] = True
-    if np.count_nonzero(hit) != idx.size:
-        raise ValueError("row index repeats a row")
-    return idx
-
-
 def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """Gather rows by an index array naming each row at most once; a
     repeated row raises ValueError."""
-    idx = _unique_rows(idx, a.data.shape[0])
+    idx = np.asarray(idx, dtype=np.int64)
+    hit = np.zeros(a.data.shape[0], dtype=bool)
+    hit[idx] = True
+    if np.count_nonzero(hit) != idx.size:
+        raise ValueError("row index repeats a row")
     data = np.take(a.data, idx, axis=0)
 
     def bwd(g, grads):
         ga = np.zeros_like(a.data)
         ga[idx] = g
         _accumulate(a, ga, grads)
-
-    return _make(data, (a,), bwd)
-
-
-def scatter_rows(a: Tensor, idx: np.ndarray, n: int) -> Tensor:
-    """Place rows of ``a`` at unique positions ``idx`` in an n-row zero
-    canvas; a repeated position raises ValueError."""
-    idx = _unique_rows(idx, n)
-    data = np.zeros((n,) + a.data.shape[1:], dtype=a.data.dtype)
-    data[idx] = a.data
-
-    def bwd(g, grads):
-        _accumulate(a, np.take(g, idx, axis=0), grads)
 
     return _make(data, (a,), bwd)

@@ -112,7 +112,8 @@ def _dynamic_static_core(latents: Tensor, anchors: np.ndarray, grid: BevGrid, pa
         (refs[:, 0] >= 0) & (refs[:, 0] <= h - 1)
         & (refs[:, 1] >= 0) & (refs[:, 1] <= w - 1)
     )
-    out, _ = _deformable_core(latents, refs, grid.cells, params.deform, query_valid=in_hull)
+    idx = np.nonzero(in_hull)[0]
+    out, _ = _deformable_core(latents, refs[idx], grid.cells, params.deform, owner=idx)
     return layernorm(add(latents, out), params.ln_g, params.ln_b)
 
 

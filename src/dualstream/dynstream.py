@@ -227,7 +227,7 @@ def _obj_image_cross_attention(
     if not names:
         return layernorm(add(latents, mul(latents, 0.0)), params.ln_g, params.ln_b)
 
-    # one deformable call over every (camera, query) pair, camera-major
+    # one deformable call with one read per visible (camera, query) row, camera-major
     k = len(names)
     fcoords, pix, valid = [], [], []
     for name in names:
@@ -236,18 +236,20 @@ def _obj_image_cross_attention(
         fcoords.append(np.stack([uv[:, 1] / fm.stride - 0.5, uv[:, 0] / fm.stride - 0.5], axis=1))
         pix.append(np.stack([uv[:, 0] / cam.width, uv[:, 1] / cam.height], axis=1))
         valid.append(v)
-    out, anyv = _deformable_core(concat([latents] * k), np.concatenate(fcoords),
-                                 [features[name].data for name in names], params.deform,
-                                 query_valid=np.concatenate(valid), grid_of=np.repeat(np.arange(k), n))
+    rows = np.nonzero(np.concatenate(valid))[0]
+    out, share = _deformable_core(concat([latents] * k), np.concatenate(fcoords)[rows],
+                                  [features[name].data for name in names], params.deform,
+                                  owner=rows, grid_of=rows // n)
+    hit = np.bincount(rows, weights=share, minlength=k * n) > 0
     enc = sincos_encoding(np.concatenate(pix), params.n_freqs)
     pe = linear(Tensor(enc.astype(out.dtype)), params.pe_w, params.pe_b)
-    out = add(out, mul(pe, anyv.astype(out.dtype)[:, None]))
+    out = add(out, mul(pe, hit.astype(out.dtype)[:, None]))
     per_cam = transpose(reshape(out, (k, n, L)), (1, 0, 2))   # (n, k, L)
 
     slots = np.array([CAMERA_SLOTS.index(name) for name in names])
     logits = linear(latents, params.cam_w, params.cam_b)  # (n, 6)
     cols = transpose(take_rows(transpose(logits, (1, 0)), slots), (1, 0))
-    cols = add(cols, np.where(anyv.reshape(k, n).T, 0.0, -1e30))
+    cols = add(cols, np.where(hit.reshape(k, n).T, 0.0, -1e30))
     weights = reshape(softmax(cols, axis=-1), (n, k, 1))
     combined = sum_(mul(per_cam, weights), axis=1)
     return layernorm(add(latents, combined), params.ln_g, params.ln_b)

@@ -150,9 +150,9 @@ def _match_tracked(fr: FrameRecord, threshold: float):
 
 
 def _tracking_counts(matched: Sequence[Sequence[tuple]], min_score: float):
-    """(TP, FP, FN, IDS, mean matched distance) at one score cut, read from
-    the per-scene lists of ``_match_tracked`` results."""
-    tp = fp = fn = ids = 0
+    """(TP, FP, IDS, mean matched distance) at one score cut, read from the
+    per-scene lists of ``_match_tracked`` results."""
+    tp = fp = ids = 0
     dists = []
     for frames in matched:
         last_match: dict[int, int] = {}  # gt id -> last matched track id
@@ -161,14 +161,13 @@ def _tracking_counts(matched: Sequence[Sequence[tuple]], min_score: float):
             made = pairs[:sum(p[0] >= min_score for p in pairs)]
             tp += len(made)
             fp += kept - len(made)
-            fn += n_gt - len(made)
             for _, tid, gid, d in made:
                 dists.append(d)
                 if gid in last_match and last_match[gid] != tid:
                     ids += 1
                 last_match[gid] = tid
     motp = float(np.mean(dists)) if dists else None
-    return tp, fp, fn, ids, motp
+    return tp, fp, ids, motp
 
 
 def amota(scenes: Sequence[SceneRecord], threshold: float):
@@ -176,6 +175,8 @@ def amota(scenes: Sequence[SceneRecord], threshold: float):
 
     Returns dict with AMOTA, AMOTP, recall (max achieved), IDS (headline,
     at no score cut). Each frame is matched once; every cut reads a prefix.
+    At each recall target the first cut reaching it scores the nuScenes
+    devkit's MOTAR at its achieved recall, ``max(0, 1 - (IDS + FP) / TP)``.
     """
     n_gt = sum(len(fr.gt_boxes) for s in scenes for fr in s.frames)
     scores = sorted(
@@ -184,7 +185,7 @@ def amota(scenes: Sequence[SceneRecord], threshold: float):
         reverse=True,
     )
     matched = [[_match_tracked(fr, threshold) for fr in s.frames] for s in scenes]
-    _, _, _, ids_headline, _ = _tracking_counts(matched, min_score=0.0)
+    ids_headline = _tracking_counts(matched, min_score=0.0)[2]
     if n_gt == 0 or not scores:
         return {"AMOTA": 0.0, "AMOTP": None, "recall": 0.0, "IDS": ids_headline}
 
@@ -195,9 +196,8 @@ def amota(scenes: Sequence[SceneRecord], threshold: float):
         scores = [scores[i] for i in idx]
     curve = []
     for s in scores:
-        tp, fp, fn, ids_r, motp = _tracking_counts(matched, min_score=s)
-        recall = tp / n_gt
-        curve.append((recall, s, tp, fp, fn, ids_r, motp))
+        tp, fp, ids_r, motp = _tracking_counts(matched, min_score=s)
+        curve.append((tp / n_gt, tp, fp, ids_r, motp))
     max_recall = max(c[0] for c in curve)
 
     motar_terms, motp_terms = [], []
@@ -206,10 +206,8 @@ def amota(scenes: Sequence[SceneRecord], threshold: float):
         if hit is None:
             motar_terms.append(0.0)
             continue
-        recall, _, tp, fp, fn, ids_r, motp = hit
-        denom = r * n_gt
-        motar = max(0.0, 1.0 - (ids_r + fp + fn - (1.0 - r) * n_gt) / denom)
-        motar_terms.append(motar)
+        _, tp, fp, ids_r, motp = hit
+        motar_terms.append(max(0.0, 1.0 - (ids_r + fp) / tp))
         if motp is not None:
             motp_terms.append(motp)
     return {

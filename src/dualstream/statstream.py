@@ -33,7 +33,7 @@ from .diffcore import (
     transpose,
 )
 from .diffcore.ops import _deformable_core
-from .diffcore.tensor import add, mul, sparse_matmul
+from .diffcore.tensor import add, mul
 from .geom3d import CameraModel, Pose, invert, project_points
 
 
@@ -158,27 +158,23 @@ class TemporalAttnParams:
 
 def temporal_grid_attention(curr: BevGrid, warped_prev: Optional[BevGrid], params: TemporalAttnParams) -> BevGrid:
     """Each cell deformably attends to the current grid and, when present,
-    the warped previous grid at its own coordinates; target outputs are
-    averaged over targets that contributed at least one valid sample."""
+    the warped previous grid at its own coordinates, and averages over the
+    grids where it kept at least one valid sample. Both grids form one
+    stacked value table, read by one deformable call."""
     if warped_prev is not None and warped_prev.spec != curr.spec:
         raise ShapeError("temporal attention requires matching BEV specs")
     q = curr.cells_flat()
     refs = grid_coords(curr.spec)
-    targets = [(curr.cells, None)]
+    n = refs.shape[0]
+    grids, masks = [curr.cells], [np.ones(n, dtype=bool)]
     if warped_prev is not None:
-        targets.append((warped_prev.cells, warped_prev.validity))
-    outs = []
-    counts = np.zeros(refs.shape[0])
-    for cells, validity in targets:
-        out_t, valid_t = _deformable_core(q, refs, cells, params.deform, valid_mask=validity)
-        outs.append(out_t)
-        counts += valid_t.astype(np.float64)
-    combined = outs[0]
-    for o in outs[1:]:
-        combined = add(combined, o)
-    inv = (1.0 / np.maximum(counts, 1.0))[:, None]
-    combined = mul(combined, inv)
-    new_flat = layernorm(add(q, combined), params.ln_g, params.ln_b)
+        grids.append(warped_prev.cells)
+        masks.append(warped_prev.validity.ravel())
+    k = len(grids)
+    out, _ = _deformable_core(q, np.repeat(refs, k, axis=0), grids, params.deform,
+                              valid_mask=np.concatenate(masks), owner=np.repeat(np.arange(n), k),
+                              grid_of=np.tile(np.arange(k), n))
+    new_flat = layernorm(add(q, out), params.ln_g, params.ln_b)
     return BevGrid(spec=curr.spec, cells=_cells_from_flat(new_flat, curr.spec), validity=curr.validity)
 
 
@@ -216,8 +212,7 @@ def bev_image_cross_attention(
     if not names:
         combined = mul(q, 0.0)
     else:
-        # every (camera, pillar point) pair that projects into its camera,
-        # camera-major; ``pick`` selects each pair's cell query
+        # every (camera, pillar point) pair that projects into its camera
         fcoords, pix, valid = [], [], []
         for name in names:
             fm, cam = features[name], cameras[name]
@@ -226,19 +221,18 @@ def bev_image_cross_attention(
             pix.append(np.stack([uv[:, 0] / cam.width, uv[:, 1] / cam.height], axis=1))
             valid.append(v)
         pairs = np.nonzero(np.concatenate(valid))[0]
+        pairs = pairs[np.argsort(pairs % n, kind="stable")]   # in cell order
         cells = pairs % n
-        pick = sparse.csr_array((np.ones(pairs.size, dtype=q.dtype), cells, np.arange(pairs.size + 1)),
-                                shape=(pairs.size, n))
-        out, anyv = _deformable_core(sparse_matmul(pick, q), np.concatenate(fcoords)[pairs],
-                                     [features[name].data for name in names], params.deform,
-                                     grid_of=pairs // (nz * n))
-        # pixel encodings only where a camera actually contributed
-        enc = sincos_encoding(np.concatenate(pix)[pairs], params.n_freqs)
-        pe = linear(Tensor(enc.astype(out.dtype)), params.pe_w, params.pe_b)
-        out = add(out, mul(pe, anyv.astype(out.dtype)[:, None]))
-        total = sparse_matmul(pick.T, out)
-        counts = np.bincount(cells, weights=anyv, minlength=n)
-        combined = mul(total, (1.0 / np.maximum(counts, 1.0))[:, None])
+        out, share = _deformable_core(q, np.concatenate(fcoords)[pairs],
+                                      [features[name].data for name in names], params.deform,
+                                      owner=cells, grid_of=pairs // (nz * n))
+        # the pixel encodings, averaged over each cell's hits with the same shares
+        mean = sparse.csr_array((share, np.arange(pairs.size), np.searchsorted(cells, np.arange(n + 1))),
+                                shape=(n, pairs.size))
+        enc = mean @ sincos_encoding(np.concatenate(pix)[pairs], params.n_freqs)
+        hit = np.bincount(cells, weights=share, minlength=n) > 0
+        pe = add(linear(Tensor(enc.astype(out.dtype)), params.pe_w), mul(params.pe_b, hit.astype(out.dtype)[:, None]))
+        combined = add(out, pe)
     new_flat = layernorm(add(q, combined), params.ln_g, params.ln_b)
     return BevGrid(spec=spec, cells=_cells_from_flat(new_flat, spec), validity=grid.validity)
 

@@ -12,7 +12,6 @@ Layout:
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,13 +19,12 @@ from typing import Optional
 
 import numpy as np
 
-from ..diffcore.dstn import DstnError, read_tensor, write_tensor
+from ..diffcore.dstn import atomic_directory, read_tensor, write_tensor
 from ..geom3d import BoundingBox3D, CameraModel, Pose, invert, transform_box
 from ..statstream import BevSpec, cell_center_grid
 from .render import dist_to_polyline, points_in_polygon, render_camera
 from .scene import (
     CAMERA_SLOTS,
-    LANE_LINE_WIDTH,
     SceneSpec,
     WorldConfig,
     alternating_schedule,
@@ -205,47 +203,47 @@ def write_dataset(
     schedule_kind: str = "full",
     workers: int = 1,
 ) -> None:
-    """Render and persist scenes; layout documented at module top."""
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
+    """Render and persist scenes; layout documented at module top. The
+    dataset is written into a sibling temp directory and renamed into place,
+    so an interrupted write leaves no partial dataset at ``path``."""
+    with atomic_directory(path) as root:
+        def write_scene(k_scene):
+            k, scene = k_scene
+            schedules = make_schedules(schedule_kind, scene.duration)
+            for t in range(scene.duration):
+                frame = build_frame(scene, t, cameras, bev_spec, schedules[t], ranges)
+                fdir = root / f"scene_{k}" / f"frame_{t}"
+                fdir.mkdir(parents=True, exist_ok=True)
+                for name, img in frame.images.items():
+                    if img is not None:
+                        write_tensor(fdir / f"cam_{name}.dstn", img)
+                write_tensor(fdir / "gt_seg.dstn", frame.gt_seg)
+                _dump_json(fdir / "gt_boxes.json",
+                           [_box_to_json(b, i) for b, i in zip(frame.gt_boxes, frame.gt_ids)])
+                _dump_json(fdir / "ego_pose.json", {
+                    "yaw": float(frame.ego_pose.rotation),
+                    "t": list(map(float, frame.ego_pose.translation)),
+                    "ego_velocity": list(map(float, frame.ego_velocity)),
+                })
+                _dump_json(fdir / "schedule.json", frame.availability)
 
-    def write_scene(k_scene):
-        k, scene = k_scene
-        schedules = make_schedules(schedule_kind, scene.duration)
-        for t in range(scene.duration):
-            frame = build_frame(scene, t, cameras, bev_spec, schedules[t], ranges)
-            fdir = root / f"scene_{k}" / f"frame_{t}"
-            fdir.mkdir(parents=True, exist_ok=True)
-            for name, img in frame.images.items():
-                if img is not None:
-                    write_tensor(fdir / f"cam_{name}.dstn", img)
-            write_tensor(fdir / "gt_seg.dstn", frame.gt_seg)
-            _dump_json(fdir / "gt_boxes.json",
-                       [_box_to_json(b, i) for b, i in zip(frame.gt_boxes, frame.gt_ids)])
-            _dump_json(fdir / "ego_pose.json", {
-                "yaw": float(frame.ego_pose.rotation),
-                "t": list(map(float, frame.ego_pose.translation)),
-                "ego_velocity": list(map(float, frame.ego_velocity)),
-            })
-            _dump_json(fdir / "schedule.json", frame.availability)
+        jobs = list(enumerate(scenes))
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(write_scene, jobs))
+        else:
+            for job in jobs:
+                write_scene(job)
 
-    jobs = list(enumerate(scenes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(write_scene, jobs))
-    else:
-        for job in jobs:
-            write_scene(job)
-
-    index = {
-        "format_version": FORMAT_VERSION,
-        "config": config_echo,
-        "dt": scenes[0].dt if scenes else 0.0,
-        "bev": {"dims": list(bev_spec.dims), "extent": list(bev_spec.extent)},
-        "cameras": {name: _camera_to_json(cam) for name, cam in cameras.items()},
-        "scenes": [{"id": k, "n_frames": s.duration, "seed": s.seed} for k, s in jobs],
-    }
-    _dump_json(root / "index.json", index)
+        index = {
+            "format_version": FORMAT_VERSION,
+            "config": config_echo,
+            "dt": scenes[0].dt if scenes else 0.0,
+            "bev": {"dims": list(bev_spec.dims), "extent": list(bev_spec.extent)},
+            "cameras": {name: _camera_to_json(cam) for name, cam in cameras.items()},
+            "scenes": [{"id": k, "n_frames": s.duration, "seed": s.seed} for k, s in jobs],
+        }
+        _dump_json(root / "index.json", index)
 
 
 class Dataset:

@@ -6,8 +6,6 @@ from __future__ import annotations
 
 import json
 import math
-import shutil
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -16,7 +14,7 @@ import numpy as np
 
 from .configio import Config, config_from_dict, config_to_dict
 from .diffcore import active_tape, backward, use_dtype
-from .diffcore.dstn import DstnError, read_tensor, write_tensor
+from .diffcore.dstn import DstnError, atomic_directory, read_tensor, write_tensor
 from .diffcore.tensor import add, scale
 from .heads import LossWeights, detection_cost_matrix, detection_loss, hungarian_match, segmentation_loss
 from .model import DualStreamModel, StreamState
@@ -217,6 +215,9 @@ def streaming_train(
                                            f"first non-finite gradient: {bad}")
                     lr = cosine_lr(cfg.learning_rate, cfg.cosine_floor, step, total_steps)
                     optimizer_step(model.store, opt, lr, cfg.weight_decay, skip_prefixes=skip)
+                    bad = next((name for name, t in model.store.items() if not np.all(np.isfinite(t.data))), None)
+                    if bad is not None:
+                        raise NumericError(f"optimizer update at step {step} made a parameter non-finite: {bad}")
                     step += 1
 
                     row = TrainLogRow(step=step, epoch=epoch, frame=t, loss=loss_val,
@@ -245,10 +246,7 @@ def save_checkpoint(path, model: DualStreamModel, opt: OptimizerState, cfg: Conf
     """Write the checkpoint into a sibling temp directory, then rename it into
     place, so an interrupted save leaves the previous checkpoint untouched.
     ``epoch``, when given, is recorded in the metadata for ``--resume``."""
-    root = Path(path)
-    root.parent.mkdir(parents=True, exist_ok=True)
-    tmp = Path(tempfile.mkdtemp(prefix=f".{root.name}.", dir=root.parent))
-    try:
+    with atomic_directory(path) as tmp:
         for sub in ("params", "opt_m", "opt_v"):
             (tmp / sub).mkdir()
         names = model.store.names()
@@ -266,21 +264,6 @@ def save_checkpoint(path, model: DualStreamModel, opt: OptimizerState, cfg: Conf
         if epoch is not None:
             meta["epoch"] = epoch
         (tmp / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-        if root.exists():
-            # a directory cannot be renamed over a non-empty one: move the old one aside first
-            old = Path(tempfile.mkdtemp(prefix=f".{root.name}.old.", dir=root.parent)) / root.name
-            root.rename(old)
-            try:
-                tmp.rename(root)
-            except BaseException:
-                old.rename(root)
-                raise
-            shutil.rmtree(old.parent)
-        else:
-            tmp.rename(root)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
 
 
 def load_checkpoint(path) -> tuple[Config, dict, OptimizerState, int]:

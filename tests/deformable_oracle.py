@@ -1,0 +1,164 @@
+"""Reference deformable attention: the per-read core and the four blocks as
+they were before the reads' pooling moved into the sampling plan.
+
+``deformable_core`` materialises the (queries, points, C) samples, weights
+them with ``mul`` and ``sum_``, and runs only the queries with
+``query_valid`` set. The blocks pool its per-query outputs themselves: the
+temporal block loops over its targets and counts hits, BEV-to-image copies
+the cell queries per (camera, pillar point) pair and sums them back with a
+pooling matrix, and object-to-image and dynamic-to-static pass
+``query_valid``. Tests compare the production blocks against these.
+"""
+
+from typing import Optional
+
+import numpy as np
+from scipy import sparse
+
+from dualstream.diffcore import Tensor, layernorm, linear, sincos_encoding, softmax
+from dualstream.diffcore.ops import _bilinear_flat, sampling_plan
+from dualstream.diffcore.tensor import add, concat, mul, reshape, sparse_matmul, sum_, take_rows, transpose
+from dualstream.geom3d import CAMERA_SLOTS, project_points
+from dualstream.statstream import BevGrid, _cells_from_flat, cell_center_grid, grid_coords, metric_to_cell
+
+
+def scatter_rows(a, idx, n):
+    """Rows of ``a`` placed at the distinct positions ``idx`` of an n-row zero canvas."""
+    place = sparse.csr_array((np.ones(len(idx), dtype=a.dtype), (idx, np.arange(len(idx)))), shape=(n, len(idx)))
+    return sparse_matmul(place, a)
+
+
+def deformable_core(queries, reference_points, value_grid, params, valid_mask: Optional[np.ndarray] = None,
+                    query_valid: Optional[np.ndarray] = None, grid_of: Optional[np.ndarray] = None):
+    """(output, per-query any-valid mask); ``valid_mask`` is (H, W) per grid
+    or a mask over the stacked table's rows."""
+    n, L = queries.data.shape
+    grids = [value_grid] if isinstance(value_grid, Tensor) else list(value_grid)
+    grid_of = np.zeros(n, dtype=np.int64) if grid_of is None else np.asarray(grid_of, dtype=np.int64)
+    refs = np.asarray(reference_points, dtype=np.float64)
+    if query_valid is not None:
+        qv = np.asarray(query_valid, dtype=bool)
+        if not qv.any():
+            return Tensor(np.zeros((n, L), dtype=queries.dtype)), np.zeros(n, dtype=bool)
+        idx = np.nonzero(qv)[0]
+        out_sub, anyv_sub = deformable_core(take_rows(queries, idx), refs[idx], grids, params,
+                                            valid_mask, grid_of=grid_of[idx])
+        anyv = np.zeros(n, dtype=bool)
+        anyv[idx] = anyv_sub
+        return scatter_rows(out_sub, idx, n), anyv
+
+    P = params.n_points
+    C = grids[0].data.shape[0]
+    dims = np.array([g.data.shape[1:] for g in grids], dtype=np.int64)
+    sizes = dims[:, 0] * dims[:, 1]
+    bases = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    flats = [transpose(reshape(g, (C, int(s))), (1, 0)) for g, s in zip(grids, sizes)]
+    vproj = linear(flats[0] if len(flats) == 1 else concat(flats, axis=0), params.w_val)
+
+    offsets = reshape(linear(queries, params.w_off, params.b_off), (n, P, 2))
+    coords = reshape(add(offsets, refs[:, None, :]), (n * P, 2))
+    g = np.repeat(grid_of, P)
+    plan = sampling_plan(coords.data, dims[g, 0], dims[g, 1], int(sizes.sum()), bases[g], dtype=vproj.dtype)
+    # one unit-weight sample per row: the plain per-sample read
+    ones = Tensor(np.ones(n * P, dtype=vproj.dtype))
+    sampled = reshape(_bilinear_flat(vproj, coords, plan, ones, np.arange(n * P + 1)), (n, P, vproj.data.shape[1]))
+
+    pv = plan.inside if valid_mask is None else plan.valid(np.asarray(valid_mask, dtype=bool).ravel())
+    pv = pv.reshape(n, P)
+    any_valid = pv.any(axis=1)
+    logits = add(linear(queries, params.w_wgt, params.b_wgt), np.where(pv, 0.0, -1e30))
+    wts = softmax(logits, axis=-1)
+    pooled = sum_(mul(reshape(wts, (n, P, 1)), sampled), axis=1)
+    out = linear(pooled, params.w_out, params.b_out)
+    return mul(out, any_valid.astype(out.dtype)[:, None]), any_valid
+
+
+def temporal_grid_attention(curr, warped_prev, params):
+    q = curr.cells_flat()
+    refs = grid_coords(curr.spec)
+    targets = [(curr.cells, None)]
+    if warped_prev is not None:
+        targets.append((warped_prev.cells, warped_prev.validity))
+    outs, counts = [], np.zeros(refs.shape[0])
+    for cells, validity in targets:
+        out_t, valid_t = deformable_core(q, refs, cells, params.deform, valid_mask=validity)
+        outs.append(out_t)
+        counts += valid_t.astype(np.float64)
+    combined = outs[0]
+    for o in outs[1:]:
+        combined = add(combined, o)
+    combined = mul(combined, (1.0 / np.maximum(counts, 1.0))[:, None])
+    new_flat = layernorm(add(q, combined), params.ln_g, params.ln_b)
+    return BevGrid(spec=curr.spec, cells=_cells_from_flat(new_flat, curr.spec), validity=curr.validity)
+
+
+def bev_image_cross_attention(grid, features, cameras, params):
+    spec = grid.spec
+    n = spec.dims[0] * spec.dims[1]
+    q = grid.cells_flat()
+    centers = cell_center_grid(spec)
+    nz = len(params.pillar_heights)
+    pts = np.concatenate([np.concatenate([centers, np.full((n, 1), z)], axis=1) for z in params.pillar_heights])
+    names = sorted(features)
+    if not names:
+        combined = mul(q, 0.0)
+    else:
+        fcoords, pix, valid = [], [], []
+        for name in names:
+            fm, cam = features[name], cameras[name]
+            uv, _, v = project_points(cam, pts)
+            fcoords.append(np.stack([uv[:, 1] / fm.stride - 0.5, uv[:, 0] / fm.stride - 0.5], axis=1))
+            pix.append(np.stack([uv[:, 0] / cam.width, uv[:, 1] / cam.height], axis=1))
+            valid.append(v)
+        pairs = np.nonzero(np.concatenate(valid))[0]
+        cells = pairs % n
+        pick = sparse.csr_array((np.ones(pairs.size, dtype=q.dtype), cells, np.arange(pairs.size + 1)),
+                                shape=(pairs.size, n))
+        out, anyv = deformable_core(sparse_matmul(pick, q), np.concatenate(fcoords)[pairs],
+                                    [features[name].data for name in names], params.deform,
+                                    grid_of=pairs // (nz * n))
+        enc = sincos_encoding(np.concatenate(pix)[pairs], params.n_freqs)
+        pe = linear(Tensor(enc.astype(out.dtype)), params.pe_w, params.pe_b)
+        out = add(out, mul(pe, anyv.astype(out.dtype)[:, None]))
+        total = sparse_matmul(pick.T, out)
+        counts = np.bincount(cells, weights=anyv, minlength=n)
+        combined = mul(total, (1.0 / np.maximum(counts, 1.0))[:, None])
+    new_flat = layernorm(add(q, combined), params.ln_g, params.ln_b)
+    return BevGrid(spec=spec, cells=_cells_from_flat(new_flat, spec), validity=grid.validity)
+
+
+def obj_image_cross_attention(latents, anchors, features, cameras, params):
+    n, L = latents.data.shape
+    names = [name for name in CAMERA_SLOTS if name in features]
+    if not names:
+        return layernorm(add(latents, mul(latents, 0.0)), params.ln_g, params.ln_b)
+    k = len(names)
+    fcoords, pix, valid = [], [], []
+    for name in names:
+        fm, cam = features[name], cameras[name]
+        uv, _, v = project_points(cam, anchors)
+        fcoords.append(np.stack([uv[:, 1] / fm.stride - 0.5, uv[:, 0] / fm.stride - 0.5], axis=1))
+        pix.append(np.stack([uv[:, 0] / cam.width, uv[:, 1] / cam.height], axis=1))
+        valid.append(v)
+    out, anyv = deformable_core(concat([latents] * k), np.concatenate(fcoords),
+                                [features[name].data for name in names], params.deform,
+                                query_valid=np.concatenate(valid), grid_of=np.repeat(np.arange(k), n))
+    enc = sincos_encoding(np.concatenate(pix), params.n_freqs)
+    pe = linear(Tensor(enc.astype(out.dtype)), params.pe_w, params.pe_b)
+    out = add(out, mul(pe, anyv.astype(out.dtype)[:, None]))
+    per_cam = transpose(reshape(out, (k, n, L)), (1, 0, 2))
+    slots = np.array([CAMERA_SLOTS.index(name) for name in names])
+    logits = linear(latents, params.cam_w, params.cam_b)
+    cols = transpose(take_rows(transpose(logits, (1, 0)), slots), (1, 0))
+    cols = add(cols, np.where(anyv.reshape(k, n).T, 0.0, -1e30))
+    weights = reshape(softmax(cols, axis=-1), (n, k, 1))
+    combined = sum_(mul(per_cam, weights), axis=1)
+    return layernorm(add(latents, combined), params.ln_g, params.ln_b)
+
+
+def dynamic_static_core(latents, anchors, grid, params):
+    h, w = grid.spec.dims
+    refs = metric_to_cell(grid.spec, anchors[:, :2])
+    in_hull = (refs[:, 0] >= 0) & (refs[:, 0] <= h - 1) & (refs[:, 1] >= 0) & (refs[:, 1] <= w - 1)
+    out, _ = deformable_core(latents, refs, grid.cells, params.deform, query_valid=in_hull)
+    return layernorm(add(latents, out), params.ln_g, params.ln_b)

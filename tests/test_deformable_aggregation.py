@@ -1,0 +1,197 @@
+"""The deformable blocks fold each query's mean over its reads into one
+weighted read of the sampling plan. Against the per-read oracle in
+``deformable_oracle`` they give the same outputs and gradients to 1e-12 in
+float64; the weighted read itself is checked against its definition."""
+
+import numpy as np
+import pytest
+from deformable_oracle import (
+    bev_image_cross_attention as oracle_bev_image,
+    deformable_core as oracle_core,
+    dynamic_static_core as oracle_dyn_static,
+    obj_image_cross_attention as oracle_obj_image,
+    temporal_grid_attention as oracle_temporal,
+)
+from test_dualformer import CAMERA_SUBSETS, make_grid, make_queries, micro_frame, micro_model, seen_anchors
+from util import make_deformable_params, t64
+
+from dualstream.diffcore import Tensor, backward, finite_diff_check, fresh_tape, sum_, tanh, use_dtype
+from dualstream.diffcore.ops import _bilinear_flat, _deformable_core, sampling_plan
+from dualstream.diffcore.tensor import mul
+from dualstream.dualformer import _dynamic_static_core
+from dualstream.dynstream import _obj_image_cross_attention
+from dualstream.statstream import BevGrid, bev_image_cross_attention, temporal_grid_attention
+
+
+def perturbed_model(rng):
+    """The micro model with every parameter, biases included, moved off its
+    initial value, so each term of the blocks carries weight."""
+    model = micro_model()
+    for _, t in model.store.items():
+        t.data = t.data + rng.normal(scale=0.2, size=t.data.shape)
+    return model
+
+
+def run(block, leaves, store, mix):
+    """Output, leaf gradients and parameter gradients of sum(tanh(out) * mix);
+    a parameter the block does not reach counts as a zero gradient."""
+    with fresh_tape():
+        store.zero_grads()
+        for leaf in leaves:
+            leaf.grad = None
+        out = block()
+        backward(sum_(mul(tanh(out), mix)))
+    zero = [np.zeros_like(leaf.data) for leaf in leaves]
+    return (out.data, [z if leaf.grad is None else leaf.grad.copy() for z, leaf in zip(zero, leaves)],
+            {name: np.zeros_like(t.data) if t.grad is None else t.grad.copy() for name, t in store.items()})
+
+
+def assert_match(got, want):
+    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+    for g, w in zip(got[1], want[1]):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+    for name in want[2]:
+        np.testing.assert_allclose(got[2][name], want[2][name], rtol=0, atol=1e-12, err_msg=name)
+
+
+def random_grid(rng, spec, validity=None):
+    h, w = spec.dims
+    return BevGrid(spec=spec, cells=Tensor(rng.normal(size=(8, h, w)), requires_grad=True),
+                   validity=np.ones((h, w), bool) if validity is None else validity)
+
+
+@pytest.mark.parametrize("with_prev", [True, False], ids=["prev", "no-prev"])
+def test_temporal_matches_oracle(rng, with_prev):
+    with use_dtype(np.float64):
+        model = perturbed_model(rng)
+        p = model.layers[0].bev_temporal
+        spec = model.bev_spec
+        curr = random_grid(rng, spec)
+        prev = random_grid(rng, spec, validity=rng.uniform(size=spec.dims) > 0.4) if with_prev else None
+        leaves = [curr.cells] + ([prev.cells] if with_prev else [])
+        mix = rng.normal(size=(8,) + spec.dims)
+        got = run(lambda: temporal_grid_attention(curr, prev, p).cells, leaves, model.store, mix)
+        want = run(lambda: oracle_temporal(curr, prev, p).cells, leaves, model.store, mix)
+    assert np.abs(got[0] - curr.cells.data).max() > 1e-3
+    assert_match(got, want)
+
+
+@pytest.mark.parametrize("cams", CAMERA_SUBSETS, ids=["all", "three", "one"])
+def test_bev_image_matches_oracle(rng, cams):
+    with use_dtype(np.float64):
+        model = perturbed_model(rng)
+        frames, rig, _ = micro_frame(model)
+        p = model.layers[0].bev_image
+        grid = random_grid(rng, model.bev_spec)
+        feats = {k: v for k, v in model.encode_images(frames[0].images).items() if cams is None or k in cams}
+        mix = rng.normal(size=grid.cells.data.shape)
+        got = run(lambda: bev_image_cross_attention(grid, feats, rig, p).cells, [grid.cells], model.store, mix)
+        want = run(lambda: oracle_bev_image(grid, feats, rig, p).cells, [grid.cells], model.store, mix)
+    assert_match(got, want)
+
+
+@pytest.mark.parametrize("cams", CAMERA_SUBSETS, ids=["all", "three", "one"])
+def test_obj_image_matches_oracle(rng, cams):
+    with use_dtype(np.float64):
+        model = perturbed_model(rng)
+        frames, rig, _ = micro_frame(model)
+        p = model.layers[0].obj_image
+        # anchors every camera sees, plus random ones, some behind every camera
+        anchors = np.concatenate([seen_anchors(rng, rig, 16), rng.uniform(-8.0, 8.0, (8, 3))])
+        q = make_queries(rng, 24, anchors=anchors)
+        q.latents.requires_grad = True
+        feats = {k: v for k, v in model.encode_images(frames[0].images).items() if cams is None or k in cams}
+        mix = rng.normal(size=q.latents.data.shape)
+        got = run(lambda: _obj_image_cross_attention(q.latents, q.anchor_xyz, feats, rig, p),
+                  [q.latents], model.store, mix)
+        want = run(lambda: oracle_obj_image(q.latents, q.anchor_xyz, feats, rig, p), [q.latents], model.store, mix)
+    assert_match(got, want)
+
+
+@pytest.mark.parametrize("span", [2.5, 6.0, 50.0], ids=["inside", "mixed", "outside"])
+def test_dyn_static_matches_oracle(rng, span):
+    with use_dtype(np.float64):
+        model = perturbed_model(rng)
+        p = model.layers[0].dyn_static
+        grid = random_grid(rng, model.bev_spec)
+        q = make_queries(rng, 12, anchors=rng.uniform(-span, span, (12, 3)))
+        q.latents.requires_grad = True
+        mix = rng.normal(size=q.latents.data.shape)
+        leaves = [q.latents, grid.cells]
+        got = run(lambda: _dynamic_static_core(q.latents, q.anchor_xyz, grid, p), leaves, model.store, mix)
+        want = run(lambda: oracle_dyn_static(q.latents, q.anchor_xyz, grid, p), leaves, model.store, mix)
+    assert_match(got, want)
+
+
+def test_blocks_bitwise_reproducible(rng):
+    with use_dtype(np.float64):
+        model = perturbed_model(rng)
+        frames, rig, _ = micro_frame(model)
+        p = model.layers[0].bev_image
+        grid = random_grid(rng, model.bev_spec)
+        feats = model.encode_images(frames[0].images)
+        mix = rng.normal(size=grid.cells.data.shape)
+        first, second = (run(lambda: bev_image_cross_attention(grid, feats, rig, p).cells, [grid.cells],
+                             model.store, mix) for _ in range(2))
+    np.testing.assert_array_equal(first[0], second[0])
+    np.testing.assert_array_equal(first[1][0], second[1][0])
+    for name in first[2]:
+        np.testing.assert_array_equal(first[2][name], second[2][name])
+
+
+def test_core_shares_and_mean_over_reads(rng):
+    # query 0 reads twice (both hit), query 1 has no read, query 2 reads once
+    # in range and once far outside (a miss)
+    L = 3
+    params = make_deformable_params(rng, L, L, 2)
+    params.b_out.data[:] = rng.normal(size=L)
+    grid = t64(rng.normal(size=(L, 5, 5)))
+    queries = t64(rng.normal(size=(3, L)))
+    refs = np.array([[1.0, 1.0], [3.0, 2.5], [2.0, 2.0], [40.0, 40.0]])
+    owner = np.array([0, 0, 2, 2])
+    out, share = _deformable_core(queries, refs, grid, params, owner=owner)
+    np.testing.assert_array_equal(share, [0.5, 0.5, 1.0, 0.0])
+    per_read, hit = oracle_core(Tensor(queries.data[owner]), refs, grid, params)
+    np.testing.assert_array_equal(hit, [True, True, True, False])
+    np.testing.assert_allclose(out.data[0], per_read.data[:2].mean(axis=0), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(out.data[1], np.zeros(L))
+    np.testing.assert_allclose(out.data[2], per_read.data[2], rtol=0, atol=1e-12)
+
+
+def test_core_rejects_unsorted_owner(rng):
+    params = make_deformable_params(rng, 3, 3, 2)
+    with pytest.raises(ValueError, match="sorted"):
+        _deformable_core(t64(rng.normal(size=(2, 3))), np.ones((2, 2)), t64(rng.normal(size=(3, 4, 4))),
+                         params, owner=[1, 0])
+
+
+def weighted_case(rng):
+    """Eleven samples of a 4x5 table in rows of 3, 0, 4, 1 and 3 samples."""
+    h, w = 4, 5
+    starts = np.array([0, 3, 3, 7, 8, 11])
+    cd = np.stack([rng.uniform(0.1, h - 1.1, 11), rng.uniform(0.1, w - 1.1, 11)], axis=1)
+    return h, w, starts, cd
+
+
+def test_weighted_read_is_the_weighted_sum_of_its_samples(rng):
+    h, w, starts, cd = weighted_case(rng)
+    fd = rng.normal(size=(h * w, 3))
+    wts = rng.normal(size=11)
+    plan = sampling_plan(cd, h, w, h * w)
+    out = _bilinear_flat(Tensor(fd), Tensor(cd), plan, Tensor(wts), starts).data
+    reads = plan.weights @ fd
+    want = np.stack([(wts[a:b, None] * reads[a:b]).sum(axis=0) for a, b in zip(starts[:-1], starts[1:])])
+    np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(out[1], np.zeros(3))
+
+
+def test_weighted_read_finite_difference(rng):
+    h, w, starts, cd = weighted_case(rng)
+    flat = Tensor(rng.normal(size=(h * w, 3)), requires_grad=True)
+    coords = Tensor(cd, requires_grad=True)
+    wts = Tensor(rng.normal(size=(11, 1)), requires_grad=True)
+
+    def fn(f, c, wt):
+        return sum_(tanh(_bilinear_flat(f, c, sampling_plan(c.data, h, w, h * w), wt, starts)))
+
+    assert finite_diff_check(fn, [flat, coords, wts], eps=1e-6) <= 1e-4

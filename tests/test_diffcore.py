@@ -31,7 +31,6 @@ from dualstream.diffcore.tensor import (
     mean,
     mul,
     reshape,
-    scatter_rows,
     sigmoid,
     softplus,
     sparse_matmul,
@@ -531,7 +530,6 @@ OPS_FOR_SWEEP = [
     ("transpose", lambda rng: _unary_case(rng, lambda x: transpose(x, (1, 0)))),
     ("multi_head_attention", lambda rng: _attention_case(rng)),
     ("take_rows", lambda rng: _take_rows_case(rng)),
-    ("scatter_rows", lambda rng: _scatter_rows_case(rng)),
     ("sparse_matmul", lambda rng: _sparse_matmul_case(rng)),
 ]
 
@@ -572,12 +570,6 @@ def _take_rows_case(rng):
     a = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
     idx = rng.permutation(6)[:4]
     return lambda x: sum_(mul(take_rows(x, idx), take_rows(x, idx))), [a]
-
-
-def _scatter_rows_case(rng):
-    a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    idx = rng.permutation(7)[:4]
-    return lambda x: sum_(tanh(add(scatter_rows(x, idx, 7), 0.5))), [a]
 
 
 def _sparse_matmul_case(rng):
@@ -630,14 +622,6 @@ def test_take_rows_rejects_repeated_rows():
     for idx in ([1, 0, 1], [3, -1]):
         with pytest.raises(ValueError, match="repeats"):
             take_rows(a, idx)
-
-
-def test_scatter_rows_rejects_repeated_rows():
-    a = Tensor(np.arange(6.0).reshape(2, 3))
-    np.testing.assert_array_equal(scatter_rows(a, [3, 0], 4).data[[3, 0]], a.data)
-    for idx in ([1, 1], [3, -1]):
-        with pytest.raises(ValueError, match="repeats"):
-            scatter_rows(a, idx, 4)
 
 
 @pytest.mark.parametrize("name,case", OPS_FOR_SWEEP, ids=[n for n, _ in OPS_FOR_SWEEP])

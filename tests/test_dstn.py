@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -72,3 +75,18 @@ class TestDstn:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DstnError, match="missing"):
             read_tensor(tmp_path / "absent.dstn")
+
+
+def test_atomic_directory_replaces_and_follows_the_umask(tmp_path):
+    from dualstream.diffcore.dstn import atomic_directory
+
+    umask = os.umask(0o027)
+    try:
+        for content in ("old", "new"):
+            with atomic_directory(tmp_path / "out") as tmp:
+                (tmp / "f.txt").write_text(content)
+    finally:
+        os.umask(umask)
+    assert (tmp_path / "out" / "f.txt").read_text() == "new"
+    assert stat.S_IMODE((tmp_path / "out").stat().st_mode) == 0o750
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]

@@ -313,8 +313,9 @@ def per_camera_bev_image(grid, features, cameras, p):
     """BEV-to-image attention as one deformable call per camera, each camera's
     pillar hits summed, then the cameras added in name order."""
     from dualstream.diffcore import linear, sincos_encoding
-    from dualstream.diffcore.ops import _deformable_core
-    from dualstream.diffcore.tensor import add, concat, reshape, scatter_rows
+    from deformable_oracle import deformable_core as _deformable_core
+    from deformable_oracle import scatter_rows
+    from dualstream.diffcore.tensor import add, concat, reshape
     from dualstream.geom3d import project_points
     from dualstream.statstream import cell_center_grid
 
@@ -345,7 +346,7 @@ def per_camera_obj_image(latents, anchors, features, cameras, p):
     """Object-to-image attention as one deformable call per camera, combined
     by the visibility-masked camera softmax."""
     from dualstream.diffcore import linear, sincos_encoding, softmax, stack
-    from dualstream.diffcore.ops import _deformable_core
+    from deformable_oracle import deformable_core as _deformable_core
     from dualstream.diffcore.tensor import add, reshape, take_rows, transpose
     from dualstream.geom3d import CAMERA_SLOTS, project_points
 

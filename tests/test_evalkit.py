@@ -89,6 +89,18 @@ def test_amota_amotp_and_ids_with_one_id_switch():
     assert got["IDS"] == 1
 
 
+def test_perfect_track_scores_amota_one():
+    # one object, one tracked prediction 0.5 m off per frame: every cut that
+    # reaches a recall target has TP > 0 and no FP or IDS, so MOTAR is 1
+    scene = SceneRecord(frames=[frame([box(5.0 * t, 0.5, score=0.9 - 0.1 * t)], [7], [box(5.0 * t, 0)], [3])
+                                for t in range(3)])
+    got = amota([scene], threshold=2.0)
+    assert got["AMOTA"] == 1.0
+    assert got["AMOTP"] == 0.5
+    assert got["recall"] == 1.0
+    assert got["IDS"] == 0
+
+
 def test_velocity_slice_drop_rule():
     fast = box(0, 0, vel=(10.0, 0.0))        # |v| = 10, |v - ego| = 5: in the slice
     slow = box(10, 0, vel=(1.0, 0.0))        # |v| = 1: out
@@ -229,7 +241,7 @@ def _ref_amota(scenes, threshold):
             motar_terms.append(0.0)
             continue
         _, tp, fp, fn, ids_r, motp = hit
-        motar_terms.append(max(0.0, 1.0 - (ids_r + fp + fn - (1.0 - r) * n_gt) / (r * n_gt)))
+        motar_terms.append(max(0.0, 1.0 - (ids_r + fp) / tp))
         if motp is not None:
             motp_terms.append(motp)
     return {"AMOTA": float(np.mean(motar_terms)),

@@ -43,7 +43,8 @@ def plan_bilinear(fd, h, w, cd, g):
     with fresh_tape():
         flat = Tensor(fd, requires_grad=True)
         coords = Tensor(cd, requires_grad=True)
-        out = _bilinear_flat(flat, coords, sampling_plan(cd, h, w, h * w, dtype=fd.dtype))
+        out = _bilinear_flat(flat, coords, sampling_plan(cd, h, w, h * w, dtype=fd.dtype),
+                             Tensor(np.ones(len(cd), dtype=fd.dtype)), np.arange(len(cd) + 1))
         backward(sum_(out * Tensor(g)))
     return out.data, flat.grad, coords.grad
 
@@ -144,7 +145,7 @@ def test_bilinear_read_through_tanh_finite_difference(rng):
     coords = Tensor(rng.uniform(0.2, 2.8, size=(10, 2)), requires_grad=True)
 
     def fn(f, c):
-        return sum_(tanh(_bilinear_flat(f, c, sampling_plan(c.data, h, w, h * w))))
+        return sum_(tanh(_bilinear_flat(f, c, sampling_plan(c.data, h, w, h * w), Tensor(np.ones(10)), np.arange(11))))
 
     assert finite_diff_check(fn, [flat, coords], eps=1e-6) <= 1e-4
 

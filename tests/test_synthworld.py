@@ -293,6 +293,29 @@ class TestDataset:
         for rel in sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*") if p.is_file()):
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
 
+    def test_interrupted_write_leaves_no_partial_dataset(self, tmp_path, monkeypatch):
+        from dualstream.synthworld import dataset
+
+        cfg = WorldConfig(duration=2, agents_min=1, agents_max=1)
+        generate_and_write([3], tmp_path / "d", cfg, BEV, config_echo={}, ranges=RANGES)
+        before = {p.relative_to(tmp_path): p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        written, real_write = [], dataset.write_tensor
+
+        def failing_write(path, arr):
+            if len(written) == 5:
+                raise OSError("disk full")
+            written.append(path)
+            real_write(path, arr)
+
+        monkeypatch.setattr(dataset, "write_tensor", failing_write)
+        for target in ("d", "fresh"):   # over a previous dataset, and into a new path
+            written.clear()
+            with pytest.raises(OSError, match="disk full"):
+                generate_and_write([4], tmp_path / target, cfg, BEV, config_echo={}, ranges=RANGES)
+        after = {p.relative_to(tmp_path): p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert after == before
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+
     def test_truncated_tensor_names_path(self, tmp_path):
         cfg = WorldConfig(duration=2, agents_min=1, agents_max=1)
         generate_and_write([0], tmp_path / "d", cfg, BEV, config_echo={}, ranges=RANGES)

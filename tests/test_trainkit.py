@@ -65,6 +65,17 @@ def test_non_finite_gradient_raises_naming_the_parameter(tmp_path, monkeypatch):
         np.testing.assert_array_equal(t.data, before[name])
 
 
+def test_optimizer_update_overflow_raises_naming_the_parameter(tmp_path):
+    cfg, data, model = _tiny(tmp_path)
+    # finite gradients, but a learning rate at the top of the float range
+    # times a decayed unit weight overflows the update
+    cfg = replace(cfg, learning_rate=1e308, weight_decay=100.0)
+    with pytest.raises(NumericError, match=r"update at step 0 made a parameter non-finite") as err:
+        streaming_train(data, model, cfg)
+    bad = [name for name, t in model.store.items() if not np.all(np.isfinite(t.data))]
+    assert bad and str(err.value).endswith(f": {bad[0]}")
+
+
 def test_interrupted_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
     cfg, _, model = _tiny(tmp_path)
     opt = OptimizerState.fresh(model.store)
