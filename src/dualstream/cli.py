@@ -17,7 +17,6 @@ import numpy as np
 
 from . import __version__
 from .configio import Config, ConfigError, config_to_dict, content_hash, load_config, serialize_config
-from .diffcore import use_dtype
 from .diffcore.dstn import DstnError
 from .model import DualStreamModel
 from .runner import assemble_report, run_inference
@@ -138,8 +137,7 @@ def cmd_train(args) -> int:
         if not args.config:
             raise ConfigError("train needs --config (or --resume)")
         cfg = load_config(args.config)
-        with use_dtype(cfg.np_dtype()):
-            model = DualStreamModel(cfg)
+        model = DualStreamModel(cfg)
     if args.stop_after_epoch is not None and not (0 < args.stop_after_epoch <= cfg.epochs):
         raise ConfigError("--stop-after-epoch out of range")
 
@@ -219,8 +217,7 @@ def cmd_ablate(args) -> int:
     rows = ["variant,interaction,temporal_bev,mAP,NDS,lanes_iou,AMOTA,IDS"]
     for name, interaction, temporal in ABLATION_GRID:
         cfg = replace(base, interaction=interaction, temporal_bev=temporal)
-        with use_dtype(cfg.np_dtype()):
-            model = DualStreamModel(cfg)
+        model = DualStreamModel(cfg)
         result, opt = streaming_train(data, model, cfg)
         vdir = out / name
         save_checkpoint(vdir / "checkpoint", model, opt, cfg, result.rows[-1].step if result.rows else 0)

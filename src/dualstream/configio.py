@@ -7,6 +7,7 @@ authoritative and CLI flags override individual fields afterwards.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -21,7 +22,9 @@ class ConfigError(ValueError):
 class Config:
     # run
     seed: int = 0
-    dtype: str = "f32"                 # f32 | f64
+    # f32 | f64: the dtype of parameters, activations, the tape and gradients;
+    # AdamW moments, geometry and decoded boxes and scores stay f64
+    dtype: str = "f32"
     threads: int = 1
     # world generation
     scene_frames: int = 14
@@ -90,8 +93,15 @@ class Config:
             raise ConfigError(f"bad schedule {self.schedule!r}")
         if self.truncation_horizon < 1:
             raise ConfigError("truncation_horizon must be >= 1")
-        if self.learning_rate <= 0 or self.scene_dt <= 0:
-            raise ConfigError("rates must be > 0")
+        # every comparison with NaN is false, so these bounds refuse it too
+        if not self.scene_dt > 0:
+            raise ConfigError("scene_dt must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        if not self.grad_clip >= 0:
+            raise ConfigError(f"grad_clip must be >= 0 (0 or inf: no clipping), got {self.grad_clip!r}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
         if self.latent_dim % self.heads != 0:
             raise ConfigError("latent_dim must be divisible by heads")
         if self.image_height % self.patch or self.image_width % self.patch:

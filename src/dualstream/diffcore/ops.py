@@ -404,7 +404,9 @@ def patch_embed(image: Tensor, patch: int, params: PatchEmbedParams, camera: str
 def sincos_encoding(values: np.ndarray, n_freqs: int = 8) -> np.ndarray:
     """Sinusoidal encoding of (n, d) values -> (n, d*2*n_freqs), float64.
 
-    Frequencies are pi * 2^k; inputs are expected roughly in [0, 1].
+    Frequencies are pi * 2^k; inputs are expected roughly in [0, 1]. Built
+    from float64 geometry, like the reference points; callers cast it to the
+    model dtype where it enters a tensor.
     """
     v = np.asarray(values, dtype=np.float64)
     freqs = np.pi * (2.0 ** np.arange(n_freqs))

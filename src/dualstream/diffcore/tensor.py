@@ -3,8 +3,14 @@
 A thread-local Wengert tape records every differentiable operation in
 execution order; ``backward`` replays the tape in reverse, which is a valid
 reverse topological order by construction and therefore bitwise deterministic
-for fixed inputs. Storage is float32 by default with a float64 mode switch
-used by the gradient checks.
+for fixed inputs.
+
+Ops keep their operands' dtype: a float32 model (config ``dtype = "f32"``,
+the default) has float32 parameters, activations, tape entries and
+gradients, and a float64 model computes in float64, as the gradient checks
+do. Constant operands given as arrays or numbers are cast to the tensor
+operand's dtype. The default dtype (``use_dtype``) only applies to tensors
+made from non-float data and to a ``ParamStore`` given no dtype.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ Conventions used throughout the package:
   * ego frame: x forward, y left, z up, yaw counter-clockwise about +z
   * camera frame: x right, y down, z forward (standard CV)
   * yaw angles live in (-pi, pi], half-open at -pi
-All geometry is computed in float64.
+All geometry is computed in float64, whatever the model dtype; the model casts
+it where it enters a tensor.
 """
 
 from __future__ import annotations

@@ -88,6 +88,8 @@ def decode_boxes(queries: QuerySet, latents: Tensor, params: DecodeParams) -> tu
     sincos = linear(hidden, params.w_yaw, params.b_yaw)
     vel = linear(hidden, params.w_vel, params.b_vel)
     logits = linear(hidden, params.w_cls, params.b_cls)
+    # scores and boxes leave the model in float64, the dtype of the geometry,
+    # tracker and metrics that consume them
     scores = 1.0 / (1.0 + np.exp(-logits.data.max(axis=1).astype(np.float64)))
     out = HeadOutputs(class_logits=logits, center=center, log_size=log_size, sincos=sincos,
                       velocity=vel, scores=scores)

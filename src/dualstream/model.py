@@ -177,7 +177,8 @@ class DualStreamModel:
         self.ranges = cfg.detection_ranges()
 
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _MODEL_SEED_SALT]))
-        store = ParamStore()
+        # initialisers draw in float64; the store rounds once into the configured dtype
+        store = ParamStore(cfg.np_dtype())
         L = cfg.latent_dim
         self.backbone = make_patch_embed_params(store, "backbone", rng, cfg.patch, L)
         self.spawn = SpawnParams(

@@ -6,19 +6,25 @@ import math
 
 import numpy as np
 
-from .diffcore import AttentionParams, DeformableParams, MlpParams, PatchEmbedParams, Tensor
+from .diffcore import AttentionParams, DeformableParams, MlpParams, PatchEmbedParams, Tensor, default_dtype
 
 
 class ParamStore:
-    """Flat name -> Tensor registry; names are stable across runs."""
+    """Flat name -> Tensor registry; names are stable across runs.
 
-    def __init__(self):
+    Every parameter is stored in the store's ``dtype`` (by default the
+    active diffcore dtype), so the activations, the tape and the gradients
+    computed from them share it.
+    """
+
+    def __init__(self, dtype=None):
+        self.dtype = np.dtype(dtype or default_dtype())
         self._params: dict[str, Tensor] = {}
 
     def tensor(self, name: str, array: np.ndarray) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.asarray(array), requires_grad=True)
+        t = Tensor(np.asarray(array, dtype=self.dtype), requires_grad=True)
         self._params[name] = t
         return t
 
@@ -47,7 +53,9 @@ class ParamStore:
             arr = np.asarray(arrays[name])
             if arr.shape != t.data.shape:
                 raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {t.data.shape}")
-            t.data = arr.astype(t.data.dtype, copy=True)
+            if arr.dtype != t.data.dtype:
+                raise ValueError(f"dtype mismatch for {name}: stored {arr.dtype}, model {t.data.dtype}")
+            t.data = arr.copy()
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

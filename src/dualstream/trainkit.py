@@ -35,7 +35,9 @@ class OptimizerState:
 
     @staticmethod
     def fresh(store) -> "OptimizerState":
-        # moments kept in float64 regardless of the storage dtype
+        # moments kept in float64 whatever the parameter dtype (the mixed-
+        # precision split): v sums squared gradients, which leave float32's
+        # range first, and both moments accumulate small terms over many steps
         return OptimizerState(
             m={name: np.zeros(t.data.shape, dtype=np.float64) for name, t in store.items()},
             v={name: np.zeros(t.data.shape, dtype=np.float64) for name, t in store.items()},
@@ -58,6 +60,7 @@ def clip_gradients(store, max_norm: float) -> float:
     total = 0.0
     for _, t in store.items():
         if t.grad is not None:
+            # squared in float64: float32 squares of large gradients overflow
             total += float((t.grad.astype(np.float64) ** 2).sum())
     norm = math.sqrt(total)
     if max_norm > 0 and norm > max_norm:
@@ -78,7 +81,11 @@ def optimizer_step(
     eps: float = 1e-8,
     skip_prefixes: tuple[str, ...] = (),
 ) -> None:
-    """Decoupled-weight-decay adaptive moment update, in place."""
+    """Decoupled-weight-decay adaptive moment update, in place.
+
+    The update is computed in float64 against the float64 moments and
+    rounded once into the parameter's own dtype.
+    """
     opt.step += 1
     bc1 = 1.0 - beta1 ** opt.step
     bc2 = 1.0 - beta2 ** opt.step
@@ -290,7 +297,9 @@ def load_checkpoint(path) -> tuple[Config, dict, OptimizerState, int]:
 
 def model_from_checkpoint(path) -> tuple[DualStreamModel, OptimizerState, Config, int]:
     cfg, params, opt, step = load_checkpoint(path)
-    with use_dtype(cfg.np_dtype()):
-        model = DualStreamModel(cfg)
-    model.store.load_arrays(params)
+    model = DualStreamModel(cfg)
+    try:
+        model.store.load_arrays(params)
+    except ValueError as e:
+        raise DstnError(f"{path}: {e}") from None
     return model, opt, cfg, step

@@ -1,12 +1,13 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from dualstream.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, effective_workers, main
 from dualstream.configio import Config
 from dualstream.diffcore import use_dtype
 from dualstream.model import DualStreamModel
-from dualstream.trainkit import OptimizerState, save_checkpoint
+from dualstream.trainkit import OptimizerState, load_checkpoint, save_checkpoint
 
 CFG = Config(n_layers=1, latent_dim=16, n_queries=8, topk=4, decode_hidden=16, bev_cells=8)
 
@@ -67,3 +68,48 @@ def test_non_integer_thread_cap_is_a_config_error(tmp_path, monkeypatch, capsys)
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert "DUALSTREAM_THREADS must be an integer" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    (root / "tiny.cfg").write_text(TINY, encoding="utf-8")
+    assert main(["gen-data", "--config", str(root / "tiny.cfg"), "--out", str(root / "data")]) == EXIT_OK
+    return root
+
+
+def test_nan_learning_rate_is_a_config_error(tiny_data, tmp_path, capsys):
+    bad = tmp_path / "nan.cfg"
+    bad.write_text(TINY + "learning_rate = nan\n", encoding="utf-8")
+    args = ["train", "--config", str(bad), "--data", str(tiny_data / "data"), "--out", str(tmp_path / "run")]
+    assert main(args) == EXIT_CONFIG
+    assert "learning_rate must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_resume_retraces_the_straight_run(tiny_data, tmp_path):
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text(TINY.replace("epochs = 1", "epochs = 2"), encoding="utf-8")
+    data = str(tiny_data / "data")
+
+    def train(out, *extra):
+        assert main(["train", "--data", data, "--out", str(tmp_path / out), *extra]) == EXIT_OK
+        return tmp_path / out
+
+    straight = train("straight", "--config", str(cfg))
+    first = train("first", "--config", str(cfg), "--stop-after-epoch", "1")
+    second = train("second", "--resume", str(first / "ckpt_epoch_1"))
+
+    _, want, want_opt, want_step = load_checkpoint(straight / "checkpoint")
+    _, got, got_opt, got_step = load_checkpoint(second / "checkpoint")
+    assert got_step == want_step and got_opt.step == want_opt.step
+    for name in want:
+        assert want[name].dtype == np.float32 and want_opt.m[name].dtype == np.float64
+        for a, b in ((got[name], want[name]), (got_opt.m[name], want_opt.m[name]),
+                     (got_opt.v[name], want_opt.v[name])):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    # the two halves' loss logs, joined, are the straight run's log byte for byte
+    header, *rows = (straight / "loss.csv").read_text().splitlines()
+    halves = [(d / "loss.csv").read_text().splitlines() for d in (first, second)]
+    assert all(h[0] == header for h in halves) and rows
+    assert halves[0][1:] + halves[1][1:] == rows

@@ -17,7 +17,8 @@ from dualstream.model import DualStreamModel, build_layer_params
 from dualstream.params import ParamStore
 from dualstream.statstream import BevGrid, BevSpec, metric_to_cell
 
-CFG = Config(latent_dim=8, heads=2, n_layers=1, n_queries=6, topk=3, n_points=2,
+# float64 models, so the finite-difference and per-camera checks keep tight tolerances
+CFG = Config(dtype="f64", latent_dim=8, heads=2, n_layers=1, n_queries=6, topk=3, n_points=2,
              bev_cells=6, bev_extent=3.0, patch=8, image_height=16, image_width=32,
              decode_hidden=8)
 RANGES = CFG.detection_ranges()

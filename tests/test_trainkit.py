@@ -9,13 +9,14 @@ from dualstream import trainkit
 from dualstream.cli import bev_from_config, world_from_config
 from dualstream.configio import Config, config_to_dict
 from dualstream.diffcore import backward, use_dtype
-from dualstream.diffcore.dstn import write_tensor
+from dualstream.diffcore.dstn import DstnError, write_tensor
 from dualstream.model import DualStreamModel
 from dualstream.synthworld.dataset import Dataset, generate_and_write
 from dualstream.trainkit import (
     NumericError,
     OptimizerState,
     load_checkpoint,
+    model_from_checkpoint,
     save_checkpoint,
     streaming_train,
 )
@@ -113,3 +114,33 @@ def test_interrupted_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
     assert step == 4 and sorted(p.name for p in tmp_path.iterdir()) == ["ckpt", "data"]
     name = model.store.names()[0]
     np.testing.assert_array_equal(params[name], dict(model.store.items())[name].data)
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+def test_f32_checkpoint_reloads_in_its_own_dtype(tmp_path):
+    cfg, data, model = _tiny(tmp_path)
+    assert cfg.dtype == "f32"
+    _, opt = streaming_train(data, model, cfg)
+    save_checkpoint(tmp_path / "ckpt", model, opt, cfg, step=opt.step, epoch=1)
+    loaded, got_opt, got_cfg, step = model_from_checkpoint(tmp_path / "ckpt")
+    assert got_cfg == cfg and step == opt.step == got_opt.step
+    got = dict(loaded.store.items())
+    for name, t in model.store.items():
+        assert t.data.dtype == np.float32 and opt.m[name].dtype == opt.v[name].dtype == np.float64
+        assert _bits(got[name].data) == _bits(t.data), name
+        assert _bits(got_opt.m[name]) == _bits(opt.m[name]), name
+        assert _bits(got_opt.v[name]) == _bits(opt.v[name]), name
+
+
+def test_checkpoint_of_another_dtype_is_refused(tmp_path):
+    cfg, _, model = _tiny(tmp_path)
+    # float64 parameters under an f32 config, as written before parameters carried the dtype
+    for t in dict(model.store.items()).values():
+        t.data = t.data.astype(np.float64)
+    save_checkpoint(tmp_path / "ckpt", model, OptimizerState.fresh(model.store), cfg, step=0)
+    first = model.store.names()[0]
+    with pytest.raises(DstnError, match=rf"dtype mismatch for {re.escape(first)}: stored float64, model float32"):
+        model_from_checkpoint(tmp_path / "ckpt")
