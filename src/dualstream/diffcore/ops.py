@@ -83,7 +83,9 @@ _GELU_A = 0.044715
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation)."""
     xd = x.data
-    u = _GELU_C * (xd + _GELU_A * xd ** 3)
+    cube = xd * xd   # a product, not numpy's generic pow; in place, so one temporary
+    cube *= xd
+    u = _GELU_C * (xd + _GELU_A * cube)
     t = np.tanh(u)
     data = 0.5 * xd * (1.0 + t)
 
