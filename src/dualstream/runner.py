@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .configio import Config
-from .diffcore import no_grad, use_dtype
+from .diffcore import no_grad
 from .evalkit import (
     BASE_AP_THRESHOLDS,
     EvalReport,
@@ -49,7 +49,7 @@ def run_inference(
     records = []
     inter = np.zeros(3, dtype=np.int64)
     union = np.zeros(3, dtype=np.int64)
-    with no_grad(), use_dtype(cfg.np_dtype()):
+    with no_grad():
         for meta in dataset.scenes:
             sid = meta["id"]
             n_frames = meta["n_frames"]

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .configio import Config, config_from_dict, config_to_dict
-from .diffcore import active_tape, backward, use_dtype
+from .diffcore import active_tape, backward
 from .diffcore.dstn import DstnError, atomic_directory, read_tensor, write_tensor
 from .diffcore.tensor import add, scale
 from .heads import LossWeights, detection_cost_matrix, detection_loss, hungarian_match, segmentation_loss
@@ -182,62 +182,61 @@ def streaming_train(
     horizon = cfg.truncation_horizon
     tape = active_tape()
 
-    with use_dtype(cfg.np_dtype()):
-        for epoch in range(cfg.epochs):
-            for group in _scene_groups(dataset, cfg):
-                n_frames = min(meta["n_frames"] for meta in group)
-                states: list[StreamState] = [model.initial_state() for _ in group]
-                for t in range(n_frames):
-                    if cfg.sequence_length > 0 and t > 0 and t % cfg.sequence_length == 0:
-                        states = [model.initial_state() for _ in group]
-                        tape.drop_before(tape.position())
-                    det_sum = seg_sum = None
-                    for si, meta in enumerate(group):
-                        frame = dataset.load_frame(meta["id"], t)
-                        res = model.forward_frame(frame, dataset.cameras, states[si], dataset.dt)
-                        det, seg = frame_loss(model, res, frame, cfg)
-                        det_sum = det if det_sum is None else add(det_sum, det)
-                        seg_sum = seg if seg_sum is None else add(seg_sum, seg)
-                        states[si] = res.state
-                    det_mean = scale(det_sum, 1.0 / len(group))
-                    seg_mean = scale(seg_sum, 1.0 / len(group))
-                    loss = add(det_mean, scale(seg_mean, cfg.loss_weight_seg))
+    for epoch in range(cfg.epochs):
+        for group in _scene_groups(dataset, cfg):
+            n_frames = min(meta["n_frames"] for meta in group)
+            states: list[StreamState] = [model.initial_state() for _ in group]
+            for t in range(n_frames):
+                if cfg.sequence_length > 0 and t > 0 and t % cfg.sequence_length == 0:
+                    states = [model.initial_state() for _ in group]
+                    tape.drop_before(tape.position())
+                det_sum = seg_sum = None
+                for si, meta in enumerate(group):
+                    frame = dataset.load_frame(meta["id"], t)
+                    res = model.forward_frame(frame, dataset.cameras, states[si], dataset.dt)
+                    det, seg = frame_loss(model, res, frame, cfg)
+                    det_sum = det if det_sum is None else add(det_sum, det)
+                    seg_sum = seg if seg_sum is None else add(seg_sum, seg)
+                    states[si] = res.state
+                det_mean = scale(det_sum, 1.0 / len(group))
+                seg_mean = scale(seg_sum, 1.0 / len(group))
+                loss = add(det_mean, scale(seg_mean, cfg.loss_weight_seg))
 
-                    loss_val = float(loss.data)
-                    det_val, seg_val = float(det_mean.data), float(seg_mean.data)
-                    if not math.isfinite(loss_val):
-                        raise NumericError(
-                            f"non-finite loss at step {step}: total={loss_val} "
-                            f"det={det_val} seg={seg_val}"
-                        )
+                loss_val = float(loss.data)
+                det_val, seg_val = float(det_mean.data), float(seg_mean.data)
+                if not math.isfinite(loss_val):
+                    raise NumericError(
+                        f"non-finite loss at step {step}: total={loss_val} "
+                        f"det={det_val} seg={seg_val}"
+                    )
 
-                    model.store.zero_grads()
-                    backward(loss)
-                    norm = clip_gradients(model.store, cfg.grad_clip)
-                    if not math.isfinite(norm):
-                        bad = next((name for name, t in model.store.items()
-                                    if t.grad is not None and not np.all(np.isfinite(t.grad))),
-                                   "none (the squared norm overflowed)")
-                        raise NumericError(f"non-finite gradient norm {norm} at step {step}; "
-                                           f"first non-finite gradient: {bad}")
-                    lr = cosine_lr(cfg.learning_rate, cfg.cosine_floor, step, total_steps)
-                    optimizer_step(model.store, opt, lr, cfg.weight_decay, skip_prefixes=skip)
-                    bad = next((name for name, t in model.store.items() if not np.all(np.isfinite(t.data))), None)
-                    if bad is not None:
-                        raise NumericError(f"optimizer update at step {step} made a parameter non-finite: {bad}")
-                    step += 1
+                model.store.zero_grads()
+                backward(loss)
+                norm = clip_gradients(model.store, cfg.grad_clip)
+                if not math.isfinite(norm):
+                    bad = next((name for name, t in model.store.items()
+                                if t.grad is not None and not np.all(np.isfinite(t.grad))),
+                               "none (the squared norm overflowed)")
+                    raise NumericError(f"non-finite gradient norm {norm} at step {step}; "
+                                       f"first non-finite gradient: {bad}")
+                lr = cosine_lr(cfg.learning_rate, cfg.cosine_floor, step, total_steps)
+                optimizer_step(model.store, opt, lr, cfg.weight_decay, skip_prefixes=skip)
+                bad = next((name for name, t in model.store.items() if not np.all(np.isfinite(t.data))), None)
+                if bad is not None:
+                    raise NumericError(f"optimizer update at step {step} made a parameter non-finite: {bad}")
+                step += 1
 
-                    row = TrainLogRow(step=step, epoch=epoch, frame=t, loss=loss_val,
-                                      det_loss=det_val, seg_loss=seg_val, lr=lr, grad_norm=norm)
-                    result.rows.append(row)
-                    if on_step:
-                        on_step(row)
+                row = TrainLogRow(step=step, epoch=epoch, frame=t, loss=loss_val,
+                                  det_loss=det_val, seg_loss=seg_val, lr=lr, grad_norm=norm)
+                result.rows.append(row)
+                if on_step:
+                    on_step(row)
 
-                    if (t + 1) % horizon == 0:
-                        states = [s.detached() for s in states]
-                        tape.drop_before(tape.position())
-                # scene group finished: drop the whole streaming history
-                tape.drop_before(tape.position())
+                if (t + 1) % horizon == 0:
+                    states = [s.detached() for s in states]
+                    tape.drop_before(tape.position())
+            # scene group finished: drop the whole streaming history
+            tape.drop_before(tape.position())
     return result, opt
 
 
