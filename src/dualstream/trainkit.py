@@ -60,7 +60,8 @@ def clip_gradients(store, max_norm: float) -> float:
     total = 0.0
     for _, t in store.items():
         if t.grad is not None:
-            # squared in float64: float32 squares of large gradients overflow
+            # squared and summed in float64, where float32 would overflow on
+            # large gradients and round away the small ones
             total += float((t.grad.astype(np.float64) ** 2).sum())
     norm = math.sqrt(total)
     if max_norm > 0 and norm > max_norm:
