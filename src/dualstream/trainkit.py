@@ -97,8 +97,9 @@ def optimizer_step(
         g = g.astype(np.float64)
         m = opt.m[name] = beta1 * opt.m[name] + (1.0 - beta1) * g
         v = opt.v[name] = beta2 * opt.v[name] + (1.0 - beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps) + weight_decay * t.data.astype(np.float64)
-        t.data = (t.data.astype(np.float64) - lr * update).astype(t.data.dtype)
+        p = t.data.astype(np.float64)
+        update = (m / bc1) / (np.sqrt(v / bc2) + eps) + weight_decay * p
+        t.data = (p - lr * update).astype(t.data.dtype)
 
 
 @dataclass
