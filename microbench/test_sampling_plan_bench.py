@@ -12,14 +12,20 @@ camera cross-attention reads about 2,600 samples from a stacked 32 x 64
 camera table (4 x 8 feature cells). The deformable shape is BEV-to-image at
 the default config: 1024 cell queries own about 3,684 reads (projecting
 (camera, pillar point) pairs) of six stacked 64 x 4 x 8 camera maps, with 4
-points per read.
+points per read. The same owners and reads size ``segment_softmax``, the
+shares of a query's reads. Object-to-image attention runs at the default
+config: 40 queries read the six 64 x 4 x 8 camera maps.
 """
 
 import numpy as np
 import pytest
 
-from dualstream.diffcore import Tensor, backward, fresh_tape, sum_
-from dualstream.diffcore.ops import DeformableParams, _bilinear_flat, _deformable_core, sampling_plan
+from dualstream.configio import Config
+from dualstream.diffcore import FeatureMap, Tensor, backward, fresh_tape, sum_
+from dualstream.diffcore.ops import DeformableParams, _bilinear_flat, _deformable_core, sampling_plan, segment_softmax
+from dualstream.dynstream import _obj_image_cross_attention
+from dualstream.model import DualStreamModel
+from dualstream.synthworld import build_camera_rig
 
 SHAPES = {"bev_4096x1024": (4096, 32, 32), "camera_2600x32": (2600, 4, 8)}
 CHANNELS = 64
@@ -106,3 +112,73 @@ def test_deformable_bev_image_forward_backward(benchmark):
 
     gq, goff = benchmark(step)
     assert gq.shape == (CELLS, CHANNELS) and goff.shape == (CHANNELS, 2 * POINTS)
+
+
+def _segment_case():
+    rng = np.random.default_rng(4)
+    return (Tensor(rng.normal(size=READS), requires_grad=True), np.sort(rng.integers(0, CELLS, READS)),
+            rng.uniform(size=READS) < 0.9)
+
+
+def test_segment_softmax_forward(benchmark):
+    x, owner, keep = _segment_case()
+
+    def forward():
+        with fresh_tape():
+            return segment_softmax(x, owner, keep).data
+
+    assert benchmark(forward).shape == (READS,)
+
+
+def test_segment_softmax_forward_backward(benchmark):
+    x, owner, keep = _segment_case()
+    g = np.random.default_rng(5).normal(size=READS)
+
+    def step():
+        x.grad = None
+        with fresh_tape():
+            backward(sum_(segment_softmax(x, owner, keep) * g))
+        return x.grad
+
+    assert benchmark(step).shape == (READS,)
+
+
+QUERIES = 40
+
+
+def _obj_image_case():
+    cfg = Config()
+    model = DualStreamModel(cfg)
+    rng = np.random.default_rng(6)
+    rig = build_camera_rig(width=cfg.image_width, height=cfg.image_height)
+    h, w = cfg.image_height // cfg.patch, cfg.image_width // cfg.patch
+    feats = {name: FeatureMap(data=Tensor(rng.normal(size=(cfg.latent_dim, h, w)).astype(np.float32),
+                                          requires_grad=True), camera=name, stride=cfg.patch) for name in rig}
+    lo, hi = cfg.detection_ranges()
+    anchors = rng.uniform(lo, hi, size=(QUERIES, 3))
+    latents = Tensor(rng.normal(size=(QUERIES, cfg.latent_dim)).astype(np.float32), requires_grad=True)
+    return latents, anchors, feats, rig, model.layers[0].obj_image, model.store
+
+
+def test_obj_image_forward(benchmark):
+    latents, anchors, feats, rig, params, _ = _obj_image_case()
+
+    def forward():
+        with fresh_tape():
+            return _obj_image_cross_attention(latents, anchors, feats, rig, params).data
+
+    assert benchmark(forward).shape == latents.data.shape
+
+
+def test_obj_image_forward_backward(benchmark):
+    latents, anchors, feats, rig, params, store = _obj_image_case()
+    g = np.random.default_rng(7).normal(size=latents.data.shape).astype(np.float32)
+
+    def step():
+        store.zero_grads()
+        latents.grad = None
+        with fresh_tape():
+            backward(sum_(_obj_image_cross_attention(latents, anchors, feats, rig, params) * g))
+        return latents.grad
+
+    assert benchmark(step).shape == latents.data.shape

@@ -149,7 +149,7 @@ def cmd_train(args) -> int:
 
     # the cosine schedule always spans the config's full epoch count, so a
     # stopped-and-resumed run retraces the uninterrupted trajectory exactly
-    full_steps = total_optimizer_steps(data, replace(cfg, epochs=cfg.epochs))
+    full_steps = total_optimizer_steps(data, cfg)
     one_epoch = replace(cfg, epochs=1)
     result = TrainResult()
     epoch_end = args.stop_after_epoch or cfg.epochs
@@ -159,7 +159,7 @@ def cmd_train(args) -> int:
         res, opt = streaming_train(data, model, one_epoch, opt=opt, start_step=step,
                                    total_steps_override=full_steps)
         step = res.rows[-1].step if res.rows else step
-        result.rows.extend(res.rows)
+        result.rows.extend(replace(r, epoch=epoch) for r in res.rows)   # each call counts from epoch 0
         ck = out / f"ckpt_epoch_{epoch + 1}"
         save_checkpoint(ck, model, opt, cfg, step, epoch=epoch + 1)
     final = out / "checkpoint"

@@ -27,9 +27,9 @@ from .diffcore import (
     sigmoid,
     sincos_encoding,
 )
-from .diffcore.ops import _deformable_core, softmax
-from .diffcore.tensor import add, concat, getitem, mul, reshape, sum_, take_rows, transpose
-from .geom3d import CAMERA_SLOTS, CameraModel, Pose, project_points, rot2
+from .diffcore.tensor import add, concat, getitem, mul, take_rows
+from .geom3d import CameraModel, Pose, rot2
+from .statstream import camera_read
 
 
 @dataclass
@@ -209,47 +209,13 @@ class ObjImageAttnParams:
     n_freqs: int = 8
 
 
-def _obj_image_cross_attention(
-    latents: Tensor,
-    anchors: np.ndarray,
-    features: Mapping[str, FeatureMap],
-    cameras: Mapping[str, CameraModel],
-    params: ObjImageAttnParams,
-) -> Tensor:
-    """Project each anchor into the available cameras, deformably sample the
-    per-camera features at the projections (one call over the stacked
-    camera tables), and aggregate across cameras by visibility-masked
-    attention weights. Cameras absent from ``features`` are unavailable and
-    contribute nothing. Returns the (n, L) latents.
+def _obj_image_cross_attention(latents: Tensor, anchors: np.ndarray, features: Mapping[str, FeatureMap],
+                               cameras: Mapping[str, CameraModel], params: ObjImageAttnParams) -> Tensor:
+    """Each query reads the available cameras at its anchor's projections
+    (``camera_read``), pooled by a softmax over its visible cameras of
+    per-slot logits from its latent. Cameras absent from ``features`` are
+    unavailable and contribute nothing. Returns the (n, L) latents.
     """
-    n, L = latents.data.shape
-    names = [name for name in CAMERA_SLOTS if name in features]
-    if not names:
-        return layernorm(add(latents, mul(latents, 0.0)), params.ln_g, params.ln_b)
-
-    # one deformable call with one read per visible (camera, query) row, camera-major
-    k = len(names)
-    fcoords, pix, valid = [], [], []
-    for name in names:
-        fm, cam = features[name], cameras[name]
-        uv, _, v = project_points(cam, anchors)
-        fcoords.append(np.stack([uv[:, 1] / fm.stride - 0.5, uv[:, 0] / fm.stride - 0.5], axis=1))
-        pix.append(np.stack([uv[:, 0] / cam.width, uv[:, 1] / cam.height], axis=1))
-        valid.append(v)
-    rows = np.nonzero(np.concatenate(valid))[0]
-    out, share = _deformable_core(concat([latents] * k), np.concatenate(fcoords)[rows],
-                                  [features[name].data for name in names], params.deform,
-                                  owner=rows, grid_of=rows // n)
-    hit = np.bincount(rows, weights=share, minlength=k * n) > 0
-    enc = sincos_encoding(np.concatenate(pix), params.n_freqs)
-    pe = linear(Tensor(enc.astype(out.dtype)), params.pe_w, params.pe_b)
-    out = add(out, mul(pe, hit.astype(out.dtype)[:, None]))
-    per_cam = transpose(reshape(out, (k, n, L)), (1, 0, 2))   # (n, k, L)
-
-    slots = np.array([CAMERA_SLOTS.index(name) for name in names])
-    logits = linear(latents, params.cam_w, params.cam_b)  # (n, 6)
-    cols = transpose(take_rows(transpose(logits, (1, 0)), slots), (1, 0))
-    cols = add(cols, np.where(hit.reshape(k, n).T, 0.0, -1e30))
-    weights = reshape(softmax(cols, axis=-1), (n, k, 1))
-    combined = sum_(mul(per_cam, weights), axis=1)
-    return layernorm(add(latents, combined), params.ln_g, params.ln_b)
+    update = camera_read(latents, anchors, np.arange(latents.data.shape[0]), features, cameras, params,
+                         cam_logits=linear(latents, params.cam_w, params.cam_b))
+    return layernorm(add(latents, update), params.ln_g, params.ln_b)

@@ -33,8 +33,8 @@ from .diffcore import (
     transpose,
 )
 from .diffcore.ops import _deformable_core
-from .diffcore.tensor import add, mul
-from .geom3d import CameraModel, Pose, invert, project_points
+from .diffcore.tensor import add, mul, sparse_matmul, take_rows
+from .geom3d import CAMERA_SLOTS, CameraModel, Pose, invert, project_points
 
 
 @dataclass(frozen=True)
@@ -189,51 +189,54 @@ class BevImageAttnParams:
     pillar_heights: tuple[float, ...] = (-1.0, 0.0, 1.0, 2.0)   # m above each cell center
 
 
-def bev_image_cross_attention(
-    grid: BevGrid,
-    features: Mapping[str, FeatureMap],
-    cameras: Mapping[str, CameraModel],
-    params: BevImageAttnParams,
-) -> BevGrid:
-    """Lift pillar points above each cell center, project them into the
-    available cameras and average the deformable samples over all hits.
-    The cameras' feature maps form one stacked value table, read by one
-    deformable call. Cells with no valid projection pass through on the
-    residual path."""
-    spec = grid.spec
-    n = spec.dims[0] * spec.dims[1]
-    q = grid.cells_flat()
-    centers = cell_center_grid(spec)
-    nz = len(params.pillar_heights)
-    pts = np.concatenate(
-        [np.concatenate([centers, np.full((n, 1), z)], axis=1) for z in params.pillar_heights], axis=0
-    )  # (nz*n, 3)
-    names = sorted(features)
+def camera_read(queries: Tensor, points: np.ndarray, owner: np.ndarray, features: Mapping[str, FeatureMap],
+                cameras: Mapping[str, CameraModel], params, cam_logits: Optional[Tensor] = None) -> Tensor:
+    """The (n, L) camera update of n queries, query ``owner[r]`` reading the
+    available cameras where 3-D point r projects into them.
+
+    The reads, stably sorted by owner with cameras in ``CAMERA_SLOTS`` order,
+    are one deformable call over the stacked camera tables. A query pools its
+    reads' outputs and pixel encodings (through ``pe_w``, plus ``pe_b`` if it
+    has a hit) with the same shares: the softmax over its hit reads of the
+    (n, slots) ``cam_logits`` at each read's camera, else the mean.
+    """
+    names = [name for name in CAMERA_SLOTS if name in features]
     if not names:
-        combined = mul(q, 0.0)
-    else:
-        # every (camera, pillar point) pair that projects into its camera
-        fcoords, pix, valid = [], [], []
-        for name in names:
-            fm, cam = features[name], cameras[name]
-            uv, _, v = project_points(cam, pts)
-            fcoords.append(np.stack([uv[:, 1] / fm.stride - 0.5, uv[:, 0] / fm.stride - 0.5], axis=1))
-            pix.append(np.stack([uv[:, 0] / cam.width, uv[:, 1] / cam.height], axis=1))
-            valid.append(v)
-        pairs = np.nonzero(np.concatenate(valid))[0]
-        pairs = pairs[np.argsort(pairs % n, kind="stable")]   # in cell order
-        cells = pairs % n
-        out, share = _deformable_core(q, np.concatenate(fcoords)[pairs],
-                                      [features[name].data for name in names], params.deform,
-                                      owner=cells, grid_of=pairs // (nz * n))
-        # the pixel encodings, averaged over each cell's hits with the same shares
-        mean = sparse.csr_array((share, np.arange(pairs.size), np.searchsorted(cells, np.arange(n + 1))),
-                                shape=(n, pairs.size))
-        enc = mean @ sincos_encoding(np.concatenate(pix)[pairs], params.n_freqs)
-        hit = np.bincount(cells, weights=share, minlength=n) > 0
-        pe = add(linear(Tensor(enc.astype(out.dtype)), params.pe_w), mul(params.pe_b, hit.astype(out.dtype)[:, None]))
-        combined = add(out, pe)
-    new_flat = layernorm(add(q, combined), params.ln_g, params.ln_b)
+        return mul(queries, 0.0)
+    n, p = queries.data.shape[0], points.shape[0]
+    cams = [cameras[name] for name in names]
+    proj = [project_points(cam, points) for cam in cams]
+    pairs = np.nonzero(np.concatenate([valid for _, _, valid in proj]))[0]   # camera-major
+    pairs = pairs[np.argsort(owner[pairs % p], kind="stable")]
+    cam, reader, m = pairs // p, owner[pairs % p], pairs.size
+    uv = np.concatenate([uv for uv, _, _ in proj])[pairs]
+    stride = np.array([features[name].stride for name in names], dtype=np.float64)[cam, None]
+    logits = None
+    if cam_logits is not None:
+        slots = np.array([CAMERA_SLOTS.index(name) for name in names])
+        logits = take_rows(reshape(cam_logits, (-1,)), reader * len(CAMERA_SLOTS) + slots[cam])
+    out, share = _deformable_core(queries, uv[:, ::-1] / stride - 0.5, [features[name].data for name in names],
+                                  params.deform, owner=reader, grid_of=cam, read_logits=logits)
+    pix = uv / np.array([[c.width, c.height] for c in cams], dtype=np.float64)[cam]
+    enc = mul(reshape(share, (m, 1)), sincos_encoding(pix, params.n_freqs))
+    pool = sparse.csr_array((np.ones(m, dtype=out.dtype), np.arange(m), np.searchsorted(reader, np.arange(n + 1))),
+                            shape=(n, m))
+    hit = np.bincount(reader, weights=share.data, minlength=n) > 0
+    pe = add(linear(sparse_matmul(pool, enc), params.pe_w), mul(params.pe_b, hit.astype(out.dtype)[:, None]))
+    return add(out, pe)
+
+
+def bev_image_cross_attention(grid: BevGrid, features: Mapping[str, FeatureMap], cameras: Mapping[str, CameraModel],
+                              params: BevImageAttnParams) -> BevGrid:
+    """Lift pillar points above each cell center and average each cell's
+    camera reads of them over all hits (``camera_read``). Cells with no valid
+    projection pass through on the residual path."""
+    spec = grid.spec
+    n, nz = spec.dims[0] * spec.dims[1], len(params.pillar_heights)
+    q = grid.cells_flat()
+    pts = np.column_stack([np.tile(cell_center_grid(spec), (nz, 1)), np.repeat(params.pillar_heights, n)])
+    update = camera_read(q, pts, np.tile(np.arange(n), nz), features, cameras, params)
+    new_flat = layernorm(add(q, update), params.ln_g, params.ln_b)
     return BevGrid(spec=spec, cells=_cells_from_flat(new_flat, spec), validity=grid.validity)
 
 

@@ -87,6 +87,16 @@ def test_nan_learning_rate_is_a_config_error(tiny_data, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_loss_log_labels_each_epoch(tiny_data, tmp_path):
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text(TINY.replace("epochs = 1", "epochs = 2"), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--data", str(tiny_data / "data"), "--out", str(out)]) == EXIT_OK
+    header, *rows = (out / "loss.csv").read_text().splitlines()
+    assert header.startswith("step,epoch,frame,")
+    assert [row.split(",")[:3] for row in rows] == [["1", "0", "0"], ["2", "0", "1"], ["3", "1", "0"], ["4", "1", "1"]]
+
+
 def test_resume_retraces_the_straight_run(tiny_data, tmp_path):
     cfg = tmp_path / "two.cfg"
     cfg.write_text(TINY.replace("epochs = 1", "epochs = 2"), encoding="utf-8")

@@ -108,6 +108,34 @@ def test_obj_image_matches_oracle(rng, cams):
     assert_match(got, want)
 
 
+@pytest.mark.parametrize("cams", CAMERA_SUBSETS[:2], ids=["all", "three"])
+def test_obj_image_camera_softmax_matches_oracle(rng, cams):
+    # 100 degree cameras at 60 degree headings overlap, so queries seen by two
+    # cameras pool them with a non-uniform camera softmax that trains cam_w;
+    # a camera subset checks each read takes its own camera slot's logit
+    from dualstream.geom3d import project_points
+    from dualstream.synthworld import build_camera_rig
+
+    with use_dtype(np.float64):
+        model = perturbed_model(rng)
+        frames, _, _ = micro_frame(model)
+        rig = build_camera_rig(width=model.cfg.image_width, height=model.cfg.image_height, fov_deg=100.0)
+        p = model.layers[0].obj_image
+        feats = {k: v for k, v in model.encode_images(frames[0].images).items() if cams is None or k in cams}
+        pts = seen_anchors(rng, rig, 400)
+        twice = sum(project_points(rig[k], pts)[2].astype(int) for k in feats) >= 2
+        anchors = np.concatenate([pts[twice][:16], pts[~twice][:4], rng.uniform(-8.0, 8.0, (4, 3))])
+        q = make_queries(rng, 24, anchors=anchors)
+        q.latents.requires_grad = True
+        mix = rng.normal(size=q.latents.data.shape)
+        got = run(lambda: _obj_image_cross_attention(q.latents, q.anchor_xyz, feats, rig, p),
+                  [q.latents], model.store, mix)
+        want = run(lambda: oracle_obj_image(q.latents, q.anchor_xyz, feats, rig, p), [q.latents], model.store, mix)
+    cam_w = next(name for name in got[2] if name.endswith("obj_img.cam_w"))
+    assert np.abs(got[2][cam_w]).max() > 1e-6
+    assert_match(got, want)
+
+
 @pytest.mark.parametrize("span", [2.5, 6.0, 50.0], ids=["inside", "mixed", "outside"])
 def test_dyn_static_matches_oracle(rng, span):
     with use_dtype(np.float64):
@@ -150,7 +178,7 @@ def test_core_shares_and_mean_over_reads(rng):
     refs = np.array([[1.0, 1.0], [3.0, 2.5], [2.0, 2.0], [40.0, 40.0]])
     owner = np.array([0, 0, 2, 2])
     out, share = _deformable_core(queries, refs, grid, params, owner=owner)
-    np.testing.assert_array_equal(share, [0.5, 0.5, 1.0, 0.0])
+    np.testing.assert_array_equal(share.data, [0.5, 0.5, 1.0, 0.0])
     per_read, hit = oracle_core(Tensor(queries.data[owner]), refs, grid, params)
     np.testing.assert_array_equal(hit, [True, True, True, False])
     np.testing.assert_allclose(out.data[0], per_read.data[:2].mean(axis=0), rtol=0, atol=1e-12)

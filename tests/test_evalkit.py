@@ -309,3 +309,27 @@ def test_report_equals_the_per_threshold_reference(seed, monkeypatch):
     monkeypatch.setattr(evalkit, "amota", _ref_amota)
     monkeypatch.setattr(runner, "velocity_slice_records", _ref_velocity_slice_records)
     assert got == _report(records)
+
+
+def test_eval_report_csv_content():
+    m = evalkit.SliceMetrics(mAP=0.5, per_class_ap={"0": {"1": 0.75, "0.5": 0.25}}, mATE=None, mAOE=0.1,
+                             mAVE=None, NDS=1 / 3, AMOTA=0.0, AMOTP=None, recall=0.2, IDS=3)
+    report = evalkit.EvalReport(run_id="r", code_version="v", config={}, conventions={}, slices={"all": m},
+                                seg={"miou": 0.625, "iou_lane": 1e-17})
+    assert report.to_csv() == (
+        "slice,metric,value\n"
+        "all,AMOTA,0.0\n"
+        "all,AMOTP,\n"
+        "all,IDS,3\n"
+        "all,NDS,0.3333333333333333\n"
+        "all,empty,False\n"
+        "all,mAOE,0.1\n"
+        "all,mAP,0.5\n"
+        "all,mATE,\n"
+        "all,mAVE,\n"
+        "all,ap_class0_thr0.5,0.25\n"
+        "all,ap_class0_thr1,0.75\n"
+        "all,recall,0.2\n"
+        "all,seg_iou_lane,1e-17\n"
+        "all,seg_miou,0.625\n"
+    )

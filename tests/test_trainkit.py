@@ -11,6 +11,7 @@ from dualstream.configio import Config, config_to_dict
 from dualstream.diffcore import backward, use_dtype
 from dualstream.diffcore.dstn import DstnError, write_tensor
 from dualstream.model import DualStreamModel
+from dualstream.params import ParamStore
 from dualstream.synthworld.dataset import Dataset, generate_and_write
 from dualstream.trainkit import (
     NumericError,
@@ -144,3 +145,67 @@ def test_checkpoint_of_another_dtype_is_refused(tmp_path):
     first = model.store.names()[0]
     with pytest.raises(DstnError, match=rf"dtype mismatch for {re.escape(first)}: stored float64, model float32"):
         model_from_checkpoint(tmp_path / "ckpt")
+
+
+def test_cosine_lr_endpoints():
+    base, floor = 2e-4, 0.05
+    assert trainkit.cosine_lr(base, floor, 0, 5) == base
+    assert trainkit.cosine_lr(base, floor, 4, 5) == base * floor
+    assert trainkit.cosine_lr(base, floor, 9, 5) == base * floor   # past the end it stays at the floor
+    assert trainkit.cosine_lr(base, floor, 2, 5) == pytest.approx(base * (1 + floor) / 2, rel=1e-12)
+    for total in (1, 0):
+        assert trainkit.cosine_lr(base, floor, 0, total) == base
+        assert trainkit.cosine_lr(base, floor, 3, total) == base
+
+
+def _store(**grads):
+    store = ParamStore(dtype=np.float64)
+    for name, (value, grad) in grads.items():
+        store.tensor(name, np.array(value)).grad = None if grad is None else np.array(grad, dtype=np.float64)
+    return store
+
+
+def test_clip_gradients_norm_and_scaling():
+    store = _store(a=([1.0], [3.0]), b=([1.0, 1.0], [0.0, 4.0]), c=([1.0], None))
+    assert trainkit.clip_gradients(store, 10.0) == 5.0
+    np.testing.assert_array_equal(store["b"].grad, [0.0, 4.0])   # under the cap: untouched
+    assert trainkit.clip_gradients(store, 0.0) == 5.0            # a zero cap never clips
+    np.testing.assert_array_equal(store["a"].grad, [3.0])
+    assert trainkit.clip_gradients(store, 1.0) == 5.0
+    np.testing.assert_allclose(store["a"].grad, [0.6], rtol=1e-15)
+    np.testing.assert_allclose(store["b"].grad, [0.0, 0.8], rtol=1e-15)
+    assert store["c"].grad is None
+    assert trainkit.clip_gradients(store, 1.0) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_optimizer_step_matches_hand_adamw():
+    store = _store(**{"enc.w": ([2.0, -1.0], [0.5, -2.0]), "enc.b": ([3.0], None), "frozen.w": ([1.0], [7.0])})
+    opt = OptimizerState.fresh(store)
+    lr, wd, eps = 0.1, 0.01, 1e-8
+    trainkit.optimizer_step(store, opt, lr, wd, skip_prefixes=("frozen.",))
+    # first step: m = 0.1 g and v = 0.001 g^2, so the bias-corrected ratio is g / (|g| + eps)
+    assert opt.step == 1
+    np.testing.assert_allclose(opt.m["enc.w"], [0.05, -0.2], rtol=1e-15)
+    np.testing.assert_allclose(opt.v["enc.w"], [0.00025, 0.004], rtol=1e-15)
+    np.testing.assert_allclose(store["enc.w"].data,
+                               [2.0 - lr * (0.5 / (0.5 + eps) + wd * 2.0), -1.0 - lr * (-2.0 / (2.0 + eps) - wd)],
+                               rtol=1e-15)
+    # no gradient: only the weight decay moves it
+    np.testing.assert_allclose(store["enc.b"].data, [3.0 - lr * wd * 3.0], rtol=1e-15)
+    # a skipped prefix keeps its value and its moments
+    np.testing.assert_array_equal(store["frozen.w"].data, [1.0])
+    np.testing.assert_array_equal(opt.m["frozen.w"], [0.0])
+    np.testing.assert_array_equal(opt.v["frozen.w"], [0.0])
+
+
+def test_train_result_csv_content():
+    rows = [trainkit.TrainLogRow(step=1, epoch=0, frame=0, loss=0.1, det_loss=1 / 3, seg_loss=2.0,
+                                 lr=2e-4, grad_norm=1e-20),
+            trainkit.TrainLogRow(step=2, epoch=1, frame=3, loss=0.5, det_loss=0.25, seg_loss=0.25,
+                                 lr=1.5e-5, grad_norm=12.5)]
+    assert trainkit.TrainResult(rows).to_csv() == (
+        "step,epoch,frame,loss,det_loss,seg_loss,lr,grad_norm\n"
+        "1,0,0,0.1,0.3333333333333333,2.0,0.0002,1e-20\n"
+        "2,1,3,0.5,0.25,0.25,1.5e-05,12.5\n"
+    )
+    assert trainkit.TrainResult().to_csv() == "step,epoch,frame,loss,det_loss,seg_loss,lr,grad_norm\n"
