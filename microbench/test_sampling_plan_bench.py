@@ -15,6 +15,12 @@ the default config: 1024 cell queries own about 3,684 reads (projecting
 points per read. The same owners and reads size ``segment_softmax``, the
 shares of a query's reads. Object-to-image attention runs at the default
 config: 40 queries read the six 64 x 4 x 8 camera maps.
+
+The weighted reads run at the two float32 shapes of a default training frame,
+whose backward takes each side of the read's selection: BEV-to-image pools
+14,736 samples into 1,024 cells from the 192-row stacked camera table (the
+dense side), and BEV temporal attention 8,192 samples into 1,024 cells from
+the 2,048-row current and previous BEV grids (the gather side).
 """
 
 import numpy as np
@@ -71,6 +77,36 @@ def test_plan_forward_backward(benchmark, name):
 
 
 CELLS, READS, CAMERAS, POINTS = 1024, 3684, 6, 4
+# name: (grid h, w), stacked grids, samples; every read has CELLS outputs
+TRAINING_READS = {"bev_image_14736x192": ((4, 8), 6, 14736), "temporal_8192x2048": ((32, 32), 2, 8192)}
+
+
+def _training_read(name):
+    (h, w), grids, n = TRAINING_READS[name]
+    rng = np.random.default_rng(8)
+    fd = rng.normal(size=(grids * h * w, CHANNELS)).astype(np.float32)
+    cd = np.stack([rng.uniform(-0.5, h - 0.5, n), rng.uniform(-0.5, w - 0.5, n)], axis=1).astype(np.float32)
+    base = rng.integers(0, grids, n) * h * w
+    starts = np.searchsorted(np.sort(rng.integers(0, CELLS, n)), np.arange(CELLS + 1))
+    wts = rng.uniform(size=n).astype(np.float32)
+    g = Tensor(rng.normal(size=(CELLS, CHANNELS)).astype(np.float32))
+    return fd, cd, base, starts, wts, g
+
+
+@pytest.mark.parametrize("name", TRAINING_READS)
+def test_training_read_forward_backward(benchmark, name):
+    fd, cd, base, starts, wts, g = _training_read(name)
+    (h, w), grids, _ = TRAINING_READS[name]
+
+    def step():
+        flat, coords, wt = (Tensor(x, requires_grad=True) for x in (fd, cd, wts))
+        plan = sampling_plan(cd, h, w, grids * h * w, base, dtype=np.float32)
+        with fresh_tape():
+            backward(sum_(_bilinear_flat(flat, coords, plan, wt, starts) * g))
+        return flat.grad, coords.grad, wt.grad
+
+    gv, gc, gw = benchmark(step)
+    assert gv.dtype == gc.dtype == gw.dtype == np.float32 and gc.shape == cd.shape
 
 
 def _bev_image_case():

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .configio import Config, ConfigError, config_to_dict, content_hash, load_config, serialize_config
-from .diffcore.dstn import DstnError
+from .diffcore.dstn import DstnError, atomic_write_text
 from .model import DualStreamModel
 from .runner import assemble_report, run_inference
 from .statstream import BevSpec
@@ -77,10 +77,7 @@ def write_manifest(out_dir: Path, command: str, cfg: Config, seed: int,
         ),
         "code_version": __version__,
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    atomic_write_text(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
 
 def dataset_hash(data_dir: Path) -> str:
@@ -91,11 +88,11 @@ def dataset_hash(data_dir: Path) -> str:
 
 
 def parse_seeds(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        seeds = list(range(int(lo), int(hi) + 1))
-    else:
-        seeds = [int(spec)]
+    lo, dots, hi = spec.partition("..")
+    try:
+        seeds = list(range(int(lo), int(hi) + 1)) if dots else [int(spec)]
+    except ValueError:
+        raise ConfigError(f"bad seed spec {spec!r}: expected A..B or one integer") from None
     if not seeds:
         raise ConfigError(f"empty seed range {spec!r}")
     return seeds
@@ -141,8 +138,6 @@ def cmd_train(args) -> int:
     if args.stop_after_epoch is not None and not (0 < args.stop_after_epoch <= cfg.epochs):
         raise ConfigError("--stop-after-epoch out of range")
 
-    out.mkdir(parents=True, exist_ok=True)
-
     from dataclasses import replace
 
     from .trainkit import TrainResult, total_optimizer_steps
@@ -165,7 +160,7 @@ def cmd_train(args) -> int:
     final = out / "checkpoint"
     save_checkpoint(final, model, opt, cfg, step, epoch=epoch_end)
 
-    (out / "loss.csv").write_text(result.to_csv(), encoding="utf-8")
+    atomic_write_text(out / "loss.csv", result.to_csv())
     write_manifest(out, "train", cfg, cfg.seed,
                    config_path=str(args.config or args.resume), data_hash=dataset_hash(Path(args.data)))
     print(f"trained to step {step} (epoch {epoch_end}/{cfg.epochs}); checkpoint at {final}")
@@ -185,9 +180,8 @@ def cmd_eval(args) -> int:
     run_id = content_hash(str(args.ckpt).encode(), str(args.data).encode(),
                           (args.schedule or "").encode(), (args.slice or "").encode())[:16]
     report = assemble_report(inference, cfg, run_id=run_id, code_version=__version__, slices=slices)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(report.to_json(), encoding="utf-8")
-    (out / "report.csv").write_text(report.to_csv(), encoding="utf-8")
+    atomic_write_text(out / "report.json", report.to_json())
+    atomic_write_text(out / "report.csv", report.to_csv())
     write_manifest(out, "eval", cfg, cfg.seed, config_path=str(args.ckpt),
                    data_hash=dataset_hash(Path(args.data)))
     m = report.slices["all"]
@@ -212,7 +206,6 @@ def cmd_ablate(args) -> int:
     base = load_config(args.config)
     data = Dataset(args.data)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     data_h = dataset_hash(Path(args.data))
     rows = ["variant,interaction,temporal_bev,mAP,NDS,lanes_iou,AMOTA,IDS"]
     for name, interaction, temporal in ABLATION_GRID:
@@ -221,17 +214,17 @@ def cmd_ablate(args) -> int:
         result, opt = streaming_train(data, model, cfg)
         vdir = out / name
         save_checkpoint(vdir / "checkpoint", model, opt, cfg, result.rows[-1].step if result.rows else 0)
-        (vdir / "loss.csv").write_text(result.to_csv(), encoding="utf-8")
+        atomic_write_text(vdir / "loss.csv", result.to_csv())
         inference = run_inference(data, model, cfg)
         report = assemble_report(inference, cfg, run_id=name, code_version=__version__)
-        (vdir / "report.json").write_text(report.to_json(), encoding="utf-8")
-        (vdir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
+        atomic_write_text(vdir / "report.json", report.to_json())
+        atomic_write_text(vdir / "report.csv", report.to_csv())
         write_manifest(vdir, "ablate", cfg, cfg.seed, config_path=str(args.config), data_hash=data_h)
         m = report.slices["all"]
         rows.append(f"{name},{interaction},{temporal},{m.mAP!r},{m.NDS!r},"
                     f"{report.seg['lanes']!r},{m.AMOTA!r},{m.IDS}")
         print(f"[{name}] mAP={m.mAP:.4f} NDS={m.NDS:.4f} AMOTA={m.AMOTA:.4f} IDS={m.IDS}")
-    (out / "ablation.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    atomic_write_text(out / "ablation.csv", "\n".join(rows) + "\n")
     write_manifest(out, "ablate", base, base.seed, config_path=str(args.config), data_hash=data_h)
     print(f"wrote {out / 'ablation.csv'}")
     return EXIT_OK

@@ -106,3 +106,18 @@ def atomic_directory(path) -> Iterator[Path]:
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to a sibling temp file, then rename it onto
+    ``path`` (``os.replace``), making the directory if needed. If the write
+    raises, the temp file is removed: ``path`` is left as it was."""
+    p = Path(path)
+    p.parent.mkdir(parents=True, exist_ok=True)
+    tmp = p.parent / f".{p.name}.{uuid.uuid4().hex}"
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        tmp.replace(p)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -5,16 +5,16 @@ rows in one canonical order, so outputs and parameter gradients are invariant
 at the bit level to permutations of the key set.
 
 Every bilinear and deformable read goes through one sampling plan: a sparse
-(samples, table rows) matrix of bilinear weights built once per read. The
-read op sums weighted runs of samples with the weights folded into the plan's
-rows: one sparse product forward, its transpose for the value gradient, and
-the weight and coordinate gradients and each sample's validity from the same
-indices, so no scatter is needed. A deformable query owns a sorted run of
-reads of the stacked value table (whose rows ``valid_mask`` masks) and pools
-those that keep a point with shares: a softmax over per-read logits
-(``segment_softmax``), which is the mean when a block gives none. The shares
-are folded into the point weights too, so pooling over cameras, heights or
-time is the one read.
+(samples, table rows) matrix of bilinear weights built once per read. The read
+op sums weighted runs of samples with the weights folded into the plan's rows:
+one sparse product forward, its transpose for the value gradient, and the
+weight and coordinate gradients from each sample's four per-neighbour dots
+(one dense product when the table is small), so no scatter is needed. A
+deformable query owns a sorted run of reads of the stacked value table (whose
+rows ``valid_mask`` masks) and pools those that keep a point with shares: a
+softmax over per-read logits (``segment_softmax``), which is the mean when a
+block gives none. The shares are folded into the point weights too, so pooling
+over cameras, heights or time is the one read.
 """
 
 from __future__ import annotations
@@ -205,7 +205,9 @@ class SamplingPlan:
     with the border-zero mask folded in: a sample outside its grid's
     cell-center hull has four zero weights. A sample on the far border
     repeats its clamped row with weight zero. ``slope_data`` holds the
-    derivatives of ``weights.data`` along the row and the column coordinate.
+    derivatives of ``weights.data`` along the row and the column coordinate:
+    a sample's four per-neighbour dots (``_bilinear_flat``) summed with either
+    give the gradient of its weight or of its coordinates.
     """
 
     inside: np.ndarray              # (n,) bool
@@ -218,13 +220,6 @@ class SamplingPlan:
         cols = self.weights.indices.reshape(-1, 4)
         zero = self.weights.data.reshape(-1, 4) == 0
         return self.inside & np.all(mask[cols] | zero, axis=1)
-
-    def rows_and_slopes(self) -> sparse.csr_array:
-        """(3n, rows): every sample's rows, then its d/di rows, then its d/dj rows."""
-        n, rows = self.weights.shape
-        data = np.concatenate([self.weights.data, self.slope_data.ravel()])
-        return sparse.csr_array((data, np.tile(self.weights.indices, 3), np.arange(0, 12 * n + 1, 4)),
-                                shape=(3 * n, rows))
 
 
 def sampling_plan(coords: np.ndarray, h, w, rows: int, base=0, dtype=np.float64) -> SamplingPlan:
@@ -258,11 +253,13 @@ def _bilinear_flat(flat: Tensor, coords: Tensor, plan: SamplingPlan, wts: Tensor
     output row k is the ``wts``-weighted sum of samples ``starts[k]:starts[k+1]``
     (one weight per sample, in any shape).
 
-    Forward is ``A @ V`` with the weights folded into the plan's rows; the
-    value gradient is ``A.T @ g``, a weight's gradient its sample's read
-    dotted with its row's gradient, and the coordinate gradient comes from the
-    slope matrices. Sums run in a fixed order, so results are bitwise
-    reproducible.
+    Forward is ``A @ V`` with the weights folded into the plan's rows, and the
+    value gradient is ``A.T @ g``. The weight and coordinate gradients come
+    from ``near``, the (samples, 4) dots of each sample's output-row gradient
+    with its neighbour rows: a gather from the dense ``g @ V.T`` when that has
+    at most 4x the plan's 4 * samples entries (which also caps its memory),
+    else dots of gathered rows. Sums run in a fixed order, so results are
+    bitwise reproducible.
     """
     fd = np.ascontiguousarray(flat.data)
     w = wts.data.ravel()
@@ -275,13 +272,17 @@ def _bilinear_flat(flat: Tensor, coords: Tensor, plan: SamplingPlan, wts: Tensor
         if flat.requires_grad:
             _accumulate(flat, a.T @ g, grads)
         if wts.requires_grad or coords.requires_grad:
-            g_sample = g[np.repeat(np.arange(g.shape[0]), np.diff(starts))]
-            reads = (plan.rows_and_slopes() @ fd).reshape(3, w.size, fd.shape[1])
-            dots = np.einsum("knc,nc->kn", reads, g_sample)
+            out, cols = np.repeat(np.arange(g.shape[0]), np.diff(starts)), plan.weights.indices.reshape(-1, 4)
+            if g.shape[0] * fd.shape[0] <= 4 * cols.size:
+                near = (g @ fd.T)[out[:, None], cols]
+            else:
+                near = np.einsum("sqc,sc->sq", np.take(fd, cols, axis=0), np.take(g, out, axis=0))
             if wts.requires_grad:
-                _accumulate(wts, dots[0].reshape(wts.data.shape), grads)
+                dw = np.einsum("sq,sq->s", plan.weights.data.reshape(-1, 4), near)
+                _accumulate(wts, dw.reshape(wts.data.shape), grads)
             if coords.requires_grad:
-                _accumulate(coords, (dots[1:] * w).T, grads)
+                dc = np.einsum("ksq,sq->sk", plan.slope_data.reshape(2, -1, 4), near)
+                _accumulate(coords, dc * w[:, None], grads)
 
     return _make(data, (flat, coords, wts), bwd)
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dualstream.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, effective_workers, main
+from dualstream.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, effective_workers, main, parse_seeds
 from dualstream.configio import Config
 from dualstream.diffcore import use_dtype
 from dualstream.model import DualStreamModel
@@ -68,6 +68,23 @@ def test_non_integer_thread_cap_is_a_config_error(tmp_path, monkeypatch, capsys)
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert "DUALSTREAM_THREADS must be an integer" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spec", ["abc", "1..x", "..3", "2.."])
+def test_malformed_seeds_are_a_config_error(tmp_path, capsys, spec):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY, encoding="utf-8")
+    args = ["gen-data", "--config", str(cfg), "--out", str(tmp_path / "out"), "--seeds", spec]
+    assert main(args) == EXIT_CONFIG
+    assert f"bad seed spec {spec!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_specs():
+    assert parse_seeds("5") == [5]
+    assert parse_seeds("2..4") == [2, 3, 4]
+    with pytest.raises(ValueError, match="empty seed range"):
+        parse_seeds("4..2")
 
 
 @pytest.fixture(scope="module")

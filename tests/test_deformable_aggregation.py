@@ -13,6 +13,7 @@ from deformable_oracle import (
     temporal_grid_attention as oracle_temporal,
 )
 from test_dualformer import CAMERA_SUBSETS, make_grid, make_queries, micro_frame, micro_model, seen_anchors
+from test_sampling_plan import points, reference_bilinear
 from util import make_deformable_params, t64
 
 from dualstream.diffcore import Tensor, backward, finite_diff_check, fresh_tape, sum_, tanh, use_dtype
@@ -218,6 +219,67 @@ def test_weighted_read_finite_difference(rng):
     flat = Tensor(rng.normal(size=(h * w, 3)), requires_grad=True)
     coords = Tensor(cd, requires_grad=True)
     wts = Tensor(rng.normal(size=(11, 1)), requires_grad=True)
+
+    def fn(f, c, wt):
+        return sum_(tanh(_bilinear_flat(f, c, sampling_plan(c.data, h, w, h * w), wt, starts)))
+
+    assert finite_diff_check(fn, [flat, coords, wts], eps=1e-6) <= 1e-4
+
+
+def many_samples_case(rng, outputs, h, w, per, interior=False):
+    """``outputs`` rows of weighted samples of an h x w table, ``per`` to
+    ``2 * per`` each; with ``interior`` every point is away from the lattice,
+    else the border and out-of-range points of ``points`` are mixed in."""
+    starts = np.concatenate([[0], np.cumsum(rng.integers(per, 2 * per + 1, outputs))])
+    n = int(starts[-1])
+    if interior:
+        cd = np.stack([rng.uniform(0.1, h - 1.1, n), rng.uniform(0.1, w - 1.1, n)], axis=1)
+    else:
+        cd = rng.permutation(points(rng, h, w, n))[:n]
+    return starts, cd
+
+
+def dense_side(outputs, rows, samples):
+    """The read backward's choice: the dense (outputs, rows) product when it
+    has at most 4x the plan's 4 * samples entries, as the camera reads have at
+    the default config, else dots of gathered rows."""
+    return outputs * rows <= 4 * 4 * samples
+
+
+# side: (outputs, h, w, samples per output)
+SIDES = {"dense": (40, 4, 8, 40), "gather": (40, 16, 16, 1)}
+FD_SIDES = {"dense": (4, 2, 3, 5), "gather": (6, 8, 8, 1)}
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_weighted_read_matches_the_per_sample_oracle(rng, side):
+    outputs, h, w, per = SIDES[side]
+    starts, cd = many_samples_case(rng, outputs, h, w, per)
+    assert dense_side(outputs, h * w, len(cd)) == (side == "dense")
+    fd, wts = rng.normal(size=(h * w, 3)), rng.normal(size=len(cd))
+    g = rng.normal(size=(outputs, 3))
+    out = np.repeat(np.arange(outputs), np.diff(starts))
+    reads, want_gv, want_gc = reference_bilinear(fd, h, w, cd, wts[:, None] * g[out])
+    want = np.zeros((outputs, 3))
+    np.add.at(want, out, wts[:, None] * reads)
+    flat, coords, wt = (Tensor(x, requires_grad=True) for x in (fd, cd, wts))
+    with fresh_tape():
+        got = _bilinear_flat(flat, coords, sampling_plan(cd, h, w, h * w), wt, starts)
+        backward(sum_(got * Tensor(g)))
+    np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(flat.grad, want_gv, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(coords.grad, want_gc, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(wt.grad, np.einsum("nc,nc->n", reads, g[out]), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("side", FD_SIDES)
+def test_weighted_read_finite_difference_on_each_side(rng, side):
+    outputs, h, w, per = FD_SIDES[side]
+    starts, cd = many_samples_case(rng, outputs, h, w, per, interior=True)
+    assert dense_side(outputs, h * w, len(cd)) == (side == "dense")
+    flat = Tensor(rng.normal(size=(h * w, 3)), requires_grad=True)
+    coords = Tensor(cd, requires_grad=True)
+    wts = Tensor(rng.normal(size=(len(cd), 1)), requires_grad=True)
 
     def fn(f, c, wt):
         return sum_(tanh(_bilinear_flat(f, c, sampling_plan(c.data, h, w, h * w), wt, starts)))

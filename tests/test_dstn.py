@@ -1,4 +1,5 @@
 import os
+import pathlib
 import stat
 
 import numpy as np
@@ -90,3 +91,24 @@ def test_atomic_directory_replaces_and_follows_the_umask(tmp_path):
     assert (tmp_path / "out" / "f.txt").read_text() == "new"
     assert stat.S_IMODE((tmp_path / "out").stat().st_mode) == 0o750
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_atomic_write_text_keeps_the_old_content_when_a_write_fails(tmp_path, monkeypatch):
+    from dualstream.diffcore.dstn import atomic_write_text
+
+    target = tmp_path / "report.csv"
+    for content in ("old\n", "new\n"):
+        atomic_write_text(target, content)
+    assert target.read_text(encoding="utf-8") == "new\n"
+    # an unencodable character fails the write after the temp file is created
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(target, "x" * 10000 + "\udc80")
+    # a failed rename leaves the complete temp file behind unless it is removed
+    def failing_replace(self, to):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(pathlib.Path, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk gone"):
+        atomic_write_text(target, "newer\n")
+    assert target.read_text(encoding="utf-8") == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
