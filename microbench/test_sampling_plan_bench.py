@@ -12,9 +12,8 @@ camera cross-attention reads about 2,600 samples from a stacked 32 x 64
 camera table (4 x 8 feature cells). The deformable shape is BEV-to-image at
 the default config: 1024 cell queries own about 3,684 reads (projecting
 (camera, pillar point) pairs) of six stacked 64 x 4 x 8 camera maps, with 4
-points per read. The same owners and reads size ``segment_softmax``, the
-shares of a query's reads. Object-to-image attention runs at the default
-config: 40 queries read the six 64 x 4 x 8 camera maps.
+points per read. Object-to-image attention runs at the default config: 40
+queries read the six 64 x 4 x 8 camera maps.
 
 The weighted reads run at the two float32 shapes of a default training frame,
 whose backward takes each side of the read's selection: BEV-to-image pools
@@ -28,7 +27,7 @@ import pytest
 
 from dualstream.configio import Config
 from dualstream.diffcore import FeatureMap, Tensor, backward, fresh_tape, sum_
-from dualstream.diffcore.ops import DeformableParams, _bilinear_flat, _deformable_core, sampling_plan, segment_softmax
+from dualstream.diffcore.ops import DeformableParams, _bilinear_flat, _deformable_core, sampling_plan
 from dualstream.dynstream import _obj_image_cross_attention
 from dualstream.model import DualStreamModel
 from dualstream.synthworld import build_camera_rig
@@ -148,35 +147,6 @@ def test_deformable_bev_image_forward_backward(benchmark):
 
     gq, goff = benchmark(step)
     assert gq.shape == (CELLS, CHANNELS) and goff.shape == (CHANNELS, 2 * POINTS)
-
-
-def _segment_case():
-    rng = np.random.default_rng(4)
-    return (Tensor(rng.normal(size=READS), requires_grad=True), np.sort(rng.integers(0, CELLS, READS)),
-            rng.uniform(size=READS) < 0.9)
-
-
-def test_segment_softmax_forward(benchmark):
-    x, owner, keep = _segment_case()
-
-    def forward():
-        with fresh_tape():
-            return segment_softmax(x, owner, keep).data
-
-    assert benchmark(forward).shape == (READS,)
-
-
-def test_segment_softmax_forward_backward(benchmark):
-    x, owner, keep = _segment_case()
-    g = np.random.default_rng(5).normal(size=READS)
-
-    def step():
-        x.grad = None
-        with fresh_tape():
-            backward(sum_(segment_softmax(x, owner, keep) * g))
-        return x.grad
-
-    assert benchmark(step).shape == (READS,)
 
 
 QUERIES = 40

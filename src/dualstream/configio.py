@@ -18,6 +18,9 @@ class ConfigError(ValueError):
     """Bad configuration file or values."""
 
 
+INTERACTION_MODES = ("full", "none", "bidirectional")
+
+
 @dataclass(frozen=True)
 class Config:
     # run
@@ -87,7 +90,7 @@ class Config:
     def validate(self) -> None:
         if self.dtype not in ("f32", "f64"):
             raise ConfigError(f"dtype must be f32 or f64, got {self.dtype!r}")
-        if self.interaction not in ("full", "none", "bidirectional"):
+        if self.interaction not in INTERACTION_MODES:
             raise ConfigError(f"bad interaction mode {self.interaction!r}")
         if self.schedule not in ("full", "alternating"):
             raise ConfigError(f"bad schedule {self.schedule!r}")
@@ -102,6 +105,9 @@ class Config:
             raise ConfigError(f"grad_clip must be >= 0 (0 or inf: no clipping), got {self.grad_clip!r}")
         if not 0 <= self.weight_decay < math.inf:
             raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
+        for name in ("latent_dim", "heads", "n_layers", "patch"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.latent_dim % self.heads != 0:
             raise ConfigError("latent_dim must be divisible by heads")
         if self.image_height % self.patch or self.image_width % self.patch:

@@ -11,10 +11,9 @@ one sparse product forward, its transpose for the value gradient, and the
 weight and coordinate gradients from each sample's four per-neighbour dots
 (one dense product when the table is small), so no scatter is needed. A
 deformable query owns a sorted run of reads of the stacked value table (whose
-rows ``valid_mask`` masks) and pools those that keep a point with shares: a
-softmax over per-read logits (``segment_softmax``), which is the mean when a
-block gives none. The shares are folded into the point weights too, so pooling
-over cameras, heights or time is the one read.
+rows ``valid_mask`` masks) and pools those that keep a point by their mean:
+each hit read's share is 1/hits. The shares are folded into the point weights
+too, so pooling over cameras, heights or time is the one read.
 """
 
 from __future__ import annotations
@@ -51,31 +50,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         tmp = g * s
         dot = tmp.sum(axis=axis, keepdims=True)
         _accumulate(x, tmp - s * dot, grads)
-
-    return _make(s, (x,), bwd)
-
-
-def segment_softmax(x: Tensor, owner: np.ndarray, keep: np.ndarray) -> Tensor:
-    """Softmax of the (m,) logits ``x`` over each owner's kept entries, with
-    ``owner`` sorted; entries not in the ``keep`` mask get 0 and a zero
-    gradient. Each owner's run is shifted by its detached max, as in
-    ``softmax``; all-zero logits, the mean, need no shift.
-    """
-    kept = np.flatnonzero(keep)
-    o = np.asarray(owner)[kept]
-    xk = x.data[kept]
-    if xk.any():
-        starts = np.flatnonzero(np.diff(o, prepend=-1))
-        xk = xk - np.repeat(np.maximum.reduceat(xk, starts), np.diff(starts, append=o.size))
-    e = np.exp(xk)
-    s = np.zeros_like(x.data)
-    s[kept] = e / np.bincount(o, weights=e)[o]
-
-    def bwd(g, grads):
-        gx = np.zeros_like(s)
-        sk = s[kept]
-        gx[kept] = sk * (g[kept] - np.bincount(o, weights=g[kept] * sk)[o])
-        _accumulate(x, gx, grads)
 
     return _make(s, (x,), bwd)
 
@@ -328,10 +302,9 @@ def _deformable_core(
     valid_mask: Optional[np.ndarray] = None,
     owner: Optional[np.ndarray] = None,
     grid_of: Optional[np.ndarray] = None,
-    read_logits: Optional[Tensor] = None,
 ):
     """Deformable attention of each query over its reads, returning the
-    (queries, L) output and the (reads,) tensor of each read's share of it.
+    (queries, L) output and the (reads,) array of each read's share of it.
 
     Read r is reference point r, made for query ``owner[r]`` (sorted; by
     default one read per query) in grid ``grid_of[r]`` of ``value_grid``, one
@@ -342,9 +315,9 @@ def _deformable_core(
     ``valid_mask`` (a mask over the table's rows), leave the read's weight
     softmax, and a read keeping none is a miss. A query's output is the
     share-weighted sum of its hit reads through ``w_out``, plus ``b_out`` if
-    it has a hit, and zero otherwise. The shares are the softmax of the
-    (reads,) ``read_logits`` over each query's hit reads, so the mean (1/hits)
-    without them, and 0 for a miss; they are folded into the point weights.
+    it has a hit, and zero otherwise. The shares are the mean over a query's
+    hit reads: 1/hits, computed in float64 and rounded once to the model
+    dtype, and 0 for a miss; they are folded into the point weights.
     """
     from .tensor import concat, matmul, mul, reshape, sparse_matmul, transpose
 
@@ -377,9 +350,9 @@ def _deformable_core(
     kept = (plan.inside if valid_mask is None else plan.valid(np.asarray(valid_mask, dtype=bool).ravel())).reshape(m, P)
     hit = kept.any(axis=1)
     hits = np.bincount(owner, weights=hit, minlength=n)
-    share = segment_softmax(Tensor(np.zeros(m, logits.dtype)) if read_logits is None else read_logits, owner, hit)
+    share = np.where(hit, 1.0 / np.maximum(hits, 1)[owner], 0.0).astype(logits.dtype)
 
-    wts = mul(softmax(add(logits, np.where(kept, 0.0, -1e30)), axis=-1), reshape(share, (m, 1)))
+    wts = mul(softmax(add(logits, np.where(kept, 0.0, -1e30)), axis=-1), share[:, None])
     pooled = _bilinear_flat(vproj, coords, plan, wts, np.searchsorted(owner, np.arange(n + 1)) * P)
     out = add(matmul(pooled, params.w_out), mul(params.b_out, (hits > 0).astype(pooled.dtype)[:, None]))
     return out, share

@@ -17,6 +17,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from .configio import INTERACTION_MODES
 from .diffcore import (
     AttentionParams,
     DeformableParams,
@@ -49,8 +50,6 @@ from .statstream import (
     metric_to_cell,
     temporal_grid_attention,
 )
-
-INTERACTION_MODES = ("full", "none", "bidirectional")
 
 
 @dataclass(frozen=True)

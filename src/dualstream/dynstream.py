@@ -202,8 +202,6 @@ class ObjImageAttnParams:
     deform: DeformableParams
     pe_w: Tensor
     pe_b: Tensor
-    cam_w: Tensor   # (L, 6) per-slot aggregation logits
-    cam_b: Tensor
     ln_g: Tensor
     ln_b: Tensor
     n_freqs: int = 8
@@ -212,10 +210,9 @@ class ObjImageAttnParams:
 def _obj_image_cross_attention(latents: Tensor, anchors: np.ndarray, features: Mapping[str, FeatureMap],
                                cameras: Mapping[str, CameraModel], params: ObjImageAttnParams) -> Tensor:
     """Each query reads the available cameras at its anchor's projections
-    (``camera_read``), pooled by a softmax over its visible cameras of
-    per-slot logits from its latent. Cameras absent from ``features`` are
-    unavailable and contribute nothing. Returns the (n, L) latents.
+    (``camera_read``), pooled by the mean over the cameras that see it.
+    Cameras absent from ``features`` are unavailable and contribute nothing.
+    Returns the (n, L) latents.
     """
-    update = camera_read(latents, anchors, np.arange(latents.data.shape[0]), features, cameras, params,
-                         cam_logits=linear(latents, params.cam_w, params.cam_b))
+    update = camera_read(latents, anchors, np.arange(latents.data.shape[0]), features, cameras, params)
     return layernorm(add(latents, update), params.ln_g, params.ln_b)

@@ -93,8 +93,6 @@ def build_layer_params(store: ParamStore, prefix: str, rng, cfg: Config) -> Dual
     obj_image = ObjImageAttnParams(
         deform=make_deformable_params(store, f"{prefix}.obj_img.deform", rng, L, L, P),
         pe_w=pe_w, pe_b=pe_b,
-        cam_w=store.tensor(f"{prefix}.obj_img.cam_w", np.zeros((L, 6))),
-        cam_b=store.tensor(f"{prefix}.obj_img.cam_b", np.zeros(6)),
         ln_g=g, ln_b=b, n_freqs=F,
     )
 

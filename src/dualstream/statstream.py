@@ -33,7 +33,7 @@ from .diffcore import (
     transpose,
 )
 from .diffcore.ops import _deformable_core
-from .diffcore.tensor import add, mul, sparse_matmul, take_rows
+from .diffcore.tensor import add, mul, sparse_matmul
 from .geom3d import CAMERA_SLOTS, CameraModel, Pose, invert, project_points
 
 
@@ -190,15 +190,14 @@ class BevImageAttnParams:
 
 
 def camera_read(queries: Tensor, points: np.ndarray, owner: np.ndarray, features: Mapping[str, FeatureMap],
-                cameras: Mapping[str, CameraModel], params, cam_logits: Optional[Tensor] = None) -> Tensor:
+                cameras: Mapping[str, CameraModel], params) -> Tensor:
     """The (n, L) camera update of n queries, query ``owner[r]`` reading the
     available cameras where 3-D point r projects into them.
 
     The reads, stably sorted by owner with cameras in ``CAMERA_SLOTS`` order,
     are one deformable call over the stacked camera tables. A query pools its
     reads' outputs and pixel encodings (through ``pe_w``, plus ``pe_b`` if it
-    has a hit) with the same shares: the softmax over its hit reads of the
-    (n, slots) ``cam_logits`` at each read's camera, else the mean.
+    has a hit) with the same shares: the mean over its hit reads.
     """
     names = [name for name in CAMERA_SLOTS if name in features]
     if not names:
@@ -211,17 +210,13 @@ def camera_read(queries: Tensor, points: np.ndarray, owner: np.ndarray, features
     cam, reader, m = pairs // p, owner[pairs % p], pairs.size
     uv = np.concatenate([uv for uv, _, _ in proj])[pairs]
     stride = np.array([features[name].stride for name in names], dtype=np.float64)[cam, None]
-    logits = None
-    if cam_logits is not None:
-        slots = np.array([CAMERA_SLOTS.index(name) for name in names])
-        logits = take_rows(reshape(cam_logits, (-1,)), reader * len(CAMERA_SLOTS) + slots[cam])
     out, share = _deformable_core(queries, uv[:, ::-1] / stride - 0.5, [features[name].data for name in names],
-                                  params.deform, owner=reader, grid_of=cam, read_logits=logits)
+                                  params.deform, owner=reader, grid_of=cam)
     pix = uv / np.array([[c.width, c.height] for c in cams], dtype=np.float64)[cam]
-    enc = mul(reshape(share, (m, 1)), sincos_encoding(pix, params.n_freqs))
+    enc = Tensor(sincos_encoding(pix, params.n_freqs).astype(out.dtype) * share[:, None])
     pool = sparse.csr_array((np.ones(m, dtype=out.dtype), np.arange(m), np.searchsorted(reader, np.arange(n + 1))),
                             shape=(n, m))
-    hit = np.bincount(reader, weights=share.data, minlength=n) > 0
+    hit = np.bincount(reader, weights=share, minlength=n) > 0
     pe = add(linear(sparse_matmul(pool, enc), params.pe_w), mul(params.pe_b, hit.astype(out.dtype)[:, None]))
     return add(out, pe)
 

@@ -7,7 +7,9 @@ them with ``mul`` and ``sum_``, and runs only the queries with
 temporal block loops over its targets and counts hits, BEV-to-image copies
 the cell queries per (camera, pillar point) pair and sums them back with a
 pooling matrix, and object-to-image and dynamic-to-static pass
-``query_valid``. Tests compare the production blocks against these.
+``query_valid``. Object-to-image averages its cameras over those that see
+each query, as BEV-to-image averages its hits. Tests compare the production
+blocks against these.
 """
 
 from typing import Optional
@@ -146,13 +148,8 @@ def obj_image_cross_attention(latents, anchors, features, cameras, params):
     enc = sincos_encoding(np.concatenate(pix), params.n_freqs)
     pe = linear(Tensor(enc.astype(out.dtype)), params.pe_w, params.pe_b)
     out = add(out, mul(pe, anyv.astype(out.dtype)[:, None]))
-    per_cam = transpose(reshape(out, (k, n, L)), (1, 0, 2))
-    slots = np.array([CAMERA_SLOTS.index(name) for name in names])
-    logits = linear(latents, params.cam_w, params.cam_b)
-    cols = transpose(take_rows(transpose(logits, (1, 0)), slots), (1, 0))
-    cols = add(cols, np.where(anyv.reshape(k, n).T, 0.0, -1e30))
-    weights = reshape(softmax(cols, axis=-1), (n, k, 1))
-    combined = sum_(mul(per_cam, weights), axis=1)
+    counts = anyv.reshape(k, n).sum(axis=0)
+    combined = mul(sum_(reshape(out, (k, n, L)), axis=0), (1.0 / np.maximum(counts, 1.0))[:, None])
     return layernorm(add(latents, combined), params.ln_g, params.ln_b)
 
 

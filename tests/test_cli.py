@@ -36,6 +36,14 @@ def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_zero_heads_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("heads = 0\n", encoding="utf-8")
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "heads must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 TINY = ("seed = 7\nscene_frames = 2\nepochs = 1\nn_layers = 1\nlatent_dim = 16\nn_queries = 8\ntopk = 4\n"
         "decode_hidden = 16\nbev_cells = 8\nimage_height = 32\nimage_width = 64\n")
 

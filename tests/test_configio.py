@@ -27,3 +27,9 @@ def test_non_finite_optimizer_setting_is_rejected(line):
 
 def test_unbounded_grad_clip_means_no_clipping():
     assert parse_config("grad_clip = inf").grad_clip == float("inf")
+
+
+@pytest.mark.parametrize("key", ["heads", "patch", "latent_dim", "n_layers"])
+def test_model_size_below_one_is_rejected(key):
+    with pytest.raises(ConfigError, match=rf"{key} must be >= 1, got 0"):
+        parse_config(f"{key} = 0")

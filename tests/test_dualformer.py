@@ -344,16 +344,15 @@ def per_camera_bev_image(grid, features, cameras, p):
 
 
 def per_camera_obj_image(latents, anchors, features, cameras, p):
-    """Object-to-image attention as one deformable call per camera, combined
-    by the visibility-masked camera softmax."""
-    from dualstream.diffcore import linear, sincos_encoding, softmax, stack
+    """Object-to-image attention as one deformable call per camera, the
+    cameras added in slot order and averaged over those that see each query."""
+    from dualstream.diffcore import linear, sincos_encoding
     from deformable_oracle import deformable_core as _deformable_core
-    from dualstream.diffcore.tensor import add, reshape, take_rows, transpose
+    from dualstream.diffcore.tensor import add
     from dualstream.geom3d import CAMERA_SLOTS, project_points
 
-    n = latents.data.shape[0]
-    slots, outs, masks = [], [], []
-    for slot, name in enumerate(CAMERA_SLOTS):
+    total, counts = None, np.zeros(latents.data.shape[0])
+    for name in CAMERA_SLOTS:
         if name not in features:
             continue
         fm, cam = features[name], cameras[name]
@@ -362,14 +361,9 @@ def per_camera_obj_image(latents, anchors, features, cameras, p):
         out, anyv = _deformable_core(latents, fcoords, fm.data, p.deform, query_valid=valid)
         enc = sincos_encoding(np.stack([uv[:, 0] / cam.width, uv[:, 1] / cam.height], axis=1), p.n_freqs)
         out = add(out, mul(linear(Tensor(enc), p.pe_w, p.pe_b), anyv.astype(np.float64)[:, None]))
-        slots.append(slot)
-        outs.append(out)
-        masks.append(anyv)
-    logits = linear(latents, p.cam_w, p.cam_b)
-    cols = transpose(take_rows(transpose(logits, (1, 0)), np.array(slots)), (1, 0))
-    cols = add(cols, np.where(np.stack(masks, axis=1), 0.0, -1e30))
-    weights = reshape(softmax(cols, axis=-1), (n, len(outs), 1))
-    combined = sum_(mul(stack(outs, axis=1), weights), axis=1)
+        total = out if total is None else add(total, out)
+        counts += anyv
+    combined = mul(total, (1.0 / np.maximum(counts, 1.0))[:, None])
     return layernorm(add(latents, combined), p.ln_g, p.ln_b)
 
 

@@ -276,8 +276,6 @@ def img_attn_params(rng, degenerate=False):
         deform=make_deformable_params(rng, L, L, 1 if degenerate else 3, degenerate=degenerate),
         pe_w=t64(np.zeros((2 * 16, L)), grad=True),
         pe_b=t64(np.zeros(L), grad=True),
-        cam_w=t64(np.zeros((L, 6)), grad=True),
-        cam_b=t64(np.zeros(6), grad=True),
         ln_g=g, ln_b=b, n_freqs=8,
     )
 

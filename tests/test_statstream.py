@@ -212,7 +212,7 @@ class TestTemporalGridAttention:
             refs = grid_coords(spec)
             o1, v1 = _deformable_core(q, refs, curr.cells, p.deform)
             o2, v2 = _deformable_core(q, refs, prev.cells, p.deform, valid_mask=prev.validity)
-            counts = np.maximum(v1.data + v2.data, 1.0)
+            counts = np.maximum(v1 + v2, 1.0)
             want_flat = layernorm(
                 t64(q.data + (o1.data + o2.data) / counts[:, None]), p.ln_g, p.ln_b
             ).data

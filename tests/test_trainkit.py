@@ -147,6 +147,18 @@ def test_checkpoint_of_another_dtype_is_refused(tmp_path):
         model_from_checkpoint(tmp_path / "ckpt")
 
 
+def test_checkpoint_of_another_parameter_set_is_refused(tmp_path):
+    cfg = replace(CFG, interaction="full")
+    with use_dtype(cfg.np_dtype()):
+        model = DualStreamModel(cfg)
+    # the object-to-image camera logits of an older model, which this one no longer has
+    model.store.tensor("layer0.obj_img.cam_w", np.zeros((cfg.latent_dim, 6)))
+    save_checkpoint(tmp_path / "ckpt", model, OptimizerState.fresh(model.store), cfg, step=0)
+    refused = r"parameter set mismatch: missing \[\], extra \['layer0\.obj_img\.cam_w'\]"
+    with pytest.raises(DstnError, match=refused):
+        model_from_checkpoint(tmp_path / "ckpt")
+
+
 def test_cosine_lr_endpoints():
     base, floor = 2e-4, 0.05
     assert trainkit.cosine_lr(base, floor, 0, 5) == base
