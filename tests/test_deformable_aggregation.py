@@ -185,8 +185,14 @@ def test_core_shares_and_mean_over_reads(rng):
     np.testing.assert_allclose(out.data[0], per_read.data[:2].mean(axis=0), rtol=0, atol=1e-12)
     np.testing.assert_array_equal(out.data[1], np.zeros(L))
     np.testing.assert_allclose(out.data[2], per_read.data[2], rtol=0, atol=1e-12)
+
+
+def test_core_shares_are_the_mean_bitwise(rng):
     # up to 4 reads for each of 6 queries, hits in range and misses far out:
     # a hit read's share is 1/hits in the model dtype, bitwise, a miss's 0
+    L = 3
+    params = make_deformable_params(rng, L, L, 2)
+    grid = t64(rng.normal(size=(L, 5, 5)))
     for dtype in (np.float32, np.float64):
         cast = replace(params, **{f.name: Tensor(getattr(params, f.name).data.astype(dtype))
                                   for f in fields(params) if f.name != "n_points"})
