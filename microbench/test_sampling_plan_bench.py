@@ -11,9 +11,9 @@ The plan shapes are those of a training frame: BEV temporal attention reads
 camera cross-attention reads about 2,600 samples from a stacked 32 x 64
 camera table (4 x 8 feature cells). The deformable shape is BEV-to-image at
 the default config: 1024 cell queries own about 3,684 reads (projecting
-(camera, pillar point) pairs) of six stacked 64 x 4 x 8 camera maps, with 4
-points per read. Object-to-image attention runs at the default config: 40
-queries read the six 64 x 4 x 8 camera maps.
+(camera, pillar point) pairs) of six stacked 32 x 64 camera tables (4 x 8
+cells each), with 4 points per read. Object-to-image attention runs at the
+default config: 40 queries read the six 32 x 64 camera tables.
 
 The weighted reads run at the two float32 shapes of a default training frame,
 whose backward takes each side of the read's selection: BEV-to-image pools
@@ -118,7 +118,9 @@ def _bev_image_case():
     params = DeformableParams(n_points=POINTS, w_off=w(L, 2 * POINTS, std=0.3), b_off=w(2 * POINTS),
                               w_wgt=w(L, POINTS), b_wgt=w(POINTS), w_val=w(L, L), w_out=w(L, L), b_out=w(L))
     queries = Tensor(rng.normal(size=(CELLS, L)), requires_grad=True)
-    maps = [Tensor(rng.normal(size=(L, 4, 8)), requires_grad=True) for _ in range(CAMERAS)]
+    # each camera map is the (4 * 8, L) row-major table of a 4 x 8 grid
+    maps = [Tensor(np.ascontiguousarray(rng.normal(size=(L, 4, 8)).reshape(L, -1).T), requires_grad=True)
+            for _ in range(CAMERAS)]
     owner = np.sort(rng.integers(0, CELLS, READS))
     refs = np.stack([rng.uniform(0, 3, READS), rng.uniform(0, 7, READS)], axis=1)
     return queries, refs, maps, params, owner, rng.integers(0, CAMERAS, READS)
@@ -129,7 +131,8 @@ def test_deformable_bev_image_forward(benchmark):
 
     def forward():
         with fresh_tape():
-            return _deformable_core(queries, refs, maps, params, owner=owner, grid_of=grid_of)[0].data
+            return _deformable_core(queries, refs, maps, [(4, 8)] * CAMERAS, params, owner=owner,
+                                    grid_of=grid_of)[0].data
 
     assert benchmark(forward).shape == (CELLS, CHANNELS)
 
@@ -142,7 +145,8 @@ def test_deformable_bev_image_forward_backward(benchmark):
         for t in [queries, *maps, params.w_off, params.w_wgt, params.w_val, params.w_out]:
             t.grad = None
         with fresh_tape():
-            backward(sum_(_deformable_core(queries, refs, maps, params, owner=owner, grid_of=grid_of)[0] * g))
+            out = _deformable_core(queries, refs, maps, [(4, 8)] * CAMERAS, params, owner=owner, grid_of=grid_of)[0]
+            backward(sum_(out * g))
         return queries.grad, params.w_off.grad
 
     gq, goff = benchmark(step)
@@ -158,8 +162,9 @@ def _obj_image_case():
     rng = np.random.default_rng(6)
     rig = build_camera_rig(width=cfg.image_width, height=cfg.image_height)
     h, w = cfg.image_height // cfg.patch, cfg.image_width // cfg.patch
-    feats = {name: FeatureMap(data=Tensor(rng.normal(size=(cfg.latent_dim, h, w)).astype(np.float32),
-                                          requires_grad=True), camera=name, stride=cfg.patch) for name in rig}
+    feats = {name: FeatureMap(data=Tensor(np.ascontiguousarray(rng.normal(size=(cfg.latent_dim, h * w)).T,
+                                                               dtype=np.float32), requires_grad=True),
+                              dims=(h, w), stride=cfg.patch) for name in rig}
     lo, hi = cfg.detection_ranges()
     anchors = rng.uniform(lo, hi, size=(QUERIES, 3))
     latents = Tensor(rng.normal(size=(QUERIES, cfg.latent_dim)).astype(np.float32), requires_grad=True)

@@ -105,9 +105,11 @@ class Config:
             raise ConfigError(f"grad_clip must be >= 0 (0 or inf: no clipping), got {self.grad_clip!r}")
         if not 0 <= self.weight_decay < math.inf:
             raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
-        for name in ("latent_dim", "heads", "n_layers", "patch"):
+        for name in ("latent_dim", "heads", "n_layers", "patch", "n_points", "n_queries"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.topk < 0:
+            raise ConfigError(f"topk must be >= 0, got {self.topk!r}")
         if self.latent_dim % self.heads != 0:
             raise ConfigError("latent_dim must be divisible by heads")
         if self.image_height % self.patch or self.image_width % self.patch:

@@ -14,6 +14,11 @@ deformable query owns a sorted run of reads of the stacked value table (whose
 rows ``valid_mask`` masks) and pools those that keep a point by their mean:
 each hit read's share is 1/hits. The shares are folded into the point weights
 too, so pooling over cameras, heights or time is the one read.
+
+A value table has one layout: an H x W grid of C channels is stored
+row-major as an (H*W, C) tensor, cell (i, j) in row i*W + j, with its
+(H, W) dims alongside. Camera feature maps and BEV cells are both kept this
+way, so every read uses its table as it is.
 """
 
 from __future__ import annotations
@@ -261,23 +266,21 @@ def _bilinear_flat(flat: Tensor, coords: Tensor, plan: SamplingPlan, wts: Tensor
     return _make(data, (flat, coords, wts), bwd)
 
 
-def bilinear_sample(grid: Tensor, coords) -> Tensor:
-    """Sample a (C, H, W) grid at (n, 2) continuous (row, col) coordinates.
+def bilinear_sample(table: Tensor, dims, coords) -> Tensor:
+    """Sample the (H*W, C) table of an H x W grid (``dims``) at (n, 2)
+    continuous (row, col) coordinates, giving (n, C).
 
     Integer coordinates hit cell centers exactly. Coordinates with any
     component outside [0, H-1] x [0, W-1] yield zeros with zero gradient
-    (border-zero policy). Gradients flow to both grid values and coords.
+    (border-zero policy). Gradients flow to both table values and coords.
     """
-    from .tensor import reshape, transpose
-
-    coords = _wrap(coords, like=grid)
-    if grid.ndim != 3 or coords.ndim != 2 or coords.data.shape[1] != 2:
-        raise ShapeError("bilinear_sample needs grid (C,H,W) and coords (n,2)")
-    C, H, W = grid.data.shape
+    coords = _wrap(coords, like=table)
+    H, W = dims
+    if table.ndim != 2 or table.data.shape[0] != H * W or coords.ndim != 2 or coords.data.shape[1] != 2:
+        raise ShapeError("bilinear_sample needs a table (H*W, C) and coords (n, 2)")
     n = coords.data.shape[0]
-    flat = transpose(reshape(grid, (C, H * W)), (1, 0))
-    plan = sampling_plan(coords.data, H, W, H * W, dtype=grid.dtype)
-    return _bilinear_flat(flat, coords, plan, Tensor(np.ones(n, dtype=grid.dtype)), np.arange(n + 1))
+    plan = sampling_plan(coords.data, H, W, H * W, dtype=table.dtype)
+    return _bilinear_flat(table, coords, plan, Tensor(np.ones(n, dtype=table.dtype)), np.arange(n + 1))
 
 
 @dataclass
@@ -297,7 +300,8 @@ class DeformableParams:
 def _deformable_core(
     queries: Tensor,
     reference_points: np.ndarray,
-    value_grid,
+    tables,
+    dims,
     params: DeformableParams,
     valid_mask: Optional[np.ndarray] = None,
     owner: Optional[np.ndarray] = None,
@@ -307,8 +311,9 @@ def _deformable_core(
     (queries, L) output and the (reads,) array of each read's share of it.
 
     Read r is reference point r, made for query ``owner[r]`` (sorted; by
-    default one read per query) in grid ``grid_of[r]`` of ``value_grid``, one
-    (C, H, W) tensor or a sequence stacked into one value table. Offsets and
+    default one read per query) in grid ``grid_of[r]`` of ``tables``: one
+    (H*W, C) table with its (H, W) ``dims``, or a sequence of tables and a
+    sequence of their dims, stacked into one value table. Offsets and
     point logits come once per query. A read samples the value-projected
     table at reference + offset for each of ``n_points`` points; points out
     of range, or with a nonzero bilinear weight on a False row of
@@ -319,10 +324,10 @@ def _deformable_core(
     hit reads: 1/hits, computed in float64 and rounded once to the model
     dtype, and 0 for a miss; they are folded into the point weights.
     """
-    from .tensor import concat, matmul, mul, reshape, sparse_matmul, transpose
+    from .tensor import concat, matmul, mul, reshape, sparse_matmul
 
     n, L = queries.data.shape
-    grids = [value_grid] if isinstance(value_grid, Tensor) else list(value_grid)
+    tables = [tables] if isinstance(tables, Tensor) else list(tables)
     owner = np.arange(n) if owner is None else np.asarray(owner, dtype=np.int64)
     if np.any(np.diff(owner) < 0):
         raise ValueError("deformable reads must be sorted by owner")
@@ -330,13 +335,12 @@ def _deformable_core(
     grid_of = np.zeros(m, dtype=np.int64) if grid_of is None else np.asarray(grid_of, dtype=np.int64)
     refs = np.asarray(reference_points, dtype=np.float64)
     P = params.n_points
-    C = grids[0].data.shape[0]
-    dims = np.array([g.data.shape[1:] for g in grids], dtype=np.int64)   # (grids, 2)
+    dims = np.asarray(dims, dtype=np.int64).reshape(-1, 2)   # (grids, 2)
     sizes = dims[:, 0] * dims[:, 1]
+    if [t.data.shape[0] for t in tables] != sizes.tolist():
+        raise ShapeError("each value table needs H*W rows for its (H, W) dims")
     bases = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-
-    flats = [transpose(reshape(g, (C, int(s))), (1, 0)) for g, s in zip(grids, sizes)]
-    vproj = linear(flats[0] if len(flats) == 1 else concat(flats, axis=0), params.w_val)
+    vproj = linear(tables[0] if len(tables) == 1 else concat(tables, axis=0), params.w_val)
 
     offsets = linear(queries, params.w_off, params.b_off)
     logits = linear(queries, params.w_wgt, params.b_wgt)
@@ -360,10 +364,11 @@ def _deformable_core(
 
 @dataclass
 class FeatureMap:
-    """Per-camera feature grid with its pixel stride."""
+    """Per-camera feature grid: the (H_f*W_f, C) row-major table of its
+    H_f x W_f patches, with its dims and pixel stride."""
 
-    data: Tensor        # (channels, H_f, W_f)
-    camera: str
+    data: Tensor            # (H_f*W_f, C)
+    dims: tuple[int, int]   # (H_f, W_f)
     stride: int
 
 
@@ -379,17 +384,12 @@ class PatchEmbedParams:
     mlp2: MlpParams
 
 
-def extract_patches(image: np.ndarray, patch: int) -> np.ndarray:
-    """(C,H,W) -> (n_patches, C*P*P), rows in row-major patch order,
-    each row flattened channel-major then row-major within the patch."""
-    c, h, w = image.shape
-    hp, wp = h // patch, w // patch
-    x = image.reshape(c, hp, patch, wp, patch)
-    return x.transpose(1, 3, 0, 2, 4).reshape(hp * wp, c * patch * patch)
+def patch_embed(image: Tensor, patch: int, params: PatchEmbedParams) -> FeatureMap:
+    """Non-overlapping patch projection followed by two residual MLP blocks.
 
-
-def patch_embed(image: Tensor, patch: int, params: PatchEmbedParams, camera: str = "front") -> FeatureMap:
-    """Non-overlapping patch projection followed by two residual MLP blocks."""
+    Row k of the feature table is patch k in row-major patch order; each
+    patch enters flattened channel-major, then row-major within the patch.
+    """
     from .tensor import reshape, transpose
 
     c, h, w = image.data.shape
@@ -402,8 +402,7 @@ def patch_embed(image: Tensor, patch: int, params: PatchEmbedParams, camera: str
     x = linear(x, params.w_proj, params.b_proj)
     x = add(x, mlp(layernorm(x, params.ln1_g, params.ln1_b), params.mlp1))
     x = add(x, mlp(layernorm(x, params.ln2_g, params.ln2_b), params.mlp2))
-    fm = transpose(reshape(x, (hp, wp, -1)), (2, 0, 1))
-    return FeatureMap(data=fm, camera=camera, stride=patch)
+    return FeatureMap(data=x, dims=(hp, wp), stride=patch)
 
 
 def sincos_encoding(values: np.ndarray, n_freqs: int = 8) -> np.ndarray:

@@ -381,34 +381,6 @@ def power(a: Tensor, p: float) -> Tensor:
 # ---------------------------------------------------------------------------
 # elementwise transcendentals
 
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-
-    def bwd(g, grads):
-        _accumulate(a, g * data, grads)
-
-    return _make(data, (a,), bwd)
-
-
-def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-    ad = a.data
-
-    def bwd(g, grads):
-        _accumulate(a, g / ad, grads)
-
-    return _make(data, (a,), bwd)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    data = np.sqrt(a.data)
-
-    def bwd(g, grads):
-        _accumulate(a, g * 0.5 / data, grads)
-
-    return _make(data, (a,), bwd)
-
-
 def tanh(a: Tensor) -> Tensor:
     data = np.tanh(a.data)
 
@@ -455,38 +427,6 @@ def absolute(a: Tensor) -> Tensor:
         _accumulate(a, g * np.sign(ad), grads)
 
     return _make(np.abs(ad), (a,), bwd)
-
-
-def sin(a: Tensor) -> Tensor:
-    ad = a.data
-
-    def bwd(g, grads):
-        _accumulate(a, g * np.cos(ad), grads)
-
-    return _make(np.sin(ad), (a,), bwd)
-
-
-def cos(a: Tensor) -> Tensor:
-    ad = a.data
-
-    def bwd(g, grads):
-        _accumulate(a, -g * np.sin(ad), grads)
-
-    return _make(np.cos(ad), (a,), bwd)
-
-
-def atan2(y: Tensor, x: Tensor) -> Tensor:
-    y = _wrap(y)
-    x = _wrap(x, like=y)
-    data = np.arctan2(y.data, x.data)
-    yd, xd = y.data, x.data
-
-    def bwd(g, grads):
-        denom = xd * xd + yd * yd
-        _accumulate(y, g * xd / denom, grads)
-        _accumulate(x, -g * yd / denom, grads)
-
-    return _make(data, (y, x), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -549,22 +489,6 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
         pieces = np.split(g, np.cumsum(sizes)[:-1], axis=axis)
         for t, piece in zip(ts, pieces):
             _accumulate(t, piece, grads)
-
-    return _make(data, ts, bwd)
-
-
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    ts = [_wrap(t) for t in tensors]
-    if not ts:
-        raise ShapeError("stack needs at least one tensor")
-    try:
-        data = np.stack([t.data for t in ts], axis=axis)
-    except ValueError as e:
-        raise ShapeError(str(e)) from None
-
-    def bwd(g, grads):
-        for i, t in enumerate(ts):
-            _accumulate(t, np.take(g, i, axis=axis), grads)
 
     return _make(data, ts, bwd)
 

@@ -45,7 +45,6 @@ from .statstream import (
     BevGrid,
     BevImageAttnParams,
     TemporalAttnParams,
-    _cells_from_flat,
     bev_image_cross_attention,
     metric_to_cell,
     temporal_grid_attention,
@@ -112,7 +111,7 @@ def _dynamic_static_core(latents: Tensor, anchors: np.ndarray, grid: BevGrid, pa
         & (refs[:, 1] >= 0) & (refs[:, 1] <= w - 1)
     )
     idx = np.nonzero(in_hull)[0]
-    out, _ = _deformable_core(latents, refs[idx], grid.cells, params.deform, owner=idx)
+    out, _ = _deformable_core(latents, refs[idx], grid.cells, grid.spec.dims, params.deform, owner=idx)
     return layernorm(add(latents, out), params.ln_g, params.ln_b)
 
 
@@ -121,7 +120,7 @@ def _static_dynamic_core(
 ) -> BevGrid:
     """Bidirectional-variant block: every BEV cell attends over all object
     latents keyed with anchor positional encodings."""
-    q = grid.cells_flat()
+    q = grid.cells
     if latents.data.shape[0] == 0:
         combined = mul(q, 0.0)
     else:
@@ -129,8 +128,8 @@ def _static_dynamic_core(
         pe = linear(Tensor(enc.astype(latents.dtype)), params.pe_w, params.pe_b)
         keys = add(latents, pe)
         combined = multi_head_attention(q, keys, latents, params.heads, params.attn)
-    new_flat = layernorm(add(q, combined), params.ln_g, params.ln_b)
-    return BevGrid(spec=grid.spec, cells=_cells_from_flat(new_flat, grid.spec), validity=grid.validity)
+    cells = layernorm(add(q, combined), params.ln_g, params.ln_b)
+    return BevGrid(spec=grid.spec, cells=cells, validity=grid.validity)
 
 
 def _ffn(latents: Tensor, params: FfnParams) -> Tensor:
@@ -163,8 +162,7 @@ def forward_layer(
             grid = _static_dynamic_core(grid, latents, anchors, params.static_dyn, ranges)
 
     latents = _ffn(latents, params.obj_ffn)
-    new_flat = _ffn(grid.cells_flat(), params.bev_ffn)
-    grid = BevGrid(spec=grid.spec, cells=_cells_from_flat(new_flat, grid.spec), validity=grid.validity)
+    grid = BevGrid(spec=grid.spec, cells=_ffn(grid.cells, params.bev_ffn), validity=grid.validity)
     return latents, grid
 
 

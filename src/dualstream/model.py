@@ -185,7 +185,7 @@ class DualStreamModel:
         )
         self.motion = MotionParams(mlp=make_mlp_params(store, "motion", rng, L + 7, L, L))
         h, w = self.bev_spec.dims
-        self.bev_init = store.tensor("bev.init", rng.normal(0.0, 0.02, (L, h, w)))
+        self.bev_init = store.tensor("bev.init", np.ascontiguousarray(rng.normal(0.0, 0.02, (L, h * w)).T))
         self.fresh_cell = store.tensor("bev.fresh", rng.normal(0.0, 0.02, (L,)))
         self.layers = [build_layer_params(store, f"layer{i}", rng, cfg) for i in range(cfg.n_layers)]
         self.decode = build_decode_params(store, "decode", rng, cfg)
@@ -201,7 +201,7 @@ class DualStreamModel:
         for name, img in images.items():
             if img is None:
                 continue
-            feats[name] = patch_embed(Tensor(img.astype(dtype)), self.cfg.patch, self.backbone, camera=name)
+            feats[name] = patch_embed(Tensor(img.astype(dtype)), self.cfg.patch, self.backbone)
         return feats
 
     def forward_frame(

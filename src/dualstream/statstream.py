@@ -3,11 +3,13 @@ deformable temporal grid-attention, BEV-to-image cross-attention and the
 decoder-only segmentation head.
 
 Grid convention: row index i spans the x extent (forward), column index j
-spans the y extent (left); integer grid coordinates are cell centers, so the
-continuous coordinate box [0, H-1] x [0, W-1] is the cell-center hull. The
-hull is the region where a warp source counts as "inside the previous
-extent": it is inset half a cell from the metric extent and is exactly where
-bilinear interpolation is well-defined without border effects.
+spans the y extent (left); cell (i, j) is row i*W + j of every (H*W, ...)
+array, the (H*W, L) latent cells included. Integer grid coordinates are cell
+centers, so the continuous coordinate box [0, H-1] x [0, W-1] is the
+cell-center hull. The hull is the region where a warp source counts as
+"inside the previous extent": it is inset half a cell from the metric extent
+and is exactly where bilinear interpolation is well-defined without border
+effects.
 """
 
 from __future__ import annotations
@@ -91,7 +93,8 @@ def grid_coords(spec: BevSpec) -> np.ndarray:
 
 @dataclass
 class BevGrid:
-    """Latent BEV belief: (L, H, W) cells plus a propagated-history mask."""
+    """Latent BEV belief: the (H*W, L) row-major cells plus an (H, W)
+    propagated-history mask."""
 
     spec: BevSpec
     cells: Tensor
@@ -99,24 +102,14 @@ class BevGrid:
 
     def __post_init__(self):
         h, w = self.spec.dims
-        if self.cells.data.shape[1:] != (h, w):
+        if self.cells.ndim != 2 or self.cells.data.shape[0] != h * w:
             raise ShapeError(f"cells {self.cells.data.shape} do not match spec dims {(h, w)}")
         if self.validity.shape != (h, w):
             raise ShapeError("validity mask must match grid dims")
 
     @property
     def latent_dim(self) -> int:
-        return self.cells.data.shape[0]
-
-    def cells_flat(self) -> Tensor:
-        L = self.latent_dim
-        h, w = self.spec.dims
-        return transpose(reshape(self.cells, (L, h * w)), (1, 0))
-
-
-def _cells_from_flat(flat: Tensor, spec: BevSpec) -> Tensor:
-    h, w = spec.dims
-    return reshape(transpose(flat, (1, 0)), (-1, h, w))
+        return self.cells.data.shape[1]
 
 
 def warp_bev(prev: BevGrid, delta: Pose, fresh_embedding: Tensor) -> BevGrid:
@@ -142,11 +135,11 @@ def warp_bev(prev: BevGrid, delta: Pose, fresh_embedding: Tensor) -> BevGrid:
         (coords[:, 0] >= 0) & (coords[:, 0] <= h - 1)
         & (coords[:, 1] >= 0) & (coords[:, 1] <= w - 1)
     )
-    sampled = bilinear_sample(prev.cells, coords)          # (HW, L), zeros outside
+    sampled = bilinear_sample(prev.cells, spec.dims, coords)   # (HW, L), zeros outside
     vf = valid.astype(sampled.dtype)[:, None]
     fresh = reshape(fresh_embedding, (1, -1))
     combined = add(mul(sampled, vf), mul(fresh, 1.0 - vf))
-    return BevGrid(spec=spec, cells=_cells_from_flat(combined, spec), validity=valid.reshape(h, w))
+    return BevGrid(spec=spec, cells=combined, validity=valid.reshape(h, w))
 
 
 @dataclass
@@ -163,19 +156,19 @@ def temporal_grid_attention(curr: BevGrid, warped_prev: Optional[BevGrid], param
     stacked value table, read by one deformable call."""
     if warped_prev is not None and warped_prev.spec != curr.spec:
         raise ShapeError("temporal attention requires matching BEV specs")
-    q = curr.cells_flat()
+    q = curr.cells
     refs = grid_coords(curr.spec)
     n = refs.shape[0]
-    grids, masks = [curr.cells], [np.ones(n, dtype=bool)]
+    tables, masks = [q], [np.ones(n, dtype=bool)]
     if warped_prev is not None:
-        grids.append(warped_prev.cells)
+        tables.append(warped_prev.cells)
         masks.append(warped_prev.validity.ravel())
-    k = len(grids)
-    out, _ = _deformable_core(q, np.repeat(refs, k, axis=0), grids, params.deform,
+    k = len(tables)
+    out, _ = _deformable_core(q, np.repeat(refs, k, axis=0), tables, [curr.spec.dims] * k, params.deform,
                               valid_mask=np.concatenate(masks), owner=np.repeat(np.arange(n), k),
                               grid_of=np.tile(np.arange(k), n))
-    new_flat = layernorm(add(q, out), params.ln_g, params.ln_b)
-    return BevGrid(spec=curr.spec, cells=_cells_from_flat(new_flat, curr.spec), validity=curr.validity)
+    cells = layernorm(add(q, out), params.ln_g, params.ln_b)
+    return BevGrid(spec=curr.spec, cells=cells, validity=curr.validity)
 
 
 @dataclass
@@ -203,15 +196,15 @@ def camera_read(queries: Tensor, points: np.ndarray, owner: np.ndarray, features
     if not names:
         return mul(queries, 0.0)
     n, p = queries.data.shape[0], points.shape[0]
-    cams = [cameras[name] for name in names]
+    cams, fms = [cameras[name] for name in names], [features[name] for name in names]
     proj = [project_points(cam, points) for cam in cams]
     pairs = np.nonzero(np.concatenate([valid for _, _, valid in proj]))[0]   # camera-major
     pairs = pairs[np.argsort(owner[pairs % p], kind="stable")]
     cam, reader, m = pairs // p, owner[pairs % p], pairs.size
     uv = np.concatenate([uv for uv, _, _ in proj])[pairs]
-    stride = np.array([features[name].stride for name in names], dtype=np.float64)[cam, None]
-    out, share = _deformable_core(queries, uv[:, ::-1] / stride - 0.5, [features[name].data for name in names],
-                                  params.deform, owner=reader, grid_of=cam)
+    stride = np.array([fm.stride for fm in fms], dtype=np.float64)[cam, None]
+    out, share = _deformable_core(queries, uv[:, ::-1] / stride - 0.5, [fm.data for fm in fms],
+                                  [fm.dims for fm in fms], params.deform, owner=reader, grid_of=cam)
     pix = uv / np.array([[c.width, c.height] for c in cams], dtype=np.float64)[cam]
     enc = Tensor(sincos_encoding(pix, params.n_freqs).astype(out.dtype) * share[:, None])
     pool = sparse.csr_array((np.ones(m, dtype=out.dtype), np.arange(m), np.searchsorted(reader, np.arange(n + 1))),
@@ -228,11 +221,11 @@ def bev_image_cross_attention(grid: BevGrid, features: Mapping[str, FeatureMap],
     projection pass through on the residual path."""
     spec = grid.spec
     n, nz = spec.dims[0] * spec.dims[1], len(params.pillar_heights)
-    q = grid.cells_flat()
+    q = grid.cells
     pts = np.column_stack([np.tile(cell_center_grid(spec), (nz, 1)), np.repeat(params.pillar_heights, n)])
     update = camera_read(q, pts, np.tile(np.arange(n), nz), features, cameras, params)
-    new_flat = layernorm(add(q, update), params.ln_g, params.ln_b)
-    return BevGrid(spec=spec, cells=_cells_from_flat(new_flat, spec), validity=grid.validity)
+    cells = layernorm(add(q, update), params.ln_g, params.ln_b)
+    return BevGrid(spec=spec, cells=cells, validity=grid.validity)
 
 
 @dataclass
@@ -242,6 +235,6 @@ class SegHeadParams:
 
 def segmentation_head(grid: BevGrid, params: SegHeadParams) -> Tensor:
     """Per-cell MLP decoding to class logits, shape (n_classes, H, W)."""
-    flat = mlp(grid.cells_flat(), params.mlp)
+    flat = mlp(grid.cells, params.mlp)
     h, w = grid.spec.dims
     return reshape(transpose(flat, (1, 0)), (-1, h, w))

@@ -25,6 +25,5 @@ from .dataset import (
     generate_and_write,
     make_schedules,
     rasterize_gt_bev,
-    read_dataset,
     write_dataset,
 )

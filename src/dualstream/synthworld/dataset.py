@@ -295,10 +295,6 @@ class Dataset:
         )
 
 
-def read_dataset(path) -> Dataset:
-    return Dataset(path)
-
-
 def generate_and_write(
     seeds: list[int],
     path,

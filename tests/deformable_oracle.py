@@ -9,7 +9,8 @@ the cell queries per (camera, pillar point) pair and sums them back with a
 pooling matrix, and object-to-image and dynamic-to-static pass
 ``query_valid``. Object-to-image averages its cameras over those that see
 each query, as BEV-to-image averages its hits. Tests compare the production
-blocks against these.
+blocks against these. ``deformable_core`` keeps its (C, H, W) grids; the
+blocks turn the (H*W, C) BEV cells and camera tables into them at its call.
 """
 
 from typing import Optional
@@ -21,7 +22,16 @@ from dualstream.diffcore import Tensor, layernorm, linear, sincos_encoding, soft
 from dualstream.diffcore.ops import _bilinear_flat, sampling_plan
 from dualstream.diffcore.tensor import add, concat, mul, reshape, sparse_matmul, sum_, take_rows, transpose
 from dualstream.geom3d import CAMERA_SLOTS, project_points
-from dualstream.statstream import BevGrid, _cells_from_flat, cell_center_grid, grid_coords, metric_to_cell
+from dualstream.statstream import BevGrid, cell_center_grid, grid_coords, metric_to_cell
+
+
+def grid_of_table(table, dims):
+    """The (C, H, W) grid of an (H*W, C) table."""
+    return reshape(transpose(table, (1, 0)), (-1, *dims))
+
+
+def camera_grids(features, names):
+    return [grid_of_table(features[name].data, features[name].dims) for name in names]
 
 
 def scatter_rows(a, idx, n):
@@ -76,11 +86,11 @@ def deformable_core(queries, reference_points, value_grid, params, valid_mask: O
 
 
 def temporal_grid_attention(curr, warped_prev, params):
-    q = curr.cells_flat()
+    q = curr.cells
     refs = grid_coords(curr.spec)
-    targets = [(curr.cells, None)]
+    targets = [(grid_of_table(curr.cells, curr.spec.dims), None)]
     if warped_prev is not None:
-        targets.append((warped_prev.cells, warped_prev.validity))
+        targets.append((grid_of_table(warped_prev.cells, curr.spec.dims), warped_prev.validity))
     outs, counts = [], np.zeros(refs.shape[0])
     for cells, validity in targets:
         out_t, valid_t = deformable_core(q, refs, cells, params.deform, valid_mask=validity)
@@ -91,13 +101,13 @@ def temporal_grid_attention(curr, warped_prev, params):
         combined = add(combined, o)
     combined = mul(combined, (1.0 / np.maximum(counts, 1.0))[:, None])
     new_flat = layernorm(add(q, combined), params.ln_g, params.ln_b)
-    return BevGrid(spec=curr.spec, cells=_cells_from_flat(new_flat, curr.spec), validity=curr.validity)
+    return BevGrid(spec=curr.spec, cells=new_flat, validity=curr.validity)
 
 
 def bev_image_cross_attention(grid, features, cameras, params):
     spec = grid.spec
     n = spec.dims[0] * spec.dims[1]
-    q = grid.cells_flat()
+    q = grid.cells
     centers = cell_center_grid(spec)
     nz = len(params.pillar_heights)
     pts = np.concatenate([np.concatenate([centers, np.full((n, 1), z)], axis=1) for z in params.pillar_heights])
@@ -117,7 +127,7 @@ def bev_image_cross_attention(grid, features, cameras, params):
         pick = sparse.csr_array((np.ones(pairs.size, dtype=q.dtype), cells, np.arange(pairs.size + 1)),
                                 shape=(pairs.size, n))
         out, anyv = deformable_core(sparse_matmul(pick, q), np.concatenate(fcoords)[pairs],
-                                    [features[name].data for name in names], params.deform,
+                                    camera_grids(features, names), params.deform,
                                     grid_of=pairs // (nz * n))
         enc = sincos_encoding(np.concatenate(pix)[pairs], params.n_freqs)
         pe = linear(Tensor(enc.astype(out.dtype)), params.pe_w, params.pe_b)
@@ -126,7 +136,7 @@ def bev_image_cross_attention(grid, features, cameras, params):
         counts = np.bincount(cells, weights=anyv, minlength=n)
         combined = mul(total, (1.0 / np.maximum(counts, 1.0))[:, None])
     new_flat = layernorm(add(q, combined), params.ln_g, params.ln_b)
-    return BevGrid(spec=spec, cells=_cells_from_flat(new_flat, spec), validity=grid.validity)
+    return BevGrid(spec=spec, cells=new_flat, validity=grid.validity)
 
 
 def obj_image_cross_attention(latents, anchors, features, cameras, params):
@@ -143,7 +153,7 @@ def obj_image_cross_attention(latents, anchors, features, cameras, params):
         pix.append(np.stack([uv[:, 0] / cam.width, uv[:, 1] / cam.height], axis=1))
         valid.append(v)
     out, anyv = deformable_core(concat([latents] * k), np.concatenate(fcoords),
-                                [features[name].data for name in names], params.deform,
+                                camera_grids(features, names), params.deform,
                                 query_valid=np.concatenate(valid), grid_of=np.repeat(np.arange(k), n))
     enc = sincos_encoding(np.concatenate(pix), params.n_freqs)
     pe = linear(Tensor(enc.astype(out.dtype)), params.pe_w, params.pe_b)
@@ -157,5 +167,6 @@ def dynamic_static_core(latents, anchors, grid, params):
     h, w = grid.spec.dims
     refs = metric_to_cell(grid.spec, anchors[:, :2])
     in_hull = (refs[:, 0] >= 0) & (refs[:, 0] <= h - 1) & (refs[:, 1] >= 0) & (refs[:, 1] <= w - 1)
-    out, _ = deformable_core(latents, refs, grid.cells, params.deform, query_valid=in_hull)
+    out, _ = deformable_core(latents, refs, grid_of_table(grid.cells, grid.spec.dims), params.deform,
+                             query_valid=in_hull)
     return layernorm(add(latents, out), params.ln_g, params.ln_b)

@@ -1,9 +1,20 @@
+import csv
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dualstream.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, effective_workers, main, parse_seeds
+from dualstream.cli import (
+    ABLATION_GRID,
+    EXIT_CONFIG,
+    EXIT_IO,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    effective_workers,
+    main,
+    parse_seeds,
+)
 from dualstream.configio import Config
 from dualstream.diffcore import use_dtype
 from dualstream.model import DualStreamModel
@@ -41,6 +52,14 @@ def test_zero_heads_is_a_config_error(tmp_path, capsys):
     cfg.write_text("heads = 0\n", encoding="utf-8")
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert "heads must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_topk_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("topk = -1\n", encoding="utf-8")
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "topk must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -148,3 +167,41 @@ def test_resume_retraces_the_straight_run(tiny_data, tmp_path):
     halves = [(d / "loss.csv").read_text().splitlines() for d in (first, second)]
     assert all(h[0] == header for h in halves) and rows
     assert halves[0][1:] + halves[1][1:] == rows
+
+
+def read_outputs(out, names=("report.json", "report.csv", "manifest.json")):
+    """The named files of a command's output directory, each checked to parse."""
+    files = {name: (out / name).read_text(encoding="utf-8") for name in names}
+    for name, text in files.items():
+        if name.endswith(".json"):
+            json.loads(text)
+        else:
+            rows = list(csv.reader(text.splitlines()))
+            assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows), name
+    return files
+
+
+def test_eval_writes_reproducible_reports(tiny_data, tmp_path):
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(tiny_data / "tiny.cfg"), "--data", str(tiny_data / "data"),
+                 "--out", str(run)]) == EXIT_OK
+    args = ["eval", "--ckpt", str(run / "checkpoint"), "--data", str(tiny_data / "data")]
+    assert main(args + ["--out", str(tmp_path / "all")]) == EXIT_OK
+    for out in ("fast", "again"):
+        assert main(args + ["--out", str(tmp_path / out), "--slice", "high-velocity"]) == EXIT_OK
+    plain, fast, again = (read_outputs(tmp_path / out) for out in ("all", "fast", "again"))
+    assert set(json.loads(plain["report.json"])["slices"]) == {"all"}
+    assert set(json.loads(fast["report.json"])["slices"]) == {"all", "high_velocity"}
+    assert fast["report.json"] == again["report.json"] and fast["report.csv"] == again["report.csv"]
+
+
+def test_ablate_trains_and_reports_every_variant(tiny_data, tmp_path):
+    out = tmp_path / "ablate"
+    assert main(["ablate", "--config", str(tiny_data / "tiny.cfg"), "--data", str(tiny_data / "data"),
+                 "--out", str(out)]) == EXIT_OK
+    table = read_outputs(out, ("ablation.csv", "manifest.json"))["ablation.csv"]
+    header, *rows = csv.reader(table.splitlines())
+    assert header[:3] == ["variant", "interaction", "temporal_bev"]
+    assert [tuple(row[:3]) for row in rows] == [(n, i, str(t)) for n, i, t in ABLATION_GRID]
+    for name, _, _ in ABLATION_GRID:
+        read_outputs(out / name)

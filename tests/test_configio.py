@@ -29,7 +29,13 @@ def test_unbounded_grad_clip_means_no_clipping():
     assert parse_config("grad_clip = inf").grad_clip == float("inf")
 
 
-@pytest.mark.parametrize("key", ["heads", "patch", "latent_dim", "n_layers"])
+@pytest.mark.parametrize("key", ["heads", "patch", "latent_dim", "n_layers", "n_points", "n_queries"])
 def test_model_size_below_one_is_rejected(key):
     with pytest.raises(ConfigError, match=rf"{key} must be >= 1, got 0"):
         parse_config(f"{key} = 0")
+
+
+def test_negative_topk_is_rejected():
+    with pytest.raises(ConfigError, match="topk must be >= 0, got -1"):
+        parse_config("topk = -1")
+    assert parse_config("topk = 0").topk == 0   # no memory carried between frames

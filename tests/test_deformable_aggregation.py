@@ -16,7 +16,7 @@ from deformable_oracle import (
 )
 from test_dualformer import CAMERA_SUBSETS, make_grid, make_queries, micro_frame, micro_model, seen_anchors
 from test_sampling_plan import points, reference_bilinear
-from util import make_deformable_params, t64
+from util import make_deformable_params, rows, t64
 
 from dualstream.diffcore import Tensor, backward, finite_diff_check, fresh_tape, sum_, tanh, use_dtype
 from dualstream.diffcore.ops import _bilinear_flat, _deformable_core, sampling_plan
@@ -59,7 +59,7 @@ def assert_match(got, want):
 
 def random_grid(rng, spec, validity=None):
     h, w = spec.dims
-    return BevGrid(spec=spec, cells=Tensor(rng.normal(size=(8, h, w)), requires_grad=True),
+    return BevGrid(spec=spec, cells=Tensor(rows(rng.normal(size=(8, h, w))), requires_grad=True),
                    validity=np.ones((h, w), bool) if validity is None else validity)
 
 
@@ -72,7 +72,7 @@ def test_temporal_matches_oracle(rng, with_prev):
         curr = random_grid(rng, spec)
         prev = random_grid(rng, spec, validity=rng.uniform(size=spec.dims) > 0.4) if with_prev else None
         leaves = [curr.cells] + ([prev.cells] if with_prev else [])
-        mix = rng.normal(size=(8,) + spec.dims)
+        mix = rows(rng.normal(size=(8,) + spec.dims))
         got = run(lambda: temporal_grid_attention(curr, prev, p).cells, leaves, model.store, mix)
         want = run(lambda: oracle_temporal(curr, prev, p).cells, leaves, model.store, mix)
     assert np.abs(got[0] - curr.cells.data).max() > 1e-3
@@ -178,7 +178,7 @@ def test_core_shares_and_mean_over_reads(rng):
     queries = t64(rng.normal(size=(3, L)))
     refs = np.array([[1.0, 1.0], [3.0, 2.5], [2.0, 2.0], [40.0, 40.0]])
     owner = np.array([0, 0, 2, 2])
-    out, share = _deformable_core(queries, refs, grid, params, owner=owner)
+    out, share = _deformable_core(queries, refs, t64(rows(grid.data)), (5, 5), params, owner=owner)
     np.testing.assert_array_equal(share, [0.5, 0.5, 1.0, 0.0])
     per_read, hit = oracle_core(Tensor(queries.data[owner]), refs, grid, params)
     np.testing.assert_array_equal(hit, [True, True, True, False])
@@ -201,7 +201,7 @@ def test_core_shares_are_the_mean_bitwise(rng):
             keep = rng.uniform(size=owner.size) < 0.7
             refs = np.where(keep[:, None], 2.0, 40.0) + rng.uniform(-0.5, 0.5, (owner.size, 2))
             _, share = _deformable_core(Tensor(rng.normal(size=(6, L)).astype(dtype)), refs,
-                                        Tensor(grid.data.astype(dtype)), cast, owner=owner)
+                                        Tensor(rows(grid.data).astype(dtype)), (5, 5), cast, owner=owner)
             hits = np.bincount(owner, weights=keep, minlength=6).astype(dtype)
             assert share.dtype == dtype
             np.testing.assert_array_equal(share, np.where(keep, dtype(1.0) / np.maximum(hits, 1)[owner], 0.0))
@@ -210,8 +210,8 @@ def test_core_shares_are_the_mean_bitwise(rng):
 def test_core_rejects_unsorted_owner(rng):
     params = make_deformable_params(rng, 3, 3, 2)
     with pytest.raises(ValueError, match="sorted"):
-        _deformable_core(t64(rng.normal(size=(2, 3))), np.ones((2, 2)), t64(rng.normal(size=(3, 4, 4))),
-                         params, owner=[1, 0])
+        _deformable_core(t64(rng.normal(size=(2, 3))), np.ones((2, 2)), t64(rows(rng.normal(size=(3, 4, 4)))),
+                         (4, 4), params, owner=[1, 0])
 
 
 def weighted_case(rng):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from util import t64
+from util import rows, t64
 
 from dualstream.configio import Config
 from dualstream.diffcore import Tensor, backward, finite_diff_check, fresh_tape, layernorm, use_dtype
@@ -43,7 +43,7 @@ def make_queries(rng, n=1, anchors=None):
 
 def make_grid(rng, spec=SPEC):
     h, w = spec.dims
-    return BevGrid(spec=spec, cells=Tensor(rng.normal(size=(L, h, w))),
+    return BevGrid(spec=spec, cells=Tensor(rows(rng.normal(size=(L, h, w)))),
                    validity=np.ones((h, w), dtype=bool))
 
 
@@ -71,7 +71,7 @@ class TestDynamicStatic:
             q = make_queries(rng, anchors=[[0.7, -1.2, 0.0]])
             out = _dynamic_static_core(q.latents, q.anchor_xyz, grid, p)
             ref = metric_to_cell(SPEC, np.array([0.7, -1.2]))
-            sample = bilinear_sample(grid.cells, t64(ref[None, :])).data[0]
+            sample = bilinear_sample(grid.cells, SPEC.dims, t64(ref[None, :])).data[0]
             want = layernorm(t64(q.latents.data + sample), p.ln_g, p.ln_b).data
             np.testing.assert_allclose(out.data, want, atol=1e-10)
 
@@ -102,8 +102,8 @@ class TestStaticDynamic:
             p = params.static_dyn
             grid = make_grid(rng)
             out = _static_dynamic_core(grid, t64(np.zeros((0, L))), np.zeros((0, 3)), p, RANGES)
-            want = layernorm(grid.cells_flat(), p.ln_g, p.ln_b).data
-            np.testing.assert_allclose(out.cells.data.reshape(L, -1).T, want, atol=1e-12)
+            want = layernorm(grid.cells, p.ln_g, p.ln_b).data
+            np.testing.assert_allclose(out.cells.data, want, atol=1e-12)
 
     def test_single_query_single_key_oracle(self, rng):
         with use_dtype(np.float64):
@@ -115,9 +115,9 @@ class TestStaticDynamic:
             # single-key attention: every cell receives proj(v)
             v = q.latents.data[0] @ p.attn.wv.data + p.attn.bv.data
             proj = v @ p.attn.wo.data + p.attn.bo.data
-            flat = grid.cells_flat().data
+            flat = grid.cells.data
             want = layernorm(t64(flat + proj[None, :]), p.ln_g, p.ln_b).data
-            np.testing.assert_allclose(out.cells.data.reshape(L, -1).T, want, atol=1e-10)
+            np.testing.assert_allclose(out.cells.data, want, atol=1e-10)
 
     def test_permutation_invariance_over_keys(self, rng):
         with use_dtype(np.float64):
@@ -193,7 +193,7 @@ class TestForwardLayerAblations:
                                     model.layers, model.ranges)
             cells2 = grid.cells.data.copy()
             ref = metric_to_cell(model.bev_spec, np.array([0.5, 0.5]))
-            cells2[:, int(round(ref[0])), int(round(ref[1]))] += 1.0
+            cells2[int(round(ref[0])) * model.bev_spec.dims[1] + int(round(ref[1]))] += 1.0
             grid2 = BevGrid(spec=grid.spec, cells=Tensor(cells2), validity=grid.validity)
             out2, _ = forward_stack(queries, grid2, None, features, rig, flags,
                                     model.layers, model.ranges)
@@ -315,13 +315,13 @@ def per_camera_bev_image(grid, features, cameras, p):
     pillar hits summed, then the cameras added in name order."""
     from dualstream.diffcore import linear, sincos_encoding
     from deformable_oracle import deformable_core as _deformable_core
-    from deformable_oracle import scatter_rows
+    from deformable_oracle import grid_of_table, scatter_rows
     from dualstream.diffcore.tensor import add, concat, reshape
     from dualstream.geom3d import project_points
     from dualstream.statstream import cell_center_grid
 
     n = grid.spec.dims[0] * grid.spec.dims[1]
-    q = grid.cells_flat()
+    q = grid.cells
     nz = len(p.pillar_heights)
     centers = cell_center_grid(grid.spec)
     pts = np.concatenate([np.concatenate([centers, np.full((n, 1), z)], axis=1) for z in p.pillar_heights])
@@ -331,7 +331,8 @@ def per_camera_bev_image(grid, features, cameras, p):
         fm, cam = features[name], cameras[name]
         uv, _, valid = project_points(cam, pts)
         fcoords = np.stack([uv[:, 1] / fm.stride - 0.5, uv[:, 0] / fm.stride - 0.5], axis=1)
-        out, anyv = _deformable_core(q_rep, fcoords, fm.data, p.deform, query_valid=valid)
+        out, anyv = _deformable_core(q_rep, fcoords, grid_of_table(fm.data, fm.dims), p.deform,
+                                     query_valid=valid)
         aidx = np.nonzero(anyv)[0]
         if aidx.size:
             pix = sincos_encoding(np.stack([uv[aidx, 0] / cam.width, uv[aidx, 1] / cam.height], axis=1), p.n_freqs)
@@ -348,6 +349,7 @@ def per_camera_obj_image(latents, anchors, features, cameras, p):
     cameras added in slot order and averaged over those that see each query."""
     from dualstream.diffcore import linear, sincos_encoding
     from deformable_oracle import deformable_core as _deformable_core
+    from deformable_oracle import grid_of_table
     from dualstream.diffcore.tensor import add
     from dualstream.geom3d import CAMERA_SLOTS, project_points
 
@@ -358,7 +360,8 @@ def per_camera_obj_image(latents, anchors, features, cameras, p):
         fm, cam = features[name], cameras[name]
         uv, _, valid = project_points(cam, anchors)
         fcoords = np.stack([uv[:, 1] / fm.stride - 0.5, uv[:, 0] / fm.stride - 0.5], axis=1)
-        out, anyv = _deformable_core(latents, fcoords, fm.data, p.deform, query_valid=valid)
+        out, anyv = _deformable_core(latents, fcoords, grid_of_table(fm.data, fm.dims), p.deform,
+                                     query_valid=valid)
         enc = sincos_encoding(np.stack([uv[:, 0] / cam.width, uv[:, 1] / cam.height], axis=1), p.n_freqs)
         out = add(out, mul(linear(Tensor(enc), p.pe_w, p.pe_b), anyv.astype(np.float64)[:, None]))
         total = out if total is None else add(total, out)
@@ -415,9 +418,9 @@ class TestCameraBlocksMatchPerCameraLoop:
             grid = make_grid(rng, model.bev_spec)
             grid.cells.requires_grad = True
             feats = {k: v for k, v in model.encode_images(frames[0].images).items() if cams is None or k in cams}
-            got = self.run(lambda: bev_image_cross_attention(grid, feats, rig, p).cells_flat(), grid.cells, model, rng)
+            got = self.run(lambda: bev_image_cross_attention(grid, feats, rig, p).cells, grid.cells, model, rng)
             want = self.run(lambda: per_camera_bev_image(grid, feats, rig, p), grid.cells, model, rng)
-        assert np.abs(got[0] - grid.cells_flat().data).max() > 1e-3   # the cameras contribute
+        assert np.abs(got[0] - grid.cells.data).max() > 1e-3   # the cameras contribute
         self.check(got, want)
 
     @pytest.mark.parametrize("cams", CAMERA_SUBSETS, ids=["all", "three", "one"])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from util import make_attention_params, make_deformable_params, make_ln, make_mlp_params, t64
+from util import make_attention_params, make_deformable_params, make_ln, make_mlp_params, rows, t64
 
 from dualstream.configio import Config
 from dualstream.diffcore import FeatureMap, active_tape, layernorm, use_dtype
@@ -282,7 +282,7 @@ def img_attn_params(rng, degenerate=False):
 
 def feature_map(rng, cam, stride=8):
     hf, wf = cam.height // stride, cam.width // stride
-    return FeatureMap(data=t64(rng.normal(size=(L, hf, wf))), camera=cam.name, stride=stride)
+    return FeatureMap(data=t64(rows(rng.normal(size=(L, hf, wf)))), dims=(hf, wf), stride=stride)
 
 
 class TestObjImageCrossAttention:
@@ -309,7 +309,7 @@ class TestObjImageCrossAttention:
 
             uv, _ = project(cam, q.anchor_xyz[0])
             coords = np.array([[uv[1] / fm.stride - 0.5, uv[0] / fm.stride - 0.5]])
-            sample = bilinear_sample(fm.data, t64(coords)).data[0]
+            sample = bilinear_sample(fm.data, fm.dims, t64(coords)).data[0]
             want = layernorm(t64(q.latents.data + sample), p.ln_g, p.ln_b).data
             np.testing.assert_allclose(out.data, want, atol=1e-10)
 
@@ -331,7 +331,7 @@ class TestObjImageCrossAttention:
 
             uv, _ = project(cam_f, q.anchor_xyz[0])
             coords = np.array([[uv[1] / fm_f.stride - 0.5, uv[0] / fm_f.stride - 0.5]])
-            sample = bilinear_sample(fm_f.data, t64(coords)).data[0]
+            sample = bilinear_sample(fm_f.data, fm_f.dims, t64(coords)).data[0]
             want = layernorm(t64(q.latents.data + sample), p.ln_g, p.ln_b).data
             np.testing.assert_allclose(out.data, want, atol=1e-10)
 
@@ -355,8 +355,8 @@ class TestObjImageCrossAttention:
 
             uv, _ = project(cam_a, q.anchor_xyz[0])
             coords = np.array([[uv[1] / fm_a.stride - 0.5, uv[0] / fm_a.stride - 0.5]])
-            sa = bilinear_sample(fm_a.data, t64(coords)).data[0]
-            sb = bilinear_sample(fm_b.data, t64(coords)).data[0]
+            sa = bilinear_sample(fm_a.data, fm_a.dims, t64(coords)).data[0]
+            sb = bilinear_sample(fm_b.data, fm_b.dims, t64(coords)).data[0]
             want = layernorm(t64(q.latents.data + 0.5 * (sa + sb)), p.ln_g, p.ln_b).data
             np.testing.assert_allclose(out.data, want, atol=1e-10)
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from util import make_deformable_params, make_ln, make_mlp_params, t64
+from util import chw, feature_map, make_deformable_params, make_ln, make_mlp_params, rows, t64
 
 from dualstream.diffcore import Tensor, backward, fresh_tape, layernorm, use_dtype
 from dualstream.diffcore.tensor import ShapeError, sum_
@@ -29,7 +29,7 @@ SPEC = BevSpec(dims=(8, 8), extent=(-4.0, 4.0, -4.0, 4.0))
 
 def make_grid(rng, spec=SPEC, grad=False, validity=None):
     h, w = spec.dims
-    cells = Tensor(rng.normal(size=(L, h, w)), requires_grad=grad)
+    cells = Tensor(rows(rng.normal(size=(L, h, w))), requires_grad=grad)
     v = validity if validity is not None else np.ones((h, w), dtype=bool)
     return BevGrid(spec=spec, cells=cells, validity=v)
 
@@ -81,9 +81,10 @@ class TestWarp:
             out = warp_bev(g, delta, fresh)
             h, w = SPEC.dims
             # integer index-shift oracle: new row i holds previous row i+1
-            np.testing.assert_allclose(out.cells.data[:, : h - 1, :], g.cells.data[:, 1:, :], atol=1e-12)
+            got, prev = chw(out.cells.data, SPEC.dims), chw(g.cells.data, SPEC.dims)
+            np.testing.assert_allclose(got[:, : h - 1, :], prev[:, 1:, :], atol=1e-12)
             for j in range(w):
-                np.testing.assert_allclose(out.cells.data[:, h - 1, j], fresh.data, atol=1e-12)
+                np.testing.assert_allclose(got[:, h - 1, j], fresh.data, atol=1e-12)
             assert out.validity[: h - 1].all() and not out.validity[h - 1].any()
 
     def test_180_rotation_point_reflection(self, rng):
@@ -92,10 +93,10 @@ class TestWarp:
             cells = np.zeros((L, h, w))
             hot = np.arange(1, L + 1, dtype=np.float64)
             cells[:, 2, 5] = hot
-            g = BevGrid(spec=SPEC, cells=Tensor(cells), validity=np.ones((h, w), bool))
+            g = BevGrid(spec=SPEC, cells=Tensor(rows(cells)), validity=np.ones((h, w), bool))
             out = warp_bev(g, Pose.se2(math.pi, 0.0, 0.0), fresh_embedding(rng))
             # coordinate-reflection oracle
-            np.testing.assert_allclose(out.cells.data[:, h - 1 - 2, w - 1 - 5], hot, atol=1e-9)
+            np.testing.assert_allclose(chw(out.cells.data, SPEC.dims)[:, h - 1 - 2, w - 1 - 5], hot, atol=1e-9)
             assert out.validity.all()
 
     def test_roundtrip_lattice_aligned(self, rng):
@@ -108,16 +109,16 @@ class TestWarp:
                 fwd = warp_bev(g, delta, fresh)
                 back = warp_bev(fwd, invert(delta), fresh)
                 both = fwd.validity & back.validity
-                diff = np.abs(back.cells.data - g.cells.data).max(axis=0)
+                diff = np.abs(chw(back.cells.data, SPEC.dims) - chw(g.cells.data, SPEC.dims)).max(axis=0)
                 assert diff[both].max() <= 1e-9
 
     def test_constant_grid_stays_constant(self, rng):
         with use_dtype(np.float64):
             h, w = SPEC.dims
-            g = BevGrid(spec=SPEC, cells=Tensor(np.full((L, h, w), 2.5)), validity=np.ones((h, w), bool))
+            g = BevGrid(spec=SPEC, cells=Tensor(rows(np.full((L, h, w), 2.5))), validity=np.ones((h, w), bool))
             delta = Pose.se2(0.37, 0.83, -0.41)  # deliberately off-lattice
             out = warp_bev(g, delta, fresh_embedding(rng))
-            vals = out.cells.data[:, out.validity]
+            vals = chw(out.cells.data, SPEC.dims)[:, out.validity]
             np.testing.assert_allclose(vals, 2.5, atol=1e-9)
 
     def test_validity_matches_geometric_oracle(self, rng):
@@ -146,7 +147,7 @@ class TestWarp:
             out = warp_bev(g, Pose.se2(0.05, -0.3, 0.2), fresh)
             backward(sum_(out.cells))
             assert g.cells.grad is not None
-            interior = g.cells.grad[:, 2:-2, 2:-2]
+            interior = chw(g.cells.grad, SPEC.dims)[:, 2:-2, 2:-2]
             assert np.abs(interior).sum() > 0
 
     def test_fresh_embedding_receives_gradient(self, rng):
@@ -189,40 +190,40 @@ class TestTemporalGridAttention:
             prev = BevGrid(spec=SPEC, cells=Tensor(curr.cells.data.copy()),
                            validity=np.ones(SPEC.dims, bool))
             out = temporal_grid_attention(curr, prev, p).cells.data
-            flat = curr.cells_flat().data
+            flat = curr.cells.data
             want = layernorm(t64(flat + flat), p.ln_g, p.ln_b).data  # proj is identity
-            np.testing.assert_allclose(out.reshape(L, -1).T, want, atol=1e-10)
+            np.testing.assert_allclose(out, want, atol=1e-10)
 
     def test_matches_enumeration_oracle(self, rng):
         with use_dtype(np.float64):
             spec = BevSpec(dims=(4, 4), extent=(-2.0, 2.0, -2.0, 2.0))
             p = temporal_params(rng, n_points=2)
             h, w = spec.dims
-            curr = BevGrid(spec=spec, cells=Tensor(rng.normal(size=(L, h, w))),
+            curr = BevGrid(spec=spec, cells=Tensor(rows(rng.normal(size=(L, h, w)))),
                            validity=np.ones((h, w), bool))
             prev_validity = rng.uniform(size=(h, w)) > 0.3
-            prev = BevGrid(spec=spec, cells=Tensor(rng.normal(size=(L, h, w))),
+            prev = BevGrid(spec=spec, cells=Tensor(rows(rng.normal(size=(L, h, w)))),
                            validity=prev_validity)
             got = temporal_grid_attention(curr, prev, p).cells.data
 
             # explicit enumeration: run the dense deformable oracle per target
             from dualstream.diffcore.ops import _deformable_core
 
-            q = curr.cells_flat()
+            q = curr.cells
             refs = grid_coords(spec)
-            o1, v1 = _deformable_core(q, refs, curr.cells, p.deform)
-            o2, v2 = _deformable_core(q, refs, prev.cells, p.deform, valid_mask=prev.validity)
+            o1, v1 = _deformable_core(q, refs, curr.cells, spec.dims, p.deform)
+            o2, v2 = _deformable_core(q, refs, prev.cells, spec.dims, p.deform, valid_mask=prev.validity)
             counts = np.maximum(v1 + v2, 1.0)
             want_flat = layernorm(
                 t64(q.data + (o1.data + o2.data) / counts[:, None]), p.ln_g, p.ln_b
             ).data
-            np.testing.assert_allclose(got.reshape(L, -1).T, want_flat, atol=1e-5)
+            np.testing.assert_allclose(got, want_flat, atol=1e-5)
 
     def test_spec_mismatch_rejected(self, rng):
         p = temporal_params(rng)
         other = BevSpec(dims=(4, 4), extent=(-2.0, 2.0, -2.0, 2.0))
         curr = make_grid(rng)
-        prev = BevGrid(spec=other, cells=Tensor(np.zeros((L, 4, 4))), validity=np.ones((4, 4), bool))
+        prev = BevGrid(spec=other, cells=Tensor(np.zeros((16, L))), validity=np.ones((4, 4), bool))
         with pytest.raises(ShapeError):
             temporal_grid_attention(curr, prev, p)
 
@@ -254,24 +255,20 @@ class TestBevImageCrossAttention:
             p = bev_img_params(rng)
             grid = make_grid(rng)
             out = bev_image_cross_attention(grid, {}, {}, p)
-            want = layernorm(grid.cells_flat(), p.ln_g, p.ln_b).data
-            np.testing.assert_allclose(out.cells.data.reshape(L, -1).T, want, atol=1e-12)
+            want = layernorm(grid.cells, p.ln_g, p.ln_b).data
+            np.testing.assert_allclose(out.cells.data, want, atol=1e-12)
 
     def test_cells_behind_camera_residual(self, rng):
         with use_dtype(np.float64):
             p = bev_img_params(rng)
             cam = tiny_camera()
-            fm_data = Tensor(rng.normal(size=(L, 4, 8)))
-            from dualstream.diffcore import FeatureMap
-
-            fm = FeatureMap(data=fm_data, camera="front", stride=8)
+            fm = feature_map(rng.normal(size=(L, 4, 8)), stride=8)
             grid = make_grid(rng)
             out = bev_image_cross_attention(grid, {"front": fm}, {"front": cam},
                                             replace(p, pillar_heights=(0.0,)))
             # rows with x < 0 sit behind the forward camera: pure residual
-            flat = layernorm(grid.cells_flat(), p.ln_g, p.ln_b).data
-            h, w = SPEC.dims
-            got = out.cells.data.reshape(L, -1).T
+            flat = layernorm(grid.cells, p.ln_g, p.ln_b).data
+            got = out.cells.data
             behind = np.array([cell_to_metric(SPEC, ij)[0] < -0.5 for ij in grid_coords(SPEC)])
             np.testing.assert_allclose(got[behind], flat[behind], atol=1e-12)
 
@@ -279,18 +276,17 @@ class TestBevImageCrossAttention:
         with use_dtype(np.float64):
             p = bev_img_params(rng, degenerate=True)
             cam = tiny_camera()
-            from dualstream.diffcore import FeatureMap, bilinear_sample
+            from dualstream.diffcore import bilinear_sample
             from dualstream.geom3d import project
 
-            fm = FeatureMap(data=Tensor(rng.normal(size=(L, 4, 8))), camera="front", stride=8)
+            fm = feature_map(rng.normal(size=(L, 4, 8)), stride=8)
             grid = make_grid(rng)
             out = bev_image_cross_attention(grid, {"front": fm}, {"front": cam},
                                             replace(p, pillar_heights=(0.5,)))
-            h, w = SPEC.dims
-            got = out.cells.data.reshape(L, -1).T
+            got = out.cells.data
             centers = cell_to_metric(SPEC, grid_coords(SPEC))
-            flat = grid.cells_flat().data
-            hf, wf = fm.data.data.shape[1:]
+            flat = grid.cells.data
+            hf, wf = fm.dims
             for n, (x, y) in enumerate(centers):
                 try:
                     uv, _ = project(cam, [x, y, 0.5])
@@ -302,7 +298,7 @@ class TestBevImageCrossAttention:
                     continue
                 if not (0 <= uv[0] < cam.width and 0 <= uv[1] < cam.height):
                     continue
-                sample = bilinear_sample(fm.data, t64(coords)).data[0]
+                sample = bilinear_sample(fm.data, fm.dims, t64(coords)).data[0]
                 want = layernorm(t64((flat[n] + sample)[None, :]), p.ln_g, p.ln_b).data[0]
                 np.testing.assert_allclose(got[n], want, atol=1e-10)
 
@@ -310,19 +306,19 @@ class TestBevImageCrossAttention:
         with use_dtype(np.float64):
             p = bev_img_params(rng, degenerate=True)
             cam = tiny_camera()
-            from dualstream.diffcore import FeatureMap, bilinear_sample
+            from dualstream.diffcore import bilinear_sample
             from dualstream.geom3d import project
 
-            fm = FeatureMap(data=Tensor(rng.normal(size=(L, 8, 16))), camera="front", stride=4)
+            fm = feature_map(rng.normal(size=(L, 8, 16)), stride=4)
             grid = make_grid(rng)
             heights = (-0.3, 0.3)
             out = bev_image_cross_attention(grid, {"front": fm}, {"front": cam},
                                             replace(p, pillar_heights=heights))
-            got = out.cells.data.reshape(L, -1).T
+            got = out.cells.data
             centers = cell_to_metric(SPEC, grid_coords(SPEC))
-            flat = grid.cells_flat().data
+            flat = grid.cells.data
             checked = 0
-            hf, wf = fm.data.data.shape[1:]
+            hf, wf = fm.dims
             for n, (x, y) in enumerate(centers):
                 samples = []
                 for z in heights:
@@ -335,7 +331,7 @@ class TestBevImageCrossAttention:
                     coords = np.array([[uv[1] / fm.stride - 0.5, uv[0] / fm.stride - 0.5]])
                     if not (0 <= coords[0, 0] <= hf - 1 and 0 <= coords[0, 1] <= wf - 1):
                         continue
-                    samples.append(bilinear_sample(fm.data, t64(coords)).data[0])
+                    samples.append(bilinear_sample(fm.data, fm.dims, t64(coords)).data[0])
                 if len(samples) == 2:
                     want = layernorm(t64((flat[n] + 0.5 * (samples[0] + samples[1]))[None, :]),
                                      p.ln_g, p.ln_b).data[0]
@@ -349,7 +345,7 @@ class TestSegmentationHead:
         rng = np.random.default_rng(0)
         params = SegHeadParams(mlp=make_mlp_params(rng, L, 4, 3, zero=True))
         h, w = SPEC.dims
-        grid = BevGrid(spec=SPEC, cells=Tensor(np.zeros((L, h, w))), validity=np.ones((h, w), bool))
+        grid = BevGrid(spec=SPEC, cells=Tensor(np.zeros((h * w, L))), validity=np.ones((h, w), bool))
         logits = segmentation_head(grid, params)
         np.testing.assert_allclose(logits.data, 0.0, atol=1e-12)
         sig = 1.0 / (1.0 + np.exp(-logits.data))
@@ -367,7 +363,7 @@ class TestSegmentationHead:
         spec = BevSpec(dims=(3, 3), extent=(-1.5, 1.5, -1.5, 1.5))
         params = SegHeadParams(mlp=make_mlp_params(rng, L, 4, 3))
         gt = (rng.uniform(size=(3, 3, 3)) > 0.5).astype(np.float64)
-        cells = Tensor(rng.normal(size=(L, 3, 3)), requires_grad=True)
+        cells = Tensor(rows(rng.normal(size=(L, 3, 3))), requires_grad=True)
 
         def fn(c):
             grid = BevGrid(spec=spec, cells=c, validity=np.ones((3, 3), bool))

@@ -20,7 +20,6 @@ from dualstream.synthworld import (
     generate_and_write,
     generate_scene,
     rasterize_gt_bev,
-    read_dataset,
     render_camera,
     render_views,
     step_agents,
@@ -270,7 +269,7 @@ class TestDataset:
     def test_roundtrip_bitwise(self, tmp_path):
         cfg = WorldConfig(duration=3, agents_min=2, agents_max=2)
         generate_and_write([0], tmp_path / "d", cfg, BEV, config_echo={"k": "v"}, ranges=RANGES)
-        ds = read_dataset(tmp_path / "d")
+        ds = Dataset(tmp_path / "d")
         assert ds.n_scenes() == 1
         scene = generate_scene(0, cfg)
         rig = build_camera_rig()
@@ -321,7 +320,7 @@ class TestDataset:
         generate_and_write([0], tmp_path / "d", cfg, BEV, config_echo={}, ranges=RANGES)
         victim = tmp_path / "d" / "scene_0" / "frame_0" / "gt_seg.dstn"
         victim.write_bytes(victim.read_bytes()[:-10])
-        ds = read_dataset(tmp_path / "d")
+        ds = Dataset(tmp_path / "d")
         from dualstream.diffcore import DstnError
 
         with pytest.raises(DstnError, match="gt_seg"):
@@ -333,7 +332,7 @@ class TestDataset:
         import shutil
 
         shutil.rmtree(tmp_path / "d" / "scene_0" / "frame_1")
-        ds = read_dataset(tmp_path / "d")
+        ds = Dataset(tmp_path / "d")
         with pytest.raises(DatasetError, match="frame"):
             ds.load_frame(0, 1)
 
@@ -344,13 +343,13 @@ class TestDataset:
         index["format_version"] = 99
         (tmp_path / "d" / "index.json").write_text(json.dumps(index))
         with pytest.raises(DatasetError, match="version"):
-            read_dataset(tmp_path / "d")
+            Dataset(tmp_path / "d")
 
     def test_alternating_written_schedule(self, tmp_path):
         cfg = WorldConfig(duration=4, agents_min=1, agents_max=1)
         generate_and_write([0], tmp_path / "d", cfg, BEV, config_echo={},
                            ranges=RANGES, schedule_kind="alternating")
-        ds = read_dataset(tmp_path / "d")
+        ds = Dataset(tmp_path / "d")
         f0, f1 = ds.load_frame(0, 0), ds.load_frame(0, 1)
         assert f0.images["front"] is not None and f0.images["back"] is None
         assert f1.images["front"] is None and f1.images["back"] is not None

@@ -159,6 +159,20 @@ def test_checkpoint_of_another_parameter_set_is_refused(tmp_path):
         model_from_checkpoint(tmp_path / "ckpt")
 
 
+def test_checkpoint_of_another_bev_layout_is_refused(tmp_path):
+    with use_dtype(CFG.np_dtype()):
+        model = DualStreamModel(CFG)
+    init = model.store["bev.init"]
+    h, w = model.bev_spec.dims
+    L = CFG.latent_dim
+    # the channel-first (L, H, W) initial grid an older model stored
+    init.data = np.ascontiguousarray(init.data.T.reshape(L, h, w))
+    save_checkpoint(tmp_path / "ckpt", model, OptimizerState.fresh(model.store), CFG, step=0)
+    refused = rf"shape mismatch for bev\.init: \({L}, {h}, {w}\) vs \({h * w}, {L}\)"
+    with pytest.raises(DstnError, match=refused):
+        model_from_checkpoint(tmp_path / "ckpt")
+
+
 def test_cosine_lr_endpoints():
     base, floor = 2e-4, 0.05
     assert trainkit.cosine_lr(base, floor, 0, 5) == base

@@ -4,12 +4,27 @@ import math
 
 import numpy as np
 
-from dualstream.diffcore import Tensor
+from dualstream.diffcore import FeatureMap, Tensor
 from dualstream.diffcore.ops import AttentionParams, DeformableParams, MlpParams
 
 
 def t64(arr, grad=False):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=grad)
+
+
+def rows(grid):
+    """The (H*W, C) row-major table of a (C, H, W) array."""
+    return np.ascontiguousarray(grid.reshape(grid.shape[0], -1).T)
+
+
+def chw(table, dims):
+    """The (C, H, W) view of an (H*W, C) table of an H x W grid."""
+    return table.T.reshape(-1, *dims)
+
+
+def feature_map(grid, stride, grad=False):
+    """A FeatureMap holding the (C, H_f, W_f) array ``grid``."""
+    return FeatureMap(data=Tensor(rows(grid), requires_grad=grad), dims=grid.shape[1:], stride=stride)
 
 
 def make_attention_params(rng, dim, identity=False):
