@@ -115,7 +115,7 @@ def _bev_image_case():
     def w(*shape, std=1.0):
         return Tensor(rng.normal(size=shape) * std / np.sqrt(shape[0]), requires_grad=True)
 
-    params = DeformableParams(n_points=POINTS, w_off=w(L, 2 * POINTS, std=0.3), b_off=w(2 * POINTS),
+    params = DeformableParams(w_off=w(L, 2 * POINTS, std=0.3), b_off=w(2 * POINTS),
                               w_wgt=w(L, POINTS), b_wgt=w(POINTS), w_val=w(L, L), w_out=w(L, L), b_out=w(L))
     queries = Tensor(rng.normal(size=(CELLS, L)), requires_grad=True)
     # each camera map is the (4 * 8, L) row-major table of a 4 x 8 grid

@@ -41,7 +41,7 @@ EXIT_NUMERIC = 4
 def effective_workers(cfg: Config) -> int:
     cap = os.environ.get("DUALSTREAM_THREADS")
     if cap is None:
-        return max(1, cfg.threads)
+        return cfg.threads
     try:
         return max(1, min(cfg.threads, int(cap)))
     except ValueError:
@@ -135,8 +135,9 @@ def cmd_train(args) -> int:
             raise ConfigError("train needs --config (or --resume)")
         cfg = load_config(args.config)
         model = DualStreamModel(cfg)
-    if args.stop_after_epoch is not None and not (0 < args.stop_after_epoch <= cfg.epochs):
-        raise ConfigError("--stop-after-epoch out of range")
+    first = max(start_epoch, 1)   # a resumed run cannot stop before the epoch it resumes at
+    if args.stop_after_epoch is not None and not first <= args.stop_after_epoch <= cfg.epochs:
+        raise ConfigError(f"--stop-after-epoch must lie in {first}..{cfg.epochs}, got {args.stop_after_epoch}")
 
     from dataclasses import replace
 

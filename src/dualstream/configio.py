@@ -19,6 +19,12 @@ class ConfigError(ValueError):
 
 
 INTERACTION_MODES = ("full", "none", "bidirectional")
+# the least value of each integer setting
+_MINIMUMS = {
+    **dict.fromkeys(("latent_dim", "heads", "n_layers", "patch", "n_points", "n_queries", "n_freqs", "decode_hidden",
+                     "image_height", "image_width", "threads", "batch_scenes"), 1),
+    "topk": 0, "sequence_length": 0, "bev_cells": 2,
+}
 
 
 @dataclass(frozen=True)
@@ -105,11 +111,11 @@ class Config:
             raise ConfigError(f"grad_clip must be >= 0 (0 or inf: no clipping), got {self.grad_clip!r}")
         if not 0 <= self.weight_decay < math.inf:
             raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
-        for name in ("latent_dim", "heads", "n_layers", "patch", "n_points", "n_queries"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        if self.topk < 0:
-            raise ConfigError(f"topk must be >= 0, got {self.topk!r}")
+        for name, least in _MINIMUMS.items():
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
+        if not 0 < self.bev_extent < math.inf:
+            raise ConfigError(f"bev_extent must be finite and > 0, got {self.bev_extent!r}")
         if self.latent_dim % self.heads != 0:
             raise ConfigError("latent_dim must be divisible by heads")
         if self.image_height % self.patch or self.image_width % self.patch:

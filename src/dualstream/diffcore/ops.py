@@ -285,9 +285,9 @@ def bilinear_sample(table: Tensor, dims, coords) -> Tensor:
 
 @dataclass
 class DeformableParams:
-    """Projections for deformable attention over one value table."""
+    """Projections for deformable attention over one value table. The
+    number of points each read samples is ``w_wgt``'s column count."""
 
-    n_points: int
     w_off: Tensor   # (L, n_points*2)
     b_off: Tensor
     w_wgt: Tensor   # (L, n_points)
@@ -334,7 +334,7 @@ def _deformable_core(
     m = owner.size
     grid_of = np.zeros(m, dtype=np.int64) if grid_of is None else np.asarray(grid_of, dtype=np.int64)
     refs = np.asarray(reference_points, dtype=np.float64)
-    P = params.n_points
+    P = params.w_wgt.data.shape[1]
     dims = np.asarray(dims, dtype=np.int64).reshape(-1, 2)   # (grids, 2)
     sizes = dims[:, 0] * dims[:, 1]
     if [t.data.shape[0] for t in tables] != sizes.tolist():

@@ -51,10 +51,6 @@ class Tape:
             del self._entries[:keep]
             self._base += keep
 
-    def clear(self) -> None:
-        self._base += len(self._entries)
-        self._entries.clear()
-
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -8,6 +8,12 @@ off or no history exists), BEV-to-image cross-attention, dynamic-static
 cross-attention (plus the static-dynamic block under the bidirectional
 variant), then the per-stream feed-forward MLPs. The dynamic-static block
 runs last so objects see the already image-updated grid of the same layer.
+
+The blocks are of four kinds, each with one parameter type: set attention
+over the objects (``SetAttnParams``: object self, static-to-dynamic), camera
+reads (``CameraReadParams``: object-to-image, BEV-to-image), deformable reads
+of the BEV grid (``GridReadParams``: BEV temporal, dynamic-to-static) and
+the feed-forwards (``FfnParams``).
 """
 
 from __future__ import annotations
@@ -18,33 +24,15 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .configio import INTERACTION_MODES
-from .diffcore import (
-    AttentionParams,
-    DeformableParams,
-    FeatureMap,
-    MlpParams,
-    Tensor,
-    layernorm,
-    linear,
-    mlp,
-    multi_head_attention,
-    sincos_encoding,
-)
+from .diffcore import FeatureMap, MlpParams, Tensor, layernorm, mlp, multi_head_attention
 from .diffcore.ops import _deformable_core
 from .diffcore.tensor import add, mul
-from .dynstream import (
-    ObjImageAttnParams,
-    ObjSelfAttnParams,
-    QuerySet,
-    _obj_image_cross_attention,
-    _obj_self_attention,
-    normalize_anchors,
-)
+from .dynstream import QuerySet, SetAttnParams, _obj_image_cross_attention, _obj_self_attention, anchor_keys
 from .geom3d import CameraModel
 from .statstream import (
     BevGrid,
-    BevImageAttnParams,
-    TemporalAttnParams,
+    CameraReadParams,
+    GridReadParams,
     bev_image_cross_attention,
     metric_to_cell,
     temporal_grid_attention,
@@ -64,24 +52,6 @@ class VariantFlags:
 
 
 @dataclass
-class DynStaticParams:
-    deform: DeformableParams
-    ln_g: Tensor
-    ln_b: Tensor
-
-
-@dataclass
-class StaticDynParams:
-    heads: int
-    attn: AttentionParams
-    pe_w: Tensor
-    pe_b: Tensor
-    ln_g: Tensor
-    ln_b: Tensor
-    n_freqs: int = 8
-
-
-@dataclass
 class FfnParams:
     mlp: MlpParams
     ln_g: Tensor
@@ -90,17 +60,17 @@ class FfnParams:
 
 @dataclass
 class DualLayerParams:
-    obj_self: ObjSelfAttnParams
-    obj_image: ObjImageAttnParams
-    bev_temporal: TemporalAttnParams
-    bev_image: BevImageAttnParams
-    dyn_static: DynStaticParams
+    obj_self: SetAttnParams
+    obj_image: CameraReadParams
+    bev_temporal: GridReadParams
+    bev_image: CameraReadParams
+    dyn_static: GridReadParams
     obj_ffn: FfnParams
     bev_ffn: FfnParams
-    static_dyn: Optional[StaticDynParams] = None
+    static_dyn: Optional[SetAttnParams] = None
 
 
-def _dynamic_static_core(latents: Tensor, anchors: np.ndarray, grid: BevGrid, params: DynStaticParams) -> Tensor:
+def _dynamic_static_core(latents: Tensor, anchors: np.ndarray, grid: BevGrid, params: GridReadParams) -> Tensor:
     """Object queries deformably attend to the BEV grid around their anchor;
     queries anchored outside the grid pass through residually. Returns the
     updated (n, L) latent matrix."""
@@ -116,7 +86,7 @@ def _dynamic_static_core(latents: Tensor, anchors: np.ndarray, grid: BevGrid, pa
 
 
 def _static_dynamic_core(
-    grid: BevGrid, latents: Tensor, anchors: np.ndarray, params: StaticDynParams, ranges: np.ndarray,
+    grid: BevGrid, latents: Tensor, anchors: np.ndarray, params: SetAttnParams, ranges: np.ndarray,
 ) -> BevGrid:
     """Bidirectional-variant block: every BEV cell attends over all object
     latents keyed with anchor positional encodings."""
@@ -124,9 +94,7 @@ def _static_dynamic_core(
     if latents.data.shape[0] == 0:
         combined = mul(q, 0.0)
     else:
-        enc = sincos_encoding(normalize_anchors(anchors, ranges), params.n_freqs)
-        pe = linear(Tensor(enc.astype(latents.dtype)), params.pe_w, params.pe_b)
-        keys = add(latents, pe)
+        keys = anchor_keys(latents, anchors, params, ranges)
         combined = multi_head_attention(q, keys, latents, params.heads, params.attn)
     cells = layernorm(add(q, combined), params.ln_g, params.ln_b)
     return BevGrid(spec=grid.spec, cells=cells, validity=grid.validity)

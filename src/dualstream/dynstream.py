@@ -16,7 +16,6 @@ import numpy as np
 
 from .diffcore import (
     AttentionParams,
-    DeformableParams,
     FeatureMap,
     MlpParams,
     Tensor,
@@ -29,7 +28,7 @@ from .diffcore import (
 )
 from .diffcore.tensor import add, concat, getitem, mul, take_rows
 from .geom3d import CameraModel, Pose, rot2
-from .statstream import camera_read
+from .statstream import CameraReadParams, camera_read
 
 
 @dataclass
@@ -177,7 +176,11 @@ def normalize_anchors(anchors: np.ndarray, ranges: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class ObjSelfAttnParams:
+class SetAttnParams:
+    """Multi-head attention over the object latents as a key set, keyed with
+    their anchor encodings and normalised: object self-attention and
+    static-to-dynamic attention."""
+
     heads: int
     attn: AttentionParams
     pe_w: Tensor
@@ -187,28 +190,22 @@ class ObjSelfAttnParams:
     n_freqs: int = 8
 
 
-def _obj_self_attention(latents: Tensor, anchors: np.ndarray, params: ObjSelfAttnParams, ranges: np.ndarray) -> Tensor:
+def anchor_keys(latents: Tensor, anchors: np.ndarray, params: SetAttnParams, ranges: np.ndarray) -> Tensor:
+    """The (n, L) latents plus their anchors' projected sincos encodings."""
+    enc = sincos_encoding(normalize_anchors(anchors, ranges), params.n_freqs)
+    return add(latents, linear(Tensor(enc.astype(latents.dtype)), params.pe_w, params.pe_b))
+
+
+def _obj_self_attention(latents: Tensor, anchors: np.ndarray, params: SetAttnParams, ranges: np.ndarray) -> Tensor:
     """Self-attention over the (n, L) query latents with anchor encodings on
     q/k. Returns the updated (n, L) latent matrix."""
-    enc = sincos_encoding(normalize_anchors(anchors, ranges), params.n_freqs)
-    pe = linear(Tensor(enc.astype(latents.dtype)), params.pe_w, params.pe_b)
-    qk = add(latents, pe)
+    qk = anchor_keys(latents, anchors, params, ranges)
     attn_out = multi_head_attention(qk, qk, latents, params.heads, params.attn)
     return layernorm(add(latents, attn_out), params.ln_g, params.ln_b)
 
 
-@dataclass
-class ObjImageAttnParams:
-    deform: DeformableParams
-    pe_w: Tensor
-    pe_b: Tensor
-    ln_g: Tensor
-    ln_b: Tensor
-    n_freqs: int = 8
-
-
 def _obj_image_cross_attention(latents: Tensor, anchors: np.ndarray, features: Mapping[str, FeatureMap],
-                               cameras: Mapping[str, CameraModel], params: ObjImageAttnParams) -> Tensor:
+                               cameras: Mapping[str, CameraModel], params: CameraReadParams) -> Tensor:
     """Each query reads the available cameras at its anchor's projections
     (``camera_read``), pooled by the mean over the cameras that see it.
     Cameras absent from ``features`` are unavailable and contribute nothing.

@@ -11,24 +11,8 @@ import numpy as np
 
 from .configio import Config
 from .diffcore import FeatureMap, Tensor, patch_embed
-from .dualformer import (
-    DualLayerParams,
-    DynStaticParams,
-    FfnParams,
-    StaticDynParams,
-    VariantFlags,
-    forward_stack,
-)
-from .dynstream import (
-    MotionParams,
-    ObjImageAttnParams,
-    ObjSelfAttnParams,
-    QuerySet,
-    propagate,
-    select_topk,
-    spawn_queries,
-    SpawnParams,
-)
+from .dualformer import DualLayerParams, FfnParams, VariantFlags, forward_stack
+from .dynstream import MotionParams, QuerySet, SetAttnParams, SpawnParams, propagate, select_topk, spawn_queries
 from .geom3d import CameraModel, Pose, ego_delta
 from .heads import DecodeParams, Detection, HeadOutputs, decode_boxes
 from .params import (
@@ -40,7 +24,7 @@ from .params import (
     make_mlp_params,
     make_patch_embed_params,
 )
-from .statstream import BevGrid, BevSpec, SegHeadParams, segmentation_head, warp_bev
+from .statstream import BevGrid, BevSpec, CameraReadParams, GridReadParams, SegHeadParams, segmentation_head, warp_bev
 from .synthworld.dataset import FrameSample
 
 _MODEL_SEED_SALT = 0xD0A1
@@ -78,64 +62,47 @@ def _make_pe(store: ParamStore, prefix: str, rng, d_coords: int, n_freqs: int, l
             store.tensor(f"{prefix}.b", np.zeros(latent)))
 
 
+def _make_set_attn(store: ParamStore, prefix: str, rng, cfg: Config) -> SetAttnParams:
+    L, F = cfg.latent_dim, cfg.n_freqs
+    pe_w, pe_b = _make_pe(store, f"{prefix}.pe", rng, 3, F, L)
+    g, b = make_layernorm_params(store, f"{prefix}.ln", L)
+    return SetAttnParams(heads=cfg.heads, attn=make_attention_params(store, f"{prefix}.attn", rng, L),
+                         pe_w=pe_w, pe_b=pe_b, ln_g=g, ln_b=b, n_freqs=F)
+
+
+def _make_camera_read(store: ParamStore, prefix: str, rng, cfg: Config) -> CameraReadParams:
+    L, F = cfg.latent_dim, cfg.n_freqs
+    pe_w, pe_b = _make_pe(store, f"{prefix}.pe", rng, 2, F, L)
+    g, b = make_layernorm_params(store, f"{prefix}.ln", L)
+    return CameraReadParams(deform=make_deformable_params(store, f"{prefix}.deform", rng, L, L, cfg.n_points),
+                            pe_w=pe_w, pe_b=pe_b, ln_g=g, ln_b=b, n_freqs=F)
+
+
+def _make_grid_read(store: ParamStore, prefix: str, rng, cfg: Config) -> GridReadParams:
+    L = cfg.latent_dim
+    g, b = make_layernorm_params(store, f"{prefix}.ln", L)
+    return GridReadParams(deform=make_deformable_params(store, f"{prefix}.deform", rng, L, L, cfg.n_points),
+                          ln_g=g, ln_b=b)
+
+
+def _make_ffn(store: ParamStore, prefix: str, rng, cfg: Config) -> FfnParams:
+    L = cfg.latent_dim
+    g, b = make_layernorm_params(store, f"{prefix}.ln", L)
+    return FfnParams(mlp=make_mlp_params(store, f"{prefix}.mlp", rng, L, 2 * L, L), ln_g=g, ln_b=b)
+
+
 def build_layer_params(store: ParamStore, prefix: str, rng, cfg: Config) -> DualLayerParams:
-    L, P, F = cfg.latent_dim, cfg.n_points, cfg.n_freqs
-
-    pe_w, pe_b = _make_pe(store, f"{prefix}.obj_self.pe", rng, 3, F, L)
-    g, b = make_layernorm_params(store, f"{prefix}.obj_self.ln", L)
-    obj_self = ObjSelfAttnParams(
-        heads=cfg.heads, attn=make_attention_params(store, f"{prefix}.obj_self.attn", rng, L),
-        pe_w=pe_w, pe_b=pe_b, ln_g=g, ln_b=b, n_freqs=F,
-    )
-
-    pe_w, pe_b = _make_pe(store, f"{prefix}.obj_img.pe", rng, 2, F, L)
-    g, b = make_layernorm_params(store, f"{prefix}.obj_img.ln", L)
-    obj_image = ObjImageAttnParams(
-        deform=make_deformable_params(store, f"{prefix}.obj_img.deform", rng, L, L, P),
-        pe_w=pe_w, pe_b=pe_b,
-        ln_g=g, ln_b=b, n_freqs=F,
-    )
-
-    from .statstream import BevImageAttnParams, TemporalAttnParams
-
-    g, b = make_layernorm_params(store, f"{prefix}.bev_temporal.ln", L)
-    bev_temporal = TemporalAttnParams(
-        deform=make_deformable_params(store, f"{prefix}.bev_temporal.deform", rng, L, L, P),
-        ln_g=g, ln_b=b,
-    )
-
-    pe_w, pe_b = _make_pe(store, f"{prefix}.bev_img.pe", rng, 2, F, L)
-    g, b = make_layernorm_params(store, f"{prefix}.bev_img.ln", L)
-    bev_image = BevImageAttnParams(
-        deform=make_deformable_params(store, f"{prefix}.bev_img.deform", rng, L, L, P),
-        pe_w=pe_w, pe_b=pe_b, ln_g=g, ln_b=b, n_freqs=F,
-        pillar_heights=tuple(cfg.pillar_height_list()),
-    )
-
-    g, b = make_layernorm_params(store, f"{prefix}.dyn_static.ln", L)
-    dyn_static = DynStaticParams(
-        deform=make_deformable_params(store, f"{prefix}.dyn_static.deform", rng, L, L, P),
-        ln_g=g, ln_b=b,
-    )
-
-    static_dyn = None
-    if cfg.interaction == "bidirectional":
-        pe_w, pe_b = _make_pe(store, f"{prefix}.static_dyn.pe", rng, 3, F, L)
-        g, b = make_layernorm_params(store, f"{prefix}.static_dyn.ln", L)
-        static_dyn = StaticDynParams(
-            heads=cfg.heads, attn=make_attention_params(store, f"{prefix}.static_dyn.attn", rng, L),
-            pe_w=pe_w, pe_b=pe_b, ln_g=g, ln_b=b, n_freqs=F,
-        )
-
-    g, b = make_layernorm_params(store, f"{prefix}.obj_ffn.ln", L)
-    obj_ffn = FfnParams(mlp=make_mlp_params(store, f"{prefix}.obj_ffn.mlp", rng, L, 2 * L, L), ln_g=g, ln_b=b)
-    g, b = make_layernorm_params(store, f"{prefix}.bev_ffn.ln", L)
-    bev_ffn = FfnParams(mlp=make_mlp_params(store, f"{prefix}.bev_ffn.mlp", rng, L, 2 * L, L), ln_g=g, ln_b=b)
+    """One layer's blocks. The arguments run in the order written, which is
+    the store's name order and the initialiser's draw order."""
+    def block(make, name):
+        return make(store, f"{prefix}.{name}", rng, cfg)
 
     return DualLayerParams(
-        obj_self=obj_self, obj_image=obj_image, bev_temporal=bev_temporal,
-        bev_image=bev_image, dyn_static=dyn_static, obj_ffn=obj_ffn, bev_ffn=bev_ffn,
-        static_dyn=static_dyn,
+        obj_self=block(_make_set_attn, "obj_self"), obj_image=block(_make_camera_read, "obj_img"),
+        bev_temporal=block(_make_grid_read, "bev_temporal"), bev_image=block(_make_camera_read, "bev_img"),
+        dyn_static=block(_make_grid_read, "dyn_static"),
+        static_dyn=block(_make_set_attn, "static_dyn") if cfg.interaction == "bidirectional" else None,
+        obj_ffn=block(_make_ffn, "obj_ffn"), bev_ffn=block(_make_ffn, "bev_ffn"),
     )
 
 
@@ -171,6 +138,7 @@ class DualStreamModel:
         self.bev_spec = BevSpec(
             dims=(cfg.bev_cells, cfg.bev_cells),
             extent=(-cfg.bev_extent, cfg.bev_extent, -cfg.bev_extent, cfg.bev_extent),
+            pillar_heights=tuple(cfg.pillar_height_list()),
         )
         self.ranges = cfg.detection_ranges()
 

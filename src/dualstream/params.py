@@ -95,7 +95,6 @@ def _offset_ring(n_points: int, radius: float = 0.5) -> np.ndarray:
 def make_deformable_params(store: ParamStore, prefix: str, rng, latent: int, channels: int, n_points: int) -> DeformableParams:
     # offsets start on a small ring around the reference point, weights uniform
     return DeformableParams(
-        n_points=n_points,
         w_off=store.tensor(f"{prefix}.w_off", np.zeros((latent, n_points * 2))),
         b_off=store.tensor(f"{prefix}.b_off", _offset_ring(n_points)),
         w_wgt=store.tensor(f"{prefix}.w_wgt", np.zeros((latent, n_points))),

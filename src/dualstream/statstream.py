@@ -41,10 +41,13 @@ from .geom3d import CAMERA_SLOTS, CameraModel, Pose, invert, project_points
 
 @dataclass(frozen=True)
 class BevSpec:
-    """Geometry of the BEV lattice: (H, W) cells over a metric extent."""
+    """Geometry of the BEV lattice: (H, W) cells over a metric extent, and
+    the heights of the pillar points each cell lifts for its camera reads
+    (the model takes them from ``Config.pillar_heights``, once per model)."""
 
     dims: tuple[int, int]                       # (H_BEV, W_BEV)
     extent: tuple[float, float, float, float]   # (x_min, x_max, y_min, y_max) m
+    pillar_heights: tuple[float, ...] = (-1.0, 0.0, 1.0, 2.0)   # m above each cell center
 
     def __post_init__(self):
         h, w = self.dims
@@ -143,13 +146,16 @@ def warp_bev(prev: BevGrid, delta: Pose, fresh_embedding: Tensor) -> BevGrid:
 
 
 @dataclass
-class TemporalAttnParams:
+class GridReadParams:
+    """A deformable read of BEV cells, added to its queries and normalised:
+    BEV temporal attention and dynamic-to-static attention."""
+
     deform: DeformableParams
     ln_g: Tensor
     ln_b: Tensor
 
 
-def temporal_grid_attention(curr: BevGrid, warped_prev: Optional[BevGrid], params: TemporalAttnParams) -> BevGrid:
+def temporal_grid_attention(curr: BevGrid, warped_prev: Optional[BevGrid], params: GridReadParams) -> BevGrid:
     """Each cell deformably attends to the current grid and, when present,
     the warped previous grid at its own coordinates, and averages over the
     grids where it kept at least one valid sample. Both grids form one
@@ -172,18 +178,20 @@ def temporal_grid_attention(curr: BevGrid, warped_prev: Optional[BevGrid], param
 
 
 @dataclass
-class BevImageAttnParams:
+class CameraReadParams:
+    """A camera read (``camera_read``) with its pixel encoding, added to its
+    queries and normalised: object-to-image and BEV-to-image attention."""
+
     deform: DeformableParams
     pe_w: Tensor
     pe_b: Tensor
     ln_g: Tensor
     ln_b: Tensor
     n_freqs: int = 8
-    pillar_heights: tuple[float, ...] = (-1.0, 0.0, 1.0, 2.0)   # m above each cell center
 
 
 def camera_read(queries: Tensor, points: np.ndarray, owner: np.ndarray, features: Mapping[str, FeatureMap],
-                cameras: Mapping[str, CameraModel], params) -> Tensor:
+                cameras: Mapping[str, CameraModel], params: CameraReadParams) -> Tensor:
     """The (n, L) camera update of n queries, query ``owner[r]`` reading the
     available cameras where 3-D point r projects into them.
 
@@ -215,14 +223,14 @@ def camera_read(queries: Tensor, points: np.ndarray, owner: np.ndarray, features
 
 
 def bev_image_cross_attention(grid: BevGrid, features: Mapping[str, FeatureMap], cameras: Mapping[str, CameraModel],
-                              params: BevImageAttnParams) -> BevGrid:
-    """Lift pillar points above each cell center and average each cell's
-    camera reads of them over all hits (``camera_read``). Cells with no valid
-    projection pass through on the residual path."""
+                              params: CameraReadParams) -> BevGrid:
+    """Lift the spec's pillar points above each cell center and average each
+    cell's camera reads of them over all hits (``camera_read``). Cells with
+    no valid projection pass through on the residual path."""
     spec = grid.spec
-    n, nz = spec.dims[0] * spec.dims[1], len(params.pillar_heights)
+    n, nz = spec.dims[0] * spec.dims[1], len(spec.pillar_heights)
     q = grid.cells
-    pts = np.column_stack([np.tile(cell_center_grid(spec), (nz, 1)), np.repeat(params.pillar_heights, n)])
+    pts = np.column_stack([np.tile(cell_center_grid(spec), (nz, 1)), np.repeat(spec.pillar_heights, n)])
     update = camera_read(q, pts, np.tile(np.arange(n), nz), features, cameras, params)
     cells = layernorm(add(q, update), params.ln_g, params.ln_b)
     return BevGrid(spec=spec, cells=cells, validity=grid.validity)

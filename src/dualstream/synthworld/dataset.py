@@ -113,6 +113,14 @@ def ego_velocity(scene: SceneSpec, t: int) -> np.ndarray:
     return rot2(-traj[t].rotation) @ v_world
 
 
+def render_views(scene: SceneSpec, t: int, cameras: dict[str, CameraModel],
+                 schedule: dict[str, bool]) -> dict[str, Optional[np.ndarray]]:
+    """The image of every camera slot in ``CAMERA_SLOTS`` order, None where
+    the schedule leaves the slot unavailable."""
+    return {name: render_camera(scene, t, cameras[name])[0] if schedule.get(name, False) else None
+            for name in CAMERA_SLOTS}
+
+
 def build_frame(
     scene: SceneSpec,
     t: int,
@@ -121,19 +129,12 @@ def build_frame(
     schedule: dict[str, bool],
     ranges: Optional[np.ndarray] = None,
 ) -> FrameSample:
-    images = {}
-    for name in CAMERA_SLOTS:
-        if schedule.get(name, False):
-            img, _, _ = render_camera(scene, t, cameras[name])
-            images[name] = img
-        else:
-            images[name] = None
     boxes, ids = ego_frame_boxes(scene, t, ranges)
     return FrameSample(
         index=t,
         ego_pose=scene.ego_trajectory[t],
         ego_velocity=ego_velocity(scene, t),
-        images=images,
+        images=render_views(scene, t, cameras, schedule),
         gt_boxes=boxes,
         gt_ids=ids,
         gt_seg=rasterize_gt_bev(scene, t, bev_spec),

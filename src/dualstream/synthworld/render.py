@@ -153,18 +153,6 @@ def render_camera(scene: SceneSpec, t: int, cam: CameraModel):
     return image, depth, instance
 
 
-def render_views(scene: SceneSpec, t: int, cameras: dict, schedule: dict[str, bool]):
-    """Render every scheduled camera; unavailable slots map to None."""
-    out = {}
-    for name, cam in cameras.items():
-        if schedule.get(name, False):
-            img, _, _ = render_camera(scene, t, cam)
-            out[name] = img
-        else:
-            out[name] = None
-    return out
-
-
 def _se2_to_se3(p: Pose) -> Pose:
     c, s = np.cos(p.rotation), np.sin(p.rotation)
     r = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])

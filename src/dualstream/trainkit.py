@@ -152,8 +152,7 @@ def total_optimizer_steps(dataset: Dataset, cfg: Config) -> int:
 
 
 def _scene_groups(dataset: Dataset, cfg: Config) -> list[list[dict]]:
-    metas = list(dataset.scenes)
-    size = max(1, cfg.batch_scenes)
+    metas, size = list(dataset.scenes), cfg.batch_scenes
     return [metas[i:i + size] for i in range(0, len(metas), size)]
 
 

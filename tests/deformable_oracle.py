@@ -59,7 +59,7 @@ def deformable_core(queries, reference_points, value_grid, params, valid_mask: O
         anyv[idx] = anyv_sub
         return scatter_rows(out_sub, idx, n), anyv
 
-    P = params.n_points
+    P = params.w_wgt.data.shape[1]
     C = grids[0].data.shape[0]
     dims = np.array([g.data.shape[1:] for g in grids], dtype=np.int64)
     sizes = dims[:, 0] * dims[:, 1]
@@ -109,8 +109,8 @@ def bev_image_cross_attention(grid, features, cameras, params):
     n = spec.dims[0] * spec.dims[1]
     q = grid.cells
     centers = cell_center_grid(spec)
-    nz = len(params.pillar_heights)
-    pts = np.concatenate([np.concatenate([centers, np.full((n, 1), z)], axis=1) for z in params.pillar_heights])
+    nz = len(spec.pillar_heights)
+    pts = np.concatenate([np.concatenate([centers, np.full((n, 1), z)], axis=1) for z in spec.pillar_heights])
     names = sorted(features)
     if not names:
         combined = mul(q, 0.0)

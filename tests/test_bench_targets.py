@@ -3,12 +3,15 @@ renames one of those attributes must fail here, not drop a per-layer span
 silently."""
 
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture(scope="module")
@@ -35,3 +38,27 @@ def test_eval_probe_targets_exist():
     assert callable(DualStreamModel.forward_frame)
     assert callable(TrackerState.step)
     assert callable(dataset.build_frame)
+
+
+def test_frame_renders_go_through_the_dataset_render_camera(monkeypatch):
+    # the benchmark's synthworld.render span wraps dataset.render_camera
+    from dualstream.geom3d import CAMERA_SLOTS
+    from dualstream.statstream import BevSpec
+    from dualstream.synthworld import WorldConfig, build_camera_rig, dataset, full_schedule, generate_scene
+
+    calls = []
+    monkeypatch.setattr(dataset, "render_camera", lambda scene, t, cam: (calls.append(cam.name), None, None))
+    scene = generate_scene(0, WorldConfig(duration=1, agents_min=0, agents_max=0))
+    spec = BevSpec(dims=(4, 4), extent=(-2.0, 2.0, -2.0, 2.0))
+    frame = dataset.build_frame(scene, 0, build_camera_rig(), spec, full_schedule(1)[0])
+    assert calls == list(frame.images) == list(CAMERA_SLOTS)
+
+
+def test_microbench_runs_once_with_timing_disabled(tmp_path):
+    # microbench builds the package's parameter types itself; a renamed field
+    # must fail here rather than only when someone times it
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--benchmark-disable", str(ROOT / "microbench")]
+    proc = subprocess.run(cmd, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]

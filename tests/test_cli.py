@@ -63,6 +63,14 @@ def test_negative_topk_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_single_cell_bev_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("bev_cells = 1\n", encoding="utf-8")
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "bev_cells must be >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 TINY = ("seed = 7\nscene_frames = 2\nepochs = 1\nn_layers = 1\nlatent_dim = 16\nn_queries = 8\ntopk = 4\n"
         "decode_hidden = 16\nbev_cells = 8\nimage_height = 32\nimage_width = 64\n")
 
@@ -167,6 +175,18 @@ def test_resume_retraces_the_straight_run(tiny_data, tmp_path):
     halves = [(d / "loss.csv").read_text().splitlines() for d in (first, second)]
     assert all(h[0] == header for h in halves) and rows
     assert halves[0][1:] + halves[1][1:] == rows
+
+
+def test_resume_cannot_stop_before_its_epoch(tiny_data, tmp_path, capsys):
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text(TINY.replace("epochs = 1", "epochs = 2"), encoding="utf-8")
+    data = str(tiny_data / "data")
+    assert main(["train", "--config", str(cfg), "--data", data, "--out", str(tmp_path / "run")]) == EXIT_OK
+    args = ["train", "--resume", str(tmp_path / "run" / "ckpt_epoch_2"), "--stop-after-epoch", "1",
+            "--data", data, "--out", str(tmp_path / "again")]
+    assert main(args) == EXIT_CONFIG
+    assert "--stop-after-epoch must lie in 2..2, got 1" in capsys.readouterr().err
+    assert not (tmp_path / "again").exists()
 
 
 def read_outputs(out, names=("report.json", "report.csv", "manifest.json")):

@@ -29,7 +29,8 @@ def test_unbounded_grad_clip_means_no_clipping():
     assert parse_config("grad_clip = inf").grad_clip == float("inf")
 
 
-@pytest.mark.parametrize("key", ["heads", "patch", "latent_dim", "n_layers", "n_points", "n_queries"])
+@pytest.mark.parametrize("key", ["heads", "patch", "latent_dim", "n_layers", "n_points", "n_queries", "n_freqs",
+                                 "decode_hidden", "image_height", "image_width"])
 def test_model_size_below_one_is_rejected(key):
     with pytest.raises(ConfigError, match=rf"{key} must be >= 1, got 0"):
         parse_config(f"{key} = 0")
@@ -39,3 +40,23 @@ def test_negative_topk_is_rejected():
     with pytest.raises(ConfigError, match="topk must be >= 0, got -1"):
         parse_config("topk = -1")
     assert parse_config("topk = 0").topk == 0   # no memory carried between frames
+
+
+OUT_OF_RANGE = [
+    ("bev_cells = 1", "bev_cells must be >= 2, got 1"),
+    ("bev_extent = 0", "bev_extent must be finite and > 0, got 0.0"),
+    ("bev_extent = -4", "bev_extent must be finite and > 0, got -4.0"),
+    ("bev_extent = nan", "bev_extent must be finite and > 0, got nan"),
+    ("n_freqs = -1", "n_freqs must be >= 1, got -1"),
+    ("decode_hidden = -1", "decode_hidden must be >= 1, got -1"),
+    ("threads = 0", "threads must be >= 1, got 0"),
+    ("batch_scenes = 0", "batch_scenes must be >= 1, got 0"),
+    ("sequence_length = -1", "sequence_length must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("line,refused", OUT_OF_RANGE, ids=[line for line, _ in OUT_OF_RANGE])
+def test_setting_out_of_range_is_rejected(line, refused):
+    # each of these used to be coerced or to fail later with a bare ValueError
+    with pytest.raises(ConfigError, match=refused):
+        parse_config(line)

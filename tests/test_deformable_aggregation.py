@@ -195,7 +195,7 @@ def test_core_shares_are_the_mean_bitwise(rng):
     grid = t64(rng.normal(size=(L, 5, 5)))
     for dtype in (np.float32, np.float64):
         cast = replace(params, **{f.name: Tensor(getattr(params, f.name).data.astype(dtype))
-                                  for f in fields(params) if f.name != "n_points"})
+                                  for f in fields(params)})
         for _ in range(20):
             owner = np.repeat(np.arange(6), rng.integers(0, 5, 6))
             keep = rng.uniform(size=owner.size) < 0.7

@@ -301,7 +301,6 @@ def make_deformable_params(rng, latent, channels, n_points, degenerate=False):
         w_val = Tensor(rng.normal(size=(channels, latent)) / math.sqrt(channels), requires_grad=True)
         w_out = Tensor(rng.normal(size=(latent, latent)) / math.sqrt(latent), requires_grad=True)
     return DeformableParams(
-        n_points=n_points,
         w_off=w((latent, n_points * 2), std=0.01 if not degenerate else None),
         b_off=Tensor(np.zeros(n_points * 2), requires_grad=True),
         w_wgt=w((latent, n_points)),
@@ -374,7 +373,7 @@ class TestDeformable:
         C, H, W = grid.shape
         vproj = grid.reshape(C, H * W).T @ p.w_val.data  # (HW, L)
         vgrid = vproj.T.reshape(-1, H, W)
-        off = (queries @ p.w_off.data + p.b_off.data).reshape(n, p.n_points, 2)
+        off = (queries @ p.w_off.data + p.b_off.data).reshape(n, p.w_wgt.data.shape[1], 2)
         logits = queries @ p.w_wgt.data + p.b_wgt.data
         outs = np.zeros((n, vgrid.shape[0]))
         for i in range(n):
@@ -419,7 +418,7 @@ class TestDeformable:
         refs = rng.uniform(1.2, 3.3, size=(3, 2))
 
         def fn(q, g, w_off):
-            p2 = DeformableParams(P, w_off, params.b_off, params.w_wgt, params.b_wgt,
+            p2 = DeformableParams(w_off, params.b_off, params.w_wgt, params.b_wgt,
                                   params.w_val, params.w_out, params.b_out)
             return sum_(tanh(_deformable_core(q, refs, g, (5, 5), p2)[0]))
 

@@ -60,13 +60,13 @@ class TestDynamicStatic:
 
     def test_degenerate_equals_grid_bilinear(self, rng):
         from util import make_deformable_params, make_ln
-        from dualstream.dualformer import DynStaticParams
+        from dualstream.statstream import GridReadParams
         from dualstream.diffcore import bilinear_sample
 
         with use_dtype(np.float64):
             g_, b_ = make_ln(L)
-            p = DynStaticParams(deform=make_deformable_params(rng, L, L, 1, degenerate=True),
-                                ln_g=g_, ln_b=b_)
+            p = GridReadParams(deform=make_deformable_params(rng, L, L, 1, degenerate=True),
+                               ln_g=g_, ln_b=b_)
             grid = make_grid(rng)
             q = make_queries(rng, anchors=[[0.7, -1.2, 0.0]])
             out = _dynamic_static_core(q.latents, q.anchor_xyz, grid, p)
@@ -302,7 +302,7 @@ class TestConfigReachesBlocks:
             grids = []
             for heights in ("-1,0,1,2", "0"):
                 model = DualStreamModel(replace(CFG, pillar_heights=heights))
-                assert model.layers[0].bev_image.pillar_heights == tuple(
+                assert model.bev_spec.pillar_heights == tuple(
                     float(z) for z in heights.split(","))
                 frames, rig, dt = micro_frame(model)
                 res = model.forward_frame(frames[0], rig, model.initial_state(), dt)
@@ -322,9 +322,9 @@ def per_camera_bev_image(grid, features, cameras, p):
 
     n = grid.spec.dims[0] * grid.spec.dims[1]
     q = grid.cells
-    nz = len(p.pillar_heights)
+    nz = len(grid.spec.pillar_heights)
     centers = cell_center_grid(grid.spec)
-    pts = np.concatenate([np.concatenate([centers, np.full((n, 1), z)], axis=1) for z in p.pillar_heights])
+    pts = np.concatenate([np.concatenate([centers, np.full((n, 1), z)], axis=1) for z in grid.spec.pillar_heights])
     q_rep = concat([q] * nz)
     total, counts = None, np.zeros(n)
     for name in sorted(features):

@@ -8,9 +8,8 @@ from dualstream.configio import Config
 from dualstream.diffcore import FeatureMap, active_tape, layernorm, use_dtype
 from dualstream.dynstream import (
     MotionParams,
-    ObjImageAttnParams,
-    ObjSelfAttnParams,
     QuerySet,
+    SetAttnParams,
     SpawnParams,
     _obj_image_cross_attention,
     _obj_self_attention,
@@ -22,6 +21,7 @@ from dualstream.geom3d import CameraModel, Pose
 from dualstream.heads import decode_boxes
 from dualstream.model import build_decode_params
 from dualstream.params import ParamStore
+from dualstream.statstream import CameraReadParams
 
 RANGES = np.array([[-16.0, -16.0, -3.0], [16.0, 16.0, 3.0]])
 L = 8
@@ -191,7 +191,7 @@ class TestTapeCountIndependentOfQueryCount:
 
 def self_attn_params(rng, identity=False):
     g, b = make_ln(L)
-    return ObjSelfAttnParams(
+    return SetAttnParams(
         heads=2,
         attn=make_attention_params(rng, L, identity=identity),
         pe_w=t64(np.zeros((3 * 16, L)), grad=True),
@@ -272,7 +272,7 @@ def back_camera():
 
 def img_attn_params(rng, degenerate=False):
     g, b = make_ln(L)
-    return ObjImageAttnParams(
+    return CameraReadParams(
         deform=make_deformable_params(rng, L, L, 1 if degenerate else 3, degenerate=degenerate),
         pe_w=t64(np.zeros((2 * 16, L)), grad=True),
         pe_b=t64(np.zeros(L), grad=True),

@@ -10,10 +10,10 @@ from dualstream.diffcore.tensor import ShapeError, sum_
 from dualstream.geom3d import Pose, invert
 from dualstream.statstream import (
     BevGrid,
-    BevImageAttnParams,
     BevSpec,
+    CameraReadParams,
+    GridReadParams,
     SegHeadParams,
-    TemporalAttnParams,
     bev_image_cross_attention,
     cell_to_metric,
     grid_coords,
@@ -166,7 +166,7 @@ class TestWarp:
 
 def temporal_params(rng, degenerate=False, n_points=2):
     g, b = make_ln(L)
-    return TemporalAttnParams(
+    return GridReadParams(
         deform=make_deformable_params(rng, L, L, 1 if degenerate else n_points, degenerate=degenerate),
         ln_g=g, ln_b=b,
     )
@@ -230,7 +230,7 @@ class TestTemporalGridAttention:
 
 def bev_img_params(rng, degenerate=False):
     g, b = make_ln(L)
-    return BevImageAttnParams(
+    return CameraReadParams(
         deform=make_deformable_params(rng, L, L, 1 if degenerate else 2, degenerate=degenerate),
         pe_w=t64(np.zeros((2 * 16, L)), grad=True),
         pe_b=t64(np.zeros(L), grad=True),
@@ -263,9 +263,8 @@ class TestBevImageCrossAttention:
             p = bev_img_params(rng)
             cam = tiny_camera()
             fm = feature_map(rng.normal(size=(L, 4, 8)), stride=8)
-            grid = make_grid(rng)
-            out = bev_image_cross_attention(grid, {"front": fm}, {"front": cam},
-                                            replace(p, pillar_heights=(0.0,)))
+            grid = make_grid(rng, replace(SPEC, pillar_heights=(0.0,)))
+            out = bev_image_cross_attention(grid, {"front": fm}, {"front": cam}, p)
             # rows with x < 0 sit behind the forward camera: pure residual
             flat = layernorm(grid.cells, p.ln_g, p.ln_b).data
             got = out.cells.data
@@ -280,9 +279,8 @@ class TestBevImageCrossAttention:
             from dualstream.geom3d import project
 
             fm = feature_map(rng.normal(size=(L, 4, 8)), stride=8)
-            grid = make_grid(rng)
-            out = bev_image_cross_attention(grid, {"front": fm}, {"front": cam},
-                                            replace(p, pillar_heights=(0.5,)))
+            grid = make_grid(rng, replace(SPEC, pillar_heights=(0.5,)))
+            out = bev_image_cross_attention(grid, {"front": fm}, {"front": cam}, p)
             got = out.cells.data
             centers = cell_to_metric(SPEC, grid_coords(SPEC))
             flat = grid.cells.data
@@ -310,10 +308,9 @@ class TestBevImageCrossAttention:
             from dualstream.geom3d import project
 
             fm = feature_map(rng.normal(size=(L, 8, 16)), stride=4)
-            grid = make_grid(rng)
             heights = (-0.3, 0.3)
-            out = bev_image_cross_attention(grid, {"front": fm}, {"front": cam},
-                                            replace(p, pillar_heights=heights))
+            grid = make_grid(rng, replace(SPEC, pillar_heights=heights))
+            out = bev_image_cross_attention(grid, {"front": fm}, {"front": cam}, p)
             got = out.cells.data
             centers = cell_to_metric(SPEC, grid_coords(SPEC))
             flat = grid.cells.data

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from dataclasses import replace
@@ -171,6 +172,53 @@ def test_checkpoint_of_another_bev_layout_is_refused(tmp_path):
     refused = rf"shape mismatch for bev\.init: \({L}, {h}, {w}\) vs \({h * w}, {L}\)"
     with pytest.raises(DstnError, match=refused):
         model_from_checkpoint(tmp_path / "ckpt")
+
+
+# the names of a one-layer bidirectional model, in registration order: the
+# checkpoint's ``param_names`` and the order of the initialiser's draws
+PINNED_NAMES = """
+    backbone.ln1.g backbone.ln1.b backbone.ln2.g backbone.ln2.b backbone.w_proj backbone.b_proj
+    backbone.mlp1.w1 backbone.mlp1.b1 backbone.mlp1.w2 backbone.mlp1.b2 backbone.mlp2.w1 backbone.mlp2.b1
+    backbone.mlp2.w2 backbone.mlp2.b2 spawn.embeddings spawn.anchors motion.w1 motion.b1 motion.w2 motion.b2
+    bev.init bev.fresh layer0.obj_self.pe.w layer0.obj_self.pe.b layer0.obj_self.ln.g layer0.obj_self.ln.b
+    layer0.obj_self.attn.wq layer0.obj_self.attn.wq_b layer0.obj_self.attn.wk layer0.obj_self.attn.wk_b
+    layer0.obj_self.attn.wv layer0.obj_self.attn.wv_b layer0.obj_self.attn.wo layer0.obj_self.attn.wo_b
+    layer0.obj_img.pe.w layer0.obj_img.pe.b layer0.obj_img.ln.g layer0.obj_img.ln.b
+    layer0.obj_img.deform.w_off layer0.obj_img.deform.b_off layer0.obj_img.deform.w_wgt
+    layer0.obj_img.deform.b_wgt layer0.obj_img.deform.w_val layer0.obj_img.deform.w_out
+    layer0.obj_img.deform.b_out layer0.bev_temporal.ln.g layer0.bev_temporal.ln.b
+    layer0.bev_temporal.deform.w_off layer0.bev_temporal.deform.b_off layer0.bev_temporal.deform.w_wgt
+    layer0.bev_temporal.deform.b_wgt layer0.bev_temporal.deform.w_val layer0.bev_temporal.deform.w_out
+    layer0.bev_temporal.deform.b_out layer0.bev_img.pe.w layer0.bev_img.pe.b layer0.bev_img.ln.g
+    layer0.bev_img.ln.b layer0.bev_img.deform.w_off layer0.bev_img.deform.b_off layer0.bev_img.deform.w_wgt
+    layer0.bev_img.deform.b_wgt layer0.bev_img.deform.w_val layer0.bev_img.deform.w_out
+    layer0.bev_img.deform.b_out layer0.dyn_static.ln.g layer0.dyn_static.ln.b layer0.dyn_static.deform.w_off
+    layer0.dyn_static.deform.b_off layer0.dyn_static.deform.w_wgt layer0.dyn_static.deform.b_wgt
+    layer0.dyn_static.deform.w_val layer0.dyn_static.deform.w_out layer0.dyn_static.deform.b_out
+    layer0.static_dyn.pe.w layer0.static_dyn.pe.b layer0.static_dyn.ln.g layer0.static_dyn.ln.b
+    layer0.static_dyn.attn.wq layer0.static_dyn.attn.wq_b layer0.static_dyn.attn.wk
+    layer0.static_dyn.attn.wk_b layer0.static_dyn.attn.wv layer0.static_dyn.attn.wv_b
+    layer0.static_dyn.attn.wo layer0.static_dyn.attn.wo_b layer0.obj_ffn.ln.g layer0.obj_ffn.ln.b
+    layer0.obj_ffn.mlp.w1 layer0.obj_ffn.mlp.b1 layer0.obj_ffn.mlp.w2 layer0.obj_ffn.mlp.b2
+    layer0.bev_ffn.ln.g layer0.bev_ffn.ln.b layer0.bev_ffn.mlp.w1 layer0.bev_ffn.mlp.b1
+    layer0.bev_ffn.mlp.w2 layer0.bev_ffn.mlp.b2 decode.w_hidden decode.b_hidden decode.w_center
+    decode.b_center decode.w_size decode.b_size decode.w_yaw decode.b_yaw decode.w_vel decode.b_vel
+    decode.w_cls decode.b_cls seg.w1 seg.b1 seg.w2 seg.b2
+""".split()
+
+
+def test_parameter_names_and_initial_values_are_pinned():
+    cfg = Config(dtype="f64", interaction="bidirectional", n_layers=1, latent_dim=8, heads=2, n_queries=6,
+                 topk=3, n_points=2, n_freqs=2, bev_cells=4, bev_extent=2.0, patch=8, image_height=16,
+                 image_width=32, decode_hidden=8)
+    model = DualStreamModel(cfg)
+    assert model.store.names() == PINNED_NAMES
+    h = hashlib.sha256()
+    for name, t in model.store.items():
+        h.update(name.encode())
+        h.update(str(t.data.shape).encode())
+        h.update(t.data.tobytes())
+    assert h.hexdigest() == "0c37aba0ea59fc9e3f55b3a5853ca9728e019fe8318543df957c52b09af46511"
 
 
 def test_cosine_lr_endpoints():

@@ -53,7 +53,6 @@ def make_deformable_params(rng, latent, channels, n_points, degenerate=False):
         w_val = Tensor(rng.normal(size=(channels, latent)) / math.sqrt(channels), requires_grad=True)
         w_out = Tensor(rng.normal(size=(latent, latent)) / math.sqrt(latent), requires_grad=True)
     return DeformableParams(
-        n_points=n_points,
         w_off=w((latent, n_points * 2), std=0.01 if not degenerate else None),
         b_off=Tensor(np.zeros(n_points * 2), requires_grad=True),
         w_wgt=w((latent, n_points)),
