@@ -30,6 +30,7 @@ from dualstream.diffcore import FeatureMap, Tensor, backward, fresh_tape, sum_
 from dualstream.diffcore.ops import DeformableParams, _bilinear_flat, _deformable_core, sampling_plan
 from dualstream.dynstream import _obj_image_cross_attention
 from dualstream.model import DualStreamModel
+from dualstream.statstream import plan_camera_reads
 from dualstream.synthworld import build_camera_rig
 
 SHAPES = {"bev_4096x1024": (4096, 32, 32), "camera_2600x32": (2600, 4, 8)}
@@ -168,28 +169,30 @@ def _obj_image_case():
     lo, hi = cfg.detection_ranges()
     anchors = rng.uniform(lo, hi, size=(QUERIES, 3))
     latents = Tensor(rng.normal(size=(QUERIES, cfg.latent_dim)).astype(np.float32), requires_grad=True)
-    return latents, anchors, feats, rig, model.layers[0].obj_image, model.store
+    params = model.layers[0].obj_image
+    reads = plan_camera_reads(anchors, np.arange(QUERIES), QUERIES, feats, rig, params)
+    return latents, reads, feats, params, model.store
 
 
 def test_obj_image_forward(benchmark):
-    latents, anchors, feats, rig, params, _ = _obj_image_case()
+    latents, reads, feats, params, _ = _obj_image_case()
 
     def forward():
         with fresh_tape():
-            return _obj_image_cross_attention(latents, anchors, feats, rig, params).data
+            return _obj_image_cross_attention(latents, reads, feats, params).data
 
     assert benchmark(forward).shape == latents.data.shape
 
 
 def test_obj_image_forward_backward(benchmark):
-    latents, anchors, feats, rig, params, store = _obj_image_case()
+    latents, reads, feats, params, store = _obj_image_case()
     g = np.random.default_rng(7).normal(size=latents.data.shape).astype(np.float32)
 
     def step():
         store.zero_grads()
         latents.grad = None
         with fresh_tape():
-            backward(sum_(_obj_image_cross_attention(latents, anchors, feats, rig, params) * g))
+            backward(sum_(_obj_image_cross_attention(latents, reads, feats, params) * g))
         return latents.grad
 
     assert benchmark(step).shape == latents.data.shape

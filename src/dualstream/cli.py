@@ -64,6 +64,14 @@ def bev_from_config(cfg: Config) -> BevSpec:
     return BevSpec(dims=(cfg.bev_cells, cfg.bev_cells), extent=(-e, e, -e, e))
 
 
+def require_config_bev(data: Dataset, cfg: Config, source: str) -> None:
+    """Refuse a dataset whose BEV grid is not the one ``cfg`` builds the model on."""
+    want, got = bev_from_config(cfg), data.bev_spec
+    if (tuple(got.dims), tuple(got.extent)) != (want.dims, want.extent):
+        raise ConfigError(f"dataset BEV grid {tuple(got.dims)} over {tuple(got.extent)} m does not match the "
+                          f"{source}'s {want.dims} over {want.extent} m")
+
+
 def write_manifest(out_dir: Path, command: str, cfg: Config, seed: int,
                    config_path: str = "", data_hash: str = "") -> None:
     manifest = {
@@ -135,6 +143,7 @@ def cmd_train(args) -> int:
             raise ConfigError("train needs --config (or --resume)")
         cfg = load_config(args.config)
         model = DualStreamModel(cfg)
+    require_config_bev(data, cfg, "checkpoint" if args.resume else "config")
     first = max(start_epoch, 1)   # a resumed run cannot stop before the epoch it resumes at
     if args.stop_after_epoch is not None and not first <= args.stop_after_epoch <= cfg.epochs:
         raise ConfigError(f"--stop-after-epoch must lie in {first}..{cfg.epochs}, got {args.stop_after_epoch}")
@@ -171,10 +180,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, _, cfg, step = model_from_checkpoint(args.ckpt)
     data = Dataset(args.data)
-    if tuple(data.bev_spec.dims) != model.bev_spec.dims:
-        raise ConfigError(
-            f"dataset BEV {data.bev_spec.dims} does not match checkpoint {model.bev_spec.dims}"
-        )
+    require_config_bev(data, cfg, "checkpoint")
     out = Path(args.out)
     inference = run_inference(data, model, cfg, schedule_override=args.schedule)
     slices = ("all", "high-velocity") if args.slice == "high-velocity" else ("all",)
@@ -206,6 +212,7 @@ def cmd_ablate(args) -> int:
 
     base = load_config(args.config)
     data = Dataset(args.data)
+    require_config_bev(data, base, "config")
     out = Path(args.out)
     data_h = dataset_hash(Path(args.data))
     rows = ["variant,interaction,temporal_bev,mAP,NDS,lanes_iou,AMOTA,IDS"]

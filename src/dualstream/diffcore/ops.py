@@ -9,7 +9,10 @@ Every bilinear and deformable read goes through one sampling plan: a sparse
 op sums weighted runs of samples with the weights folded into the plan's rows:
 one sparse product forward, its transpose for the value gradient, and the
 weight and coordinate gradients from each sample's four per-neighbour dots
-(one dense product when the table is small), so no scatter is needed. A
+(one dense product when the table is small), so no scatter is needed. The
+plan keeps each sample's fractional offsets; the weights' coordinate slopes
+are built from them only in a backward pass that needs the coordinate
+gradient, never under ``no_grad`` or for constant coordinates. A
 deformable query owns a sorted run of reads of the stacked value table (whose
 rows ``valid_mask`` masks) and pools those that keep a point by their mean:
 each hit read's share is 1/hits. The shares are folded into the point weights
@@ -183,15 +186,25 @@ class SamplingPlan:
     neighbour rows in the order 00, 01, 10, 11 and their bilinear weights,
     with the border-zero mask folded in: a sample outside its grid's
     cell-center hull has four zero weights. A sample on the far border
-    repeats its clamped row with weight zero. ``slope_data`` holds the
-    derivatives of ``weights.data`` along the row and the column coordinate:
-    a sample's four per-neighbour dots (``_bilinear_flat``) summed with either
-    give the gradient of its weight or of its coordinates.
+    repeats its clamped row with weight zero. ``di`` and ``dj`` are each
+    sample's fractional row and column offsets from its 00 neighbour (0
+    outside). Only a backward pass that needs the coordinate gradient builds
+    the ``slopes`` from them.
     """
 
     inside: np.ndarray              # (n,) bool
     weights: sparse.csr_array       # (n, rows)
-    slope_data: np.ndarray          # (2, 4n)
+    di: np.ndarray                  # (n,) float64
+    dj: np.ndarray                  # (n,) float64
+
+    def slopes(self) -> np.ndarray:
+        """(2, n, 4) derivatives of the weights along the row and the column
+        coordinate, in the weights' dtype: a sample's four per-neighbour dots
+        (``_bilinear_flat``) summed with either give its coordinate gradient."""
+        di, dj = self.di, self.dj
+        ins = self.inside.astype(np.float64)[:, None]
+        slopes = np.array([[-(1 - dj), -dj, 1 - dj, dj], [-(1 - di), 1 - di, -di, di]]).transpose(0, 2, 1) * ins
+        return slopes.astype(self.weights.dtype, order="C")
 
     def valid(self, mask: np.ndarray) -> np.ndarray:
         """(n,) True where a sample is inside and every neighbour with
@@ -222,9 +235,8 @@ def sampling_plan(coords: np.ndarray, h, w, rows: int, base=0, dtype=np.float64)
     cols = np.stack([row0 + j0, row0 + j1, row1 + j0, row1 + j1], axis=1)
     ins = inside.astype(np.float64)[:, None]
     wts = np.stack([(1 - di) * (1 - dj), (1 - di) * dj, di * (1 - dj), di * dj], axis=1) * ins
-    slopes = np.array([[-(1 - dj), -dj, 1 - dj, dj], [-(1 - di), 1 - di, -di, di]]).transpose(0, 2, 1) * ins
     m = sparse.csr_array((wts.astype(dtype).ravel(), cols.ravel(), np.arange(0, 4 * n + 1, 4)), shape=(n, rows))
-    return SamplingPlan(inside=inside, weights=m, slope_data=slopes.astype(dtype).reshape(2, -1))
+    return SamplingPlan(inside=inside, weights=m, di=di, dj=dj)
 
 
 def _bilinear_flat(flat: Tensor, coords: Tensor, plan: SamplingPlan, wts: Tensor, starts: np.ndarray) -> Tensor:
@@ -260,7 +272,7 @@ def _bilinear_flat(flat: Tensor, coords: Tensor, plan: SamplingPlan, wts: Tensor
                 dw = np.einsum("sq,sq->s", plan.weights.data.reshape(-1, 4), near)
                 _accumulate(wts, dw.reshape(wts.data.shape), grads)
             if coords.requires_grad:
-                dc = np.einsum("ksq,sq->sk", plan.slope_data.reshape(2, -1, 4), near)
+                dc = np.einsum("ksq,sq->sk", plan.slopes(), near)
                 _accumulate(coords, dc * w[:, None], grads)
 
     return _make(data, (flat, coords, wts), bwd)

@@ -14,6 +14,11 @@ over the objects (``SetAttnParams``: object self, static-to-dynamic), camera
 reads (``CameraReadParams``: object-to-image, BEV-to-image), deformable reads
 of the BEV grid (``GridReadParams``: BEV temporal, dynamic-to-static) and
 the feed-forwards (``FfnParams``).
+
+The camera geometry is planned outside the layers and shared by them
+(``CameraReads``): ``forward_stack`` plans the anchors' reads once per
+frame, and takes the pillars' reads from the model's ``PillarReads``, which
+plans them once per camera set and reuses them across frames.
 """
 
 from __future__ import annotations
@@ -32,9 +37,12 @@ from .geom3d import CameraModel
 from .statstream import (
     BevGrid,
     CameraReadParams,
+    CameraReads,
     GridReadParams,
     bev_image_cross_attention,
     metric_to_cell,
+    PillarReads,
+    plan_camera_reads,
     temporal_grid_attention,
 )
 
@@ -110,19 +118,21 @@ def forward_layer(
     grid: BevGrid,
     warped_prev: Optional[BevGrid],
     features: Mapping[str, FeatureMap],
-    cameras: Mapping[str, CameraModel],
+    obj_reads: CameraReads,
+    bev_reads: CameraReads,
     flags: VariantFlags,
     params: DualLayerParams,
     ranges: np.ndarray,
 ) -> tuple[Tensor, BevGrid]:
     """One dual-stream layer over the stacked (n, L) object latents and the
-    BEV grid; returns both updated streams with unchanged shapes."""
+    BEV grid, reading the cameras through the anchors' and the cells'
+    planned reads; returns both updated streams with unchanged shapes."""
     latents = _obj_self_attention(latents, anchors, params.obj_self, ranges)
-    latents = _obj_image_cross_attention(latents, anchors, features, cameras, params.obj_image)
+    latents = _obj_image_cross_attention(latents, obj_reads, features, params.obj_image)
 
     prev = warped_prev if flags.temporal_bev else None
     grid = temporal_grid_attention(grid, prev, params.bev_temporal)
-    grid = bev_image_cross_attention(grid, features, cameras, params.bev_image)
+    grid = bev_image_cross_attention(grid, bev_reads, features, params.bev_image)
 
     if flags.interaction != "none":
         latents = _dynamic_static_core(latents, anchors, grid, params.dyn_static)
@@ -143,17 +153,23 @@ def forward_stack(
     flags: VariantFlags,
     layer_params: Sequence[DualLayerParams],
     ranges: np.ndarray,
+    pillars: PillarReads,
 ) -> tuple[Tensor, BevGrid]:
     """Sequential layers with independent parameters. The previous grid is
-    warped once per timestep by the caller and shared across layers.
+    warped once per timestep by the caller, the anchors' camera reads are
+    planned once and the pillars' come from ``pillars``; all are shared
+    across layers.
 
     Returns the final (n, L) object latents and the final grid.
     """
     if not layer_params:
         raise ValueError("forward_stack needs at least one layer")
     latents, anchors = queries.latents, queries.anchor_xyz
+    first, n = layer_params[0], len(queries)
+    obj_reads = plan_camera_reads(anchors, np.arange(n), n, features, cameras, first.obj_image)
+    bev_reads = pillars.reads(grid.spec, features, cameras, first.bev_image)
     for params in layer_params:
         latents, grid = forward_layer(
-            latents, anchors, grid, warped_prev, features, cameras, flags, params, ranges
+            latents, anchors, grid, warped_prev, features, obj_reads, bev_reads, flags, params, ranges
         )
     return latents, grid

@@ -27,8 +27,8 @@ from .diffcore import (
     sincos_encoding,
 )
 from .diffcore.tensor import add, concat, getitem, mul, take_rows
-from .geom3d import CameraModel, Pose, rot2
-from .statstream import CameraReadParams, camera_read
+from .geom3d import Pose, rot2
+from .statstream import CameraReadParams, CameraReads, camera_read
 
 
 @dataclass
@@ -187,12 +187,12 @@ class SetAttnParams:
     pe_b: Tensor
     ln_g: Tensor
     ln_b: Tensor
-    n_freqs: int = 8
 
 
 def anchor_keys(latents: Tensor, anchors: np.ndarray, params: SetAttnParams, ranges: np.ndarray) -> Tensor:
-    """The (n, L) latents plus their anchors' projected sincos encodings."""
-    enc = sincos_encoding(normalize_anchors(anchors, ranges), params.n_freqs)
+    """The (n, L) latents plus their anchors' projected sincos encodings,
+    whose width is ``pe_w``'s row count (3 coordinates x 2 x n_freqs)."""
+    enc = sincos_encoding(normalize_anchors(anchors, ranges), params.pe_w.data.shape[0] // 6)
     return add(latents, linear(Tensor(enc.astype(latents.dtype)), params.pe_w, params.pe_b))
 
 
@@ -204,12 +204,11 @@ def _obj_self_attention(latents: Tensor, anchors: np.ndarray, params: SetAttnPar
     return layernorm(add(latents, attn_out), params.ln_g, params.ln_b)
 
 
-def _obj_image_cross_attention(latents: Tensor, anchors: np.ndarray, features: Mapping[str, FeatureMap],
-                               cameras: Mapping[str, CameraModel], params: CameraReadParams) -> Tensor:
-    """Each query reads the available cameras at its anchor's projections
-    (``camera_read``), pooled by the mean over the cameras that see it.
-    Cameras absent from ``features`` are unavailable and contribute nothing.
-    Returns the (n, L) latents.
+def _obj_image_cross_attention(latents: Tensor, reads: CameraReads, features: Mapping[str, FeatureMap],
+                               params: CameraReadParams) -> Tensor:
+    """Each query reads the available cameras at its anchor's projections,
+    planned once per frame (``reads``), pooled by the mean over the cameras
+    that see it. Returns the (n, L) latents.
     """
-    update = camera_read(latents, anchors, np.arange(latents.data.shape[0]), features, cameras, params)
+    update = camera_read(latents, reads, features, params)
     return layernorm(add(latents, update), params.ln_g, params.ln_b)

@@ -24,7 +24,16 @@ from .params import (
     make_mlp_params,
     make_patch_embed_params,
 )
-from .statstream import BevGrid, BevSpec, CameraReadParams, GridReadParams, SegHeadParams, segmentation_head, warp_bev
+from .statstream import (
+    BevGrid,
+    BevSpec,
+    CameraReadParams,
+    GridReadParams,
+    PillarReads,
+    SegHeadParams,
+    segmentation_head,
+    warp_bev,
+)
 from .synthworld.dataset import FrameSample
 
 _MODEL_SEED_SALT = 0xD0A1
@@ -67,7 +76,7 @@ def _make_set_attn(store: ParamStore, prefix: str, rng, cfg: Config) -> SetAttnP
     pe_w, pe_b = _make_pe(store, f"{prefix}.pe", rng, 3, F, L)
     g, b = make_layernorm_params(store, f"{prefix}.ln", L)
     return SetAttnParams(heads=cfg.heads, attn=make_attention_params(store, f"{prefix}.attn", rng, L),
-                         pe_w=pe_w, pe_b=pe_b, ln_g=g, ln_b=b, n_freqs=F)
+                         pe_w=pe_w, pe_b=pe_b, ln_g=g, ln_b=b)
 
 
 def _make_camera_read(store: ParamStore, prefix: str, rng, cfg: Config) -> CameraReadParams:
@@ -75,7 +84,7 @@ def _make_camera_read(store: ParamStore, prefix: str, rng, cfg: Config) -> Camer
     pe_w, pe_b = _make_pe(store, f"{prefix}.pe", rng, 2, F, L)
     g, b = make_layernorm_params(store, f"{prefix}.ln", L)
     return CameraReadParams(deform=make_deformable_params(store, f"{prefix}.deform", rng, L, L, cfg.n_points),
-                            pe_w=pe_w, pe_b=pe_b, ln_g=g, ln_b=b, n_freqs=F)
+                            pe_w=pe_w, pe_b=pe_b, ln_g=g, ln_b=b)
 
 
 def _make_grid_read(store: ParamStore, prefix: str, rng, cfg: Config) -> GridReadParams:
@@ -159,6 +168,7 @@ class DualStreamModel:
         self.decode = build_decode_params(store, "decode", rng, cfg)
         self.seg = SegHeadParams(mlp=make_mlp_params(store, "seg", rng, L, L, 3))
         self.store = store
+        self.pillar_reads = PillarReads()
 
     def initial_state(self) -> StreamState:
         return StreamState(memory=QuerySet.empty(self.cfg.latent_dim), grid=None, prev_pose=None)
@@ -199,7 +209,7 @@ class DualStreamModel:
             warped = warp_bev(state.grid, delta, self.fresh_cell)
 
         latents, grid_out = forward_stack(
-            queries, grid, warped, features, cameras, self.flags, self.layers, self.ranges
+            queries, grid, warped, features, cameras, self.flags, self.layers, self.ranges, self.pillar_reads
         )
         outputs, detections = decode_boxes(queries, latents, self.decode)
         seg_logits = segmentation_head(grid_out, self.seg)

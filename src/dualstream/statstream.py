@@ -2,6 +2,13 @@
 deformable temporal grid-attention, BEV-to-image cross-attention and the
 decoder-only segmentation head.
 
+Camera reads are planned apart from the layers (``CameraReads``): which
+(camera, query) pairs project, their feature-grid reference points, their
+pixel encodings and the pooling matrix. A plan depends only on geometry, so
+the pillar points' plan is made once per camera set and rig and reused
+across layers and frames (``PillarReads``, one per model), while a frame's anchors are
+planned once per frame and shared by its layers.
+
 Grid convention: row index i spans the x extent (forward), column index j
 spans the y extent (left); cell (i, j) is row i*W + j of every (H*W, ...)
 array, the (H*W, L) latent cells included. Integer grid coordinates are cell
@@ -14,6 +21,7 @@ effects.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -180,60 +188,131 @@ def temporal_grid_attention(curr: BevGrid, warped_prev: Optional[BevGrid], param
 @dataclass
 class CameraReadParams:
     """A camera read (``camera_read``) with its pixel encoding, added to its
-    queries and normalised: object-to-image and BEV-to-image attention."""
+    queries and normalised: object-to-image and BEV-to-image attention. The
+    encoding has ``pe_w``'s row count, 2 pixel coordinates x 2 x n_freqs."""
 
     deform: DeformableParams
     pe_w: Tensor
     pe_b: Tensor
     ln_g: Tensor
     ln_b: Tensor
-    n_freqs: int = 8
 
 
-def camera_read(queries: Tensor, points: np.ndarray, owner: np.ndarray, features: Mapping[str, FeatureMap],
-                cameras: Mapping[str, CameraModel], params: CameraReadParams) -> Tensor:
-    """The (n, L) camera update of n queries, query ``owner[r]`` reading the
-    available cameras where 3-D point r projects into them.
+@dataclass(frozen=True)
+class CameraReads:
+    """The detached geometry of n queries' camera reads, planned once and
+    read by every layer (``plan_camera_reads``).
 
-    The reads, stably sorted by owner with cameras in ``CAMERA_SLOTS`` order,
-    are one deformable call over the stacked camera tables. A query pools its
-    reads' outputs and pixel encodings (through ``pe_w``, plus ``pe_b`` if it
-    has a hit) with the same shares: the mean over its hit reads.
+    Read r is query ``reader[r]`` seeing one of its points in camera
+    ``names[cam[r]]``. The reads are stably sorted by reader, with cameras in
+    ``CAMERA_SLOTS`` order. ``refs`` are the stride-scaled feature-grid
+    (row, col) reference points, ``enc`` the pixel encodings in the model
+    dtype, and ``pool`` the (n, reads) matrix summing each query's reads.
+    The arrays are read-only, since one plan serves many reads.
     """
-    names = [name for name in CAMERA_SLOTS if name in features]
-    if not names:
-        return mul(queries, 0.0)
-    n, p = queries.data.shape[0], points.shape[0]
-    cams, fms = [cameras[name] for name in names], [features[name] for name in names]
+
+    names: tuple[str, ...]    # available cameras, in CAMERA_SLOTS order
+    cam: np.ndarray           # (reads,) index into names
+    reader: np.ndarray        # (reads,) sorted query index
+    refs: np.ndarray          # (reads, 2) float64
+    enc: np.ndarray           # (reads, pe_w rows)
+    pool: sparse.csr_array    # (n, reads)
+
+
+def plan_camera_reads(points: np.ndarray, owner: np.ndarray, n: int, features: Mapping[str, FeatureMap],
+                      cameras: Mapping[str, CameraModel], params: CameraReadParams) -> CameraReads:
+    """The reads of n queries, query ``owner[r]`` reading the available
+    cameras (those in ``features``) where 3-D point r projects into them.
+    The pixel encodings are sized and typed for ``params``' ``pe_w``."""
+    names = tuple(name for name in CAMERA_SLOTS if name in features)
+    cams, p, dtype = [cameras[name] for name in names], points.shape[0], params.pe_w.dtype
     proj = [project_points(cam, points) for cam in cams]
-    pairs = np.nonzero(np.concatenate([valid for _, _, valid in proj]))[0]   # camera-major
-    pairs = pairs[np.argsort(owner[pairs % p], kind="stable")]
+    pairs = np.nonzero(np.concatenate([valid for _, _, valid in proj] + [np.zeros(0, dtype=bool)]))[0]
+    pairs = pairs[np.argsort(owner[pairs % p], kind="stable")]     # camera-major before the sort
     cam, reader, m = pairs // p, owner[pairs % p], pairs.size
-    uv = np.concatenate([uv for uv, _, _ in proj])[pairs]
-    stride = np.array([fm.stride for fm in fms], dtype=np.float64)[cam, None]
-    out, share = _deformable_core(queries, uv[:, ::-1] / stride - 0.5, [fm.data for fm in fms],
-                                  [fm.dims for fm in fms], params.deform, owner=reader, grid_of=cam)
-    pix = uv / np.array([[c.width, c.height] for c in cams], dtype=np.float64)[cam]
-    enc = Tensor(sincos_encoding(pix, params.n_freqs).astype(out.dtype) * share[:, None])
-    pool = sparse.csr_array((np.ones(m, dtype=out.dtype), np.arange(m), np.searchsorted(reader, np.arange(n + 1))),
+    uv = np.concatenate([uv for uv, _, _ in proj] + [np.zeros((0, 2))])[pairs]
+    stride = np.array([features[name].stride for name in names], dtype=np.float64)[cam, None]
+    pix = uv / np.array([[c.width, c.height] for c in cams], dtype=np.float64).reshape(-1, 2)[cam]
+    enc = sincos_encoding(pix, params.pe_w.data.shape[0] // 4).astype(dtype)
+    pool = sparse.csr_array((np.ones(m, dtype=dtype), np.arange(m), np.searchsorted(reader, np.arange(n + 1))),
                             shape=(n, m))
-    hit = np.bincount(reader, weights=share, minlength=n) > 0
-    pe = add(linear(sparse_matmul(pool, enc), params.pe_w), mul(params.pe_b, hit.astype(out.dtype)[:, None]))
+    reads = CameraReads(names=names, cam=cam, reader=reader, refs=uv[:, ::-1] / stride - 0.5, enc=enc, pool=pool)
+    for a in (reads.cam, reads.reader, reads.refs, reads.enc):
+        a.flags.writeable = False
+    return reads
+
+
+class PillarReads:
+    """The camera reads of the pillar points lifted above every cell center
+    at the spec's heights, one query per cell (``reads``).
+
+    They depend only on the spec, the available cameras, their intrinsics,
+    extrinsics and image sizes, the feature strides and dims, and the
+    encoding's width and dtype, so a plan is reused for as long as these
+    values are equal: across layers and frames with the same camera set.
+    The last ``KEPT`` plans are kept, enough for a schedule that alternates
+    between camera sets.
+    """
+
+    KEPT = 4
+
+    def __init__(self):
+        self._plans: OrderedDict = OrderedDict()   # by the values a plan comes from, oldest first
+
+    def reads(self, spec: BevSpec, features: Mapping[str, FeatureMap], cameras: Mapping[str, CameraModel],
+              params: CameraReadParams) -> CameraReads:
+        names = tuple(name for name in CAMERA_SLOTS if name in features)
+        key = (spec, params.pe_w.data.shape[0], params.pe_w.dtype.str,
+               tuple((name, features[name].stride, tuple(features[name].dims), _camera_key(cameras[name]))
+                     for name in names))
+        plan = self._plans.pop(key, None)
+        if plan is None:
+            n, nz = spec.dims[0] * spec.dims[1], len(spec.pillar_heights)
+            pts = np.column_stack([np.tile(cell_center_grid(spec), (nz, 1)), np.repeat(spec.pillar_heights, n)])
+            plan = plan_camera_reads(pts, np.tile(np.arange(n), nz), n, features, cameras, params)
+        self._plans[key] = plan
+        if len(self._plans) > self.KEPT:
+            self._plans.popitem(last=False)
+        return plan
+
+
+def _camera_key(cam: CameraModel) -> tuple:
+    pose = cam.extrinsic
+    return (cam.fx, cam.fy, cam.cx, cam.cy, cam.width, cam.height, pose.rotation.tobytes(), pose.translation.tobytes())
+
+
+def camera_read(queries: Tensor, reads: CameraReads, features: Mapping[str, FeatureMap],
+                params: CameraReadParams) -> Tensor:
+    """The (n, L) camera update of n queries through their planned ``reads``.
+
+    The reads are one deformable call over the stacked camera tables. A
+    query pools its reads' outputs and pixel encodings (through ``pe_w``,
+    plus ``pe_b`` if it has a hit) with the same shares: the mean over its
+    hit reads.
+    """
+    n = queries.data.shape[0]
+    if reads.pool.shape[0] != n:
+        raise ShapeError(f"camera reads planned for {reads.pool.shape[0]} queries, got {n}")
+    if not reads.names:
+        return mul(queries, 0.0)
+    fms = [features[name] for name in reads.names]
+    out, share = _deformable_core(queries, reads.refs, [fm.data for fm in fms], [fm.dims for fm in fms],
+                                  params.deform, owner=reads.reader, grid_of=reads.cam)
+    enc = Tensor(reads.enc * share[:, None])
+    hit = np.bincount(reads.reader, weights=share, minlength=n) > 0
+    pe = add(linear(sparse_matmul(reads.pool, enc), params.pe_w), mul(params.pe_b, hit.astype(out.dtype)[:, None]))
     return add(out, pe)
 
 
-def bev_image_cross_attention(grid: BevGrid, features: Mapping[str, FeatureMap], cameras: Mapping[str, CameraModel],
+def bev_image_cross_attention(grid: BevGrid, reads: CameraReads, features: Mapping[str, FeatureMap],
                               params: CameraReadParams) -> BevGrid:
-    """Lift the spec's pillar points above each cell center and average each
-    cell's camera reads of them over all hits (``camera_read``). Cells with
-    no valid projection pass through on the residual path."""
-    spec = grid.spec
-    n, nz = spec.dims[0] * spec.dims[1], len(spec.pillar_heights)
+    """Each cell averages its camera reads of its pillar points over all
+    hits (``camera_read`` of ``PillarReads.reads``). Cells with no valid
+    projection pass through on the residual path."""
     q = grid.cells
-    pts = np.column_stack([np.tile(cell_center_grid(spec), (nz, 1)), np.repeat(spec.pillar_heights, n)])
-    update = camera_read(q, pts, np.tile(np.arange(n), nz), features, cameras, params)
+    update = camera_read(q, reads, features, params)
     cells = layernorm(add(q, update), params.ln_g, params.ln_b)
-    return BevGrid(spec=spec, cells=cells, validity=grid.validity)
+    return BevGrid(spec=grid.spec, cells=cells, validity=grid.validity)
 
 
 @dataclass

@@ -6,7 +6,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import Tensor, backward, fresh_tape, no_grad
+from dualstream.diffcore.tensor import Tensor, backward, fresh_tape, no_grad
 
 
 def finite_diff_check(

@@ -129,7 +129,7 @@ def bev_image_cross_attention(grid, features, cameras, params):
         out, anyv = deformable_core(sparse_matmul(pick, q), np.concatenate(fcoords)[pairs],
                                     camera_grids(features, names), params.deform,
                                     grid_of=pairs // (nz * n))
-        enc = sincos_encoding(np.concatenate(pix)[pairs], params.n_freqs)
+        enc = sincos_encoding(np.concatenate(pix)[pairs], params.pe_w.data.shape[0] // 4)
         pe = linear(Tensor(enc.astype(out.dtype)), params.pe_w, params.pe_b)
         out = add(out, mul(pe, anyv.astype(out.dtype)[:, None]))
         total = sparse_matmul(pick.T, out)
@@ -155,7 +155,7 @@ def obj_image_cross_attention(latents, anchors, features, cameras, params):
     out, anyv = deformable_core(concat([latents] * k), np.concatenate(fcoords),
                                 camera_grids(features, names), params.deform,
                                 query_valid=np.concatenate(valid), grid_of=np.repeat(np.arange(k), n))
-    enc = sincos_encoding(np.concatenate(pix), params.n_freqs)
+    enc = sincos_encoding(np.concatenate(pix), params.pe_w.data.shape[0] // 4)
     pe = linear(Tensor(enc.astype(out.dtype)), params.pe_w, params.pe_b)
     out = add(out, mul(pe, anyv.astype(out.dtype)[:, None]))
     counts = anyv.reshape(k, n).sum(axis=0)

@@ -15,7 +15,7 @@ from dualstream.cli import (
     main,
     parse_seeds,
 )
-from dualstream.configio import Config
+from dualstream.configio import Config, parse_config
 from dualstream.diffcore import use_dtype
 from dualstream.model import DualStreamModel
 from dualstream.trainkit import OptimizerState, load_checkpoint, save_checkpoint
@@ -225,3 +225,33 @@ def test_ablate_trains_and_reports_every_variant(tiny_data, tmp_path):
     assert [tuple(row[:3]) for row in rows] == [(n, i, str(t)) for n, i, t in ABLATION_GRID]
     for name, _, _ in ABLATION_GRID:
         read_outputs(out / name)
+
+
+@pytest.mark.parametrize("text", [TINY + "bev_extent = 8\n", TINY.replace("bev_cells = 8", "bev_cells = 6")],
+                         ids=["extent", "cells"])
+def test_train_refuses_a_dataset_of_another_bev_grid(tiny_data, tmp_path, capsys, text):
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    args = ["train", "--config", str(cfg), "--data", str(tiny_data / "data"), "--out", str(tmp_path / "run")]
+    assert main(args) == EXIT_CONFIG
+    assert "does not match the config's" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_eval_refuses_a_dataset_of_another_bev_extent(tiny_data, tmp_path, capsys):
+    cfg = parse_config(TINY + "bev_extent = 8\n")
+    model = DualStreamModel(cfg)
+    save_checkpoint(tmp_path / "ckpt", model, OptimizerState.fresh(model.store), cfg, step=0)
+    args = ["eval", "--ckpt", str(tmp_path / "ckpt"), "--data", str(tiny_data / "data"), "--out", str(tmp_path / "ev")]
+    assert main(args) == EXIT_CONFIG
+    assert "does not match the checkpoint's" in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
+
+
+def test_ablate_refuses_a_dataset_of_another_bev_extent(tiny_data, tmp_path, capsys):
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text(TINY + "bev_extent = 8\n", encoding="utf-8")
+    args = ["ablate", "--config", str(cfg), "--data", str(tiny_data / "data"), "--out", str(tmp_path / "ab")]
+    assert main(args) == EXIT_CONFIG
+    assert "does not match the config's" in capsys.readouterr().err
+    assert not (tmp_path / "ab").exists()

@@ -7,6 +7,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from check import finite_diff_check
 from deformable_oracle import (
     bev_image_cross_attention as oracle_bev_image,
     deformable_core as oracle_core,
@@ -16,9 +17,9 @@ from deformable_oracle import (
 )
 from test_dualformer import CAMERA_SUBSETS, make_grid, make_queries, micro_frame, micro_model, seen_anchors
 from test_sampling_plan import points, reference_bilinear
-from util import make_deformable_params, rows, t64
+from util import anchor_reads, make_deformable_params, pillar_reads, rows, t64
 
-from dualstream.diffcore import Tensor, backward, finite_diff_check, fresh_tape, sum_, tanh, use_dtype
+from dualstream.diffcore import Tensor, backward, fresh_tape, sum_, tanh, use_dtype
 from dualstream.diffcore.ops import _bilinear_flat, _deformable_core, sampling_plan
 from dualstream.diffcore.tensor import mul
 from dualstream.dualformer import _dynamic_static_core
@@ -88,7 +89,8 @@ def test_bev_image_matches_oracle(rng, cams):
         grid = random_grid(rng, model.bev_spec)
         feats = {k: v for k, v in model.encode_images(frames[0].images).items() if cams is None or k in cams}
         mix = rng.normal(size=grid.cells.data.shape)
-        got = run(lambda: bev_image_cross_attention(grid, feats, rig, p).cells, [grid.cells], model.store, mix)
+        got = run(lambda: bev_image_cross_attention(grid, pillar_reads(grid, feats, rig, p), feats, p).cells,
+                  [grid.cells], model.store, mix)
         want = run(lambda: oracle_bev_image(grid, feats, rig, p).cells, [grid.cells], model.store, mix)
     assert_match(got, want)
 
@@ -105,7 +107,7 @@ def test_obj_image_matches_oracle(rng, cams):
         q.latents.requires_grad = True
         feats = {k: v for k, v in model.encode_images(frames[0].images).items() if cams is None or k in cams}
         mix = rng.normal(size=q.latents.data.shape)
-        got = run(lambda: _obj_image_cross_attention(q.latents, q.anchor_xyz, feats, rig, p),
+        got = run(lambda: _obj_image_cross_attention(q.latents, anchor_reads(q.anchor_xyz, feats, rig, p), feats, p),
                   [q.latents], model.store, mix)
         want = run(lambda: oracle_obj_image(q.latents, q.anchor_xyz, feats, rig, p), [q.latents], model.store, mix)
     assert_match(got, want)
@@ -131,7 +133,7 @@ def test_obj_image_overlapping_cameras_match_oracle(rng, cams):
         q = make_queries(rng, 24, anchors=anchors)
         q.latents.requires_grad = True
         mix = rng.normal(size=q.latents.data.shape)
-        got = run(lambda: _obj_image_cross_attention(q.latents, q.anchor_xyz, feats, rig, p),
+        got = run(lambda: _obj_image_cross_attention(q.latents, anchor_reads(q.anchor_xyz, feats, rig, p), feats, p),
                   [q.latents], model.store, mix)
         want = run(lambda: oracle_obj_image(q.latents, q.anchor_xyz, feats, rig, p), [q.latents], model.store, mix)
     assert_match(got, want)
@@ -160,8 +162,8 @@ def test_blocks_bitwise_reproducible(rng):
         grid = random_grid(rng, model.bev_spec)
         feats = model.encode_images(frames[0].images)
         mix = rng.normal(size=grid.cells.data.shape)
-        first, second = (run(lambda: bev_image_cross_attention(grid, feats, rig, p).cells, [grid.cells],
-                             model.store, mix) for _ in range(2))
+        first, second = (run(lambda: bev_image_cross_attention(grid, pillar_reads(grid, feats, rig, p), feats, p).cells,
+                             [grid.cells], model.store, mix) for _ in range(2))
     np.testing.assert_array_equal(first[0], second[0])
     np.testing.assert_array_equal(first[1][0], second[1][0])
     for name in first[2]:

@@ -3,6 +3,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from check import finite_diff_check
 from util import rows
 
 import dualstream.diffcore as dc
@@ -11,7 +12,6 @@ from dualstream.diffcore import (
     Tensor,
     backward,
     bilinear_sample,
-    finite_diff_check,
     fresh_tape,
     gelu,
     layernorm,

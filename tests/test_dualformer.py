@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from util import rows, t64
+from check import finite_diff_check
+from util import anchor_reads, pillar_reads, rows, t64
 
 from dualstream.configio import Config
-from dualstream.diffcore import Tensor, backward, finite_diff_check, fresh_tape, layernorm, use_dtype
+from dualstream.diffcore import Tensor, backward, fresh_tape, layernorm, use_dtype
 from dualstream.diffcore.tensor import mul, sum_
 from dualstream.dualformer import (
     VariantFlags,
@@ -150,6 +151,13 @@ def micro_frame(model, rng_seed=0, n_agents=2):
     return frames, rig, world.dt
 
 
+def layer_reads(queries, grid, features, rig, model):
+    """The anchors' and the pillars' camera reads, as ``forward_stack`` plans them."""
+    layer = model.layers[0]
+    return (anchor_reads(queries.anchor_xyz, features, rig, layer.obj_image),
+            pillar_reads(grid, features, rig, layer.bev_image))
+
+
 class TestForwardLayerAblations:
     def test_interaction_none_object_stream_ignores_grid(self, rng):
         with use_dtype(np.float64):
@@ -161,9 +169,9 @@ class TestForwardLayerAblations:
             grid_b = make_grid(rng, model.bev_spec)  # arbitrary other grid
             flags = VariantFlags(interaction="none", temporal_bev=False)
             out_a, _ = forward_stack(queries, grid_a, None, features, rig, flags,
-                                     model.layers, model.ranges)
+                                     model.layers, model.ranges, model.pillar_reads)
             out_b, _ = forward_stack(queries, grid_b, None, features, rig, flags,
-                                     model.layers, model.ranges)
+                                     model.layers, model.ranges, model.pillar_reads)
             np.testing.assert_array_equal(out_a.data, out_b.data)
 
     def test_bev_stream_independent_of_queries_under_full(self, rng):
@@ -176,9 +184,9 @@ class TestForwardLayerAblations:
             qs_a = make_queries(rng, 4)
             qs_b = make_queries(rng, 4)
             _, grid_a = forward_stack(qs_a, grid, None, features, rig, flags,
-                                      model.layers, model.ranges)
+                                      model.layers, model.ranges, model.pillar_reads)
             _, grid_b = forward_stack(qs_b, grid, None, features, rig, flags,
-                                      model.layers, model.ranges)
+                                      model.layers, model.ranges, model.pillar_reads)
             np.testing.assert_array_equal(grid_a.cells.data, grid_b.cells.data)
 
     def test_interaction_liveness_grid_perturbation_reaches_queries(self, rng):
@@ -190,13 +198,13 @@ class TestForwardLayerAblations:
             queries = make_queries(rng, 2, anchors=np.tile([0.5, 0.5, 0.0], (2, 1)))
             grid = make_grid(rng, model.bev_spec)
             out1, _ = forward_stack(queries, grid, None, features, rig, flags,
-                                    model.layers, model.ranges)
+                                    model.layers, model.ranges, model.pillar_reads)
             cells2 = grid.cells.data.copy()
             ref = metric_to_cell(model.bev_spec, np.array([0.5, 0.5]))
             cells2[int(round(ref[0])) * model.bev_spec.dims[1] + int(round(ref[1]))] += 1.0
             grid2 = BevGrid(spec=grid.spec, cells=Tensor(cells2), validity=grid.validity)
             out2, _ = forward_stack(queries, grid2, None, features, rig, flags,
-                                    model.layers, model.ranges)
+                                    model.layers, model.ranges, model.pillar_reads)
             assert np.abs(out1.data - out2.data).max() > 1e-9
 
     def test_shapes_preserved(self, rng):
@@ -208,7 +216,9 @@ class TestForwardLayerAblations:
             queries = make_queries(rng, 5)
             grid = make_grid(rng, model.bev_spec)
             latents, grid_out = forward_layer(
-                queries.latents, queries.anchor_xyz, grid, None, features, rig, flags, model.layers[0], model.ranges)
+                queries.latents, queries.anchor_xyz, grid, None, features,
+                *layer_reads(queries, grid, features, rig, model),
+                flags, model.layers[0], model.ranges)
             assert latents.data.shape == (5, L)
             assert grid_out.cells.data.shape == grid.cells.data.shape
 
@@ -224,9 +234,9 @@ class TestForwardLayerAblations:
                     perm = rng.permutation(4)
                     grid = make_grid(rng, model.bev_spec)
                     out1, _ = forward_stack(qs, grid, None, features, rig, flags,
-                                            model.layers, model.ranges)
+                                            model.layers, model.ranges, model.pillar_reads)
                     out2, _ = forward_stack(qs.take(perm), grid, None, features, rig,
-                                            flags, model.layers, model.ranges)
+                                            flags, model.layers, model.ranges, model.pillar_reads)
                     np.testing.assert_array_equal(out1.data[perm], out2.data)
 
 
@@ -239,9 +249,11 @@ class TestForwardStack:
             queries = make_queries(rng, 4)
             grid = make_grid(rng, model.bev_spec)
             stacked, grid_s = forward_stack(queries, grid, None, features, rig, model.flags,
-                                            model.layers[:1], model.ranges)
+                                            model.layers[:1], model.ranges, model.pillar_reads)
             single, grid_l = forward_layer(
-                queries.latents, queries.anchor_xyz, grid, None, features, rig, model.flags, model.layers[0], model.ranges)
+                queries.latents, queries.anchor_xyz, grid, None, features,
+                *layer_reads(queries, grid, features, rig, model),
+                model.flags, model.layers[0], model.ranges)
             np.testing.assert_array_equal(stacked.data, single.data)
             np.testing.assert_array_equal(grid_s.cells.data, grid_l.cells.data)
 
@@ -255,7 +267,7 @@ class TestForwardStack:
                 queries = make_queries(np.random.default_rng(1), 4)
                 grid = make_grid(np.random.default_rng(2), model.bev_spec)
                 out, _ = forward_stack(queries, grid, None, features, rig, model.flags,
-                                       model.layers, model.ranges)
+                                       model.layers, model.ranges, model.pillar_reads)
                 runs.append(out.data.copy())
             np.testing.assert_array_equal(runs[0], runs[1])
 
@@ -277,7 +289,7 @@ class TestForwardStack:
             probe = model.layers[0].obj_self.attn.wq
             with fresh_tape():
                 latents, grid_out = forward_stack(queries, grid, None, features, rig,
-                                                  model.flags, model.layers, model.ranges)
+                                                  model.flags, model.layers, model.ranges, model.pillar_reads)
                 loss = sum_(mul(latents, mix))
                 model.store.zero_grads()
                 backward(loss)
@@ -287,12 +299,67 @@ class TestForwardStack:
             # fn re-reads the probe tensor each evaluation
             def fn(w):
                 out, _ = forward_stack(queries, grid, None, features, rig,
-                                       model.flags, model.layers, model.ranges)
+                                       model.flags, model.layers, model.ranges, model.pillar_reads)
                 return sum_(mul(out, mix))
 
             err = finite_diff_check(fn, [probe], eps=1e-5, coord_limit=12)
             assert err <= 1e-4
 
+
+
+def step_frames(frames, rigs, dt, fresh):
+    """Step frames through one micro model, or through a fresh model (with
+    no pillar plan kept) per frame; returns each frame's output bytes."""
+    from dualstream.diffcore import no_grad
+
+    model = micro_model()
+    state, outs = model.initial_state(), []
+    for frame, rig in zip(frames, rigs):
+        if fresh:
+            model = micro_model()
+        with use_dtype(np.float64), no_grad():
+            res = model.forward_frame(frame, rig, state, dt)
+        state = res.state
+        outs.append([res.seg_logits.data.tobytes(), state.memory.latents.data.tobytes(),
+                     state.grid.cells.data.tobytes()])
+    return outs
+
+
+class TestPlannedCameraReads:
+    """The pillars' camera reads are planned once per camera set and reused
+    across frames; the reuse must not change a bit of any frame."""
+
+    def test_alternating_camera_sets_equal_a_fresh_model_per_frame(self, monkeypatch):
+        from dualstream import statstream
+        from dualstream.synthworld import WorldConfig, alternating_schedule, build_camera_rig, build_frame
+        from dualstream.synthworld import generate_scene
+
+        model = micro_model()
+        world = WorldConfig(duration=4, agents_min=2, agents_max=2, spawn_x_min=-2.0, spawn_x_max=2.5,
+                            pedestrian_fraction=0.0)
+        scene = generate_scene(0, world)
+        # a new rig object per frame: the plans are reused by value
+        rigs = [build_camera_rig(width=model.cfg.image_width, height=model.cfg.image_height) for _ in range(4)]
+        frames = [build_frame(scene, t, rigs[t], model.bev_spec, on, model.ranges)
+                  for t, on in enumerate(alternating_schedule(4))]
+        plans = []
+        plan = statstream.plan_camera_reads
+        monkeypatch.setattr(statstream, "plan_camera_reads", lambda *a: plans.append(a) or plan(*a))
+        stepped = step_frames(frames, rigs, world.dt, fresh=False)
+        assert len(plans) == 2   # one plan per camera set
+        assert step_frames(frames, rigs, world.dt, fresh=True) == stepped
+        assert stepped[0] != stepped[2]
+
+    def test_a_rig_change_is_planned_anew(self):
+        from dualstream.synthworld import build_camera_rig
+
+        model = micro_model()
+        frames, rig, dt = micro_frame(model)
+        wide = build_camera_rig(width=model.cfg.image_width, height=model.cfg.image_height, fov_deg=100.0)
+        stepped = step_frames(frames[:2], [rig, wide], dt, fresh=False)
+        fresh = step_frames(frames[:2], [rig, wide], dt, fresh=True)
+        assert stepped == fresh
+        assert step_frames(frames[:2], [rig, rig], dt, fresh=True)[1] != fresh[1]   # the rig matters
 
 class TestConfigReachesBlocks:
     def test_pillar_heights_change_bev_output(self):
@@ -335,7 +402,8 @@ def per_camera_bev_image(grid, features, cameras, p):
                                      query_valid=valid)
         aidx = np.nonzero(anyv)[0]
         if aidx.size:
-            pix = sincos_encoding(np.stack([uv[aidx, 0] / cam.width, uv[aidx, 1] / cam.height], axis=1), p.n_freqs)
+            pix = sincos_encoding(np.stack([uv[aidx, 0] / cam.width, uv[aidx, 1] / cam.height], axis=1),
+                                  p.pe_w.data.shape[0] // 4)
             out = add(out, scatter_rows(linear(Tensor(pix), p.pe_w, p.pe_b), aidx, nz * n))
         cam_sum = sum_(reshape(out, (nz, n, -1)), axis=0)
         total = cam_sum if total is None else add(total, cam_sum)
@@ -362,7 +430,8 @@ def per_camera_obj_image(latents, anchors, features, cameras, p):
         fcoords = np.stack([uv[:, 1] / fm.stride - 0.5, uv[:, 0] / fm.stride - 0.5], axis=1)
         out, anyv = _deformable_core(latents, fcoords, grid_of_table(fm.data, fm.dims), p.deform,
                                      query_valid=valid)
-        enc = sincos_encoding(np.stack([uv[:, 0] / cam.width, uv[:, 1] / cam.height], axis=1), p.n_freqs)
+        enc = sincos_encoding(np.stack([uv[:, 0] / cam.width, uv[:, 1] / cam.height], axis=1),
+                              p.pe_w.data.shape[0] // 4)
         out = add(out, mul(linear(Tensor(enc), p.pe_w, p.pe_b), anyv.astype(np.float64)[:, None]))
         total = out if total is None else add(total, out)
         counts += anyv
@@ -418,7 +487,8 @@ class TestCameraBlocksMatchPerCameraLoop:
             grid = make_grid(rng, model.bev_spec)
             grid.cells.requires_grad = True
             feats = {k: v for k, v in model.encode_images(frames[0].images).items() if cams is None or k in cams}
-            got = self.run(lambda: bev_image_cross_attention(grid, feats, rig, p).cells, grid.cells, model, rng)
+            got = self.run(lambda: bev_image_cross_attention(grid, pillar_reads(grid, feats, rig, p), feats, p).cells,
+                           grid.cells, model, rng)
             want = self.run(lambda: per_camera_bev_image(grid, feats, rig, p), grid.cells, model, rng)
         assert np.abs(got[0] - grid.cells.data).max() > 1e-3   # the cameras contribute
         self.check(got, want)
@@ -434,7 +504,8 @@ class TestCameraBlocksMatchPerCameraLoop:
             q = make_queries(rng, 24, anchors=seen_anchors(rng, rig, 24))
             q.latents.requires_grad = True
             feats = {k: v for k, v in model.encode_images(frames[0].images).items() if cams is None or k in cams}
-            got = self.run(lambda: _obj_image_cross_attention(q.latents, q.anchor_xyz, feats, rig, p),
+            got = self.run(lambda: _obj_image_cross_attention(q.latents, anchor_reads(q.anchor_xyz, feats, rig, p),
+                                                              feats, p),
                            q.latents, model, rng)
             want = self.run(lambda: per_camera_obj_image(q.latents, q.anchor_xyz, feats, rig, p),
                             q.latents, model, rng)

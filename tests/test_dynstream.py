@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from util import make_attention_params, make_deformable_params, make_ln, make_mlp_params, rows, t64
+from util import anchor_reads, make_attention_params, make_deformable_params, make_ln, make_mlp_params, rows, t64
 
 from dualstream.configio import Config
 from dualstream.diffcore import FeatureMap, active_tape, layernorm, use_dtype
@@ -196,7 +196,7 @@ def self_attn_params(rng, identity=False):
         attn=make_attention_params(rng, L, identity=identity),
         pe_w=t64(np.zeros((3 * 16, L)), grad=True),
         pe_b=t64(np.zeros(L), grad=True),
-        ln_g=g, ln_b=b, n_freqs=8,
+        ln_g=g, ln_b=b,
     )
 
 
@@ -276,7 +276,7 @@ def img_attn_params(rng, degenerate=False):
         deform=make_deformable_params(rng, L, L, 1 if degenerate else 3, degenerate=degenerate),
         pe_w=t64(np.zeros((2 * 16, L)), grad=True),
         pe_b=t64(np.zeros(L), grad=True),
-        ln_g=g, ln_b=b, n_freqs=8,
+        ln_g=g, ln_b=b,
     )
 
 
@@ -292,7 +292,8 @@ class TestObjImageCrossAttention:
             cam = front_camera()
             fm = feature_map(rng, cam)
             q = make_queries(rng, anchors=[[-5.0, 0.0, 0.0]])  # behind the front camera
-            out = _obj_image_cross_attention(q.latents, q.anchor_xyz, {"front": fm}, {"front": cam}, p)
+            out = _obj_image_cross_attention(q.latents, anchor_reads(q.anchor_xyz, {"front": fm}, {"front": cam}, p),
+                                             {"front": fm}, p)
             want = layernorm(q.latents, p.ln_g, p.ln_b).data
             np.testing.assert_allclose(out.data, want, atol=1e-12)
 
@@ -302,7 +303,8 @@ class TestObjImageCrossAttention:
             cam = front_camera()
             fm = feature_map(rng, cam)
             q = make_queries(rng, anchors=[[8.0, 0.3, 0.2]])
-            out = _obj_image_cross_attention(q.latents, q.anchor_xyz, {"front": fm}, {"front": cam}, p)
+            out = _obj_image_cross_attention(q.latents, anchor_reads(q.anchor_xyz, {"front": fm}, {"front": cam}, p),
+                                             {"front": fm}, p)
 
             from dualstream.diffcore import bilinear_sample
             from dualstream.geom3d import project
@@ -324,7 +326,7 @@ class TestObjImageCrossAttention:
             q = make_queries(rng, anchors=[[8.0, 0.0, 0.5]])
             cams = {"front": cam_f, "back": cam_b}
             fms = {"front": fm_f, "back": fm_b}
-            out = _obj_image_cross_attention(q.latents, q.anchor_xyz, fms, cams, p)
+            out = _obj_image_cross_attention(q.latents, anchor_reads(q.anchor_xyz, fms, cams, p), fms, p)
 
             from dualstream.diffcore import bilinear_sample
             from dualstream.geom3d import project
@@ -347,8 +349,9 @@ class TestObjImageCrossAttention:
             fm_a, fm_b = feature_map(rng, cam_a), feature_map(rng, cam_b)
             q = make_queries(rng, anchors=[[8.0, 0.3, 0.2]])
             out = _obj_image_cross_attention(
-                q.latents, q.anchor_xyz, {"front": fm_a, "front-left": fm_b},
-                {"front": cam_a, "front-left": cam_b}, p)
+                q.latents, anchor_reads(q.anchor_xyz, {"front": fm_a, "front-left": fm_b},
+                                        {"front": cam_a, "front-left": cam_b}, p),
+                {"front": fm_a, "front-left": fm_b}, p)
 
             from dualstream.diffcore import bilinear_sample
             from dualstream.geom3d import project
@@ -369,7 +372,9 @@ class TestObjImageCrossAttention:
             qs = make_queries(rng, 5, anchors=anchors)
             perm = rng.permutation(5)
             moved = qs.take(perm)
-            out1 = _obj_image_cross_attention(qs.latents, qs.anchor_xyz, {"front": fm}, {"front": cam}, p).data
-            out2 = _obj_image_cross_attention(moved.latents, moved.anchor_xyz, {"front": fm},
-                                              {"front": cam}, p).data
+            out1 = _obj_image_cross_attention(qs.latents, anchor_reads(qs.anchor_xyz, {"front": fm}, {"front": cam}, p),
+                                              {"front": fm}, p).data
+            out2 = _obj_image_cross_attention(moved.latents,
+                                              anchor_reads(moved.anchor_xyz, {"front": fm}, {"front": cam}, p),
+                                              {"front": fm}, p).data
         np.testing.assert_array_equal(out1[perm], out2)

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from check import finite_diff_check
 from util import t64
 
 from dualstream.configio import Config
-from dualstream.diffcore import Tensor, active_tape, finite_diff_check, use_dtype
+from dualstream.diffcore import Tensor, active_tape, use_dtype
 from dualstream.diffcore.tensor import ShapeError
 from dualstream.dynstream import MotionParams, QuerySet, propagate
 from dualstream.geom3d import BoundingBox3D, Pose

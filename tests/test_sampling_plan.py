@@ -7,8 +7,9 @@ with ``np.add.at``.
 
 import numpy as np
 import pytest
+from check import finite_diff_check
 
-from dualstream.diffcore import Tensor, backward, finite_diff_check, fresh_tape, sum_, tanh
+from dualstream.diffcore import Tensor, backward, fresh_tape, sum_, tanh
 from dualstream.diffcore.ops import _bilinear_flat, sampling_plan
 
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from util import chw, feature_map, make_deformable_params, make_ln, make_mlp_params, rows, t64
+from util import chw, feature_map, make_deformable_params, make_ln, make_mlp_params, pillar_reads, rows, t64
 
 from dualstream.diffcore import Tensor, backward, fresh_tape, layernorm, use_dtype
 from dualstream.diffcore.tensor import ShapeError, sum_
@@ -13,6 +13,7 @@ from dualstream.statstream import (
     BevSpec,
     CameraReadParams,
     GridReadParams,
+    PillarReads,
     SegHeadParams,
     bev_image_cross_attention,
     cell_to_metric,
@@ -234,7 +235,7 @@ def bev_img_params(rng, degenerate=False):
         deform=make_deformable_params(rng, L, L, 1 if degenerate else 2, degenerate=degenerate),
         pe_w=t64(np.zeros((2 * 16, L)), grad=True),
         pe_b=t64(np.zeros(L), grad=True),
-        ln_g=g, ln_b=b, n_freqs=8,
+        ln_g=g, ln_b=b,
     )
 
 
@@ -254,7 +255,7 @@ class TestBevImageCrossAttention:
         with use_dtype(np.float64):
             p = bev_img_params(rng)
             grid = make_grid(rng)
-            out = bev_image_cross_attention(grid, {}, {}, p)
+            out = bev_image_cross_attention(grid, pillar_reads(grid, {}, {}, p), {}, p)
             want = layernorm(grid.cells, p.ln_g, p.ln_b).data
             np.testing.assert_allclose(out.cells.data, want, atol=1e-12)
 
@@ -264,7 +265,8 @@ class TestBevImageCrossAttention:
             cam = tiny_camera()
             fm = feature_map(rng.normal(size=(L, 4, 8)), stride=8)
             grid = make_grid(rng, replace(SPEC, pillar_heights=(0.0,)))
-            out = bev_image_cross_attention(grid, {"front": fm}, {"front": cam}, p)
+            out = bev_image_cross_attention(grid, pillar_reads(grid, {"front": fm}, {"front": cam}, p),
+                                            {"front": fm}, p)
             # rows with x < 0 sit behind the forward camera: pure residual
             flat = layernorm(grid.cells, p.ln_g, p.ln_b).data
             got = out.cells.data
@@ -280,7 +282,8 @@ class TestBevImageCrossAttention:
 
             fm = feature_map(rng.normal(size=(L, 4, 8)), stride=8)
             grid = make_grid(rng, replace(SPEC, pillar_heights=(0.5,)))
-            out = bev_image_cross_attention(grid, {"front": fm}, {"front": cam}, p)
+            out = bev_image_cross_attention(grid, pillar_reads(grid, {"front": fm}, {"front": cam}, p),
+                                            {"front": fm}, p)
             got = out.cells.data
             centers = cell_to_metric(SPEC, grid_coords(SPEC))
             flat = grid.cells.data
@@ -310,7 +313,8 @@ class TestBevImageCrossAttention:
             fm = feature_map(rng.normal(size=(L, 8, 16)), stride=4)
             heights = (-0.3, 0.3)
             grid = make_grid(rng, replace(SPEC, pillar_heights=heights))
-            out = bev_image_cross_attention(grid, {"front": fm}, {"front": cam}, p)
+            out = bev_image_cross_attention(grid, pillar_reads(grid, {"front": fm}, {"front": cam}, p),
+                                            {"front": fm}, p)
             got = out.cells.data
             centers = cell_to_metric(SPEC, grid_coords(SPEC))
             flat = grid.cells.data
@@ -337,6 +341,33 @@ class TestBevImageCrossAttention:
             assert checked > 0
 
 
+def test_pillar_reads_are_reused_by_value_and_bounded(rng):
+    from dualstream.synthworld import build_camera_rig
+
+    with use_dtype(np.float64):
+        p = bev_img_params(rng)
+        fms = {name: feature_map(np.zeros((L, 4, 8)), stride=8) for name in ("front", "back")}
+        pillars = PillarReads()
+        first = pillars.reads(SPEC, fms, build_camera_rig(width=64, height=32), p)
+        assert not first.enc.flags.writeable and not first.refs.flags.writeable
+        # equal values in new objects reuse the plan
+        assert pillars.reads(SPEC, dict(fms), build_camera_rig(width=64, height=32), p) is first
+        for fov in (50.0, 70.0, 80.0, 90.0, 100.0):
+            assert pillars.reads(SPEC, fms, build_camera_rig(width=64, height=32, fov_deg=fov), p) is not first
+        assert len(pillars._plans) == PillarReads.KEPT
+        again = pillars.reads(SPEC, fms, build_camera_rig(width=64, height=32), p)   # planned anew, equal
+        assert again is not first and again.enc.tobytes() == first.enc.tobytes()
+
+
+
+def test_camera_reads_planned_for_other_queries_are_refused(rng):
+    with use_dtype(np.float64):
+        p = bev_img_params(rng)
+        reads = pillar_reads(make_grid(rng), {}, {}, p)
+        small = make_grid(rng, BevSpec(dims=(4, 4), extent=(-2.0, 2.0, -2.0, 2.0)))
+        with pytest.raises(ShapeError, match="planned for 64 queries, got 16"):
+            bev_image_cross_attention(small, reads, {}, p)
+
 class TestSegmentationHead:
     def test_zero_grid_zero_init_gives_half_sigmoid(self):
         rng = np.random.default_rng(0)
@@ -354,7 +385,7 @@ class TestSegmentationHead:
         assert segmentation_head(grid, params).data.shape == (3,) + SPEC.dims
 
     def test_bce_gradient_through_cells(self, rng):
-        from dualstream.diffcore import finite_diff_check
+        from check import finite_diff_check
         from dualstream.heads import segmentation_loss
 
         spec = BevSpec(dims=(3, 3), extent=(-1.5, 1.5, -1.5, 1.5))

@@ -13,6 +13,7 @@ from dualstream.diffcore import backward, use_dtype
 from dualstream.diffcore.dstn import DstnError, write_tensor
 from dualstream.model import DualStreamModel
 from dualstream.params import ParamStore
+from dualstream.runner import assemble_report, run_inference
 from dualstream.synthworld.dataset import Dataset, generate_and_write
 from dualstream.trainkit import (
     NumericError,
@@ -38,6 +39,27 @@ def test_micro_overfit_loss_falls(tmp_path):
     result, _ = streaming_train(Dataset(tmp_path), model, CFG)
     per_epoch = result.losses().reshape(CFG.epochs, -1).mean(axis=1)
     assert per_epoch[-1] <= 0.85 * per_epoch[0], per_epoch
+
+
+@pytest.mark.slow
+def test_overfit_raises_detection_and_segmentation_quality(tmp_path):
+    # opt-in (pytest -m slow): the 1-scene overfit must raise the evaluated
+    # mAP and seg mIoU above the untrained model's, not only lower the loss
+    cfg = replace(CFG, epochs=100)
+    generate_and_write([7], tmp_path, world_from_config(cfg), bev_from_config(cfg),
+                       config_echo=config_to_dict(cfg), ranges=cfg.detection_ranges(),
+                       image_size=(cfg.image_height, cfg.image_width))
+    data = Dataset(tmp_path)
+    model = DualStreamModel(cfg)
+
+    def quality():
+        report = assemble_report(run_inference(data, model, cfg), cfg, run_id="overfit", code_version="test")
+        return report.slices["all"].mAP, report.seg["miou"]
+
+    untrained = quality()
+    streaming_train(data, model, cfg)
+    trained = quality()
+    assert trained[0] > untrained[0] and trained[1] > untrained[1], (untrained, trained)
 
 
 def _tiny(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 
 from dualstream.diffcore import FeatureMap, Tensor
 from dualstream.diffcore.ops import AttentionParams, DeformableParams, MlpParams
+from dualstream.statstream import PillarReads, plan_camera_reads
 
 
 def t64(arr, grad=False):
@@ -25,6 +26,17 @@ def chw(table, dims):
 def feature_map(grid, stride, grad=False):
     """A FeatureMap holding the (C, H_f, W_f) array ``grid``."""
     return FeatureMap(data=Tensor(rows(grid), requires_grad=grad), dims=grid.shape[1:], stride=stride)
+
+
+def pillar_reads(grid, features, cameras, params):
+    """The planned camera reads of ``grid``'s pillar points, one query per cell."""
+    return PillarReads().reads(grid.spec, features, cameras, params)
+
+
+def anchor_reads(anchors, features, cameras, params):
+    """The planned camera reads of (n, 3) anchors, one query each."""
+    n = anchors.shape[0]
+    return plan_camera_reads(anchors, np.arange(n), n, features, cameras, params)
 
 
 def make_attention_params(rng, dim, identity=False):
