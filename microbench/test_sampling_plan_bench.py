@@ -11,9 +11,9 @@ The plan shapes are those of a training frame: BEV temporal attention reads
 camera cross-attention reads about 2,600 samples from a stacked 32 x 64
 camera table (4 x 8 feature cells). The deformable shape is BEV-to-image at
 the default config: 1024 cell queries own about 3,684 reads (projecting
-(camera, pillar point) pairs) of six stacked 32 x 64 camera tables (4 x 8
-cells each), with 4 points per read. Object-to-image attention runs at the
-default config: 40 queries read the six 32 x 64 camera tables.
+(camera, pillar point) pairs) of one 192 x 64 table of six stacked camera
+grids (4 x 8 cells each), with 4 points per read. Object-to-image attention
+runs at the default config: 40 queries read the same stacked camera table.
 
 The weighted reads run at the two float32 shapes of a default training frame,
 whose backward takes each side of the read's selection: BEV-to-image pools
@@ -29,6 +29,7 @@ from dualstream.configio import Config
 from dualstream.diffcore import FeatureMap, Tensor, backward, fresh_tape, sum_
 from dualstream.diffcore.ops import DeformableParams, _bilinear_flat, _deformable_core, sampling_plan
 from dualstream.dynstream import _obj_image_cross_attention
+from dualstream.geom3d import CAMERA_SLOTS
 from dualstream.model import DualStreamModel
 from dualstream.statstream import plan_camera_reads
 from dualstream.synthworld import build_camera_rig
@@ -47,7 +48,7 @@ def _case(name):
 
 def _unit_read(flat, coords, cd, h, w):
     n = cd.shape[0]
-    return _bilinear_flat(flat, coords, sampling_plan(cd, h, w, h * w), Tensor(np.ones(n)), np.arange(n + 1))
+    return _bilinear_flat(flat, coords, sampling_plan(cd, h, w), Tensor(np.ones(n)), np.arange(n + 1))
 
 
 @pytest.mark.parametrize("name", SHAPES)
@@ -100,7 +101,7 @@ def test_training_read_forward_backward(benchmark, name):
 
     def step():
         flat, coords, wt = (Tensor(x, requires_grad=True) for x in (fd, cd, wts))
-        plan = sampling_plan(cd, h, w, grids * h * w, base, dtype=np.float32)
+        plan = sampling_plan(cd, h, w, base=base, dtype=np.float32)
         with fresh_tape():
             backward(sum_(_bilinear_flat(flat, coords, plan, wt, starts) * g))
         return flat.grad, coords.grad, wt.grad
@@ -119,34 +120,33 @@ def _bev_image_case():
     params = DeformableParams(w_off=w(L, 2 * POINTS, std=0.3), b_off=w(2 * POINTS),
                               w_wgt=w(L, POINTS), b_wgt=w(POINTS), w_val=w(L, L), w_out=w(L, L), b_out=w(L))
     queries = Tensor(rng.normal(size=(CELLS, L)), requires_grad=True)
-    # each camera map is the (4 * 8, L) row-major table of a 4 x 8 grid
-    maps = [Tensor(np.ascontiguousarray(rng.normal(size=(L, 4, 8)).reshape(L, -1).T), requires_grad=True)
-            for _ in range(CAMERAS)]
+    # one table of the six cameras' 4 x 8 grids, each (4 * 8, L) row-major
+    table = Tensor(np.concatenate([rng.normal(size=(L, 4, 8)).reshape(L, -1).T for _ in range(CAMERAS)]),
+                   requires_grad=True)
     owner = np.sort(rng.integers(0, CELLS, READS))
     refs = np.stack([rng.uniform(0, 3, READS), rng.uniform(0, 7, READS)], axis=1)
-    return queries, refs, maps, params, owner, rng.integers(0, CAMERAS, READS)
+    return queries, refs, table, params, owner, rng.integers(0, CAMERAS, READS)
 
 
 def test_deformable_bev_image_forward(benchmark):
-    queries, refs, maps, params, owner, grid_of = _bev_image_case()
+    queries, refs, table, params, owner, grid_of = _bev_image_case()
 
     def forward():
         with fresh_tape():
-            return _deformable_core(queries, refs, maps, [(4, 8)] * CAMERAS, params, owner=owner,
-                                    grid_of=grid_of)[0].data
+            return _deformable_core(queries, refs, table, (4, 8), params, owner=owner, grid_of=grid_of)[0].data
 
     assert benchmark(forward).shape == (CELLS, CHANNELS)
 
 
 def test_deformable_bev_image_forward_backward(benchmark):
-    queries, refs, maps, params, owner, grid_of = _bev_image_case()
+    queries, refs, table, params, owner, grid_of = _bev_image_case()
     g = Tensor(np.random.default_rng(3).normal(size=(CELLS, CHANNELS)))
 
     def step():
-        for t in [queries, *maps, params.w_off, params.w_wgt, params.w_val, params.w_out]:
+        for t in [queries, table, params.w_off, params.w_wgt, params.w_val, params.w_out]:
             t.grad = None
         with fresh_tape():
-            out = _deformable_core(queries, refs, maps, [(4, 8)] * CAMERAS, params, owner=owner, grid_of=grid_of)[0]
+            out = _deformable_core(queries, refs, table, (4, 8), params, owner=owner, grid_of=grid_of)[0]
             backward(sum_(out * g))
         return queries.grad, params.w_off.grad
 
@@ -163,9 +163,9 @@ def _obj_image_case():
     rng = np.random.default_rng(6)
     rig = build_camera_rig(width=cfg.image_width, height=cfg.image_height)
     h, w = cfg.image_height // cfg.patch, cfg.image_width // cfg.patch
-    feats = {name: FeatureMap(data=Tensor(np.ascontiguousarray(rng.normal(size=(cfg.latent_dim, h * w)).T,
-                                                               dtype=np.float32), requires_grad=True),
-                              dims=(h, w), stride=cfg.patch) for name in rig}
+    names = tuple(name for name in CAMERA_SLOTS if name in rig)
+    table = np.concatenate([rng.normal(size=(cfg.latent_dim, h * w)).T for _ in names]).astype(np.float32)
+    feats = FeatureMap(data=Tensor(table, requires_grad=True), dims=(h, w), stride=cfg.patch, names=names)
     lo, hi = cfg.detection_ranges()
     anchors = rng.uniform(lo, hi, size=(QUERIES, 3))
     latents = Tensor(rng.normal(size=(QUERIES, cfg.latent_dim)).astype(np.float32), requires_grad=True)

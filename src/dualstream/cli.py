@@ -13,11 +13,9 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .configio import Config, ConfigError, config_to_dict, content_hash, load_config, serialize_config
-from .diffcore.dstn import DstnError, atomic_write_text
+from .diffcore.dstn import DstnError, atomic_write_text, read_json, read_tensor
 from .model import DualStreamModel
 from .runner import assemble_report, run_inference
 from .statstream import BevSpec
@@ -26,6 +24,7 @@ from .synthworld.scene import WorldConfig, SceneConfigError
 from .trainkit import (
     NumericError,
     OptimizerState,
+    TrainResult,
     _safe_name,
     model_from_checkpoint,
     save_checkpoint,
@@ -128,16 +127,14 @@ def cmd_train(args) -> int:
     data = Dataset(args.data)
     out = Path(args.out)
     start_epoch = 0
-    start_step = 0
     opt = None
     if args.resume:
-        model, opt, cfg, start_step = model_from_checkpoint(args.resume)
+        model, opt, cfg, _ = model_from_checkpoint(args.resume)
         if args.config:
             file_cfg = load_config(args.config)
             if config_to_dict(file_cfg) != config_to_dict(cfg):
                 raise ConfigError("--config disagrees with the checkpoint's config")
-        meta = json.loads((Path(args.resume) / "meta.json").read_text())
-        start_epoch = int(meta.get("epoch", 0))
+        start_epoch = read_json(Path(args.resume) / "meta.json", DstnError, lambda meta: int(meta.get("epoch", 0)))
     else:
         if not args.config:
             raise ConfigError("train needs --config (or --resume)")
@@ -148,32 +145,20 @@ def cmd_train(args) -> int:
     if args.stop_after_epoch is not None and not first <= args.stop_after_epoch <= cfg.epochs:
         raise ConfigError(f"--stop-after-epoch must lie in {first}..{cfg.epochs}, got {args.stop_after_epoch}")
 
-    from dataclasses import replace
-
-    from .trainkit import TrainResult, total_optimizer_steps
-
-    # the cosine schedule always spans the config's full epoch count, so a
-    # stopped-and-resumed run retraces the uninterrupted trajectory exactly
-    full_steps = total_optimizer_steps(data, cfg)
-    one_epoch = replace(cfg, epochs=1)
     result = TrainResult()
     epoch_end = args.stop_after_epoch or cfg.epochs
     opt = opt or OptimizerState.fresh(model.store)
-    step = start_step
     for epoch in range(start_epoch, epoch_end):
-        res, opt = streaming_train(data, model, one_epoch, opt=opt, start_step=step,
-                                   total_steps_override=full_steps)
-        step = res.rows[-1].step if res.rows else step
-        result.rows.extend(replace(r, epoch=epoch) for r in res.rows)   # each call counts from epoch 0
-        ck = out / f"ckpt_epoch_{epoch + 1}"
-        save_checkpoint(ck, model, opt, cfg, step, epoch=epoch + 1)
+        res, opt = streaming_train(data, model, cfg, opt=opt, epochs=range(epoch, epoch + 1))
+        result.rows.extend(res.rows)
+        save_checkpoint(out / f"ckpt_epoch_{epoch + 1}", model, opt, cfg, opt.step, epoch=epoch + 1)
     final = out / "checkpoint"
-    save_checkpoint(final, model, opt, cfg, step, epoch=epoch_end)
+    save_checkpoint(final, model, opt, cfg, opt.step, epoch=epoch_end)
 
     atomic_write_text(out / "loss.csv", result.to_csv())
     write_manifest(out, "train", cfg, cfg.seed,
                    config_path=str(args.config or args.resume), data_hash=dataset_hash(Path(args.data)))
-    print(f"trained to step {step} (epoch {epoch_end}/{cfg.epochs}); checkpoint at {final}")
+    print(f"trained to step {opt.step} (epoch {epoch_end}/{cfg.epochs}); checkpoint at {final}")
     return EXIT_OK
 
 
@@ -221,7 +206,7 @@ def cmd_ablate(args) -> int:
         model = DualStreamModel(cfg)
         result, opt = streaming_train(data, model, cfg)
         vdir = out / name
-        save_checkpoint(vdir / "checkpoint", model, opt, cfg, result.rows[-1].step if result.rows else 0)
+        save_checkpoint(vdir / "checkpoint", model, opt, cfg, opt.step)
         atomic_write_text(vdir / "loss.csv", result.to_csv())
         inference = run_inference(data, model, cfg)
         report = assemble_report(inference, cfg, run_id=name, code_version=__version__)
@@ -241,12 +226,10 @@ def cmd_ablate(args) -> int:
 def cmd_inspect(args) -> int:
     path = Path(args.path)
     if (path / "meta.json").exists():
-        meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
-        names = meta.get("param_names", [])
+        meta, names = read_json(path / "meta.json", DstnError,
+                                lambda meta: (meta, [str(name) for name in meta.get("param_names", [])]))
         print(f"checkpoint: step={meta.get('step')} epoch={meta.get('epoch', '?')} "
               f"version={meta.get('format_version')}")
-        from .diffcore.dstn import read_tensor
-
         total = 0
         for name in names:
             arr = read_tensor(path / "params" / f"{_safe_name(name)}.dstn")
@@ -258,12 +241,12 @@ def cmd_inspect(args) -> int:
             print(f"  ... {len(names) - 10} more")
         return EXIT_OK
     if path.name.endswith(".json") and path.exists():
-        print(json.dumps(json.loads(path.read_text(encoding="utf-8")), indent=2, sort_keys=True))
+        print(json.dumps(read_json(path), indent=2, sort_keys=True))
         return EXIT_OK
     if (path / "index.json").exists():
-        index = json.loads((path / "index.json").read_text(encoding="utf-8"))
-        print(f"dataset: {len(index['scenes'])} scenes, dt={index['dt']}")
-        for s in index["scenes"]:
+        data = Dataset(path)
+        print(f"dataset: {data.n_scenes()} scenes, dt={data.dt}")
+        for s in data.scenes:
             print(f"  scene {s['id']}: {s['n_frames']} frames (seed {s['seed']})")
         return EXIT_OK
     raise DatasetError(f"{path}: nothing recognizable to inspect")

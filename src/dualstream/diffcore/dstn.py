@@ -11,12 +11,13 @@ Layout (all little-endian):
 
 from __future__ import annotations
 
+import json
 import shutil
 import struct
 import uuid
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -77,6 +78,24 @@ def read_tensor(path) -> np.ndarray:
     if not p.exists():
         raise DstnError(f"{p}: missing tensor file")
     return tensor_from_bytes(p.read_bytes(), source=str(p))
+
+
+def read_json(path: Path, error: type = DstnError, parse: Optional[Callable] = None, version: Optional[int] = None):
+    """The JSON document at ``path``, through ``parse`` when given. A missing,
+    unreadable or malformed file, a ``format_version`` other than
+    ``version`` (when given), or a document ``parse`` cannot read (a missing
+    key, a value of the wrong type) raises ``error`` naming the file."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if version is not None and doc.get("format_version") != version:
+            raise error(f"{path}: format version {doc.get('format_version')}, expected {version}")
+        return doc if parse is None else parse(doc)
+    except error:
+        raise
+    except FileNotFoundError:
+        raise error(f"{path}: missing file") from None
+    except (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError) as e:
+        raise error(f"{path}: corrupt or incomplete ({type(e).__name__}: {e})") from None
 
 
 @contextmanager

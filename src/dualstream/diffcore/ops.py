@@ -4,24 +4,25 @@ Attention treats its keys as an unordered set: it first puts the (key, value)
 rows in one canonical order, so outputs and parameter gradients are invariant
 at the bit level to permutations of the key set.
 
-Every bilinear and deformable read goes through one sampling plan: a sparse
-(samples, table rows) matrix of bilinear weights built once per read. The read
-op sums weighted runs of samples with the weights folded into the plan's rows:
-one sparse product forward, its transpose for the value gradient, and the
-weight and coordinate gradients from each sample's four per-neighbour dots
-(one dense product when the table is small), so no scatter is needed. The
-plan keeps each sample's fractional offsets; the weights' coordinate slopes
-are built from them only in a backward pass that needs the coordinate
-gradient, never under ``no_grad`` or for constant coordinates. A
-deformable query owns a sorted run of reads of the stacked value table (whose
-rows ``valid_mask`` masks) and pools those that keep a point by their mean:
-each hit read's share is 1/hits. The shares are folded into the point weights
-too, so pooling over cameras, heights or time is the one read.
+Every bilinear and deformable read goes through one sampling plan: each
+sample's four neighbour rows and bilinear weights, built once per read. The
+read op sums weighted runs of samples through one sparse matrix of the plan
+with the weights folded in: one sparse product forward, its transpose for the
+value gradient, and the weight and coordinate gradients from each sample's
+four per-neighbour dots (one dense product when the table is small), so no
+scatter is needed. The plan keeps each sample's fractional offsets; the
+weights' coordinate slopes are built from them only in a backward pass that
+needs the coordinate gradient, never under ``no_grad`` or for constant
+coordinates. A deformable query owns a sorted run of reads of the value table
+(whose rows ``valid_mask`` masks) and pools those that keep a point by their
+mean: each hit read's share is 1/hits. The shares are folded into the point
+weights too, so pooling over cameras, heights or time is the one read.
 
 A value table has one layout: an H x W grid of C channels is stored
-row-major as an (H*W, C) tensor, cell (i, j) in row i*W + j, with its
-(H, W) dims alongside. Camera feature maps and BEV cells are both kept this
-way, so every read uses its table as it is.
+row-major as an (H*W, C) tensor, cell (i, j) in row i*W + j, with its (H, W)
+dims alongside; G grids of one (H, W) stack as one (G*H*W, C) table, grid g
+from row g*H*W, as a frame's camera features (``FeatureMap``) do. Every read
+uses its table as it is.
 """
 
 from __future__ import annotations
@@ -180,20 +181,20 @@ def multi_head_attention(
 @dataclass
 class SamplingPlan:
     """Bilinear reads of ``n`` continuous (row, col) points from a row-major
-    value table, as sparse matrices over the table's rows.
+    value table.
 
-    ``weights`` is the (n, rows) CSR matrix holding each sample's four
-    neighbour rows in the order 00, 01, 10, 11 and their bilinear weights,
-    with the border-zero mask folded in: a sample outside its grid's
-    cell-center hull has four zero weights. A sample on the far border
-    repeats its clamped row with weight zero. ``di`` and ``dj`` are each
-    sample's fractional row and column offsets from its 00 neighbour (0
-    outside). Only a backward pass that needs the coordinate gradient builds
-    the ``slopes`` from them.
+    ``cols`` holds each sample's four neighbour rows in the order 00, 01, 10,
+    11 and ``weights`` their bilinear weights, with the border-zero mask
+    folded in: a sample outside its grid's cell-center hull has four zero
+    weights. A sample on the far border repeats its clamped row with weight
+    zero. ``di`` and ``dj`` are each sample's fractional row and column
+    offsets from its 00 neighbour (0 outside). Only a backward pass that
+    needs the coordinate gradient builds the ``slopes`` from them.
     """
 
     inside: np.ndarray              # (n,) bool
-    weights: sparse.csr_array       # (n, rows)
+    cols: np.ndarray                # (n, 4) int64 table rows
+    weights: np.ndarray             # (n, 4) in the table's dtype
     di: np.ndarray                  # (n,) float64
     dj: np.ndarray                  # (n,) float64
 
@@ -209,20 +210,17 @@ class SamplingPlan:
     def valid(self, mask: np.ndarray) -> np.ndarray:
         """(n,) True where a sample is inside and every neighbour with
         nonzero weight is True in the (rows,) ``mask``."""
-        cols = self.weights.indices.reshape(-1, 4)
-        zero = self.weights.data.reshape(-1, 4) == 0
-        return self.inside & np.all(mask[cols] | zero, axis=1)
+        return self.inside & np.all(mask[self.cols] | (self.weights == 0), axis=1)
 
 
-def sampling_plan(coords: np.ndarray, h, w, rows: int, base=0, dtype=np.float64) -> SamplingPlan:
-    """Plan the bilinear reads of (n, 2) ``coords`` from a table of ``rows``.
+def sampling_plan(coords: np.ndarray, h, w, *, base=0, dtype=np.float64) -> SamplingPlan:
+    """Plan the bilinear reads of (n, 2) ``coords``.
 
     Sample k reads the ``h`` x ``w`` grid stored row-major from table row
     ``base``; ``h``, ``w`` and ``base`` are scalars or (n,) arrays, so one
     plan can read several stacked grids, each sample clamped to its own.
     Weights are built in ``dtype``, the value table's dtype.
     """
-    n = coords.shape[0]
     ci, cj = coords[:, 0], coords[:, 1]
     inside = (ci >= 0) & (ci <= h - 1) & (cj >= 0) & (cj <= w - 1)
     i0 = np.clip(np.floor(ci), 0, h - 1).astype(np.int64)
@@ -235,8 +233,7 @@ def sampling_plan(coords: np.ndarray, h, w, rows: int, base=0, dtype=np.float64)
     cols = np.stack([row0 + j0, row0 + j1, row1 + j0, row1 + j1], axis=1)
     ins = inside.astype(np.float64)[:, None]
     wts = np.stack([(1 - di) * (1 - dj), (1 - di) * dj, di * (1 - dj), di * dj], axis=1) * ins
-    m = sparse.csr_array((wts.astype(dtype).ravel(), cols.ravel(), np.arange(0, 4 * n + 1, 4)), shape=(n, rows))
-    return SamplingPlan(inside=inside, weights=m, di=di, dj=dj)
+    return SamplingPlan(inside=inside, cols=cols, weights=wts.astype(dtype), di=di, dj=dj)
 
 
 def _bilinear_flat(flat: Tensor, coords: Tensor, plan: SamplingPlan, wts: Tensor, starts: np.ndarray) -> Tensor:
@@ -244,17 +241,17 @@ def _bilinear_flat(flat: Tensor, coords: Tensor, plan: SamplingPlan, wts: Tensor
     output row k is the ``wts``-weighted sum of samples ``starts[k]:starts[k+1]``
     (one weight per sample, in any shape).
 
-    Forward is ``A @ V`` with the weights folded into the plan's rows, and the
-    value gradient is ``A.T @ g``. The weight and coordinate gradients come
-    from ``near``, the (samples, 4) dots of each sample's output-row gradient
-    with its neighbour rows: a gather from the dense ``g @ V.T`` when that has
-    at most 4x the plan's 4 * samples entries (which also caps its memory),
-    else dots of gathered rows. Sums run in a fixed order, so results are
-    bitwise reproducible.
+    Forward is ``A @ V``, with ``A`` the read's one sparse matrix: the plan's
+    weights times ``wts`` in its rows. The value gradient is ``A.T @ g``. The
+    weight and coordinate gradients come from ``near``, the (samples, 4) dots
+    of each sample's output-row gradient with its neighbour rows: a gather
+    from the dense ``g @ V.T`` when that has at most 4x the plan's 4 * samples
+    entries (which also caps its memory), else dots of gathered rows. Sums
+    run in a fixed order, so results are bitwise reproducible.
     """
     fd = np.ascontiguousarray(flat.data)
     w = wts.data.ravel()
-    a = sparse.csr_array((plan.weights.data * np.repeat(w, 4), plan.weights.indices, 4 * np.asarray(starts)),
+    a = sparse.csr_array(((plan.weights * w[:, None]).ravel(), plan.cols.ravel(), 4 * np.asarray(starts)),
                          shape=(len(starts) - 1, fd.shape[0]))
     data = a @ fd
 
@@ -263,13 +260,13 @@ def _bilinear_flat(flat: Tensor, coords: Tensor, plan: SamplingPlan, wts: Tensor
         if flat.requires_grad:
             _accumulate(flat, a.T @ g, grads)
         if wts.requires_grad or coords.requires_grad:
-            out, cols = np.repeat(np.arange(g.shape[0]), np.diff(starts)), plan.weights.indices.reshape(-1, 4)
+            out, cols = np.repeat(np.arange(g.shape[0]), np.diff(starts)), plan.cols
             if g.shape[0] * fd.shape[0] <= 4 * cols.size:
                 near = (g @ fd.T)[out[:, None], cols]
             else:
                 near = np.einsum("sqc,sc->sq", np.take(fd, cols, axis=0), np.take(g, out, axis=0))
             if wts.requires_grad:
-                dw = np.einsum("sq,sq->s", plan.weights.data.reshape(-1, 4), near)
+                dw = np.einsum("sq,sq->s", plan.weights, near)
                 _accumulate(wts, dw.reshape(wts.data.shape), grads)
             if coords.requires_grad:
                 dc = np.einsum("ksq,sq->sk", plan.slopes(), near)
@@ -291,7 +288,7 @@ def bilinear_sample(table: Tensor, dims, coords) -> Tensor:
     if table.ndim != 2 or table.data.shape[0] != H * W or coords.ndim != 2 or coords.data.shape[1] != 2:
         raise ShapeError("bilinear_sample needs a table (H*W, C) and coords (n, 2)")
     n = coords.data.shape[0]
-    plan = sampling_plan(coords.data, H, W, H * W, dtype=table.dtype)
+    plan = sampling_plan(coords.data, H, W, dtype=table.dtype)
     return _bilinear_flat(table, coords, plan, Tensor(np.ones(n, dtype=table.dtype)), np.arange(n + 1))
 
 
@@ -312,7 +309,7 @@ class DeformableParams:
 def _deformable_core(
     queries: Tensor,
     reference_points: np.ndarray,
-    tables,
+    table: Tensor,
     dims,
     params: DeformableParams,
     valid_mask: Optional[np.ndarray] = None,
@@ -322,37 +319,35 @@ def _deformable_core(
     """Deformable attention of each query over its reads, returning the
     (queries, L) output and the (reads,) array of each read's share of it.
 
-    Read r is reference point r, made for query ``owner[r]`` (sorted; by
-    default one read per query) in grid ``grid_of[r]`` of ``tables``: one
-    (H*W, C) table with its (H, W) ``dims``, or a sequence of tables and a
-    sequence of their dims, stacked into one value table. Offsets and
-    point logits come once per query. A read samples the value-projected
-    table at reference + offset for each of ``n_points`` points; points out
-    of range, or with a nonzero bilinear weight on a False row of
-    ``valid_mask`` (a mask over the table's rows), leave the read's weight
-    softmax, and a read keeping none is a miss. A query's output is the
-    share-weighted sum of its hit reads through ``w_out``, plus ``b_out`` if
-    it has a hit, and zero otherwise. The shares are the mean over a query's
-    hit reads: 1/hits, computed in float64 and rounded once to the model
-    dtype, and 0 for a miss; they are folded into the point weights.
+    ``table`` stacks G row-major grids of one (H, W) ``dims``, grid g from
+    row g*H*W. Read r is reference point r, made for query ``owner[r]``
+    (sorted; by default one read per query) in grid ``grid_of[r]`` (by
+    default 0). Offsets and point logits come once per query. A read samples
+    the value-projected table at reference + offset for each of ``n_points``
+    points, clamped to its own grid; points out of range, or with a nonzero
+    bilinear weight on a False row of ``valid_mask`` (a mask over the
+    table's rows), leave the read's weight softmax, and a read keeping none
+    is a miss. A query's output is the share-weighted sum of its hit reads
+    through ``w_out``, plus ``b_out`` if it has a hit, and zero otherwise.
+    The shares are the mean over a query's hit reads: 1/hits, computed in
+    float64 and rounded once to the model dtype, and 0 for a miss; they are
+    folded into the point weights.
     """
-    from .tensor import concat, matmul, mul, reshape, sparse_matmul
+    from .tensor import matmul, mul, reshape, sparse_matmul
 
     n, L = queries.data.shape
-    tables = [tables] if isinstance(tables, Tensor) else list(tables)
     owner = np.arange(n) if owner is None else np.asarray(owner, dtype=np.int64)
     if np.any(np.diff(owner) < 0):
         raise ValueError("deformable reads must be sorted by owner")
     m = owner.size
+    h, w = dims
+    grids = table.data.shape[0] // (h * w)
     grid_of = np.zeros(m, dtype=np.int64) if grid_of is None else np.asarray(grid_of, dtype=np.int64)
+    if table.ndim != 2 or table.data.shape[0] != grids * h * w or np.any((grid_of < 0) | (grid_of >= grids)):
+        raise ShapeError(f"value table {table.data.shape} is no stack of {h}x{w} grids holding every read's grid")
     refs = np.asarray(reference_points, dtype=np.float64)
     P = params.w_wgt.data.shape[1]
-    dims = np.asarray(dims, dtype=np.int64).reshape(-1, 2)   # (grids, 2)
-    sizes = dims[:, 0] * dims[:, 1]
-    if [t.data.shape[0] for t in tables] != sizes.tolist():
-        raise ShapeError("each value table needs H*W rows for its (H, W) dims")
-    bases = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    vproj = linear(tables[0] if len(tables) == 1 else concat(tables, axis=0), params.w_val)
+    vproj = linear(table, params.w_val)
 
     offsets = linear(queries, params.w_off, params.b_off)
     logits = linear(queries, params.w_wgt, params.b_wgt)
@@ -360,8 +355,7 @@ def _deformable_core(
         pick = sparse.csr_array((np.ones(m, dtype=queries.dtype), owner, np.arange(m + 1)), shape=(m, n))
         offsets, logits = sparse_matmul(pick, offsets), sparse_matmul(pick, logits)
     coords = reshape(add(reshape(offsets, (m, P, 2)), refs[:, None, :]), (m * P, 2))
-    g = np.repeat(grid_of, P)
-    plan = sampling_plan(coords.data, dims[g, 0], dims[g, 1], int(sizes.sum()), bases[g], dtype=vproj.dtype)
+    plan = sampling_plan(coords.data, h, w, base=np.repeat(grid_of * (h * w), P), dtype=vproj.dtype)
 
     kept = (plan.inside if valid_mask is None else plan.valid(np.asarray(valid_mask, dtype=bool).ravel())).reshape(m, P)
     hit = kept.any(axis=1)
@@ -376,12 +370,20 @@ def _deformable_core(
 
 @dataclass
 class FeatureMap:
-    """Per-camera feature grid: the (H_f*W_f, C) row-major table of its
-    H_f x W_f patches, with its dims and pixel stride."""
+    """A frame's camera features: one camera-major table of the H_f x W_f
+    patch grids of the cameras ``names``, (k*H_f*W_f, C) for k cameras, with
+    the grids' one dims and pixel stride. Camera i's grid is rows
+    i*H_f*W_f to (i+1)*H_f*W_f, row-major within."""
 
-    data: Tensor            # (H_f*W_f, C)
-    dims: tuple[int, int]   # (H_f, W_f)
+    data: Tensor                # (len(names)*H_f*W_f, C)
+    dims: tuple[int, int]       # (H_f, W_f)
     stride: int
+    names: tuple[str, ...]
+
+    def __post_init__(self):
+        rows = len(self.names) * self.dims[0] * self.dims[1]
+        if self.data.ndim != 2 or self.data.data.shape[0] != rows:
+            raise ShapeError(f"a feature table of cameras {self.names} needs {rows} rows, got {self.data.data.shape}")
 
 
 @dataclass
@@ -396,25 +398,29 @@ class PatchEmbedParams:
     mlp2: MlpParams
 
 
-def patch_embed(image: Tensor, patch: int, params: PatchEmbedParams) -> FeatureMap:
-    """Non-overlapping patch projection followed by two residual MLP blocks.
+def patch_embed(images: Tensor, names: tuple[str, ...], patch: int, params: PatchEmbedParams) -> FeatureMap:
+    """Non-overlapping patch projection followed by two residual MLP blocks,
+    over the (k, 3, H, W) stack of the images of the k cameras ``names``.
 
-    Row k of the feature table is patch k in row-major patch order; each
-    patch enters flattened channel-major, then row-major within the patch.
+    One pass embeds every camera: row i*H_f*W_f + p of the table is patch p
+    of image i, patches in row-major order; each patch enters flattened
+    channel-major, then row-major within the patch.
     """
     from .tensor import reshape, transpose
 
-    c, h, w = image.data.shape
+    if images.ndim != 4 or images.data.shape[0] != len(names):
+        raise ShapeError(f"patch_embed needs a (k, 3, H, W) stack of {len(names)} images, got {images.data.shape}")
+    k, c, h, w = images.data.shape
     if h % patch or w % patch:
         raise ShapeError(f"image {h}x{w} not divisible by patch {patch}")
     hp, wp = h // patch, w // patch
-    x = reshape(image, (c, hp, patch, wp, patch))
-    x = transpose(x, (1, 3, 0, 2, 4))
-    x = reshape(x, (hp * wp, c * patch * patch))
+    x = reshape(images, (k, c, hp, patch, wp, patch))
+    x = transpose(x, (0, 2, 4, 1, 3, 5))
+    x = reshape(x, (k * hp * wp, c * patch * patch))
     x = linear(x, params.w_proj, params.b_proj)
     x = add(x, mlp(layernorm(x, params.ln1_g, params.ln1_b), params.mlp1))
     x = add(x, mlp(layernorm(x, params.ln2_g, params.ln2_b), params.mlp2))
-    return FeatureMap(data=x, dims=(hp, wp), stride=patch)
+    return FeatureMap(data=x, dims=(hp, wp), stride=patch, names=names)
 
 
 def sincos_encoding(values: np.ndarray, n_freqs: int = 8) -> np.ndarray:

@@ -117,7 +117,7 @@ def forward_layer(
     anchors: np.ndarray,
     grid: BevGrid,
     warped_prev: Optional[BevGrid],
-    features: Mapping[str, FeatureMap],
+    features: FeatureMap,
     obj_reads: CameraReads,
     bev_reads: CameraReads,
     flags: VariantFlags,
@@ -148,7 +148,7 @@ def forward_stack(
     queries: QuerySet,
     grid: BevGrid,
     warped_prev: Optional[BevGrid],
-    features: Mapping[str, FeatureMap],
+    features: FeatureMap,
     cameras: Mapping[str, CameraModel],
     flags: VariantFlags,
     layer_params: Sequence[DualLayerParams],

@@ -10,7 +10,6 @@ residual path.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 import numpy as np
 
@@ -204,9 +203,9 @@ def _obj_self_attention(latents: Tensor, anchors: np.ndarray, params: SetAttnPar
     return layernorm(add(latents, attn_out), params.ln_g, params.ln_b)
 
 
-def _obj_image_cross_attention(latents: Tensor, reads: CameraReads, features: Mapping[str, FeatureMap],
+def _obj_image_cross_attention(latents: Tensor, reads: CameraReads, features: FeatureMap,
                                params: CameraReadParams) -> Tensor:
-    """Each query reads the available cameras at its anchor's projections,
+    """Each query reads the frame's cameras at its anchor's projections,
     planned once per frame (``reads``), pooled by the mean over the cameras
     that see it. Returns the (n, L) latents.
     """

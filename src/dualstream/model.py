@@ -10,10 +10,10 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .configio import Config
-from .diffcore import FeatureMap, Tensor, patch_embed
+from .diffcore import FeatureMap, ShapeError, Tensor, patch_embed
 from .dualformer import DualLayerParams, FfnParams, VariantFlags, forward_stack
 from .dynstream import MotionParams, QuerySet, SetAttnParams, SpawnParams, propagate, select_topk, spawn_queries
-from .geom3d import CameraModel, Pose, ego_delta
+from .geom3d import CAMERA_SLOTS, CameraModel, Pose, ego_delta
 from .heads import DecodeParams, Detection, HeadOutputs, decode_boxes
 from .params import (
     ParamStore,
@@ -173,14 +173,17 @@ class DualStreamModel:
     def initial_state(self) -> StreamState:
         return StreamState(memory=QuerySet.empty(self.cfg.latent_dim), grid=None, prev_pose=None)
 
-    def encode_images(self, images: Mapping[str, Optional[np.ndarray]]) -> dict[str, FeatureMap]:
-        feats = {}
-        dtype = self.cfg.np_dtype()
-        for name, img in images.items():
-            if img is None:
-                continue
-            feats[name] = patch_embed(Tensor(img.astype(dtype)), self.cfg.patch, self.backbone)
-        return feats
+    def encode_images(self, images: Mapping[str, Optional[np.ndarray]]) -> FeatureMap:
+        """The frame's one camera feature table: one backbone pass over the
+        stack of its available images (those not None), in ``CAMERA_SLOTS``
+        order. The images must share one size; with none, the table is empty."""
+        cfg = self.cfg
+        names = tuple(name for name in CAMERA_SLOTS if images.get(name) is not None)
+        imgs = [images[name] for name in names]
+        if len({img.shape for img in imgs}) > 1:
+            raise ShapeError(f"camera images differ in size: {[img.shape for img in imgs]}")
+        stack = np.stack(imgs) if imgs else np.zeros((0, 3, cfg.image_height, cfg.image_width))
+        return patch_embed(Tensor(stack.astype(cfg.np_dtype(), copy=False)), names, cfg.patch, self.backbone)
 
     def forward_frame(
         self,

@@ -43,8 +43,8 @@ from .diffcore import (
     transpose,
 )
 from .diffcore.ops import _deformable_core
-from .diffcore.tensor import add, mul, sparse_matmul
-from .geom3d import CAMERA_SLOTS, CameraModel, Pose, invert, project_points
+from .diffcore.tensor import add, concat, mul, sparse_matmul
+from .geom3d import CameraModel, Pose, invert, project_points
 
 
 @dataclass(frozen=True)
@@ -173,14 +173,13 @@ def temporal_grid_attention(curr: BevGrid, warped_prev: Optional[BevGrid], param
     q = curr.cells
     refs = grid_coords(curr.spec)
     n = refs.shape[0]
-    tables, masks = [q], [np.ones(n, dtype=bool)]
+    table, mask = q, np.ones(n, dtype=bool)
     if warped_prev is not None:
-        tables.append(warped_prev.cells)
-        masks.append(warped_prev.validity.ravel())
-    k = len(tables)
-    out, _ = _deformable_core(q, np.repeat(refs, k, axis=0), tables, [curr.spec.dims] * k, params.deform,
-                              valid_mask=np.concatenate(masks), owner=np.repeat(np.arange(n), k),
-                              grid_of=np.tile(np.arange(k), n))
+        table = concat([q, warped_prev.cells], axis=0)
+        mask = np.concatenate([mask, warped_prev.validity.ravel()])
+    k = table.data.shape[0] // n
+    out, _ = _deformable_core(q, np.repeat(refs, k, axis=0), table, curr.spec.dims, params.deform,
+                              valid_mask=mask, owner=np.repeat(np.arange(n), k), grid_of=np.tile(np.arange(k), n))
     cells = layernorm(add(q, out), params.ln_g, params.ln_b)
     return BevGrid(spec=curr.spec, cells=cells, validity=curr.validity)
 
@@ -204,14 +203,15 @@ class CameraReads:
     read by every layer (``plan_camera_reads``).
 
     Read r is query ``reader[r]`` seeing one of its points in camera
-    ``names[cam[r]]``. The reads are stably sorted by reader, with cameras in
-    ``CAMERA_SLOTS`` order. ``refs`` are the stride-scaled feature-grid
+    ``names[cam[r]]``, grid ``cam[r]`` of the feature table the reads were
+    planned for. The reads are stably sorted by reader, with cameras in the
+    table's order. ``refs`` are the stride-scaled feature-grid
     (row, col) reference points, ``enc`` the pixel encodings in the model
     dtype, and ``pool`` the (n, reads) matrix summing each query's reads.
     The arrays are read-only, since one plan serves many reads.
     """
 
-    names: tuple[str, ...]    # available cameras, in CAMERA_SLOTS order
+    names: tuple[str, ...]    # the feature table's cameras, in its order
     cam: np.ndarray           # (reads,) index into names
     reader: np.ndarray        # (reads,) sorted query index
     refs: np.ndarray          # (reads, 2) float64
@@ -219,24 +219,24 @@ class CameraReads:
     pool: sparse.csr_array    # (n, reads)
 
 
-def plan_camera_reads(points: np.ndarray, owner: np.ndarray, n: int, features: Mapping[str, FeatureMap],
+def plan_camera_reads(points: np.ndarray, owner: np.ndarray, n: int, features: FeatureMap,
                       cameras: Mapping[str, CameraModel], params: CameraReadParams) -> CameraReads:
-    """The reads of n queries, query ``owner[r]`` reading the available
-    cameras (those in ``features``) where 3-D point r projects into them.
-    The pixel encodings are sized and typed for ``params``' ``pe_w``."""
-    names = tuple(name for name in CAMERA_SLOTS if name in features)
+    """The reads of n queries, query ``owner[r]`` reading the cameras of the
+    feature table ``features`` where 3-D point r projects into them. The
+    pixel encodings are sized and typed for ``params``' ``pe_w``."""
+    names = features.names
     cams, p, dtype = [cameras[name] for name in names], points.shape[0], params.pe_w.dtype
     proj = [project_points(cam, points) for cam in cams]
     pairs = np.nonzero(np.concatenate([valid for _, _, valid in proj] + [np.zeros(0, dtype=bool)]))[0]
     pairs = pairs[np.argsort(owner[pairs % p], kind="stable")]     # camera-major before the sort
     cam, reader, m = pairs // p, owner[pairs % p], pairs.size
     uv = np.concatenate([uv for uv, _, _ in proj] + [np.zeros((0, 2))])[pairs]
-    stride = np.array([features[name].stride for name in names], dtype=np.float64)[cam, None]
     pix = uv / np.array([[c.width, c.height] for c in cams], dtype=np.float64).reshape(-1, 2)[cam]
     enc = sincos_encoding(pix, params.pe_w.data.shape[0] // 4).astype(dtype)
     pool = sparse.csr_array((np.ones(m, dtype=dtype), np.arange(m), np.searchsorted(reader, np.arange(n + 1))),
                             shape=(n, m))
-    reads = CameraReads(names=names, cam=cam, reader=reader, refs=uv[:, ::-1] / stride - 0.5, enc=enc, pool=pool)
+    refs = uv[:, ::-1] / features.stride - 0.5
+    reads = CameraReads(names=names, cam=cam, reader=reader, refs=refs, enc=enc, pool=pool)
     for a in (reads.cam, reads.reader, reads.refs, reads.enc):
         a.flags.writeable = False
     return reads
@@ -246,8 +246,8 @@ class PillarReads:
     """The camera reads of the pillar points lifted above every cell center
     at the spec's heights, one query per cell (``reads``).
 
-    They depend only on the spec, the available cameras, their intrinsics,
-    extrinsics and image sizes, the feature strides and dims, and the
+    They depend only on the spec, the feature table's dims and stride, its
+    cameras with their intrinsics, extrinsics and image sizes, and the
     encoding's width and dtype, so a plan is reused for as long as these
     values are equal: across layers and frames with the same camera set.
     The last ``KEPT`` plans are kept, enough for a schedule that alternates
@@ -259,12 +259,10 @@ class PillarReads:
     def __init__(self):
         self._plans: OrderedDict = OrderedDict()   # by the values a plan comes from, oldest first
 
-    def reads(self, spec: BevSpec, features: Mapping[str, FeatureMap], cameras: Mapping[str, CameraModel],
+    def reads(self, spec: BevSpec, features: FeatureMap, cameras: Mapping[str, CameraModel],
               params: CameraReadParams) -> CameraReads:
-        names = tuple(name for name in CAMERA_SLOTS if name in features)
-        key = (spec, params.pe_w.data.shape[0], params.pe_w.dtype.str,
-               tuple((name, features[name].stride, tuple(features[name].dims), _camera_key(cameras[name]))
-                     for name in names))
+        key = (spec, params.pe_w.data.shape[0], params.pe_w.dtype.str, features.stride, tuple(features.dims),
+               tuple((name, _camera_key(cameras[name])) for name in features.names))
         plan = self._plans.pop(key, None)
         if plan is None:
             n, nz = spec.dims[0] * spec.dims[1], len(spec.pillar_heights)
@@ -281,30 +279,32 @@ def _camera_key(cam: CameraModel) -> tuple:
     return (cam.fx, cam.fy, cam.cx, cam.cy, cam.width, cam.height, pose.rotation.tobytes(), pose.translation.tobytes())
 
 
-def camera_read(queries: Tensor, reads: CameraReads, features: Mapping[str, FeatureMap],
-                params: CameraReadParams) -> Tensor:
-    """The (n, L) camera update of n queries through their planned ``reads``.
+def camera_read(queries: Tensor, reads: CameraReads, features: FeatureMap, params: CameraReadParams) -> Tensor:
+    """The (n, L) camera update of n queries through their planned ``reads``
+    of the frame's feature table ``features``, which must hold the cameras
+    the reads were planned for, in their order.
 
-    The reads are one deformable call over the stacked camera tables. A
-    query pools its reads' outputs and pixel encodings (through ``pe_w``,
-    plus ``pe_b`` if it has a hit) with the same shares: the mean over its
-    hit reads.
+    The reads are one deformable call over the table, read r in the grid of
+    camera ``reads.cam[r]``. A query pools its reads' outputs and pixel
+    encodings (through ``pe_w``, plus ``pe_b`` if it has a hit) with the
+    same shares: the mean over its hit reads.
     """
     n = queries.data.shape[0]
     if reads.pool.shape[0] != n:
         raise ShapeError(f"camera reads planned for {reads.pool.shape[0]} queries, got {n}")
+    if reads.names != features.names:
+        raise ShapeError(f"camera reads planned for cameras {reads.names}, the feature table has {features.names}")
     if not reads.names:
         return mul(queries, 0.0)
-    fms = [features[name] for name in reads.names]
-    out, share = _deformable_core(queries, reads.refs, [fm.data for fm in fms], [fm.dims for fm in fms],
-                                  params.deform, owner=reads.reader, grid_of=reads.cam)
+    out, share = _deformable_core(queries, reads.refs, features.data, features.dims, params.deform,
+                                  owner=reads.reader, grid_of=reads.cam)
     enc = Tensor(reads.enc * share[:, None])
     hit = np.bincount(reads.reader, weights=share, minlength=n) > 0
     pe = add(linear(sparse_matmul(reads.pool, enc), params.pe_w), mul(params.pe_b, hit.astype(out.dtype)[:, None]))
     return add(out, pe)
 
 
-def bev_image_cross_attention(grid: BevGrid, reads: CameraReads, features: Mapping[str, FeatureMap],
+def bev_image_cross_attention(grid: BevGrid, reads: CameraReads, features: FeatureMap,
                               params: CameraReadParams) -> BevGrid:
     """Each cell averages its camera reads of its pillar points over all
     hits (``camera_read`` of ``PillarReads.reads``). Cells with no valid

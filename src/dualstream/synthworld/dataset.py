@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..diffcore.dstn import atomic_directory, read_tensor, write_tensor
+from ..diffcore.dstn import atomic_directory, read_json, read_tensor, write_tensor
 from ..geom3d import BoundingBox3D, CameraModel, Pose, invert, transform_box
 from ..statstream import BevSpec, cell_center_grid
 from .render import dist_to_polyline, points_in_polygon, render_camera
@@ -252,42 +252,35 @@ class Dataset:
 
     def __init__(self, root):
         self.root = Path(root)
-        index_path = self.root / "index.json"
-        if not index_path.exists():
-            raise DatasetError(f"{index_path}: missing dataset index")
-        index = json.loads(index_path.read_text(encoding="utf-8"))
-        if index.get("format_version") != FORMAT_VERSION:
-            raise DatasetError(
-                f"{index_path}: format version {index.get('format_version')}, expected {FORMAT_VERSION}"
-            )
-        self.index = index
+        self.index = read_json(self.root / "index.json", DatasetError, self._read_index, FORMAT_VERSION)
+
+    def _read_index(self, index: dict) -> dict:
         self.dt: float = float(index["dt"])
         self.bev_spec = BevSpec(dims=tuple(index["bev"]["dims"]), extent=tuple(index["bev"]["extent"]))
         self.cameras = {name: _camera_from_json(doc) for name, doc in index["cameras"].items()}
-        self.scenes = index["scenes"]
+        self.scenes = [{"id": int(s["id"]), "n_frames": int(s["n_frames"]), "seed": int(s["seed"])}
+                       for s in index["scenes"]]
+        return index
 
     def n_scenes(self) -> int:
         return len(self.scenes)
 
     def load_frame(self, scene_id: int, t: int) -> FrameSample:
         fdir = self.root / f"scene_{scene_id}" / f"frame_{t}"
-        schedule_path = fdir / "schedule.json"
-        if not schedule_path.exists():
-            raise DatasetError(f"{fdir}: missing frame directory or schedule")
-        availability = json.loads(schedule_path.read_text(encoding="utf-8"))
+        availability = read_json(fdir / "schedule.json", DatasetError, dict)
         images: dict[str, Optional[np.ndarray]] = {}
         for name in CAMERA_SLOTS:
             if availability.get(name, False):
                 images[name] = read_tensor(fdir / f"cam_{name}.dstn").astype(np.float32)
             else:
                 images[name] = None
-        pose_doc = json.loads((fdir / "ego_pose.json").read_text(encoding="utf-8"))
-        boxes_doc = json.loads((fdir / "gt_boxes.json").read_text(encoding="utf-8"))
-        pairs = [_box_from_json(d) for d in boxes_doc]
+        ego_pose, ego_velocity = read_json(fdir / "ego_pose.json", DatasetError,
+                                           lambda d: (Pose.se2(d["yaw"], *d["t"]), np.array(d["ego_velocity"])))
+        pairs = read_json(fdir / "gt_boxes.json", DatasetError, lambda doc: [_box_from_json(d) for d in doc])
         return FrameSample(
             index=t,
-            ego_pose=Pose.se2(pose_doc["yaw"], *pose_doc["t"]),
-            ego_velocity=np.array(pose_doc["ego_velocity"]),
+            ego_pose=ego_pose,
+            ego_velocity=ego_velocity,
             images=images,
             gt_boxes=[b for b, _ in pairs],
             gt_ids=[i for _, i in pairs],

@@ -6,8 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +19,7 @@ CLASS_NAMES = {CLASS_CAR: "car", CLASS_PEDESTRIAN: "pedestrian"}
 CAR_SIZE = np.array([1.9, 4.5, 1.7])          # w, l, h
 PEDESTRIAN_SIZE = np.array([0.7, 0.7, 1.8])
 
-LANE_LINE_WIDTH = 0.3  # m, dilation of lane polylines for rasterization
+LANE_LINE_WIDTH = 0.3  # m, width of the rendered lane paint stripe; rasterize_gt_bev dilates by its own 1 m
 
 
 class SceneConfigError(ValueError):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .configio import Config, config_from_dict, config_to_dict
 from .diffcore import active_tape, backward
-from .diffcore.dstn import DstnError, atomic_directory, read_tensor, write_tensor
+from .diffcore.dstn import DstnError, atomic_directory, read_json, read_tensor, write_tensor
 from .diffcore.tensor import add, scale
 from .heads import LossWeights, detection_cost_matrix, detection_loss, hungarian_match, segmentation_loss
 from .model import DualStreamModel, StreamState
@@ -161,8 +161,7 @@ def streaming_train(
     model: DualStreamModel,
     cfg: Config,
     opt: Optional[OptimizerState] = None,
-    start_step: int = 0,
-    total_steps_override: Optional[int] = None,
+    epochs: Optional[range] = None,
     on_step: Optional[Callable[[TrainLogRow], None]] = None,
 ) -> tuple[TrainResult, OptimizerState]:
     """Iterate scenes frame by frame carrying the top-k query memory and the BEV grid,
@@ -170,20 +169,22 @@ def streaming_train(
     step per frame-batch. Honors the per-frame sensor schedules stored in
     the dataset.
 
-    ``total_steps_override`` pins the cosine schedule's horizon when a run
-    is split into resumable epoch-sized calls.
+    The training step is the optimizer's: a run goes on from ``opt.step``,
+    and the cosine schedule always spans the config's
+    ``total_optimizer_steps``. ``epochs`` (by default all of the config's)
+    are the epochs run, so a run split into epoch ranges, as a resumed one
+    is, retraces the uninterrupted run exactly.
     """
     if dataset.n_scenes() == 0:
         raise ValueError("dataset is empty")
     opt = opt or OptimizerState.fresh(model.store)
     result = TrainResult()
-    total_steps = total_steps_override or (start_step + total_optimizer_steps(dataset, cfg))
+    total_steps = total_optimizer_steps(dataset, cfg)
     skip = ("backbone.",) if cfg.freeze_backbone else ()
-    step = start_step
     horizon = cfg.truncation_horizon
     tape = active_tape()
 
-    for epoch in range(cfg.epochs):
+    for epoch in range(cfg.epochs) if epochs is None else epochs:
         for group in _scene_groups(dataset, cfg):
             n_frames = min(meta["n_frames"] for meta in group)
             states: list[StreamState] = [model.initial_state() for _ in group]
@@ -203,6 +204,7 @@ def streaming_train(
                 seg_mean = scale(seg_sum, 1.0 / len(group))
                 loss = add(det_mean, scale(seg_mean, cfg.loss_weight_seg))
 
+                step = opt.step
                 loss_val = float(loss.data)
                 det_val, seg_val = float(det_mean.data), float(seg_mean.data)
                 if not math.isfinite(loss_val):
@@ -225,9 +227,8 @@ def streaming_train(
                 bad = next((name for name, t in model.store.items() if not np.all(np.isfinite(t.data))), None)
                 if bad is not None:
                     raise NumericError(f"optimizer update at step {step} made a parameter non-finite: {bad}")
-                step += 1
 
-                row = TrainLogRow(step=step, epoch=epoch, frame=t, loss=loss_val,
+                row = TrainLogRow(step=opt.step, epoch=epoch, frame=t, loss=loss_val,
                                   det_loss=det_val, seg_loss=seg_val, lr=lr, grad_norm=norm)
                 result.rows.append(row)
                 if on_step:
@@ -276,23 +277,18 @@ def save_checkpoint(path, model: DualStreamModel, opt: OptimizerState, cfg: Conf
 def load_checkpoint(path) -> tuple[Config, dict, OptimizerState, int]:
     """Returns (config, param arrays, optimizer state, step)."""
     root = Path(path)
-    meta_path = root / "meta.json"
-    if not meta_path.exists():
-        raise DstnError(f"{meta_path}: missing checkpoint metadata")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    if meta.get("format_version") != CHECKPOINT_VERSION:
-        raise DstnError(
-            f"{meta_path}: checkpoint version {meta.get('format_version')}, expected {CHECKPOINT_VERSION}"
-        )
-    cfg = config_from_dict(meta["config"])
+    config, names, opt_step, step = read_json(root / "meta.json", DstnError, lambda meta: (
+        dict(meta["config"]), [str(name) for name in meta["param_names"]], int(meta["opt_step"]), int(meta["step"])
+    ), CHECKPOINT_VERSION)
+    cfg = config_from_dict(config)
     params = {}
     m, v = {}, {}
-    for name in meta["param_names"]:
+    for name in names:
         params[name] = read_tensor(root / "params" / f"{_safe_name(name)}.dstn")
         m[name] = read_tensor(root / "opt_m" / f"{_safe_name(name)}.dstn")
         v[name] = read_tensor(root / "opt_v" / f"{_safe_name(name)}.dstn")
-    opt = OptimizerState(m=m, v=v, step=int(meta["opt_step"]))
-    return cfg, params, opt, int(meta["step"])
+    opt = OptimizerState(m=m, v=v, step=opt_step)
+    return cfg, params, opt, step
 
 
 def model_from_checkpoint(path) -> tuple[DualStreamModel, OptimizerState, Config, int]:

@@ -10,7 +10,8 @@ pooling matrix, and object-to-image and dynamic-to-static pass
 ``query_valid``. Object-to-image averages its cameras over those that see
 each query, as BEV-to-image averages its hits. Tests compare the production
 blocks against these. ``deformable_core`` keeps its (C, H, W) grids; the
-blocks turn the (H*W, C) BEV cells and camera tables into them at its call.
+blocks turn the (H*W, C) BEV cells and each camera's block of the stacked
+camera table into them at its call.
 """
 
 from typing import Optional
@@ -30,8 +31,14 @@ def grid_of_table(table, dims):
     return reshape(transpose(table, (1, 0)), (-1, *dims))
 
 
+def camera_table(features, name):
+    """Camera ``name``'s (H_f*W_f, C) block of the stacked feature table."""
+    k, size = features.names.index(name), features.dims[0] * features.dims[1]
+    return take_rows(features.data, np.arange(k * size, (k + 1) * size))
+
+
 def camera_grids(features, names):
-    return [grid_of_table(features[name].data, features[name].dims) for name in names]
+    return [grid_of_table(camera_table(features, name), features.dims) for name in names]
 
 
 def scatter_rows(a, idx, n):
@@ -70,7 +77,7 @@ def deformable_core(queries, reference_points, value_grid, params, valid_mask: O
     offsets = reshape(linear(queries, params.w_off, params.b_off), (n, P, 2))
     coords = reshape(add(offsets, refs[:, None, :]), (n * P, 2))
     g = np.repeat(grid_of, P)
-    plan = sampling_plan(coords.data, dims[g, 0], dims[g, 1], int(sizes.sum()), bases[g], dtype=vproj.dtype)
+    plan = sampling_plan(coords.data, dims[g, 0], dims[g, 1], base=bases[g], dtype=vproj.dtype)
     # one unit-weight sample per row: the plain per-sample read
     ones = Tensor(np.ones(n * P, dtype=vproj.dtype))
     sampled = reshape(_bilinear_flat(vproj, coords, plan, ones, np.arange(n * P + 1)), (n, P, vproj.data.shape[1]))
@@ -111,15 +118,15 @@ def bev_image_cross_attention(grid, features, cameras, params):
     centers = cell_center_grid(spec)
     nz = len(spec.pillar_heights)
     pts = np.concatenate([np.concatenate([centers, np.full((n, 1), z)], axis=1) for z in spec.pillar_heights])
-    names = sorted(features)
+    names = sorted(features.names)
     if not names:
         combined = mul(q, 0.0)
     else:
         fcoords, pix, valid = [], [], []
         for name in names:
-            fm, cam = features[name], cameras[name]
+            cam = cameras[name]
             uv, _, v = project_points(cam, pts)
-            fcoords.append(np.stack([uv[:, 1] / fm.stride - 0.5, uv[:, 0] / fm.stride - 0.5], axis=1))
+            fcoords.append(np.stack([uv[:, 1] / features.stride - 0.5, uv[:, 0] / features.stride - 0.5], axis=1))
             pix.append(np.stack([uv[:, 0] / cam.width, uv[:, 1] / cam.height], axis=1))
             valid.append(v)
         pairs = np.nonzero(np.concatenate(valid))[0]
@@ -141,15 +148,15 @@ def bev_image_cross_attention(grid, features, cameras, params):
 
 def obj_image_cross_attention(latents, anchors, features, cameras, params):
     n, L = latents.data.shape
-    names = [name for name in CAMERA_SLOTS if name in features]
+    names = [name for name in CAMERA_SLOTS if name in features.names]
     if not names:
         return layernorm(add(latents, mul(latents, 0.0)), params.ln_g, params.ln_b)
     k = len(names)
     fcoords, pix, valid = [], [], []
     for name in names:
-        fm, cam = features[name], cameras[name]
+        cam = cameras[name]
         uv, _, v = project_points(cam, anchors)
-        fcoords.append(np.stack([uv[:, 1] / fm.stride - 0.5, uv[:, 0] / fm.stride - 0.5], axis=1))
+        fcoords.append(np.stack([uv[:, 1] / features.stride - 0.5, uv[:, 0] / features.stride - 0.5], axis=1))
         pix.append(np.stack([uv[:, 0] / cam.width, uv[:, 1] / cam.height], axis=1))
         valid.append(v)
     out, anyv = deformable_core(concat([latents] * k), np.concatenate(fcoords),

@@ -255,3 +255,42 @@ def test_ablate_refuses_a_dataset_of_another_bev_extent(tiny_data, tmp_path, cap
     assert main(args) == EXIT_CONFIG
     assert "does not match the config's" in capsys.readouterr().err
     assert not (tmp_path / "ab").exists()
+
+
+def without_dt(text):
+    doc = json.loads(text)
+    del doc["dt"]
+    return json.dumps(doc)
+
+
+# case: (command, file to corrupt relative to the run directory, its new text from the old)
+CORRUPT_JSON = {
+    "inspect-index": ("inspect", "data/index.json", lambda _: "{not json"),
+    "inspect-meta": ("inspect", "ckpt/meta.json", lambda text: text[: len(text) // 2]),
+    "train-index-without-dt": ("train", "data/index.json", without_dt),
+    "train-frame-boxes": ("train", "data/scene_0/frame_1/gt_boxes.json", lambda _: '[{"center": [0, 0]}]'),
+    "eval-meta": ("eval", "ckpt/meta.json", lambda _: '{"format_version": 1}'),
+    "eval-frame-pose": ("eval", "data/scene_0/frame_0/ego_pose.json", lambda _: "[]"),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPT_JSON)
+def test_corrupt_json_is_an_io_error_naming_the_file(tiny_data, tmp_path, capsys, case):
+    import shutil
+
+    command, name, corrupt = CORRUPT_JSON[case]
+    shutil.copytree(tiny_data / "data", tmp_path / "data")
+    model = DualStreamModel(parse_config(TINY))
+    save_checkpoint(tmp_path / "ckpt", model, OptimizerState.fresh(model.store), model.cfg, step=0, epoch=1)
+    path = tmp_path / name
+    path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
+    args = {
+        "inspect": ["inspect", str(path.parent)],
+        "train": ["train", "--config", str(tiny_data / "tiny.cfg"), "--data", str(tmp_path / "data"),
+                  "--out", str(tmp_path / "run")],
+        "eval": ["eval", "--ckpt", str(tmp_path / "ckpt"), "--data", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "run")],
+    }[command]
+    assert main(args) == EXIT_IO
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

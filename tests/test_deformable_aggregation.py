@@ -17,11 +17,11 @@ from deformable_oracle import (
 )
 from test_dualformer import CAMERA_SUBSETS, make_grid, make_queries, micro_frame, micro_model, seen_anchors
 from test_sampling_plan import points, reference_bilinear
-from util import anchor_reads, make_deformable_params, pillar_reads, rows, t64
+from util import anchor_reads, encode, make_deformable_params, pillar_reads, rows, t64
 
 from dualstream.diffcore import Tensor, backward, fresh_tape, sum_, tanh, use_dtype
 from dualstream.diffcore.ops import _bilinear_flat, _deformable_core, sampling_plan
-from dualstream.diffcore.tensor import mul
+from dualstream.diffcore.tensor import ShapeError, mul
 from dualstream.dualformer import _dynamic_static_core
 from dualstream.dynstream import _obj_image_cross_attention
 from dualstream.statstream import BevGrid, bev_image_cross_attention, temporal_grid_attention
@@ -87,7 +87,7 @@ def test_bev_image_matches_oracle(rng, cams):
         frames, rig, _ = micro_frame(model)
         p = model.layers[0].bev_image
         grid = random_grid(rng, model.bev_spec)
-        feats = {k: v for k, v in model.encode_images(frames[0].images).items() if cams is None or k in cams}
+        feats = encode(model, frames[0].images, cams)
         mix = rng.normal(size=grid.cells.data.shape)
         got = run(lambda: bev_image_cross_attention(grid, pillar_reads(grid, feats, rig, p), feats, p).cells,
                   [grid.cells], model.store, mix)
@@ -105,7 +105,7 @@ def test_obj_image_matches_oracle(rng, cams):
         anchors = np.concatenate([seen_anchors(rng, rig, 16), rng.uniform(-8.0, 8.0, (8, 3))])
         q = make_queries(rng, 24, anchors=anchors)
         q.latents.requires_grad = True
-        feats = {k: v for k, v in model.encode_images(frames[0].images).items() if cams is None or k in cams}
+        feats = encode(model, frames[0].images, cams)
         mix = rng.normal(size=q.latents.data.shape)
         got = run(lambda: _obj_image_cross_attention(q.latents, anchor_reads(q.anchor_xyz, feats, rig, p), feats, p),
                   [q.latents], model.store, mix)
@@ -126,9 +126,9 @@ def test_obj_image_overlapping_cameras_match_oracle(rng, cams):
         frames, _, _ = micro_frame(model)
         rig = build_camera_rig(width=model.cfg.image_width, height=model.cfg.image_height, fov_deg=100.0)
         p = model.layers[0].obj_image
-        feats = {k: v for k, v in model.encode_images(frames[0].images).items() if cams is None or k in cams}
+        feats = encode(model, frames[0].images, cams)
         pts = seen_anchors(rng, rig, 400)
-        twice = sum(project_points(rig[k], pts)[2].astype(int) for k in feats) >= 2
+        twice = sum(project_points(rig[k], pts)[2].astype(int) for k in feats.names) >= 2
         anchors = np.concatenate([pts[twice][:16], pts[~twice][:4], rng.uniform(-8.0, 8.0, (4, 3))])
         q = make_queries(rng, 24, anchors=anchors)
         q.latents.requires_grad = True
@@ -216,6 +216,17 @@ def test_core_rejects_unsorted_owner(rng):
                          (4, 4), params, owner=[1, 0])
 
 
+def test_core_rejects_reads_outside_its_table(rng):
+    # two stacked 4 x 4 grids: a read of grid 2 or -1, or dims the rows do not tile, would index past the table
+    params = make_deformable_params(rng, 3, 3, 2)
+    table, queries = t64(rows(rng.normal(size=(3, 8, 4)))), t64(rng.normal(size=(2, 3)))
+    for dims, grid_of in (((4, 4), [0, 2]), ((4, 4), [-1, 1]), ((3, 4), [0, 1])):
+        with pytest.raises(ShapeError, match="no stack of"):
+            _deformable_core(queries, np.ones((2, 2)), table, dims, params, grid_of=grid_of)
+    out, _ = _deformable_core(queries, np.ones((2, 2)), table, (4, 4), params, grid_of=[1, 0])
+    assert out.data.shape == (2, 3)
+
+
 def weighted_case(rng):
     """Eleven samples of a 4x5 table in rows of 3, 0, 4, 1 and 3 samples."""
     h, w = 4, 5
@@ -228,9 +239,8 @@ def test_weighted_read_is_the_weighted_sum_of_its_samples(rng):
     h, w, starts, cd = weighted_case(rng)
     fd = rng.normal(size=(h * w, 3))
     wts = rng.normal(size=11)
-    plan = sampling_plan(cd, h, w, h * w)
-    out = _bilinear_flat(Tensor(fd), Tensor(cd), plan, Tensor(wts), starts).data
-    reads = plan.weights @ fd
+    out = _bilinear_flat(Tensor(fd), Tensor(cd), sampling_plan(cd, h, w), Tensor(wts), starts).data
+    reads = reference_bilinear(fd, h, w, cd, np.zeros((len(cd), 3)))[0]
     want = np.stack([(wts[a:b, None] * reads[a:b]).sum(axis=0) for a, b in zip(starts[:-1], starts[1:])])
     np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(out[1], np.zeros(3))
@@ -243,7 +253,7 @@ def test_weighted_read_finite_difference(rng):
     wts = Tensor(rng.normal(size=(11, 1)), requires_grad=True)
 
     def fn(f, c, wt):
-        return sum_(tanh(_bilinear_flat(f, c, sampling_plan(c.data, h, w, h * w), wt, starts)))
+        return sum_(tanh(_bilinear_flat(f, c, sampling_plan(c.data, h, w), wt, starts)))
 
     assert finite_diff_check(fn, [flat, coords, wts], eps=1e-6) <= 1e-4
 
@@ -286,7 +296,7 @@ def test_weighted_read_matches_the_per_sample_oracle(rng, side):
     np.add.at(want, out, wts[:, None] * reads)
     flat, coords, wt = (Tensor(x, requires_grad=True) for x in (fd, cd, wts))
     with fresh_tape():
-        got = _bilinear_flat(flat, coords, sampling_plan(cd, h, w, h * w), wt, starts)
+        got = _bilinear_flat(flat, coords, sampling_plan(cd, h, w), wt, starts)
         backward(sum_(got * Tensor(g)))
     np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(flat.grad, want_gv, rtol=0, atol=1e-12)
@@ -304,6 +314,6 @@ def test_weighted_read_finite_difference_on_each_side(rng, side):
     wts = Tensor(rng.normal(size=(len(cd), 1)), requires_grad=True)
 
     def fn(f, c, wt):
-        return sum_(tanh(_bilinear_flat(f, c, sampling_plan(c.data, h, w, h * w), wt, starts)))
+        return sum_(tanh(_bilinear_flat(f, c, sampling_plan(c.data, h, w), wt, starts)))
 
     assert finite_diff_check(fn, [flat, coords, wts], eps=1e-6) <= 1e-4

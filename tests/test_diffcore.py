@@ -448,26 +448,29 @@ class TestPatchEmbed:
 
     def test_zero_image_zero_bias_zero_features(self, rng):
         p = self.make_params(rng, 4, 6)
-        img = t64(np.zeros((3, 8, 8)))
-        fm = dc.patch_embed(img, 4, p)
+        img = t64(np.zeros((1, 3, 8, 8)))
+        fm = dc.patch_embed(img, ("front",), 4, p)
         np.testing.assert_allclose(fm.data.data, 0.0, atol=1e-12)
-        assert fm.stride == 4
+        assert fm.stride == 4 and fm.names == ("front",)
 
     def test_single_cell_when_patch_is_image(self, rng):
         p = self.make_params(rng, 8, 6)
-        fm = dc.patch_embed(t64(rng.normal(size=(3, 8, 8))), 8, p)
+        fm = dc.patch_embed(t64(rng.normal(size=(1, 3, 8, 8))), ("front",), 8, p)
         assert fm.data.data.shape == (1, 6) and fm.dims == (1, 1)
 
     def test_manual_gather_order(self, rng):
-        # identity projection, zero biases and zero MLP weights: row k of the
-        # feature table is patch k as the projection sees it
+        # identity projection, zero biases and zero MLP weights: row
+        # i*4 + k of the feature table is patch k of image i as the
+        # projection sees it
         p = self.make_params(rng, 2, 12, zero=True)
         p.w_proj.data = np.eye(12)
         img = np.arange(16, dtype=np.float64).reshape(1, 4, 4)
         img3 = np.concatenate([img, img + 100, img + 200], axis=0)
-        fm = dc.patch_embed(t64(img3), 2, p)
-        patches = fm.data.data
-        assert patches.shape == (4, 12) and fm.dims == (2, 2)
+        fm = dc.patch_embed(t64(np.stack([img3, img3 + 1000])), ("front", "back"), 2, p)
+        table = fm.data.data
+        assert table.shape == (8, 12) and fm.dims == (2, 2) and fm.names == ("front", "back")
+        np.testing.assert_array_equal(table[4:], table[:4] + 1000)   # camera 1's block
+        patches = table[:4]
         # patch (0,0): channel-major, then row-major within the patch
         want = np.array([0, 1, 4, 5, 100, 101, 104, 105, 200, 201, 204, 205], dtype=np.float64)
         np.testing.assert_array_equal(patches[0], want)
@@ -478,7 +481,18 @@ class TestPatchEmbed:
     def test_divisibility_error(self, rng):
         p = self.make_params(rng, 3, 4)
         with pytest.raises(ShapeError):
-            dc.patch_embed(t64(np.zeros((3, 8, 8))), 3, p)
+            dc.patch_embed(t64(np.zeros((1, 3, 8, 8))), ("front",), 3, p)
+
+    def test_one_name_per_image(self, rng):
+        p = self.make_params(rng, 4, 6)
+        with pytest.raises(ShapeError, match="stack of 1 images"):
+            dc.patch_embed(t64(np.zeros((2, 3, 8, 8))), ("front",), 4, p)
+        with pytest.raises(ShapeError, match="stack of 1 images"):
+            dc.patch_embed(t64(np.zeros((3, 8, 8))), ("front",), 4, p)
+
+    def test_feature_table_rows_match_its_cameras(self):
+        with pytest.raises(ShapeError, match="needs 64 rows"):
+            dc.FeatureMap(data=t64(np.zeros((32, 6))), dims=(4, 8), stride=8, names=("front", "back"))
 
 
 class TestFiniteDiffCheck:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from check import finite_diff_check
-from util import anchor_reads, pillar_reads, rows, t64
+from util import anchor_reads, encode, pillar_reads, rows, t64
 
 from dualstream.configio import Config
 from dualstream.diffcore import Tensor, backward, fresh_tape, layernorm, use_dtype
@@ -361,6 +361,50 @@ class TestPlannedCameraReads:
         assert stepped == fresh
         assert step_frames(frames[:2], [rig, rig], dt, fresh=True)[1] != fresh[1]   # the rig matters
 
+class TestOneFeatureTable:
+    """A frame's cameras are one backbone pass and one stacked table; each
+    camera's block is what the backbone gives that camera alone."""
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_each_block_is_its_camera_alone_bitwise(self, rng, dtype, k):
+        from dualstream.geom3d import CAMERA_SLOTS
+
+        cfg = Config(dtype=dtype)
+        model = DualStreamModel(cfg)
+        names = tuple(rng.permutation(CAMERA_SLOTS)[:k])
+        images = {name: rng.uniform(size=(3, cfg.image_height, cfg.image_width)).astype(np.float32)
+                  for name in names}
+        table = model.encode_images(images)
+        assert table.names == tuple(name for name in CAMERA_SLOTS if name in names)
+        size = table.dims[0] * table.dims[1]
+        for i, name in enumerate(table.names):
+            alone = model.encode_images({name: images[name]}).data.data
+            assert alone.dtype == cfg.np_dtype()
+            assert table.data.data[i * size:(i + 1) * size].tobytes() == alone.tobytes(), name
+
+    def test_images_of_different_sizes_are_refused(self, rng):
+        from dualstream.diffcore import ShapeError
+
+        model = micro_model()
+        h, w = CFG.image_height, CFG.image_width
+        images = {"front": np.zeros((3, h, w), np.float32), "back": np.zeros((3, h, 2 * w), np.float32)}
+        with pytest.raises(ShapeError, match="differ in size"):
+            model.encode_images(images)
+
+    def test_no_cameras_make_an_empty_table(self):
+        from dataclasses import replace
+
+        model = micro_model()
+        frames, rig, dt = micro_frame(model)
+        table = model.encode_images(dict.fromkeys(frames[0].images))
+        assert table.names == () and table.data.data.shape == (0, L)
+        with use_dtype(np.float64):
+            res = model.forward_frame(replace(frames[0], images=dict.fromkeys(frames[0].images)), rig,
+                                      model.initial_state(), dt)
+        assert np.isfinite(res.seg_logits.data).all()
+
+
 class TestConfigReachesBlocks:
     def test_pillar_heights_change_bev_output(self):
         from dataclasses import replace
@@ -382,7 +426,7 @@ def per_camera_bev_image(grid, features, cameras, p):
     pillar hits summed, then the cameras added in name order."""
     from dualstream.diffcore import linear, sincos_encoding
     from deformable_oracle import deformable_core as _deformable_core
-    from deformable_oracle import grid_of_table, scatter_rows
+    from deformable_oracle import camera_table, grid_of_table, scatter_rows
     from dualstream.diffcore.tensor import add, concat, reshape
     from dualstream.geom3d import project_points
     from dualstream.statstream import cell_center_grid
@@ -394,12 +438,12 @@ def per_camera_bev_image(grid, features, cameras, p):
     pts = np.concatenate([np.concatenate([centers, np.full((n, 1), z)], axis=1) for z in grid.spec.pillar_heights])
     q_rep = concat([q] * nz)
     total, counts = None, np.zeros(n)
-    for name in sorted(features):
-        fm, cam = features[name], cameras[name]
+    for name in sorted(features.names):
+        cam, stride = cameras[name], features.stride
         uv, _, valid = project_points(cam, pts)
-        fcoords = np.stack([uv[:, 1] / fm.stride - 0.5, uv[:, 0] / fm.stride - 0.5], axis=1)
-        out, anyv = _deformable_core(q_rep, fcoords, grid_of_table(fm.data, fm.dims), p.deform,
-                                     query_valid=valid)
+        fcoords = np.stack([uv[:, 1] / stride - 0.5, uv[:, 0] / stride - 0.5], axis=1)
+        out, anyv = _deformable_core(q_rep, fcoords, grid_of_table(camera_table(features, name), features.dims),
+                                     p.deform, query_valid=valid)
         aidx = np.nonzero(anyv)[0]
         if aidx.size:
             pix = sincos_encoding(np.stack([uv[aidx, 0] / cam.width, uv[aidx, 1] / cam.height], axis=1),
@@ -417,19 +461,19 @@ def per_camera_obj_image(latents, anchors, features, cameras, p):
     cameras added in slot order and averaged over those that see each query."""
     from dualstream.diffcore import linear, sincos_encoding
     from deformable_oracle import deformable_core as _deformable_core
-    from deformable_oracle import grid_of_table
+    from deformable_oracle import camera_table, grid_of_table
     from dualstream.diffcore.tensor import add
     from dualstream.geom3d import CAMERA_SLOTS, project_points
 
     total, counts = None, np.zeros(latents.data.shape[0])
     for name in CAMERA_SLOTS:
-        if name not in features:
+        if name not in features.names:
             continue
-        fm, cam = features[name], cameras[name]
+        cam, stride = cameras[name], features.stride
         uv, _, valid = project_points(cam, anchors)
-        fcoords = np.stack([uv[:, 1] / fm.stride - 0.5, uv[:, 0] / fm.stride - 0.5], axis=1)
-        out, anyv = _deformable_core(latents, fcoords, grid_of_table(fm.data, fm.dims), p.deform,
-                                     query_valid=valid)
+        fcoords = np.stack([uv[:, 1] / stride - 0.5, uv[:, 0] / stride - 0.5], axis=1)
+        out, anyv = _deformable_core(latents, fcoords, grid_of_table(camera_table(features, name), features.dims),
+                                     p.deform, query_valid=valid)
         enc = sincos_encoding(np.stack([uv[:, 0] / cam.width, uv[:, 1] / cam.height], axis=1),
                               p.pe_w.data.shape[0] // 4)
         out = add(out, mul(linear(Tensor(enc), p.pe_w, p.pe_b), anyv.astype(np.float64)[:, None]))
@@ -486,7 +530,7 @@ class TestCameraBlocksMatchPerCameraLoop:
             p = model.layers[0].bev_image
             grid = make_grid(rng, model.bev_spec)
             grid.cells.requires_grad = True
-            feats = {k: v for k, v in model.encode_images(frames[0].images).items() if cams is None or k in cams}
+            feats = encode(model, frames[0].images, cams)
             got = self.run(lambda: bev_image_cross_attention(grid, pillar_reads(grid, feats, rig, p), feats, p).cells,
                            grid.cells, model, rng)
             want = self.run(lambda: per_camera_bev_image(grid, feats, rig, p), grid.cells, model, rng)
@@ -503,7 +547,7 @@ class TestCameraBlocksMatchPerCameraLoop:
             p = model.layers[0].obj_image
             q = make_queries(rng, 24, anchors=seen_anchors(rng, rig, 24))
             q.latents.requires_grad = True
-            feats = {k: v for k, v in model.encode_images(frames[0].images).items() if cams is None or k in cams}
+            feats = encode(model, frames[0].images, cams)
             got = self.run(lambda: _obj_image_cross_attention(q.latents, anchor_reads(q.anchor_xyz, feats, rig, p),
                                                               feats, p),
                            q.latents, model, rng)

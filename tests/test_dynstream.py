@@ -2,7 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from util import anchor_reads, make_attention_params, make_deformable_params, make_ln, make_mlp_params, rows, t64
+from util import (
+    anchor_reads,
+    make_attention_params,
+    make_deformable_params,
+    make_ln,
+    make_mlp_params,
+    rows,
+    stack_maps,
+    t64,
+)
 
 from dualstream.configio import Config
 from dualstream.diffcore import FeatureMap, active_tape, layernorm, use_dtype
@@ -282,7 +291,7 @@ def img_attn_params(rng, degenerate=False):
 
 def feature_map(rng, cam, stride=8):
     hf, wf = cam.height // stride, cam.width // stride
-    return FeatureMap(data=t64(rows(rng.normal(size=(L, hf, wf)))), dims=(hf, wf), stride=stride)
+    return FeatureMap(data=t64(rows(rng.normal(size=(L, hf, wf)))), dims=(hf, wf), stride=stride, names=(cam.name,))
 
 
 class TestObjImageCrossAttention:
@@ -292,8 +301,7 @@ class TestObjImageCrossAttention:
             cam = front_camera()
             fm = feature_map(rng, cam)
             q = make_queries(rng, anchors=[[-5.0, 0.0, 0.0]])  # behind the front camera
-            out = _obj_image_cross_attention(q.latents, anchor_reads(q.anchor_xyz, {"front": fm}, {"front": cam}, p),
-                                             {"front": fm}, p)
+            out = _obj_image_cross_attention(q.latents, anchor_reads(q.anchor_xyz, fm, {"front": cam}, p), fm, p)
             want = layernorm(q.latents, p.ln_g, p.ln_b).data
             np.testing.assert_allclose(out.data, want, atol=1e-12)
 
@@ -303,8 +311,7 @@ class TestObjImageCrossAttention:
             cam = front_camera()
             fm = feature_map(rng, cam)
             q = make_queries(rng, anchors=[[8.0, 0.3, 0.2]])
-            out = _obj_image_cross_attention(q.latents, anchor_reads(q.anchor_xyz, {"front": fm}, {"front": cam}, p),
-                                             {"front": fm}, p)
+            out = _obj_image_cross_attention(q.latents, anchor_reads(q.anchor_xyz, fm, {"front": cam}, p), fm, p)
 
             from dualstream.diffcore import bilinear_sample
             from dualstream.geom3d import project
@@ -325,7 +332,7 @@ class TestObjImageCrossAttention:
             # aggregated by the (uniform) softmax over visible cameras.
             q = make_queries(rng, anchors=[[8.0, 0.0, 0.5]])
             cams = {"front": cam_f, "back": cam_b}
-            fms = {"front": fm_f, "back": fm_b}
+            fms = stack_maps(fm_f, fm_b)
             out = _obj_image_cross_attention(q.latents, anchor_reads(q.anchor_xyz, fms, cams, p), fms, p)
 
             from dualstream.diffcore import bilinear_sample
@@ -347,11 +354,10 @@ class TestObjImageCrossAttention:
                                 extrinsic=cam_a.extrinsic, width=cam_a.width,
                                 height=cam_a.height, name="front-left")
             fm_a, fm_b = feature_map(rng, cam_a), feature_map(rng, cam_b)
+            fms = stack_maps(fm_a, fm_b)
             q = make_queries(rng, anchors=[[8.0, 0.3, 0.2]])
             out = _obj_image_cross_attention(
-                q.latents, anchor_reads(q.anchor_xyz, {"front": fm_a, "front-left": fm_b},
-                                        {"front": cam_a, "front-left": cam_b}, p),
-                {"front": fm_a, "front-left": fm_b}, p)
+                q.latents, anchor_reads(q.anchor_xyz, fms, {"front": cam_a, "front-left": cam_b}, p), fms, p)
 
             from dualstream.diffcore import bilinear_sample
             from dualstream.geom3d import project
@@ -372,9 +378,8 @@ class TestObjImageCrossAttention:
             qs = make_queries(rng, 5, anchors=anchors)
             perm = rng.permutation(5)
             moved = qs.take(perm)
-            out1 = _obj_image_cross_attention(qs.latents, anchor_reads(qs.anchor_xyz, {"front": fm}, {"front": cam}, p),
-                                              {"front": fm}, p).data
-            out2 = _obj_image_cross_attention(moved.latents,
-                                              anchor_reads(moved.anchor_xyz, {"front": fm}, {"front": cam}, p),
-                                              {"front": fm}, p).data
+            out1 = _obj_image_cross_attention(qs.latents, anchor_reads(qs.anchor_xyz, fm, {"front": cam}, p),
+                                              fm, p).data
+            out2 = _obj_image_cross_attention(moved.latents, anchor_reads(moved.anchor_xyz, fm, {"front": cam}, p),
+                                              fm, p).data
         np.testing.assert_array_equal(out1[perm], out2)

@@ -44,7 +44,7 @@ def plan_bilinear(fd, h, w, cd, g):
     with fresh_tape():
         flat = Tensor(fd, requires_grad=True)
         coords = Tensor(cd, requires_grad=True)
-        out = _bilinear_flat(flat, coords, sampling_plan(cd, h, w, h * w, dtype=fd.dtype),
+        out = _bilinear_flat(flat, coords, sampling_plan(cd, h, w, dtype=fd.dtype),
                              Tensor(np.ones(len(cd), dtype=fd.dtype)), np.arange(len(cd) + 1))
         backward(sum_(out * Tensor(g)))
     return out.data, flat.grad, coords.grad
@@ -78,10 +78,10 @@ def test_forward_bitwise_and_gradients_match_reference(rng, h, w, c):
 def test_out_of_range_points_have_zero_weights(rng):
     h, w = 4, 8
     cd = points(rng, h, w)
-    plan = sampling_plan(cd, h, w, h * w)
+    plan = sampling_plan(cd, h, w)
     inside = (cd[:, 0] >= 0) & (cd[:, 0] <= h - 1) & (cd[:, 1] >= 0) & (cd[:, 1] <= w - 1)
     np.testing.assert_array_equal(plan.inside, inside)
-    wts = plan.weights.data.reshape(-1, 4)
+    wts = plan.weights
     assert np.all(wts[~inside] == 0)
     np.testing.assert_allclose(wts[inside].sum(axis=1), 1.0, rtol=0, atol=1e-15)
 
@@ -107,28 +107,29 @@ def test_float32_table_gives_float32(rng):
     np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-5)
 
 
+def unit_read(fd, cd, plan):
+    """Each sample's plain bilinear read of the table ``fd`` through ``plan``."""
+    n = len(cd)
+    return _bilinear_flat(Tensor(fd), Tensor(cd), plan, Tensor(np.ones(n)), np.arange(n + 1)).data
+
+
 def test_stacked_grids_stay_in_their_own_rows(rng):
-    # three camera tables of different sizes stacked into one value matrix
-    dims = np.array([[4, 8], [4, 8], [3, 5]])
-    sizes = dims.prod(axis=1)
-    bases = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    c = 3
-    tables = [rng.normal(size=(s, c)) for s in sizes]
+    # three 4 x 8 camera grids stacked into one value table, grid g from row g*32
+    h, w, c = 4, 8, 3
+    tables = [rng.normal(size=(h * w, c)) for _ in range(3)]
     fd = np.concatenate(tables)
-    pts = [points(rng, h, w, n=32) for h, w in dims]
+    pts = [points(rng, h, w, n=32) for _ in tables]
     cd = np.concatenate(pts)
     grid = np.repeat(np.arange(3), [len(p) for p in pts])
-    plan = sampling_plan(cd, dims[grid, 0], dims[grid, 1], int(sizes.sum()), bases[grid])
+    plan = sampling_plan(cd, h, w, base=grid * h * w)
 
-    cols = plan.weights.indices.reshape(-1, 4)
-    lo, hi = bases[grid][:, None], (bases + sizes)[grid][:, None]
-    assert np.all((cols >= lo) & (cols < hi))
+    lo = (grid * h * w)[:, None]
+    assert np.all((plan.cols >= lo) & (plan.cols < lo + h * w))
 
     # each block reads exactly what a plan over its own table alone reads
-    out = plan.weights @ fd
-    for k, (h, w) in enumerate(dims):
-        alone = sampling_plan(pts[k], h, w, h * w).weights @ tables[k]
-        np.testing.assert_array_equal(out[grid == k], alone)
+    out = unit_read(fd, cd, plan)
+    for k, table in enumerate(tables):
+        np.testing.assert_array_equal(out[grid == k], unit_read(table, pts[k], sampling_plan(pts[k], h, w)))
 
 
 def test_valid_mask_from_plan(rng):
@@ -136,7 +137,7 @@ def test_valid_mask_from_plan(rng):
     mask = np.ones((h, w), dtype=bool)
     mask[2, 2] = False
     cd = np.array([[1.0, 1.0], [1.5, 1.0], [1.5, 1.5], [2.0, 2.0], [2.0, 1.0], [-1.0, 0.0]])
-    plan = sampling_plan(cd, h, w, h * w)
+    plan = sampling_plan(cd, h, w)
     np.testing.assert_array_equal(plan.valid(mask.ravel()), [True, True, False, False, True, False])
 
 
@@ -146,7 +147,7 @@ def test_bilinear_read_through_tanh_finite_difference(rng):
     coords = Tensor(rng.uniform(0.2, 2.8, size=(10, 2)), requires_grad=True)
 
     def fn(f, c):
-        return sum_(tanh(_bilinear_flat(f, c, sampling_plan(c.data, h, w, h * w), Tensor(np.ones(10)), np.arange(11))))
+        return sum_(tanh(_bilinear_flat(f, c, sampling_plan(c.data, h, w), Tensor(np.ones(10)), np.arange(11))))
 
     assert finite_diff_check(fn, [flat, coords], eps=1e-6) <= 1e-4
 

@@ -3,9 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from util import chw, feature_map, make_deformable_params, make_ln, make_mlp_params, pillar_reads, rows, t64
+from util import chw, feature_map, make_deformable_params, make_ln, make_mlp_params, pillar_reads, rows, stack_maps, t64
 
-from dualstream.diffcore import Tensor, backward, fresh_tape, layernorm, use_dtype
+from dualstream.diffcore import FeatureMap, Tensor, backward, fresh_tape, layernorm, use_dtype
 from dualstream.diffcore.tensor import ShapeError, sum_
 from dualstream.geom3d import Pose, invert
 from dualstream.statstream import (
@@ -255,7 +255,8 @@ class TestBevImageCrossAttention:
         with use_dtype(np.float64):
             p = bev_img_params(rng)
             grid = make_grid(rng)
-            out = bev_image_cross_attention(grid, pillar_reads(grid, {}, {}, p), {}, p)
+            none = FeatureMap(data=t64(np.zeros((0, L))), dims=(4, 8), stride=8, names=())
+            out = bev_image_cross_attention(grid, pillar_reads(grid, none, {}, p), none, p)
             want = layernorm(grid.cells, p.ln_g, p.ln_b).data
             np.testing.assert_allclose(out.cells.data, want, atol=1e-12)
 
@@ -265,8 +266,7 @@ class TestBevImageCrossAttention:
             cam = tiny_camera()
             fm = feature_map(rng.normal(size=(L, 4, 8)), stride=8)
             grid = make_grid(rng, replace(SPEC, pillar_heights=(0.0,)))
-            out = bev_image_cross_attention(grid, pillar_reads(grid, {"front": fm}, {"front": cam}, p),
-                                            {"front": fm}, p)
+            out = bev_image_cross_attention(grid, pillar_reads(grid, fm, {"front": cam}, p), fm, p)
             # rows with x < 0 sit behind the forward camera: pure residual
             flat = layernorm(grid.cells, p.ln_g, p.ln_b).data
             got = out.cells.data
@@ -282,8 +282,7 @@ class TestBevImageCrossAttention:
 
             fm = feature_map(rng.normal(size=(L, 4, 8)), stride=8)
             grid = make_grid(rng, replace(SPEC, pillar_heights=(0.5,)))
-            out = bev_image_cross_attention(grid, pillar_reads(grid, {"front": fm}, {"front": cam}, p),
-                                            {"front": fm}, p)
+            out = bev_image_cross_attention(grid, pillar_reads(grid, fm, {"front": cam}, p), fm, p)
             got = out.cells.data
             centers = cell_to_metric(SPEC, grid_coords(SPEC))
             flat = grid.cells.data
@@ -313,8 +312,7 @@ class TestBevImageCrossAttention:
             fm = feature_map(rng.normal(size=(L, 8, 16)), stride=4)
             heights = (-0.3, 0.3)
             grid = make_grid(rng, replace(SPEC, pillar_heights=heights))
-            out = bev_image_cross_attention(grid, pillar_reads(grid, {"front": fm}, {"front": cam}, p),
-                                            {"front": fm}, p)
+            out = bev_image_cross_attention(grid, pillar_reads(grid, fm, {"front": cam}, p), fm, p)
             got = out.cells.data
             centers = cell_to_metric(SPEC, grid_coords(SPEC))
             flat = grid.cells.data
@@ -346,12 +344,12 @@ def test_pillar_reads_are_reused_by_value_and_bounded(rng):
 
     with use_dtype(np.float64):
         p = bev_img_params(rng)
-        fms = {name: feature_map(np.zeros((L, 4, 8)), stride=8) for name in ("front", "back")}
+        fms = stack_maps(*(feature_map(np.zeros((L, 4, 8)), stride=8, name=name) for name in ("front", "back")))
         pillars = PillarReads()
         first = pillars.reads(SPEC, fms, build_camera_rig(width=64, height=32), p)
         assert not first.enc.flags.writeable and not first.refs.flags.writeable
         # equal values in new objects reuse the plan
-        assert pillars.reads(SPEC, dict(fms), build_camera_rig(width=64, height=32), p) is first
+        assert pillars.reads(SPEC, replace(fms), build_camera_rig(width=64, height=32), p) is first
         for fov in (50.0, 70.0, 80.0, 90.0, 100.0):
             assert pillars.reads(SPEC, fms, build_camera_rig(width=64, height=32, fov_deg=fov), p) is not first
         assert len(pillars._plans) == PillarReads.KEPT
@@ -363,10 +361,23 @@ def test_pillar_reads_are_reused_by_value_and_bounded(rng):
 def test_camera_reads_planned_for_other_queries_are_refused(rng):
     with use_dtype(np.float64):
         p = bev_img_params(rng)
-        reads = pillar_reads(make_grid(rng), {}, {}, p)
+        none = FeatureMap(data=t64(np.zeros((0, L))), dims=(4, 8), stride=8, names=())
+        reads = pillar_reads(make_grid(rng), none, {}, p)
         small = make_grid(rng, BevSpec(dims=(4, 4), extent=(-2.0, 2.0, -2.0, 2.0)))
         with pytest.raises(ShapeError, match="planned for 64 queries, got 16"):
-            bev_image_cross_attention(small, reads, {}, p)
+            bev_image_cross_attention(small, reads, none, p)
+
+
+def test_camera_reads_planned_for_other_cameras_are_refused(rng):
+    with use_dtype(np.float64):
+        p = bev_img_params(rng)
+        grid = make_grid(rng)
+        both = stack_maps(*(feature_map(rng.normal(size=(L, 4, 8)), stride=8, name=name) for name in ("front", "back")))
+        reads = pillar_reads(grid, both, {"front": tiny_camera(), "back": tiny_camera("back", backwards=True)}, p)
+        swapped = FeatureMap(data=both.data, dims=both.dims, stride=both.stride, names=("back", "front"))
+        for table in (feature_map(rng.normal(size=(L, 4, 8)), stride=8), swapped):
+            with pytest.raises(ShapeError, match=r"planned for cameras \('front', 'back'\)"):
+                bev_image_cross_attention(grid, reads, table, p)
 
 class TestSegmentationHead:
     def test_zero_grid_zero_init_gives_half_sigmoid(self):

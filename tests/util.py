@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 
-from dualstream.diffcore import FeatureMap, Tensor
+from dualstream.diffcore import FeatureMap, Tensor, concat
 from dualstream.diffcore.ops import AttentionParams, DeformableParams, MlpParams
+from dualstream.geom3d import CAMERA_SLOTS
 from dualstream.statstream import PillarReads, plan_camera_reads
 
 
@@ -23,9 +24,22 @@ def chw(table, dims):
     return table.T.reshape(-1, *dims)
 
 
-def feature_map(grid, stride, grad=False):
-    """A FeatureMap holding the (C, H_f, W_f) array ``grid``."""
-    return FeatureMap(data=Tensor(rows(grid), requires_grad=grad), dims=grid.shape[1:], stride=stride)
+def feature_map(grid, stride, name="front", grad=False):
+    """A one-camera FeatureMap holding the (C, H_f, W_f) array ``grid``."""
+    return FeatureMap(data=Tensor(rows(grid), requires_grad=grad), dims=grid.shape[1:], stride=stride, names=(name,))
+
+
+def stack_maps(*maps):
+    """One feature table stacking one-camera FeatureMaps of one dims and
+    stride, in ``CAMERA_SLOTS`` order, as ``encode_images`` stacks a frame's."""
+    maps = sorted(maps, key=lambda fm: CAMERA_SLOTS.index(fm.names[0]))
+    return FeatureMap(data=concat([fm.data for fm in maps]), dims=maps[0].dims, stride=maps[0].stride,
+                      names=tuple(fm.names[0] for fm in maps))
+
+
+def encode(model, images, cams=None):
+    """The model's feature table of the images of the cameras ``cams`` (all when None)."""
+    return model.encode_images({k: v for k, v in images.items() if cams is None or k in cams})
 
 
 def pillar_reads(grid, features, cameras, params):
