@@ -250,6 +250,9 @@ def _bilinear_flat(flat: Tensor, coords: Tensor, plan: SamplingPlan, wts: Tensor
     run in a fixed order, so results are bitwise reproducible.
     """
     fd = np.ascontiguousarray(flat.data)
+    if plan.cols.size and plan.cols.max() >= fd.shape[0]:
+        # scipy does not bound-check CSR indices: the product would read and write past the table
+        raise ShapeError(f"plan reads table row {plan.cols.max()}, but the value table has {fd.shape[0]} rows")
     w = wts.data.ravel()
     a = sparse.csr_array(((plan.weights * w[:, None]).ravel(), plan.cols.ravel(), 4 * np.asarray(starts)),
                          shape=(len(starts) - 1, fd.shape[0]))

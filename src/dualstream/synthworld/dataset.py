@@ -20,9 +20,9 @@ from typing import Optional
 import numpy as np
 
 from ..diffcore.dstn import atomic_directory, read_json, read_tensor, write_tensor
-from ..geom3d import BoundingBox3D, CameraModel, Pose, invert, transform_box
+from ..geom3d import BoundingBox3D, CameraModel, Pose, invert, rot2, transform_box
 from ..statstream import BevSpec, cell_center_grid
-from .render import dist_to_polyline, points_in_polygon, render_camera
+from .render import map_mask, render_camera
 from .scene import (
     CAMERA_SLOTS,
     SceneSpec,
@@ -63,23 +63,12 @@ def rasterize_gt_bev(scene: SceneSpec, t: int, bev_spec: BevSpec,
     The default dilation of 1 m matches the desk grid resolution; the
     rendered 0.3 m paint stripe would miss every cell center at 1 m cells.
     """
-    ego = scene.ego_trajectory[t]
-    centers_ego = cell_center_grid(bev_spec)
-    centers_world = ego.apply_points(centers_ego)
+    centers = scene.ego_trajectory[t].apply_points(cell_center_grid(bev_spec))
     m = scene.static_map
-    h, w = bev_spec.dims
-
-    drivable = np.zeros(centers_world.shape[0], dtype=bool)
-    for poly in m.drivable:
-        drivable |= points_in_polygon(centers_world, poly)
-    lanes = np.zeros_like(drivable)
-    for line in m.lane_lines:
-        lanes |= dist_to_polyline(centers_world, line) <= lane_width / 2.0
-    crossing = np.zeros_like(drivable)
-    for poly in m.crossings:
-        crossing |= points_in_polygon(centers_world, poly)
-    masks = np.stack([drivable, lanes, crossing]).astype(np.float32)
-    return masks.reshape(3, h, w)
+    masks = np.stack([map_mask(centers, m.drivable),
+                      map_mask(centers, m.lane_lines, lane_width / 2.0),
+                      map_mask(centers, m.crossings)]).astype(np.float32)
+    return masks.reshape(3, *bev_spec.dims)
 
 
 def ego_frame_boxes(scene: SceneSpec, t: int, ranges: Optional[np.ndarray] = None):
@@ -108,8 +97,6 @@ def ego_velocity(scene: SceneSpec, t: int) -> np.ndarray:
         return np.zeros(2)
     a, b = (t, t + 1) if t + 1 < len(traj) else (t - 1, t)
     v_world = (traj[b].translation - traj[a].translation) / scene.dt
-    from ..geom3d import rot2
-
     return rot2(-traj[t].rotation) @ v_world
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from check import finite_diff_check
 
-from dualstream.diffcore import Tensor, backward, fresh_tape, sum_, tanh
+from dualstream.diffcore import ShapeError, Tensor, backward, fresh_tape, sum_, tanh
 from dualstream.diffcore.ops import _bilinear_flat, sampling_plan
 
 
@@ -158,3 +158,12 @@ def test_zero_samples(rng):
     out, gv, gc = plan_bilinear(fd, 4, 8, np.zeros((0, 2)), np.zeros((0, 3)))
     assert out.shape == (0, 3) and gc.shape == (0, 2)
     np.testing.assert_array_equal(gv, np.zeros_like(fd))
+
+
+@pytest.mark.parametrize("requires_grad", [False, True])
+def test_plan_for_a_larger_table_is_refused(rng, requires_grad):
+    # a plan made for an 8 x 8 grid must not read or write past a 4 x 8 table
+    cd = np.array([[7.0, 7.0], [0.5, 0.5]])
+    flat = Tensor(rng.normal(size=(32, 3)), requires_grad=requires_grad)
+    with fresh_tape(), pytest.raises(ShapeError, match="row 63.* 32 rows"):
+        _bilinear_flat(flat, Tensor(cd), sampling_plan(cd, 8, 8), Tensor(np.ones(2)), np.arange(3))
