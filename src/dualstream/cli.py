@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .configio import Config, ConfigError, config_to_dict, content_hash, load_config, serialize_config
-from .diffcore.dstn import DstnError, atomic_write_text, read_json, read_tensor
+from .diffcore.dstn import DstnError, atomic_write_text, read_header, read_json
 from .model import DualStreamModel
 from .runner import assemble_report, run_inference
 from .statstream import BevSpec
@@ -25,7 +25,6 @@ from .trainkit import (
     NumericError,
     OptimizerState,
     TrainResult,
-    _safe_name,
     model_from_checkpoint,
     save_checkpoint,
     streaming_train,
@@ -230,15 +229,19 @@ def cmd_inspect(args) -> int:
                                 lambda meta: (meta, [str(name) for name in meta.get("param_names", [])]))
         print(f"checkpoint: step={meta.get('step')} epoch={meta.get('epoch', '?')} "
               f"version={meta.get('format_version')}")
-        total = 0
-        for name in names:
-            arr = read_tensor(path / "params" / f"{_safe_name(name)}.dstn")
-            total += arr.size
-        print(f"parameters: {len(names)} tensors, {total} scalars")
+        params = [e for e in read_header(path / "state.dstn")[0] if e.name.startswith("params/")]
+        print(f"parameters: {len(params)} tensors, {sum(e.size for e in params)} scalars")
         for name in names[:10]:
             print(f"  {name}")
         if len(names) > 10:
             print(f"  ... {len(names) - 10} more")
+        return EXIT_OK
+    if path.suffix == ".dstn":
+        entries, meta = read_header(path)
+        print(f"dstn: {len(entries)} entries, {sum(e.size for e in entries)} scalars")
+        for e in entries:
+            print(f"  {e.name}  {e.dtype.name}  {e.shape}")
+        print(f"meta keys: {', '.join(sorted(meta)) or '(none)'}")
         return EXIT_OK
     if path.name.endswith(".json") and path.exists():
         print(json.dumps(read_json(path), indent=2, sort_keys=True))
@@ -286,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--out", required=True)
     a.set_defaults(fn=cmd_ablate)
 
-    i = sub.add_parser("inspect", help="pretty-print a checkpoint, report or dataset")
+    i = sub.add_parser("inspect", help="pretty-print a checkpoint, report, dataset or .dstn file")
     i.add_argument("path")
     i.set_defaults(fn=cmd_inspect)
     return parser

@@ -55,6 +55,8 @@ class ParamStore:
                 raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {t.data.shape}")
             if arr.dtype != t.data.dtype:
                 raise ValueError(f"dtype mismatch for {name}: stored {arr.dtype}, model {t.data.dtype}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"non-finite values in parameter {name}")
             t.data = arr.copy()
 
 

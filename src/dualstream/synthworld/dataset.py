@@ -1,12 +1,12 @@
 """Frame assembly and the on-disk dataset format.
 
 Layout:
-    index.json
-    scene_<k>/frame_<t>/cam_<name>.dstn     (3, H, W) f32, only scheduled slots
-    scene_<k>/frame_<t>/gt_boxes.json
-    scene_<k>/frame_<t>/gt_seg.dstn         (3, H_BEV, W_BEV) f32
-    scene_<k>/frame_<t>/ego_pose.json
-    scene_<k>/frame_<t>/schedule.json
+    index.json                        format version, config echo, BEV grid, cameras, scenes
+    scene_<k>/frame_<t>.dstn          one DSTN container per frame:
+        cam_<name>                    (3, H, W) f32, only the scheduled slots, in CAMERA_SLOTS order
+        gt_seg                        (3, H_BEV, W_BEV) f32
+        meta                          boxes (with track ids) in the ego frame, ego
+                                      yaw, translation and ego_velocity, schedule
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .scene import (
     generate_scene,
 )
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 SEG_CLASSES = ("drivable", "lanes", "crossing")
 
 
@@ -173,6 +173,44 @@ def _dump_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
+def write_frame(path: Path, frame: FrameSample) -> None:
+    """Write ``frame`` as one DSTN container (layout at module top)."""
+    tensors = {f"cam_{name}": img for name, img in frame.images.items() if img is not None}
+    tensors["gt_seg"] = frame.gt_seg
+    write_tensor(path, tensors, {
+        "boxes": [_box_to_json(b, i) for b, i in zip(frame.gt_boxes, frame.gt_ids)],
+        "yaw": float(frame.ego_pose.rotation),
+        "translation": list(map(float, frame.ego_pose.translation)),
+        "ego_velocity": list(map(float, frame.ego_velocity)),
+        "schedule": frame.availability,
+    })
+
+
+def read_frame(path: Path, index: int) -> FrameSample:
+    """The frame ``write_frame`` wrote at ``path``, as frame ``index``. A
+    missing file or incomplete meta raises ``DatasetError``, a corrupt
+    container ``DstnError``, each naming the file."""
+    if not path.is_file():
+        raise DatasetError(f"{path}: missing frame file")
+    tensors, meta = read_tensor(path)
+    try:
+        availability = dict(meta["schedule"])
+        pairs = [_box_from_json(d) for d in meta["boxes"]]
+        return FrameSample(
+            index=index,
+            ego_pose=Pose.se2(meta["yaw"], *meta["translation"]),
+            ego_velocity=np.array(meta["ego_velocity"]),
+            images={name: tensors[f"cam_{name}"].astype(np.float32, copy=False)
+                    if availability.get(name, False) else None for name in CAMERA_SLOTS},
+            gt_boxes=[b for b, _ in pairs],
+            gt_ids=[i for _, i in pairs],
+            gt_seg=tensors["gt_seg"],
+            availability=availability,
+        )
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError) as e:
+        raise DatasetError(f"{path}: corrupt or incomplete frame ({type(e).__name__}: {e})") from None
+
+
 def make_schedules(kind: str, duration: int) -> list[dict[str, bool]]:
     if kind == "full":
         return full_schedule(duration)
@@ -198,22 +236,11 @@ def write_dataset(
         def write_scene(k_scene):
             k, scene = k_scene
             schedules = make_schedules(schedule_kind, scene.duration)
+            sdir = root / f"scene_{k}"
+            sdir.mkdir()
             for t in range(scene.duration):
-                frame = build_frame(scene, t, cameras, bev_spec, schedules[t], ranges)
-                fdir = root / f"scene_{k}" / f"frame_{t}"
-                fdir.mkdir(parents=True, exist_ok=True)
-                for name, img in frame.images.items():
-                    if img is not None:
-                        write_tensor(fdir / f"cam_{name}.dstn", img)
-                write_tensor(fdir / "gt_seg.dstn", frame.gt_seg)
-                _dump_json(fdir / "gt_boxes.json",
-                           [_box_to_json(b, i) for b, i in zip(frame.gt_boxes, frame.gt_ids)])
-                _dump_json(fdir / "ego_pose.json", {
-                    "yaw": float(frame.ego_pose.rotation),
-                    "t": list(map(float, frame.ego_pose.translation)),
-                    "ego_velocity": list(map(float, frame.ego_velocity)),
-                })
-                _dump_json(fdir / "schedule.json", frame.availability)
+                write_frame(sdir / f"frame_{t}.dstn",
+                            build_frame(scene, t, cameras, bev_spec, schedules[t], ranges))
 
         jobs = list(enumerate(scenes))
         if workers > 1:
@@ -253,27 +280,7 @@ class Dataset:
         return len(self.scenes)
 
     def load_frame(self, scene_id: int, t: int) -> FrameSample:
-        fdir = self.root / f"scene_{scene_id}" / f"frame_{t}"
-        availability = read_json(fdir / "schedule.json", DatasetError, dict)
-        images: dict[str, Optional[np.ndarray]] = {}
-        for name in CAMERA_SLOTS:
-            if availability.get(name, False):
-                images[name] = read_tensor(fdir / f"cam_{name}.dstn").astype(np.float32)
-            else:
-                images[name] = None
-        ego_pose, ego_velocity = read_json(fdir / "ego_pose.json", DatasetError,
-                                           lambda d: (Pose.se2(d["yaw"], *d["t"]), np.array(d["ego_velocity"])))
-        pairs = read_json(fdir / "gt_boxes.json", DatasetError, lambda doc: [_box_from_json(d) for d in doc])
-        return FrameSample(
-            index=t,
-            ego_pose=ego_pose,
-            ego_velocity=ego_velocity,
-            images=images,
-            gt_boxes=[b for b, _ in pairs],
-            gt_ids=[i for _, i in pairs],
-            gt_seg=read_tensor(fdir / "gt_seg.dstn"),
-            availability=availability,
-        )
+        return read_frame(self.root / f"scene_{scene_id}" / f"frame_{t}.dstn", t)
 
 
 def generate_and_write(

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..geom3d import EPS_DEPTH, CameraModel, Pose, compose, invert, rot2
+from ..geom3d import EPS_DEPTH, CameraModel, rot2
 from .scene import LANE_LINE_WIDTH, MapSpec, SceneSpec
 
 COLOR_SKY = np.array([0.55, 0.75, 0.95])
@@ -175,9 +175,15 @@ def render_camera(scene: SceneSpec, t: int, cam: CameraModel):
     instance holds the agent id per pixel, -1 for ground/sky.
     """
     h, w = cam.height, cam.width
-    cam_to_world = compose(_se2_to_se3(scene.ego_trajectory[t]), invert(cam.extrinsic))
-    r = cam_to_world.rotation
-    origin = cam_to_world.translation
+    # camera to world: the ego pose lifted to SE(3), composed with the inverse
+    # extrinsic, in the operation order of geom3d's compose and invert but
+    # without building (and validating) the three intermediate poses
+    ego = scene.ego_trajectory[t]
+    c, s = np.cos(ego.rotation), np.sin(ego.rotation)
+    r_ego = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    r_cam = cam.extrinsic.rotation.T
+    r = r_ego @ r_cam
+    origin = r_ego @ -(r_cam @ cam.extrinsic.translation) + np.array([ego.translation[0], ego.translation[1], 0.0])
     # (H, W, 3) world-frame ray directions, z-depth = ray parameter
     dirs = _pixel_rays(w, h, cam.cx, cam.cy, cam.fx, cam.fy) @ r.T
 
@@ -234,8 +240,3 @@ def render_camera(scene: SceneSpec, t: int, cam: CameraModel):
     image = np.transpose(color, (2, 0, 1)).astype(np.float32)
     return image, depth, instance
 
-
-def _se2_to_se3(p: Pose) -> Pose:
-    c, s = np.cos(p.rotation), np.sin(p.rotation)
-    r = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return Pose.se3(r, np.array([p.translation[0], p.translation[1], 0.0]))

@@ -20,7 +20,7 @@ from .heads import LossWeights, detection_cost_matrix, detection_loss, hungarian
 from .model import DualStreamModel, StreamState
 from .synthworld.dataset import Dataset
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class NumericError(RuntimeError):
@@ -245,23 +245,19 @@ def streaming_train(
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def _safe_name(name: str) -> str:
-    return name.replace("/", "_")
-
-
 def save_checkpoint(path, model: DualStreamModel, opt: OptimizerState, cfg: Config, step: int,
                     epoch: Optional[int] = None) -> None:
-    """Write the checkpoint into a sibling temp directory, then rename it into
-    place, so an interrupted save leaves the previous checkpoint untouched.
-    ``epoch``, when given, is recorded in the metadata for ``--resume``."""
+    """Write ``meta.json`` and ``state.dstn`` (entries ``params/<name>``,
+    ``opt_m/<name>``, ``opt_v/<name>``) into a sibling temp directory, then
+    rename it into place, so an interrupted save leaves the previous
+    checkpoint untouched. ``epoch``, when given, is recorded in the metadata
+    for ``--resume``."""
     with atomic_directory(path) as tmp:
-        for sub in ("params", "opt_m", "opt_v"):
-            (tmp / sub).mkdir()
         names = model.store.names()
-        for name, t in model.store.items():
-            write_tensor(tmp / "params" / f"{_safe_name(name)}.dstn", t.data)
-            write_tensor(tmp / "opt_m" / f"{_safe_name(name)}.dstn", opt.m[name])
-            write_tensor(tmp / "opt_v" / f"{_safe_name(name)}.dstn", opt.v[name])
+        state = {f"params/{name}": t.data for name, t in model.store.items()}
+        state.update((f"opt_m/{name}", opt.m[name]) for name in names)
+        state.update((f"opt_v/{name}", opt.v[name]) for name in names)
+        write_tensor(tmp / "state.dstn", state, {})
         meta = {
             "format_version": CHECKPOINT_VERSION,
             "step": step,
@@ -281,13 +277,14 @@ def load_checkpoint(path) -> tuple[Config, dict, OptimizerState, int]:
         dict(meta["config"]), [str(name) for name in meta["param_names"]], int(meta["opt_step"]), int(meta["step"])
     ), CHECKPOINT_VERSION)
     cfg = config_from_dict(config)
-    params = {}
-    m, v = {}, {}
-    for name in names:
-        params[name] = read_tensor(root / "params" / f"{_safe_name(name)}.dstn")
-        m[name] = read_tensor(root / "opt_m" / f"{_safe_name(name)}.dstn")
-        v[name] = read_tensor(root / "opt_v" / f"{_safe_name(name)}.dstn")
-    opt = OptimizerState(m=m, v=v, step=opt_step)
+    state, _ = read_tensor(root / "state.dstn")
+    want = {f"{group}/{name}" for group in ("params", "opt_m", "opt_v") for name in names}
+    if state.keys() != want:
+        raise DstnError(f"{root / 'state.dstn'}: entries do not match the param_names of meta.json "
+                        f"(missing {sorted(want - state.keys())[:3]}, extra {sorted(state.keys() - want)[:3]})")
+    params = {name: state[f"params/{name}"] for name in names}
+    opt = OptimizerState(m={name: state[f"opt_m/{name}"] for name in names},
+                         v={name: state[f"opt_v/{name}"] for name in names}, step=opt_step)
     return cfg, params, opt, step
 
 

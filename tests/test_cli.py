@@ -16,7 +16,8 @@ from dualstream.cli import (
     parse_seeds,
 )
 from dualstream.configio import Config, parse_config
-from dualstream.diffcore import use_dtype
+from dualstream.diffcore import read_tensor, use_dtype, write_tensor
+from dualstream.geom3d import CAMERA_SLOTS
 from dualstream.model import DualStreamModel
 from dualstream.trainkit import OptimizerState, load_checkpoint, save_checkpoint
 
@@ -263,14 +264,30 @@ def without_dt(text):
     return json.dumps(doc)
 
 
-# case: (command, file to corrupt relative to the run directory, its new text from the old)
+def rewrite_text(edit):
+    """Rewrite a text file through ``edit`` (old text to new)."""
+    return lambda path: path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+
+
+def rewrite_meta(edit):
+    """Rewrite the JSON meta of a DSTN container through ``edit`` (in place), keeping its tensors."""
+    def rewrite(path):
+        tensors, meta = read_tensor(path)
+        edit(meta)
+        write_tensor(path, tensors, meta)
+    return rewrite
+
+
+# case: (command, file to corrupt relative to the run directory, its corruption)
 CORRUPT_JSON = {
-    "inspect-index": ("inspect", "data/index.json", lambda _: "{not json"),
-    "inspect-meta": ("inspect", "ckpt/meta.json", lambda text: text[: len(text) // 2]),
-    "train-index-without-dt": ("train", "data/index.json", without_dt),
-    "train-frame-boxes": ("train", "data/scene_0/frame_1/gt_boxes.json", lambda _: '[{"center": [0, 0]}]'),
-    "eval-meta": ("eval", "ckpt/meta.json", lambda _: '{"format_version": 1}'),
-    "eval-frame-pose": ("eval", "data/scene_0/frame_0/ego_pose.json", lambda _: "[]"),
+    "inspect-index": ("inspect", "data/index.json", rewrite_text(lambda _: "{not json")),
+    "inspect-meta": ("inspect", "ckpt/meta.json", rewrite_text(lambda text: text[: len(text) // 2])),
+    "train-index-without-dt": ("train", "data/index.json", rewrite_text(without_dt)),
+    "train-frame-boxes": ("train", "data/scene_0/frame_1.dstn",
+                          rewrite_meta(lambda meta: meta.update(boxes=[{"center": [0, 0]}]))),
+    "eval-meta": ("eval", "ckpt/meta.json", rewrite_text(lambda _: '{"format_version": 2}')),
+    "eval-frame-pose": ("eval", "data/scene_0/frame_0.dstn",
+                        rewrite_meta(lambda meta: meta.update(yaw=[], translation=[], ego_velocity=[]))),
 }
 
 
@@ -283,7 +300,7 @@ def test_corrupt_json_is_an_io_error_naming_the_file(tiny_data, tmp_path, capsys
     model = DualStreamModel(parse_config(TINY))
     save_checkpoint(tmp_path / "ckpt", model, OptimizerState.fresh(model.store), model.cfg, step=0, epoch=1)
     path = tmp_path / name
-    path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
+    corrupt(path)
     args = {
         "inspect": ["inspect", str(path.parent)],
         "train": ["train", "--config", str(tiny_data / "tiny.cfg"), "--data", str(tmp_path / "data"),
@@ -294,3 +311,58 @@ def test_corrupt_json_is_an_io_error_naming_the_file(tiny_data, tmp_path, capsys
     assert main(args) == EXIT_IO
     assert str(path) in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "train-resume"])
+def test_non_finite_checkpoint_is_an_io_error_naming_the_parameter(tiny_data, tmp_path, capsys, command):
+    model = DualStreamModel(parse_config(TINY))
+    for name, t in model.store.items():
+        if name.startswith("decode."):
+            t.data = np.full_like(t.data, np.nan)
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, model, OptimizerState.fresh(model.store), model.cfg, step=2, epoch=1)
+    data, out = str(tiny_data / "data"), str(tmp_path / "run")
+    args = {"eval": ["eval", "--ckpt", str(ckpt), "--data", data, "--out", out],
+            "train-resume": ["train", "--resume", str(ckpt), "--data", data, "--out", out]}[command]
+    assert main(args) == EXIT_IO
+    assert f"{ckpt}: non-finite values in parameter decode.w_hidden" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("artifact", ["checkpoint", "dataset"])
+def test_version_1_artifact_is_an_io_error_naming_file_and_version(tiny_data, tmp_path, capsys, artifact):
+    import shutil
+
+    shutil.copytree(tiny_data / "data", tmp_path / "data")
+    model = DualStreamModel(parse_config(TINY))
+    save_checkpoint(tmp_path / "ckpt", model, OptimizerState.fresh(model.store), model.cfg, step=0, epoch=1)
+    path = tmp_path / {"checkpoint": "ckpt/meta.json", "dataset": "data/index.json"}[artifact]
+    rewrite_text(lambda text: text.replace('"format_version": 2', '"format_version": 1'))(path)
+    args = ["eval", "--ckpt", str(tmp_path / "ckpt"), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "run")]
+    assert main(args) == EXIT_IO
+    assert f"{path}: format version 1, expected 2" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_inspect_frame_container_lists_entries_and_meta(tiny_data, tmp_path, capsys):
+    frame = tiny_data / "data" / "scene_0" / "frame_0.dstn"
+    assert main(["inspect", str(frame)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    n_cams = len(CAMERA_SLOTS)   # the tiny config's full schedule
+    assert lines[0] == f"dstn: {n_cams + 1} entries, {n_cams * 3 * 32 * 64 + 3 * 8 * 8} scalars"
+    assert lines[1:n_cams + 1] == [f"  cam_{name}  float32  (3, 32, 64)" for name in CAMERA_SLOTS]
+    assert lines[n_cams + 1] == "  gt_seg  float32  (3, 8, 8)"
+    assert lines[-1] == "meta keys: boxes, ego_velocity, schedule, translation, yaw"
+
+
+@pytest.mark.parametrize("target", ["frame", "checkpoint"])
+def test_inspect_of_a_corrupt_container_is_an_io_error(tiny_data, tmp_path, capsys, target):
+    import shutil
+
+    shutil.copytree(tiny_data / "data", tmp_path / "data")
+    model = DualStreamModel(parse_config(TINY))
+    save_checkpoint(tmp_path / "ckpt", model, OptimizerState.fresh(model.store), model.cfg, step=0)
+    victim = tmp_path / {"frame": "data/scene_0/frame_0.dstn", "checkpoint": "ckpt/state.dstn"}[target]
+    victim.write_bytes(victim.read_bytes()[:40])
+    assert main(["inspect", str(victim if target == "frame" else victim.parent)]) == EXIT_IO
+    assert f"{victim}: truncated header" in capsys.readouterr().err

@@ -300,17 +300,18 @@ class TestDataset:
         before = {p.relative_to(tmp_path): p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
         written, real_write = [], dataset.write_tensor
 
-        def failing_write(path, arr):
-            if len(written) == 5:
+        def failing_write(path, tensors, meta):
+            if len(written) == 3:
                 raise OSError("disk full")
             written.append(path)
-            real_write(path, arr)
+            real_write(path, tensors, meta)
 
         monkeypatch.setattr(dataset, "write_tensor", failing_write)
         for target in ("d", "fresh"):   # over a previous dataset, and into a new path
             written.clear()
             with pytest.raises(OSError, match="disk full"):
-                generate_and_write([4], tmp_path / target, cfg, BEV, config_echo={}, ranges=RANGES)
+                generate_and_write([4, 5], tmp_path / target, cfg, BEV, config_echo={}, ranges=RANGES)
+            assert [p.name for p in written] == ["frame_0.dstn", "frame_1.dstn", "frame_0.dstn"]
         after = {p.relative_to(tmp_path): p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
         assert after == before
         assert [p.name for p in tmp_path.iterdir()] == ["d"]
@@ -318,23 +319,43 @@ class TestDataset:
     def test_truncated_tensor_names_path(self, tmp_path):
         cfg = WorldConfig(duration=2, agents_min=1, agents_max=1)
         generate_and_write([0], tmp_path / "d", cfg, BEV, config_echo={}, ranges=RANGES)
-        victim = tmp_path / "d" / "scene_0" / "frame_0" / "gt_seg.dstn"
+        victim = tmp_path / "d" / "scene_0" / "frame_0.dstn"
         victim.write_bytes(victim.read_bytes()[:-10])
         ds = Dataset(tmp_path / "d")
         from dualstream.diffcore import DstnError
 
-        with pytest.raises(DstnError, match="gt_seg"):
+        with pytest.raises(DstnError, match="frame_0.dstn"):
             ds.load_frame(0, 0)
 
     def test_missing_frame_errors(self, tmp_path):
         cfg = WorldConfig(duration=2, agents_min=1, agents_max=1)
         generate_and_write([0], tmp_path / "d", cfg, BEV, config_echo={}, ranges=RANGES)
-        import shutil
-
-        shutil.rmtree(tmp_path / "d" / "scene_0" / "frame_1")
+        (tmp_path / "d" / "scene_0" / "frame_1.dstn").unlink()
         ds = Dataset(tmp_path / "d")
         with pytest.raises(DatasetError, match="frame"):
             ds.load_frame(0, 1)
+
+    def test_frame_is_one_container(self, tmp_path):
+        cfg = WorldConfig(duration=2, agents_min=2, agents_max=2)
+        generate_and_write([0], tmp_path / "d", cfg, BEV, config_echo={}, ranges=RANGES, schedule_kind="alternating")
+        assert sorted(p.name for p in (tmp_path / "d" / "scene_0").iterdir()) == ["frame_0.dstn", "frame_1.dstn"]
+        from dualstream.diffcore import read_tensor
+        from dualstream.geom3d import CAMERA_SLOTS
+
+        tensors, meta = read_tensor(tmp_path / "d" / "scene_0" / "frame_0.dstn")
+        scheduled = [name for name in CAMERA_SLOTS if alternating_schedule(2)[0][name]]
+        assert list(tensors) == [f"cam_{name}" for name in scheduled] + ["gt_seg"]
+        assert sorted(meta) == ["boxes", "ego_velocity", "schedule", "translation", "yaw"]
+        assert [box["track_id"] for box in meta["boxes"]] == Dataset(tmp_path / "d").load_frame(0, 0).gt_ids
+
+    def test_version_1_dataset_is_refused(self, tmp_path):
+        cfg = WorldConfig(duration=2, agents_min=1, agents_max=1)
+        generate_and_write([0], tmp_path / "d", cfg, BEV, config_echo={}, ranges=RANGES)
+        index = json.loads((tmp_path / "d" / "index.json").read_text())
+        index["format_version"] = 1
+        (tmp_path / "d" / "index.json").write_text(json.dumps(index))
+        with pytest.raises(DatasetError, match=r"index\.json: format version 1, expected 2"):
+            Dataset(tmp_path / "d")
 
     def test_version_mismatch(self, tmp_path):
         cfg = WorldConfig(duration=2, agents_min=1, agents_max=1)

@@ -10,7 +10,7 @@ from dualstream import trainkit
 from dualstream.cli import bev_from_config, world_from_config
 from dualstream.configio import Config, config_to_dict
 from dualstream.diffcore import backward, use_dtype
-from dualstream.diffcore.dstn import DstnError, write_tensor
+from dualstream.diffcore.dstn import DstnError, read_tensor, write_tensor
 from dualstream.model import DualStreamModel
 from dualstream.params import ParamStore
 from dualstream.runner import assemble_report, run_inference
@@ -113,15 +113,17 @@ def test_interrupted_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
     opt.m = {name: m + 2.0 for name, m in opt.m.items()}
     written = []
 
-    def failing_write(path, arr):
-        if len(written) == 7:
-            raise OSError("disk full")
+    def failing_write(path, tensors, meta):
+        # the state file is cut off part-way, as by a full disk
+        write_tensor(path, tensors, meta)
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         written.append(path)
-        write_tensor(path, arr)
+        raise OSError("disk full")
 
     monkeypatch.setattr(trainkit, "write_tensor", failing_write)
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(ckpt, model, opt, cfg, step=4, epoch=2)
+    assert [p.name for p in written] == ["state.dstn"] and written[0].parent != ckpt
 
     _, params, got_opt, step = load_checkpoint(ckpt)
     assert step == 3 and json.loads((ckpt / "meta.json").read_text())["epoch"] == 1
@@ -138,6 +140,19 @@ def test_interrupted_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
     assert step == 4 and sorted(p.name for p in tmp_path.iterdir()) == ["ckpt", "data"]
     name = model.store.names()[0]
     np.testing.assert_array_equal(params[name], dict(model.store.items())[name].data)
+
+
+def test_checkpoint_state_missing_an_entry_is_refused(tmp_path):
+    with use_dtype(CFG.np_dtype()):
+        model = DualStreamModel(CFG)
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, model, OptimizerState.fresh(model.store), CFG, step=0)
+    state, meta = read_tensor(ckpt / "state.dstn")
+    last = f"opt_v/{model.store.names()[-1]}"
+    del state[last]
+    write_tensor(ckpt / "state.dstn", state, meta)
+    with pytest.raises(DstnError, match=rf"state\.dstn: entries do not match .*\(missing \['{re.escape(last)}'\], extra \[\]\)"):
+        load_checkpoint(ckpt)
 
 
 def _bits(a):
