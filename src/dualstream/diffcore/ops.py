@@ -9,13 +9,13 @@ sample's four neighbour rows and bilinear weights, built once per read. The
 read op sums weighted runs of samples through one sparse matrix of the plan
 with the weights folded in: one sparse product forward, its transpose for the
 value gradient, and the weight and coordinate gradients from each sample's
-four per-neighbour dots (one dense product when the table is small), so no
-scatter is needed. The plan keeps each sample's fractional offsets; the
-weights' coordinate slopes are built from them only in a backward pass that
-needs the coordinate gradient, never under ``no_grad`` or for constant
-coordinates. A deformable query owns a sorted run of reads of the value table
-(whose rows ``valid_mask`` masks) and pools those that keep a point by their
-mean: each hit read's share is 1/hits. The shares are folded into the point
+four per-neighbour dots (one dense product when the table is small, else
+gathered rows in fixed chunks of samples), so no scatter is needed. The plan
+keeps each sample's fractional offsets, and the coordinate gradient is a
+closed form of them and those dots; no slope array is built. A deformable
+query owns a sorted run of reads of the value table (whose rows
+``valid_mask`` masks) and pools those that keep a point by their mean: each
+hit read's share is 1/hits. The shares are folded into the point
 weights too, so pooling over cameras, heights or time is the one read.
 
 A value table has one layout: an H x W grid of C channels is stored
@@ -188,8 +188,8 @@ class SamplingPlan:
     folded in: a sample outside its grid's cell-center hull has four zero
     weights. A sample on the far border repeats its clamped row with weight
     zero. ``di`` and ``dj`` are each sample's fractional row and column
-    offsets from its 00 neighbour (0 outside). Only a backward pass that
-    needs the coordinate gradient builds the ``slopes`` from them.
+    offsets from its 00 neighbour (0 outside); a read's backward takes the
+    coordinate gradient from them in closed form (``_bilinear_flat``).
     """
 
     inside: np.ndarray              # (n,) bool
@@ -197,15 +197,6 @@ class SamplingPlan:
     weights: np.ndarray             # (n, 4) in the table's dtype
     di: np.ndarray                  # (n,) float64
     dj: np.ndarray                  # (n,) float64
-
-    def slopes(self) -> np.ndarray:
-        """(2, n, 4) derivatives of the weights along the row and the column
-        coordinate, in the weights' dtype: a sample's four per-neighbour dots
-        (``_bilinear_flat``) summed with either give its coordinate gradient."""
-        di, dj = self.di, self.dj
-        ins = self.inside.astype(np.float64)[:, None]
-        slopes = np.array([[-(1 - dj), -dj, 1 - dj, dj], [-(1 - di), 1 - di, -di, di]]).transpose(0, 2, 1) * ins
-        return slopes.astype(self.weights.dtype, order="C")
 
     def valid(self, mask: np.ndarray) -> np.ndarray:
         """(n,) True where a sample is inside and every neighbour with
@@ -236,6 +227,12 @@ def sampling_plan(coords: np.ndarray, h, w, *, base=0, dtype=np.float64) -> Samp
     return SamplingPlan(inside=inside, cols=cols, weights=wts.astype(dtype), di=di, dj=dj)
 
 
+# samples per gathered chunk of the read backward's per-neighbour dots: the
+# gathered (chunk, 4, C) rows stay a few hundred kB, where one gather of every
+# sample (8.4 MB for BEV temporal attention) pays for a fresh allocation per call
+NEAR_CHUNK = 512
+
+
 def _bilinear_flat(flat: Tensor, coords: Tensor, plan: SamplingPlan, wts: Tensor, starts: np.ndarray) -> Tensor:
     """Read the (rows, C) value table through ``plan``, planned from ``coords``:
     output row k is the ``wts``-weighted sum of samples ``starts[k]:starts[k+1]``
@@ -244,10 +241,17 @@ def _bilinear_flat(flat: Tensor, coords: Tensor, plan: SamplingPlan, wts: Tensor
     Forward is ``A @ V``, with ``A`` the read's one sparse matrix: the plan's
     weights times ``wts`` in its rows. The value gradient is ``A.T @ g``. The
     weight and coordinate gradients come from ``near``, the (samples, 4) dots
-    of each sample's output-row gradient with its neighbour rows: a gather
-    from the dense ``g @ V.T`` when that has at most 4x the plan's 4 * samples
-    entries (which also caps its memory), else dots of gathered rows. Sums
-    run in a fixed order, so results are bitwise reproducible.
+    of each sample's output-row gradient with its neighbour rows: one flat
+    take from the dense ``g @ V.T`` when that has at most 4x the plan's
+    4 * samples entries (which also caps its memory), else dots of gathered
+    rows, ``NEAR_CHUNK`` samples at a time, into one preallocated array. The
+    weight gradient is ``near`` dotted with the plan's weights. The
+    coordinate gradient is the bilinear weights' derivative in closed form:
+    ``(1-dj)(n10-n00) + dj(n11-n01)`` along rows and
+    ``(1-di)(n01-n00) + di(n11-n10)`` along columns, times the sample's weight
+    and zero outside, computed in float64 from the offsets and rounded once
+    into the coordinates' dtype. Sums run in a fixed order, so results are
+    bitwise reproducible.
     """
     fd = np.ascontiguousarray(flat.data)
     if plan.cols.size and plan.cols.max() >= fd.shape[0]:
@@ -263,19 +267,32 @@ def _bilinear_flat(flat: Tensor, coords: Tensor, plan: SamplingPlan, wts: Tensor
         if flat.requires_grad:
             _accumulate(flat, a.T @ g, grads)
         if wts.requires_grad or coords.requires_grad:
-            out, cols = np.repeat(np.arange(g.shape[0]), np.diff(starts)), plan.cols
-            if g.shape[0] * fd.shape[0] <= 4 * cols.size:
-                near = (g @ fd.T)[out[:, None], cols]
-            else:
-                near = np.einsum("sqc,sc->sq", np.take(fd, cols, axis=0), np.take(g, out, axis=0))
+            near = _neighbour_dots(fd, g, np.repeat(np.arange(g.shape[0]), np.diff(starts)), plan.cols)
             if wts.requires_grad:
                 dw = np.einsum("sq,sq->s", plan.weights, near)
                 _accumulate(wts, dw.reshape(wts.data.shape), grads)
             if coords.requires_grad:
-                dc = np.einsum("ksq,sq->sk", plan.slopes(), near)
-                _accumulate(coords, dc * w[:, None], grads)
+                n00, n01, n10, n11 = near.T
+                di, dj = plan.di, plan.dj
+                dc = np.stack([(1 - dj) * (n10 - n00) + dj * (n11 - n01),
+                               (1 - di) * (n01 - n00) + di * (n11 - n10)], axis=1)
+                dc *= np.where(plan.inside, w, 0)[:, None]
+                _accumulate(coords, dc.astype(coords.data.dtype, copy=False), grads)
 
     return _make(data, (flat, coords, wts), bwd)
+
+
+def _neighbour_dots(fd: np.ndarray, g: np.ndarray, out: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(samples, 4) dots of row ``out[s]`` of ``g`` with table rows
+    ``cols[s]`` of ``fd``, each summed over the channels in one fixed order."""
+    rows, n = fd.shape[0], cols.shape[0]
+    if g.shape[0] * rows <= 4 * cols.size:
+        return np.take(g @ fd.T, out[:, None] * rows + cols)
+    near = np.empty((n, 4), dtype=np.result_type(fd, g))
+    for s in range(0, n, NEAR_CHUNK):
+        c = slice(s, s + NEAR_CHUNK)
+        np.einsum("sqc,sc->sq", np.take(fd, cols[c], axis=0), np.take(g, out[c], axis=0), out=near[c])
+    return near
 
 
 def bilinear_sample(table: Tensor, dims, coords) -> Tensor:

@@ -27,6 +27,11 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
+class NumericError(ValueError):
+    """A loss, gradient, parameter or model output that must be finite is
+    not; the message names the first such value and where it arose."""
+
+
 class Tape:
     """Ordered record of executed operations with their backward closures.
 
@@ -277,8 +282,10 @@ def add(a: Tensor, b) -> Tensor:
     data = a.data + b.data
 
     def bwd(g, grads):
-        _accumulate(a, _unbroadcast(g, a.data.shape), grads)
-        _accumulate(b, _unbroadcast(g, b.data.shape), grads)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.data.shape), grads)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.data.shape), grads)
 
     return _make(data, (a, b), bwd)
 
@@ -290,8 +297,10 @@ def sub(a: Tensor, b) -> Tensor:
     data = a.data - b.data
 
     def bwd(g, grads):
-        _accumulate(a, _unbroadcast(g, a.data.shape), grads)
-        _accumulate(b, _unbroadcast(-g, b.data.shape), grads)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.data.shape), grads)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g, b.data.shape), grads)
 
     return _make(data, (a, b), bwd)
 
@@ -304,8 +313,10 @@ def mul(a: Tensor, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def bwd(g, grads):
-        _accumulate(a, _unbroadcast(g * bd, a.data.shape), grads)
-        _accumulate(b, _unbroadcast(g * ad, b.data.shape), grads)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * bd, a.data.shape), grads)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * ad, b.data.shape), grads)
 
     return _make(data, (a, b), bwd)
 
@@ -318,8 +329,10 @@ def div(a: Tensor, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def bwd(g, grads):
-        _accumulate(a, _unbroadcast(g / bd, a.data.shape), grads)
-        _accumulate(b, _unbroadcast(-g * ad / (bd * bd), b.data.shape), grads)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g / bd, a.data.shape), grads)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g * ad / (bd * bd), b.data.shape), grads)
 
     return _make(data, (a, b), bwd)
 

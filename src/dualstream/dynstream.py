@@ -17,6 +17,7 @@ from .diffcore import (
     AttentionParams,
     FeatureMap,
     MlpParams,
+    NumericError,
     Tensor,
     layernorm,
     linear,
@@ -52,7 +53,9 @@ class QuerySet:
                 or self.scores.shape != (n,) or self.ids.shape != (n,)):
             raise ValueError("query fields must all hold one row per query")
         if not np.all(np.isfinite(self.anchors.data)):
-            raise ValueError("query anchors must be finite")
+            raise NumericError("query anchors must be finite")
+        if np.any(np.isnan(self.scores)):
+            raise NumericError("query scores must lie in [0, 1], not NaN")
         if not np.all((self.scores >= 0.0) & (self.scores <= 1.0)):
             raise ValueError("query scores must lie in [0, 1]")
 

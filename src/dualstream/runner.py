@@ -3,13 +3,13 @@ records the metrics consume plus pooled segmentation counts."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .configio import Config
-from .diffcore import no_grad
+from .diffcore import NumericError, Tensor, no_grad
 from .evalkit import (
     BASE_AP_THRESHOLDS,
     EvalReport,
@@ -22,7 +22,7 @@ from .evalkit import (
     velocity_slice_records,
 )
 from .heads import TrackerState
-from .model import DualStreamModel
+from .model import DualStreamModel, StepResult
 from .synthworld.dataset import Dataset
 from .synthworld.scene import alternating_schedule
 
@@ -45,6 +45,10 @@ def run_inference(
     ``schedule_override="alternating"`` masks cameras at load time (front
     three on even frames, back three on odd), regardless of the stored
     schedule.
+
+    A frame whose forward pass reaches a non-finite query anchor or score,
+    or whose seg logits or head outputs hold a non-finite value, raises
+    ``NumericError`` naming the scene, the frame and the first such output.
     """
     records = []
     inter = np.zeros(3, dtype=np.int64)
@@ -65,7 +69,13 @@ def run_inference(
                     frame.images = {name: (img if override[t].get(name, False) else None)
                                     for name, img in frame.images.items()}
                     frame.availability = dict(override[t])
-                res = model.forward_frame(frame, dataset.cameras, state, dataset.dt)
+                try:
+                    res = model.forward_frame(frame, dataset.cameras, state, dataset.dt)
+                except NumericError as e:
+                    raise NumericError(f"scene {sid} frame {t}: {e}") from None
+                bad = _first_non_finite(res)
+                if bad is not None:
+                    raise NumericError(f"scene {sid} frame {t}: non-finite {bad}")
                 state = res.state
 
                 boxes = [d.box for d in res.detections]
@@ -91,6 +101,18 @@ def run_inference(
                 ))
             records.append(SceneRecord(frames=frames))
     return InferenceOutput(records=records, seg_intersection=inter, seg_union=union)
+
+
+def _first_non_finite(res: StepResult) -> Optional[str]:
+    """The name of the first of a frame's seg logits and head outputs that
+    holds a non-finite value, or None. The memory anchors need no pass of
+    their own: they are rows of the decoded query set, whose construction
+    in the forward pass already refuses a non-finite anchor."""
+    named = [("seg logits", res.seg_logits.data)]
+    for f in fields(res.outputs):
+        value = getattr(res.outputs, f.name)
+        named.append((f"head output {f.name}", value.data if isinstance(value, Tensor) else value))
+    return next((name for name, arr in named if not np.all(np.isfinite(arr))), None)
 
 
 SEG_CLASS_NAMES = ("drivable", "lanes", "crossing")

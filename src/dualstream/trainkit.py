@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .configio import Config, config_from_dict, config_to_dict
-from .diffcore import active_tape, backward
+from .diffcore import NumericError, active_tape, backward
 from .diffcore.dstn import DstnError, atomic_directory, read_json, read_tensor, write_tensor
 from .diffcore.tensor import add, scale
 from .heads import LossWeights, detection_cost_matrix, detection_loss, hungarian_match, segmentation_loss
@@ -21,10 +21,6 @@ from .model import DualStreamModel, StreamState
 from .synthworld.dataset import Dataset
 
 CHECKPOINT_VERSION = 2
-
-
-class NumericError(RuntimeError):
-    """Training hit a non-finite loss or gradient; carries the step diagnostics."""
 
 
 @dataclass
@@ -82,10 +78,15 @@ def optimizer_step(
     eps: float = 1e-8,
     skip_prefixes: tuple[str, ...] = (),
 ) -> None:
-    """Decoupled-weight-decay adaptive moment update, in place.
+    """Decoupled-weight-decay adaptive moment update.
 
     The update is computed in float64 against the float64 moments and
-    rounded once into the parameter's own dtype.
+    rounded once into the parameter's own dtype. The moments are updated in
+    place, each expression in the operation order of its textbook form (for
+    example ``((1 - beta2) * g) * g``), so the result is bitwise that of the
+    out-of-place formula. Each parameter gets a fresh array, never its old
+    one written over: the tape kept across a truncation window still holds
+    the old values for its backward.
     """
     opt.step += 1
     bc1 = 1.0 - beta1 ** opt.step
@@ -93,13 +94,26 @@ def optimizer_step(
     for name, t in store.items():
         if any(name.startswith(p) for p in skip_prefixes):
             continue
-        g = t.grad if t.grad is not None else np.zeros_like(t.data)
-        g = g.astype(np.float64)
-        m = opt.m[name] = beta1 * opt.m[name] + (1.0 - beta1) * g
-        v = opt.v[name] = beta2 * opt.v[name] + (1.0 - beta2) * g * g
+        m, v = opt.m[name], opt.v[name]
+        g = t.grad.astype(np.float64) if t.grad is not None else np.zeros(t.data.shape)
+        buf = g * (1.0 - beta2)
+        buf *= g
+        v *= beta2
+        v += buf                                    # v = beta2 v + ((1 - beta2) g) g
+        g *= 1.0 - beta1
+        m *= beta1
+        m += g                                      # m = beta1 m + (1 - beta1) g
+        np.divide(v, bc2, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += eps
+        np.divide(m, bc1, out=g)
+        g /= buf
         p = t.data.astype(np.float64)
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps) + weight_decay * p
-        t.data = (p - lr * update).astype(t.data.dtype)
+        np.multiply(p, weight_decay, out=buf)
+        g += buf                                    # update = (m / bc1) / (sqrt(v / bc2) + eps) + wd p
+        g *= lr
+        p -= g
+        t.data = p.astype(t.data.dtype, copy=False)
 
 
 @dataclass
@@ -283,6 +297,12 @@ def load_checkpoint(path) -> tuple[Config, dict, OptimizerState, int]:
         raise DstnError(f"{root / 'state.dstn'}: entries do not match the param_names of meta.json "
                         f"(missing {sorted(want - state.keys())[:3]}, extra {sorted(state.keys() - want)[:3]})")
     params = {name: state[f"params/{name}"] for name in names}
+    # the optimizer updates the moments in place, so each must already be float64 in its parameter's shape
+    for name in names:
+        for key in (f"opt_m/{name}", f"opt_v/{name}"):
+            if state[key].dtype != np.float64 or state[key].shape != params[name].shape:
+                raise DstnError(f"{root / 'state.dstn'}: {key} is {state[key].dtype} {state[key].shape}, "
+                                f"not float64 in its parameter's shape")
     opt = OptimizerState(m={name: state[f"opt_m/{name}"] for name in names},
                          v={name: state[f"opt_v/{name}"] for name in names}, step=opt_step)
     return cfg, params, opt, step

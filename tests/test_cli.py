@@ -15,10 +15,12 @@ from dualstream.cli import (
     main,
     parse_seeds,
 )
+from dualstream import model as model_mod
 from dualstream.configio import Config, parse_config
-from dualstream.diffcore import read_tensor, use_dtype, write_tensor
+from dualstream.diffcore import Tensor, read_tensor, use_dtype, write_tensor
 from dualstream.geom3d import CAMERA_SLOTS
 from dualstream.model import DualStreamModel
+from dualstream.statstream import segmentation_head
 from dualstream.trainkit import OptimizerState, load_checkpoint, save_checkpoint
 
 CFG = Config(n_layers=1, latent_dim=16, n_queries=8, topk=4, decode_hidden=16, bev_cells=8)
@@ -326,6 +328,22 @@ def test_non_finite_checkpoint_is_an_io_error_naming_the_parameter(tiny_data, tm
             "train-resume": ["train", "--resume", str(ckpt), "--data", data, "--out", out]}[command]
     assert main(args) == EXIT_IO
     assert f"{ckpt}: non-finite values in parameter decode.w_hidden" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_non_finite_eval_output_is_exit_4(tiny_data, tmp_path, capsys, monkeypatch):
+    model = DualStreamModel(parse_config(TINY))
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, model, OptimizerState.fresh(model.store), model.cfg, step=0, epoch=1)
+
+    def nan_seg_head(grid, params):
+        # finite parameters load; the seg head's output is what goes bad
+        return Tensor(np.full_like(segmentation_head(grid, params).data, np.nan))
+
+    monkeypatch.setattr(model_mod, "segmentation_head", nan_seg_head)
+    args = ["eval", "--ckpt", str(ckpt), "--data", str(tiny_data / "data"), "--out", str(tmp_path / "run")]
+    assert main(args) == EXIT_NUMERIC
+    assert "numeric failure: scene 0 frame 0: non-finite seg logits" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

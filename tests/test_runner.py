@@ -4,7 +4,7 @@ import pytest
 from dualstream import runner
 from dualstream.cli import bev_from_config, world_from_config
 from dualstream.configio import Config, config_to_dict
-from dualstream.diffcore import use_dtype
+from dualstream.diffcore import NumericError, use_dtype
 from dualstream.heads import TrackerState
 from dualstream.model import DualStreamModel
 from dualstream.synthworld.dataset import Dataset, generate_and_write
@@ -59,3 +59,22 @@ class TestIdentityWriteBack:
         # carried ids come back as the prior identities of the next frame
         later_priors = [d.prior_identity for res, _ in steps[1:] for d in res.detections]
         assert any(p is not None for p in later_priors)
+
+
+class TestNonFiniteOutputs:
+    @pytest.mark.parametrize("params,named", [
+        ("seg.", "non-finite seg logits"),
+        ("decode.w_vel", "non-finite head output velocity"),
+        # the forward pass's own query-set checks
+        ("decode.w_cls", r"query scores must lie in \[0, 1\], not NaN"),
+        ("decode.", "query anchors must be finite"),
+    ])
+    def test_nan_head_raises_naming_scene_frame_and_output(self, tiny_dataset, params, named):
+        with use_dtype(CFG.np_dtype()):
+            model = DualStreamModel(CFG)
+        for name, t in model.store.items():
+            if name.startswith(params):
+                t.data = np.full_like(t.data, np.nan)
+        sid = tiny_dataset.scenes[0]["id"]
+        with pytest.raises(NumericError, match=rf"^scene {sid} frame 0: {named}$"):
+            runner.run_inference(tiny_dataset, model, CFG)

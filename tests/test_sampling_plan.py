@@ -8,9 +8,10 @@ with ``np.add.at``.
 import numpy as np
 import pytest
 from check import finite_diff_check
+from scipy import sparse
 
 from dualstream.diffcore import ShapeError, Tensor, backward, fresh_tape, sum_, tanh
-from dualstream.diffcore.ops import _bilinear_flat, sampling_plan
+from dualstream.diffcore.ops import NEAR_CHUNK, _bilinear_flat, _neighbour_dots, sampling_plan
 
 
 def reference_bilinear(fd, h, w, cd, g):
@@ -167,3 +168,58 @@ def test_plan_for_a_larger_table_is_refused(rng, requires_grad):
     flat = Tensor(rng.normal(size=(32, 3)), requires_grad=requires_grad)
     with fresh_tape(), pytest.raises(ShapeError, match="row 63.* 32 rows"):
         _bilinear_flat(flat, Tensor(cd), sampling_plan(cd, 8, 8), Tensor(np.ones(2)), np.arange(3))
+
+
+def slopes(plan):
+    """(2, n, 4) derivatives of the plan's weights along the row and the
+    column coordinate, zero outside: the coordinate gradient's factor before
+    it took its closed form."""
+    di, dj = plan.di, plan.dj
+    ins = plan.inside.astype(np.float64)[:, None]
+    return np.array([[-(1 - dj), -dj, 1 - dj, dj], [-(1 - di), 1 - di, -di, di]]).transpose(0, 2, 1) * ins
+
+
+def unchunked_read_backward(fd, g, plan, w, starts):
+    """(value, weight, coordinate) gradients of the weighted read, with every
+    sample's neighbour rows gathered in one piece and the coordinate gradient
+    from ``slopes``."""
+    a = sparse.csr_array(((plan.weights * w[:, None]).ravel(), plan.cols.ravel(), 4 * starts),
+                         shape=(len(starts) - 1, fd.shape[0]))
+    out = np.repeat(np.arange(g.shape[0]), np.diff(starts))
+    near = np.einsum("sqc,sc->sq", np.take(fd, plan.cols, axis=0), np.take(g, out, axis=0))
+    dc = np.einsum("ksq,sq->sk", slopes(plan), near) * w[:, None]
+    return a.T @ g, np.einsum("sq,sq->s", plan.weights, near), dc
+
+
+@pytest.mark.parametrize("n", [0, 1, NEAR_CHUNK - 1, NEAR_CHUNK, NEAR_CHUNK + 1, 3 * NEAR_CHUNK + 7])
+def test_chunked_read_backward_matches_the_unchunked_one(rng, n):
+    # 8 outputs over a 64 x 64 table put the per-neighbour dots on the gathered side
+    h, w, c, outputs = 64, 64, 5, 8
+    assert outputs * h * w > 16 * n
+    fd = rng.normal(size=(h * w, c))
+    cd = np.concatenate([points(rng, h, w), rng.uniform(-1, h, size=(n, 2))])[:n]
+    starts = np.searchsorted(np.sort(rng.integers(0, outputs, n)), np.arange(outputs + 1))
+    wts = rng.uniform(size=n)
+    g = rng.normal(size=(outputs, c))
+    plan = sampling_plan(cd, h, w)
+    with fresh_tape():
+        flat, coords, wt = (Tensor(x, requires_grad=True) for x in (fd, cd, wts))
+        backward(sum_(_bilinear_flat(flat, coords, plan, wt, starts) * Tensor(g)))
+    gv, gw, gc = unchunked_read_backward(fd, g, plan, wts, starts)
+    np.testing.assert_array_equal(flat.grad, gv)
+    np.testing.assert_array_equal(wt.grad, gw)
+    np.testing.assert_allclose(coords.grad, gc, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [48, 700])
+def test_dense_neighbour_dots_are_the_2d_index(rng, dtype, n):
+    # 64 outputs over a 12-row table: from 48 samples on, the dense g @ V.T is the smaller side
+    rows, outputs = 12, 64
+    fd = rng.normal(size=(rows, 8)).astype(dtype)
+    g = rng.normal(size=(outputs, 8)).astype(dtype)
+    out, cols = np.sort(rng.integers(0, outputs, n)), rng.integers(0, rows, size=(n, 4))
+    assert outputs * rows <= 4 * cols.size
+    near = _neighbour_dots(fd, g, out, cols)
+    assert near.dtype == dtype
+    np.testing.assert_array_equal(near, (g @ fd.T)[out[:, None], cols])

@@ -155,6 +155,20 @@ def test_checkpoint_state_missing_an_entry_is_refused(tmp_path):
         load_checkpoint(ckpt)
 
 
+@pytest.mark.parametrize("change", ["dtype", "shape"])
+def test_checkpoint_moment_unlike_its_parameter_is_refused(tmp_path, change):
+    with use_dtype(CFG.np_dtype()):
+        model = DualStreamModel(CFG)
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, model, OptimizerState.fresh(model.store), CFG, step=0)
+    state, meta = read_tensor(ckpt / "state.dstn")
+    key = f"opt_m/{model.store.names()[0]}"
+    state[key] = state[key].astype(np.float32) if change == "dtype" else state[key].ravel()[:1]
+    write_tensor(ckpt / "state.dstn", state, meta)
+    with pytest.raises(DstnError, match=rf"state\.dstn: {re.escape(key)} is .*not float64 in its parameter's shape"):
+        load_checkpoint(ckpt)
+
+
 def _bits(a):
     return a.dtype, a.shape, a.tobytes()
 
@@ -307,6 +321,55 @@ def test_optimizer_step_matches_hand_adamw():
     np.testing.assert_array_equal(store["frozen.w"].data, [1.0])
     np.testing.assert_array_equal(opt.m["frozen.w"], [0.0])
     np.testing.assert_array_equal(opt.v["frozen.w"], [0.0])
+
+
+def reference_adamw_step(store, opt, lr, wd, beta1=0.9, beta2=0.999, eps=1e-8, skip_prefixes=()):
+    """The out-of-place AdamW formula: every moment and parameter a new array."""
+    opt.step += 1
+    bc1, bc2 = 1.0 - beta1 ** opt.step, 1.0 - beta2 ** opt.step
+    for name, t in store.items():
+        if any(name.startswith(p) for p in skip_prefixes):
+            continue
+        g = (t.grad if t.grad is not None else np.zeros_like(t.data)).astype(np.float64)
+        m = opt.m[name] = beta1 * opt.m[name] + (1.0 - beta1) * g
+        v = opt.v[name] = beta2 * opt.v[name] + (1.0 - beta2) * g * g
+        p = t.data.astype(np.float64)
+        t.data = (p - lr * ((m / bc1) / (np.sqrt(v / bc2) + eps) + wd * p)).astype(t.data.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_in_place_optimizer_step_is_bitwise_the_reference(dtype):
+    rng = np.random.default_rng(4)
+    shapes = {"enc.w": (5, 3), "enc.b": (3,), "head.w": (3, 2), "frozen.w": (4,)}
+
+    def store_of():
+        store = ParamStore(dtype=dtype)
+        for name, shape in shapes.items():
+            store.tensor(name, np.random.default_rng(5).normal(size=shape))
+        return store
+
+    got, want = store_of(), store_of()
+    got_opt, want_opt = OptimizerState.fresh(got), OptimizerState.fresh(want)
+    for step in range(5):
+        grads = {name: rng.normal(scale=10.0 ** -step, size=shape).astype(dtype) for name, shape in shapes.items()}
+        grads["enc.b"] = None if step % 2 else grads["enc.b"]   # a parameter the loss did not reach
+        for store in (got, want):
+            for name, t in store.items():
+                t.grad = None if grads[name] is None else grads[name].copy()
+        before = {name: (t.data, t.data.copy()) for name, t in got.items()}
+        trainkit.optimizer_step(got, got_opt, 1e-2, 0.05, skip_prefixes=("frozen.",))
+        reference_adamw_step(want, want_opt, 1e-2, 0.05, skip_prefixes=("frozen.",))
+        assert got_opt.step == want_opt.step == step + 1
+        for name, t in got.items():
+            assert _bits(t.data) == _bits(want[name].data), (step, name)
+            assert _bits(got_opt.m[name]) == _bits(want_opt.m[name]), (step, name)
+            assert _bits(got_opt.v[name]) == _bits(want_opt.v[name]), (step, name)
+            old, copy = before[name]
+            # a kept tape may still hold the old parameter array: it must be left as it was
+            assert _bits(old) == _bits(copy), (step, name)
+            assert (t.data is old) == name.startswith("frozen."), (step, name)
+    np.testing.assert_array_equal(got["frozen.w"].data, want["frozen.w"].data)
+    np.testing.assert_array_equal(got_opt.m["frozen.w"], 0.0)
 
 
 def test_train_result_csv_content():
