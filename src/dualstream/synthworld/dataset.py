@@ -63,11 +63,11 @@ def rasterize_gt_bev(scene: SceneSpec, t: int, bev_spec: BevSpec,
     The default dilation of 1 m matches the desk grid resolution; the
     rendered 0.3 m paint stripe would miss every cell center at 1 m cells.
     """
-    centers = scene.ego_trajectory[t].apply_points(cell_center_grid(bev_spec))
+    x, y = np.ascontiguousarray(scene.ego_trajectory[t].apply_points(cell_center_grid(bev_spec)).T)
     m = scene.static_map
-    masks = np.stack([map_mask(centers, m.drivable),
-                      map_mask(centers, m.lane_lines, lane_width / 2.0),
-                      map_mask(centers, m.crossings)]).astype(np.float32)
+    masks = np.stack([map_mask(x, y, m, "drivable"),
+                      map_mask(x, y, m, "lane_lines", lane_width / 2.0),
+                      map_mask(x, y, m, "crossings")]).astype(np.float32)
     return masks.reshape(3, *bev_spec.dims)
 
 

@@ -21,7 +21,13 @@ that of testing every pixel against every agent and every map shape:
   holding the camera does, and need not project onto a bounded region, so
   its test runs on the whole image.
 * Ground points meet each map polygon and lane line only inside the
-  shape's bounding box, padded for rounding (``map_mask``).
+  shape's bounding box, padded for rounding (``map_mask``). A ``MapSpec``
+  makes its shapes' boxes once, when it is built.
+
+Arrays are coordinate planes, each one contiguous array, which numpy reads
+and fills far faster than the strided columns of (n, 3) or (n, 2) arrays:
+the rays and colours are (3, H·W), so the image needs no transpose, and
+the ground points are one pixel index array plus x and y arrays.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ COLOR_GRASS = np.array([0.25, 0.55, 0.25])
 COLOR_ROAD = np.array([0.35, 0.35, 0.38])
 COLOR_LANE = np.array([0.95, 0.95, 0.95])
 COLOR_CROSSING = np.array([0.85, 0.75, 0.30])
-_GROUND_COLORS = np.stack([COLOR_GRASS, COLOR_ROAD, COLOR_CROSSING, COLOR_LANE])
+_GROUND_PLANES = np.stack([COLOR_GRASS, COLOR_ROAD, COLOR_CROSSING, COLOR_LANE], axis=1)  # (3, 4)
 CLASS_COLORS = {0: np.array([0.85, 0.15, 0.12]), 1: np.array([0.10, 0.20, 0.90])}
 
 _EPS_RAY = 1e-6
@@ -54,41 +60,40 @@ def id_brightness(agent_id: int) -> float:
     return 0.72 + 0.28 * (h / 996.0)
 
 
-def points_in_polygon(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Even-odd rule point-in-polygon test, vectorized over points."""
-    x, y = pts[..., 0], pts[..., 1]
+def points_in_polygon(x: np.ndarray, y: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """Even-odd rule point-in-polygon test of the points (``x``, ``y``).
+    An edge with ``y1 == y2`` crosses no point's ray and is skipped."""
     inside = np.zeros(x.shape, dtype=bool)
     k = len(poly)
     for i in range(k):
         x1, y1 = poly[i]
         x2, y2 = poly[(i + 1) % k]
+        if y1 == y2:
+            continue
         crosses = (y1 > y) != (y2 > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi = (x2 - x1) * (y - y1) / (y2 - y1) + x1
+        xi = (x2 - x1) * (y - y1) / (y2 - y1) + x1
         inside ^= crosses & (x < xi)
     return inside
 
 
-def dist_to_polyline(pts: np.ndarray, line: np.ndarray) -> np.ndarray:
-    """Min distance from each point to a polyline, vectorized."""
-    best = np.full(pts.shape[:-1], np.inf)
+def dist_to_polyline(x: np.ndarray, y: np.ndarray, line: np.ndarray) -> np.ndarray:
+    """Min distance from each point (``x``, ``y``) to a polyline."""
+    best = np.full(x.shape, np.inf)
     for a, b in zip(line[:-1], line[1:]):
         ab = b - a
         denom = float(ab @ ab)
-        if denom < 1e-12:
-            d = np.linalg.norm(pts - a, axis=-1)
-        else:
-            t = np.clip(((pts - a) @ ab) / denom, 0.0, 1.0)
-            proj = a + t[..., None] * ab
-            d = np.linalg.norm(pts - proj, axis=-1)
-        best = np.minimum(best, d)
+        dx, dy = x - a[0], y - a[1]
+        if denom >= 1e-12:
+            t = ((dx * ab[0] + dy * ab[1]) / denom).clip(0.0, 1.0)
+            dx, dy = x - (a[0] + t * ab[0]), y - (a[1] + t * ab[1])
+        best = np.minimum(best, np.sqrt(dx * dx + dy * dy))
     return best
 
 
-def map_mask(pts: np.ndarray, shapes: list[np.ndarray], reach: Optional[float] = None) -> np.ndarray:
-    """(n,) mask of the (n, 2) points inside any of the polygons ``shapes``
-    (even-odd rule) or, given ``reach``, within ``reach`` of any of the
-    polylines ``shapes``.
+def map_mask(x: np.ndarray, y: np.ndarray, m: MapSpec, group: str, reach: Optional[float] = None) -> np.ndarray:
+    """Mask of the points (``x``, ``y``) inside any polygon of ``m``'s
+    ``group`` (even-odd rule) or, given ``reach``, within ``reach`` of any
+    of its polylines.
 
     Each shape tests only the points inside its bounding box grown by
     ``reach`` and ``_MAP_PAD``. That is exact: a point outside a polygon's
@@ -97,37 +102,33 @@ def map_mask(pts: np.ndarray, shapes: list[np.ndarray], reach: Optional[float] =
     from the polyline; the pad covers the rounding of the tests.
     """
     grow = (reach or 0.0) + _MAP_PAD
-    x, y = np.ascontiguousarray(pts.T)
-    out = np.zeros(pts.shape[0], dtype=bool)
-    for shape in shapes:
-        (x0, y0), (x1, y1) = shape.min(axis=0) - grow, shape.max(axis=0) + grow
-        sel = np.flatnonzero((x >= x0) & (x <= x1) & (y >= y0) & (y <= y1))
+    lo, hi = m.boxes[group][:, :2] - grow, m.boxes[group][:, 2:] + grow
+    near = (x >= lo[:, :1]) & (x <= hi[:, :1]) & (y >= lo[:, 1:]) & (y <= hi[:, 1:])   # (shapes, points)
+    out = np.zeros(x.shape, dtype=bool)
+    for shape, row in zip(getattr(m, group), near):
+        sel = np.flatnonzero(row)
         if sel.size == 0:
             continue
         if reach is None:
-            out[sel] |= points_in_polygon(pts[sel], shape)
+            out[sel] |= points_in_polygon(x[sel], y[sel], shape)
         else:
-            out[sel] |= dist_to_polyline(pts[sel], shape) <= reach
+            out[sel] |= dist_to_polyline(x[sel], y[sel], shape) <= reach
     return out
 
 
-def ground_color(points_xy: np.ndarray, m: MapSpec) -> np.ndarray:
-    """Classify ground-plane points into crossing / lane line / road / grass."""
-    flat = points_xy.reshape(-1, 2)
-    x = flat[:, 0]
-    kind = map_mask(flat, m.drivable).astype(np.intp)   # index into _GROUND_COLORS
+def ground_color(x: np.ndarray, y: np.ndarray, m: MapSpec) -> np.ndarray:
+    """(3, n) colour planes of the ground points (``x``, ``y``): crossing,
+    lane line, road or grass."""
+    kind = map_mask(x, y, m, "drivable").astype(np.intp)   # index into _GROUND_PLANES
     # simple zebra texture so crossings are visually distinct
-    crossing = np.flatnonzero(map_mask(flat, m.crossings))
+    crossing = np.flatnonzero(map_mask(x, y, m, "crossings"))
     kind[crossing[(np.floor(x[crossing] / 0.5).astype(np.int64) % 2) == 0]] = 2
-    lane = np.flatnonzero(map_mask(flat, m.lane_lines, LANE_LINE_WIDTH / 2.0))
+    lane = np.flatnonzero(map_mask(x, y, m, "lane_lines", LANE_LINE_WIDTH / 2.0))
     # dashed interior lines: 2 m dash, 2 m gap (outermost lines stay solid)
     dash = (np.floor(x[lane] / 2.0).astype(np.int64) % 2) == 0
-    kind[lane[dash | (np.abs(flat[lane, 1]) > 0.9 * _road_half_width(m))]] = 3
-    return _GROUND_COLORS[kind].reshape(points_xy.shape[:-1] + (3,))
-
-
-def _road_half_width(m: MapSpec) -> float:
-    return float(max(np.abs(poly[:, 1]).max() for poly in m.drivable))
+    road_half_width = float(np.abs(m.boxes["drivable"][:, 1::2]).max())
+    kind[lane[dash | (np.abs(y[lane]) > 0.9 * road_half_width)]] = 3
+    return np.take(_GROUND_PLANES, kind, axis=1)
 
 
 def _agent_windows(boxes, origin: np.ndarray, r: np.ndarray, cam: CameraModel) -> list:
@@ -162,11 +163,33 @@ def _agent_windows(boxes, origin: np.ndarray, r: np.ndarray, cam: CameraModel) -
 
 @functools.lru_cache(maxsize=8)
 def _pixel_rays(w: int, h: int, cx: float, cy: float, fx: float, fy: float) -> np.ndarray:
-    """(H, W, 3) camera-frame rays through the pixel centres, z = 1; read-only."""
+    """(3, H·W) camera-frame rays through the pixel centres, z = 1; read-only."""
     us, vs = np.meshgrid(np.arange(w) + 0.5, np.arange(h) + 0.5)
-    rays = np.stack([(us - cx) / fx, (vs - cy) / fy, np.ones_like(us)], axis=-1)
+    rays = np.stack([(us - cx) / fx, (vs - cy) / fy, np.ones_like(us)]).reshape(3, h * w)
     rays.flags.writeable = False
     return rays
+
+
+def _camera_rays(scene: SceneSpec, t: int, cam: CameraModel):
+    """The camera's world-frame origin (3,), camera-to-world rotation and
+    (3, H·W) pixel ray directions at frame ``t``; z-depth = ray parameter."""
+    # the ego pose lifted to SE(3), composed with the inverse extrinsic, in
+    # the operation order of geom3d's compose and invert but without
+    # building (and validating) the three intermediate poses
+    ego = scene.ego_trajectory[t]
+    c, s = np.cos(ego.rotation), np.sin(ego.rotation)
+    r_ego = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    r_cam = cam.extrinsic.rotation.T
+    r = r_ego @ r_cam
+    origin = r_ego @ -(r_cam @ cam.extrinsic.translation) + np.array([ego.translation[0], ego.translation[1], 0.0])
+    return origin, r, r @ _pixel_rays(cam.width, cam.height, cam.cx, cam.cy, cam.fx, cam.fy)
+
+
+def _ground_points(origin: np.ndarray, dirs: np.ndarray):
+    """Indices, ray parameters and x and y planes of the rays meeting the ground."""
+    ground = np.flatnonzero(dirs[2] < -_EPS_RAY)
+    s = -origin[2] / dirs[2][ground]
+    return ground, s, origin[0] + s * dirs[0][ground], origin[1] + s * dirs[1][ground]
 
 
 def render_camera(scene: SceneSpec, t: int, cam: CameraModel):
@@ -175,29 +198,18 @@ def render_camera(scene: SceneSpec, t: int, cam: CameraModel):
     instance holds the agent id per pixel, -1 for ground/sky.
     """
     h, w = cam.height, cam.width
-    # camera to world: the ego pose lifted to SE(3), composed with the inverse
-    # extrinsic, in the operation order of geom3d's compose and invert but
-    # without building (and validating) the three intermediate poses
-    ego = scene.ego_trajectory[t]
-    c, s = np.cos(ego.rotation), np.sin(ego.rotation)
-    r_ego = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    r_cam = cam.extrinsic.rotation.T
-    r = r_ego @ r_cam
-    origin = r_ego @ -(r_cam @ cam.extrinsic.translation) + np.array([ego.translation[0], ego.translation[1], 0.0])
-    # (H, W, 3) world-frame ray directions, z-depth = ray parameter
-    dirs = _pixel_rays(w, h, cam.cx, cam.cy, cam.fx, cam.fy) @ r.T
-
+    origin, r, dirs = _camera_rays(scene, t, cam)
     depth = np.full((h, w), np.inf)
-    color = np.empty((h, w, 3))
-    color[:] = COLOR_SKY
+    color = np.empty((3, h, w))
+    color[:] = COLOR_SKY[:, None, None]
     instance = np.full((h, w), -1, dtype=np.int32)
 
-    ground = dirs[..., 2] < -_EPS_RAY
-    d_ground = dirs[ground]
-    s_ground = -origin[2] / d_ground[:, 2]
-    depth[ground] = s_ground
-    color[ground] = ground_color(origin[None, :2] + s_ground[:, None] * d_ground[:, :2], scene.static_map)
+    ground, s_ground, gx, gy = _ground_points(origin, dirs)
+    depth.reshape(-1)[ground] = s_ground
+    for plane, value in zip(color.reshape(3, -1), ground_color(gx, gy, scene.static_map)):
+        plane[ground] = value
 
+    dirs = dirs.reshape(3, h, w)
     boxes = [track.boxes[t] for track in scene.agents]
     for track, box, win in zip(scene.agents, boxes, _agent_windows(boxes, origin, r, cam)):
         if win is None:
@@ -206,18 +218,17 @@ def render_camera(scene: SceneSpec, t: int, cam: CameraModel):
         o_local = np.empty(3)
         o_local[:2] = r2.T @ (origin[:2] - box.center[:2])
         o_local[2] = origin[2] - box.center[2]
-        d_win = dirs[win]
-        d_local = np.empty_like(d_win)
-        d_local[..., :2] = d_win[..., :2] @ r2
-        d_local[..., 2] = d_win[..., 2]
+        d_win = dirs[(slice(None),) + win]
+        shape = d_win.shape[1:]
+        d_xy = (r2.T @ d_win[:2].reshape(2, -1)).reshape(2, *shape)
+        d_local = (d_xy[0], d_xy[1], d_win[2])
         half = np.array([box.size[1] / 2.0, box.size[0] / 2.0, box.size[2] / 2.0])  # l, w, h
 
-        shape = d_local.shape[:2]
         t_enter = np.full(shape, -np.inf)
         t_exit = np.full(shape, np.inf)
         inside_all = np.ones(shape, dtype=bool)
         for ax in range(3):
-            d = d_local[..., ax]
+            d = d_local[ax]
             o = o_local[ax]
             parallel = np.abs(d) < 1e-12
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -231,12 +242,10 @@ def render_camera(scene: SceneSpec, t: int, cam: CameraModel):
         hit = inside_all & (t_exit >= t_enter)
         t_hit = np.where(t_enter > _EPS_RAY, t_enter, t_exit)
         hit &= t_hit > _EPS_RAY
-        depth_w, color_w, instance_w = depth[win], color[win], instance[win]
+        depth_w, color_w, instance_w = depth[win], color[(slice(None),) + win], instance[win]
         closer = hit & (t_hit < depth_w)
         depth_w[closer] = t_hit[closer]
-        color_w[closer] = CLASS_COLORS[track.label] * id_brightness(track.agent_id)
+        color_w[:, closer] = (CLASS_COLORS[track.label] * id_brightness(track.agent_id))[:, None]
         instance_w[closer] = track.agent_id
 
-    image = np.transpose(color, (2, 0, 1)).astype(np.float32)
-    return image, depth, instance
-
+    return color.astype(np.float32), depth, instance

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,12 +28,27 @@ class SceneConfigError(ValueError):
 
 @dataclass(frozen=True)
 class MapSpec:
-    """Static geometry in world coordinates."""
+    """Static geometry in world coordinates, kept as tuples of read-only
+    float64 copies, with each group's (n, 4) bounding ``boxes`` (x min,
+    y min, x max, y max) made once, at construction."""
 
-    drivable: list[np.ndarray]      # polygons (k, 2)
-    lane_lines: list[np.ndarray]    # polylines (k, 2)
-    crossings: list[np.ndarray]     # polygons (k, 2)
+    drivable: tuple[np.ndarray, ...]      # polygons (k, 2), k >= 3
+    lane_lines: tuple[np.ndarray, ...]    # polylines (k, 2), k >= 2
+    crossings: tuple[np.ndarray, ...]     # polygons (k, 2), k >= 3
     lane_centers: list[tuple[float, float]]  # (y offset, heading) spawn lanes
+    boxes: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        boxes = {}
+        for group, least in (("drivable", 3), ("lane_lines", 2), ("crossings", 3)):
+            shapes = tuple(np.array(shape, dtype=np.float64) for shape in getattr(self, group))
+            for i, a in enumerate(shapes):
+                if a.ndim != 2 or a.shape[1] != 2 or len(a) < least or not np.isfinite(a).all():
+                    raise ValueError(f"MapSpec {group}[{i}] must be a finite (k, 2) array with k >= {least}")
+                a.flags.writeable = False
+            object.__setattr__(self, group, shapes)
+            boxes[group] = np.array([[*a.min(axis=0), *a.max(axis=0)] for a in shapes]).reshape(-1, 4)
+        object.__setattr__(self, "boxes", boxes)
 
 
 @dataclass

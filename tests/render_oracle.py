@@ -3,8 +3,11 @@
 learnt to skip pixels. Every agent's slab test runs over every pixel of the
 image, and every ground point or BEV cell centre is tested against every
 map polygon and lane line. The point tests ``points_in_polygon`` and
-``dist_to_polyline`` are the production ones. Tests compare the production
-renderer and rasterizer against these bit for bit.
+``dist_to_polyline`` take (n, 2) points, as the production ones did before
+they took coordinate planes: every polygon edge is tested, the projection
+onto a segment is a matrix-vector product and the distance is
+``np.linalg.norm``. Tests compare the production renderer, rasterizer and
+map masks against these bit for bit.
 """
 
 from __future__ import annotations
@@ -20,13 +23,42 @@ from dualstream.synthworld.render import (
     COLOR_LANE,
     COLOR_ROAD,
     COLOR_SKY,
-    dist_to_polyline,
     id_brightness,
-    points_in_polygon,
 )
 from dualstream.synthworld.scene import LANE_LINE_WIDTH, MapSpec, SceneSpec
 
 _EPS_RAY = 1e-6
+
+
+def points_in_polygon(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """Even-odd rule point-in-polygon test, vectorized over points."""
+    x, y = pts[..., 0], pts[..., 1]
+    inside = np.zeros(x.shape, dtype=bool)
+    k = len(poly)
+    for i in range(k):
+        x1, y1 = poly[i]
+        x2, y2 = poly[(i + 1) % k]
+        crosses = (y1 > y) != (y2 > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = (x2 - x1) * (y - y1) / (y2 - y1) + x1
+        inside ^= crosses & (x < xi)
+    return inside
+
+
+def dist_to_polyline(pts: np.ndarray, line: np.ndarray) -> np.ndarray:
+    """Min distance from each point to a polyline, vectorized."""
+    best = np.full(pts.shape[:-1], np.inf)
+    for a, b in zip(line[:-1], line[1:]):
+        ab = b - a
+        denom = float(ab @ ab)
+        if denom < 1e-12:
+            d = np.linalg.norm(pts - a, axis=-1)
+        else:
+            t = np.clip(((pts - a) @ ab) / denom, 0.0, 1.0)
+            proj = a + t[..., None] * ab
+            d = np.linalg.norm(pts - proj, axis=-1)
+        best = np.minimum(best, d)
+    return best
 
 
 def ground_color(points_xy: np.ndarray, m: MapSpec) -> np.ndarray:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from dualstream.geom3d import CAMERA_SLOTS, BoundingBox3D
 from dualstream.statstream import BevSpec
 from dualstream.synthworld import WorldConfig, build_camera_rig, generate_scene, rasterize_gt_bev, render_camera
-from dualstream.synthworld.render import dist_to_polyline, ground_color, map_mask, points_in_polygon
+from dualstream.synthworld.render import ground_color, map_mask
 from dualstream.synthworld.scene import CAR_SIZE, CLASS_CAR, LANE_LINE_WIDTH, AgentTrack, MapSpec
 
 RIGS = {
@@ -44,8 +44,8 @@ def skew_map(scene):
     rect = np.array([[-4.0, -2.0], [4.0, -2.0], [4.0, 2.0], [-4.0, 2.0]]) @ rot.T + np.array([12.0, -3.0])
     line = np.array([[-5.0, -9.0], [20.0, 4.0], [45.0, -2.0]])
     m = scene.static_map
-    scene.static_map = MapSpec(drivable=m.drivable, lane_lines=m.lane_lines + [line],
-                               crossings=m.crossings + [rect], lane_centers=m.lane_centers)
+    scene.static_map = MapSpec(drivable=m.drivable, lane_lines=[*m.lane_lines, line],
+                               crossings=[*m.crossings, rect], lane_centers=m.lane_centers)
     return scene
 
 
@@ -149,26 +149,79 @@ def test_map_points_on_bounding_box_edges():
             (up(40.0 + reach), 3.5), (down(-10.0 - reach), 3.5), (5.0, up(3.5 + reach)), (5.0, down(3.5 - reach)),
             (40.0 + reach * math.cos(0.7), 3.5 + reach * math.sin(0.7))]
     pts = np.array(edge + near)
+    x, y = pts.T.copy()
 
-    polys = [crossing, skewed]
-    brute = np.zeros(len(pts), dtype=bool)
-    for poly in polys:
-        brute |= points_in_polygon(pts, poly)
-    np.testing.assert_array_equal(map_mask(pts, polys), brute)
+    road = np.array([[-10.0, -7.0], [40.0, -7.0], [40.0, 7.0], [-10.0, 7.0]])
+    m = MapSpec(drivable=[road], lane_lines=[line], crossings=[crossing, skewed], lane_centers=[])
+    brute = oracle_polygons(pts, m.crossings)
+    np.testing.assert_array_equal(map_mask(x, y, m, "crossings"), brute)
     assert brute.sum() >= 3
-    brute = dist_to_polyline(pts, line) <= reach
-    np.testing.assert_array_equal(map_mask(pts, [line], reach), brute)
+    brute = oracle.dist_to_polyline(pts, line) <= reach
+    np.testing.assert_array_equal(map_mask(x, y, m, "lane_lines", reach), brute)
     assert brute.sum() >= 3
+    got, want = ground_color(x, y, m), oracle.ground_color(pts, m)
+    assert got.tobytes() == np.ascontiguousarray(want.T).tobytes()
 
     # just outside this line's box grown by ``reach``, yet near it by the
     # distance test's rounding: the prefilter's rounding pad keeps it
     skew_line = np.array([[-226.12673324074663, -92.8396480356439], [30.801983835985936, 15.194419530864081]])
     rounded = np.array([[30.951983835985942, 15.194419526117017]])
     assert rounded[0, 0] > skew_line[:, 0].max() + reach
-    assert dist_to_polyline(rounded, skew_line)[0] <= reach
-    assert map_mask(rounded, [skew_line], reach)[0]
+    assert oracle.dist_to_polyline(rounded, skew_line)[0] <= reach
+    m = MapSpec(drivable=[road], lane_lines=[skew_line], crossings=[], lane_centers=[])
+    assert map_mask(rounded[:, 0], rounded[:, 1], m, "lane_lines", reach)[0]
 
-    road = np.array([[-10.0, -7.0], [40.0, -7.0], [40.0, 7.0], [-10.0, 7.0]])
-    m = MapSpec(drivable=[road], lane_lines=[line], crossings=polys, lane_centers=[])
-    got, want = ground_color(pts, m), oracle.ground_color(pts, m)
-    assert got.tobytes() == want.tobytes()
+
+def oracle_polygons(pts, polys):
+    inside = np.zeros(len(pts), dtype=bool)
+    for poly in polys:
+        inside |= oracle.points_in_polygon(pts, poly)
+    return inside
+
+
+# vertices from a coarse lattice repeat and line up, which gives horizontal
+# and vertical edges, repeated vertices and zero-length segments
+COORD = st.one_of(st.integers(-6, 6).map(float), st.floats(-6.0, 6.0))
+VERTEX = st.tuples(COORD, COORD)
+
+
+def ulp_neighbours(values):
+    v = np.asarray(values, dtype=np.float64).ravel()
+    return np.concatenate([np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)])
+
+
+@given(polys=st.lists(st.lists(VERTEX, min_size=3, max_size=7), min_size=1, max_size=3),
+       line=st.lists(VERTEX, min_size=2, max_size=5), loose=st.lists(VERTEX, max_size=20),
+       reach=st.sampled_from([0.15, 0.5, 1.0]), data=st.data())
+def test_map_mask_on_random_shapes_matches_the_oracle(polys, line, loose, reach, data):
+    polys = [np.array(p) for p in polys]
+    i = data.draw(st.integers(0, len(line) - 1))
+    line = np.array(line[:i] + line[i:i + 1] + line[i:])   # one zero-length segment
+    m = MapSpec(drivable=polys, lane_lines=[line], crossings=[], lane_centers=[])
+    # points on every vertex y and 1 ulp either side of every box edge, at
+    # lattice, box-edge and free x values
+    verts = np.concatenate(polys + [line])
+    boxes = np.concatenate([m.boxes["drivable"], m.boxes["lane_lines"]])
+    xs = np.concatenate([ulp_neighbours(boxes[:, 0::2]), verts[:, 0], np.arange(-7.0, 7.5, 0.5)])
+    ys = np.concatenate([ulp_neighbours(boxes[:, 1::2]), verts[:, 1]])
+    gx, gy = np.meshgrid(xs, ys)
+    pts = np.concatenate([np.stack([gx.ravel(), gy.ravel()], axis=1), np.array(loose).reshape(-1, 2)])
+    x, y = pts.T.copy()
+    with np.errstate(over="ignore"):   # an edge a few ulps tall puts its crossings at +-inf, in both
+        np.testing.assert_array_equal(map_mask(x, y, m, "drivable"), oracle_polygons(pts, polys))
+    np.testing.assert_array_equal(map_mask(x, y, m, "lane_lines", reach), oracle.dist_to_polyline(pts, line) <= reach)
+
+
+@pytest.mark.parametrize("group, shape", [
+    ("drivable", [[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [np.nan, 4.0]]),
+    ("crossings", [[0.0, 0.0], [4.0, np.inf], [4.0, 4.0]]),
+    ("lane_lines", [[0.0, np.nan], [4.0, 0.0]]),
+    ("drivable", [[0.0, 0.0], [4.0, 0.0]]),
+    ("lane_lines", [[0.0, 0.0]]),
+    ("crossings", [0.0, 1.0, 2.0]),
+])
+def test_map_spec_refuses_a_non_finite_or_too_short_shape(group, shape):
+    groups = {"drivable": [], "lane_lines": [], "crossings": []}
+    groups[group] = [np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]), np.array(shape)]
+    with pytest.raises(ValueError, match=rf"{group}\[1\]"):
+        MapSpec(lane_centers=[], **groups)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from dualstream.synthworld import (
     step_agents,
     straight_road_map,
 )
-from dualstream.synthworld.render import CLASS_COLORS, id_brightness, points_in_polygon
+from dualstream.synthworld.render import CLASS_COLORS, id_brightness
 from dualstream.synthworld.scene import CAR_SIZE, SceneConfigError
 
 BEV = BevSpec(dims=(32, 32), extent=(-16.0, 16.0, -16.0, 16.0))
@@ -234,8 +235,7 @@ class TestRasterizeGtBev:
         th = 0.4
         R = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
         rect = (np.array([[-4, -2], [4, -2], [4, 2], [-4, 2]]) @ R.T) + np.array([3.0, -4.0])
-        scene.static_map.crossings.clear()
-        scene.static_map.crossings.append(rect)
+        scene.static_map = replace(scene.static_map, crossings=[rect])
         seg = rasterize_gt_bev(scene, 0, BEV)
         ego = scene.ego_trajectory[0]
         h, w = BEV.dims
