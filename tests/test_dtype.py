@@ -1,6 +1,7 @@
 """The configured dtype reaches every parameter, tape entry, gradient and
 model output; AdamW moments and decoded boxes stay float64."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -92,3 +93,31 @@ def test_f32_losses_track_f64(data):
     f32 = np.array(_train(data, CFG, 3))
     assert CFG.dtype == "f32" and not np.array_equal(f32, f64)
     np.testing.assert_allclose(f32, f64, rtol=1e-4)
+
+
+# Three f32 and f64 training steps of CFG: each step's loss as ``float.hex``
+# and a sha256 of the trained parameters (name, shape and bytes in store
+# order). The pins hold for one numpy/BLAS build; another build may round a
+# product differently and move them without any change to the program.
+TRAIN_CANARY = {
+    "f32": (["0x1.97f2d60000000p+2", "0x1.7823240000000p+2", "0x1.6d36300000000p+2"],
+            "a3e4b85c4bff0c1f585f872f4e8fe64c470b806db761c6a9a70d940bb4e872f4"),
+    "f64": (["0x1.97f2d6c508c3bp+2", "0x1.7823255a57a1fp+2", "0x1.6d3631be50390p+2"],
+            "71293c743c03a952b0b478a359fe9d61276d1dfb5f8fd8ab9dae8d799927a33d"),
+}
+
+
+@pytest.mark.parametrize("name", DTYPES)
+def test_training_is_bitwise_pinned(data, name):
+    digest = {}
+
+    def fingerprint(row, model, opt):
+        h = hashlib.sha256()
+        for pname, t in model.store.items():
+            h.update(pname.encode())
+            h.update(str(t.data.shape).encode())
+            h.update(t.data.tobytes())
+        digest["params"] = h.hexdigest()
+
+    losses = _train(data, replace(CFG, dtype=name), 3, fingerprint)
+    assert ([x.hex() for x in losses], digest["params"]) == TRAIN_CANARY[name]
