@@ -16,7 +16,6 @@ import pytest
 
 from dualstream.cli import bev_from_config, world_from_config
 from dualstream.configio import Config
-from dualstream.diffcore import use_dtype
 from dualstream.model import DualStreamModel
 from dualstream.synthworld import build_camera_rig, build_frame, full_schedule, generate_scene
 from dualstream.synthworld.dataset import read_frame, write_frame
@@ -36,8 +35,7 @@ def frame():
 
 @pytest.fixture(scope="module")
 def model():
-    with use_dtype(CFG.np_dtype()):
-        return DualStreamModel(CFG)
+    return DualStreamModel(CFG)
 
 
 def test_frame_write(benchmark, frame, tmp_path):

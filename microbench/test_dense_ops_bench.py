@@ -14,7 +14,7 @@ on the most rows, as does the seg head's.
 import numpy as np
 import pytest
 
-from dualstream.diffcore import Tensor, backward, fresh_tape, gelu, layernorm, sum_
+from dualstream.diffcore import Tensor, backward, fresh_tape, gelu, layernorm, mul, sum_
 
 ROWS, WIDTH = 1024, 128
 DTYPES = {"f32": np.float32, "f64": np.float64}
@@ -57,7 +57,7 @@ def test_forward_backward(benchmark, op, dtype):
         xt = Tensor(x, requires_grad=True)
         gamma.grad = beta.grad = None
         with fresh_tape():
-            backward(sum_(OPS[op](xt, gamma, beta) * g))
+            backward(sum_(mul(OPS[op](xt, gamma, beta), g)))
         return xt.grad
 
     gx = benchmark(step)

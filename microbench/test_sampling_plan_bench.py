@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from dualstream.configio import Config
-from dualstream.diffcore import FeatureMap, Tensor, backward, fresh_tape, sum_
+from dualstream.diffcore import FeatureMap, Tensor, backward, fresh_tape, mul, sum_
 from dualstream.diffcore.ops import DeformableParams, _bilinear_flat, _deformable_core, sampling_plan
 from dualstream.dynstream import _obj_image_cross_attention
 from dualstream.geom3d import CAMERA_SLOTS
@@ -70,7 +70,7 @@ def test_plan_forward_backward(benchmark, name):
     def step():
         flat, coords = Tensor(fd, requires_grad=True), Tensor(cd, requires_grad=True)
         with fresh_tape():
-            backward(sum_(_unit_read(flat, coords, cd, h, w) * g))
+            backward(sum_(mul(_unit_read(flat, coords, cd, h, w), g)))
         return flat.grad, coords.grad
 
     gv, gc = benchmark(step)
@@ -103,7 +103,7 @@ def test_training_read_forward_backward(benchmark, name):
         flat, coords, wt = (Tensor(x, requires_grad=True) for x in (fd, cd, wts))
         plan = sampling_plan(cd, h, w, base=base, dtype=np.float32)
         with fresh_tape():
-            backward(sum_(_bilinear_flat(flat, coords, plan, wt, starts) * g))
+            backward(sum_(mul(_bilinear_flat(flat, coords, plan, wt, starts), g)))
         return flat.grad, coords.grad, wt.grad
 
     gv, gc, gw = benchmark(step)
@@ -147,7 +147,7 @@ def test_deformable_bev_image_forward_backward(benchmark):
             t.grad = None
         with fresh_tape():
             out = _deformable_core(queries, refs, table, (4, 8), params, owner=owner, grid_of=grid_of)[0]
-            backward(sum_(out * g))
+            backward(sum_(mul(out, g)))
         return queries.grad, params.w_off.grad
 
     gq, goff = benchmark(step)
@@ -192,7 +192,7 @@ def test_obj_image_forward_backward(benchmark):
         store.zero_grads()
         latents.grad = None
         with fresh_tape():
-            backward(sum_(_obj_image_cross_attention(latents, reads, feats, params) * g))
+            backward(sum_(mul(_obj_image_cross_attention(latents, reads, feats, params), g)))
         return latents.grad
 
     assert benchmark(step).shape == latents.data.shape

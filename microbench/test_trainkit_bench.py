@@ -12,7 +12,6 @@ on every one, as after a training frame's backward; the moments are float64.
 import numpy as np
 
 from dualstream.configio import Config
-from dualstream.diffcore import use_dtype
 from dualstream.model import DualStreamModel
 from dualstream.trainkit import OptimizerState, optimizer_step
 
@@ -20,8 +19,7 @@ CFG = Config(seed=1)
 
 
 def test_optimizer_step_default_model(benchmark):
-    with use_dtype(CFG.np_dtype()):
-        model = DualStreamModel(CFG)
+    model = DualStreamModel(CFG)
     rng = np.random.default_rng(0)
     for _, t in model.store.items():
         t.grad = rng.normal(scale=1e-3, size=t.data.shape).astype(t.data.dtype)

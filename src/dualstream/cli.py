@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -101,6 +102,8 @@ def parse_seeds(spec: str) -> list[int]:
         raise ConfigError(f"bad seed spec {spec!r}: expected A..B or one integer") from None
     if not seeds:
         raise ConfigError(f"empty seed range {spec!r}")
+    if seeds[0] < 0:
+        raise ConfigError(f"bad seed spec {spec!r}: seeds must be >= 0")
     return seeds
 
 
@@ -192,8 +195,6 @@ ABLATION_GRID = [
 
 
 def cmd_ablate(args) -> int:
-    from dataclasses import replace
-
     base = load_config(args.config)
     data = Dataset(args.data)
     require_config_bev(data, base, "config")

@@ -23,7 +23,7 @@ INTERACTION_MODES = ("full", "none", "bidirectional")
 _MINIMUMS = {
     **dict.fromkeys(("latent_dim", "heads", "n_layers", "patch", "n_points", "n_queries", "n_freqs", "decode_hidden",
                      "image_height", "image_width", "threads", "batch_scenes"), 1),
-    "topk": 0, "sequence_length": 0, "bev_cells": 2,
+    "seed": 0, "topk": 0, "sequence_length": 0, "bev_cells": 2,
 }
 
 
@@ -116,6 +116,10 @@ class Config:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
         if not 0 < self.bev_extent < math.inf:
             raise ConfigError(f"bev_extent must be finite and > 0, got {self.bev_extent!r}")
+        # grad_clip's bound above refuses NaN and -inf; its inf means no clipping
+        for name, kind in _FIELD_TYPES.items():
+            if kind == "float" and name != "grad_clip" and not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.latent_dim % self.heads != 0:
             raise ConfigError("latent_dim must be divisible by heads")
         if self.image_height % self.patch or self.image_width % self.patch:

@@ -42,6 +42,13 @@ from .tensor import (
     _unbroadcast,
     _wrap,
     add,
+    matmul,
+    mul,
+    reshape,
+    scale,
+    sparse_matmul,
+    take_rows,
+    transpose,
 )
 
 
@@ -108,8 +115,6 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    from .tensor import matmul
-
     out = matmul(x, w)
     if b is not None:
         out = add(out, b)
@@ -155,8 +160,6 @@ def multi_head_attention(
     rows with different values still get one fixed order. Queries keep their
     order, so self-attention is row-equivariant.
     """
-    from .tensor import matmul, reshape, take_rows, transpose
-
     n_q, dim = query.data.shape
     if dim % heads != 0:
         raise ShapeError(f"embedding dim {dim} not divisible by {heads} heads")
@@ -172,7 +175,7 @@ def multi_head_attention(
     v = to_heads(linear(value, params.wv, params.bv))
 
     scores = matmul(q, transpose(k, (0, 2, 1)))
-    scores = scores * (1.0 / math.sqrt(dh))
+    scores = scale(scores, 1.0 / math.sqrt(dh))
     ctx = matmul(softmax(scores, axis=-1), v)
     merged = reshape(transpose(ctx, (1, 0, 2)), (n_q, dim))
     return linear(merged, params.wo, params.bo)
@@ -353,8 +356,6 @@ def _deformable_core(
     float64 and rounded once to the model dtype, and 0 for a miss; they are
     folded into the point weights.
     """
-    from .tensor import matmul, mul, reshape, sparse_matmul
-
     n, L = queries.data.shape
     owner = np.arange(n) if owner is None else np.asarray(owner, dtype=np.int64)
     if np.any(np.diff(owner) < 0):
@@ -426,8 +427,6 @@ def patch_embed(images: Tensor, names: tuple[str, ...], patch: int, params: Patc
     of image i, patches in row-major order; each patch enters flattened
     channel-major, then row-major within the patch.
     """
-    from .tensor import reshape, transpose
-
     if images.ndim != 4 or images.data.shape[0] != len(names):
         raise ShapeError(f"patch_embed needs a (k, 3, H, W) stack of {len(names)} images, got {images.data.shape}")
     k, c, h, w = images.data.shape

@@ -5,16 +5,17 @@ execution order; ``backward`` replays the tape in reverse, which is a valid
 reverse topological order by construction and therefore bitwise deterministic
 for fixed inputs.
 
-Ops keep their operands' dtype: a float32 model (config ``dtype = "f32"``,
-the default) has float32 parameters, activations, tape entries and
-gradients, and a float64 model computes in float64, as the gradient checks
-do. Constant operands given as arrays or numbers are cast to the tensor
-operand's dtype. The default dtype (``use_dtype``) only applies to tensors
-made from non-float data and to a ``ParamStore`` given no dtype.
+A tensor's dtype is its data's: a ``Tensor`` holds float32 or float64 and
+refuses anything else. Ops keep their operands' dtype, so a float32 model
+(config ``dtype = "f32"``, the default, given to its ``ParamStore``) has
+float32 parameters, activations, tape entries and gradients, and a float64
+model computes in float64, as the gradient checks do. Constant operands
+given as arrays or numbers are cast to the tensor operand's dtype.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from typing import Iterable, Sequence, Union
 
@@ -64,7 +65,6 @@ class _ThreadState(threading.local):
     def __init__(self):
         self.tape = Tape()
         self.grad_enabled = True
-        self.default_dtype = np.dtype(np.float32)
 
 
 _state = _ThreadState()
@@ -72,17 +72,6 @@ _state = _ThreadState()
 
 def active_tape() -> Tape:
     return _state.tape
-
-
-def set_default_dtype(dtype) -> None:
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError("default dtype must be float32 or float64")
-    _state.default_dtype = dt
-
-
-def default_dtype() -> np.dtype:
-    return _state.default_dtype
 
 
 class no_grad:
@@ -98,20 +87,11 @@ class no_grad:
         return False
 
 
-class use_dtype:
-    """Temporarily switch the default storage dtype."""
-
-    def __init__(self, dtype):
-        self._dtype = np.dtype(dtype)
-
-    def __enter__(self):
-        self._prev = _state.default_dtype
-        set_default_dtype(self._dtype)
-        return self
-
-    def __exit__(self, *exc):
-        _state.default_dtype = self._prev
-        return False
+def use_dtype(dtype):
+    """A context that does nothing: a tensor's dtype comes from its data or
+    its ``ParamStore``. Kept only because ``perfbench/workloads.py`` still
+    wraps its runs in it; program code and tests do not call it."""
+    return contextlib.nullcontext()
 
 
 class fresh_tape:
@@ -135,7 +115,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-            arr = arr.astype(_state.default_dtype)
+            raise TypeError(f"a Tensor holds float32 or float64 data, got {arr.dtype}")
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
@@ -166,39 +146,9 @@ class Tensor:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
 
-    # operator sugar; second operands may be Tensors, arrays or numbers
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
+    # ``c - x`` for a constant c: one subtraction in x's dtype, one tape entry
     def __rsub__(self, other):
         return sub(_wrap(other, like=self), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other, like=self))
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def __getitem__(self, idx):
-        return getitem(self, idx)
 
 
 def _wrap(x, like: Tensor | None = None) -> Tensor:
@@ -335,13 +285,6 @@ def div(a: Tensor, b) -> Tensor:
             _accumulate(b, _unbroadcast(-g * ad / (bd * bd), b.data.shape), grads)
 
     return _make(data, (a, b), bwd)
-
-
-def neg(a: Tensor) -> Tensor:
-    def bwd(g, grads):
-        _accumulate(a, -g, grads)
-
-    return _make(-a.data, (a,), bwd)
 
 
 def scale(a: Tensor, s: float) -> Tensor:

@@ -67,8 +67,9 @@ class QuerySet:
         return np.asarray(self.anchors.data, dtype=np.float64)
 
     @staticmethod
-    def empty(latent_dim: int) -> "QuerySet":
-        return QuerySet(latents=Tensor(np.zeros((0, latent_dim))), anchors=Tensor(np.zeros((0, 3))),
+    def empty(latent_dim: int, dtype) -> "QuerySet":
+        """No queries, with latents and anchors in the model ``dtype``."""
+        return QuerySet(latents=Tensor(np.zeros((0, latent_dim), dtype)), anchors=Tensor(np.zeros((0, 3), dtype)),
                         velocities=np.zeros((0, 2)), scores=np.zeros(0), ids=np.zeros(0))
 
     def take(self, idx: np.ndarray) -> "QuerySet":

@@ -20,13 +20,14 @@ from .diffcore.tensor import (
     mean,
     mul,
     power,
+    scale,
     sub,
     sum_,
     take_rows,
     tanh,
 )
 from .dynstream import QuerySet
-from .geom3d import BoundingBox3D, Pose
+from .geom3d import BoundingBox3D, Pose, transform_box
 
 
 @dataclass
@@ -238,7 +239,7 @@ def detection_loss(
     p = sigmoid(logits)
     a, gamma = weights.focal_alpha, weights.focal_gamma
     # log p = -softplus(-x), log(1-p) = -softplus(x): stable in both tails
-    pos = mul(mul(power(1.0 - p, gamma), softplus(-logits)), a)
+    pos = mul(mul(power(1.0 - p, gamma), softplus(scale(logits, -1.0))), a)
     neg = mul(mul(power(p, gamma), softplus(logits)), 1.0 - a)
     focal = add(mul(pos, targets), mul(neg, 1.0 - targets))
     denom = max(len(assignment.pairs), 1)
@@ -364,8 +365,6 @@ class TrackerState:
         dt: float,
     ) -> list[tuple[int, int]]:
         """Associate ego-frame detections; returns (det_index, track_id)."""
-        from .geom3d import transform_box
-
         world = [transform_box(ego_pose, d) for d in detections]
         assigned, self.tracks, self.next_id = greedy_track(
             world, prior_ids, self.tracks, dt, self.next_id,

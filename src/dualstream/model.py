@@ -171,7 +171,7 @@ class DualStreamModel:
         self.pillar_reads = PillarReads()
 
     def initial_state(self) -> StreamState:
-        return StreamState(memory=QuerySet.empty(self.cfg.latent_dim), grid=None, prev_pose=None)
+        return StreamState(memory=QuerySet.empty(self.cfg.latent_dim, self.cfg.np_dtype()), grid=None, prev_pose=None)
 
     def encode_images(self, images: Mapping[str, Optional[np.ndarray]]) -> FeatureMap:
         """The frame's one camera feature table: one backbone pass over the
@@ -199,7 +199,7 @@ class DualStreamModel:
         if state.prev_pose is not None:
             delta = ego_delta(state.prev_pose, frame.ego_pose)
 
-        queries = QuerySet.empty(cfg.latent_dim)
+        queries = QuerySet.empty(cfg.latent_dim, cfg.np_dtype())
         if cfg.propagate_queries and len(state.memory):
             queries = propagate(state.memory, delta, dt, self.motion,
                                 compensate_object_motion=cfg.compensate_object_motion)

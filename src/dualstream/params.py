@@ -6,19 +6,19 @@ import math
 
 import numpy as np
 
-from .diffcore import AttentionParams, DeformableParams, MlpParams, PatchEmbedParams, Tensor, default_dtype
+from .diffcore import AttentionParams, DeformableParams, MlpParams, PatchEmbedParams, Tensor
 
 
 class ParamStore:
     """Flat name -> Tensor registry; names are stable across runs.
 
-    Every parameter is stored in the store's ``dtype`` (by default the
-    active diffcore dtype), so the activations, the tape and the gradients
-    computed from them share it.
+    Every parameter is stored in the store's ``dtype``, which the caller
+    names (a model passes its config's), so the activations, the tape and
+    the gradients computed from them share it.
     """
 
-    def __init__(self, dtype=None):
-        self.dtype = np.dtype(dtype or default_dtype())
+    def __init__(self, dtype):
+        self.dtype = np.dtype(dtype)
         self._params: dict[str, Tensor] = {}
 
     def tensor(self, name: str, array: np.ndarray) -> Tensor:

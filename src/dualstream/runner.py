@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .configio import Config
+from .configio import Config, config_to_dict
 from .diffcore import NumericError, Tensor, no_grad
 from .evalkit import (
     BASE_AP_THRESHOLDS,
@@ -150,8 +150,6 @@ def assemble_report(
         "highspeed_vmin": cfg.highspeed_vmin,
         "seg_iou": "pooled intersection/union over all frames",
     }
-    from .configio import config_to_dict
-
     return EvalReport(run_id=run_id, code_version=code_version,
                       config=config_to_dict(cfg), conventions=conventions,
                       slices=slice_metrics, seg=seg)

@@ -17,7 +17,7 @@ from dualstream.cli import (
 )
 from dualstream import model as model_mod
 from dualstream.configio import Config, parse_config
-from dualstream.diffcore import Tensor, read_tensor, use_dtype, write_tensor
+from dualstream.diffcore import Tensor, read_tensor, write_tensor
 from dualstream.geom3d import CAMERA_SLOTS
 from dualstream.model import DualStreamModel
 from dualstream.statstream import segmentation_head
@@ -27,8 +27,7 @@ CFG = Config(n_layers=1, latent_dim=16, n_queries=8, topk=4, decode_hidden=16, b
 
 
 def test_inspect_checkpoint(tmp_path, capsys):
-    with use_dtype(CFG.np_dtype()):
-        model = DualStreamModel(CFG)
+    model = DualStreamModel(CFG)
     save_checkpoint(tmp_path / "ckpt", model, OptimizerState.fresh(model.store), CFG, step=3, epoch=1)
     assert main(["inspect", str(tmp_path / "ckpt")]) == EXIT_OK
     out = capsys.readouterr().out
@@ -108,11 +107,11 @@ def test_non_integer_thread_cap_is_a_config_error(tmp_path, monkeypatch, capsys)
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("spec", ["abc", "1..x", "..3", "2.."])
+@pytest.mark.parametrize("spec", ["abc", "1..x", "..3", "2..", "-1", "-2..1"])
 def test_malformed_seeds_are_a_config_error(tmp_path, capsys, spec):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY, encoding="utf-8")
-    args = ["gen-data", "--config", str(cfg), "--out", str(tmp_path / "out"), "--seeds", spec]
+    args = ["gen-data", "--config", str(cfg), "--out", str(tmp_path / "out"), f"--seeds={spec}"]
     assert main(args) == EXIT_CONFIG
     assert f"bad seed spec {spec!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -121,8 +120,21 @@ def test_malformed_seeds_are_a_config_error(tmp_path, capsys, spec):
 def test_seed_specs():
     assert parse_seeds("5") == [5]
     assert parse_seeds("2..4") == [2, 3, 4]
+    assert parse_seeds("0") == [0]
     with pytest.raises(ValueError, match="empty seed range"):
         parse_seeds("4..2")
+    with pytest.raises(ValueError, match="seeds must be >= 0"):
+        parse_seeds("-2..1")
+
+
+@pytest.mark.parametrize("line,refused", [("seed = -3", "seed must be >= 0"),
+                                          ("ego_speed = nan", "ego_speed must be finite")])
+def test_bad_world_setting_stops_gen_data(tmp_path, capsys, line, refused):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY + line + "\n", encoding="utf-8")
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert refused in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +151,17 @@ def test_nan_learning_rate_is_a_config_error(tiny_data, tmp_path, capsys):
     args = ["train", "--config", str(bad), "--data", str(tiny_data / "data"), "--out", str(tmp_path / "run")]
     assert main(args) == EXIT_CONFIG
     assert "learning_rate must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("line,refused", [("seed = -3", "seed must be >= 0"),
+                                          ("track_max_dist = nan", "track_max_dist must be finite")])
+def test_bad_setting_stops_train(tiny_data, tmp_path, capsys, line, refused):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY + line + "\n", encoding="utf-8")
+    args = ["train", "--config", str(bad), "--data", str(tiny_data / "data"), "--out", str(tmp_path / "run")]
+    assert main(args) == EXIT_CONFIG
+    assert refused in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from dualstream.configio import Config, ConfigError, config_from_dict, config_to_dict, parse_config
@@ -29,6 +31,17 @@ def test_unbounded_grad_clip_means_no_clipping():
     assert parse_config("grad_clip = inf").grad_clip == float("inf")
 
 
+def test_non_finite_float_setting_is_rejected():
+    floats = [f.name for f in fields(Config) if f.type == "float"]
+    assert "ego_speed" in floats and "track_max_dist" in floats
+    for key in floats:
+        for value in ("nan", "inf", "-inf"):
+            if key == "grad_clip" and value == "inf":
+                continue
+            with pytest.raises(ConfigError, match=key):
+                parse_config(f"{key} = {value}")
+
+
 @pytest.mark.parametrize("key", ["heads", "patch", "latent_dim", "n_layers", "n_points", "n_queries", "n_freqs",
                                  "decode_hidden", "image_height", "image_width"])
 def test_model_size_below_one_is_rejected(key):
@@ -43,6 +56,7 @@ def test_negative_topk_is_rejected():
 
 
 OUT_OF_RANGE = [
+    ("seed = -3", "seed must be >= 0, got -3"),
     ("bev_cells = 1", "bev_cells must be >= 2, got 1"),
     ("bev_extent = 0", "bev_extent must be finite and > 0, got 0.0"),
     ("bev_extent = -4", "bev_extent must be finite and > 0, got -4.0"),

@@ -19,7 +19,7 @@ from test_dualformer import CAMERA_SUBSETS, make_grid, make_queries, micro_frame
 from test_sampling_plan import points, reference_bilinear
 from util import anchor_reads, encode, make_deformable_params, pillar_reads, rows, t64
 
-from dualstream.diffcore import Tensor, backward, fresh_tape, sum_, tanh, use_dtype
+from dualstream.diffcore import Tensor, backward, fresh_tape, sum_, tanh
 from dualstream.diffcore.ops import _bilinear_flat, _deformable_core, sampling_plan
 from dualstream.diffcore.tensor import ShapeError, mul
 from dualstream.dualformer import _dynamic_static_core
@@ -66,50 +66,47 @@ def random_grid(rng, spec, validity=None):
 
 @pytest.mark.parametrize("with_prev", [True, False], ids=["prev", "no-prev"])
 def test_temporal_matches_oracle(rng, with_prev):
-    with use_dtype(np.float64):
-        model = perturbed_model(rng)
-        p = model.layers[0].bev_temporal
-        spec = model.bev_spec
-        curr = random_grid(rng, spec)
-        prev = random_grid(rng, spec, validity=rng.uniform(size=spec.dims) > 0.4) if with_prev else None
-        leaves = [curr.cells] + ([prev.cells] if with_prev else [])
-        mix = rows(rng.normal(size=(8,) + spec.dims))
-        got = run(lambda: temporal_grid_attention(curr, prev, p).cells, leaves, model.store, mix)
-        want = run(lambda: oracle_temporal(curr, prev, p).cells, leaves, model.store, mix)
+    model = perturbed_model(rng)
+    p = model.layers[0].bev_temporal
+    spec = model.bev_spec
+    curr = random_grid(rng, spec)
+    prev = random_grid(rng, spec, validity=rng.uniform(size=spec.dims) > 0.4) if with_prev else None
+    leaves = [curr.cells] + ([prev.cells] if with_prev else [])
+    mix = rows(rng.normal(size=(8,) + spec.dims))
+    got = run(lambda: temporal_grid_attention(curr, prev, p).cells, leaves, model.store, mix)
+    want = run(lambda: oracle_temporal(curr, prev, p).cells, leaves, model.store, mix)
     assert np.abs(got[0] - curr.cells.data).max() > 1e-3
     assert_match(got, want)
 
 
 @pytest.mark.parametrize("cams", CAMERA_SUBSETS, ids=["all", "three", "one"])
 def test_bev_image_matches_oracle(rng, cams):
-    with use_dtype(np.float64):
-        model = perturbed_model(rng)
-        frames, rig, _ = micro_frame(model)
-        p = model.layers[0].bev_image
-        grid = random_grid(rng, model.bev_spec)
-        feats = encode(model, frames[0].images, cams)
-        mix = rng.normal(size=grid.cells.data.shape)
-        got = run(lambda: bev_image_cross_attention(grid, pillar_reads(grid, feats, rig, p), feats, p).cells,
-                  [grid.cells], model.store, mix)
-        want = run(lambda: oracle_bev_image(grid, feats, rig, p).cells, [grid.cells], model.store, mix)
+    model = perturbed_model(rng)
+    frames, rig, _ = micro_frame(model)
+    p = model.layers[0].bev_image
+    grid = random_grid(rng, model.bev_spec)
+    feats = encode(model, frames[0].images, cams)
+    mix = rng.normal(size=grid.cells.data.shape)
+    got = run(lambda: bev_image_cross_attention(grid, pillar_reads(grid, feats, rig, p), feats, p).cells,
+              [grid.cells], model.store, mix)
+    want = run(lambda: oracle_bev_image(grid, feats, rig, p).cells, [grid.cells], model.store, mix)
     assert_match(got, want)
 
 
 @pytest.mark.parametrize("cams", CAMERA_SUBSETS, ids=["all", "three", "one"])
 def test_obj_image_matches_oracle(rng, cams):
-    with use_dtype(np.float64):
-        model = perturbed_model(rng)
-        frames, rig, _ = micro_frame(model)
-        p = model.layers[0].obj_image
-        # anchors every camera sees, plus random ones, some behind every camera
-        anchors = np.concatenate([seen_anchors(rng, rig, 16), rng.uniform(-8.0, 8.0, (8, 3))])
-        q = make_queries(rng, 24, anchors=anchors)
-        q.latents.requires_grad = True
-        feats = encode(model, frames[0].images, cams)
-        mix = rng.normal(size=q.latents.data.shape)
-        got = run(lambda: _obj_image_cross_attention(q.latents, anchor_reads(q.anchor_xyz, feats, rig, p), feats, p),
-                  [q.latents], model.store, mix)
-        want = run(lambda: oracle_obj_image(q.latents, q.anchor_xyz, feats, rig, p), [q.latents], model.store, mix)
+    model = perturbed_model(rng)
+    frames, rig, _ = micro_frame(model)
+    p = model.layers[0].obj_image
+    # anchors every camera sees, plus random ones, some behind every camera
+    anchors = np.concatenate([seen_anchors(rng, rig, 16), rng.uniform(-8.0, 8.0, (8, 3))])
+    q = make_queries(rng, 24, anchors=anchors)
+    q.latents.requires_grad = True
+    feats = encode(model, frames[0].images, cams)
+    mix = rng.normal(size=q.latents.data.shape)
+    got = run(lambda: _obj_image_cross_attention(q.latents, anchor_reads(q.anchor_xyz, feats, rig, p), feats, p),
+              [q.latents], model.store, mix)
+    want = run(lambda: oracle_obj_image(q.latents, q.anchor_xyz, feats, rig, p), [q.latents], model.store, mix)
     assert_match(got, want)
 
 
@@ -121,49 +118,46 @@ def test_obj_image_overlapping_cameras_match_oracle(rng, cams):
     from dualstream.geom3d import project_points
     from dualstream.synthworld import build_camera_rig
 
-    with use_dtype(np.float64):
-        model = perturbed_model(rng)
-        frames, _, _ = micro_frame(model)
-        rig = build_camera_rig(width=model.cfg.image_width, height=model.cfg.image_height, fov_deg=100.0)
-        p = model.layers[0].obj_image
-        feats = encode(model, frames[0].images, cams)
-        pts = seen_anchors(rng, rig, 400)
-        twice = sum(project_points(rig[k], pts)[2].astype(int) for k in feats.names) >= 2
-        anchors = np.concatenate([pts[twice][:16], pts[~twice][:4], rng.uniform(-8.0, 8.0, (4, 3))])
-        q = make_queries(rng, 24, anchors=anchors)
-        q.latents.requires_grad = True
-        mix = rng.normal(size=q.latents.data.shape)
-        got = run(lambda: _obj_image_cross_attention(q.latents, anchor_reads(q.anchor_xyz, feats, rig, p), feats, p),
-                  [q.latents], model.store, mix)
-        want = run(lambda: oracle_obj_image(q.latents, q.anchor_xyz, feats, rig, p), [q.latents], model.store, mix)
+    model = perturbed_model(rng)
+    frames, _, _ = micro_frame(model)
+    rig = build_camera_rig(width=model.cfg.image_width, height=model.cfg.image_height, fov_deg=100.0)
+    p = model.layers[0].obj_image
+    feats = encode(model, frames[0].images, cams)
+    pts = seen_anchors(rng, rig, 400)
+    twice = sum(project_points(rig[k], pts)[2].astype(int) for k in feats.names) >= 2
+    anchors = np.concatenate([pts[twice][:16], pts[~twice][:4], rng.uniform(-8.0, 8.0, (4, 3))])
+    q = make_queries(rng, 24, anchors=anchors)
+    q.latents.requires_grad = True
+    mix = rng.normal(size=q.latents.data.shape)
+    got = run(lambda: _obj_image_cross_attention(q.latents, anchor_reads(q.anchor_xyz, feats, rig, p), feats, p),
+              [q.latents], model.store, mix)
+    want = run(lambda: oracle_obj_image(q.latents, q.anchor_xyz, feats, rig, p), [q.latents], model.store, mix)
     assert_match(got, want)
 
 
 @pytest.mark.parametrize("span", [2.5, 6.0, 50.0], ids=["inside", "mixed", "outside"])
 def test_dyn_static_matches_oracle(rng, span):
-    with use_dtype(np.float64):
-        model = perturbed_model(rng)
-        p = model.layers[0].dyn_static
-        grid = random_grid(rng, model.bev_spec)
-        q = make_queries(rng, 12, anchors=rng.uniform(-span, span, (12, 3)))
-        q.latents.requires_grad = True
-        mix = rng.normal(size=q.latents.data.shape)
-        leaves = [q.latents, grid.cells]
-        got = run(lambda: _dynamic_static_core(q.latents, q.anchor_xyz, grid, p), leaves, model.store, mix)
-        want = run(lambda: oracle_dyn_static(q.latents, q.anchor_xyz, grid, p), leaves, model.store, mix)
+    model = perturbed_model(rng)
+    p = model.layers[0].dyn_static
+    grid = random_grid(rng, model.bev_spec)
+    q = make_queries(rng, 12, anchors=rng.uniform(-span, span, (12, 3)))
+    q.latents.requires_grad = True
+    mix = rng.normal(size=q.latents.data.shape)
+    leaves = [q.latents, grid.cells]
+    got = run(lambda: _dynamic_static_core(q.latents, q.anchor_xyz, grid, p), leaves, model.store, mix)
+    want = run(lambda: oracle_dyn_static(q.latents, q.anchor_xyz, grid, p), leaves, model.store, mix)
     assert_match(got, want)
 
 
 def test_blocks_bitwise_reproducible(rng):
-    with use_dtype(np.float64):
-        model = perturbed_model(rng)
-        frames, rig, _ = micro_frame(model)
-        p = model.layers[0].bev_image
-        grid = random_grid(rng, model.bev_spec)
-        feats = model.encode_images(frames[0].images)
-        mix = rng.normal(size=grid.cells.data.shape)
-        first, second = (run(lambda: bev_image_cross_attention(grid, pillar_reads(grid, feats, rig, p), feats, p).cells,
-                             [grid.cells], model.store, mix) for _ in range(2))
+    model = perturbed_model(rng)
+    frames, rig, _ = micro_frame(model)
+    p = model.layers[0].bev_image
+    grid = random_grid(rng, model.bev_spec)
+    feats = model.encode_images(frames[0].images)
+    mix = rng.normal(size=grid.cells.data.shape)
+    first, second = (run(lambda: bev_image_cross_attention(grid, pillar_reads(grid, feats, rig, p), feats, p).cells,
+                         [grid.cells], model.store, mix) for _ in range(2))
     np.testing.assert_array_equal(first[0], second[0])
     np.testing.assert_array_equal(first[1][0], second[1][0])
     for name in first[2]:
@@ -297,7 +291,7 @@ def test_weighted_read_matches_the_per_sample_oracle(rng, side):
     flat, coords, wt = (Tensor(x, requires_grad=True) for x in (fd, cd, wts))
     with fresh_tape():
         got = _bilinear_flat(flat, coords, sampling_plan(cd, h, w), wt, starts)
-        backward(sum_(got * Tensor(g)))
+        backward(sum_(mul(got, Tensor(g))))
     np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(flat.grad, want_gv, rtol=0, atol=1e-12)
     np.testing.assert_allclose(coords.grad, want_gc, rtol=0, atol=1e-12)

@@ -19,13 +19,13 @@ from dualstream.diffcore import (
     mlp,
     multi_head_attention,
     softmax,
-    use_dtype,
 )
 from dualstream.diffcore.ops import AttentionParams, DeformableParams, MlpParams, _deformable_core
 from dualstream.diffcore.tensor import (
     absolute,
     add,
     concat,
+    getitem,
     matmul,
     mean,
     mul,
@@ -65,6 +65,23 @@ class TestArithmetic:
                     want[i, j] += a[i, k] * b[k, j]
         got = matmul(t64(a), t64(b)).data
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_tensor_refuses_non_float_data(self):
+        for data in (np.arange(3), np.ones(2, dtype=bool), np.ones(2, dtype=np.float16)):
+            with pytest.raises(TypeError, match=str(data.dtype)):
+                Tensor(data)
+
+    def test_constant_minus_tensor_is_the_only_operator(self, rng):
+        x = Tensor(rng.normal(size=(2, 3)).astype(np.float32), requires_grad=True)
+        with fresh_tape() as tape:
+            y = 1.0 - x
+            assert len(tape) == 1
+        assert y.dtype == np.float32
+        np.testing.assert_array_equal(y.data, np.float32(1.0) - x.data)
+        for op in (lambda: -x, lambda: x * 2.0, lambda: x + x, lambda: x @ x, lambda: x ** 2,
+                   lambda: x[0]):
+            with pytest.raises(TypeError):
+                op()
 
     def test_matmul_shape_error(self):
         with pytest.raises(ShapeError):
@@ -206,12 +223,11 @@ class TestMultiHeadAttention:
 
     def test_permutation_equivariance_bitwise(self, rng):
         dim = 8
-        with use_dtype(np.float64):
-            p = self.make_params(rng, dim)
-            x = rng.normal(size=(7, dim))
-            perm = rng.permutation(7)
-            out1 = multi_head_attention(t64(x), t64(x), t64(x), 2, p).data
-            out2 = multi_head_attention(t64(x[perm]), t64(x[perm]), t64(x[perm]), 2, p).data
+        p = self.make_params(rng, dim)
+        x = rng.normal(size=(7, dim))
+        perm = rng.permutation(7)
+        out1 = multi_head_attention(t64(x), t64(x), t64(x), 2, p).data
+        out2 = multi_head_attention(t64(x[perm]), t64(x[perm]), t64(x[perm]), 2, p).data
         np.testing.assert_array_equal(out1[perm], out2)
 
     def test_key_permutation_invariance_with_gradients(self, rng):
@@ -602,7 +618,7 @@ def _concat_case(rng):
 
 def _slice_case(rng):
     a = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-    return lambda x: sum_(tanh(x[1:4, :2])), [a]
+    return lambda x: sum_(tanh(getitem(x, (slice(1, 4), slice(None, 2))))), [a]
 
 
 def _reshape_case(rng):

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dualstream.diffcore import DstnError, DstnVersionError, read_tensor, use_dtype, write_tensor
+from dualstream.diffcore import DstnError, DstnVersionError, read_tensor, write_tensor
 from dualstream.diffcore.dstn import read_header
 
 
@@ -182,8 +182,7 @@ def test_two_saves_of_the_same_model_are_byte_identical(tmp_path):
     from dualstream.trainkit import OptimizerState, save_checkpoint
 
     cfg = Config(n_layers=1, latent_dim=16, n_queries=8, topk=4, decode_hidden=16, bev_cells=8)
-    with use_dtype(cfg.np_dtype()):
-        model = DualStreamModel(cfg)
+    model = DualStreamModel(cfg)
     opt = OptimizerState.fresh(model.store)
     for name in ("a", "b"):
         save_checkpoint(tmp_path / name, model, opt, cfg, step=5, epoch=1)

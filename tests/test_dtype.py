@@ -11,6 +11,7 @@ from dualstream.cli import bev_from_config, world_from_config
 from dualstream.configio import Config, config_to_dict
 from dualstream.diffcore import active_tape, fresh_tape, no_grad
 from dualstream.model import DualStreamModel
+from dualstream.params import ParamStore
 from dualstream.synthworld.dataset import Dataset, generate_and_write
 from dualstream.trainkit import OptimizerState, streaming_train
 
@@ -70,11 +71,18 @@ def test_training_step_computes_in_the_configured_dtype(data, name):
     assert seen["moments"] == {np.dtype(np.float64)}
 
 
+def test_param_store_needs_a_dtype():
+    with pytest.raises(TypeError):
+        ParamStore()
+    assert ParamStore(np.float32).tensor("w", np.ones(2)).dtype == np.float32
+
+
 @pytest.mark.parametrize("name", DTYPES)
 def test_inference_frames_compute_in_the_configured_dtype(data, name):
     want = np.dtype(DTYPES[name])
     model = DualStreamModel(replace(CFG, dtype=name))
     state = model.initial_state()
+    assert state.memory.latents.dtype == state.memory.anchors.dtype == want
     with no_grad():
         for t in range(2):   # the second frame propagates memory and warps the grid
             res = model.forward_frame(data.load_frame(data.scenes[0]["id"], t), data.cameras, state, data.dt)

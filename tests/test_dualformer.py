@@ -4,7 +4,7 @@ from check import finite_diff_check
 from util import anchor_reads, encode, pillar_reads, rows, t64
 
 from dualstream.configio import Config
-from dualstream.diffcore import Tensor, backward, fresh_tape, layernorm, use_dtype
+from dualstream.diffcore import Tensor, backward, fresh_tape, layernorm
 from dualstream.diffcore.tensor import mul, sum_
 from dualstream.dualformer import (
     VariantFlags,
@@ -28,7 +28,7 @@ SPEC = BevSpec(dims=(6, 6), extent=(-3.0, 3.0, -3.0, 3.0))
 
 
 def layer_params(rng_seed=0, cfg=CFG):
-    store = ParamStore()
+    store = ParamStore(np.float64)
     rng = np.random.default_rng(rng_seed)
     return build_layer_params(store, "layer0", rng, cfg), store
 
@@ -50,43 +50,40 @@ def make_grid(rng, spec=SPEC):
 
 class TestDynamicStatic:
     def test_anchor_outside_extent_residual(self, rng):
-        with use_dtype(np.float64):
-            params, _ = layer_params()
-            p = params.dyn_static
-            grid = make_grid(rng)
-            q = make_queries(rng, anchors=[[10.0, 0.0, 0.0]])
-            out = _dynamic_static_core(q.latents, q.anchor_xyz, grid, p)
-            want = layernorm(q.latents, p.ln_g, p.ln_b).data
-            np.testing.assert_allclose(out.data, want, atol=1e-12)
+        params, _ = layer_params()
+        p = params.dyn_static
+        grid = make_grid(rng)
+        q = make_queries(rng, anchors=[[10.0, 0.0, 0.0]])
+        out = _dynamic_static_core(q.latents, q.anchor_xyz, grid, p)
+        want = layernorm(q.latents, p.ln_g, p.ln_b).data
+        np.testing.assert_allclose(out.data, want, atol=1e-12)
 
     def test_degenerate_equals_grid_bilinear(self, rng):
         from util import make_deformable_params, make_ln
         from dualstream.statstream import GridReadParams
         from dualstream.diffcore import bilinear_sample
 
-        with use_dtype(np.float64):
-            g_, b_ = make_ln(L)
-            p = GridReadParams(deform=make_deformable_params(rng, L, L, 1, degenerate=True),
-                               ln_g=g_, ln_b=b_)
-            grid = make_grid(rng)
-            q = make_queries(rng, anchors=[[0.7, -1.2, 0.0]])
-            out = _dynamic_static_core(q.latents, q.anchor_xyz, grid, p)
-            ref = metric_to_cell(SPEC, np.array([0.7, -1.2]))
-            sample = bilinear_sample(grid.cells, SPEC.dims, t64(ref[None, :])).data[0]
-            want = layernorm(t64(q.latents.data + sample), p.ln_g, p.ln_b).data
-            np.testing.assert_allclose(out.data, want, atol=1e-10)
+        g_, b_ = make_ln(L)
+        p = GridReadParams(deform=make_deformable_params(rng, L, L, 1, degenerate=True),
+                           ln_g=g_, ln_b=b_)
+        grid = make_grid(rng)
+        q = make_queries(rng, anchors=[[0.7, -1.2, 0.0]])
+        out = _dynamic_static_core(q.latents, q.anchor_xyz, grid, p)
+        ref = metric_to_cell(SPEC, np.array([0.7, -1.2]))
+        sample = bilinear_sample(grid.cells, SPEC.dims, t64(ref[None, :])).data[0]
+        want = layernorm(t64(q.latents.data + sample), p.ln_g, p.ln_b).data
+        np.testing.assert_allclose(out.data, want, atol=1e-10)
 
     def test_batch_matches_per_query_loop(self, rng):
-        with use_dtype(np.float64):
-            params, _ = layer_params()
-            p = params.dyn_static
-            grid = make_grid(rng)
-            qs = make_queries(rng, 3)
-            batch = _dynamic_static_core(qs.latents, qs.anchor_xyz, grid, p).data
-            for i in range(3):
-                q = qs.take([i])
-                solo = _dynamic_static_core(q.latents, q.anchor_xyz, grid, p).data[0]
-                np.testing.assert_allclose(batch[i], solo, atol=1e-5)
+        params, _ = layer_params()
+        p = params.dyn_static
+        grid = make_grid(rng)
+        qs = make_queries(rng, 3)
+        batch = _dynamic_static_core(qs.latents, qs.anchor_xyz, grid, p).data
+        for i in range(3):
+            q = qs.take([i])
+            solo = _dynamic_static_core(q.latents, q.anchor_xyz, grid, p).data[0]
+            np.testing.assert_allclose(batch[i], solo, atol=1e-5)
 
 
 class TestStaticDynamic:
@@ -94,42 +91,39 @@ class TestStaticDynamic:
         cfg = Config(latent_dim=L, heads=2, n_points=2, interaction="bidirectional",
                      bev_cells=6, bev_extent=3.0, patch=8, image_height=16, image_width=32,
                      decode_hidden=8)
-        store = ParamStore()
+        store = ParamStore(np.float64)
         return build_layer_params(store, "layer0", np.random.default_rng(seed), cfg)
 
     def test_zero_queries_identity_path(self, rng):
-        with use_dtype(np.float64):
-            params = self.bidir_params()
-            p = params.static_dyn
-            grid = make_grid(rng)
-            out = _static_dynamic_core(grid, t64(np.zeros((0, L))), np.zeros((0, 3)), p, RANGES)
-            want = layernorm(grid.cells, p.ln_g, p.ln_b).data
-            np.testing.assert_allclose(out.cells.data, want, atol=1e-12)
+        params = self.bidir_params()
+        p = params.static_dyn
+        grid = make_grid(rng)
+        out = _static_dynamic_core(grid, t64(np.zeros((0, L))), np.zeros((0, 3)), p, RANGES)
+        want = layernorm(grid.cells, p.ln_g, p.ln_b).data
+        np.testing.assert_allclose(out.cells.data, want, atol=1e-12)
 
     def test_single_query_single_key_oracle(self, rng):
-        with use_dtype(np.float64):
-            params = self.bidir_params()
-            p = params.static_dyn
-            grid = make_grid(rng)
-            q = make_queries(rng)
-            out = _static_dynamic_core(grid, q.latents, q.anchor_xyz, p, RANGES)
-            # single-key attention: every cell receives proj(v)
-            v = q.latents.data[0] @ p.attn.wv.data + p.attn.bv.data
-            proj = v @ p.attn.wo.data + p.attn.bo.data
-            flat = grid.cells.data
-            want = layernorm(t64(flat + proj[None, :]), p.ln_g, p.ln_b).data
-            np.testing.assert_allclose(out.cells.data, want, atol=1e-10)
+        params = self.bidir_params()
+        p = params.static_dyn
+        grid = make_grid(rng)
+        q = make_queries(rng)
+        out = _static_dynamic_core(grid, q.latents, q.anchor_xyz, p, RANGES)
+        # single-key attention: every cell receives proj(v)
+        v = q.latents.data[0] @ p.attn.wv.data + p.attn.bv.data
+        proj = v @ p.attn.wo.data + p.attn.bo.data
+        flat = grid.cells.data
+        want = layernorm(t64(flat + proj[None, :]), p.ln_g, p.ln_b).data
+        np.testing.assert_allclose(out.cells.data, want, atol=1e-10)
 
     def test_permutation_invariance_over_keys(self, rng):
-        with use_dtype(np.float64):
-            params = self.bidir_params()
-            p = params.static_dyn
-            grid = make_grid(rng)
-            qs = make_queries(rng, 5)
-            moved = qs.take(rng.permutation(5))
-            out1 = _static_dynamic_core(grid, qs.latents, qs.anchor_xyz, p, RANGES)
-            out2 = _static_dynamic_core(grid, moved.latents, moved.anchor_xyz, p, RANGES)
-            np.testing.assert_array_equal(out1.cells.data, out2.cells.data)
+        params = self.bidir_params()
+        p = params.static_dyn
+        grid = make_grid(rng)
+        qs = make_queries(rng, 5)
+        moved = qs.take(rng.permutation(5))
+        out1 = _static_dynamic_core(grid, qs.latents, qs.anchor_xyz, p, RANGES)
+        out2 = _static_dynamic_core(grid, moved.latents, moved.anchor_xyz, p, RANGES)
+        np.testing.assert_array_equal(out1.cells.data, out2.cells.data)
 
 
 def micro_model(interaction="full", temporal=True, seed=0):
@@ -160,150 +154,142 @@ def layer_reads(queries, grid, features, rig, model):
 
 class TestForwardLayerAblations:
     def test_interaction_none_object_stream_ignores_grid(self, rng):
-        with use_dtype(np.float64):
-            model = micro_model(interaction="none")
-            frames, rig, dt = micro_frame(model)
-            features = model.encode_images(frames[0].images)
-            queries = make_queries(rng, 4)
-            grid_a = make_grid(rng, model.bev_spec)
-            grid_b = make_grid(rng, model.bev_spec)  # arbitrary other grid
-            flags = VariantFlags(interaction="none", temporal_bev=False)
-            out_a, _ = forward_stack(queries, grid_a, None, features, rig, flags,
-                                     model.layers, model.ranges, model.pillar_reads)
-            out_b, _ = forward_stack(queries, grid_b, None, features, rig, flags,
-                                     model.layers, model.ranges, model.pillar_reads)
-            np.testing.assert_array_equal(out_a.data, out_b.data)
+        model = micro_model(interaction="none")
+        frames, rig, dt = micro_frame(model)
+        features = model.encode_images(frames[0].images)
+        queries = make_queries(rng, 4)
+        grid_a = make_grid(rng, model.bev_spec)
+        grid_b = make_grid(rng, model.bev_spec)  # arbitrary other grid
+        flags = VariantFlags(interaction="none", temporal_bev=False)
+        out_a, _ = forward_stack(queries, grid_a, None, features, rig, flags,
+                                 model.layers, model.ranges, model.pillar_reads)
+        out_b, _ = forward_stack(queries, grid_b, None, features, rig, flags,
+                                 model.layers, model.ranges, model.pillar_reads)
+        np.testing.assert_array_equal(out_a.data, out_b.data)
 
     def test_bev_stream_independent_of_queries_under_full(self, rng):
-        with use_dtype(np.float64):
-            model = micro_model(interaction="full")
-            frames, rig, dt = micro_frame(model)
-            features = model.encode_images(frames[0].images)
-            grid = make_grid(rng, model.bev_spec)
-            flags = VariantFlags(interaction="full", temporal_bev=True)
-            qs_a = make_queries(rng, 4)
-            qs_b = make_queries(rng, 4)
-            _, grid_a = forward_stack(qs_a, grid, None, features, rig, flags,
-                                      model.layers, model.ranges, model.pillar_reads)
-            _, grid_b = forward_stack(qs_b, grid, None, features, rig, flags,
-                                      model.layers, model.ranges, model.pillar_reads)
-            np.testing.assert_array_equal(grid_a.cells.data, grid_b.cells.data)
+        model = micro_model(interaction="full")
+        frames, rig, dt = micro_frame(model)
+        features = model.encode_images(frames[0].images)
+        grid = make_grid(rng, model.bev_spec)
+        flags = VariantFlags(interaction="full", temporal_bev=True)
+        qs_a = make_queries(rng, 4)
+        qs_b = make_queries(rng, 4)
+        _, grid_a = forward_stack(qs_a, grid, None, features, rig, flags,
+                                  model.layers, model.ranges, model.pillar_reads)
+        _, grid_b = forward_stack(qs_b, grid, None, features, rig, flags,
+                                  model.layers, model.ranges, model.pillar_reads)
+        np.testing.assert_array_equal(grid_a.cells.data, grid_b.cells.data)
 
     def test_interaction_liveness_grid_perturbation_reaches_queries(self, rng):
-        with use_dtype(np.float64):
-            model = micro_model(interaction="full")
-            frames, rig, dt = micro_frame(model)
-            features = model.encode_images(frames[0].images)
-            flags = VariantFlags(interaction="full", temporal_bev=False)
-            queries = make_queries(rng, 2, anchors=np.tile([0.5, 0.5, 0.0], (2, 1)))
-            grid = make_grid(rng, model.bev_spec)
-            out1, _ = forward_stack(queries, grid, None, features, rig, flags,
-                                    model.layers, model.ranges, model.pillar_reads)
-            cells2 = grid.cells.data.copy()
-            ref = metric_to_cell(model.bev_spec, np.array([0.5, 0.5]))
-            cells2[int(round(ref[0])) * model.bev_spec.dims[1] + int(round(ref[1]))] += 1.0
-            grid2 = BevGrid(spec=grid.spec, cells=Tensor(cells2), validity=grid.validity)
-            out2, _ = forward_stack(queries, grid2, None, features, rig, flags,
-                                    model.layers, model.ranges, model.pillar_reads)
-            assert np.abs(out1.data - out2.data).max() > 1e-9
+        model = micro_model(interaction="full")
+        frames, rig, dt = micro_frame(model)
+        features = model.encode_images(frames[0].images)
+        flags = VariantFlags(interaction="full", temporal_bev=False)
+        queries = make_queries(rng, 2, anchors=np.tile([0.5, 0.5, 0.0], (2, 1)))
+        grid = make_grid(rng, model.bev_spec)
+        out1, _ = forward_stack(queries, grid, None, features, rig, flags,
+                                model.layers, model.ranges, model.pillar_reads)
+        cells2 = grid.cells.data.copy()
+        ref = metric_to_cell(model.bev_spec, np.array([0.5, 0.5]))
+        cells2[int(round(ref[0])) * model.bev_spec.dims[1] + int(round(ref[1]))] += 1.0
+        grid2 = BevGrid(spec=grid.spec, cells=Tensor(cells2), validity=grid.validity)
+        out2, _ = forward_stack(queries, grid2, None, features, rig, flags,
+                                model.layers, model.ranges, model.pillar_reads)
+        assert np.abs(out1.data - out2.data).max() > 1e-9
 
     def test_shapes_preserved(self, rng):
-        with use_dtype(np.float64):
-            model = micro_model()
-            frames, rig, dt = micro_frame(model)
-            features = model.encode_images(frames[0].images)
-            flags = model.flags
-            queries = make_queries(rng, 5)
-            grid = make_grid(rng, model.bev_spec)
-            latents, grid_out = forward_layer(
-                queries.latents, queries.anchor_xyz, grid, None, features,
-                *layer_reads(queries, grid, features, rig, model),
-                flags, model.layers[0], model.ranges)
-            assert latents.data.shape == (5, L)
-            assert grid_out.cells.data.shape == grid.cells.data.shape
+        model = micro_model()
+        frames, rig, dt = micro_frame(model)
+        features = model.encode_images(frames[0].images)
+        flags = model.flags
+        queries = make_queries(rng, 5)
+        grid = make_grid(rng, model.bev_spec)
+        latents, grid_out = forward_layer(
+            queries.latents, queries.anchor_xyz, grid, None, features,
+            *layer_reads(queries, grid, features, rig, model),
+            flags, model.layers[0], model.ranges)
+        assert latents.data.shape == (5, L)
+        assert grid_out.cells.data.shape == grid.cells.data.shape
 
     def test_permutation_equivariance_all_flag_combinations(self, rng):
-        with use_dtype(np.float64):
-            for interaction in ("full", "none", "bidirectional"):
-                for temporal in (True, False):
-                    model = micro_model(interaction=interaction, temporal=temporal)
-                    frames, rig, dt = micro_frame(model)
-                    features = model.encode_images(frames[0].images)
-                    flags = VariantFlags(interaction=interaction, temporal_bev=temporal)
-                    qs = make_queries(rng, 4)
-                    perm = rng.permutation(4)
-                    grid = make_grid(rng, model.bev_spec)
-                    out1, _ = forward_stack(qs, grid, None, features, rig, flags,
-                                            model.layers, model.ranges, model.pillar_reads)
-                    out2, _ = forward_stack(qs.take(perm), grid, None, features, rig,
-                                            flags, model.layers, model.ranges, model.pillar_reads)
-                    np.testing.assert_array_equal(out1.data[perm], out2.data)
+        for interaction in ("full", "none", "bidirectional"):
+            for temporal in (True, False):
+                model = micro_model(interaction=interaction, temporal=temporal)
+                frames, rig, dt = micro_frame(model)
+                features = model.encode_images(frames[0].images)
+                flags = VariantFlags(interaction=interaction, temporal_bev=temporal)
+                qs = make_queries(rng, 4)
+                perm = rng.permutation(4)
+                grid = make_grid(rng, model.bev_spec)
+                out1, _ = forward_stack(qs, grid, None, features, rig, flags,
+                                        model.layers, model.ranges, model.pillar_reads)
+                out2, _ = forward_stack(qs.take(perm), grid, None, features, rig,
+                                        flags, model.layers, model.ranges, model.pillar_reads)
+                np.testing.assert_array_equal(out1.data[perm], out2.data)
 
 
 class TestForwardStack:
     def test_single_layer_equals_forward_layer(self, rng):
-        with use_dtype(np.float64):
-            model = micro_model()
-            frames, rig, dt = micro_frame(model)
-            features = model.encode_images(frames[0].images)
-            queries = make_queries(rng, 4)
-            grid = make_grid(rng, model.bev_spec)
-            stacked, grid_s = forward_stack(queries, grid, None, features, rig, model.flags,
-                                            model.layers[:1], model.ranges, model.pillar_reads)
-            single, grid_l = forward_layer(
-                queries.latents, queries.anchor_xyz, grid, None, features,
-                *layer_reads(queries, grid, features, rig, model),
-                model.flags, model.layers[0], model.ranges)
-            np.testing.assert_array_equal(stacked.data, single.data)
-            np.testing.assert_array_equal(grid_s.cells.data, grid_l.cells.data)
+        model = micro_model()
+        frames, rig, dt = micro_frame(model)
+        features = model.encode_images(frames[0].images)
+        queries = make_queries(rng, 4)
+        grid = make_grid(rng, model.bev_spec)
+        stacked, grid_s = forward_stack(queries, grid, None, features, rig, model.flags,
+                                        model.layers[:1], model.ranges, model.pillar_reads)
+        single, grid_l = forward_layer(
+            queries.latents, queries.anchor_xyz, grid, None, features,
+            *layer_reads(queries, grid, features, rig, model),
+            model.flags, model.layers[0], model.ranges)
+        np.testing.assert_array_equal(stacked.data, single.data)
+        np.testing.assert_array_equal(grid_s.cells.data, grid_l.cells.data)
 
     def test_deterministic_given_seed(self, rng):
-        with use_dtype(np.float64):
-            runs = []
-            for _ in range(2):
-                model = micro_model(seed=3)
-                frames, rig, dt = micro_frame(model)
-                features = model.encode_images(frames[0].images)
-                queries = make_queries(np.random.default_rng(1), 4)
-                grid = make_grid(np.random.default_rng(2), model.bev_spec)
-                out, _ = forward_stack(queries, grid, None, features, rig, model.flags,
-                                       model.layers, model.ranges, model.pillar_reads)
-                runs.append(out.data.copy())
-            np.testing.assert_array_equal(runs[0], runs[1])
+        runs = []
+        for _ in range(2):
+            model = micro_model(seed=3)
+            frames, rig, dt = micro_frame(model)
+            features = model.encode_images(frames[0].images)
+            queries = make_queries(np.random.default_rng(1), 4)
+            grid = make_grid(np.random.default_rng(2), model.bev_spec)
+            out, _ = forward_stack(queries, grid, None, features, rig, model.flags,
+                                   model.layers, model.ranges, model.pillar_reads)
+            runs.append(out.data.copy())
+        np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_gradient_reaches_layer0_through_two_layer_stack(self, rng):
         from dataclasses import replace
 
-        with use_dtype(np.float64):
-            cfg = replace(CFG, n_layers=2)
-            model = DualStreamModel(cfg)
-            frames, rig, dt = micro_frame(model)
-            features = model.encode_images(frames[0].images)
-            queries = make_queries(rng, 3)
-            grid = BevGrid(spec=model.bev_spec, cells=model.bev_init,
-                           validity=np.ones(model.bev_spec.dims, bool))
+        cfg = replace(CFG, n_layers=2)
+        model = DualStreamModel(cfg)
+        frames, rig, dt = micro_frame(model)
+        features = model.encode_images(frames[0].images)
+        queries = make_queries(rng, 3)
+        grid = BevGrid(spec=model.bev_spec, cells=model.bev_init,
+                       validity=np.ones(model.bev_spec.dims, bool))
 
-            # a plain sum over a layernorm output with unit gamma is
-            # identically constant, so mix rows with fixed random weights
-            mix = rng.normal(size=(3, L))
-            probe = model.layers[0].obj_self.attn.wq
-            with fresh_tape():
-                latents, grid_out = forward_stack(queries, grid, None, features, rig,
-                                                  model.flags, model.layers, model.ranges, model.pillar_reads)
-                loss = sum_(mul(latents, mix))
-                model.store.zero_grads()
-                backward(loss)
-            assert probe.grad is not None and np.abs(probe.grad).sum() > 0
+        # a plain sum over a layernorm output with unit gamma is
+        # identically constant, so mix rows with fixed random weights
+        mix = rng.normal(size=(3, L))
+        probe = model.layers[0].obj_self.attn.wq
+        with fresh_tape():
+            latents, grid_out = forward_stack(queries, grid, None, features, rig,
+                                              model.flags, model.layers, model.ranges, model.pillar_reads)
+            loss = sum_(mul(latents, mix))
+            model.store.zero_grads()
+            backward(loss)
+        assert probe.grad is not None and np.abs(probe.grad).sum() > 0
 
-            # finite differences directly on the layer-0 parameter object;
-            # fn re-reads the probe tensor each evaluation
-            def fn(w):
-                out, _ = forward_stack(queries, grid, None, features, rig,
-                                       model.flags, model.layers, model.ranges, model.pillar_reads)
-                return sum_(mul(out, mix))
+        # finite differences directly on the layer-0 parameter object;
+        # fn re-reads the probe tensor each evaluation
+        def fn(w):
+            out, _ = forward_stack(queries, grid, None, features, rig,
+                                   model.flags, model.layers, model.ranges, model.pillar_reads)
+            return sum_(mul(out, mix))
 
-            err = finite_diff_check(fn, [probe], eps=1e-5, coord_limit=12)
-            assert err <= 1e-4
+        err = finite_diff_check(fn, [probe], eps=1e-5, coord_limit=12)
+        assert err <= 1e-4
 
 
 
@@ -317,7 +303,7 @@ def step_frames(frames, rigs, dt, fresh):
     for frame, rig in zip(frames, rigs):
         if fresh:
             model = micro_model()
-        with use_dtype(np.float64), no_grad():
+        with no_grad():
             res = model.forward_frame(frame, rig, state, dt)
         state = res.state
         outs.append([res.seg_logits.data.tobytes(), state.memory.latents.data.tobytes(),
@@ -399,9 +385,8 @@ class TestOneFeatureTable:
         frames, rig, dt = micro_frame(model)
         table = model.encode_images(dict.fromkeys(frames[0].images))
         assert table.names == () and table.data.data.shape == (0, L)
-        with use_dtype(np.float64):
-            res = model.forward_frame(replace(frames[0], images=dict.fromkeys(frames[0].images)), rig,
-                                      model.initial_state(), dt)
+        res = model.forward_frame(replace(frames[0], images=dict.fromkeys(frames[0].images)), rig,
+                                  model.initial_state(), dt)
         assert np.isfinite(res.seg_logits.data).all()
 
 
@@ -409,15 +394,14 @@ class TestConfigReachesBlocks:
     def test_pillar_heights_change_bev_output(self):
         from dataclasses import replace
 
-        with use_dtype(np.float64):
-            grids = []
-            for heights in ("-1,0,1,2", "0"):
-                model = DualStreamModel(replace(CFG, pillar_heights=heights))
-                assert model.bev_spec.pillar_heights == tuple(
-                    float(z) for z in heights.split(","))
-                frames, rig, dt = micro_frame(model)
-                res = model.forward_frame(frames[0], rig, model.initial_state(), dt)
-                grids.append(res.state.grid.cells.data)
+        grids = []
+        for heights in ("-1,0,1,2", "0"):
+            model = DualStreamModel(replace(CFG, pillar_heights=heights))
+            assert model.bev_spec.pillar_heights == tuple(
+                float(z) for z in heights.split(","))
+            frames, rig, dt = micro_frame(model)
+            res = model.forward_frame(frames[0], rig, model.initial_state(), dt)
+            grids.append(res.state.grid.cells.data)
         assert np.abs(grids[0] - grids[1]).max() > 1e-6
 
 
@@ -524,16 +508,15 @@ class TestCameraBlocksMatchPerCameraLoop:
     def test_bev_image(self, rng, cams):
         from dualstream.statstream import bev_image_cross_attention
 
-        with use_dtype(np.float64):
-            model = micro_model()
-            frames, rig, _ = micro_frame(model)
-            p = model.layers[0].bev_image
-            grid = make_grid(rng, model.bev_spec)
-            grid.cells.requires_grad = True
-            feats = encode(model, frames[0].images, cams)
-            got = self.run(lambda: bev_image_cross_attention(grid, pillar_reads(grid, feats, rig, p), feats, p).cells,
-                           grid.cells, model, rng)
-            want = self.run(lambda: per_camera_bev_image(grid, feats, rig, p), grid.cells, model, rng)
+        model = micro_model()
+        frames, rig, _ = micro_frame(model)
+        p = model.layers[0].bev_image
+        grid = make_grid(rng, model.bev_spec)
+        grid.cells.requires_grad = True
+        feats = encode(model, frames[0].images, cams)
+        got = self.run(lambda: bev_image_cross_attention(grid, pillar_reads(grid, feats, rig, p), feats, p).cells,
+                       grid.cells, model, rng)
+        want = self.run(lambda: per_camera_bev_image(grid, feats, rig, p), grid.cells, model, rng)
         assert np.abs(got[0] - grid.cells.data).max() > 1e-3   # the cameras contribute
         self.check(got, want)
 
@@ -541,18 +524,17 @@ class TestCameraBlocksMatchPerCameraLoop:
     def test_obj_image(self, rng, cams):
         from dualstream.dynstream import _obj_image_cross_attention
 
-        with use_dtype(np.float64):
-            model = micro_model()
-            frames, rig, _ = micro_frame(model)
-            p = model.layers[0].obj_image
-            q = make_queries(rng, 24, anchors=seen_anchors(rng, rig, 24))
-            q.latents.requires_grad = True
-            feats = encode(model, frames[0].images, cams)
-            got = self.run(lambda: _obj_image_cross_attention(q.latents, anchor_reads(q.anchor_xyz, feats, rig, p),
-                                                              feats, p),
-                           q.latents, model, rng)
-            want = self.run(lambda: per_camera_obj_image(q.latents, q.anchor_xyz, feats, rig, p),
-                            q.latents, model, rng)
-            alone = layernorm(q.latents, p.ln_g, p.ln_b).data
+        model = micro_model()
+        frames, rig, _ = micro_frame(model)
+        p = model.layers[0].obj_image
+        q = make_queries(rng, 24, anchors=seen_anchors(rng, rig, 24))
+        q.latents.requires_grad = True
+        feats = encode(model, frames[0].images, cams)
+        got = self.run(lambda: _obj_image_cross_attention(q.latents, anchor_reads(q.anchor_xyz, feats, rig, p),
+                                                          feats, p),
+                       q.latents, model, rng)
+        want = self.run(lambda: per_camera_obj_image(q.latents, q.anchor_xyz, feats, rig, p),
+                        q.latents, model, rng)
+        alone = layernorm(q.latents, p.ln_g, p.ln_b).data
         assert np.abs(got[0] - alone).max() > 1e-3   # the cameras contribute
         self.check(got, want)

@@ -14,7 +14,7 @@ from util import (
 )
 
 from dualstream.configio import Config
-from dualstream.diffcore import FeatureMap, active_tape, layernorm, use_dtype
+from dualstream.diffcore import FeatureMap, active_tape, layernorm
 from dualstream.dynstream import (
     MotionParams,
     QuerySet,
@@ -164,7 +164,7 @@ class TestQuerySetInvariants:
         both = a + b
         np.testing.assert_array_equal(both.latents.data, np.concatenate([a.latents.data, b.latents.data]))
         assert both.ids.tolist() == [0, 1, 7, 8, 9]
-        assert (a + QuerySet.empty(L)) is a and (QuerySet.empty(L) + b) is b
+        assert (a + QuerySet.empty(L, np.float64)) is a and (QuerySet.empty(L, np.float64) + b) is b
 
 
 class TestTapeCountIndependentOfQueryCount:
@@ -184,7 +184,7 @@ class TestTapeCountIndependentOfQueryCount:
         mem = make_queries(rng, n, grad=True)
         params = MotionParams(mlp=make_mlp_params(rng, L + 7, 6, L))
         spawn = spawn_params(rng, n=n)
-        decode = build_decode_params(ParamStore(), "decode", rng, Config(latent_dim=L, decode_hidden=6))
+        decode = build_decode_params(ParamStore(np.float32), "decode", rng, Config(latent_dim=L, decode_hidden=6))
         return (
             self.entries(lambda: spawn_queries(n, spawn, RANGES)),
             self.entries(lambda: propagate(mem, Pose.se2(0.1, 1.0, -0.5), 0.5, params)),
@@ -211,54 +211,51 @@ def self_attn_params(rng, identity=False):
 
 class TestObjSelfAttention:
     def test_single_query_residual_form(self, rng):
-        with use_dtype(np.float64):
-            p = self_attn_params(rng)
-            q = make_queries(rng)
-            out = _obj_self_attention(q.latents, q.anchor_xyz, p, RANGES)
-            v = q.latents.data[0] @ p.attn.wv.data + p.attn.bv.data
-            proj = v @ p.attn.wo.data + p.attn.bo.data
-            want = layernorm(t64((q.latents.data[0] + proj)[None, :]), p.ln_g, p.ln_b).data
-            np.testing.assert_allclose(out.data, want, atol=1e-12)
+        p = self_attn_params(rng)
+        q = make_queries(rng)
+        out = _obj_self_attention(q.latents, q.anchor_xyz, p, RANGES)
+        v = q.latents.data[0] @ p.attn.wv.data + p.attn.bv.data
+        proj = v @ p.attn.wo.data + p.attn.bo.data
+        want = layernorm(t64((q.latents.data[0] + proj)[None, :]), p.ln_g, p.ln_b).data
+        np.testing.assert_allclose(out.data, want, atol=1e-12)
 
     def test_permutation_equivariance_bitwise(self, rng):
-        with use_dtype(np.float64):
-            p = self_attn_params(rng)
-            p.pe_w.data = rng.normal(size=p.pe_w.data.shape) * 0.1
-            qs = make_queries(rng, 6)
-            perm = rng.permutation(6)
-            moved = qs.take(perm)
-            out1 = _obj_self_attention(qs.latents, qs.anchor_xyz, p, RANGES).data
-            out2 = _obj_self_attention(moved.latents, moved.anchor_xyz, p, RANGES).data
+        p = self_attn_params(rng)
+        p.pe_w.data = rng.normal(size=p.pe_w.data.shape) * 0.1
+        qs = make_queries(rng, 6)
+        perm = rng.permutation(6)
+        moved = qs.take(perm)
+        out1 = _obj_self_attention(qs.latents, qs.anchor_xyz, p, RANGES).data
+        out2 = _obj_self_attention(moved.latents, moved.anchor_xyz, p, RANGES).data
         np.testing.assert_array_equal(out1[perm], out2)
 
     def test_two_query_hand_unrolled_oracle(self, rng):
-        with use_dtype(np.float64):
-            p = self_attn_params(rng)
-            qs = make_queries(rng, 2)
-            got = _obj_self_attention(qs.latents, qs.anchor_xyz, p, RANGES).data
+        p = self_attn_params(rng)
+        qs = make_queries(rng, 2)
+        got = _obj_self_attention(qs.latents, qs.anchor_xyz, p, RANGES).data
 
-            from dualstream.diffcore.ops import sincos_encoding
-            from dualstream.dynstream import normalize_anchors
+        from dualstream.diffcore.ops import sincos_encoding
+        from dualstream.dynstream import normalize_anchors
 
-            lat = qs.latents.data
-            anch = qs.anchor_xyz
-            pe = sincos_encoding(normalize_anchors(anch, RANGES), 8) @ p.pe_w.data + p.pe_b.data
-            qk = lat + pe
-            dh = L // 2
-            ctx = np.zeros((2, L))
-            qq = qk @ p.attn.wq.data + p.attn.bq.data
-            kk = qk @ p.attn.wk.data + p.attn.bk.data
-            vv = lat @ p.attn.wv.data + p.attn.bv.data
-            for h in range(2):
-                sl = slice(h * dh, (h + 1) * dh)
-                for i in range(2):
-                    s = np.array([qq[i, sl] @ kk[j, sl] for j in range(2)]) / math.sqrt(dh)
-                    w = np.exp(s - s.max())
-                    w /= w.sum()
-                    ctx[i, sl] = w[0] * vv[0, sl] + w[1] * vv[1, sl]
-            attn_out = ctx @ p.attn.wo.data + p.attn.bo.data
-            want = layernorm(t64(lat + attn_out), p.ln_g, p.ln_b).data
-            np.testing.assert_allclose(got, want, atol=1e-5)
+        lat = qs.latents.data
+        anch = qs.anchor_xyz
+        pe = sincos_encoding(normalize_anchors(anch, RANGES), 8) @ p.pe_w.data + p.pe_b.data
+        qk = lat + pe
+        dh = L // 2
+        ctx = np.zeros((2, L))
+        qq = qk @ p.attn.wq.data + p.attn.bq.data
+        kk = qk @ p.attn.wk.data + p.attn.bk.data
+        vv = lat @ p.attn.wv.data + p.attn.bv.data
+        for h in range(2):
+            sl = slice(h * dh, (h + 1) * dh)
+            for i in range(2):
+                s = np.array([qq[i, sl] @ kk[j, sl] for j in range(2)]) / math.sqrt(dh)
+                w = np.exp(s - s.max())
+                w /= w.sum()
+                ctx[i, sl] = w[0] * vv[0, sl] + w[1] * vv[1, sl]
+        attn_out = ctx @ p.attn.wo.data + p.attn.bo.data
+        want = layernorm(t64(lat + attn_out), p.ln_g, p.ln_b).data
+        np.testing.assert_allclose(got, want, atol=1e-5)
 
 
 def front_camera():
@@ -296,90 +293,85 @@ def feature_map(rng, cam, stride=8):
 
 class TestObjImageCrossAttention:
     def test_invisible_everywhere_residual_path(self, rng):
-        with use_dtype(np.float64):
-            p = img_attn_params(rng)
-            cam = front_camera()
-            fm = feature_map(rng, cam)
-            q = make_queries(rng, anchors=[[-5.0, 0.0, 0.0]])  # behind the front camera
-            out = _obj_image_cross_attention(q.latents, anchor_reads(q.anchor_xyz, fm, {"front": cam}, p), fm, p)
-            want = layernorm(q.latents, p.ln_g, p.ln_b).data
-            np.testing.assert_allclose(out.data, want, atol=1e-12)
+        p = img_attn_params(rng)
+        cam = front_camera()
+        fm = feature_map(rng, cam)
+        q = make_queries(rng, anchors=[[-5.0, 0.0, 0.0]])  # behind the front camera
+        out = _obj_image_cross_attention(q.latents, anchor_reads(q.anchor_xyz, fm, {"front": cam}, p), fm, p)
+        want = layernorm(q.latents, p.ln_g, p.ln_b).data
+        np.testing.assert_allclose(out.data, want, atol=1e-12)
 
     def test_degenerate_equals_bilinear_sample(self, rng):
-        with use_dtype(np.float64):
-            p = img_attn_params(rng, degenerate=True)
-            cam = front_camera()
-            fm = feature_map(rng, cam)
-            q = make_queries(rng, anchors=[[8.0, 0.3, 0.2]])
-            out = _obj_image_cross_attention(q.latents, anchor_reads(q.anchor_xyz, fm, {"front": cam}, p), fm, p)
+        p = img_attn_params(rng, degenerate=True)
+        cam = front_camera()
+        fm = feature_map(rng, cam)
+        q = make_queries(rng, anchors=[[8.0, 0.3, 0.2]])
+        out = _obj_image_cross_attention(q.latents, anchor_reads(q.anchor_xyz, fm, {"front": cam}, p), fm, p)
 
-            from dualstream.diffcore import bilinear_sample
-            from dualstream.geom3d import project
+        from dualstream.diffcore import bilinear_sample
+        from dualstream.geom3d import project
 
-            uv, _ = project(cam, q.anchor_xyz[0])
-            coords = np.array([[uv[1] / fm.stride - 0.5, uv[0] / fm.stride - 0.5]])
-            sample = bilinear_sample(fm.data, fm.dims, t64(coords)).data[0]
-            want = layernorm(t64(q.latents.data + sample), p.ln_g, p.ln_b).data
-            np.testing.assert_allclose(out.data, want, atol=1e-10)
+        uv, _ = project(cam, q.anchor_xyz[0])
+        coords = np.array([[uv[1] / fm.stride - 0.5, uv[0] / fm.stride - 0.5]])
+        sample = bilinear_sample(fm.data, fm.dims, t64(coords)).data[0]
+        want = layernorm(t64(q.latents.data + sample), p.ln_g, p.ln_b).data
+        np.testing.assert_allclose(out.data, want, atol=1e-10)
 
     def test_two_cameras_equal_weights_mean(self, rng):
-        with use_dtype(np.float64):
-            p = img_attn_params(rng, degenerate=True)
-            cam_f, cam_b = front_camera(), back_camera()
-            fm_f, fm_b = feature_map(rng, cam_f), feature_map(rng, cam_b)
-            # anchor visible in both: impossible for opposing cameras, so use
-            # two queries and verify against the per-camera bilinear samples
-            # aggregated by the (uniform) softmax over visible cameras.
-            q = make_queries(rng, anchors=[[8.0, 0.0, 0.5]])
-            cams = {"front": cam_f, "back": cam_b}
-            fms = stack_maps(fm_f, fm_b)
-            out = _obj_image_cross_attention(q.latents, anchor_reads(q.anchor_xyz, fms, cams, p), fms, p)
+        p = img_attn_params(rng, degenerate=True)
+        cam_f, cam_b = front_camera(), back_camera()
+        fm_f, fm_b = feature_map(rng, cam_f), feature_map(rng, cam_b)
+        # anchor visible in both: impossible for opposing cameras, so use
+        # two queries and verify against the per-camera bilinear samples
+        # aggregated by the (uniform) softmax over visible cameras.
+        q = make_queries(rng, anchors=[[8.0, 0.0, 0.5]])
+        cams = {"front": cam_f, "back": cam_b}
+        fms = stack_maps(fm_f, fm_b)
+        out = _obj_image_cross_attention(q.latents, anchor_reads(q.anchor_xyz, fms, cams, p), fms, p)
 
-            from dualstream.diffcore import bilinear_sample
-            from dualstream.geom3d import project
+        from dualstream.diffcore import bilinear_sample
+        from dualstream.geom3d import project
 
-            uv, _ = project(cam_f, q.anchor_xyz[0])
-            coords = np.array([[uv[1] / fm_f.stride - 0.5, uv[0] / fm_f.stride - 0.5]])
-            sample = bilinear_sample(fm_f.data, fm_f.dims, t64(coords)).data[0]
-            want = layernorm(t64(q.latents.data + sample), p.ln_g, p.ln_b).data
-            np.testing.assert_allclose(out.data, want, atol=1e-10)
+        uv, _ = project(cam_f, q.anchor_xyz[0])
+        coords = np.array([[uv[1] / fm_f.stride - 0.5, uv[0] / fm_f.stride - 0.5]])
+        sample = bilinear_sample(fm_f.data, fm_f.dims, t64(coords)).data[0]
+        want = layernorm(t64(q.latents.data + sample), p.ln_g, p.ln_b).data
+        np.testing.assert_allclose(out.data, want, atol=1e-10)
 
     def test_forced_equal_weights_mean_of_two_cameras(self, rng):
         # two side-by-side cameras with identical geometry see the anchor at
         # the same pixel; uniform camera weights must average their features
-        with use_dtype(np.float64):
-            p = img_attn_params(rng, degenerate=True)
-            cam_a = front_camera()
-            cam_b = CameraModel(fx=cam_a.fx, fy=cam_a.fy, cx=cam_a.cx, cy=cam_a.cy,
-                                extrinsic=cam_a.extrinsic, width=cam_a.width,
-                                height=cam_a.height, name="front-left")
-            fm_a, fm_b = feature_map(rng, cam_a), feature_map(rng, cam_b)
-            fms = stack_maps(fm_a, fm_b)
-            q = make_queries(rng, anchors=[[8.0, 0.3, 0.2]])
-            out = _obj_image_cross_attention(
-                q.latents, anchor_reads(q.anchor_xyz, fms, {"front": cam_a, "front-left": cam_b}, p), fms, p)
+        p = img_attn_params(rng, degenerate=True)
+        cam_a = front_camera()
+        cam_b = CameraModel(fx=cam_a.fx, fy=cam_a.fy, cx=cam_a.cx, cy=cam_a.cy,
+                            extrinsic=cam_a.extrinsic, width=cam_a.width,
+                            height=cam_a.height, name="front-left")
+        fm_a, fm_b = feature_map(rng, cam_a), feature_map(rng, cam_b)
+        fms = stack_maps(fm_a, fm_b)
+        q = make_queries(rng, anchors=[[8.0, 0.3, 0.2]])
+        out = _obj_image_cross_attention(
+            q.latents, anchor_reads(q.anchor_xyz, fms, {"front": cam_a, "front-left": cam_b}, p), fms, p)
 
-            from dualstream.diffcore import bilinear_sample
-            from dualstream.geom3d import project
+        from dualstream.diffcore import bilinear_sample
+        from dualstream.geom3d import project
 
-            uv, _ = project(cam_a, q.anchor_xyz[0])
-            coords = np.array([[uv[1] / fm_a.stride - 0.5, uv[0] / fm_a.stride - 0.5]])
-            sa = bilinear_sample(fm_a.data, fm_a.dims, t64(coords)).data[0]
-            sb = bilinear_sample(fm_b.data, fm_b.dims, t64(coords)).data[0]
-            want = layernorm(t64(q.latents.data + 0.5 * (sa + sb)), p.ln_g, p.ln_b).data
-            np.testing.assert_allclose(out.data, want, atol=1e-10)
+        uv, _ = project(cam_a, q.anchor_xyz[0])
+        coords = np.array([[uv[1] / fm_a.stride - 0.5, uv[0] / fm_a.stride - 0.5]])
+        sa = bilinear_sample(fm_a.data, fm_a.dims, t64(coords)).data[0]
+        sb = bilinear_sample(fm_b.data, fm_b.dims, t64(coords)).data[0]
+        want = layernorm(t64(q.latents.data + 0.5 * (sa + sb)), p.ln_g, p.ln_b).data
+        np.testing.assert_allclose(out.data, want, atol=1e-10)
 
     def test_permutation_equivariance_bitwise(self, rng):
-        with use_dtype(np.float64):
-            p = img_attn_params(rng)
-            cam = front_camera()
-            fm = feature_map(rng, cam)
-            anchors = np.stack([rng.uniform(4, 12, 5), rng.uniform(-2, 2, 5), np.zeros(5)], axis=1)
-            qs = make_queries(rng, 5, anchors=anchors)
-            perm = rng.permutation(5)
-            moved = qs.take(perm)
-            out1 = _obj_image_cross_attention(qs.latents, anchor_reads(qs.anchor_xyz, fm, {"front": cam}, p),
-                                              fm, p).data
-            out2 = _obj_image_cross_attention(moved.latents, anchor_reads(moved.anchor_xyz, fm, {"front": cam}, p),
-                                              fm, p).data
+        p = img_attn_params(rng)
+        cam = front_camera()
+        fm = feature_map(rng, cam)
+        anchors = np.stack([rng.uniform(4, 12, 5), rng.uniform(-2, 2, 5), np.zeros(5)], axis=1)
+        qs = make_queries(rng, 5, anchors=anchors)
+        perm = rng.permutation(5)
+        moved = qs.take(perm)
+        out1 = _obj_image_cross_attention(qs.latents, anchor_reads(qs.anchor_xyz, fm, {"front": cam}, p),
+                                          fm, p).data
+        out2 = _obj_image_cross_attention(moved.latents, anchor_reads(moved.anchor_xyz, fm, {"front": cam}, p),
+                                          fm, p).data
         np.testing.assert_array_equal(out1[perm], out2)

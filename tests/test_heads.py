@@ -7,7 +7,7 @@ from check import finite_diff_check
 from util import t64
 
 from dualstream.configio import Config
-from dualstream.diffcore import Tensor, active_tape, use_dtype
+from dualstream.diffcore import Tensor, active_tape
 from dualstream.diffcore.tensor import ShapeError
 from dualstream.dynstream import MotionParams, QuerySet, propagate
 from dualstream.geom3d import BoundingBox3D, Pose
@@ -32,8 +32,8 @@ RANGES = np.array([[-16.0, -16.0, -3.0], [16.0, 16.0, 3.0]])
 L = 8
 
 
-def decode_params(seed=0, zero=False):
-    store = ParamStore()
+def decode_params(seed=0, zero=False, dtype=np.float64):
+    store = ParamStore(dtype)
     cfg = Config(latent_dim=L, decode_hidden=6)
     p = build_decode_params(store, "decode", np.random.default_rng(seed), cfg)
     if zero:
@@ -51,58 +51,53 @@ def queries(rng, n=1, anchors=None):
 
 class TestDecodeBoxes:
     def test_zero_head_decodes_anchor_prior_zero_yaw(self, rng):
-        with use_dtype(np.float64):
-            p = decode_params(zero=True)
-            qs = queries(rng, anchors=[[2.0, -1.0, 0.3]])
-            _, dets = decode_boxes(qs, qs.latents, p)
-            d = dets[0]
-            np.testing.assert_allclose(d.box.center, [2.0, -1.0, 0.3], atol=1e-12)
-            np.testing.assert_allclose(d.box.size, p.size_prior, atol=1e-12)
-            assert d.box.yaw == pytest.approx(math.atan2(0.0, 1.0), abs=1e-12)
+        p = decode_params(zero=True)
+        qs = queries(rng, anchors=[[2.0, -1.0, 0.3]])
+        _, dets = decode_boxes(qs, qs.latents, p)
+        d = dets[0]
+        np.testing.assert_allclose(d.box.center, [2.0, -1.0, 0.3], atol=1e-12)
+        np.testing.assert_allclose(d.box.size, p.size_prior, atol=1e-12)
+        assert d.box.yaw == pytest.approx(math.atan2(0.0, 1.0), abs=1e-12)
 
     def test_yaw_head_sin_one_gives_half_pi(self, rng):
-        with use_dtype(np.float64):
-            p = decode_params(zero=True)
-            p.b_yaw.data = np.array([1.0, 0.0])
-            qs = queries(rng)
-            _, dets = decode_boxes(qs, qs.latents, p)
-            assert dets[0].box.yaw == pytest.approx(math.pi / 2, abs=1e-12)
+        p = decode_params(zero=True)
+        p.b_yaw.data = np.array([1.0, 0.0])
+        qs = queries(rng)
+        _, dets = decode_boxes(qs, qs.latents, p)
+        assert dets[0].box.yaw == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_decoded_velocity_feeds_propagate_roundtrip(self, rng):
-        with use_dtype(np.float64):
-            p = decode_params()
-            qs = queries(rng, anchors=[[1.0, 2.0, 0.0]])
-            out, dets = decode_boxes(qs, qs.latents, p)
-            vel = dets[0].box.velocity
-            mem = QuerySet(latents=qs.latents, anchors=t64(out.center.data),
-                           velocities=out.velocity.data, scores=out.scores, ids=qs.ids)
-            from util import make_mlp_params
+        p = decode_params()
+        qs = queries(rng, anchors=[[1.0, 2.0, 0.0]])
+        out, dets = decode_boxes(qs, qs.latents, p)
+        vel = dets[0].box.velocity
+        mem = QuerySet(latents=qs.latents, anchors=t64(out.center.data),
+                       velocities=out.velocity.data, scores=out.scores, ids=qs.ids)
+        from util import make_mlp_params
 
-            zero_mlp = MotionParams(mlp=make_mlp_params(np.random.default_rng(0), L + 7, 4, L, zero=True))
-            moved = propagate(mem, Pose.identity(2), 0.5, zero_mlp)
-            want = dets[0].box.center.copy()
-            want[:2] += vel * 0.5
-            np.testing.assert_allclose(moved.anchor_xyz[0], want, atol=1e-12)
+        zero_mlp = MotionParams(mlp=make_mlp_params(np.random.default_rng(0), L + 7, 4, L, zero=True))
+        moved = propagate(mem, Pose.identity(2), 0.5, zero_mlp)
+        want = dets[0].box.center.copy()
+        want[:2] += vel * 0.5
+        np.testing.assert_allclose(moved.anchor_xyz[0], want, atol=1e-12)
 
     def test_score_is_sigmoid_of_max_logit(self, rng):
-        with use_dtype(np.float64):
-            p = decode_params()
-            qs = queries(rng, 3)
-            out, dets = decode_boxes(qs, qs.latents, p)
-            for i, d in enumerate(dets):
-                want = 1.0 / (1.0 + math.exp(-float(np.max(out.class_logits.data[i]))))
-                assert d.box.score == pytest.approx(want, abs=1e-12)
-                assert d.box.score == out.scores[i]
-                assert 0.0 <= d.box.score <= 1.0
-                assert d.box.label == int(np.argmax(out.class_logits.data[i]))
+        p = decode_params()
+        qs = queries(rng, 3)
+        out, dets = decode_boxes(qs, qs.latents, p)
+        for i, d in enumerate(dets):
+            want = 1.0 / (1.0 + math.exp(-float(np.max(out.class_logits.data[i]))))
+            assert d.box.score == pytest.approx(want, abs=1e-12)
+            assert d.box.score == out.scores[i]
+            assert 0.0 <= d.box.score <= 1.0
+            assert d.box.label == int(np.argmax(out.class_logits.data[i]))
 
     def test_prior_identity_from_query_ids(self, rng):
-        with use_dtype(np.float64):
-            p = decode_params()
-            qs = queries(rng, 3)
-            qs.ids = np.array([4, -1, 0])
-            _, dets = decode_boxes(qs, qs.latents, p)
-            assert [d.prior_identity for d in dets] == [4, None, 0]
+        p = decode_params()
+        qs = queries(rng, 3)
+        qs.ids = np.array([4, -1, 0])
+        _, dets = decode_boxes(qs, qs.latents, p)
+        assert [d.prior_identity for d in dets] == [4, None, 0]
 
 
 def brute_force_min_cost(cost):
@@ -181,66 +176,62 @@ def take(out, rows):
 
 class TestDetectionLoss:
     def test_perfect_predictions_near_zero(self, rng):
-        with use_dtype(np.float64):
-            p = decode_params()
-            gts = [gt_box([1.0, 2.0, 0.0]), gt_box([-3.0, 0.5, 0.2], label=1)]
-            dets = perfect_detections(gts, p, confident=20.0)
-            w = LossWeights()
-            cost = detection_cost_matrix(dets, gts, RANGES, w, p.size_prior)
-            a = hungarian_match(cost)
-            loss = detection_loss(dets, gts, a, RANGES, w, p.size_prior, n_classes=2)
-            assert float(loss.data) <= 1e-3
+        p = decode_params()
+        gts = [gt_box([1.0, 2.0, 0.0]), gt_box([-3.0, 0.5, 0.2], label=1)]
+        dets = perfect_detections(gts, p, confident=20.0)
+        w = LossWeights()
+        cost = detection_cost_matrix(dets, gts, RANGES, w, p.size_prior)
+        a = hungarian_match(cost)
+        loss = detection_loss(dets, gts, a, RANGES, w, p.size_prior, n_classes=2)
+        assert float(loss.data) <= 1e-3
 
     def test_empty_gt_pure_background_focal(self, rng):
-        with use_dtype(np.float64):
-            p = decode_params()
-            qs = queries(rng, 4)
-            out, _ = decode_boxes(qs, qs.latents, p)
-            a = Assignment(pairs=[], unmatched_preds=list(range(4)), unmatched_gts=[])
-            w = LossWeights()
-            loss = detection_loss(out, [], a, RANGES, w, p.size_prior, n_classes=2)
-            # hand-computed background focal
-            logits = out.class_logits.data
-            pr = 1.0 / (1.0 + np.exp(-logits))
-            want = ((1 - w.focal_alpha) * pr ** w.focal_gamma * np.log1p(np.exp(logits))).sum()
-            assert float(loss.data) == pytest.approx(want, rel=1e-9)
+        p = decode_params()
+        qs = queries(rng, 4)
+        out, _ = decode_boxes(qs, qs.latents, p)
+        a = Assignment(pairs=[], unmatched_preds=list(range(4)), unmatched_gts=[])
+        w = LossWeights()
+        loss = detection_loss(out, [], a, RANGES, w, p.size_prior, n_classes=2)
+        # hand-computed background focal
+        logits = out.class_logits.data
+        pr = 1.0 / (1.0 + np.exp(-logits))
+        want = ((1 - w.focal_alpha) * pr ** w.focal_gamma * np.log1p(np.exp(logits))).sum()
+        assert float(loss.data) == pytest.approx(want, rel=1e-9)
 
     def test_gradients_pass_finite_diff(self, rng):
-        with use_dtype(np.float64):
-            p = decode_params()
-            gts = [gt_box([1.0, 2.0, 0.0]), gt_box([-3.0, 0.5, 0.2], label=1)]
-            qs = queries(rng, 3)
-            latents = Tensor(qs.latents.data.copy(), requires_grad=True)
-            w = LossWeights()
+        p = decode_params()
+        gts = [gt_box([1.0, 2.0, 0.0]), gt_box([-3.0, 0.5, 0.2], label=1)]
+        qs = queries(rng, 3)
+        latents = Tensor(qs.latents.data.copy(), requires_grad=True)
+        w = LossWeights()
 
-            def fn(lat):
-                out, _ = decode_boxes(qs, lat, p)
-                cost = detection_cost_matrix(out, gts, RANGES, w, p.size_prior)
-                a = hungarian_match(cost)
-                return detection_loss(out, gts, a, RANGES, w, p.size_prior, n_classes=2)
+        def fn(lat):
+            out, _ = decode_boxes(qs, lat, p)
+            cost = detection_cost_matrix(out, gts, RANGES, w, p.size_prior)
+            a = hungarian_match(cost)
+            return detection_loss(out, gts, a, RANGES, w, p.size_prior, n_classes=2)
 
-            assert finite_diff_check(fn, [latents], eps=1e-6) <= 1e-4
+        assert finite_diff_check(fn, [latents], eps=1e-6) <= 1e-4
 
     def test_permutation_invariance(self, rng):
-        with use_dtype(np.float64):
-            p = decode_params()
-            gts = [gt_box([1.0, 2.0, 0.0]), gt_box([-3.0, 0.5, 0.2], label=1),
-                   gt_box([4.0, -2.0, 0.1])]
-            qs = queries(rng, 5)
-            dets, _ = decode_boxes(qs, qs.latents, p)
-            w = LossWeights()
+        p = decode_params()
+        gts = [gt_box([1.0, 2.0, 0.0]), gt_box([-3.0, 0.5, 0.2], label=1),
+               gt_box([4.0, -2.0, 0.1])]
+        qs = queries(rng, 5)
+        dets, _ = decode_boxes(qs, qs.latents, p)
+        w = LossWeights()
 
-            def full_loss(dets_, gts_):
-                cost = detection_cost_matrix(dets_, gts_, RANGES, w, p.size_prior)
-                return float(detection_loss(dets_, gts_, hungarian_match(cost), RANGES, w,
-                                            p.size_prior, n_classes=2).data)
+        def full_loss(dets_, gts_):
+            cost = detection_cost_matrix(dets_, gts_, RANGES, w, p.size_prior)
+            return float(detection_loss(dets_, gts_, hungarian_match(cost), RANGES, w,
+                                        p.size_prior, n_classes=2).data)
 
-            base = full_loss(dets, gts)
-            assert full_loss(dets, [gts[2], gts[0], gts[1]]) == pytest.approx(base, rel=1e-12)
-            assert full_loss(take(dets, [3, 1, 4, 0, 2]), gts) == pytest.approx(base, rel=1e-12)
+        base = full_loss(dets, gts)
+        assert full_loss(dets, [gts[2], gts[0], gts[1]]) == pytest.approx(base, rel=1e-12)
+        assert full_loss(take(dets, [3, 1, 4, 0, 2]), gts) == pytest.approx(base, rel=1e-12)
 
     def test_cost_matrix_records_nothing(self, rng):
-        p = decode_params()
+        p = decode_params(dtype=np.float32)
         gts = [gt_box([1.0, 2.0, 0.0]), gt_box([-3.0, 0.5, 0.2], label=1)]
         qs = queries(rng, 4)
         latents = Tensor(qs.latents.data.copy(), requires_grad=True)
@@ -273,10 +264,9 @@ class TestSegmentationLoss:
         assert float(loss.data) == pytest.approx(want, rel=1e-9)
 
     def test_gradcheck(self, rng):
-        with use_dtype(np.float64):
-            gt = (rng.uniform(size=(2, 3, 3)) > 0.5).astype(np.float64)
-            logits = Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
-            assert finite_diff_check(lambda x: segmentation_loss(x, gt), [logits], eps=1e-6) <= 1e-4
+        gt = (rng.uniform(size=(2, 3, 3)) > 0.5).astype(np.float64)
+        logits = Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
+        assert finite_diff_check(lambda x: segmentation_loss(x, gt), [logits], eps=1e-6) <= 1e-4
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

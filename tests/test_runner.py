@@ -4,7 +4,7 @@ import pytest
 from dualstream import runner
 from dualstream.cli import bev_from_config, world_from_config
 from dualstream.configio import Config, config_to_dict
-from dualstream.diffcore import NumericError, use_dtype
+from dualstream.diffcore import NumericError
 from dualstream.heads import TrackerState
 from dualstream.model import DualStreamModel
 from dualstream.synthworld.dataset import Dataset, generate_and_write
@@ -42,8 +42,7 @@ class TestIdentityWriteBack:
 
         monkeypatch.setattr(DualStreamModel, "forward_frame", captured_forward)
         monkeypatch.setattr(TrackerState, "step", even_detections_only)
-        with use_dtype(CFG.np_dtype()):
-            model = DualStreamModel(CFG)
+        model = DualStreamModel(CFG)
         out = runner.run_inference(tiny_dataset, model, CFG)
 
         assert len(steps) == 3
@@ -70,8 +69,7 @@ class TestNonFiniteOutputs:
         ("decode.", "query anchors must be finite"),
     ])
     def test_nan_head_raises_naming_scene_frame_and_output(self, tiny_dataset, params, named):
-        with use_dtype(CFG.np_dtype()):
-            model = DualStreamModel(CFG)
+        model = DualStreamModel(CFG)
         for name, t in model.store.items():
             if name.startswith(params):
                 t.data = np.full_like(t.data, np.nan)

@@ -10,7 +10,7 @@ import pytest
 from check import finite_diff_check
 from scipy import sparse
 
-from dualstream.diffcore import ShapeError, Tensor, backward, fresh_tape, sum_, tanh
+from dualstream.diffcore import ShapeError, Tensor, backward, fresh_tape, mul, sum_, tanh
 from dualstream.diffcore.ops import NEAR_CHUNK, _bilinear_flat, _neighbour_dots, sampling_plan
 
 
@@ -47,7 +47,7 @@ def plan_bilinear(fd, h, w, cd, g):
         coords = Tensor(cd, requires_grad=True)
         out = _bilinear_flat(flat, coords, sampling_plan(cd, h, w, dtype=fd.dtype),
                              Tensor(np.ones(len(cd), dtype=fd.dtype)), np.arange(len(cd) + 1))
-        backward(sum_(out * Tensor(g)))
+        backward(sum_(mul(out, Tensor(g))))
     return out.data, flat.grad, coords.grad
 
 
@@ -204,7 +204,7 @@ def test_chunked_read_backward_matches_the_unchunked_one(rng, n):
     plan = sampling_plan(cd, h, w)
     with fresh_tape():
         flat, coords, wt = (Tensor(x, requires_grad=True) for x in (fd, cd, wts))
-        backward(sum_(_bilinear_flat(flat, coords, plan, wt, starts) * Tensor(g)))
+        backward(sum_(mul(_bilinear_flat(flat, coords, plan, wt, starts), Tensor(g))))
     gv, gw, gc = unchunked_read_backward(fd, g, plan, wts, starts)
     np.testing.assert_array_equal(flat.grad, gv)
     np.testing.assert_array_equal(wt.grad, gw)

@@ -394,7 +394,7 @@ class TestEgoFrameBoxes:
         # exact-velocity propagation lands on the GT next-frame center
         from dualstream.dynstream import MotionParams, QuerySet, propagate
         from dualstream.geom3d import ego_delta
-        from dualstream.diffcore import MlpParams, Tensor, use_dtype
+        from dualstream.diffcore import MlpParams, Tensor
 
         cfg = WorldConfig(duration=6, agents_min=3, agents_max=3, pedestrian_fraction=0.0)
         scene = generate_scene(2, cfg)
@@ -402,17 +402,16 @@ class TestEgoFrameBoxes:
             w1=Tensor(np.zeros((64 + 7, 8))), b1=Tensor(np.zeros(8)),
             w2=Tensor(np.zeros((8, 64))), b2=Tensor(np.zeros(64)),
         )
-        with use_dtype(np.float64):
-            for t in range(scene.duration - 1):
-                boxes_t, ids_t = ego_frame_boxes(scene, t)
-                boxes_t1, ids_t1 = ego_frame_boxes(scene, t + 1)
-                n = len(boxes_t)
-                mem = QuerySet(latents=Tensor(np.zeros((n, 64))),
-                               anchors=Tensor(np.stack([b.center for b in boxes_t])),
-                               velocities=np.stack([b.velocity for b in boxes_t]),
-                               scores=np.ones(n), ids=ids_t)
-                delta = ego_delta(scene.ego_trajectory[t], scene.ego_trajectory[t + 1])
-                moved = propagate(mem, delta, scene.dt, MotionParams(mlp=zeros_mlp))
-                for anchor, tid in zip(moved.anchor_xyz, moved.ids):
-                    want = boxes_t1[ids_t1.index(tid)].center
-                    np.testing.assert_allclose(anchor, want, atol=1e-6)
+        for t in range(scene.duration - 1):
+            boxes_t, ids_t = ego_frame_boxes(scene, t)
+            boxes_t1, ids_t1 = ego_frame_boxes(scene, t + 1)
+            n = len(boxes_t)
+            mem = QuerySet(latents=Tensor(np.zeros((n, 64))),
+                           anchors=Tensor(np.stack([b.center for b in boxes_t])),
+                           velocities=np.stack([b.velocity for b in boxes_t]),
+                           scores=np.ones(n), ids=ids_t)
+            delta = ego_delta(scene.ego_trajectory[t], scene.ego_trajectory[t + 1])
+            moved = propagate(mem, delta, scene.dt, MotionParams(mlp=zeros_mlp))
+            for anchor, tid in zip(moved.anchor_xyz, moved.ids):
+                want = boxes_t1[ids_t1.index(tid)].center
+                np.testing.assert_allclose(anchor, want, atol=1e-6)

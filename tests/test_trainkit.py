@@ -9,7 +9,7 @@ import pytest
 from dualstream import trainkit
 from dualstream.cli import bev_from_config, world_from_config
 from dualstream.configio import Config, config_to_dict
-from dualstream.diffcore import backward, use_dtype
+from dualstream.diffcore import backward
 from dualstream.diffcore.dstn import DstnError, read_tensor, write_tensor
 from dualstream.model import DualStreamModel
 from dualstream.params import ParamStore
@@ -34,8 +34,7 @@ def test_micro_overfit_loss_falls(tmp_path):
     generate_and_write([7], tmp_path, world_from_config(CFG), bev_from_config(CFG),
                        config_echo=config_to_dict(CFG), ranges=CFG.detection_ranges(),
                        image_size=(CFG.image_height, CFG.image_width))
-    with use_dtype(CFG.np_dtype()):
-        model = DualStreamModel(CFG)
+    model = DualStreamModel(CFG)
     result, _ = streaming_train(Dataset(tmp_path), model, CFG)
     per_epoch = result.losses().reshape(CFG.epochs, -1).mean(axis=1)
     assert per_epoch[-1] <= 0.85 * per_epoch[0], per_epoch
@@ -67,8 +66,7 @@ def _tiny(tmp_path):
     generate_and_write([7], tmp_path / "data", world_from_config(cfg), bev_from_config(cfg),
                        config_echo=config_to_dict(cfg), ranges=cfg.detection_ranges(),
                        image_size=(cfg.image_height, cfg.image_width))
-    with use_dtype(cfg.np_dtype()):
-        model = DualStreamModel(cfg)
+    model = DualStreamModel(cfg)
     return cfg, Dataset(tmp_path / "data"), model
 
 
@@ -143,8 +141,7 @@ def test_interrupted_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
 
 
 def test_checkpoint_state_missing_an_entry_is_refused(tmp_path):
-    with use_dtype(CFG.np_dtype()):
-        model = DualStreamModel(CFG)
+    model = DualStreamModel(CFG)
     ckpt = tmp_path / "ckpt"
     save_checkpoint(ckpt, model, OptimizerState.fresh(model.store), CFG, step=0)
     state, meta = read_tensor(ckpt / "state.dstn")
@@ -157,8 +154,7 @@ def test_checkpoint_state_missing_an_entry_is_refused(tmp_path):
 
 @pytest.mark.parametrize("change", ["dtype", "shape"])
 def test_checkpoint_moment_unlike_its_parameter_is_refused(tmp_path, change):
-    with use_dtype(CFG.np_dtype()):
-        model = DualStreamModel(CFG)
+    model = DualStreamModel(CFG)
     ckpt = tmp_path / "ckpt"
     save_checkpoint(ckpt, model, OptimizerState.fresh(model.store), CFG, step=0)
     state, meta = read_tensor(ckpt / "state.dstn")
@@ -201,8 +197,7 @@ def test_checkpoint_of_another_dtype_is_refused(tmp_path):
 
 def test_checkpoint_of_another_parameter_set_is_refused(tmp_path):
     cfg = replace(CFG, interaction="full")
-    with use_dtype(cfg.np_dtype()):
-        model = DualStreamModel(cfg)
+    model = DualStreamModel(cfg)
     # the object-to-image camera logits of an older model, which this one no longer has
     model.store.tensor("layer0.obj_img.cam_w", np.zeros((cfg.latent_dim, 6)))
     save_checkpoint(tmp_path / "ckpt", model, OptimizerState.fresh(model.store), cfg, step=0)
@@ -212,8 +207,7 @@ def test_checkpoint_of_another_parameter_set_is_refused(tmp_path):
 
 
 def test_checkpoint_of_another_bev_layout_is_refused(tmp_path):
-    with use_dtype(CFG.np_dtype()):
-        model = DualStreamModel(CFG)
+    model = DualStreamModel(CFG)
     init = model.store["bev.init"]
     h, w = model.bev_spec.dims
     L = CFG.latent_dim
