@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .configio import Config, ConfigError, config_to_dict, content_hash, load_config, serialize_config
+from .configio import Config, ConfigError, config_to_dict, content_hash, load_config, serialize_config, thread_cap
 from .diffcore.dstn import DstnError, atomic_write_text, read_header, read_json
 from .model import DualStreamModel
 from .runner import assemble_report, run_inference
@@ -38,13 +37,8 @@ EXIT_NUMERIC = 4
 
 
 def effective_workers(cfg: Config) -> int:
-    cap = os.environ.get("DUALSTREAM_THREADS")
-    if cap is None:
-        return cfg.threads
-    try:
-        return max(1, min(cfg.threads, int(cap)))
-    except ValueError:
-        raise ConfigError(f"DUALSTREAM_THREADS must be an integer, got {cap!r}") from None
+    """gen-data's worker count: ``cfg.threads`` capped by ``DUALSTREAM_THREADS``."""
+    return thread_cap(cfg.threads)
 
 
 def world_from_config(cfg: Config) -> WorldConfig:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -34,6 +35,8 @@ class Config:
     # f32 | f64: the dtype of parameters, activations, the tape and gradients;
     # AdamW moments, geometry and decoded boxes and scores stay f64
     dtype: str = "f32"
+    # gen-data's worker count; training runs one thread per scene of a batch,
+    # at most one per CPU of the process's affinity (``trainkit.scene_workers``)
     threads: int = 1
     # world generation
     scene_frames: int = 14
@@ -213,6 +216,18 @@ def config_from_dict(doc: dict) -> Config:
     cfg = replace(Config(), **doc)
     cfg.validate()
     return cfg
+
+
+def thread_cap(workers: int) -> int:
+    """``workers`` capped by the environment's ``DUALSTREAM_THREADS``, and
+    at least 1 when capped."""
+    cap = os.environ.get("DUALSTREAM_THREADS")
+    if cap is None:
+        return workers
+    try:
+        return max(1, min(workers, int(cap)))
+    except ValueError:
+        raise ConfigError(f"DUALSTREAM_THREADS must be an integer, got {cap!r}") from None
 
 
 def content_hash(*chunks: bytes) -> str:

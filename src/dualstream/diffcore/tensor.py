@@ -5,6 +5,17 @@ execution order; ``backward`` replays the tape in reverse, which is a valid
 reverse topological order by construction and therefore bitwise deterministic
 for fixed inputs.
 
+A tape can also hold branches. ``fork`` runs independent calls (a training
+frame's scenes, which share only parameters) each on its own branch tape,
+the first on the calling thread and the others on a thread pool, and holds
+the branches as one entry of the caller's tape. Backward replays that
+entry's branches concurrently, each into gradients of its own. Every
+gradient a branch gives a tensor it did not record (a leaf parameter, or an
+output of an earlier entry) is kept in order and added after all branches
+are done: the later branch first, each branch's in its own reverse order.
+That is the order of one tape holding the branches one after another, so
+gradients are bitwise those of the serial replay.
+
 A tensor's dtype is its data's: a ``Tensor`` holds float32 or float64 and
 refuses anything else. Ops keep their operands' dtype, so a float32 model
 (config ``dtype = "f32"``, the default, given to its ``ParamStore``) has
@@ -16,8 +27,10 @@ given as arrays or numbers are cast to the tensor operand's dtype.
 from __future__ import annotations
 
 import contextlib
+import functools
 import threading
-from typing import Iterable, Sequence, Union
+from concurrent.futures import Executor, wait
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,7 +47,8 @@ class NumericError(ValueError):
 
 
 class Tape:
-    """Ordered record of executed operations with their backward closures.
+    """Ordered record of executed operations with their backward closures,
+    and of forks, each held as one entry (``hold``).
 
     ``drop_before`` prunes entries that can no longer receive gradients
     (used by the streaming trainer once carried state has been detached);
@@ -47,6 +61,10 @@ class Tape:
 
     def record(self, out: "Tensor", backward_fn) -> None:
         self._entries.append((out, backward_fn))
+
+    def hold(self, fork: "_Fork") -> None:
+        """Hold a fork's branches as one entry."""
+        self._entries.append((None, fork))
 
     def position(self) -> int:
         return self._base + len(self._entries)
@@ -105,6 +123,78 @@ class fresh_tape:
     def __exit__(self, *exc):
         _state.tape = self._prev
         return False
+
+
+class _Fork:
+    """Branch tapes recorded side by side, and the pool that replays them."""
+
+    __slots__ = ("branches", "pool")
+
+    def __init__(self, branches: list[Tape], pool: Optional[Executor]):
+        self.branches = branches
+        self.pool = pool
+
+    def replay(self, grads: "_Grads") -> None:
+        """Take each branch's gradients out of ``grads``, replay the branches
+        on the pool, then add what each gave to other tensors back into
+        ``grads``, the later branch first."""
+        reached = []
+        for tape in self.branches:
+            own = {id(out) for out, _ in tape._entries}
+            seeds = _Grads(own)
+            for key in own & grads.keys():
+                seeds[key] = grads.pop(key)
+            if seeds:
+                reached.append((tape._entries, seeds))
+        _run_all([functools.partial(_replay, entries, seeds) for entries, seeds in reached], self.pool)
+        for _, seeds in reversed(reached):
+            for t, g in seeds.out:
+                _accumulate(t, g, grads)
+
+
+def _run_all(jobs: Sequence[Callable], pool: Optional[Executor]) -> list:
+    """The results of ``jobs`` in order: the first runs on this thread, the
+    others on ``pool`` (without one, in turn on this thread). Returns once
+    every started job has finished; if any raised, the first of them in order
+    re-raises its exception."""
+    if pool is None or len(jobs) < 2:
+        return [job() for job in jobs]
+    futures = [pool.submit(job) for job in jobs[1:]]
+    try:
+        return [jobs[0]()] + [f.result() for f in futures]
+    finally:
+        for f in futures:
+            f.cancel()
+        wait(futures)
+
+
+def _on_branch(call: Callable, tape: Tape, grad_enabled: bool):
+    prev = _state.tape, _state.grad_enabled
+    _state.tape, _state.grad_enabled = tape, grad_enabled
+    try:
+        return call()
+    finally:
+        _state.tape, _state.grad_enabled = prev
+
+
+def fork(calls: Sequence[Callable], pool: Optional[Executor] = None) -> list:
+    """Run each of ``calls`` on its own branch tape with this thread's
+    ``grad_enabled``: the first on this thread, the others on ``pool`` (a
+    ``concurrent.futures`` executor; without one, in turn on this thread).
+
+    Returns their results in order once all have finished, and holds the
+    branches as one entry of this thread's tape if any recorded. Backward
+    replays them on the same pool, which must outlive that entry. If a call
+    raised, nothing is held and the first such exception in call order
+    propagates unchanged.
+    """
+    grad_enabled = _state.grad_enabled
+    branches = [Tape() for _ in calls]
+    results = _run_all([functools.partial(_on_branch, call, tape, grad_enabled)
+                        for call, tape in zip(calls, branches)], pool)
+    if any(branches):
+        _state.tape.hold(_Fork(branches, pool))
+    return results
 
 
 class Tensor:
@@ -173,8 +263,24 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray, grads: dict) -> None:
+class _Grads(dict):
+    """Gradients of recorded outputs by id. A branch's (``own`` holding the
+    ids of its outputs) keeps every gradient for any other tensor in
+    ``out``, in order, for its fork to add."""
+
+    __slots__ = ("own", "out")
+
+    def __init__(self, own: Optional[set] = None):
+        super().__init__()
+        self.own = own
+        self.out = None if own is None else []
+
+
+def _accumulate(t: Tensor, g: np.ndarray, grads: _Grads) -> None:
     if not t.requires_grad:
+        return
+    if grads.own is not None and (t._is_leaf or id(t) not in grads.own):
+        grads.out.append((t, g))
         return
     if t._is_leaf:
         t._accum_grad(g)
@@ -190,7 +296,8 @@ def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every reachable requires_grad leaf.
 
     The loss must be scalar. Gradients of intermediates are kept off-tensor
-    so repeated backward calls accumulate exactly once per call.
+    so repeated backward calls accumulate exactly once per call. A held fork
+    replays its branches concurrently (see the module docstring).
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -198,8 +305,16 @@ def backward(loss: Tensor) -> None:
         if loss.requires_grad:
             loss._accum_grad(np.ones_like(loss.data))
         return
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for out, fn in reversed(_state.tape._entries):
+    grads = _Grads()
+    grads[id(loss)] = np.ones_like(loss.data)
+    _replay(_state.tape._entries, grads)
+
+
+def _replay(entries: list, grads: _Grads) -> None:
+    for out, fn in reversed(entries):
+        if out is None:
+            fn.replay(grads)
+            continue
         g = grads.pop(id(out), None)
         if g is None:
             continue

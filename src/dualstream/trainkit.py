@@ -6,14 +6,18 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import product
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
-from .configio import Config, config_from_dict, config_to_dict
-from .diffcore import NumericError, active_tape, backward
+from .configio import Config, config_from_dict, config_to_dict, thread_cap
+from .diffcore import NumericError, active_tape, backward, fork
 from .diffcore.dstn import DstnError, atomic_directory, read_json, read_tensor, write_tensor
 from .diffcore.tensor import add, scale
 from .heads import LossWeights, detection_cost_matrix, detection_loss, hungarian_match, segmentation_loss
@@ -159,6 +163,23 @@ def frame_loss(model: DualStreamModel, result, frame, cfg: Config):
     return det, seg
 
 
+def _scene_frame(model: DualStreamModel, dataset: Dataset, cfg: Config, meta: dict, t: int,
+                 state: StreamState):
+    """One scene's frame ``t`` from its carried ``state``: the new state and
+    the frame's detection and segmentation losses."""
+    frame = dataset.load_frame(meta["id"], t)
+    res = model.forward_frame(frame, dataset.cameras, state, dataset.dt)
+    det, seg = frame_loss(model, res, frame, cfg)
+    return res.state, det, seg
+
+
+def scene_workers(n_scenes: int) -> int:
+    """Threads that train a frame-batch of ``n_scenes`` scenes: one per
+    scene, at most one per CPU the process may run on, capped by
+    ``DUALSTREAM_THREADS``."""
+    return thread_cap(min(n_scenes, len(os.sched_getaffinity(0))))
+
+
 def total_optimizer_steps(dataset: Dataset, cfg: Config) -> int:
     groups = _scene_groups(dataset, cfg)
     per_epoch = sum(min(meta["n_frames"] for meta in group) for group in groups)
@@ -183,11 +204,22 @@ def streaming_train(
     step per frame-batch. Honors the per-frame sensor schedules stored in
     the dataset.
 
+    A frame-batch's scenes run concurrently (``scene_workers`` threads, the
+    calling one included, from one pool per call): each scene's frame load,
+    forward and losses record onto its own branch tape (``diffcore.fork``),
+    and ``backward`` replays one frame's branches concurrently, frames
+    newest first. Combining the scenes' losses, the finiteness checks, the
+    gradient clip, AdamW, ``on_step`` (where a caller may save a
+    checkpoint) and the tape's truncation stay serial on the calling thread,
+    and gradients are summed in the order of one scene after another, so
+    every loss, parameter and moment is bitwise that of a one-thread run.
+
     The training step is the optimizer's: a run goes on from ``opt.step``,
     and the cosine schedule always spans the config's
     ``total_optimizer_steps``. ``epochs`` (by default all of the config's)
     are the epochs run, so a run split into epoch ranges, as a resumed one
-    is, retraces the uninterrupted run exactly.
+    is, retraces the uninterrupted run exactly. The calling thread's tape is
+    empty on return, whether normal or by an exception.
     """
     if dataset.n_scenes() == 0:
         raise ValueError("dataset is empty")
@@ -197,23 +229,24 @@ def streaming_train(
     skip = ("backbone.",) if cfg.freeze_backbone else ()
     horizon = cfg.truncation_horizon
     tape = active_tape()
-
-    for epoch in range(cfg.epochs) if epochs is None else epochs:
-        for group in _scene_groups(dataset, cfg):
+    groups = _scene_groups(dataset, cfg)
+    workers = scene_workers(max(len(group) for group in groups))
+    pool = ThreadPoolExecutor(workers - 1, thread_name_prefix="scene") if workers > 1 else None
+    try:
+        for epoch, group in product(range(cfg.epochs) if epochs is None else epochs, groups):
             n_frames = min(meta["n_frames"] for meta in group)
             states: list[StreamState] = [model.initial_state() for _ in group]
             for t in range(n_frames):
                 if cfg.sequence_length > 0 and t > 0 and t % cfg.sequence_length == 0:
                     states = [model.initial_state() for _ in group]
                     tape.drop_before(tape.position())
-                det_sum = seg_sum = None
-                for si, meta in enumerate(group):
-                    frame = dataset.load_frame(meta["id"], t)
-                    res = model.forward_frame(frame, dataset.cameras, states[si], dataset.dt)
-                    det, seg = frame_loss(model, res, frame, cfg)
-                    det_sum = det if det_sum is None else add(det_sum, det)
-                    seg_sum = seg if seg_sum is None else add(seg_sum, seg)
-                    states[si] = res.state
+                scenes = fork([partial(_scene_frame, model, dataset, cfg, meta, t, state)
+                               for meta, state in zip(group, states)], pool)
+                states = [state for state, _, _ in scenes]
+                det_sum, seg_sum = scenes[0][1:]
+                for _, det, seg in scenes[1:]:
+                    det_sum = add(det_sum, det)
+                    seg_sum = add(seg_sum, seg)
                 det_mean = scale(det_sum, 1.0 / len(group))
                 seg_mean = scale(seg_sum, 1.0 / len(group))
                 loss = add(det_mean, scale(seg_mean, cfg.loss_weight_seg))
@@ -253,6 +286,10 @@ def streaming_train(
                     tape.drop_before(tape.position())
             # scene group finished: drop the whole streaming history
             tape.drop_before(tape.position())
+    finally:
+        tape.drop_before(tape.position())
+        if pool is not None:
+            pool.shutdown()
     return result, opt
 
 

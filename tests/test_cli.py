@@ -1,9 +1,11 @@
 import csv
 import json
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from util import poison_anchors
 
 from dualstream.cli import (
     ABLATION_GRID,
@@ -16,11 +18,13 @@ from dualstream.cli import (
     parse_seeds,
 )
 from dualstream import model as model_mod
+from dualstream import trainkit
 from dualstream.configio import Config, parse_config
 from dualstream.diffcore import Tensor, read_tensor, write_tensor
 from dualstream.geom3d import CAMERA_SLOTS
 from dualstream.model import DualStreamModel
 from dualstream.statstream import segmentation_head
+from dualstream.synthworld.dataset import Dataset
 from dualstream.trainkit import OptimizerState, load_checkpoint, save_checkpoint
 
 CFG = Config(n_layers=1, latent_dim=16, n_queries=8, topk=4, decode_hidden=16, bev_cells=8)
@@ -87,6 +91,21 @@ def test_numeric_failure_is_exit_4(tmp_path, capsys):
     args = ["train", "--config", str(bad), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "run")]
     assert main(args) == EXIT_NUMERIC
     assert "numeric failure: optimizer update at step 0 made a parameter non-finite" in capsys.readouterr().err
+
+
+def test_nan_anchor_in_a_concurrent_scene_is_exit_4(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY, encoding="utf-8")
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data"), "--seeds", "7..8"]) == EXIT_OK
+    monkeypatch.delenv("DUALSTREAM_THREADS", raising=False)
+    monkeypatch.setattr(trainkit.os, "sched_getaffinity", lambda pid: {0, 1})   # two scene threads
+    poison_anchors(monkeypatch, Dataset(tmp_path / "data").scenes[1]["id"], 1)
+    before = threading.active_count()
+    args = ["train", "--config", str(cfg), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "run")]
+    assert main(args) == EXIT_NUMERIC
+    assert "numeric failure: query anchors must be finite" in capsys.readouterr().err
+    assert threading.active_count() == before
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("cap,want", [(None, 4), ("2", 2), ("8", 4), ("0", 1)])

@@ -1,3 +1,4 @@
+import contextlib
 import math
 from dataclasses import fields
 
@@ -675,3 +676,66 @@ def test_mlp_gradcheck(rng):
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     err = finite_diff_check(lambda *i: sum_(tanh(mlp(i[0], MlpParams(*i[1:])))), [x, p.w1, p.b1, p.w2, p.b2])
     assert err <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# branch tapes (``fork``)
+
+def _shared_leaf_grad(rng, run_scenes):
+    """The f32 gradient of a leaf ``w`` that two scenes share, directly and
+    through ``h = 3 w`` recorded before them; ``run_scenes`` runs the
+    per-scene calls and returns their loss terms. Element 0 of every
+    contribution to ``w`` is -0.0, so the first one added is -0.0; the other
+    elements span 16 decades, so their sum depends on its order."""
+    w = Tensor(rng.normal(size=6).astype(np.float32), requires_grad=True)
+    consts = (10.0 ** rng.uniform(-8, 8, size=(2, 2, 6)) * rng.choice([-1, 1], size=(2, 2, 6))).astype(np.float32)
+    consts[:, :, 0] = -0.0
+    with fresh_tape():
+        h = mul(w, 3.0)
+
+        def scene(k):
+            return add(sum_(mul(w, consts[k, 0])), sum_(mul(mul(h, consts[k, 1]), mul(w, 1.0))))
+
+        terms = run_scenes([lambda k=k: scene(k) for k in range(2)])
+        backward(add(terms[0], terms[1]))
+    return w.grad
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_branch_gradients_sum_in_the_single_tape_order(workers):
+    from concurrent.futures import ThreadPoolExecutor
+
+    serial = _shared_leaf_grad(np.random.default_rng(3), lambda calls: [call() for call in calls])
+    assert serial[0] == 0.0 and not np.signbit(serial[0])
+    with ThreadPoolExecutor(1) if workers == 2 else contextlib.nullcontext() as pool:
+        branched = _shared_leaf_grad(np.random.default_rng(3), lambda calls: dc.fork(calls, pool))
+    assert branched.dtype == serial.dtype and branched.tobytes() == serial.tobytes()
+
+
+def test_fork_holds_its_branches_as_one_entry_and_inherits_no_grad():
+    from concurrent.futures import ThreadPoolExecutor
+
+    w = t64(np.ones(3), grad=True)
+    with ThreadPoolExecutor(1) as pool, fresh_tape() as tape:
+        outs = dc.fork([lambda: sum_(w), lambda: sum_(mul(w, w))], pool)
+        assert len(tape) == 1 and all(out.requires_grad for out in outs)
+        with dc.no_grad():
+            outs = dc.fork([lambda: sum_(w), lambda: sum_(mul(w, w))], pool)
+        assert len(tape) == 1 and not any(out.requires_grad for out in outs)
+
+
+def test_fork_reraises_the_first_failing_call_unchanged_and_holds_nothing():
+    from concurrent.futures import ThreadPoolExecutor
+
+    w = t64(np.ones(3), grad=True)
+    errors = [KeyError("scene 1"), KeyError("scene 2")]
+
+    def fail(k):
+        sum_(w)   # records onto the branch before failing
+        raise errors[k - 1]
+
+    with ThreadPoolExecutor(1) as pool, fresh_tape() as tape:
+        with pytest.raises(KeyError) as caught:
+            dc.fork([lambda: sum_(w), lambda: fail(1), lambda: fail(2)], pool)
+        assert caught.value is errors[0]
+        assert len(tape) == 0

@@ -51,6 +51,16 @@ def _train(data, cfg, steps, on_step=lambda row, model, opt: None):
     return losses
 
 
+def _op_entries(entries):
+    """A tape's op entries, with those of the branches it holds."""
+    for out, fn in entries:
+        if out is None:
+            for branch in fn.branches:
+                yield from _op_entries(branch._entries)
+        else:
+            yield out, fn
+
+
 @pytest.mark.parametrize("name", DTYPES)
 def test_training_step_computes_in_the_configured_dtype(data, name):
     want = np.dtype(DTYPES[name])
@@ -59,7 +69,7 @@ def test_training_step_computes_in_the_configured_dtype(data, name):
     def check(row, model, opt):
         entries = active_tape()._entries
         assert entries
-        seen["tape"] = {out.data.dtype for out, _ in entries}
+        seen["tape"] = {out.data.dtype for out, _ in _op_entries(entries)}
         seen["params"] = {t.data.dtype for _, t in model.store.items()}
         seen["grads"] = {t.grad.dtype for _, t in model.store.items() if t.grad is not None}
         seen["moments"] = {m.dtype for m in [*opt.m.values(), *opt.v.values()]}

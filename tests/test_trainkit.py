@@ -1,15 +1,17 @@
 import hashlib
 import json
 import re
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from util import poison_anchors
 
 from dualstream import trainkit
 from dualstream.cli import bev_from_config, world_from_config
 from dualstream.configio import Config, config_to_dict
-from dualstream.diffcore import backward
+from dualstream.diffcore import backward, fresh_tape
 from dualstream.diffcore.dstn import DstnError, read_tensor, write_tensor
 from dualstream.model import DualStreamModel
 from dualstream.params import ParamStore
@@ -86,6 +88,104 @@ def test_non_finite_gradient_raises_naming_the_parameter(tmp_path, monkeypatch):
     # the optimizer never ran, so no parameter took the NaN
     for name, t in model.store.items():
         np.testing.assert_array_equal(t.data, before[name])
+
+
+# three scenes of five frames: two truncation windows, then a sequence reset at frame 4
+SCENES_CFG = replace(CFG, epochs=1, interaction="full", scene_frames=5, truncation_horizon=2, sequence_length=4)
+
+
+@pytest.fixture(scope="module")
+def three_scenes(tmp_path_factory):
+    out = tmp_path_factory.mktemp("scenes") / "data"
+    cfg = SCENES_CFG
+    generate_and_write([7, 8, 9], out, world_from_config(cfg), bev_from_config(cfg),
+                       config_echo=config_to_dict(cfg), ranges=cfg.detection_ranges(),
+                       image_size=(cfg.image_height, cfg.image_width))
+    return Dataset(out)
+
+
+def _scene_workers(monkeypatch, n):
+    """Let training run ``n`` scene threads whatever this machine's CPUs."""
+    monkeypatch.delenv("DUALSTREAM_THREADS", raising=False)
+    monkeypatch.setattr(trainkit.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _scene_thread_alive() -> bool:
+    return any(th.name.startswith("scene") for th in threading.enumerate())
+
+
+# sha256 of each run of the three scenes (its losses as ``float.hex``, then
+# each parameter's name, values and AdamW moments in store order), as one
+# thread trained them before scenes ran concurrently. The pins hold for one
+# numpy/BLAS build, as TRAIN_CANARY's in test_dtype.py do.
+SCENES_CANARY = {
+    ("f32", 2): "6fb55363d7726d1967ff6437b7e716c265ade91b9a52edd7313685e60032812b",
+    ("f32", 3): "d02e32d160e654249f8f9ee694a28857643352ec83d0706aa99bd20bb4561789",
+    ("f64", 2): "6ea8367e210c7984213c09931481c34233d1153ce3774fc03ba544cf42b769e7",
+    ("f64", 3): "4791ed9ac52973fd969b5eda2130a64cb5be5ebeb7ea0429f6ad2bd998c15885",
+}
+
+
+@pytest.mark.parametrize("batch", [2, 3])
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_concurrent_scenes_train_bitwise_as_one_thread(three_scenes, monkeypatch, dtype, batch):
+    cfg = replace(SCENES_CFG, dtype=dtype, batch_scenes=batch)
+
+    def train():
+        model = DualStreamModel(cfg)
+        concurrent = []
+        result, opt = streaming_train(three_scenes, model, cfg,
+                                      on_step=lambda row: concurrent.append(_scene_thread_alive()))
+        state = {name: (t.data, opt.m[name], opt.v[name]) for name, t in model.store.items()}
+        return [row.loss.hex() for row in result.rows], state, concurrent
+
+    _scene_workers(monkeypatch, 2)
+    losses, state, concurrent = train()
+    assert len(losses) == {2: 10, 3: 5}[batch]   # five steps per scene group
+    assert all(concurrent)
+    digest = hashlib.sha256(" ".join(losses).encode())
+    for name, arrays in state.items():
+        digest.update(name.encode())
+        for a in arrays:
+            digest.update(a.tobytes())
+    assert digest.hexdigest() == SCENES_CANARY[dtype, batch]
+    monkeypatch.setenv("DUALSTREAM_THREADS", "1")
+    want_losses, want_state, concurrent = train()
+    assert not any(concurrent)
+    assert losses == want_losses
+    for name, arrays in want_state.items():
+        for got, want in zip(state[name], arrays):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def test_nan_anchor_in_scene_1_raises_numeric_error_leaving_no_thread_or_branch(three_scenes, monkeypatch):
+    _scene_workers(monkeypatch, 2)
+    poison_anchors(monkeypatch, three_scenes.scenes[1]["id"], 1)
+    before = threading.active_count()
+    with fresh_tape() as tape:
+        with pytest.raises(NumericError, match="query anchors must be finite"):
+            streaming_train(three_scenes, DualStreamModel(SCENES_CFG), SCENES_CFG)
+        assert len(tape) == 0
+    assert threading.active_count() == before
+
+
+def test_on_step_exception_propagates_leaving_no_thread_or_branch(three_scenes, monkeypatch):
+    class Stop(Exception):
+        pass
+
+    stop = Stop()
+
+    def on_step(row):
+        assert _scene_thread_alive()
+        raise stop
+
+    _scene_workers(monkeypatch, 2)
+    before = threading.active_count()
+    with fresh_tape() as tape:
+        with pytest.raises(Stop) as caught:
+            streaming_train(three_scenes, DualStreamModel(SCENES_CFG), SCENES_CFG, on_step=on_step)
+        assert caught.value is stop and len(tape) == 0
+    assert threading.active_count() == before
 
 
 def test_optimizer_update_overflow_raises_naming_the_parameter(tmp_path):

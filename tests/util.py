@@ -102,3 +102,26 @@ def make_ln(dim, random=False, rng=None):
     g = (rng.normal(size=dim) + 1.0) if random else np.ones(dim)
     b = rng.normal(size=dim) * 0.1 if random else np.zeros(dim)
     return Tensor(g, requires_grad=True), Tensor(b, requires_grad=True)
+
+
+def poison_anchors(monkeypatch, scene_id, t):
+    """Make frame ``t`` of scene ``scene_id`` run its forward from carried
+    query memory whose anchors are NaN."""
+    from dualstream.model import DualStreamModel
+    from dualstream.synthworld.dataset import Dataset
+
+    load, forward = Dataset.load_frame, DualStreamModel.forward_frame
+
+    def tagged_load(self, sid, ti):
+        frame = load(self, sid, ti)
+        frame.poisoned = (sid, ti) == (scene_id, t)
+        return frame
+
+    def poisoned_forward(self, frame, cameras, state, dt):
+        if frame.poisoned:
+            assert len(state.memory), "no carried memory to poison"
+            state.memory.anchors.data = np.full_like(state.memory.anchors.data, np.nan)
+        return forward(self, frame, cameras, state, dt)
+
+    monkeypatch.setattr(Dataset, "load_frame", tagged_load)
+    monkeypatch.setattr(DualStreamModel, "forward_frame", poisoned_forward)
