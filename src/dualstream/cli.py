@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .configio import Config, ConfigError, config_to_dict, content_hash, load_config, serialize_config, thread_cap
+from .configio import Config, ConfigError, config_to_dict, content_hash, load_config, serialize_config, worker_count
 from .diffcore.dstn import DstnError, atomic_write_text, read_header, read_json
 from .model import DualStreamModel
 from .runner import assemble_report, run_inference
@@ -34,11 +34,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
-
-
-def effective_workers(cfg: Config) -> int:
-    """gen-data's worker count: ``cfg.threads`` capped by ``DUALSTREAM_THREADS``."""
-    return thread_cap(cfg.threads)
 
 
 def world_from_config(cfg: Config) -> WorldConfig:
@@ -111,7 +106,7 @@ def cmd_gen_data(args) -> int:
         seeds, out, world_from_config(cfg), bev_from_config(cfg),
         config_echo=config_to_dict(cfg), ranges=cfg.detection_ranges(),
         schedule_kind=cfg.schedule, image_size=(cfg.image_height, cfg.image_width),
-        workers=effective_workers(cfg),
+        workers=worker_count(len(seeds)),
     )
     write_manifest(out, "gen-data", cfg, seeds[0], config_path=str(args.config))
     n_frames = len(seeds) * cfg.scene_frames

@@ -23,7 +23,7 @@ INTERACTION_MODES = ("full", "none", "bidirectional")
 # the least value of each integer setting
 _MINIMUMS = {
     **dict.fromkeys(("latent_dim", "heads", "n_layers", "patch", "n_points", "n_queries", "n_freqs", "decode_hidden",
-                     "image_height", "image_width", "threads", "batch_scenes"), 1),
+                     "image_height", "image_width", "batch_scenes"), 1),
     "seed": 0, "topk": 0, "sequence_length": 0, "bev_cells": 2,
 }
 
@@ -35,9 +35,8 @@ class Config:
     # f32 | f64: the dtype of parameters, activations, the tape and gradients;
     # AdamW moments, geometry and decoded boxes and scores stay f64
     dtype: str = "f32"
-    # gen-data's worker count; training runs one thread per scene of a batch,
-    # at most one per CPU of the process's affinity (``trainkit.scene_workers``)
-    threads: int = 1
+    # worker counts are not configuration: gen-data and training both take
+    # theirs from the machine (``worker_count``)
     # world generation
     scene_frames: int = 14
     scene_dt: float = 0.5
@@ -218,16 +217,18 @@ def config_from_dict(doc: dict) -> Config:
     return cfg
 
 
-def thread_cap(workers: int) -> int:
-    """``workers`` capped by the environment's ``DUALSTREAM_THREADS``, and
-    at least 1 when capped."""
+def worker_count(jobs: int) -> int:
+    """Workers for ``jobs`` independent jobs (gen-data's scenes, a training
+    frame-batch's scenes): one per job, at most one per CPU the process may
+    run on, capped by the environment's ``DUALSTREAM_THREADS``; at least 1."""
+    workers = min(jobs, len(os.sched_getaffinity(0)))
     cap = os.environ.get("DUALSTREAM_THREADS")
-    if cap is None:
-        return workers
-    try:
-        return max(1, min(workers, int(cap)))
-    except ValueError:
-        raise ConfigError(f"DUALSTREAM_THREADS must be an integer, got {cap!r}") from None
+    if cap is not None:
+        try:
+            workers = min(workers, int(cap))
+        except ValueError:
+            raise ConfigError(f"DUALSTREAM_THREADS must be an integer, got {cap!r}") from None
+    return max(1, workers)
 
 
 def content_hash(*chunks: bytes) -> str:

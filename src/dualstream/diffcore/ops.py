@@ -114,13 +114,6 @@ def gelu(x: Tensor) -> Tensor:
     return _make(data, (x,), bwd)
 
 
-def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    out = matmul(x, w)
-    if b is not None:
-        out = add(out, b)
-    return out
-
-
 @dataclass
 class MlpParams:
     w1: Tensor
@@ -130,7 +123,7 @@ class MlpParams:
 
 
 def mlp(x: Tensor, params: MlpParams) -> Tensor:
-    return linear(gelu(linear(x, params.w1, params.b1)), params.w2, params.b2)
+    return matmul(gelu(matmul(x, params.w1, params.b1)), params.w2, params.b2)
 
 
 @dataclass
@@ -170,15 +163,15 @@ def multi_head_attention(
     def to_heads(t):
         return transpose(reshape(t, (-1, heads, dh)), (1, 0, 2))
 
-    q = to_heads(linear(query, params.wq, params.bq))
-    k = to_heads(linear(key, params.wk, params.bk))
-    v = to_heads(linear(value, params.wv, params.bv))
+    q = to_heads(matmul(query, params.wq, params.bq))
+    k = to_heads(matmul(key, params.wk, params.bk))
+    v = to_heads(matmul(value, params.wv, params.bv))
 
     scores = matmul(q, transpose(k, (0, 2, 1)))
     scores = scale(scores, 1.0 / math.sqrt(dh))
     ctx = matmul(softmax(scores, axis=-1), v)
     merged = reshape(transpose(ctx, (1, 0, 2)), (n_q, dim))
-    return linear(merged, params.wo, params.bo)
+    return matmul(merged, params.wo, params.bo)
 
 
 @dataclass
@@ -368,10 +361,10 @@ def _deformable_core(
         raise ShapeError(f"value table {table.data.shape} is no stack of {h}x{w} grids holding every read's grid")
     refs = np.asarray(reference_points, dtype=np.float64)
     P = params.w_wgt.data.shape[1]
-    vproj = linear(table, params.w_val)
+    vproj = matmul(table, params.w_val)
 
-    offsets = linear(queries, params.w_off, params.b_off)
-    logits = linear(queries, params.w_wgt, params.b_wgt)
+    offsets = matmul(queries, params.w_off, params.b_off)
+    logits = matmul(queries, params.w_wgt, params.b_wgt)
     if not np.array_equal(owner, np.arange(n)):
         pick = sparse.csr_array((np.ones(m, dtype=queries.dtype), owner, np.arange(m + 1)), shape=(m, n))
         offsets, logits = sparse_matmul(pick, offsets), sparse_matmul(pick, logits)
@@ -385,7 +378,7 @@ def _deformable_core(
 
     wts = mul(softmax(add(logits, np.where(kept, 0.0, -1e30)), axis=-1), share[:, None])
     pooled = _bilinear_flat(vproj, coords, plan, wts, np.searchsorted(owner, np.arange(n + 1)) * P)
-    out = add(matmul(pooled, params.w_out), mul(params.b_out, (hits > 0).astype(pooled.dtype)[:, None]))
+    out = matmul(pooled, params.w_out, mul(params.b_out, (hits > 0).astype(pooled.dtype)[:, None]))
     return out, share
 
 
@@ -436,7 +429,7 @@ def patch_embed(images: Tensor, names: tuple[str, ...], patch: int, params: Patc
     x = reshape(images, (k, c, hp, patch, wp, patch))
     x = transpose(x, (0, 2, 4, 1, 3, 5))
     x = reshape(x, (k * hp * wp, c * patch * patch))
-    x = linear(x, params.w_proj, params.b_proj)
+    x = matmul(x, params.w_proj, params.b_proj)
     x = add(x, mlp(layernorm(x, params.ln1_g, params.ln1_b), params.mlp1))
     x = add(x, mlp(layernorm(x, params.ln2_g, params.ln2_b), params.mlp2))
     return FeatureMap(data=x, dims=(hp, wp), stride=patch, names=names)

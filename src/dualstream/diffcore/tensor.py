@@ -411,8 +411,10 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _make(a.data * s, (a,), bwd)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for operands of rank >= 2, with batched leading dims."""
+def matmul(a: Tensor, b: Tensor, bias=None) -> Tensor:
+    """Matrix product for operands of rank >= 2, with batched leading dims,
+    plus ``bias`` (broadcast to the product's shape) if given.
+    Backward gives the bias its gradient first, then ``a``, then ``b``."""
     a = _wrap(a)
     b = _wrap(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -422,8 +424,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as e:
         raise ShapeError(str(e)) from None
     ad, bd = a.data, b.data
+    parents = (a, b)
+    if bias is not None:
+        bias = _wrap(bias, like=a)
+        if bias.ndim > data.ndim or any(s not in (1, d) for s, d in zip(bias.data.shape[::-1], data.shape[::-1])):
+            raise ShapeError(f"bias {bias.data.shape} does not broadcast to the product {data.shape}")
+        data = data + bias.data
+        parents = (a, b, bias)
 
     def bwd(g, grads):
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, _unbroadcast(g, bias.data.shape), grads)
         if a.requires_grad:
             ga = np.matmul(g, bd.swapaxes(-1, -2))
             _accumulate(a, _unbroadcast(ga, ad.shape), grads)
@@ -431,7 +442,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             gb = np.matmul(ad.swapaxes(-1, -2), g)
             _accumulate(b, _unbroadcast(gb, bd.shape), grads)
 
-    return _make(data, (a, b), bwd)
+    return _make(data, parents, bwd)
 
 
 def power(a: Tensor, p: float) -> Tensor:

@@ -20,13 +20,12 @@ from .diffcore import (
     NumericError,
     Tensor,
     layernorm,
-    linear,
     mlp,
     multi_head_attention,
     sigmoid,
     sincos_encoding,
 )
-from .diffcore.tensor import add, concat, getitem, mul, take_rows
+from .diffcore.tensor import add, concat, getitem, matmul, mul, take_rows
 from .geom3d import Pose, rot2
 from .statstream import CameraReadParams, CameraReads, camera_read
 
@@ -196,7 +195,7 @@ def anchor_keys(latents: Tensor, anchors: np.ndarray, params: SetAttnParams, ran
     """The (n, L) latents plus their anchors' projected sincos encodings,
     whose width is ``pe_w``'s row count (3 coordinates x 2 x n_freqs)."""
     enc = sincos_encoding(normalize_anchors(anchors, ranges), params.pe_w.data.shape[0] // 6)
-    return add(latents, linear(Tensor(enc.astype(latents.dtype)), params.pe_w, params.pe_b))
+    return add(latents, matmul(Tensor(enc.astype(latents.dtype)), params.pe_w, params.pe_b))
 
 
 def _obj_self_attention(latents: Tensor, anchors: np.ndarray, params: SetAttnParams, ranges: np.ndarray) -> Tensor:

@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .diffcore import ShapeError, Tensor, gelu, linear, no_grad, sigmoid, softplus
+from .diffcore import ShapeError, Tensor, gelu, matmul, no_grad, sigmoid, softplus
 from .diffcore.tensor import (
     absolute,
     add,
@@ -82,13 +82,13 @@ def decode_boxes(queries: QuerySet, latents: Tensor, params: DecodeParams) -> tu
     """Decode every query latent into a box: center = anchor + bounded
     offset, sizes = exp(logits) * class-free prior, yaw = atan2(sin, cos).
     Returns the batched head outputs and one detection per query."""
-    hidden = gelu(linear(latents, params.w_hidden, params.b_hidden))
-    center = add(queries.anchors, mul(tanh(linear(hidden, params.w_center, params.b_center)),
+    hidden = gelu(matmul(latents, params.w_hidden, params.b_hidden))
+    center = add(queries.anchors, mul(tanh(matmul(hidden, params.w_center, params.b_center)),
                                       params.offset_scale))
-    log_size = linear(hidden, params.w_size, params.b_size)
-    sincos = linear(hidden, params.w_yaw, params.b_yaw)
-    vel = linear(hidden, params.w_vel, params.b_vel)
-    logits = linear(hidden, params.w_cls, params.b_cls)
+    log_size = matmul(hidden, params.w_size, params.b_size)
+    sincos = matmul(hidden, params.w_yaw, params.b_yaw)
+    vel = matmul(hidden, params.w_vel, params.b_vel)
+    logits = matmul(hidden, params.w_cls, params.b_cls)
     # scores and boxes leave the model in float64, the dtype of the geometry,
     # tracker and metrics that consume them
     scores = 1.0 / (1.0 + np.exp(-logits.data.max(axis=1).astype(np.float64)))

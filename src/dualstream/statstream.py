@@ -37,14 +37,13 @@ from .diffcore import (
     Tensor,
     bilinear_sample,
     layernorm,
-    linear,
     mlp,
     reshape,
     sincos_encoding,
     transpose,
 )
 from .diffcore.ops import _deformable_core
-from .diffcore.tensor import add, concat, mul, sparse_matmul
+from .diffcore.tensor import add, concat, matmul, mul, sparse_matmul
 from .geom3d import CameraModel, Pose, invert, project_points
 
 
@@ -304,7 +303,7 @@ def camera_read(queries: Tensor, reads: CameraReads, features: FeatureMap, param
                                   owner=reads.reader, grid_of=reads.cam)
     enc = Tensor(reads.enc * share[:, None])
     hit = np.bincount(reads.reader, weights=share, minlength=n) > 0
-    pe = add(linear(sparse_matmul(reads.pool, enc), params.pe_w), mul(params.pe_b, hit.astype(out.dtype)[:, None]))
+    pe = matmul(sparse_matmul(reads.pool, enc), params.pe_w, mul(params.pe_b, hit.astype(out.dtype)[:, None]))
     return add(out, pe)
 
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -16,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .configio import Config, config_from_dict, config_to_dict, thread_cap
+from .configio import Config, config_from_dict, config_to_dict, worker_count
 from .diffcore import NumericError, active_tape, backward, fork
 from .diffcore.dstn import DstnError, atomic_directory, read_json, read_tensor, write_tensor
 from .diffcore.tensor import add, scale
@@ -173,13 +172,6 @@ def _scene_frame(model: DualStreamModel, dataset: Dataset, cfg: Config, meta: di
     return res.state, det, seg
 
 
-def scene_workers(n_scenes: int) -> int:
-    """Threads that train a frame-batch of ``n_scenes`` scenes: one per
-    scene, at most one per CPU the process may run on, capped by
-    ``DUALSTREAM_THREADS``."""
-    return thread_cap(min(n_scenes, len(os.sched_getaffinity(0))))
-
-
 def total_optimizer_steps(dataset: Dataset, cfg: Config) -> int:
     groups = _scene_groups(dataset, cfg)
     per_epoch = sum(min(meta["n_frames"] for meta in group) for group in groups)
@@ -204,7 +196,7 @@ def streaming_train(
     step per frame-batch. Honors the per-frame sensor schedules stored in
     the dataset.
 
-    A frame-batch's scenes run concurrently (``scene_workers`` threads, the
+    A frame-batch's scenes run concurrently (``worker_count`` threads, the
     calling one included, from one pool per call): each scene's frame load,
     forward and losses record onto its own branch tape (``diffcore.fork``),
     and ``backward`` replays one frame's branches concurrently, frames
@@ -230,7 +222,7 @@ def streaming_train(
     horizon = cfg.truncation_horizon
     tape = active_tape()
     groups = _scene_groups(dataset, cfg)
-    workers = scene_workers(max(len(group) for group in groups))
+    workers = worker_count(max(len(group) for group in groups))
     pool = ThreadPoolExecutor(workers - 1, thread_name_prefix="scene") if workers > 1 else None
     try:
         for epoch, group in product(range(cfg.epochs) if epochs is None else epochs, groups):

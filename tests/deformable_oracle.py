@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from dualstream.diffcore import Tensor, layernorm, linear, sincos_encoding, softmax
+from dualstream.diffcore import Tensor, layernorm, matmul, sincos_encoding, softmax
 from dualstream.diffcore.ops import _bilinear_flat, sampling_plan
 from dualstream.diffcore.tensor import add, concat, mul, reshape, sparse_matmul, sum_, take_rows, transpose
 from dualstream.geom3d import CAMERA_SLOTS, project_points
@@ -72,9 +72,9 @@ def deformable_core(queries, reference_points, value_grid, params, valid_mask: O
     sizes = dims[:, 0] * dims[:, 1]
     bases = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     flats = [transpose(reshape(g, (C, int(s))), (1, 0)) for g, s in zip(grids, sizes)]
-    vproj = linear(flats[0] if len(flats) == 1 else concat(flats, axis=0), params.w_val)
+    vproj = matmul(flats[0] if len(flats) == 1 else concat(flats, axis=0), params.w_val)
 
-    offsets = reshape(linear(queries, params.w_off, params.b_off), (n, P, 2))
+    offsets = reshape(matmul(queries, params.w_off, params.b_off), (n, P, 2))
     coords = reshape(add(offsets, refs[:, None, :]), (n * P, 2))
     g = np.repeat(grid_of, P)
     plan = sampling_plan(coords.data, dims[g, 0], dims[g, 1], base=bases[g], dtype=vproj.dtype)
@@ -85,10 +85,10 @@ def deformable_core(queries, reference_points, value_grid, params, valid_mask: O
     pv = plan.inside if valid_mask is None else plan.valid(np.asarray(valid_mask, dtype=bool).ravel())
     pv = pv.reshape(n, P)
     any_valid = pv.any(axis=1)
-    logits = add(linear(queries, params.w_wgt, params.b_wgt), np.where(pv, 0.0, -1e30))
+    logits = add(matmul(queries, params.w_wgt, params.b_wgt), np.where(pv, 0.0, -1e30))
     wts = softmax(logits, axis=-1)
     pooled = sum_(mul(reshape(wts, (n, P, 1)), sampled), axis=1)
-    out = linear(pooled, params.w_out, params.b_out)
+    out = matmul(pooled, params.w_out, params.b_out)
     return mul(out, any_valid.astype(out.dtype)[:, None]), any_valid
 
 
@@ -137,7 +137,7 @@ def bev_image_cross_attention(grid, features, cameras, params):
                                     camera_grids(features, names), params.deform,
                                     grid_of=pairs // (nz * n))
         enc = sincos_encoding(np.concatenate(pix)[pairs], params.pe_w.data.shape[0] // 4)
-        pe = linear(Tensor(enc.astype(out.dtype)), params.pe_w, params.pe_b)
+        pe = matmul(Tensor(enc.astype(out.dtype)), params.pe_w, params.pe_b)
         out = add(out, mul(pe, anyv.astype(out.dtype)[:, None]))
         total = sparse_matmul(pick.T, out)
         counts = np.bincount(cells, weights=anyv, minlength=n)
@@ -163,7 +163,7 @@ def obj_image_cross_attention(latents, anchors, features, cameras, params):
                                 camera_grids(features, names), params.deform,
                                 query_valid=np.concatenate(valid), grid_of=np.repeat(np.arange(k), n))
     enc = sincos_encoding(np.concatenate(pix), params.pe_w.data.shape[0] // 4)
-    pe = linear(Tensor(enc.astype(out.dtype)), params.pe_w, params.pe_b)
+    pe = matmul(Tensor(enc.astype(out.dtype)), params.pe_w, params.pe_b)
     out = add(out, mul(pe, anyv.astype(out.dtype)[:, None]))
     counts = anyv.reshape(k, n).sum(axis=0)
     combined = mul(sum_(reshape(out, (k, n, L)), axis=0), (1.0 / np.maximum(counts, 1.0))[:, None])

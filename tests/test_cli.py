@@ -1,7 +1,7 @@
 import csv
 import json
+import os
 import threading
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,13 +13,11 @@ from dualstream.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
-    effective_workers,
     main,
     parse_seeds,
 )
 from dualstream import model as model_mod
-from dualstream import trainkit
-from dualstream.configio import Config, parse_config
+from dualstream.configio import Config, parse_config, worker_count
 from dualstream.diffcore import Tensor, read_tensor, write_tensor
 from dualstream.geom3d import CAMERA_SLOTS
 from dualstream.model import DualStreamModel
@@ -98,7 +96,7 @@ def test_nan_anchor_in_a_concurrent_scene_is_exit_4(tmp_path, monkeypatch, capsy
     cfg.write_text(TINY, encoding="utf-8")
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data"), "--seeds", "7..8"]) == EXIT_OK
     monkeypatch.delenv("DUALSTREAM_THREADS", raising=False)
-    monkeypatch.setattr(trainkit.os, "sched_getaffinity", lambda pid: {0, 1})   # two scene threads
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})   # two scene threads
     poison_anchors(monkeypatch, Dataset(tmp_path / "data").scenes[1]["id"], 1)
     before = threading.active_count()
     args = ["train", "--config", str(cfg), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "run")]
@@ -110,11 +108,19 @@ def test_nan_anchor_in_a_concurrent_scene_is_exit_4(tmp_path, monkeypatch, capsy
 
 @pytest.mark.parametrize("cap,want", [(None, 4), ("2", 2), ("8", 4), ("0", 1)])
 def test_thread_cap_applies(monkeypatch, cap, want):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     if cap is None:
         monkeypatch.delenv("DUALSTREAM_THREADS", raising=False)
     else:
         monkeypatch.setenv("DUALSTREAM_THREADS", cap)
-    assert effective_workers(replace(CFG, threads=4)) == want
+    assert worker_count(4) == want
+
+
+@pytest.mark.parametrize("jobs,want", [(1, 1), (2, 2), (5, 2)])
+def test_workers_are_at_most_one_per_cpu(monkeypatch, jobs, want):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3})
+    monkeypatch.delenv("DUALSTREAM_THREADS", raising=False)
+    assert worker_count(jobs) == want
 
 
 def test_non_integer_thread_cap_is_a_config_error(tmp_path, monkeypatch, capsys):

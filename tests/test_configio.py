@@ -13,6 +13,15 @@ def test_unread_key_is_rejected():
         config_from_dict({**config_to_dict(Config()), "seg_lane_width": 1.0})
 
 
+def test_threads_key_is_rejected():
+    # gen-data and training take their worker count from the machine
+    # (``worker_count``), so a ``threads`` key would be silently ignored
+    with pytest.raises(ConfigError, match="threads"):
+        parse_config("threads = 1")
+    with pytest.raises(ConfigError, match="threads"):
+        config_from_dict({**config_to_dict(Config()), "threads": 1})
+
+
 @pytest.mark.parametrize("line", [
     "learning_rate = nan",
     "learning_rate = inf",
@@ -63,7 +72,6 @@ OUT_OF_RANGE = [
     ("bev_extent = nan", "bev_extent must be finite and > 0, got nan"),
     ("n_freqs = -1", "n_freqs must be >= 1, got -1"),
     ("decode_hidden = -1", "decode_hidden must be >= 1, got -1"),
-    ("threads = 0", "threads must be >= 1, got 0"),
     ("batch_scenes = 0", "batch_scenes must be >= 1, got 0"),
     ("sequence_length = -1", "sequence_length must be >= 0, got -1"),
 ]

@@ -16,7 +16,6 @@ from dualstream.diffcore import (
     fresh_tape,
     gelu,
     layernorm,
-    linear,
     mlp,
     multi_head_attention,
     softmax,
@@ -517,7 +516,7 @@ class TestFiniteDiffCheck:
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         b = Tensor(rng.normal(size=(2,)), requires_grad=True)
-        err = finite_diff_check(lambda *i: sum_(linear(*i)), [x, w, b], eps=1e-5)
+        err = finite_diff_check(lambda *i: sum_(matmul(*i)), [x, w, b], eps=1e-5)
         assert err <= 1e-6
 
     def test_corrupted_gradient_flagged(self, rng):
@@ -546,6 +545,9 @@ OPS_FOR_SWEEP = [
     ("sub", lambda rng: _binary(rng, sub)),
     ("mul", lambda rng: _binary(rng, mul)),
     ("matmul", lambda rng: _matmul_case(rng)),
+    ("matmul_bias", lambda rng: _biased_matmul_case(rng)),
+    ("matmul_batched_bias", lambda rng: _biased_matmul_case(rng, batch=(2,))),
+    ("matmul_masked_bias", lambda rng: _biased_matmul_case(rng, masked=True)),
     ("concat", lambda rng: _concat_case(rng)),
     ("slice", lambda rng: _slice_case(rng)),
     ("reshape", lambda rng: _reshape_case(rng)),
@@ -584,6 +586,17 @@ def _matmul_case(rng):
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     return lambda x, y: sum_(tanh(matmul(x, y))), [a, b]
+
+
+def _biased_matmul_case(rng, batch=(), masked=False):
+    """``batch`` leading dims on the left operand; ``masked`` zeroes the
+    (L,) bias on some rows through a full-shape bias, as a deformable read's
+    output bias is zeroed on queries without a hit."""
+    a = Tensor(rng.normal(size=(*batch, 3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=2), requires_grad=True)
+    mask = np.array([1.0, 0.0, 1.0])[:, None]
+    return lambda x, y, z: sum_(tanh(matmul(x, y, mul(z, mask) if masked else z))), [a, w, b]
 
 
 def _attention_case(rng):
@@ -661,7 +674,7 @@ def test_composite_chain_gradcheck(rng):
     x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
 
     def fn(x_, w1_, b1_, g_, b_):
-        return sum_(layernorm(gelu(linear(x_, w1_, b1_)), g_, b_))
+        return sum_(layernorm(gelu(matmul(x_, w1_, b1_)), g_, b_))
 
     assert finite_diff_check(fn, [x, w1, b1, g, b], eps=1e-5) <= 1e-5
 
@@ -676,6 +689,23 @@ def test_mlp_gradcheck(rng):
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     err = finite_diff_check(lambda *i: sum_(tanh(mlp(i[0], MlpParams(*i[1:])))), [x, p.w1, p.b1, p.w2, p.b2])
     assert err <= 1e-4
+
+
+def test_mlp_records_one_entry_per_layer_and_activation(rng):
+    # each affine map is one biased matmul, not a matmul and an add
+    p = MlpParams(*(Tensor(rng.normal(size=s), requires_grad=True) for s in ((4, 8), (8,), (8, 4), (4,))))
+    with fresh_tape() as tape:
+        mlp(Tensor(rng.normal(size=(3, 4))), p)
+        assert len(tape) == 3
+
+
+def test_biased_matmul_is_the_product_plus_the_bias(rng):
+    a, w = rng.normal(size=(2, 3, 4)).astype(np.float32), rng.normal(size=(4, 5)).astype(np.float32)
+    b = rng.normal(size=5).astype(np.float32)
+    np.testing.assert_array_equal(matmul(Tensor(a), Tensor(w), Tensor(b)).data, a @ w + b)
+    for bad in ((3,), (2, 1, 3, 5)):
+        with pytest.raises(ShapeError, match="does not broadcast"):
+            matmul(Tensor(a), Tensor(w), Tensor(np.zeros(bad, dtype=np.float32)))
 
 
 # ---------------------------------------------------------------------------

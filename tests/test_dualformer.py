@@ -408,7 +408,7 @@ class TestConfigReachesBlocks:
 def per_camera_bev_image(grid, features, cameras, p):
     """BEV-to-image attention as one deformable call per camera, each camera's
     pillar hits summed, then the cameras added in name order."""
-    from dualstream.diffcore import linear, sincos_encoding
+    from dualstream.diffcore import matmul, sincos_encoding
     from deformable_oracle import deformable_core as _deformable_core
     from deformable_oracle import camera_table, grid_of_table, scatter_rows
     from dualstream.diffcore.tensor import add, concat, reshape
@@ -432,7 +432,7 @@ def per_camera_bev_image(grid, features, cameras, p):
         if aidx.size:
             pix = sincos_encoding(np.stack([uv[aidx, 0] / cam.width, uv[aidx, 1] / cam.height], axis=1),
                                   p.pe_w.data.shape[0] // 4)
-            out = add(out, scatter_rows(linear(Tensor(pix), p.pe_w, p.pe_b), aidx, nz * n))
+            out = add(out, scatter_rows(matmul(Tensor(pix), p.pe_w, p.pe_b), aidx, nz * n))
         cam_sum = sum_(reshape(out, (nz, n, -1)), axis=0)
         total = cam_sum if total is None else add(total, cam_sum)
         counts += anyv.reshape(nz, n).sum(axis=0)
@@ -443,7 +443,7 @@ def per_camera_bev_image(grid, features, cameras, p):
 def per_camera_obj_image(latents, anchors, features, cameras, p):
     """Object-to-image attention as one deformable call per camera, the
     cameras added in slot order and averaged over those that see each query."""
-    from dualstream.diffcore import linear, sincos_encoding
+    from dualstream.diffcore import matmul, sincos_encoding
     from deformable_oracle import deformable_core as _deformable_core
     from deformable_oracle import camera_table, grid_of_table
     from dualstream.diffcore.tensor import add
@@ -460,7 +460,7 @@ def per_camera_obj_image(latents, anchors, features, cameras, p):
                                      p.deform, query_valid=valid)
         enc = sincos_encoding(np.stack([uv[:, 0] / cam.width, uv[:, 1] / cam.height], axis=1),
                               p.pe_w.data.shape[0] // 4)
-        out = add(out, mul(linear(Tensor(enc), p.pe_w, p.pe_b), anyv.astype(np.float64)[:, None]))
+        out = add(out, mul(matmul(Tensor(enc), p.pe_w, p.pe_b), anyv.astype(np.float64)[:, None]))
         total = out if total is None else add(total, out)
         counts += anyv
     combined = mul(total, (1.0 / np.maximum(counts, 1.0))[:, None])

@@ -292,6 +292,17 @@ class TestDataset:
         for rel in sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*") if p.is_file()):
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
 
+    def test_bytes_do_not_depend_on_workers(self, tmp_path):
+        # gen-data writes one scene per worker thread; the tree must be that of one thread
+        cfg = WorldConfig(duration=2, agents_min=2, agents_max=3)
+        trees = []
+        for workers in (1, 2):
+            root = tmp_path / f"w{workers}"
+            generate_and_write([3, 4, 5], root, cfg, BEV, config_echo={"k": "v"}, ranges=RANGES, workers=workers)
+            trees.append({p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()})
+        assert len(trees[0]) == 7   # three scenes of two frames, and the index
+        assert trees[0] == trees[1]
+
     def test_interrupted_write_leaves_no_partial_dataset(self, tmp_path, monkeypatch):
         from dualstream.synthworld import dataset
 

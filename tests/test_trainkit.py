@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import threading
 from dataclasses import replace
@@ -107,7 +108,7 @@ def three_scenes(tmp_path_factory):
 def _scene_workers(monkeypatch, n):
     """Let training run ``n`` scene threads whatever this machine's CPUs."""
     monkeypatch.delenv("DUALSTREAM_THREADS", raising=False)
-    monkeypatch.setattr(trainkit.os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 def _scene_thread_alive() -> bool:
