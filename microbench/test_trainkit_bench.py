@@ -10,8 +10,10 @@ The store is the default float32 model's 357,351 parameters with a gradient
 on every one, as after a training frame's backward; the moments are float64.
 The training step is ``streaming_train`` over a dataset of two one-frame
 scenes at the default config: both scenes' forward and losses, backward,
-clip and AdamW. The scenes run on ``worker_count(2)`` threads (two on a
-machine with two CPUs; ``DUALSTREAM_THREADS=1`` runs them in turn).
+clip and AdamW. The scenes run on ``worker_count(2)`` runners: on a machine
+with two CPUs, this process and one worker process that each call forks and
+joins, so the fork is part of the time; ``DUALSTREAM_THREADS=1`` runs both
+scenes in this process, in turn, and forks nothing.
 """
 
 from dataclasses import replace

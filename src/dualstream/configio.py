@@ -219,8 +219,9 @@ def config_from_dict(doc: dict) -> Config:
 
 def worker_count(jobs: int) -> int:
     """Workers for ``jobs`` independent jobs (gen-data's scenes, a training
-    frame-batch's scenes): one per job, at most one per CPU the process may
-    run on, capped by the environment's ``DUALSTREAM_THREADS``; at least 1."""
+    frame-batch's scenes, which run on the calling process and forked worker
+    processes): one per job, at most one per CPU the process may run on,
+    capped by the environment's ``DUALSTREAM_THREADS``; at least 1."""
     workers = min(jobs, len(os.sched_getaffinity(0)))
     cap = os.environ.get("DUALSTREAM_THREADS")
     if cap is not None:

@@ -5,16 +5,12 @@ execution order; ``backward`` replays the tape in reverse, which is a valid
 reverse topological order by construction and therefore bitwise deterministic
 for fixed inputs.
 
-A tape can also hold branches. ``fork`` runs independent calls (a training
-frame's scenes, which share only parameters) each on its own branch tape,
-the first on the calling thread and the others on a thread pool, and holds
-the branches as one entry of the caller's tape. Backward replays that
-entry's branches concurrently, each into gradients of its own. Every
-gradient a branch gives a tensor it did not record (a leaf parameter, or an
-output of an earlier entry) is kept in order and added after all branches
-are done: the later branch first, each branch's in its own reverse order.
-That is the order of one tape holding the branches one after another, so
-gradients are bitwise those of the serial replay.
+``leaf_gradients`` replays tapes the same way but hands back each gradient a
+leaf receives, in order, instead of adding it into the leaf's ``grad``.
+Tapes that share only leaves (a training frame's scenes, which share only
+parameters) can so be replayed apart, even in other processes; adding their
+lists with ``add_gradients`` in the order one tape holding them all would
+have replayed them gives gradients bitwise those of that one replay.
 
 A tensor's dtype is its data's: a ``Tensor`` holds float32 or float64 and
 refuses anything else. Ops keep their operands' dtype, so a float32 model
@@ -27,10 +23,8 @@ given as arrays or numbers are cast to the tensor operand's dtype.
 from __future__ import annotations
 
 import contextlib
-import functools
 import threading
-from concurrent.futures import Executor, wait
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -47,11 +41,9 @@ class NumericError(ValueError):
 
 
 class Tape:
-    """Ordered record of executed operations with their backward closures,
-    and of forks, each held as one entry (``hold``).
+    """Ordered record of executed operations with their backward closures.
 
-    ``drop_before`` prunes entries that can no longer receive gradients
-    (used by the streaming trainer once carried state has been detached);
+    ``drop_before`` prunes entries that can no longer receive gradients;
     positions are absolute so marks stay valid across pruning.
     """
 
@@ -61,10 +53,6 @@ class Tape:
 
     def record(self, out: "Tensor", backward_fn) -> None:
         self._entries.append((out, backward_fn))
-
-    def hold(self, fork: "_Fork") -> None:
-        """Hold a fork's branches as one entry."""
-        self._entries.append((None, fork))
 
     def position(self) -> int:
         return self._base + len(self._entries)
@@ -123,78 +111,6 @@ class fresh_tape:
     def __exit__(self, *exc):
         _state.tape = self._prev
         return False
-
-
-class _Fork:
-    """Branch tapes recorded side by side, and the pool that replays them."""
-
-    __slots__ = ("branches", "pool")
-
-    def __init__(self, branches: list[Tape], pool: Optional[Executor]):
-        self.branches = branches
-        self.pool = pool
-
-    def replay(self, grads: "_Grads") -> None:
-        """Take each branch's gradients out of ``grads``, replay the branches
-        on the pool, then add what each gave to other tensors back into
-        ``grads``, the later branch first."""
-        reached = []
-        for tape in self.branches:
-            own = {id(out) for out, _ in tape._entries}
-            seeds = _Grads(own)
-            for key in own & grads.keys():
-                seeds[key] = grads.pop(key)
-            if seeds:
-                reached.append((tape._entries, seeds))
-        _run_all([functools.partial(_replay, entries, seeds) for entries, seeds in reached], self.pool)
-        for _, seeds in reversed(reached):
-            for t, g in seeds.out:
-                _accumulate(t, g, grads)
-
-
-def _run_all(jobs: Sequence[Callable], pool: Optional[Executor]) -> list:
-    """The results of ``jobs`` in order: the first runs on this thread, the
-    others on ``pool`` (without one, in turn on this thread). Returns once
-    every started job has finished; if any raised, the first of them in order
-    re-raises its exception."""
-    if pool is None or len(jobs) < 2:
-        return [job() for job in jobs]
-    futures = [pool.submit(job) for job in jobs[1:]]
-    try:
-        return [jobs[0]()] + [f.result() for f in futures]
-    finally:
-        for f in futures:
-            f.cancel()
-        wait(futures)
-
-
-def _on_branch(call: Callable, tape: Tape, grad_enabled: bool):
-    prev = _state.tape, _state.grad_enabled
-    _state.tape, _state.grad_enabled = tape, grad_enabled
-    try:
-        return call()
-    finally:
-        _state.tape, _state.grad_enabled = prev
-
-
-def fork(calls: Sequence[Callable], pool: Optional[Executor] = None) -> list:
-    """Run each of ``calls`` on its own branch tape with this thread's
-    ``grad_enabled``: the first on this thread, the others on ``pool`` (a
-    ``concurrent.futures`` executor; without one, in turn on this thread).
-
-    Returns their results in order once all have finished, and holds the
-    branches as one entry of this thread's tape if any recorded. Backward
-    replays them on the same pool, which must outlive that entry. If a call
-    raised, nothing is held and the first such exception in call order
-    propagates unchanged.
-    """
-    grad_enabled = _state.grad_enabled
-    branches = [Tape() for _ in calls]
-    results = _run_all([functools.partial(_on_branch, call, tape, grad_enabled)
-                        for call, tape in zip(calls, branches)], pool)
-    if any(branches):
-        _state.tape.hold(_Fork(branches, pool))
-    return results
 
 
 class Tensor:
@@ -264,26 +180,25 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
 
 
 class _Grads(dict):
-    """Gradients of recorded outputs by id. A branch's (``own`` holding the
-    ids of its outputs) keeps every gradient for any other tensor in
-    ``out``, in order, for its fork to add."""
+    """Gradients of recorded outputs by id. With ``leaves`` a list, each
+    gradient a leaf receives is appended to it instead of added into the
+    leaf's ``grad``."""
 
-    __slots__ = ("own", "out")
+    __slots__ = ("leaves",)
 
-    def __init__(self, own: Optional[set] = None):
+    def __init__(self, leaves: Optional[list] = None):
         super().__init__()
-        self.own = own
-        self.out = None if own is None else []
+        self.leaves = leaves
 
 
 def _accumulate(t: Tensor, g: np.ndarray, grads: _Grads) -> None:
     if not t.requires_grad:
         return
-    if grads.own is not None and (t._is_leaf or id(t) not in grads.own):
-        grads.out.append((t, g))
-        return
     if t._is_leaf:
-        t._accum_grad(g)
+        if grads.leaves is None:
+            t._accum_grad(g)
+        else:
+            grads.leaves.append((t, g))
         return
     key = id(t)
     if key in grads:
@@ -296,8 +211,7 @@ def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every reachable requires_grad leaf.
 
     The loss must be scalar. Gradients of intermediates are kept off-tensor
-    so repeated backward calls accumulate exactly once per call. A held fork
-    replays its branches concurrently (see the module docstring).
+    so repeated backward calls accumulate exactly once per call.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -310,15 +224,34 @@ def backward(loss: Tensor) -> None:
     _replay(_state.tape._entries, grads)
 
 
+def leaf_gradients(tapes: Sequence[Tape], seeds: Iterable[tuple[Tensor, np.ndarray]]) -> list[list]:
+    """Replay ``tapes`` (oldest first) newest first, from the gradients
+    ``seeds`` gives their outputs, as ``backward`` replays one tape holding
+    them in turn, and return the ``(leaf, gradient)`` pairs the leaves
+    received instead of adding them into ``grad``: one list per tape, newest
+    first, each in replay order. A seed given to a leaf opens the first list."""
+    grads = _Grads([])
+    for t, g in seeds:
+        _accumulate(t, g, grads)
+    out = []
+    for tape in reversed(tapes):
+        _replay(tape._entries, grads)
+        out.append(grads.leaves)
+        grads.leaves = []
+    return out
+
+
+def add_gradients(pairs: Iterable[tuple[Tensor, np.ndarray]]) -> None:
+    """Add each gradient into its leaf's ``grad``, in the order given."""
+    for t, g in pairs:
+        t._accum_grad(g)
+
+
 def _replay(entries: list, grads: _Grads) -> None:
     for out, fn in reversed(entries):
-        if out is None:
-            fn.replay(grads)
-            continue
         g = grads.pop(id(out), None)
-        if g is None:
-            continue
-        fn(g, grads)
+        if g is not None:
+            fn(g, grads)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
@@ -16,11 +15,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .configio import Config, config_from_dict, config_to_dict, worker_count
-from .diffcore import NumericError, active_tape, backward, fork
+from .diffcore import NumericError, Tape, Tensor, add, add_gradients, fresh_tape, leaf_gradients, scale
 from .diffcore.dstn import DstnError, atomic_directory, read_json, read_tensor, write_tensor
-from .diffcore.tensor import add, scale
 from .heads import LossWeights, detection_cost_matrix, detection_loss, hungarian_match, segmentation_loss
 from .model import DualStreamModel, StreamState
+from .scenepool import DETACH, RESET, ScenePool
 from .synthworld.dataset import Dataset
 
 CHECKPOINT_VERSION = 2
@@ -183,6 +182,16 @@ def _scene_groups(dataset: Dataset, cfg: Config) -> list[list[dict]]:
     return [metas[i:i + size] for i in range(0, len(metas), size)]
 
 
+def backward(tape: Tape, loss: Tensor, scenes: ScenePool) -> None:
+    """Take a step's ``loss``, recorded on ``tape`` from the losses
+    ``scenes.forward`` returned, to the parameters' ``grad``: each scene
+    loss's seed, every scene's replay (here and in the workers) and the sum
+    of their gradients in one tape's order."""
+    (seeds,) = leaf_gradients([tape], [(loss, np.ones_like(loss.data))])
+    # each scene loss enters ``loss`` once, so it gets one seed
+    add_gradients(scenes.backward(dict(seeds)))
+
+
 def streaming_train(
     dataset: Dataset,
     model: DualStreamModel,
@@ -196,22 +205,33 @@ def streaming_train(
     step per frame-batch. Honors the per-frame sensor schedules stored in
     the dataset.
 
-    A frame-batch's scenes run concurrently (``worker_count`` threads, the
-    calling one included, from one pool per call): each scene's frame load,
-    forward and losses record onto its own branch tape (``diffcore.fork``),
-    and ``backward`` replays one frame's branches concurrently, frames
-    newest first. Combining the scenes' losses, the finiteness checks, the
-    gradient clip, AdamW, ``on_step`` (where a caller may save a
-    checkpoint) and the tape's truncation stay serial on the calling thread,
-    and gradients are summed in the order of one scene after another, so
-    every loss, parameter and moment is bitwise that of a one-thread run.
+    A frame-batch's scenes run on ``worker_count`` runners (a
+    ``scenepool.ScenePool``): scene k on runner k mod runners. Runner 0 is
+    the calling process; the others are processes forked when the call
+    starts and joined when it ends, however it ends. Each runner keeps its
+    scenes' carried state and their tapes, one per frame of the current
+    truncation window, and runs their frame loads, forwards and losses. This
+    process combines the scenes' losses, checks them and derives each
+    scene's det and seg seeds; every runner replays its scenes' windows from
+    them; ``backward`` adds the gradients in the order of one tape holding
+    the scenes one after another: frames newest first, within a frame the
+    later scene first, within a scene its replay order. So every loss,
+    parameter and AdamW moment is bitwise that of a one-runner run. Then
+    this process clips, runs AdamW and calls ``on_step`` (where a caller may
+    save a checkpoint).
+
+    Parameters reach the workers through a shared mapping, written before
+    each frame; a worker copies them out into new arrays, never views, as
+    ``optimizer_step`` makes new ones here, so a window's older tapes keep
+    the values their frames ran with. Gradients come back through a buffer
+    each worker sizes to its largest step.
 
     The training step is the optimizer's: a run goes on from ``opt.step``,
     and the cosine schedule always spans the config's
     ``total_optimizer_steps``. ``epochs`` (by default all of the config's)
     are the epochs run, so a run split into epoch ranges, as a resumed one
-    is, retraces the uninterrupted run exactly. The calling thread's tape is
-    empty on return, whether normal or by an exception.
+    is, retraces the uninterrupted run exactly. Nothing is recorded on the
+    calling thread's tape.
     """
     if dataset.n_scenes() == 0:
         raise ValueError("dataset is empty")
@@ -220,28 +240,26 @@ def streaming_train(
     total_steps = total_optimizer_steps(dataset, cfg)
     skip = ("backbone.",) if cfg.freeze_backbone else ()
     horizon = cfg.truncation_horizon
-    tape = active_tape()
     groups = _scene_groups(dataset, cfg)
     workers = worker_count(max(len(group) for group in groups))
-    pool = ThreadPoolExecutor(workers - 1, thread_name_prefix="scene") if workers > 1 else None
-    try:
-        for epoch, group in product(range(cfg.epochs) if epochs is None else epochs, groups):
+    with ScenePool(model.store, groups, workers, model.initial_state,
+                   partial(_scene_frame, model, dataset, cfg)) as scenes:
+        for epoch, (index, group) in product(range(cfg.epochs) if epochs is None else epochs, enumerate(groups)):
             n_frames = min(meta["n_frames"] for meta in group)
-            states: list[StreamState] = [model.initial_state() for _ in group]
             for t in range(n_frames):
-                if cfg.sequence_length > 0 and t > 0 and t % cfg.sequence_length == 0:
-                    states = [model.initial_state() for _ in group]
-                    tape.drop_before(tape.position())
-                scenes = fork([partial(_scene_frame, model, dataset, cfg, meta, t, state)
-                               for meta, state in zip(group, states)], pool)
-                states = [state for state, _, _ in scenes]
-                det_sum, seg_sum = scenes[0][1:]
-                for _, det, seg in scenes[1:]:
-                    det_sum = add(det_sum, det)
-                    seg_sum = add(seg_sum, seg)
-                det_mean = scale(det_sum, 1.0 / len(group))
-                seg_mean = scale(seg_sum, 1.0 / len(group))
-                loss = add(det_mean, scale(seg_mean, cfg.loss_weight_seg))
+                if t == 0 or (cfg.sequence_length > 0 and t % cfg.sequence_length == 0):
+                    cut = RESET
+                else:
+                    cut = DETACH if t % horizon == 0 else None
+                losses = scenes.forward(index, t, cut)
+                with fresh_tape() as tape:
+                    det_sum, seg_sum = losses[0]
+                    for det, seg in losses[1:]:
+                        det_sum = add(det_sum, det)
+                        seg_sum = add(seg_sum, seg)
+                    det_mean = scale(det_sum, 1.0 / len(group))
+                    seg_mean = scale(seg_sum, 1.0 / len(group))
+                    loss = add(det_mean, scale(seg_mean, cfg.loss_weight_seg))
 
                 step = opt.step
                 loss_val = float(loss.data)
@@ -253,7 +271,7 @@ def streaming_train(
                     )
 
                 model.store.zero_grads()
-                backward(loss)
+                backward(tape, loss, scenes)
                 norm = clip_gradients(model.store, cfg.grad_clip)
                 if not math.isfinite(norm):
                     bad = next((name for name, t in model.store.items()
@@ -272,16 +290,6 @@ def streaming_train(
                 result.rows.append(row)
                 if on_step:
                     on_step(row)
-
-                if (t + 1) % horizon == 0:
-                    states = [s.detached() for s in states]
-                    tape.drop_before(tape.position())
-            # scene group finished: drop the whole streaming history
-            tape.drop_before(tape.position())
-    finally:
-        tape.drop_before(tape.position())
-        if pool is not None:
-            pool.shutdown()
     return result, opt
 
 

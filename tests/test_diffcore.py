@@ -1,4 +1,3 @@
-import contextlib
 import math
 from dataclasses import fields
 
@@ -11,11 +10,13 @@ import dualstream.diffcore as dc
 from dualstream.diffcore import (
     ShapeError,
     Tensor,
+    add_gradients,
     backward,
     bilinear_sample,
     fresh_tape,
     gelu,
     layernorm,
+    leaf_gradients,
     mlp,
     multi_head_attention,
     softmax,
@@ -709,63 +710,69 @@ def test_biased_matmul_is_the_product_plus_the_bias(rng):
 
 
 # ---------------------------------------------------------------------------
-# branch tapes (``fork``)
+# tapes replayed apart (``leaf_gradients``, ``add_gradients``)
 
-def _shared_leaf_grad(rng, run_scenes):
-    """The f32 gradient of a leaf ``w`` that two scenes share, directly and
-    through ``h = 3 w`` recorded before them; ``run_scenes`` runs the
-    per-scene calls and returns their loss terms. Element 0 of every
-    contribution to ``w`` is -0.0, so the first one added is -0.0; the other
-    elements span 16 decades, so their sum depends on its order."""
+def _shared_leaf_grad(rng, frames, apart):
+    """The f32 gradient of a leaf ``w`` that two scenes share, over
+    ``frames`` frames: each frame reaches w directly and through ``h``, which
+    is ``3 w`` in frame 0 and carried from the scene's previous frame after
+    it. Recorded on one tape (``apart`` false) or on one tape per scene and
+    frame, replayed per scene and merged in the one-tape order. Element 0 of
+    every contribution to ``w`` is -0.0, so the first one added is -0.0; the
+    other elements span 16 decades, so their sum depends on its order."""
     w = Tensor(rng.normal(size=6).astype(np.float32), requires_grad=True)
-    consts = (10.0 ** rng.uniform(-8, 8, size=(2, 2, 6)) * rng.choice([-1, 1], size=(2, 2, 6))).astype(np.float32)
-    consts[:, :, 0] = -0.0
-    with fresh_tape():
-        h = mul(w, 3.0)
+    consts = (10.0 ** rng.uniform(-8, 8, size=(frames, 2, 2, 6))
+              * rng.choice([-1, 1], size=(frames, 2, 2, 6))).astype(np.float32)
+    consts[..., 0] = -0.0
+    carried: list = [None, None]
+    tapes: list = [[], []]
 
-        def scene(k):
-            return add(sum_(mul(w, consts[k, 0])), sum_(mul(mul(h, consts[k, 1]), mul(w, 1.0))))
+    def frame(f, k):
+        h = mul(w, 3.0) if carried[k] is None else carried[k]
+        carried[k] = mul(h, 1.0)
+        return add(sum_(mul(w, consts[f, k, 0])), sum_(mul(mul(h, consts[f, k, 1]), mul(w, 1.0))))
 
-        terms = run_scenes([lambda k=k: scene(k) for k in range(2)])
-        backward(add(terms[0], terms[1]))
+    if not apart:
+        with fresh_tape():
+            for f in range(frames):
+                terms = [frame(f, k) for k in range(2)]
+            backward(add(terms[0], terms[1]))
+        return w.grad
+    for f in range(frames):
+        terms = []
+        for k in range(2):
+            with fresh_tape() as tape:
+                terms.append(frame(f, k))
+            tapes[k].append(tape)
+    stand_ins = [Tensor(term.data, requires_grad=True) for term in terms]
+    with fresh_tape() as tape:
+        loss = add(stand_ins[0], stand_ins[1])
+    (seeds,) = leaf_gradients([tape], [(loss, np.ones_like(loss.data))])
+    assert [t for t, _ in seeds] == stand_ins and w.grad is None
+    scenes = [leaf_gradients(tapes[k], [(terms[k], g)]) for k, (_, g) in enumerate(seeds)]
+    assert w.grad is None
+    add_gradients(pair for f in range(frames) for k in (1, 0) for pair in scenes[k][f])
     return w.grad
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_branch_gradients_sum_in_the_single_tape_order(workers):
-    from concurrent.futures import ThreadPoolExecutor
-
-    serial = _shared_leaf_grad(np.random.default_rng(3), lambda calls: [call() for call in calls])
+@pytest.mark.parametrize("frames", [1, 2])
+def test_scene_gradients_replayed_apart_sum_in_the_single_tape_order(frames):
+    serial = _shared_leaf_grad(np.random.default_rng(3), frames, apart=False)
     assert serial[0] == 0.0 and not np.signbit(serial[0])
-    with ThreadPoolExecutor(1) if workers == 2 else contextlib.nullcontext() as pool:
-        branched = _shared_leaf_grad(np.random.default_rng(3), lambda calls: dc.fork(calls, pool))
-    assert branched.dtype == serial.dtype and branched.tobytes() == serial.tobytes()
+    merged = _shared_leaf_grad(np.random.default_rng(3), frames, apart=True)
+    assert merged.dtype == serial.dtype and merged.tobytes() == serial.tobytes()
 
 
-def test_fork_holds_its_branches_as_one_entry_and_inherits_no_grad():
-    from concurrent.futures import ThreadPoolExecutor
-
+def test_leaf_gradients_hand_back_what_backward_would_add():
     w = t64(np.ones(3), grad=True)
-    with ThreadPoolExecutor(1) as pool, fresh_tape() as tape:
-        outs = dc.fork([lambda: sum_(w), lambda: sum_(mul(w, w))], pool)
-        assert len(tape) == 1 and all(out.requires_grad for out in outs)
-        with dc.no_grad():
-            outs = dc.fork([lambda: sum_(w), lambda: sum_(mul(w, w))], pool)
-        assert len(tape) == 1 and not any(out.requires_grad for out in outs)
-
-
-def test_fork_reraises_the_first_failing_call_unchanged_and_holds_nothing():
-    from concurrent.futures import ThreadPoolExecutor
-
-    w = t64(np.ones(3), grad=True)
-    errors = [KeyError("scene 1"), KeyError("scene 2")]
-
-    def fail(k):
-        sum_(w)   # records onto the branch before failing
-        raise errors[k - 1]
-
-    with ThreadPoolExecutor(1) as pool, fresh_tape() as tape:
-        with pytest.raises(KeyError) as caught:
-            dc.fork([lambda: sum_(w), lambda: fail(1), lambda: fail(2)], pool)
-        assert caught.value is errors[0]
-        assert len(tape) == 0
+    with fresh_tape() as first:
+        a = mul(w, 2.0)
+    with fresh_tape() as second:
+        b = sum_(mul(a, w))
+    newest, oldest = leaf_gradients([first, second], [(b, np.float64(1.0)), (w, np.full(3, 5.0))])
+    assert w.grad is None
+    # the seed given to the leaf opens the newest tape's list
+    assert [t for t, _ in newest] == [w, w] and [t for t, _ in oldest] == [w]
+    np.testing.assert_array_equal(np.stack([g for _, g in newest + oldest]), [[5.0] * 3, [2.0] * 3, [2.0] * 3])
+    add_gradients(newest + oldest)
+    np.testing.assert_array_equal(w.grad, [9.0] * 3)

@@ -9,7 +9,7 @@ import pytest
 
 from dualstream.cli import bev_from_config, world_from_config
 from dualstream.configio import Config, config_to_dict
-from dualstream.diffcore import active_tape, fresh_tape, no_grad
+from dualstream.diffcore import Tape, fresh_tape, no_grad
 from dualstream.model import DualStreamModel
 from dualstream.params import ParamStore
 from dualstream.synthworld.dataset import Dataset, generate_and_write
@@ -51,29 +51,24 @@ def _train(data, cfg, steps, on_step=lambda row, model, opt: None):
     return losses
 
 
-def _op_entries(entries):
-    """A tape's op entries, with those of the branches it holds."""
-    for out, fn in entries:
-        if out is None:
-            for branch in fn.branches:
-                yield from _op_entries(branch._entries)
-        else:
-            yield out, fn
-
-
 @pytest.mark.parametrize("name", DTYPES)
-def test_training_step_computes_in_the_configured_dtype(data, name):
+def test_training_step_computes_in_the_configured_dtype(data, name, monkeypatch):
     want = np.dtype(DTYPES[name])
-    seen = {}
+    seen = {"tape": set()}
+    record = Tape.record
+
+    def recorded(tape, out, fn):
+        seen["tape"].add(out.data.dtype)
+        record(tape, out, fn)
 
     def check(row, model, opt):
-        entries = active_tape()._entries
-        assert entries
-        seen["tape"] = {out.data.dtype for out, _ in _op_entries(entries)}
         seen["params"] = {t.data.dtype for _, t in model.store.items()}
         seen["grads"] = {t.grad.dtype for _, t in model.store.items() if t.grad is not None}
         seen["moments"] = {m.dtype for m in [*opt.m.values(), *opt.v.values()]}
 
+    # one runner, so that every entry is recorded in this process
+    monkeypatch.setenv("DUALSTREAM_THREADS", "1")
+    monkeypatch.setattr(Tape, "record", recorded)
     _train(data, replace(CFG, dtype=name), 1, check)
     assert seen["tape"] == {want}
     assert seen["params"] == {want}

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import re
-import threading
+import signal
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -12,11 +14,12 @@ from util import poison_anchors
 from dualstream import trainkit
 from dualstream.cli import bev_from_config, world_from_config
 from dualstream.configio import Config, config_to_dict
-from dualstream.diffcore import backward, fresh_tape
+from dualstream.diffcore import fresh_tape
 from dualstream.diffcore.dstn import DstnError, read_tensor, write_tensor
 from dualstream.model import DualStreamModel
 from dualstream.params import ParamStore
 from dualstream.runner import assemble_report, run_inference
+from dualstream.scenepool import WorkerDied, WorkerTraceback
 from dualstream.synthworld.dataset import Dataset, generate_and_write
 from dualstream.trainkit import (
     NumericError,
@@ -77,9 +80,10 @@ def test_non_finite_gradient_raises_naming_the_parameter(tmp_path, monkeypatch):
     cfg, data, model = _tiny(tmp_path)
     victim = model.store.names()[5]
     params = dict(model.store.items())
+    merge = trainkit.backward
 
-    def poisoned_backward(loss):
-        backward(loss)
+    def poisoned_backward(*args):
+        merge(*args)
         params[victim].grad.reshape(-1)[0] = np.nan
 
     monkeypatch.setattr(trainkit, "backward", poisoned_backward)
@@ -106,13 +110,9 @@ def three_scenes(tmp_path_factory):
 
 
 def _scene_workers(monkeypatch, n):
-    """Let training run ``n`` scene threads whatever this machine's CPUs."""
+    """Let training run ``n`` scene runners whatever this machine's CPUs."""
     monkeypatch.delenv("DUALSTREAM_THREADS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-def _scene_thread_alive() -> bool:
-    return any(th.name.startswith("scene") for th in threading.enumerate())
 
 
 # sha256 of each run of the three scenes (its losses as ``float.hex``, then
@@ -134,25 +134,26 @@ def test_concurrent_scenes_train_bitwise_as_one_thread(three_scenes, monkeypatch
 
     def train():
         model = DualStreamModel(cfg)
-        concurrent = []
+        workers = []
         result, opt = streaming_train(three_scenes, model, cfg,
-                                      on_step=lambda row: concurrent.append(_scene_thread_alive()))
+                                      on_step=lambda row: workers.append(len(multiprocessing.active_children())))
         state = {name: (t.data, opt.m[name], opt.v[name]) for name, t in model.store.items()}
-        return [row.loss.hex() for row in result.rows], state, concurrent
+        return [row.loss.hex() for row in result.rows], state, workers
 
-    _scene_workers(monkeypatch, 2)
-    losses, state, concurrent = train()
+    _scene_workers(monkeypatch, batch)   # one runner per scene: at batch 3, two workers
+    losses, state, workers = train()
     assert len(losses) == {2: 10, 3: 5}[batch]   # five steps per scene group
-    assert all(concurrent)
+    assert workers == [batch - 1] * len(losses)
     digest = hashlib.sha256(" ".join(losses).encode())
     for name, arrays in state.items():
         digest.update(name.encode())
         for a in arrays:
             digest.update(a.tobytes())
     assert digest.hexdigest() == SCENES_CANARY[dtype, batch]
+    assert not multiprocessing.active_children()
     monkeypatch.setenv("DUALSTREAM_THREADS", "1")
-    want_losses, want_state, concurrent = train()
-    assert not any(concurrent)
+    want_losses, want_state, workers = train()
+    assert not any(workers)
     assert losses == want_losses
     for name, arrays in want_state.items():
         for got, want in zip(state[name], arrays):
@@ -162,12 +163,11 @@ def test_concurrent_scenes_train_bitwise_as_one_thread(three_scenes, monkeypatch
 def test_nan_anchor_in_scene_1_raises_numeric_error_leaving_no_thread_or_branch(three_scenes, monkeypatch):
     _scene_workers(monkeypatch, 2)
     poison_anchors(monkeypatch, three_scenes.scenes[1]["id"], 1)
-    before = threading.active_count()
     with fresh_tape() as tape:
         with pytest.raises(NumericError, match="query anchors must be finite"):
             streaming_train(three_scenes, DualStreamModel(SCENES_CFG), SCENES_CFG)
         assert len(tape) == 0
-    assert threading.active_count() == before
+    assert not multiprocessing.active_children()
 
 
 def test_on_step_exception_propagates_leaving_no_thread_or_branch(three_scenes, monkeypatch):
@@ -177,16 +177,88 @@ def test_on_step_exception_propagates_leaving_no_thread_or_branch(three_scenes, 
     stop = Stop()
 
     def on_step(row):
-        assert _scene_thread_alive()
+        assert multiprocessing.active_children()
         raise stop
 
     _scene_workers(monkeypatch, 2)
-    before = threading.active_count()
     with fresh_tape() as tape:
         with pytest.raises(Stop) as caught:
             streaming_train(three_scenes, DualStreamModel(SCENES_CFG), SCENES_CFG, on_step=on_step)
         assert caught.value is stop and len(tape) == 0
-    assert threading.active_count() == before
+    assert not multiprocessing.active_children()
+
+
+def _fail_scenes(monkeypatch, data, failures, frame=1):
+    """Make frame ``frame`` of the scenes at the batch indices ``failures``
+    call ``failures[k]`` instead of running."""
+    run = trainkit._scene_frame
+    index = {meta["id"]: k for k, meta in enumerate(data.scenes)}
+
+    def failing(model, dataset, cfg, meta, t, state):
+        if t == frame and index[meta["id"]] in failures:
+            failures[index[meta["id"]]]()
+        return run(model, dataset, cfg, meta, t, state)
+
+    monkeypatch.setattr(trainkit, "_scene_frame", failing)
+
+
+def test_a_dying_worker_raises_naming_its_scene_and_status(three_scenes, monkeypatch):
+    parent = os.getpid()
+
+    def die():
+        assert os.getpid() != parent, "scene 1 must run in a worker"
+        os._exit(3)
+
+    def timeout(signum, frame):
+        raise TimeoutError("training did not notice its worker dying")
+
+    _scene_workers(monkeypatch, 2)
+    _fail_scenes(monkeypatch, three_scenes, {1: die})
+    cfg = replace(SCENES_CFG, batch_scenes=3)
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    start = time.monotonic()
+    try:
+        with pytest.raises(WorkerDied, match=r"exit status 3 while running scene 1 \(id 1\) "):
+            streaming_train(three_scenes, DualStreamModel(cfg), cfg)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 30
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("failing, want", [((1, 2), 1), ((0, 1), 0)])
+def test_of_two_failing_scenes_the_lower_index_raises(three_scenes, monkeypatch, failing, want):
+    def fail(k):
+        def raise_():
+            raise KeyError(f"scene {k}")
+        return raise_
+
+    _scene_workers(monkeypatch, 2)
+    _fail_scenes(monkeypatch, three_scenes, {k: fail(k) for k in failing})
+    cfg = replace(SCENES_CFG, batch_scenes=3)
+    with fresh_tape() as tape:
+        with pytest.raises(KeyError, match=f"scene {want}") as caught:
+            streaming_train(three_scenes, DualStreamModel(cfg), cfg)
+        assert len(tape) == 0
+    # scene 1 runs in the worker, whose traceback comes along as the cause
+    assert isinstance(caught.value.__cause__, WorkerTraceback) == (want == 1)
+    assert not multiprocessing.active_children()
+
+
+def test_a_worker_exception_that_cannot_be_pickled_arrives_as_its_type_and_message(three_scenes, monkeypatch):
+    class LocalError(Exception):   # a local class: pickle cannot find it by name
+        pass
+
+    def fail():
+        raise LocalError("bad frame")
+
+    _scene_workers(monkeypatch, 2)
+    _fail_scenes(monkeypatch, three_scenes, {1: fail})
+    with pytest.raises(RuntimeError, match=r"LocalError: bad frame$"):
+        streaming_train(three_scenes, DualStreamModel(SCENES_CFG), SCENES_CFG)
+    assert not multiprocessing.active_children()
 
 
 def test_optimizer_update_overflow_raises_naming_the_parameter(tmp_path):
