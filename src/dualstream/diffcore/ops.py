@@ -1,5 +1,13 @@
 """Differentiable building blocks: transformer layers and grid sampling.
 
+Each deformable read and each attention call is one op: a numpy forward
+recording one tape entry, and a hand-written backward that hands every
+input the same arrays in the same order as the replay of the primitive ops
+composing it would (``tests/composed_ops.py`` keeps those, and tests compare
+the two bitwise). So losses, gradients and the order in which leaves get
+them stay the same. The backward reads the arrays of its forward, not
+whatever a parameter holds when a truncation window replays it.
+
 Attention treats its keys as an unordered set: it first puts the (key, value)
 rows in one canonical order, so outputs and parameter gradients are invariant
 at the bit level to permutations of the key set.
@@ -18,6 +26,12 @@ query owns a sorted run of reads of the value table (whose rows
 hit read's share is 1/hits. The shares are folded into the point
 weights too, so pooling over cameras, heights or time is the one read.
 
+The sparse products (a read, its transpose, and each query's sum over its
+sorted reads) run scipy's compiled CSR kernels on the plan's arrays through
+``tensor.csr_product`` and ``csr_product_t``, building no scipy array. The
+kernels do not bound-check and their module is private, so that pair is
+their only caller and checks every index first (``ShapeError``).
+
 A value table has one layout: an H x W grid of C channels is stored
 row-major as an (H*W, C) tensor, cell (i, j) in row i*W + j, with its (H, W)
 dims alongside; G grids of one (H, W) stack as one (G*H*W, C) table, grid g
@@ -32,7 +46,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 
 from .tensor import (
     ShapeError,
@@ -42,32 +55,12 @@ from .tensor import (
     _unbroadcast,
     _wrap,
     add,
+    csr_product,
+    csr_product_t,
     matmul,
-    mul,
     reshape,
-    scale,
-    sparse_matmul,
-    take_rows,
     transpose,
 )
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stabilized softmax along ``axis``.
-
-    Max-subtraction uses detached values, which leaves both the forward
-    value and the Jacobian of softmax unchanged.
-    """
-    m = np.max(x.data, axis=axis, keepdims=True)
-    e = np.exp(x.data - m)
-    s = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g, grads):
-        tmp = g * s
-        dot = tmp.sum(axis=axis, keepdims=True)
-        _accumulate(x, tmp - s * dot, grads)
-
-    return _make(s, (x,), bwd)
 
 
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -138,6 +131,38 @@ class AttentionParams:
     bo: Tensor
 
 
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, shifted by the detached row max."""
+    e = np.exp(x - _last_axis(np.maximum, x))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _last_axis(ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce`` over the last axis, kept, for an exact reduction
+    (max, and, or). Numpy reduces a short last axis row by row, about 20 ns
+    a row; reducing the first axis of a copy with that axis first runs whole
+    rows at a time: 15 times faster at 4 columns, twice at 40."""
+    return ufunc.reduce(np.moveaxis(x, -1, 0).copy(), axis=0)[..., None]
+
+
+def _softmax_rows_grad(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Gradient of the logits of the softmax rows ``s`` given theirs, ``g``."""
+    tmp = g * s
+    return tmp - s * tmp.sum(axis=-1, keepdims=True)
+
+
+def _canonical_order(key: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """The lexicographic order of the rows of ``[key | value]``, first
+    column most significant, as ``np.lexsort`` gives it. When the first
+    column holds distinct numbers it orders the rows alone, and one stable
+    sort of it is that order without lexsort's sort per column."""
+    order = np.argsort(key[:, 0], kind="stable")
+    first = key[order, 0]
+    if np.all(first[1:] > first[:-1]):
+        return order
+    return np.lexsort(np.concatenate([key, value], axis=1).T[::-1])
+
+
 def multi_head_attention(
     query: Tensor,
     key: Tensor,
@@ -152,26 +177,76 @@ def multi_head_attention(
     gradients of ``params`` are bitwise invariant to key order. Equal key
     rows with different values still get one fixed order. Queries keep their
     order, so self-attention is row-equivariant.
+
+    One op: the backward gives ``bo`` and ``wo`` their gradients, then runs
+    the value, key and query projections back, each giving its bias, its
+    input and its weight theirs; ``value`` and ``key`` get theirs last,
+    through the canonical order.
     """
     n_q, dim = query.data.shape
     if dim % heads != 0:
         raise ShapeError(f"embedding dim {dim} not divisible by {heads} heads")
     dh = dim // heads
-    order = np.lexsort(np.concatenate([key.data, value.data], axis=1).T[::-1])
-    key, value = take_rows(key, order), take_rows(value, order)
+    order = _canonical_order(key.data, value.data)
+    p, qd = params, query.data
+    ks, vs = np.take(key.data, order, axis=0), np.take(value.data, order, axis=0)
+    # the backward uses the arrays of this call, not whatever a parameter holds by then
+    wq, wk, wv, wo = p.wq.data, p.wk.data, p.wv.data, p.wo.data
 
-    def to_heads(t):
-        return transpose(reshape(t, (-1, heads, dh)), (1, 0, 2))
+    def to_heads(x):
+        return x.reshape(-1, heads, dh).transpose(1, 0, 2)
 
-    q = to_heads(matmul(query, params.wq, params.bq))
-    k = to_heads(matmul(key, params.wk, params.bk))
-    v = to_heads(matmul(value, params.wv, params.bv))
+    qh = to_heads(np.matmul(qd, wq) + p.bq.data)
+    kh = to_heads(np.matmul(ks, wk) + p.bk.data)
+    vh = to_heads(np.matmul(vs, wv) + p.bv.data)
+    kt = kh.transpose(0, 2, 1)
+    scale = 1.0 / math.sqrt(dh)
+    s = _softmax_rows(np.matmul(qh, kt) * scale)
+    merged = np.matmul(s, vh).transpose(1, 0, 2).reshape(n_q, dim)
+    data = np.matmul(merged, wo) + p.bo.data
+    # each projection's input, its rows as projected, weight and bias, in backward order
+    projections = ((value, vs, p.wv, wv, p.bv), (key, ks, p.wk, wk, p.bk), (query, qd, p.wq, wq, p.bq))
+    v_rg, k_rg, q_rg = (x.requires_grad or w.requires_grad or b.requires_grad for x, _, w, _, b in projections)
 
-    scores = matmul(q, transpose(k, (0, 2, 1)))
-    scores = scale(scores, 1.0 / math.sqrt(dh))
-    ctx = matmul(softmax(scores, axis=-1), v)
-    merged = reshape(transpose(ctx, (1, 0, 2)), (n_q, dim))
-    return matmul(merged, params.wo, params.bo)
+    def bwd(g, grads):
+        if p.bo.requires_grad:
+            _accumulate(p.bo, _unbroadcast(g, p.bo.data.shape), grads)
+        gm = np.matmul(g, wo.swapaxes(-1, -2)) if v_rg or k_rg or q_rg else None
+        if p.wo.requires_grad:
+            _accumulate(p.wo, np.matmul(merged.swapaxes(-1, -2), g), grads)
+        if gm is None:
+            return
+        gctx = gm.reshape(n_q, heads, dh).transpose(1, 0, 2)
+        gv = np.matmul(s.swapaxes(-1, -2), gctx) if v_rg else None
+        gq = gk = None
+        if q_rg or k_rg:
+            gsc = _softmax_rows_grad(np.matmul(gctx, vh.swapaxes(-1, -2)), s) * scale
+            if q_rg:
+                gq = np.matmul(gsc, kt.swapaxes(-1, -2))
+            if k_rg:
+                gk = np.matmul(qh.swapaxes(-1, -2), gsc).transpose(0, 2, 1)
+        sorted_grads = []
+        for k, ((x, xd, w, wd, b), gh) in enumerate(zip(projections, (gv, gk, gq))):
+            gx = None
+            if gh is not None:
+                # the head split's backward, then the projection's: its bias, input and weight
+                gp = gh.transpose(1, 0, 2).reshape(xd.shape[0], dim)
+                if b.requires_grad:
+                    _accumulate(b, _unbroadcast(gp, b.data.shape), grads)
+                if x.requires_grad:
+                    gx = np.matmul(gp, wd.swapaxes(-1, -2))
+                    if k == 2:   # the queries keep their order
+                        _accumulate(x, gx, grads)
+                if w.requires_grad:
+                    _accumulate(w, np.matmul(xd.swapaxes(-1, -2), gp), grads)
+            sorted_grads.append(gx)
+        for x, xd, gx in ((value, vs, sorted_grads[0]), (key, ks, sorted_grads[1])):
+            if gx is not None:
+                full = np.zeros_like(xd)
+                full[order] = gx
+                _accumulate(x, full, grads)
+
+    return _make(data, (query, key, value, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo), bwd)
 
 
 @dataclass
@@ -197,7 +272,7 @@ class SamplingPlan:
     def valid(self, mask: np.ndarray) -> np.ndarray:
         """(n,) True where a sample is inside and every neighbour with
         nonzero weight is True in the (rows,) ``mask``."""
-        return self.inside & np.all(mask[self.cols] | (self.weights == 0), axis=1)
+        return self.inside & _last_axis(np.logical_and, mask[self.cols] | (self.weights == 0))[:, 0]
 
 
 def sampling_plan(coords: np.ndarray, h, w, *, base=0, dtype=np.float64) -> SamplingPlan:
@@ -250,32 +325,45 @@ def _bilinear_flat(flat: Tensor, coords: Tensor, plan: SamplingPlan, wts: Tensor
     bitwise reproducible.
     """
     fd = np.ascontiguousarray(flat.data)
-    if plan.cols.size and plan.cols.max() >= fd.shape[0]:
-        # scipy does not bound-check CSR indices: the product would read and write past the table
-        raise ShapeError(f"plan reads table row {plan.cols.max()}, but the value table has {fd.shape[0]} rows")
     w = wts.data.ravel()
-    a = sparse.csr_array(((plan.weights * w[:, None]).ravel(), plan.cols.ravel(), 4 * np.asarray(starts)),
-                         shape=(len(starts) - 1, fd.shape[0]))
-    data = a @ fd
+    a = _read_matrix(plan, w, starts)
+    data = csr_product(*a, fd)
 
     def bwd(g, grads):
         g = np.ascontiguousarray(g)
         if flat.requires_grad:
-            _accumulate(flat, a.T @ g, grads)
+            _accumulate(flat, csr_product_t(*a, g, fd.shape[0]), grads)
         if wts.requires_grad or coords.requires_grad:
-            near = _neighbour_dots(fd, g, np.repeat(np.arange(g.shape[0]), np.diff(starts)), plan.cols)
-            if wts.requires_grad:
-                dw = np.einsum("sq,sq->s", plan.weights, near)
+            dw, dc = _read_point_grads(fd, g, plan, w, starts, wts.requires_grad, coords.requires_grad)
+            if dw is not None:
                 _accumulate(wts, dw.reshape(wts.data.shape), grads)
-            if coords.requires_grad:
-                n00, n01, n10, n11 = near.T
-                di, dj = plan.di, plan.dj
-                dc = np.stack([(1 - dj) * (n10 - n00) + dj * (n11 - n01),
-                               (1 - di) * (n01 - n00) + di * (n11 - n10)], axis=1)
-                dc *= np.where(plan.inside, w, 0)[:, None]
+            if dc is not None:
                 _accumulate(coords, dc.astype(coords.data.dtype, copy=False), grads)
 
     return _make(data, (flat, coords, wts), bwd)
+
+
+def _read_matrix(plan: SamplingPlan, w: np.ndarray, starts: np.ndarray) -> tuple:
+    """The CSR arrays ``(indptr, indices, data)`` of a weighted read's sparse
+    matrix: row k holds samples ``starts[k]:starts[k+1]``, each its plan's
+    four neighbour rows with their bilinear weights times its weight in ``w``."""
+    return 4 * np.asarray(starts), plan.cols.ravel(), (plan.weights * w[:, None]).ravel()
+
+
+def _read_point_grads(fd: np.ndarray, g: np.ndarray, plan: SamplingPlan, w: np.ndarray, starts: np.ndarray,
+                      want_w: bool, want_c: bool) -> tuple:
+    """The weight and the coordinate gradient of a weighted read from its
+    output gradient ``g`` (``_bilinear_flat``), each None unless wanted."""
+    near = _neighbour_dots(fd, g, np.repeat(np.arange(g.shape[0]), np.diff(starts)), plan.cols)
+    dw = np.einsum("sq,sq->s", plan.weights, near) if want_w else None
+    dc = None
+    if want_c:
+        n00, n01, n10, n11 = near.T
+        di, dj = plan.di, plan.dj
+        dc = np.stack([(1 - dj) * (n10 - n00) + dj * (n11 - n01),
+                       (1 - di) * (n01 - n00) + di * (n11 - n10)], axis=1)
+        dc *= np.where(plan.inside, w, 0)[:, None]
+    return dw, dc
 
 
 def _neighbour_dots(fd: np.ndarray, g: np.ndarray, out: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -348,12 +436,20 @@ def _deformable_core(
     The shares are the mean over a query's hit reads: 1/hits, computed in
     float64 and rounded once to the model dtype, and 0 for a miss; they are
     folded into the point weights.
+
+    One op: the backward gives ``w_out``, ``b_out``, ``b_wgt``, ``w_wgt``,
+    ``b_off``, ``w_off`` and ``w_val`` their gradients in this order; the
+    queries get the logits' part (after ``b_wgt``), then the offsets' part
+    (after ``b_off``), as two additions, and the table the value
+    projection's part (before ``w_val``).
     """
     n, L = queries.data.shape
     owner = np.arange(n) if owner is None else np.asarray(owner, dtype=np.int64)
     if np.any(np.diff(owner) < 0):
         raise ValueError("deformable reads must be sorted by owner")
     m = owner.size
+    if m and (owner[0] < 0 or owner[-1] >= n):
+        raise ShapeError(f"deformable reads owned by queries {owner[0]} to {owner[-1]}, but there are {n} queries")
     h, w = dims
     grids = table.data.shape[0] // (h * w)
     grid_of = np.zeros(m, dtype=np.int64) if grid_of is None else np.asarray(grid_of, dtype=np.int64)
@@ -361,25 +457,73 @@ def _deformable_core(
         raise ShapeError(f"value table {table.data.shape} is no stack of {h}x{w} grids holding every read's grid")
     refs = np.asarray(reference_points, dtype=np.float64)
     P = params.w_wgt.data.shape[1]
-    vproj = matmul(table, params.w_val)
+    p, qd, td = params, queries.data, table.data
+    # the backward uses the arrays of this call, not whatever a parameter holds by then
+    w_off, w_wgt, w_val, w_out = p.w_off.data, p.w_wgt.data, p.w_val.data, p.w_out.data
+    vproj = np.matmul(td, w_val)
 
-    offsets = matmul(queries, params.w_off, params.b_off)
-    logits = matmul(queries, params.w_wgt, params.b_wgt)
-    if not np.array_equal(owner, np.arange(n)):
-        pick = sparse.csr_array((np.ones(m, dtype=queries.dtype), owner, np.arange(m + 1)), shape=(m, n))
-        offsets, logits = sparse_matmul(pick, offsets), sparse_matmul(pick, logits)
-    coords = reshape(add(reshape(offsets, (m, P, 2)), refs[:, None, :]), (m * P, 2))
-    plan = sampling_plan(coords.data, h, w, base=np.repeat(grid_of * (h * w), P), dtype=vproj.dtype)
+    offsets = np.matmul(qd, w_off) + p.b_off.data
+    logits = np.matmul(qd, w_wgt) + p.b_wgt.data
+    picked = not np.array_equal(owner, np.arange(n))
+    if picked:
+        # each read's rows of its owner's; the adds below turn a -0.0 into
+        # +0.0, as summing it into the zero of a one-hot product would
+        offsets, logits = offsets[owner], logits[owner]
+    coords = (offsets.reshape(m, P, 2) + refs[:, None, :].astype(offsets.dtype, copy=False)).reshape(m * P, 2)
+    plan = sampling_plan(coords, h, w, base=np.repeat(grid_of * (h * w), P), dtype=vproj.dtype)
 
     kept = (plan.inside if valid_mask is None else plan.valid(np.asarray(valid_mask, dtype=bool).ravel())).reshape(m, P)
-    hit = kept.any(axis=1)
+    hit = _last_axis(np.logical_or, kept)[:, 0]
     hits = np.bincount(owner, weights=hit, minlength=n)
     share = np.where(hit, 1.0 / np.maximum(hits, 1)[owner], 0.0).astype(logits.dtype)
 
-    wts = mul(softmax(add(logits, np.where(kept, 0.0, -1e30)), axis=-1), share[:, None])
-    pooled = _bilinear_flat(vproj, coords, plan, wts, np.searchsorted(owner, np.arange(n + 1)) * P)
-    out = matmul(pooled, params.w_out, mul(params.b_out, (hits > 0).astype(pooled.dtype)[:, None]))
-    return out, share
+    s = _softmax_rows(logits + np.where(kept, 0.0, -1e30).astype(logits.dtype, copy=False))
+    wts = (s * share[:, None]).ravel()
+    starts = np.searchsorted(owner, np.arange(n + 1)) * P
+    read = _read_matrix(plan, wts, starts)
+    pooled = csr_product(*read, vproj)
+    hit_rows = (hits > 0).astype(p.b_out.dtype)[:, None]
+    data = np.matmul(pooled, w_out) + p.b_out.data * hit_rows
+    v_rg = table.requires_grad or p.w_val.requires_grad
+    o_rg = queries.requires_grad or p.w_off.requires_grad or p.b_off.requires_grad
+    l_rg = queries.requires_grad or p.w_wgt.requires_grad or p.b_wgt.requires_grad
+
+    def to_owners(gr):
+        # the owner segment sum: each query's reads' rows added in read order
+        return csr_product_t(np.arange(m + 1), owner, np.ones(m, dtype=qd.dtype), gr, n) if picked else gr
+
+    def project_back(gr, w, wd, b, grads):
+        # a query projection's backward: the bias, then the queries, then the weight
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(gr, b.data.shape), grads)
+        if queries.requires_grad:
+            _accumulate(queries, np.matmul(gr, wd.swapaxes(-1, -2)), grads)
+        if w.requires_grad:
+            _accumulate(w, np.matmul(qd.swapaxes(-1, -2), gr), grads)
+
+    def bwd(g, grads):
+        gp = np.matmul(g, w_out.swapaxes(-1, -2)) if v_rg or o_rg or l_rg else None
+        if p.w_out.requires_grad:
+            _accumulate(p.w_out, np.matmul(pooled.swapaxes(-1, -2), g), grads)
+        if p.b_out.requires_grad:
+            _accumulate(p.b_out, _unbroadcast(g * hit_rows, p.b_out.data.shape), grads)
+        if gp is None:
+            return
+        gv = csr_product_t(*read, gp, vproj.shape[0]) if v_rg else None
+        dw, dc = _read_point_grads(vproj, gp, plan, wts, starts, l_rg, o_rg) if l_rg or o_rg else (None, None)
+        if l_rg:
+            gl = _softmax_rows_grad(dw.reshape(m, P) * share[:, None], s)
+            project_back(to_owners(gl), p.w_wgt, w_wgt, p.b_wgt, grads)
+        if o_rg:
+            go = dc.astype(coords.dtype, copy=False).reshape(m, 2 * P)
+            project_back(to_owners(go), p.w_off, w_off, p.b_off, grads)
+        if v_rg:
+            if table.requires_grad:
+                _accumulate(table, np.matmul(gv, w_val.swapaxes(-1, -2)), grads)
+            if p.w_val.requires_grad:
+                _accumulate(p.w_val, np.matmul(td.swapaxes(-1, -2), gv), grads)
+
+    return _make(data, (queries, table, p.w_off, p.b_off, p.w_wgt, p.b_wgt, p.w_val, p.w_out, p.b_out), bwd), share
 
 
 @dataclass

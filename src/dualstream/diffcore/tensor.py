@@ -27,6 +27,7 @@ import threading
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 Scalar = Union[int, float]
 
@@ -517,17 +518,62 @@ def getitem(a: Tensor, idx) -> Tensor:
     return _make(data, (a,), bwd)
 
 
+def _csr_rows(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, cols: int) -> int:
+    """Rows of the CSR matrix ``(data, indices, indptr)`` with ``cols``
+    columns; ShapeError unless every row's run and every column index lies
+    inside its arrays and its columns."""
+    nnz = indices.size
+    if indptr.ndim != 1 or indptr.size == 0 or data.size != nnz or indptr[0] != 0 or indptr[-1] != nnz \
+            or np.any(np.diff(indptr) < 0):
+        raise ShapeError(f"CSR row pointers {indptr.shape} do not delimit {nnz} entries with {data.size} values")
+    lo, hi = (indices.min(), indices.max()) if nnz else (0, -1)
+    if lo < 0 or hi >= cols:
+        raise ShapeError(f"a sparse product reads table row {hi if hi >= cols else lo}, but the table has {cols} rows")
+    return indptr.size - 1
+
+
+def csr_product(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``A @ x`` for the CSR matrix ``A`` of ``(data, indices, indptr)`` and
+    the (rows, C) array ``x``: bitwise ``scipy.sparse.csr_array @ x``, whose
+    compiled kernel (``csr_matvecs``) it runs without building the array.
+    That kernel does not bound-check and its module is private, so this
+    function and ``csr_product_t`` are its only callers and check first."""
+    x = np.ascontiguousarray(x)
+    rows = _csr_rows(indptr, indices, data, x.shape[0])
+    out = np.zeros((rows, x.shape[1]), dtype=np.result_type(data, x))
+    _sparsetools.csr_matvecs(rows, x.shape[0], x.shape[1], indptr, indices, data, x.ravel(), out.ravel())
+    return out
+
+
+def csr_product_t(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, x: np.ndarray, cols: int) -> np.ndarray:
+    """``A.T @ x`` for the same ``A`` with ``cols`` columns: each row of
+    ``x`` summed into its entries' columns in entry order, bitwise
+    ``csr_array.T @ x`` (``csc_matvecs`` on the same arrays)."""
+    x = np.ascontiguousarray(x)
+    rows = _csr_rows(indptr, indices, data, cols)
+    if x.shape[0] != rows:
+        raise ShapeError(f"a {rows}-row CSR matrix's transpose cannot take {x.shape[0]} rows")
+    out = np.zeros((cols, x.shape[1]), dtype=np.result_type(data, x))
+    _sparsetools.csc_matvecs(cols, rows, x.shape[1], indptr, indices, data, x.ravel(), out.ravel())
+    return out
+
+
 def sparse_matmul(m, a: Tensor) -> Tensor:
-    """Product of a constant scipy.sparse matrix ``m`` and a 2-D tensor.
+    """Product of a constant scipy.sparse CSR matrix ``m`` and a 2-D tensor.
 
     Rows of ``m`` can select, repeat or sum rows of ``a``; the gradient is
     ``m.T @ g``. Both products add the stored entries in a fixed order, so
     results are bitwise reproducible.
     """
-    data = m @ np.ascontiguousarray(a.data)
+    if m.format != "csr":
+        raise TypeError(f"sparse_matmul needs a CSR matrix, got {m.format}")
+    if m.shape[1] != a.data.shape[0]:
+        raise ShapeError(f"sparse matrix {m.shape} cannot multiply {a.data.shape}")
+    parts = (m.indptr, m.indices, m.data)
+    data = csr_product(*parts, a.data)
 
     def bwd(g, grads):
-        _accumulate(a, m.T @ np.ascontiguousarray(g), grads)
+        _accumulate(a, csr_product_t(*parts, g, m.shape[1]), grads)
 
     return _make(data, (a,), bwd)
 

@@ -17,9 +17,10 @@ camera table into them at its call.
 from typing import Optional
 
 import numpy as np
+from composed_ops import softmax
 from scipy import sparse
 
-from dualstream.diffcore import Tensor, layernorm, matmul, sincos_encoding, softmax
+from dualstream.diffcore import Tensor, layernorm, matmul, sincos_encoding
 from dualstream.diffcore.ops import _bilinear_flat, sampling_plan
 from dualstream.diffcore.tensor import add, concat, mul, reshape, sparse_matmul, sum_, take_rows, transpose
 from dualstream.geom3d import CAMERA_SLOTS, project_points
@@ -139,7 +140,7 @@ def bev_image_cross_attention(grid, features, cameras, params):
         enc = sincos_encoding(np.concatenate(pix)[pairs], params.pe_w.data.shape[0] // 4)
         pe = matmul(Tensor(enc.astype(out.dtype)), params.pe_w, params.pe_b)
         out = add(out, mul(pe, anyv.astype(out.dtype)[:, None]))
-        total = sparse_matmul(pick.T, out)
+        total = sparse_matmul(pick.T.tocsr(), out)
         counts = np.bincount(cells, weights=anyv, minlength=n)
         combined = mul(total, (1.0 / np.maximum(counts, 1.0))[:, None])
     new_flat = layernorm(add(q, combined), params.ln_g, params.ln_b)

@@ -219,6 +219,9 @@ def test_core_rejects_reads_outside_its_table(rng):
             _deformable_core(queries, np.ones((2, 2)), table, dims, params, grid_of=grid_of)
     out, _ = _deformable_core(queries, np.ones((2, 2)), table, (4, 4), params, grid_of=[1, 0])
     assert out.data.shape == (2, 3)
+    # reads owned by a query past the queries would sum their gradients past them
+    with pytest.raises(ShapeError, match="owned by queries 0 to 2, but there are 2 queries"):
+        _deformable_core(queries, np.ones((2, 2)), table, (4, 4), params, owner=[0, 2])
 
 
 def weighted_case(rng):

@@ -4,6 +4,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 from check import finite_diff_check
+from composed_ops import softmax
+from scipy import sparse
 from util import rows
 
 import dualstream.diffcore as dc
@@ -19,13 +21,14 @@ from dualstream.diffcore import (
     leaf_gradients,
     mlp,
     multi_head_attention,
-    softmax,
 )
 from dualstream.diffcore.ops import AttentionParams, DeformableParams, MlpParams, _deformable_core
 from dualstream.diffcore.tensor import (
     absolute,
     add,
     concat,
+    csr_product,
+    csr_product_t,
     getitem,
     matmul,
     mean,
@@ -230,6 +233,19 @@ class TestMultiHeadAttention:
         out1 = multi_head_attention(t64(x), t64(x), t64(x), 2, p).data
         out2 = multi_head_attention(t64(x[perm]), t64(x[perm]), t64(x[perm]), 2, p).data
         np.testing.assert_array_equal(out1[perm], out2)
+
+    def test_canonical_order_is_the_lexsort(self, rng):
+        from dualstream.diffcore.ops import _canonical_order
+
+        key, value = rng.normal(size=(9, 4)), rng.normal(size=(9, 4))
+        cases = [key, key[:1], key[:0]]
+        for first in ([1.0, 2.0, 1.0], [0.0, -0.0, 1.0], [np.nan, 2.0, np.nan], [np.nan, 2.0, 3.0]):
+            tied = key.copy()
+            tied[:3, 0] = first   # ties (equal, signed zeros) and NaNs in the first column
+            cases.append(tied)
+        for k in cases:
+            v = value[:len(k)]
+            np.testing.assert_array_equal(_canonical_order(k, v), np.lexsort(np.concatenate([k, v], axis=1).T[::-1]))
 
     def test_key_permutation_invariance_with_gradients(self, rng):
         dim = 8
@@ -552,7 +568,6 @@ OPS_FOR_SWEEP = [
     ("concat", lambda rng: _concat_case(rng)),
     ("slice", lambda rng: _slice_case(rng)),
     ("reshape", lambda rng: _reshape_case(rng)),
-    ("softmax", lambda rng: _unary_case(rng, lambda x: softmax(x, axis=-1))),
     ("gelu", lambda rng: _unary_case(rng, gelu)),
     ("tanh", lambda rng: _unary_case(rng, tanh)),
     ("sigmoid", lambda rng: _unary_case(rng, sigmoid)),
@@ -562,6 +577,7 @@ OPS_FOR_SWEEP = [
     ("mean", lambda rng: _unary_case(rng, lambda x: mean(x, axis=-1))),
     ("transpose", lambda rng: _unary_case(rng, lambda x: transpose(x, (1, 0)))),
     ("multi_head_attention", lambda rng: _attention_case(rng)),
+    ("deformable_core", lambda rng: _deformable_case(rng)),
     ("take_rows", lambda rng: _take_rows_case(rng)),
     ("sparse_matmul", lambda rng: _sparse_matmul_case(rng)),
 ]
@@ -610,6 +626,25 @@ def _attention_case(rng):
     return lambda x, y, z: sum_(tanh(multi_head_attention(x, y, z, 2, p))), [q, k, v]
 
 
+def _deformable_case(rng):
+    # six reads of two stacked 4 x 5 grids by sorted owners (query 2 reads
+    # nothing), some table rows masked; points stay inside, off the lattice
+    L, C, P = 4, 3, 2
+    params = make_deformable_params(rng, L, C, P)
+    owner, grid_of = np.array([0, 0, 1, 3, 3, 3]), np.array([1, 0, 0, 1, 0, 1])
+    refs = rng.uniform(1.2, 2.3, size=(6, 2)) + np.array([0.0, 0.5])
+    mask = rng.uniform(size=40) > 0.15
+    table = Tensor(rng.normal(size=(40, C)), requires_grad=True)
+    queries = Tensor(rng.normal(size=(4, L)), requires_grad=True)
+
+    def fn(q, t, w_off, w_wgt):
+        p = DeformableParams(w_off, params.b_off, w_wgt, params.b_wgt, params.w_val, params.w_out, params.b_out)
+        out, _ = _deformable_core(q, refs, t, (4, 5), p, valid_mask=mask, owner=owner, grid_of=grid_of)
+        return sum_(tanh(out))
+
+    return fn, [queries, table, params.w_off, params.w_wgt]
+
+
 def _take_rows_case(rng):
     a = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
     idx = rng.permutation(6)[:4]
@@ -618,8 +653,6 @@ def _take_rows_case(rng):
 
 def _sparse_matmul_case(rng):
     # rows that repeat, sum and skip rows of the operand
-    from scipy import sparse
-
     m = sparse.random_array((5, 6), density=0.4, rng=rng, format="csr") + sparse.eye_array(5, 6, format="csr")
     a = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
     return lambda x: sum_(tanh(sparse_matmul(m, x))), [a]
@@ -654,6 +687,46 @@ def test_take_rows_rejects_repeated_rows():
     for idx in ([1, 0, 1], [3, -1]):
         with pytest.raises(ValueError, match="repeats"):
             take_rows(a, idx)
+
+
+def random_csr(rng, rows, cols, dtype):
+    """A CSR matrix with empty rows and columns repeated within a row."""
+    counts = rng.integers(0, 6, rows)
+    counts[::4] = 0
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indices = rng.integers(0, cols, indptr[-1])
+    indices[1::3] = indices[::3][:indices[1::3].size]
+    return indptr, indices, rng.normal(size=indptr[-1]).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("channels", [1, 5])
+def test_csr_products_are_scipys_bitwise(rng, dtype, channels):
+    indptr, indices, data = random_csr(rng, 30, 12, dtype)
+    a = sparse.csr_array((data, indices, indptr), shape=(30, 12))
+    x, g = (rng.normal(size=(n, channels)).astype(dtype) for n in (12, 30))
+    for got, want in ((csr_product(indptr, indices, data, x), a @ x),
+                      (csr_product_t(indptr, indices, data, g, 12), a.T @ g)):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_csr_products_refuse_indices_outside_their_table(rng):
+    indptr, indices, data = random_csr(rng, 10, 8, np.float64)
+    for bad in (8, -1):
+        cols = indices.copy()
+        cols[3] = bad
+        # a column past the value table, and an owner past the queries the sums go to
+        with pytest.raises(ShapeError, match=f"table row {bad}, but the table has 8 rows"):
+            csr_product(indptr, cols, data, np.zeros((8, 2)))
+        with pytest.raises(ShapeError, match=f"table row {bad}, but the table has 8 rows"):
+            csr_product_t(indptr, cols, data, np.zeros((10, 2)), 8)
+    back = indptr.copy()
+    back[1] = indptr[-1] + 1   # row 0 runs past the entries, row 1 starts before it ends
+    for ptr in (indptr[:-1], indptr + 1, back):
+        with pytest.raises(ShapeError, match="row pointers"):
+            csr_product(ptr, indices, data, np.zeros((8, 2)))
+    with pytest.raises(ShapeError, match="cannot take 9 rows"):
+        csr_product_t(indptr, indices, data, np.zeros((9, 2)), 8)
 
 
 @pytest.mark.parametrize("name,case", OPS_FOR_SWEEP, ids=[n for n, _ in OPS_FOR_SWEEP])

@@ -14,7 +14,7 @@ from util import poison_anchors
 from dualstream import trainkit
 from dualstream.cli import bev_from_config, world_from_config
 from dualstream.configio import Config, config_to_dict
-from dualstream.diffcore import fresh_tape
+from dualstream.diffcore import Tape, fresh_tape
 from dualstream.diffcore.dstn import DstnError, read_tensor, write_tensor
 from dualstream.model import DualStreamModel
 from dualstream.params import ParamStore
@@ -550,3 +550,24 @@ def test_train_result_csv_content():
         "2,1,3,0.5,0.25,0.25,1.5e-05,12.5\n"
     )
     assert trainkit.TrainResult().to_csv() == "step,epoch,frame,loss,det_loss,seg_loss,lr,grad_norm\n"
+
+
+def test_default_training_frames_record_a_pinned_number_of_tape_entries(tmp_path, monkeypatch):
+    # the fused deformable read and attention are one entry each: a default
+    # model's first frame (no carried memory), then two frames carrying it,
+    # each with its loss, on one runner
+    cfg = Config(scene_frames=3, epochs=1, batch_scenes=1)
+    generate_and_write([1000], tmp_path, world_from_config(cfg), bev_from_config(cfg),
+                       config_echo=config_to_dict(cfg), ranges=cfg.detection_ranges(),
+                       image_size=(cfg.image_height, cfg.image_width))
+    monkeypatch.setenv("DUALSTREAM_THREADS", "1")
+    entries, record = [0], Tape.record
+
+    def counted(tape, out, fn):
+        entries[0] += 1
+        record(tape, out, fn)
+
+    monkeypatch.setattr(Tape, "record", counted)
+    totals = []
+    streaming_train(Dataset(tmp_path), DualStreamModel(cfg), cfg, on_step=lambda row: totals.append(entries[0]))
+    assert np.diff(totals, prepend=0).tolist() == [135, 164, 161]
