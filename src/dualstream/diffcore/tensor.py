@@ -5,12 +5,11 @@ execution order; ``backward`` replays the tape in reverse, which is a valid
 reverse topological order by construction and therefore bitwise deterministic
 for fixed inputs.
 
-``leaf_gradients`` replays tapes the same way but hands back each gradient a
-leaf receives, in order, instead of adding it into the leaf's ``grad``.
-Tapes that share only leaves (a training frame's scenes, which share only
-parameters) can so be replayed apart, even in other processes; adding their
-lists with ``add_gradients`` in the order one tape holding them all would
-have replayed them gives gradients bitwise those of that one replay.
+``replay`` is that replay for any tapes and seeds, and ``backward`` calls it
+on the active tape. Tapes that share only leaves (a training frame's scenes,
+which share only parameters) can so be replayed apart, even in other
+processes; the caller then sums their leaves' gradients in an order of its
+own.
 
 A tensor's dtype is its data's: a ``Tensor`` holds float32 or float64 and
 refuses anything else. Ops keep their operands' dtype, so a float32 model
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 from scipy.sparse import _sparsetools
@@ -180,26 +179,11 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     return out
 
 
-class _Grads(dict):
-    """Gradients of recorded outputs by id. With ``leaves`` a list, each
-    gradient a leaf receives is appended to it instead of added into the
-    leaf's ``grad``."""
-
-    __slots__ = ("leaves",)
-
-    def __init__(self, leaves: Optional[list] = None):
-        super().__init__()
-        self.leaves = leaves
-
-
-def _accumulate(t: Tensor, g: np.ndarray, grads: _Grads) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, grads: dict) -> None:
     if not t.requires_grad:
         return
     if t._is_leaf:
-        if grads.leaves is None:
-            t._accum_grad(g)
-        else:
-            grads.leaves.append((t, g))
+        t._accum_grad(g)
         return
     key = id(t)
     if key in grads:
@@ -216,43 +200,21 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    if loss._is_leaf:
-        if loss.requires_grad:
-            loss._accum_grad(np.ones_like(loss.data))
-        return
-    grads = _Grads()
-    grads[id(loss)] = np.ones_like(loss.data)
-    _replay(_state.tape._entries, grads)
+    replay([_state.tape], [(loss, np.ones_like(loss.data))])
 
 
-def leaf_gradients(tapes: Sequence[Tape], seeds: Iterable[tuple[Tensor, np.ndarray]]) -> list[list]:
-    """Replay ``tapes`` (oldest first) newest first, from the gradients
-    ``seeds`` gives their outputs, as ``backward`` replays one tape holding
-    them in turn, and return the ``(leaf, gradient)`` pairs the leaves
-    received instead of adding them into ``grad``: one list per tape, newest
-    first, each in replay order. A seed given to a leaf opens the first list."""
-    grads = _Grads([])
+def replay(tapes: Sequence[Tape], seeds: Iterable[tuple[Tensor, np.ndarray]]) -> None:
+    """Replay ``tapes`` (oldest first) newest first, each in reverse, from
+    the gradients ``seeds`` gives their outputs, adding every gradient a
+    leaf receives into its ``grad`` in that order."""
+    grads: dict = {}
     for t, g in seeds:
         _accumulate(t, g, grads)
-    out = []
     for tape in reversed(tapes):
-        _replay(tape._entries, grads)
-        out.append(grads.leaves)
-        grads.leaves = []
-    return out
-
-
-def add_gradients(pairs: Iterable[tuple[Tensor, np.ndarray]]) -> None:
-    """Add each gradient into its leaf's ``grad``, in the order given."""
-    for t, g in pairs:
-        t._accum_grad(g)
-
-
-def _replay(entries: list, grads: _Grads) -> None:
-    for out, fn in reversed(entries):
-        g = grads.pop(id(out), None)
-        if g is not None:
-            fn(g, grads)
+        for out, fn in reversed(tape._entries):
+            g = grads.pop(id(out), None)
+            if g is not None:
+                fn(g, grads)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

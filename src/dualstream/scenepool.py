@@ -7,19 +7,22 @@ runners, scene k going to runner k mod workers. Runner 0 is the calling
 process; the others are processes forked (``multiprocessing``'s "fork"
 context) when the pool is made and stopped by ``close``. A runner keeps, for
 each of its scenes, the carried state and one tape per frame of the current
-truncation window, and hands back the loss values and, from their seeds,
-every gradient its tapes give a parameter (``diffcore.leaf_gradients``).
+truncation window. It hands back the loss values and, from their seeds,
+each scene's gradient ``G_k``: the scene's window replayed alone with
+``diffcore.replay``, each parameter's sum starting from zero.
 
-Arrays cross between processes through shared memory, not the pipe:
-- the parameters through one anonymous shared mapping made before the fork.
-  The parent writes them into it before each frame. A worker copies each out
-  into a new array, never a view, since its window's older tapes still hold
-  the old arrays for their backward (the rule ``optimizer_step`` keeps);
-- a worker's gradients through a buffer it makes (a memfd handed over with
-  ``send_handle``) and grows when a step needs more. The parent reads them
-  in place.
-The pipe carries only commands, loss values, seeds, and each gradient's
-parameter name, offset, shape and dtype.
+Arrays cross between processes through one anonymous shared mapping made
+before the fork, not the pipe. It holds the parameters, then one slot per
+scene of the largest frame-batch, each slot in the parameters' layout:
+- the parent writes the parameters into it before each frame. A worker
+  copies each out into a new array, never a view, since its window's older
+  tapes still hold the old arrays for their backward (the rule
+  ``optimizer_step`` keeps);
+- the runner of scene k copies ``G_k`` into slot k, and the parent sets
+  every parameter's ``grad`` to ``0 + G_0 + G_1 + ...``, in scene order.
+  That order does not depend on the number of runners, so a one-runner run
+  gives the same bits.
+The pipe carries only commands, loss values, seeds and errors.
 
 Workers are forked, not spawned, so that each starts with the model, the
 dataset and the shared mapping in place, none of them pickled; training
@@ -35,12 +38,11 @@ import os
 import pickle
 import traceback
 from multiprocessing.connection import wait
-from multiprocessing.reduction import recv_handle, send_handle
 from typing import Callable, Optional
 
 import numpy as np
 
-from .diffcore import Tensor, fresh_tape, leaf_gradients
+from .diffcore import Tensor, fresh_tape, replay
 from .params import ParamStore
 
 # what happens to the carried state before a frame: a fresh start, or the
@@ -77,19 +79,26 @@ class _Runner:
     """Runner ``index`` of ``count``: scene k of a frame-batch when k mod
     count is its index. For each of them it keeps the carried state, the
     tapes of the current truncation window (one per frame, oldest first) and
-    the last frame's det and seg losses."""
+    the last frame's det and seg losses. ``params`` and ``slots`` are the
+    shared mapping's parameter block and per-scene gradient slots."""
 
     def __init__(self, index: int, count: int, groups: list[list[dict]], initial_state: Callable,
-                 run_frame: Callable):
+                 run_frame: Callable, store: ParamStore, params: dict[str, np.ndarray],
+                 slots: list[dict[str, np.ndarray]]):
         self.index, self.count, self.groups = index, count, groups
         self.initial_state, self.run_frame = initial_state, run_frame
+        self.store, self.params, self.slots = store, params, slots
         self.states: dict = {}
         self.tapes: dict[int, list] = {}
         self.losses: dict[int, tuple[Tensor, Tensor]] = {}
 
     def forward(self, group: int, t: int, cut: Optional[str]) -> dict:
         """Frame ``t`` of this runner's scenes of frame-batch ``group``,
-        after ``cut``: each scene's det and seg losses as leaf stand-ins."""
+        after ``cut``: each scene's det and seg losses as leaf stand-ins. A
+        forked runner first copies out the parameters the parent wrote."""
+        if self.index:
+            for name, param in self.store.items():
+                param.data = self.params[name].copy()
         metas = self.groups[group]
         mine = range(self.index, len(metas), self.count)
         if cut == RESET:
@@ -111,61 +120,19 @@ class _Runner:
         return out
 
     def backward(self, seeds: dict) -> dict:
-        """Replay each scene's window from its (det, seg) loss seeds (None
-        for a loss that got none): its ``leaf_gradients``, frames newest
-        first."""
-        out = {}
+        """Replay each scene's window alone from its (det, seg) loss seeds
+        (None for a loss that got none), frames newest first, into the
+        parameters' ``grad``, and copy that gradient (zeros where none
+        arrived) into the scene's slot. Nothing comes back by scene."""
         for k, pair in seeds.items():
-            given = [(x, g) for x, g in zip(self.losses[k], pair) if g is not None]
+            self.store.zero_grads()
             try:
-                out[k] = leaf_gradients(self.tapes[k], given)
+                replay(self.tapes[k], [(x, g) for x, g in zip(self.losses[k], pair) if g is not None])
             except Exception as e:
                 raise _Failed(k, e) from None
-        return out
-
-
-class _Worker:
-    """A forked runner's side of the pipe: it copies the parameters out of
-    the shared mapping before each frame and writes each step's gradients
-    into its buffer."""
-
-    def __init__(self, runner: _Runner, store: ParamStore, params: dict[str, np.ndarray], conn):
-        self.runner, self.store, self.params, self.conn = runner, store, params, conn
-        self.names = {id(t): name for name, t in store.items()}
-        self.buf, self.size = None, 0
-
-    def forward(self, group: int, t: int, cut: Optional[str]) -> dict:
-        for name, param in self.store.items():
-            param.data = self.params[name].copy()
-        return self.runner.forward(group, t, cut)
-
-    def backward(self, seeds: dict) -> dict:
-        """The runner's gradients, written into the buffer: per scene and
-        frame, each one's (parameter name, offset, shape, dtype)."""
-        grads = {k: [[(self.names[id(t)], np.asarray(g)) for t, g in pairs] for pairs in frames]
-                 for k, frames in self.runner.backward(seeds).items()}
-        need = sum(_padded(g.nbytes) for frames in grads.values() for pairs in frames for _, g in pairs)
-        if need > self.size:
-            self.size = -(-(need + need // 4) // mmap.PAGESIZE) * mmap.PAGESIZE
-            fd = os.memfd_create("dualstream-grads")
-            try:
-                os.ftruncate(fd, self.size)
-                self.buf = mmap.mmap(fd, self.size)
-                self.conn.send(("buffer", self.size))
-                send_handle(self.conn, fd, os.getppid())
-            finally:
-                os.close(fd)
-        offset, out = 0, {}
-        for k, frames in grads.items():
-            out[k] = []
-            for pairs in frames:
-                entries = []
-                for name, g in pairs:
-                    np.ndarray(g.shape, g.dtype, self.buf, offset)[...] = g
-                    entries.append((name, offset, g.shape, g.dtype.str))
-                    offset += _padded(g.nbytes)
-                out[k].append(entries)
-        return out
+            for name, param in self.store.items():
+                self.slots[k][name][...] = 0 if param.grad is None else param.grad
+        return {}
 
 
 def _error(k: int, exc: Exception) -> tuple:
@@ -179,29 +146,29 @@ def _error(k: int, exc: Exception) -> tuple:
     return "err", k, exc, text
 
 
-def _serve(worker: _Worker, inherited: list) -> None:
-    """A worker process: answer each command until told to stop or the
-    parent's end closes. It leaves by ``os._exit``, so none of the parent's
-    cleanup runs here."""
+def _serve(runner: _Runner, conn, inherited: list) -> None:
+    """A worker process: answer each command on ``conn`` until told to stop
+    or the parent's end closes. It leaves by ``os._exit``, so none of the
+    parent's cleanup runs here."""
     status = 0
     try:
-        for conn in inherited:
-            conn.close()
+        for other in inherited:
+            other.close()
         while True:
             try:
-                msg = worker.conn.recv()
+                msg = conn.recv()
             except EOFError:
                 break
             if msg is None:
                 break
             cmd, args = msg
             try:
-                reply = "ok", getattr(worker, cmd)(*args)
+                reply = "ok", getattr(runner, cmd)(*args)
             except _Failed as f:
                 reply = _error(f.k, f.exc)
             except Exception as e:
-                reply = _error(worker.runner.index, e)
-            worker.conn.send(reply)
+                reply = _error(runner.index, e)
+            conn.send(reply)
     except BaseException:
         status = 1
     finally:
@@ -225,34 +192,35 @@ class ScenePool:
     def __init__(self, store: ParamStore, groups: list[list[dict]], workers: int, initial_state: Callable,
                  run_frame: Callable):
         self.store, self.groups, self.workers = store, groups, workers
-        self.local = _Runner(0, workers, groups, initial_state, run_frame)
         self.group = 0
         self.stand_ins: list[tuple[Tensor, Tensor]] = []
-        self.conns, self.procs, self.bufs = [], [], []
-        self.params: dict[str, np.ndarray] = {}
-        if workers == 1:
-            return
+        self.conns, self.procs = [], []
         offsets, size = {}, 0
         for name, t in store.items():
             offsets[name] = size
             size += _padded(t.data.nbytes)
-        shared = mmap.mmap(-1, max(size, 1))
-        self.params = {name: np.ndarray(t.data.shape, t.data.dtype, shared, offsets[name])
-                       for name, t in store.items()}
+        blocks = 1 + max(len(group) for group in groups)
+        shared = mmap.mmap(-1, max(size * blocks, 1))
+        self.params, *self.slots = [
+            {name: np.ndarray(t.data.shape, t.data.dtype, shared, b * size + offsets[name]) for name, t in store.items()}
+            for b in range(blocks)]
+
+        def runner(r):
+            return _Runner(r, workers, groups, initial_state, run_frame, store, self.params, self.slots)
+
+        self.local = runner(0)
         ctx = multiprocessing.get_context("fork")
         try:
             for r in range(1, workers):
                 parent_end, child_end = ctx.Pipe()
                 self.conns.append(parent_end)
-                worker = _Worker(_Runner(r, workers, groups, initial_state, run_frame), store, self.params,
-                                 child_end)
-                proc = ctx.Process(target=_serve, args=(worker, self.conns[:]), name=f"scene-worker-{r}")
+                proc = ctx.Process(target=_serve, args=(runner(r), child_end, self.conns[:]),
+                                   name=f"scene-worker-{r}")
                 try:
                     proc.start()
                 finally:
                     child_end.close()
                 self.procs.append(proc)
-                self.bufs.append(None)
         except BaseException:
             self.close()
             raise
@@ -275,26 +243,28 @@ class ScenePool:
                 self.params[name][...] = param.data
         for r in range(1, self.workers):
             self._send(r, ("forward", (group, t, cut)))
-        losses = self._gather(lambda: self.local.forward(group, t, cut), lambda r, reply: reply)
+        losses = self._gather(lambda: self.local.forward(group, t, cut))
         self.stand_ins = [losses[k] for k in range(len(self.groups[group]))]
         return self.stand_ins
 
-    def backward(self, seeds: dict) -> list[tuple[Tensor, np.ndarray]]:
-        """Replay every scene's window from ``seeds`` (the gradient each of
-        the last ``forward``'s losses got, by loss) and return the
-        ``(parameter, gradient)`` pairs in one tape's order: frames newest
-        first; within a frame, the later scene first; within a scene, its
-        replay order."""
-        pairs = {k: (seeds.get(det), seeds.get(seg)) for k, (det, seg) in enumerate(self.stand_ins)}
+    def backward(self) -> None:
+        """Replay every scene's window from the seeds the last ``forward``'s
+        losses hold in ``grad``, and set each parameter's ``grad`` to
+        ``0 + G_0 + G_1 + ...``: scene k's gradient, its window replayed
+        alone, added in scene order."""
+        seeds = [(det.grad, seg.grad) for det, seg in self.stand_ins]
 
         def share(r):
-            return {k: pair for k, pair in pairs.items() if k % self.workers == r}
+            return {k: seeds[k] for k in range(r, len(seeds), self.workers)}
 
         for r in range(1, self.workers):
             self._send(r, ("backward", (share(r),)))
-        grads = self._gather(lambda: self.local.backward(share(0)), self._unpack)
-        return [pair for f in range(len(grads[0])) for k in reversed(range(len(grads)))
-                for pair in grads[k][f]]
+        self._gather(lambda: self.local.backward(share(0)))
+        for name, param in self.store.items():
+            grad = np.zeros_like(param.data)
+            for slot in self.slots[:len(seeds)]:
+                grad += slot[name]
+            param.grad = grad
 
     def close(self) -> None:
         """Stop and join every worker."""
@@ -304,16 +274,10 @@ class ScenePool:
             conn.close()
         for proc in self.procs:
             _stop(proc)
-        self.conns, self.procs, self.bufs = [], [], []
+        self.conns, self.procs = [], []
         self.local = None
 
-    def _unpack(self, r: int, reply: dict) -> dict:
-        buf = self.bufs[r - 1]
-        return {k: [[(self.store[name], np.ndarray(shape, np.dtype(dtype), buf, offset))
-                     for name, offset, shape, dtype in entries] for entries in frames]
-                for k, frames in reply.items()}
-
-    def _gather(self, local: Callable[[], dict], unpack: Callable[[int, dict], dict]) -> dict:
+    def _gather(self, local: Callable[[], dict]) -> dict:
         """Run ``local`` here while the workers answer the command just
         sent, and merge every runner's results by scene. If scenes raised,
         re-raise the exception of the lowest scene index."""
@@ -327,7 +291,7 @@ class ScenePool:
             if reply[0] == "err":
                 failed.append(reply[1:])
             else:
-                out.update(unpack(r, reply[1]))
+                out.update(reply[1])
         if failed:
             _, exc, text = min(failed, key=lambda f: f[0])
             if text is None:
@@ -342,24 +306,17 @@ class ScenePool:
             raise self._died(r) from None
 
     def _reply(self, r: int):
-        """Worker ``r``'s answer, taking over any new gradient buffer it
-        announces first. Raises ``WorkerDied`` if it ended without one."""
+        """Worker ``r``'s answer. Raises ``WorkerDied`` if it ended without
+        one."""
         conn, proc = self.conns[r - 1], self.procs[r - 1]
-        while True:
-            wait([conn, proc.sentinel])
-            try:
-                msg = conn.recv() if conn.poll() else None
-            except (EOFError, OSError):
-                msg = None
-            if msg is None:
-                raise self._died(r)
-            if msg[0] != "buffer":
-                return msg
-            fd = recv_handle(conn)
-            try:
-                self.bufs[r - 1] = mmap.mmap(fd, msg[1])
-            finally:
-                os.close(fd)
+        wait([conn, proc.sentinel])
+        try:
+            msg = conn.recv() if conn.poll() else None
+        except (EOFError, OSError):
+            msg = None
+        if msg is None:
+            raise self._died(r)
+        return msg
 
     def _died(self, r: int) -> WorkerDied:
         proc = self.procs[r - 1]

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .configio import Config, config_from_dict, config_to_dict, worker_count
-from .diffcore import NumericError, Tape, Tensor, add, add_gradients, fresh_tape, leaf_gradients, scale
+from .diffcore import NumericError, Tape, Tensor, add, fresh_tape, replay, scale
 from .diffcore.dstn import DstnError, atomic_directory, read_json, read_tensor, write_tensor
 from .heads import LossWeights, detection_cost_matrix, detection_loss, hungarian_match, segmentation_loss
 from .model import DualStreamModel, StreamState
@@ -185,11 +185,10 @@ def _scene_groups(dataset: Dataset, cfg: Config) -> list[list[dict]]:
 def backward(tape: Tape, loss: Tensor, scenes: ScenePool) -> None:
     """Take a step's ``loss``, recorded on ``tape`` from the losses
     ``scenes.forward`` returned, to the parameters' ``grad``: each scene
-    loss's seed, every scene's replay (here and in the workers) and the sum
-    of their gradients in one tape's order."""
-    (seeds,) = leaf_gradients([tape], [(loss, np.ones_like(loss.data))])
-    # each scene loss enters ``loss`` once, so it gets one seed
-    add_gradients(scenes.backward(dict(seeds)))
+    loss's seed into its ``grad``, then every scene's replay (here and in the
+    workers) and the sum of the scenes' gradients in scene order."""
+    replay([tape], [(loss, np.ones_like(loss.data))])
+    scenes.backward()
 
 
 def streaming_train(
@@ -212,19 +211,21 @@ def streaming_train(
     scenes' carried state and their tapes, one per frame of the current
     truncation window, and runs their frame loads, forwards and losses. This
     process combines the scenes' losses, checks them and derives each
-    scene's det and seg seeds; every runner replays its scenes' windows from
-    them; ``backward`` adds the gradients in the order of one tape holding
-    the scenes one after another: frames newest first, within a frame the
-    later scene first, within a scene its replay order. So every loss,
-    parameter and AdamW moment is bitwise that of a one-runner run. Then
-    this process clips, runs AdamW and calls ``on_step`` (where a caller may
-    save a checkpoint).
+    scene's det and seg seeds. Every runner replays each of its scenes'
+    windows alone from them: scene k's gradient ``G_k`` sums its
+    contributions in replay order (frames newest first), each parameter's
+    starting from zero. ``backward`` then sets each parameter's ``grad`` to
+    ``0 + G_0 + G_1 + ...``, the scenes in index order. That order does not
+    depend on the number of runners, so every loss, parameter and AdamW
+    moment is bitwise that of a one-runner run. Then this process clips,
+    runs AdamW and calls ``on_step`` (where a caller may save a checkpoint).
 
-    Parameters reach the workers through a shared mapping, written before
-    each frame; a worker copies them out into new arrays, never views, as
-    ``optimizer_step`` makes new ones here, so a window's older tapes keep
-    the values their frames ran with. Gradients come back through a buffer
-    each worker sizes to its largest step.
+    Parameters reach the workers, and the scenes' gradients come back,
+    through one shared mapping made before the fork: the parameters, written
+    before each frame, and one gradient slot per scene. A worker copies the
+    parameters out into new arrays, never views, as ``optimizer_step`` makes
+    new ones here, so a window's older tapes keep the values their frames
+    ran with.
 
     The training step is the optimizer's: a run goes on from ``opt.step``,
     and the cosine schedule always spans the config's
@@ -270,7 +271,6 @@ def streaming_train(
                         f"det={det_val} seg={seg_val}"
                     )
 
-                model.store.zero_grads()
                 backward(tape, loss, scenes)
                 norm = clip_gradients(model.store, cfg.grad_clip)
                 if not math.isfinite(norm):

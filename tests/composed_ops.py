@@ -9,8 +9,9 @@ when sorted queries own the reads (the one-hot ``pick`` products), and
 ``multi_head_attention`` 19 (the canonical key order's two row gathers,
 three projections with their head reshapes, the scaled scores, the
 softmax, the context product and the output projection). The fused ops
-must give the same output, the same gradients and the same
-``leaf_gradients`` sequence, bitwise; tests compare them against these.
+must give the same output, the same gradients and the same sequence of
+gradients their leaves receive under ``backward`` (``Tensor._accum_grad``
+calls), bitwise; tests compare them against these.
 
 ``softmax`` is the reference softmax these compose, kept here since no
 package code calls it on its own any more.

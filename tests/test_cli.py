@@ -1,7 +1,7 @@
 import csv
 import json
+import multiprocessing
 import os
-import threading
 
 import numpy as np
 import pytest
@@ -96,13 +96,12 @@ def test_nan_anchor_in_a_concurrent_scene_is_exit_4(tmp_path, monkeypatch, capsy
     cfg.write_text(TINY, encoding="utf-8")
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data"), "--seeds", "7..8"]) == EXIT_OK
     monkeypatch.delenv("DUALSTREAM_THREADS", raising=False)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})   # two scene threads
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})   # two scene runners: scene 1 in a worker
     poison_anchors(monkeypatch, Dataset(tmp_path / "data").scenes[1]["id"], 1)
-    before = threading.active_count()
     args = ["train", "--config", str(cfg), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "run")]
     assert main(args) == EXIT_NUMERIC
     assert "numeric failure: query anchors must be finite" in capsys.readouterr().err
-    assert threading.active_count() == before
+    assert not multiprocessing.active_children()
     assert not (tmp_path / "run").exists()
 
 

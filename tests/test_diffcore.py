@@ -12,15 +12,14 @@ import dualstream.diffcore as dc
 from dualstream.diffcore import (
     ShapeError,
     Tensor,
-    add_gradients,
     backward,
     bilinear_sample,
     fresh_tape,
     gelu,
     layernorm,
-    leaf_gradients,
     mlp,
     multi_head_attention,
+    replay,
 )
 from dualstream.diffcore.ops import AttentionParams, DeformableParams, MlpParams, _deformable_core
 from dualstream.diffcore.tensor import (
@@ -34,6 +33,7 @@ from dualstream.diffcore.tensor import (
     mean,
     mul,
     reshape,
+    scale,
     sigmoid,
     softplus,
     sparse_matmul,
@@ -43,6 +43,8 @@ from dualstream.diffcore.tensor import (
     tanh,
     transpose,
 )
+from dualstream.params import ParamStore
+from dualstream.scenepool import RESET, ScenePool
 
 
 def t64(arr, grad=False):
@@ -783,69 +785,69 @@ def test_biased_matmul_is_the_product_plus_the_bias(rng):
 
 
 # ---------------------------------------------------------------------------
-# tapes replayed apart (``leaf_gradients``, ``add_gradients``)
+# scenes replayed apart (``replay``, ``scenepool.ScenePool``)
 
-def _shared_leaf_grad(rng, frames, apart):
-    """The f32 gradient of a leaf ``w`` that two scenes share, over
-    ``frames`` frames: each frame reaches w directly and through ``h``, which
-    is ``3 w`` in frame 0 and carried from the scene's previous frame after
-    it. Recorded on one tape (``apart`` false) or on one tape per scene and
-    frame, replayed per scene and merged in the one-tape order. Element 0 of
-    every contribution to ``w`` is -0.0, so the first one added is -0.0; the
-    other elements span 16 decades, so their sum depends on its order."""
-    w = Tensor(rng.normal(size=6).astype(np.float32), requires_grad=True)
-    consts = (10.0 ** rng.uniform(-8, 8, size=(frames, 2, 2, 6))
-              * rng.choice([-1, 1], size=(frames, 2, 2, 6))).astype(np.float32)
+def _shared_leaf_scenes(rng, frames, scenes):
+    """A store whose parameter ``w`` (f32) the ``scenes`` scenes share and
+    whose ``unreached`` no scene reaches, and ``run_frame(meta, t, h)`` for
+    ``ScenePool``. Each frame reaches w directly and through ``h``, which is
+    ``3 w`` in frame 0 and carried from the scene's previous frame after it.
+    Element 0 of every contribution to ``w`` is -0.0, so a sum that starts
+    from it, not from zero, stays -0.0; the other elements span 16 decades,
+    so their sum depends on its order."""
+    store = ParamStore(np.float32)
+    w = store.tensor("w", rng.normal(size=6))
+    store.tensor("unreached", np.ones(2))
+    consts = (10.0 ** rng.uniform(-8, 8, size=(frames, scenes, 3, 6))
+              * rng.choice([-1, 1], size=(frames, scenes, 3, 6))).astype(np.float32)
     consts[..., 0] = -0.0
-    carried: list = [None, None]
-    tapes: list = [[], []]
 
-    def frame(f, k):
-        h = mul(w, 3.0) if carried[k] is None else carried[k]
-        carried[k] = mul(h, 1.0)
-        return add(sum_(mul(w, consts[f, k, 0])), sum_(mul(mul(h, consts[f, k, 1]), mul(w, 1.0))))
+    def run_frame(meta, t, h):
+        c = consts[t, meta["id"]]
+        h = mul(w, 3.0) if h is None else h
+        det = add(sum_(mul(w, c[0])), sum_(mul(mul(h, c[1]), mul(w, 1.0))))
+        return mul(h, 1.0), det, sum_(mul(w, c[2]))
 
-    if not apart:
-        with fresh_tape():
-            for f in range(frames):
-                terms = [frame(f, k) for k in range(2)]
-            backward(add(terms[0], terms[1]))
-        return w.grad
-    for f in range(frames):
-        terms = []
-        for k in range(2):
+    return store, run_frame
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_scene_gradients_replayed_alone_are_added_in_scene_order(workers):
+    # at batch 3 on 2 runners, runner 0 replays scenes 0 and 2 into one store;
+    # on 3, each scene has a runner of its own
+    frames, metas = 2, [{"id": k} for k in range(3)]
+    store, run_frame = _shared_leaf_scenes(np.random.default_rng(3), frames, len(metas))
+    with ScenePool(store, [metas], workers, lambda: None, run_frame) as pool:
+        for t in range(frames):
+            losses = pool.forward(0, t, RESET if t == 0 else None)
+        with fresh_tape() as tape:
+            terms = [add(scale(det, 0.5 ** k), seg) for k, (det, seg) in enumerate(losses)]
+            loss = add(add(terms[0], terms[1]), terms[2])
+        replay([tape], [(loss, np.ones_like(loss.data))])
+        assert all(p.grad is None for _, p in store.items())
+        pool.backward()
+    got = {name: p.grad for name, p in store.items()}
+
+    def alone(k):
+        """Scene k's gradient of ``w``: its frames on their own tapes,
+        replayed from the seeds its losses got."""
+        store.zero_grads()
+        tapes, h = [], None
+        for t in range(frames):
             with fresh_tape() as tape:
-                terms.append(frame(f, k))
-            tapes[k].append(tape)
-    stand_ins = [Tensor(term.data, requires_grad=True) for term in terms]
-    with fresh_tape() as tape:
-        loss = add(stand_ins[0], stand_ins[1])
-    (seeds,) = leaf_gradients([tape], [(loss, np.ones_like(loss.data))])
-    assert [t for t, _ in seeds] == stand_ins and w.grad is None
-    scenes = [leaf_gradients(tapes[k], [(terms[k], g)]) for k, (_, g) in enumerate(seeds)]
-    assert w.grad is None
-    add_gradients(pair for f in range(frames) for k in (1, 0) for pair in scenes[k][f])
-    return w.grad
+                h, det, seg = run_frame(metas[k], t, h)
+            tapes.append(tape)
+        replay(tapes, [(det, losses[k][0].grad), (seg, losses[k][1].grad)])
+        return store["w"].grad
 
-
-@pytest.mark.parametrize("frames", [1, 2])
-def test_scene_gradients_replayed_apart_sum_in_the_single_tape_order(frames):
-    serial = _shared_leaf_grad(np.random.default_rng(3), frames, apart=False)
-    assert serial[0] == 0.0 and not np.signbit(serial[0])
-    merged = _shared_leaf_grad(np.random.default_rng(3), frames, apart=True)
-    assert merged.dtype == serial.dtype and merged.tobytes() == serial.tobytes()
-
-
-def test_leaf_gradients_hand_back_what_backward_would_add():
-    w = t64(np.ones(3), grad=True)
-    with fresh_tape() as first:
-        a = mul(w, 2.0)
-    with fresh_tape() as second:
-        b = sum_(mul(a, w))
-    newest, oldest = leaf_gradients([first, second], [(b, np.float64(1.0)), (w, np.full(3, 5.0))])
-    assert w.grad is None
-    # the seed given to the leaf opens the newest tape's list
-    assert [t for t, _ in newest] == [w, w] and [t for t, _ in oldest] == [w]
-    np.testing.assert_array_equal(np.stack([g for _, g in newest + oldest]), [[5.0] * 3, [2.0] * 3, [2.0] * 3])
-    add_gradients(newest + oldest)
-    np.testing.assert_array_equal(w.grad, [9.0] * 3)
+    scenes = [alone(k) for k in range(len(metas))]
+    want = np.zeros(6, dtype=np.float32)
+    for g in scenes:
+        want += g
+    assert got["w"].dtype == want.dtype and got["w"].tobytes() == want.tobytes()
+    assert got["w"][0] == 0.0 and not np.signbit(got["w"][0])
+    slipped = np.zeros(6, dtype=np.float32)
+    for g in reversed(scenes):
+        slipped += g
+    assert slipped.tobytes() != want.tobytes()   # the data tells the orders apart
+    assert got["unreached"].dtype == np.float32 and not got["unreached"].any()

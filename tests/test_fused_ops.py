@@ -1,8 +1,8 @@
 """The deformable read and multi-head attention are one op each, with a
 hand-written backward. Against their composed forms in ``composed_ops``
-they give bitwise the same output, shares, gradients and ``leaf_gradients``
-sequence (the leaves in the same order, each gradient the same bytes), in
-float32 and float64."""
+they give bitwise the same output, shares, gradients and sequence of
+gradients their leaves receive under ``backward`` (the leaves in the same
+order, each gradient the same bytes), in float32 and float64."""
 
 import numpy as np
 import pytest
@@ -10,9 +10,9 @@ from composed_ops import deformable_core as composed_core
 from composed_ops import multi_head_attention as composed_attention
 from util import make_attention_params, make_deformable_params, rows
 
-from dualstream.diffcore import Tensor, fresh_tape, leaf_gradients
+from dualstream.diffcore import Tensor, backward, fresh_tape
 from dualstream.diffcore.ops import _deformable_core, multi_head_attention
-from dualstream.diffcore.tensor import add, mul
+from dualstream.diffcore.tensor import add, mul, sum_
 
 DTYPES = [np.float32, np.float64]
 
@@ -25,26 +25,35 @@ def cast(params, dtype):
 def replay(op, inputs, leaves, mix, through):
     """Run ``op`` on a fresh tape, its output plus its first input (a
     residual, so that input holds a gradient before the op's backward adds
-    to it) weighted by ``mix``, and replay it: the outputs and the ``(leaf
-    name, dtype, shape, gradient bytes)`` sequence. With ``through``, the
-    inputs enter through one recorded op each, as a layer's activations do,
-    so the op adds into their pending gradients; else they are leaves and
-    the sequence lists each part they receive. Before the replay every leaf
-    gets new arrays, as AdamW gives the parameters between a truncation
-    window's first frame and its replay: the backward must use the forward's."""
-    with fresh_tape() as tape:
+    to it) weighted by ``mix``, and ``backward`` it: the outputs and the
+    ``(leaf name, dtype, shape, gradient bytes)`` sequence the leaves'
+    ``Tensor._accum_grad`` receives. With ``through``, the inputs enter
+    through one recorded op each, as a layer's activations do, so the op
+    adds into their pending gradients; else they are leaves and the sequence
+    lists each part they receive. Before the backward every leaf gets new
+    arrays, as AdamW gives the parameters between a truncation window's
+    first frame and its replay: the backward must use the forward's."""
+    names = {id(t): name for name, t in leaves.items()}
+    seq, accum = [], Tensor._accum_grad
+
+    def recorded(t, g):
+        seq.append((names[id(t)], g.dtype.str, g.shape, g.tobytes()))
+        accum(t, g)
+
+    with fresh_tape():
         made = [mul(x, 1.0) for x in inputs] if through else inputs
         out = op(*made)
         first = out[0] if isinstance(out, tuple) else out
-        loss = mul(add(first, made[0]), Tensor(mix.astype(first.dtype)))
-    kept = {name: t.data for name, t in leaves.items()}
-    for t in leaves.values():
-        t.data = t.data + 1.0
-    (pairs,) = leaf_gradients([tape], [(loss, np.ones_like(loss.data))])
+        loss = sum_(mul(add(first, made[0]), Tensor(mix.astype(first.dtype))))
+        kept = {name: t.data for name, t in leaves.items()}
+        for t in leaves.values():
+            t.data, t.grad = t.data + 1.0, None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Tensor, "_accum_grad", recorded)
+            backward(loss)
     for name, t in leaves.items():
         t.data = kept[name]
-    names = {id(t): name for name, t in leaves.items()}
-    return out, [(names[id(t)], g.dtype.str, g.shape, g.tobytes()) for t, g in pairs]
+    return out, seq
 
 
 def assert_same(got, want):
@@ -54,7 +63,7 @@ def assert_same(got, want):
     for a, b in zip(outs, outs_w):
         a, b = (x.data if isinstance(x, Tensor) else x for x in (a, b))
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert [s[0] for s in seq] == [s[0] for s in seq_w]
+    assert seq_w and [s[0] for s in seq] == [s[0] for s in seq_w]
     for s, w in zip(seq, seq_w):
         assert s == w, s[0]
 

@@ -116,14 +116,16 @@ def _scene_workers(monkeypatch, n):
 
 
 # sha256 of each run of the three scenes (its losses as ``float.hex``, then
-# each parameter's name, values and AdamW moments in store order), as one
-# thread trained them before scenes ran concurrently. The pins hold for one
-# numpy/BLAS build, as TRAIN_CANARY's in test_dtype.py do.
+# each parameter's name, values and AdamW moments in store order). Each step's
+# gradient is 0 + G_0 + G_1 + ... in scene order, where G_k is scene k's
+# window replayed alone, each parameter's starting from zero: an order that
+# does not depend on the number of runners. The pins hold for one numpy/BLAS
+# build, as TRAIN_CANARY's in test_dtype.py do.
 SCENES_CANARY = {
-    ("f32", 2): "6fb55363d7726d1967ff6437b7e716c265ade91b9a52edd7313685e60032812b",
-    ("f32", 3): "d02e32d160e654249f8f9ee694a28857643352ec83d0706aa99bd20bb4561789",
-    ("f64", 2): "6ea8367e210c7984213c09931481c34233d1153ce3774fc03ba544cf42b769e7",
-    ("f64", 3): "4791ed9ac52973fd969b5eda2130a64cb5be5ebeb7ea0429f6ad2bd998c15885",
+    ("f32", 2): "09369a572f1be76a5ca9ded296700094c11a344696a29c86ccbac052be7ad3ee",
+    ("f32", 3): "dd14f030a5cd93b7dd8e58e3c601fe7492c1dbb36627e13472249664ecbaff25",
+    ("f64", 2): "6064b638ed3540168e1aaff4533ed9d47d6662305883b9170453d36ace000148",
+    ("f64", 3): "0085501865357a3619206a7a1cb1b43f0ba88459745c5e63b540d81530afadce",
 }
 
 
