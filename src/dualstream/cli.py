@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .configio import Config, ConfigError, config_to_dict, content_hash, load_config, serialize_config, worker_count
+from .configio import Config, ConfigError, config_to_dict, content_hash, load_config, serialize_config
 from .diffcore.dstn import DstnError, atomic_write_text, read_header, read_json
 from .model import DualStreamModel
 from .runner import assemble_report, run_inference
@@ -106,7 +106,6 @@ def cmd_gen_data(args) -> int:
         seeds, out, world_from_config(cfg), bev_from_config(cfg),
         config_echo=config_to_dict(cfg), ranges=cfg.detection_ranges(),
         schedule_kind=cfg.schedule, image_size=(cfg.image_height, cfg.image_width),
-        workers=worker_count(len(seeds)),
     )
     write_manifest(out, "gen-data", cfg, seeds[0], config_path=str(args.config))
     n_frames = len(seeds) * cfg.scene_frames

@@ -35,8 +35,8 @@ class Config:
     # f32 | f64: the dtype of parameters, activations, the tape and gradients;
     # AdamW moments, geometry and decoded boxes and scores stay f64
     dtype: str = "f32"
-    # worker counts are not configuration: gen-data and training both take
-    # theirs from the machine (``worker_count``)
+    # the training runner count is not configuration: it comes from the
+    # machine (``worker_count``); gen-data runs on one thread
     # world generation
     scene_frames: int = 14
     scene_dt: float = 0.5
@@ -105,8 +105,11 @@ class Config:
         if self.truncation_horizon < 1:
             raise ConfigError("truncation_horizon must be >= 1")
         # every comparison with NaN is false, so these bounds refuse it too
-        if not self.scene_dt > 0:
-            raise ConfigError("scene_dt must be > 0")
+        for name in ("scene_dt", "velocity_norm", "range_z", "ap_threshold_scale"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        if not 0 <= self.cosine_floor <= 1:
+            raise ConfigError(f"cosine_floor must be >= 0 and <= 1, got {self.cosine_floor!r}")
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         if not self.grad_clip >= 0:
@@ -218,10 +221,10 @@ def config_from_dict(doc: dict) -> Config:
 
 
 def worker_count(jobs: int) -> int:
-    """Workers for ``jobs`` independent jobs (gen-data's scenes, a training
-    frame-batch's scenes, which run on the calling process and forked worker
-    processes): one per job, at most one per CPU the process may run on,
-    capped by the environment's ``DUALSTREAM_THREADS``; at least 1."""
+    """Runners for a training frame-batch of ``jobs`` scenes (the calling
+    process and forked worker processes): one per scene, at most one per CPU
+    the process may run on, capped by the environment's
+    ``DUALSTREAM_THREADS``; at least 1."""
     workers = min(jobs, len(os.sched_getaffinity(0)))
     cap = os.environ.get("DUALSTREAM_THREADS")
     if cap is not None:

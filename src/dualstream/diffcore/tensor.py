@@ -1,6 +1,6 @@
 """Reverse-mode autodiff on dense numpy arrays.
 
-A thread-local Wengert tape records every differentiable operation in
+A module-level Wengert tape records every differentiable operation in
 execution order; ``backward`` replays the tape in reverse, which is a valid
 reverse topological order by construction and therefore bitwise deterministic
 for fixed inputs.
@@ -22,7 +22,6 @@ given as arrays or numbers are cast to the tensor operand's dtype.
 from __future__ import annotations
 
 import contextlib
-import threading
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -67,13 +66,15 @@ class Tape:
         return len(self._entries)
 
 
-class _ThreadState(threading.local):
+class _State:
+    """The active tape and whether ops record on it, one per process."""
+
     def __init__(self):
         self.tape = Tape()
         self.grad_enabled = True
 
 
-_state = _ThreadState()
+_state = _State()
 
 
 def active_tape() -> Tape:

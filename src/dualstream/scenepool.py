@@ -7,9 +7,10 @@ runners, scene k going to runner k mod workers. Runner 0 is the calling
 process; the others are processes forked (``multiprocessing``'s "fork"
 context) when the pool is made and stopped by ``close``. A runner keeps, for
 each of its scenes, the carried state and one tape per frame of the current
-truncation window. It hands back the loss values and, from their seeds,
-each scene's gradient ``G_k``: the scene's window replayed alone with
-``diffcore.replay``, each parameter's sum starting from zero.
+truncation window. It hands back the loss values as arrays and, from the
+seeds the caller gives them, each scene's gradient ``G_k``: the scene's
+window replayed alone with ``diffcore.replay``, each parameter's sum
+starting from zero. No tape joins the scenes, so the caller records none.
 
 Arrays cross between processes through one anonymous shared mapping made
 before the fork, not the pipe. It holds the parameters, then one slot per
@@ -25,8 +26,8 @@ scene of the largest frame-batch, each slot in the parameters' layout:
 The pipe carries only commands, loss values, seeds and errors.
 
 Workers are forked, not spawned, so that each starts with the model, the
-dataset and the shared mapping in place, none of them pickled; training
-starts no thread of its own before it forks.
+dataset and the shared mapping in place, none of them pickled; the program
+starts no thread, so a fork copies no lock that another thread holds.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ class _Runner:
 
     def forward(self, group: int, t: int, cut: Optional[str]) -> dict:
         """Frame ``t`` of this runner's scenes of frame-batch ``group``,
-        after ``cut``: each scene's det and seg losses as leaf stand-ins. A
-        forked runner first copies out the parameters the parent wrote."""
+        after ``cut``: each scene's det and seg loss values. A forked runner
+        first copies out the parameters the parent wrote."""
         if self.index:
             for name, param in self.store.items():
                 param.data = self.params[name].copy()
@@ -116,18 +117,18 @@ class _Runner:
                     raise _Failed(k, e) from None
             self.tapes[k].append(tape)
             self.losses[k] = det, seg
-            out[k] = tuple(Tensor(x.data, requires_grad=x.requires_grad) for x in (det, seg))
+            out[k] = det.data, seg.data
         return out
 
     def backward(self, seeds: dict) -> dict:
-        """Replay each scene's window alone from its (det, seg) loss seeds
-        (None for a loss that got none), frames newest first, into the
-        parameters' ``grad``, and copy that gradient (zeros where none
-        arrived) into the scene's slot. Nothing comes back by scene."""
+        """Replay each scene's window alone from its (det, seg) loss seeds,
+        frames newest first, into the parameters' ``grad``, and copy that
+        gradient (zeros where none arrived) into the scene's slot. Nothing
+        comes back by scene."""
         for k, pair in seeds.items():
             self.store.zero_grads()
             try:
-                replay(self.tapes[k], [(x, g) for x, g in zip(self.losses[k], pair) if g is not None])
+                replay(self.tapes[k], list(zip(self.losses[k], pair)))
             except Exception as e:
                 raise _Failed(k, e) from None
             for name, param in self.store.items():
@@ -193,7 +194,6 @@ class ScenePool:
                  run_frame: Callable):
         self.store, self.groups, self.workers = store, groups, workers
         self.group = 0
-        self.stand_ins: list[tuple[Tensor, Tensor]] = []
         self.conns, self.procs = [], []
         offsets, size = {}, 0
         for name, t in store.items():
@@ -232,11 +232,11 @@ class ScenePool:
         self.close()
         return False
 
-    def forward(self, group: int, t: int, cut: Optional[str]) -> list[tuple[Tensor, Tensor]]:
+    def forward(self, group: int, t: int, cut: Optional[str]) -> list[tuple[np.ndarray, np.ndarray]]:
         """Frame ``t`` of every scene of frame-batch ``group``, after ``cut``
-        (``RESET``, ``DETACH`` or None): each scene's det and seg losses, in
-        scene order, as leaves holding their values. If scenes raised, the
-        exception of the lowest scene index propagates."""
+        (``RESET``, ``DETACH`` or None): each scene's det and seg loss
+        values, in scene order. If scenes raised, the exception of the
+        lowest scene index propagates."""
         self.group = group
         if self.conns:
             for name, param in self.store.items():
@@ -244,15 +244,13 @@ class ScenePool:
         for r in range(1, self.workers):
             self._send(r, ("forward", (group, t, cut)))
         losses = self._gather(lambda: self.local.forward(group, t, cut))
-        self.stand_ins = [losses[k] for k in range(len(self.groups[group]))]
-        return self.stand_ins
+        return [losses[k] for k in range(len(self.groups[group]))]
 
-    def backward(self) -> None:
-        """Replay every scene's window from the seeds the last ``forward``'s
-        losses hold in ``grad``, and set each parameter's ``grad`` to
-        ``0 + G_0 + G_1 + ...``: scene k's gradient, its window replayed
-        alone, added in scene order."""
-        seeds = [(det.grad, seg.grad) for det, seg in self.stand_ins]
+    def backward(self, seeds: list[tuple[np.ndarray, np.ndarray]]) -> None:
+        """Replay every scene's window from ``seeds[k]``, the gradient of
+        the step's loss by scene k's last det and seg losses, and set each
+        parameter's ``grad`` to ``0 + G_0 + G_1 + ...``: scene k's gradient,
+        its window replayed alone, added in scene order."""
 
         def share(r):
             return {k: seeds[k] for k in range(r, len(seeds), self.workers)}

@@ -21,7 +21,6 @@ effects.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -251,29 +250,26 @@ class PillarReads:
     encoding's width and dtype, so a plan is reused for as long as these
     values are equal: across layers and frames with the same camera set.
     The last ``KEPT`` plans are kept, enough for a schedule that alternates
-    between camera sets. Threads may share one: a lock serialises the cache,
-    so a plan is made once and never dropped by another thread's update.
+    between camera sets.
     """
 
     KEPT = 4
 
     def __init__(self):
         self._plans: OrderedDict = OrderedDict()   # by the values a plan comes from, oldest first
-        self._lock = threading.Lock()
 
     def reads(self, spec: BevSpec, features: FeatureMap, cameras: Mapping[str, CameraModel],
               params: CameraReadParams) -> CameraReads:
         key = (spec, params.pe_w.data.shape[0], params.pe_w.dtype.str, features.stride, tuple(features.dims),
                tuple((name, _camera_key(cameras[name])) for name in features.names))
-        with self._lock:
-            plan = self._plans.pop(key, None)
-            if plan is None:
-                n, nz = spec.dims[0] * spec.dims[1], len(spec.pillar_heights)
-                pts = np.column_stack([np.tile(cell_center_grid(spec), (nz, 1)), np.repeat(spec.pillar_heights, n)])
-                plan = plan_camera_reads(pts, np.tile(np.arange(n), nz), n, features, cameras, params)
-            self._plans[key] = plan
-            if len(self._plans) > self.KEPT:
-                self._plans.popitem(last=False)
+        plan = self._plans.pop(key, None)
+        if plan is None:
+            n, nz = spec.dims[0] * spec.dims[1], len(spec.pillar_heights)
+            pts = np.column_stack([np.tile(cell_center_grid(spec), (nz, 1)), np.repeat(spec.pillar_heights, n)])
+            plan = plan_camera_reads(pts, np.tile(np.arange(n), nz), n, features, cameras, params)
+        self._plans[key] = plan
+        if len(self._plans) > self.KEPT:
+            self._plans.popitem(last=False)
         return plan
 
 

@@ -26,5 +26,4 @@ from .dataset import (
     make_schedules,
     rasterize_gt_bev,
     render_views,
-    write_dataset,
 )

@@ -12,7 +12,6 @@ Layout:
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -219,48 +218,6 @@ def make_schedules(kind: str, duration: int) -> list[dict[str, bool]]:
     raise ValueError(f"unknown schedule kind {kind!r}")
 
 
-def write_dataset(
-    scenes: list[SceneSpec],
-    path,
-    cameras: dict[str, CameraModel],
-    bev_spec: BevSpec,
-    config_echo: dict,
-    ranges: Optional[np.ndarray] = None,
-    schedule_kind: str = "full",
-    workers: int = 1,
-) -> None:
-    """Render and persist scenes; layout documented at module top. The
-    dataset is written into a sibling temp directory and renamed into place,
-    so an interrupted write leaves no partial dataset at ``path``."""
-    with atomic_directory(path) as root:
-        def write_scene(k_scene):
-            k, scene = k_scene
-            schedules = make_schedules(schedule_kind, scene.duration)
-            sdir = root / f"scene_{k}"
-            sdir.mkdir()
-            for t in range(scene.duration):
-                write_frame(sdir / f"frame_{t}.dstn",
-                            build_frame(scene, t, cameras, bev_spec, schedules[t], ranges))
-
-        jobs = list(enumerate(scenes))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(write_scene, jobs))
-        else:
-            for job in jobs:
-                write_scene(job)
-
-        index = {
-            "format_version": FORMAT_VERSION,
-            "config": config_echo,
-            "dt": scenes[0].dt if scenes else 0.0,
-            "bev": {"dims": list(bev_spec.dims), "extent": list(bev_spec.extent)},
-            "cameras": {name: _camera_to_json(cam) for name, cam in cameras.items()},
-            "scenes": [{"id": k, "n_frames": s.duration, "seed": s.seed} for k, s in jobs],
-        }
-        _dump_json(root / "index.json", index)
-
-
 class Dataset:
     """Read-side view of a dataset directory with lazy frame loading."""
 
@@ -295,7 +252,28 @@ def generate_and_write(
     image_size: tuple[int, int] = (64, 128),
     workers: int = 1,
 ) -> None:
+    """Generate the scenes of ``seeds``, then render and persist them one
+    after another; layout documented at module top. The dataset is written
+    into a sibling temp directory and renamed into place, so an interrupted
+    write leaves no partial dataset at ``path``. ``workers`` must be 1: it
+    is kept only because ``perfbench/workloads.py`` still passes it."""
+    if workers != 1:
+        raise ValueError(f"gen-data runs on one thread, got workers={workers}")
     cams = cameras or build_camera_rig(width=image_size[1], height=image_size[0])
     scenes = [generate_scene(seed, world) for seed in seeds]
-    write_dataset(scenes, path, cams, bev_spec, config_echo or {}, ranges=ranges,
-                  schedule_kind=schedule_kind, workers=workers)
+    with atomic_directory(path) as root:
+        for k, scene in enumerate(scenes):
+            schedules = make_schedules(schedule_kind, scene.duration)
+            sdir = root / f"scene_{k}"
+            sdir.mkdir()
+            for t in range(scene.duration):
+                write_frame(sdir / f"frame_{t}.dstn", build_frame(scene, t, cams, bev_spec, schedules[t], ranges))
+        index = {
+            "format_version": FORMAT_VERSION,
+            "config": config_echo or {},
+            "dt": scenes[0].dt if scenes else 0.0,
+            "bev": {"dims": list(bev_spec.dims), "extent": list(bev_spec.extent)},
+            "cameras": {name: _camera_to_json(cam) for name, cam in cams.items()},
+            "scenes": [{"id": k, "n_frames": s.duration, "seed": s.seed} for k, s in enumerate(scenes)],
+        }
+        _dump_json(root / "index.json", index)

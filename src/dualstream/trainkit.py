@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .configio import Config, config_from_dict, config_to_dict, worker_count
-from .diffcore import NumericError, Tape, Tensor, add, fresh_tape, replay, scale
+from .diffcore import NumericError
 from .diffcore.dstn import DstnError, atomic_directory, read_json, read_tensor, write_tensor
 from .heads import LossWeights, detection_cost_matrix, detection_loss, hungarian_match, segmentation_loss
 from .model import DualStreamModel, StreamState
@@ -182,13 +182,27 @@ def _scene_groups(dataset: Dataset, cfg: Config) -> list[list[dict]]:
     return [metas[i:i + size] for i in range(0, len(metas), size)]
 
 
-def backward(tape: Tape, loss: Tensor, scenes: ScenePool) -> None:
-    """Take a step's ``loss``, recorded on ``tape`` from the losses
-    ``scenes.forward`` returned, to the parameters' ``grad``: each scene
-    loss's seed into its ``grad``, then every scene's replay (here and in the
-    workers) and the sum of the scenes' gradients in scene order."""
-    replay([tape], [(loss, np.ones_like(loss.data))])
-    scenes.backward()
+def step_loss(losses: list[tuple[np.ndarray, np.ndarray]], seg_weight: float):
+    """The step's loss from each scene's (det, seg) loss values, as
+    (total, det mean, seg mean): ``((d_0 + d_1) + ...) * (1/n)`` for the det
+    mean, the same for the seg mean, then ``det_mean + seg_mean *
+    seg_weight``. ``backward`` seeds the scenes with its derivatives."""
+    det_sum, seg_sum = losses[0]
+    for det, seg in losses[1:]:
+        det_sum, seg_sum = det_sum + det, seg_sum + seg
+    det_mean, seg_mean = det_sum * (1.0 / len(losses)), seg_sum * (1.0 / len(losses))
+    return det_mean + seg_mean * seg_weight, det_mean, seg_mean
+
+
+def backward(loss: np.ndarray, n: int, seg_weight: float, scenes: ScenePool) -> None:
+    """Take the ``step_loss`` ``loss`` of ``n`` scenes to the parameters'
+    ``grad``. Every scene's seeds are the derivatives of ``loss`` by its det
+    and seg losses, ``one * (1/n)`` and ``(one * seg_weight) * (1/n)``: the
+    products, in their order, that replaying the formula from ``one`` would
+    make. Then every scene's replay (here and in the workers) and the sum of
+    the scenes' gradients in scene order."""
+    one = np.ones_like(loss)
+    scenes.backward([(one * (1.0 / n), (one * seg_weight) * (1.0 / n))] * n)
 
 
 def streaming_train(
@@ -210,15 +224,16 @@ def streaming_train(
     starts and joined when it ends, however it ends. Each runner keeps its
     scenes' carried state and their tapes, one per frame of the current
     truncation window, and runs their frame loads, forwards and losses. This
-    process combines the scenes' losses, checks them and derives each
-    scene's det and seg seeds. Every runner replays each of its scenes'
-    windows alone from them: scene k's gradient ``G_k`` sums its
-    contributions in replay order (frames newest first), each parameter's
-    starting from zero. ``backward`` then sets each parameter's ``grad`` to
-    ``0 + G_0 + G_1 + ...``, the scenes in index order. That order does not
-    depend on the number of runners, so every loss, parameter and AdamW
-    moment is bitwise that of a one-runner run. Then this process clips,
-    runs AdamW and calls ``on_step`` (where a caller may save a checkpoint).
+    process combines the scenes' loss values in numpy (``step_loss``) and
+    checks them; ``backward`` gives each scene its det and seg seeds. Every
+    runner replays each of its scenes' windows alone from them: scene k's
+    gradient ``G_k`` sums its contributions in replay order (frames newest
+    first), each parameter's starting from zero. ``backward`` then sets each
+    parameter's ``grad`` to ``0 + G_0 + G_1 + ...``, the scenes in index
+    order. That order does not depend on the number of runners, so every
+    loss, parameter and AdamW moment is bitwise that of a one-runner run.
+    Then this process clips, runs AdamW and calls ``on_step`` (where a
+    caller may save a checkpoint).
 
     Parameters reach the workers, and the scenes' gradients come back,
     through one shared mapping made before the fork: the parameters, written
@@ -231,8 +246,8 @@ def streaming_train(
     and the cosine schedule always spans the config's
     ``total_optimizer_steps``. ``epochs`` (by default all of the config's)
     are the epochs run, so a run split into epoch ranges, as a resumed one
-    is, retraces the uninterrupted run exactly. Nothing is recorded on the
-    calling thread's tape.
+    is, retraces the uninterrupted run exactly. This process records
+    nothing on a tape of its own: no tape joins the scenes.
     """
     if dataset.n_scenes() == 0:
         raise ValueError("dataset is empty")
@@ -252,26 +267,16 @@ def streaming_train(
                     cut = RESET
                 else:
                     cut = DETACH if t % horizon == 0 else None
-                losses = scenes.forward(index, t, cut)
-                with fresh_tape() as tape:
-                    det_sum, seg_sum = losses[0]
-                    for det, seg in losses[1:]:
-                        det_sum = add(det_sum, det)
-                        seg_sum = add(seg_sum, seg)
-                    det_mean = scale(det_sum, 1.0 / len(group))
-                    seg_mean = scale(seg_sum, 1.0 / len(group))
-                    loss = add(det_mean, scale(seg_mean, cfg.loss_weight_seg))
-
+                loss, det_mean, seg_mean = step_loss(scenes.forward(index, t, cut), cfg.loss_weight_seg)
                 step = opt.step
-                loss_val = float(loss.data)
-                det_val, seg_val = float(det_mean.data), float(seg_mean.data)
+                loss_val, det_val, seg_val = float(loss), float(det_mean), float(seg_mean)
                 if not math.isfinite(loss_val):
                     raise NumericError(
                         f"non-finite loss at step {step}: total={loss_val} "
                         f"det={det_val} seg={seg_val}"
                     )
 
-                backward(tape, loss, scenes)
+                backward(loss, len(group), cfg.loss_weight_seg, scenes)
                 norm = clip_gradients(model.store, cfg.grad_clip)
                 if not math.isfinite(norm):
                     bad = next((name for name, t in model.store.items()

@@ -123,12 +123,15 @@ def test_workers_are_at_most_one_per_cpu(monkeypatch, jobs, want):
 
 
 def test_non_integer_thread_cap_is_a_config_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("DUALSTREAM_THREADS", "two")
+    # training is the one reader of the cap: gen-data runs on one thread
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY, encoding="utf-8")
-    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")]) == EXIT_OK
+    monkeypatch.setenv("DUALSTREAM_THREADS", "two")
+    args = ["train", "--config", str(cfg), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "run")]
+    assert main(args) == EXIT_CONFIG
     assert "DUALSTREAM_THREADS must be an integer" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("spec", ["abc", "1..x", "..3", "2..", "-1", "-2..1"])

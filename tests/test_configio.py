@@ -14,8 +14,9 @@ def test_unread_key_is_rejected():
 
 
 def test_threads_key_is_rejected():
-    # gen-data and training take their worker count from the machine
-    # (``worker_count``), so a ``threads`` key would be silently ignored
+    # training takes its runner count from the machine (``worker_count``)
+    # and gen-data runs on one thread, so a ``threads`` key would be
+    # silently ignored
     with pytest.raises(ConfigError, match="threads"):
         parse_config("threads = 1")
     with pytest.raises(ConfigError, match="threads"):
@@ -74,6 +75,11 @@ OUT_OF_RANGE = [
     ("decode_hidden = -1", "decode_hidden must be >= 1, got -1"),
     ("batch_scenes = 0", "batch_scenes must be >= 1, got 0"),
     ("sequence_length = -1", "sequence_length must be >= 0, got -1"),
+    ("velocity_norm = 0", "velocity_norm must be > 0, got 0.0"),
+    ("range_z = 0", "range_z must be > 0, got 0.0"),
+    ("ap_threshold_scale = 0", "ap_threshold_scale must be > 0, got 0.0"),
+    ("cosine_floor = -1", "cosine_floor must be >= 0 and <= 1, got -1.0"),
+    ("cosine_floor = 1.5", "cosine_floor must be >= 0 and <= 1, got 1.5"),
 ]
 
 

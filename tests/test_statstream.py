@@ -343,78 +343,6 @@ def test_pillar_reads_are_reused_by_value_and_bounded(rng):
     assert again is not first and again.enc.tobytes() == first.enc.tobytes()
 
 
-
-
-def test_pillar_reads_shared_by_threads_give_fresh_plans_and_stay_bounded(rng):
-    import sys
-    import threading
-
-    from dualstream.synthworld import build_camera_rig
-
-    p = bev_img_params(rng)
-    fms = stack_maps(*(feature_map(np.zeros((L, 4, 8)), stride=8, name=name) for name in ("front", "back")))
-    rigs = [build_camera_rig(width=64, height=32, fov_deg=fov) for fov in (50.0, 60.0, 70.0, 80.0, 90.0, 100.0)]
-    assert len(rigs) > PillarReads.KEPT   # so the threads also evict each other's plans
-    fresh = [PillarReads().reads(SPEC, fms, rig, p) for rig in rigs]
-    pillars = PillarReads()
-    sizes, wrong = [], []
-
-    def request(first):
-        for i in range(200):
-            k = (first + i) % len(rigs)
-            got = pillars.reads(SPEC, fms, rigs[k], p)
-            sizes.append(len(pillars._plans))
-            want = fresh[k]
-            same = (got.names == want.names and (got.pool != want.pool).nnz == 0
-                    and all(np.array_equal(getattr(got, f), getattr(want, f)) for f in ("cam", "reader", "refs", "enc")))
-            if not same:
-                wrong.append((first, i))
-
-    # three threads, more than the two cores this suite is sized for, switching often
-    threads = [threading.Thread(target=request, args=(first,)) for first in range(3)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    assert wrong == [] and len(sizes) == 600
-    assert max(sizes) <= PillarReads.KEPT
-
-
-def test_two_threads_missing_one_pillar_plan_make_it_once(rng, monkeypatch):
-    import threading
-    import time
-
-    from dualstream import statstream
-    from dualstream.synthworld import build_camera_rig
-
-    planned = []
-
-    def slow_plan(*args):
-        planned.append(1)
-        time.sleep(0.05)   # both threads ask while the first plan is being made
-        return plan(*args)
-
-    plan = statstream.plan_camera_reads
-    monkeypatch.setattr(statstream, "plan_camera_reads", slow_plan)
-    p = bev_img_params(rng)
-    fms = stack_maps(feature_map(np.zeros((L, 4, 8)), stride=8, name="front"))
-    rig = build_camera_rig(width=64, height=32)
-    pillars = PillarReads()
-    got = []
-    threads = [threading.Thread(target=lambda: got.append(pillars.reads(SPEC, fms, rig, p))) for _ in range(2)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join(timeout=60)
-    assert not any(th.is_alive() for th in threads)
-    assert len(planned) == 1 and len(got) == 2 and got[0] is got[1]
-
 def test_camera_reads_planned_for_other_queries_are_refused(rng):
     p = bev_img_params(rng)
     none = FeatureMap(data=t64(np.zeros((0, L))), dims=(4, 8), stride=8, names=())

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -292,16 +293,25 @@ class TestDataset:
         for rel in sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*") if p.is_file()):
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
 
-    def test_bytes_do_not_depend_on_workers(self, tmp_path):
-        # gen-data writes one scene per worker thread; the tree must be that of one thread
+    def test_more_than_one_worker_is_refused_and_writes_nothing(self, tmp_path):
+        cfg = WorldConfig(duration=2, agents_min=1, agents_max=1)
+        with pytest.raises(ValueError, match="one thread, got workers=2"):
+            generate_and_write([3], tmp_path / "d", cfg, BEV, config_echo={}, ranges=RANGES, workers=2)
+        assert not any(tmp_path.iterdir())
+
+    def test_three_scene_tree_matches_its_pinned_digest(self, tmp_path):
+        # a pinned digest: a change to gen-data's bytes must be deliberate
         cfg = WorldConfig(duration=2, agents_min=2, agents_max=3)
-        trees = []
-        for workers in (1, 2):
-            root = tmp_path / f"w{workers}"
-            generate_and_write([3, 4, 5], root, cfg, BEV, config_echo={"k": "v"}, ranges=RANGES, workers=workers)
-            trees.append({p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()})
-        assert len(trees[0]) == 7   # three scenes of two frames, and the index
-        assert trees[0] == trees[1]
+        root = tmp_path / "d"
+        generate_and_write([3, 4, 5], root, cfg, BEV, config_echo={"k": "v"}, ranges=RANGES)
+        files = sorted(p for p in root.rglob("*") if p.is_file())
+        assert len(files) == 7   # three scenes of two frames, and the index
+        h = hashlib.sha256()
+        for p in files:
+            for chunk in (p.relative_to(root).as_posix().encode(), p.read_bytes()):
+                h.update(len(chunk).to_bytes(8, "little"))
+                h.update(chunk)
+        assert h.hexdigest() == "74ccd24a06753765aa767bfbcfaa7ba95664c3ce84be5b5e9070db5b22f323b8"
 
     def test_interrupted_write_leaves_no_partial_dataset(self, tmp_path, monkeypatch):
         from dualstream.synthworld import dataset

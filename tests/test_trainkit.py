@@ -557,7 +557,8 @@ def test_train_result_csv_content():
 def test_default_training_frames_record_a_pinned_number_of_tape_entries(tmp_path, monkeypatch):
     # the fused deformable read and attention are one entry each: a default
     # model's first frame (no carried memory), then two frames carrying it,
-    # each with its loss, on one runner
+    # each with its loss, on one runner; the step's loss, summed in numpy,
+    # records none
     cfg = Config(scene_frames=3, epochs=1, batch_scenes=1)
     generate_and_write([1000], tmp_path, world_from_config(cfg), bev_from_config(cfg),
                        config_echo=config_to_dict(cfg), ranges=cfg.detection_ranges(),
@@ -572,4 +573,4 @@ def test_default_training_frames_record_a_pinned_number_of_tape_entries(tmp_path
     monkeypatch.setattr(Tape, "record", counted)
     totals = []
     streaming_train(Dataset(tmp_path), DualStreamModel(cfg), cfg, on_step=lambda row: totals.append(entries[0]))
-    assert np.diff(totals, prepend=0).tolist() == [135, 164, 161]
+    assert np.diff(totals, prepend=0).tolist() == [131, 160, 157]
