@@ -135,6 +135,8 @@ class Config:
             raise ConfigError(f"bad pillar_heights: {e}") from None
         if not heights:
             raise ConfigError("pillar_heights must not be empty")
+        if not all(map(math.isfinite, heights)):
+            raise ConfigError(f"pillar_heights must be finite, got {self.pillar_heights!r}")
 
     def pillar_height_list(self) -> list[float]:
         return [float(tok) for tok in self.pillar_heights.split(",") if tok.strip()]

@@ -195,7 +195,7 @@ class DualStreamModel:
         cfg = self.cfg
         features = self.encode_images(frame.images)
 
-        delta = Pose.identity(2)
+        delta = Pose.identity()
         if state.prev_pose is not None:
             delta = ego_delta(state.prev_pose, frame.ego_pose)
 

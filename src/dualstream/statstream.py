@@ -130,8 +130,6 @@ def warp_bev(prev: BevGrid, delta: Pose, fresh_embedding: Tensor) -> BevGrid:
     previous cell-center hull receive the learned fresh-cell embedding and
     validity False.
     """
-    if delta.dim != 2:
-        raise ShapeError("BEV warp expects an SE(2) ego delta")
     spec = prev.spec
     h, w = spec.dims
     centers = cell_center_grid(spec)                       # new-frame metric
@@ -274,8 +272,7 @@ class PillarReads:
 
 
 def _camera_key(cam: CameraModel) -> tuple:
-    pose = cam.extrinsic
-    return (cam.fx, cam.fy, cam.cx, cam.cy, cam.width, cam.height, pose.rotation.tobytes(), pose.translation.tobytes())
+    return (cam.fx, cam.fy, cam.cx, cam.cy, cam.width, cam.height, cam.rotation.tobytes(), cam.translation.tobytes())
 
 
 def camera_read(queries: Tensor, reads: CameraReads, features: FeatureMap, params: CameraReadParams) -> Tensor:

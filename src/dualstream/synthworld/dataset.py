@@ -139,12 +139,20 @@ def _box_to_json(box: BoundingBox3D, track_id: int) -> dict:
     }
 
 
+def _finite(doc: dict, key: str) -> np.ndarray:
+    """``doc[key]`` as an array; JSON reads NaN and Infinity, a frame refuses them."""
+    value = np.array(doc[key])
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"non-finite {key} {doc[key]}")
+    return value
+
+
 def _box_from_json(doc: dict) -> tuple[BoundingBox3D, int]:
     box = BoundingBox3D(
-        center=np.array(doc["center"]),
-        size=np.array(doc["size"]),
-        yaw=doc["yaw"],
-        velocity=np.array(doc["velocity"]),
+        center=_finite(doc, "center"),
+        size=_finite(doc, "size"),
+        yaw=_finite(doc, "yaw"),
+        velocity=_finite(doc, "velocity"),
         label=doc["label"],
         score=1.0,
     )
@@ -155,15 +163,15 @@ def _camera_to_json(cam: CameraModel) -> dict:
     return {
         "fx": cam.fx, "fy": cam.fy, "cx": cam.cx, "cy": cam.cy,
         "width": cam.width, "height": cam.height, "name": cam.name,
-        "rotation": [list(map(float, row)) for row in cam.extrinsic.rotation],
-        "translation": list(map(float, cam.extrinsic.translation)),
+        "rotation": [list(map(float, row)) for row in cam.rotation],
+        "translation": list(map(float, cam.translation)),
     }
 
 
 def _camera_from_json(doc: dict) -> CameraModel:
     return CameraModel(
         fx=doc["fx"], fy=doc["fy"], cx=doc["cx"], cy=doc["cy"],
-        extrinsic=Pose.se3(np.array(doc["rotation"]), np.array(doc["translation"])),
+        rotation=np.array(doc["rotation"]), translation=np.array(doc["translation"]),
         width=doc["width"], height=doc["height"], name=doc["name"],
     )
 
@@ -198,7 +206,7 @@ def read_frame(path: Path, index: int) -> FrameSample:
         return FrameSample(
             index=index,
             ego_pose=Pose.se2(meta["yaw"], *meta["translation"]),
-            ego_velocity=np.array(meta["ego_velocity"]),
+            ego_velocity=_finite(meta, "ego_velocity"),
             images={name: tensors[f"cam_{name}"].astype(np.float32, copy=False)
                     if availability.get(name, False) else None for name in CAMERA_SLOTS},
             gt_boxes=[b for b, _ in pairs],

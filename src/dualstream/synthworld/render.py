@@ -2,8 +2,8 @@
 solid-colored cuboids under z-buffer ordering.
 
 The depth buffer stores camera-frame forward distance (z-depth), matching
-the convention of geom3d.project, so any rendered pixel back-projects to its
-surface point via the pinhole model.
+the convention of geom3d.project_points, so any rendered pixel
+back-projects to its surface point via the pinhole model.
 
 Work is spent only where it can change a pixel, and every output bit equals
 that of testing every pixel against every agent and every map shape:
@@ -173,15 +173,15 @@ def _pixel_rays(w: int, h: int, cx: float, cy: float, fx: float, fy: float) -> n
 def _camera_rays(scene: SceneSpec, t: int, cam: CameraModel):
     """The camera's world-frame origin (3,), camera-to-world rotation and
     (3, H·W) pixel ray directions at frame ``t``; z-depth = ray parameter."""
-    # the ego pose lifted to SE(3), composed with the inverse extrinsic, in
-    # the operation order of geom3d's compose and invert but without
-    # building (and validating) the three intermediate poses
+    # the ego pose lifted to 3D, composed with the inverse of the camera's
+    # mount, in the operation order of the SE(3) ``_compose`` and
+    # ``_invert`` that tests/render_oracle.py keeps as its reference
     ego = scene.ego_trajectory[t]
     c, s = np.cos(ego.rotation), np.sin(ego.rotation)
     r_ego = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    r_cam = cam.extrinsic.rotation.T
+    r_cam = cam.rotation.T
     r = r_ego @ r_cam
-    origin = r_ego @ -(r_cam @ cam.extrinsic.translation) + np.array([ego.translation[0], ego.translation[1], 0.0])
+    origin = r_ego @ -(r_cam @ cam.translation) + np.array([ego.translation[0], ego.translation[1], 0.0])
     return origin, r, r @ _pixel_rays(cam.width, cam.height, cam.cx, cam.cy, cam.fx, cam.fy)
 
 

@@ -269,9 +269,8 @@ def build_camera_rig(width: int = 128, height: int = 64, fov_deg: float = 60.0,
         down = np.array([0.0, 0.0, -1.0])
         r_ce = np.stack([right, down, fwd])  # rows: camera axes in ego coords
         pos = np.array([0.0, 0.0, mount_height])
-        extr = Pose.se3(r_ce, -r_ce @ pos)
-        rig[name] = CameraModel(fx=fx, fy=fx, cx=width / 2.0, cy=height / 2.0,
-                                extrinsic=extr, width=width, height=height, name=name)
+        rig[name] = CameraModel(fx=fx, fy=fx, cx=width / 2.0, cy=height / 2.0, rotation=r_ce,
+                                translation=-r_ce @ pos, width=width, height=height, name=name)
     return rig
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dualstream.geom3d import CameraModel, Pose, compose, invert, rot2
+from dualstream.geom3d import CameraModel, Pose, rot2
 from dualstream.statstream import BevSpec, cell_center_grid
 from dualstream.synthworld.render import (
     CLASS_COLORS,
@@ -98,9 +98,7 @@ def render_camera(scene: SceneSpec, t: int, cam: CameraModel):
     us, vs = np.meshgrid(np.arange(w) + 0.5, np.arange(h) + 0.5)
     dirs_cam = np.stack([(us - cam.cx) / cam.fx, (vs - cam.cy) / cam.fy, np.ones_like(us)], axis=-1)
 
-    cam_to_world = compose(_se2_to_se3(ego), invert(cam.extrinsic))
-    r = cam_to_world.rotation
-    origin = cam_to_world.translation
+    r, origin = _compose(_se2_to_se3(ego), _invert((cam.rotation, cam.translation)))
     dirs = dirs_cam @ r.T  # (H, W, 3) world-frame ray directions, z-depth = ray parameter
 
     depth = np.full((h, w), np.inf)
@@ -154,10 +152,22 @@ def render_camera(scene: SceneSpec, t: int, cam: CameraModel):
     return image, depth, instance
 
 
-def _se2_to_se3(p: Pose) -> Pose:
+# SE(3) transforms as (rotation (3, 3), translation (3,)) pairs, composed
+# and inverted in the operation order geom3d used when its poses were SE(3)
+def _se2_to_se3(p: Pose) -> tuple[np.ndarray, np.ndarray]:
     c, s = np.cos(p.rotation), np.sin(p.rotation)
     r = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return Pose.se3(r, np.array([p.translation[0], p.translation[1], 0.0]))
+    return r, np.array([p.translation[0], p.translation[1], 0.0])
+
+
+def _compose(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The transform mapping b's source frame into a's target frame."""
+    return a[0] @ b[0], a[0] @ b[1] + a[1]
+
+
+def _invert(p: tuple) -> tuple[np.ndarray, np.ndarray]:
+    rt = p[0].T
+    return rt, -(rt @ p[1])
 
 
 def rasterize_gt_bev(scene: SceneSpec, t: int, bev_spec: BevSpec,

@@ -3,6 +3,7 @@ renames one of those attributes must fail here, not drop a per-layer span
 silently."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +29,15 @@ def test_every_layer_span_target_exists(bench):
     missing = [(span, getattr(owner, "__name__", owner), attr)
                for span, owner, attr in bench.LAYER_SPANS if not hasattr(owner, attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_tiny_workload_passes_its_checks(bench, name):
+    # the workloads' correctness checks read the program's objects (frames,
+    # poses, reports) field by field
+    workloads = importlib.import_module("workloads")
+    result, detail = bench.measure(name, seed=5, seconds=0.5, trace=False, size=workloads.TINY)
+    assert result["correct"] and result["failed"] == 0, (detail["checks"], detail["errors"])
 
 
 def test_eval_probe_targets_exist():

@@ -25,6 +25,7 @@ from dualstream.statstream import segmentation_head
 from dualstream.synthworld.dataset import Dataset
 from dualstream.trainkit import OptimizerState, load_checkpoint, save_checkpoint
 
+NAN, INF = float("nan"), float("inf")
 CFG = Config(n_layers=1, latent_dim=16, n_queries=8, topk=4, decode_hidden=16, bev_cells=8)
 
 
@@ -182,7 +183,8 @@ def test_nan_learning_rate_is_a_config_error(tiny_data, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line,refused", [("seed = -3", "seed must be >= 0"),
-                                          ("track_max_dist = nan", "track_max_dist must be finite")])
+                                          ("track_max_dist = nan", "track_max_dist must be finite"),
+                                          ("pillar_heights = nan,inf", "pillar_heights must be finite")])
 def test_bad_setting_stops_train(tiny_data, tmp_path, capsys, line, refused):
     bad = tmp_path / "bad.cfg"
     bad.write_text(TINY + line + "\n", encoding="utf-8")
@@ -321,6 +323,19 @@ def rewrite_text(edit):
     return lambda path: path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
 
 
+def nan_camera_entry(name, key, *at):
+    """Rewrite index.json's camera ``name`` with NaN for its ``key`` (at
+    index ``at``): JSON reads NaN, and every comparison with it is false."""
+    def edit(text):
+        doc = json.loads(text)
+        if at:
+            doc["cameras"][name][key][at[0]][at[1]] = NAN
+        else:
+            doc["cameras"][name][key] = NAN
+        return json.dumps(doc)
+    return rewrite_text(edit)
+
+
 def rewrite_meta(edit):
     """Rewrite the JSON meta of a DSTN container through ``edit`` (in place), keeping its tensors."""
     def rewrite(path):
@@ -340,6 +355,19 @@ CORRUPT_JSON = {
     "eval-meta": ("eval", "ckpt/meta.json", rewrite_text(lambda _: '{"format_version": 2}')),
     "eval-frame-pose": ("eval", "data/scene_0/frame_0.dstn",
                         rewrite_meta(lambda meta: meta.update(yaw=[], translation=[], ego_velocity=[]))),
+    "train-index-nan-fx": ("train", "data/index.json", nan_camera_entry("front", "fx")),
+    "train-index-nan-rotation": ("train", "data/index.json", nan_camera_entry("back", "rotation", 1, 2)),
+    "train-frame-nan-box-center": ("train", "data/scene_0/frame_1.dstn", rewrite_meta(lambda meta: meta.update(
+        boxes=[{"center": [NAN, 0.0, 0.5], "size": [1.0, 2.0, 1.5], "yaw": 0.0, "velocity": [0.0, 0.0],
+                "label": 0, "track_id": 3}]))),
+    "eval-frame-inf-box-yaw": ("eval", "data/scene_0/frame_0.dstn", rewrite_meta(lambda meta: meta.update(
+        boxes=[{"center": [1.0, 0.0, 0.5], "size": [1.0, 2.0, 1.5], "yaw": INF, "velocity": [0.0, 0.0],
+                "label": 0, "track_id": 3}]))),
+    "eval-frame-nan-ego-yaw": ("eval", "data/scene_0/frame_0.dstn", rewrite_meta(lambda meta: meta.update(yaw=NAN))),
+    "eval-frame-inf-ego-translation": ("eval", "data/scene_0/frame_0.dstn",
+                                       rewrite_meta(lambda meta: meta.update(translation=[0.0, INF]))),
+    "train-frame-nan-ego-velocity": ("train", "data/scene_0/frame_1.dstn",
+                                     rewrite_meta(lambda meta: meta.update(ego_velocity=[NAN, 0.0]))),
 }
 
 

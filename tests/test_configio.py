@@ -80,6 +80,8 @@ OUT_OF_RANGE = [
     ("ap_threshold_scale = 0", "ap_threshold_scale must be > 0, got 0.0"),
     ("cosine_floor = -1", "cosine_floor must be >= 0 and <= 1, got -1.0"),
     ("cosine_floor = 1.5", "cosine_floor must be >= 0 and <= 1, got 1.5"),
+    ("pillar_heights = nan,inf", "pillar_heights must be finite, got 'nan,inf'"),
+    ("pillar_heights = 0,-inf", "pillar_heights must be finite, got '0,-inf'"),
 ]
 
 

@@ -404,6 +404,28 @@ class TestConfigReachesBlocks:
             grids.append(res.state.grid.cells.data)
         assert np.abs(grids[0] - grids[1]).max() > 1e-6
 
+    def test_without_propagation_the_memory_changes_no_bit(self):
+        from dataclasses import fields, replace
+
+        from dualstream.diffcore import no_grad
+
+        def step_bytes(res):
+            heads = [getattr(res.outputs, f.name) for f in fields(res.outputs)]
+            arrays = [res.seg_logits, res.state.memory.latents, res.state.memory.anchors, res.state.grid.cells,
+                      res.state.memory.velocities, res.state.memory.scores, res.state.memory.ids,
+                      res.memory_source_indices] + heads
+            return [getattr(a, "data", a).tobytes() for a in arrays] + [
+                (d.box.center.tobytes(), d.box.yaw, d.prior_identity) for d in res.detections]
+
+        model = DualStreamModel(replace(CFG, propagate_queries=False))
+        frames, rig, dt = micro_frame(model)
+        with no_grad():
+            state = model.forward_frame(frames[0], rig, model.initial_state(), dt).state
+            assert len(state.memory) == CFG.topk
+            empty = replace(state, memory=model.initial_state().memory)
+            got, want = (step_bytes(model.forward_frame(frames[1], rig, s, dt)) for s in (state, empty))
+        assert got == want
+
 
 def per_camera_bev_image(grid, features, cameras, p):
     """BEV-to-image attention as one deformable call per camera, each camera's

@@ -79,7 +79,7 @@ def zero_motion_params():
 class TestPropagate:
     def test_stationary_anchors_unchanged(self, rng):
         mem = make_queries(rng, 3)
-        out = propagate(mem, Pose.identity(2), 0.7, zero_motion_params())
+        out = propagate(mem, Pose.identity(), 0.7, zero_motion_params())
         np.testing.assert_allclose(out.anchor_xyz, mem.anchor_xyz, atol=1e-12)
 
     def test_ego_advance_pose_compose_oracle(self, rng):
@@ -90,7 +90,7 @@ class TestPropagate:
 
     def test_kinematics_oracle(self, rng):
         mem = make_queries(rng, anchors=[[1.0, 2.0, 0.5]], vels=[[5.0, 0.0]])
-        out = propagate(mem, Pose.identity(2), 0.5, zero_motion_params())
+        out = propagate(mem, Pose.identity(), 0.5, zero_motion_params())
         np.testing.assert_allclose(out.anchor_xyz, [[3.5, 2.0, 0.5]], atol=1e-12)
 
     def test_velocity_rotated_by_delta(self, rng):
@@ -101,7 +101,7 @@ class TestPropagate:
 
     def test_compensation_flag_skips_object_motion(self, rng):
         mem = make_queries(rng, anchors=[[1.0, 1.0, 0.0]], vels=[[4.0, 0.0]])
-        out = propagate(mem, Pose.identity(2), 0.5, zero_motion_params(),
+        out = propagate(mem, Pose.identity(), 0.5, zero_motion_params(),
                         compensate_object_motion=False)
         np.testing.assert_allclose(out.anchor_xyz, [[1.0, 1.0, 0.0]], atol=1e-12)
 
@@ -261,8 +261,7 @@ class TestObjSelfAttention:
 def front_camera():
     return CameraModel(
         fx=100.0, fy=100.0, cx=32.0, cy=16.0,
-        extrinsic=Pose.se3(np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]),
-                           np.zeros(3)),
+        rotation=np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]), translation=np.zeros(3),
         width=64, height=32, name="front",
     )
 
@@ -270,8 +269,7 @@ def front_camera():
 def back_camera():
     return CameraModel(
         fx=100.0, fy=100.0, cx=32.0, cy=16.0,
-        extrinsic=Pose.se3(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, -1.0], [-1.0, 0.0, 0.0]]),
-                           np.zeros(3)),
+        rotation=np.array([[0.0, 1.0, 0.0], [0.0, 0.0, -1.0], [-1.0, 0.0, 0.0]]), translation=np.zeros(3),
         width=64, height=32, name="back",
     )
 
@@ -309,9 +307,9 @@ class TestObjImageCrossAttention:
         out = _obj_image_cross_attention(q.latents, anchor_reads(q.anchor_xyz, fm, {"front": cam}, p), fm, p)
 
         from dualstream.diffcore import bilinear_sample
-        from dualstream.geom3d import project
+        from dualstream.geom3d import project_points
 
-        uv, _ = project(cam, q.anchor_xyz[0])
+        (uv,), _, _ = project_points(cam, q.anchor_xyz[:1])
         coords = np.array([[uv[1] / fm.stride - 0.5, uv[0] / fm.stride - 0.5]])
         sample = bilinear_sample(fm.data, fm.dims, t64(coords)).data[0]
         want = layernorm(t64(q.latents.data + sample), p.ln_g, p.ln_b).data
@@ -330,9 +328,9 @@ class TestObjImageCrossAttention:
         out = _obj_image_cross_attention(q.latents, anchor_reads(q.anchor_xyz, fms, cams, p), fms, p)
 
         from dualstream.diffcore import bilinear_sample
-        from dualstream.geom3d import project
+        from dualstream.geom3d import project_points
 
-        uv, _ = project(cam_f, q.anchor_xyz[0])
+        (uv,), _, _ = project_points(cam_f, q.anchor_xyz[:1])
         coords = np.array([[uv[1] / fm_f.stride - 0.5, uv[0] / fm_f.stride - 0.5]])
         sample = bilinear_sample(fm_f.data, fm_f.dims, t64(coords)).data[0]
         want = layernorm(t64(q.latents.data + sample), p.ln_g, p.ln_b).data
@@ -344,7 +342,7 @@ class TestObjImageCrossAttention:
         p = img_attn_params(rng, degenerate=True)
         cam_a = front_camera()
         cam_b = CameraModel(fx=cam_a.fx, fy=cam_a.fy, cx=cam_a.cx, cy=cam_a.cy,
-                            extrinsic=cam_a.extrinsic, width=cam_a.width,
+                            rotation=cam_a.rotation, translation=cam_a.translation, width=cam_a.width,
                             height=cam_a.height, name="front-left")
         fm_a, fm_b = feature_map(rng, cam_a), feature_map(rng, cam_b)
         fms = stack_maps(fm_a, fm_b)
@@ -353,9 +351,9 @@ class TestObjImageCrossAttention:
             q.latents, anchor_reads(q.anchor_xyz, fms, {"front": cam_a, "front-left": cam_b}, p), fms, p)
 
         from dualstream.diffcore import bilinear_sample
-        from dualstream.geom3d import project
+        from dualstream.geom3d import project_points
 
-        uv, _ = project(cam_a, q.anchor_xyz[0])
+        (uv,), _, _ = project_points(cam_a, q.anchor_xyz[:1])
         coords = np.array([[uv[1] / fm_a.stride - 0.5, uv[0] / fm_a.stride - 0.5]])
         sa = bilinear_sample(fm_a.data, fm_a.dims, t64(coords)).data[0]
         sb = bilinear_sample(fm_b.data, fm_b.dims, t64(coords)).data[0]

@@ -76,7 +76,7 @@ class TestDecodeBoxes:
         from util import make_mlp_params
 
         zero_mlp = MotionParams(mlp=make_mlp_params(np.random.default_rng(0), L + 7, 4, L, zero=True))
-        moved = propagate(mem, Pose.identity(2), 0.5, zero_mlp)
+        moved = propagate(mem, Pose.identity(), 0.5, zero_mlp)
         want = dets[0].box.center.copy()
         want[:2] += vel * 0.5
         np.testing.assert_allclose(moved.anchor_xyz[0], want, atol=1e-12)

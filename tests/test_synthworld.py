@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dualstream.geom3d import BehindCamera, invert, project
 from dualstream.statstream import BevSpec, cell_to_metric
 from dualstream.synthworld import (
     CLASS_CAR,
@@ -198,7 +197,7 @@ class TestRender:
             v, u = ys[k] + 0.5, xs[k] + 0.5
             z = depth[ys[k], xs[k]]
             p_cam = np.array([(u - cam.cx) / cam.fx * z, (v - cam.cy) / cam.fy * z, z])
-            p_ego = invert(cam.extrinsic).apply_point(p_cam)
+            p_ego = cam.rotation.T @ p_cam + -(cam.rotation.T @ cam.translation)
             p_world = ego.apply_point(p_ego)
             local_xy = rot2(box.yaw).T @ (p_world[:2] - box.center[:2])
             assert abs(local_xy[0]) <= box.size[1] / 2 + 1e-6

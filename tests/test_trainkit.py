@@ -95,6 +95,22 @@ def test_non_finite_gradient_raises_naming_the_parameter(tmp_path, monkeypatch):
         np.testing.assert_array_equal(t.data, before[name])
 
 
+def test_frozen_backbone_keeps_its_parameters_and_moments(tmp_path):
+    cfg, data, model = _tiny(tmp_path)
+    cfg = replace(cfg, freeze_backbone=True)
+    before = {name: t.data.copy() for name, t in model.store.items()}
+    _, opt = streaming_train(data, model, cfg)
+    assert opt.step == 3
+    frozen = [name for name in before if name.startswith("backbone.")]
+    assert len(frozen) == 14
+    for name, t in model.store.items():
+        if name in frozen:
+            assert t.data.tobytes() == before[name].tobytes(), name
+            assert not opt.m[name].any() and not opt.v[name].any(), name
+        else:
+            assert not np.array_equal(t.data, before[name]), name
+
+
 # three scenes of five frames: two truncation windows, then a sequence reset at frame 4
 SCENES_CFG = replace(CFG, epochs=1, interaction="full", scene_frames=5, truncation_horizon=2, sequence_length=4)
 
