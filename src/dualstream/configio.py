@@ -24,7 +24,7 @@ INTERACTION_MODES = ("full", "none", "bidirectional")
 _MINIMUMS = {
     **dict.fromkeys(("latent_dim", "heads", "n_layers", "patch", "n_points", "n_queries", "n_freqs", "decode_hidden",
                      "image_height", "image_width", "batch_scenes"), 1),
-    "seed": 0, "topk": 0, "sequence_length": 0, "bev_cells": 2,
+    "seed": 0, "topk": 0, "sequence_length": 0, "bev_cells": 2, "track_max_age": 0,
 }
 
 
@@ -104,12 +104,6 @@ class Config:
             raise ConfigError(f"bad schedule {self.schedule!r}")
         if self.truncation_horizon < 1:
             raise ConfigError("truncation_horizon must be >= 1")
-        # every comparison with NaN is false, so these bounds refuse it too
-        for name in ("scene_dt", "velocity_norm", "range_z", "ap_threshold_scale"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        if not 0 <= self.cosine_floor <= 1:
-            raise ConfigError(f"cosine_floor must be >= 0 and <= 1, got {self.cosine_floor!r}")
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         if not self.grad_clip >= 0:
@@ -125,6 +119,17 @@ class Config:
         for name, kind in _FIELD_TYPES.items():
             if kind == "float" and name != "grad_clip" and not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
+        # the ranges of the float settings, once each is known to be finite
+        for name in ("scene_dt", "velocity_norm", "range_z", "ap_threshold_scale", "track_max_dist"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        for name in ("focal_gamma", "highspeed_vmin", "loss_weight_seg", "loss_weight_cls", "loss_weight_center",
+                     "loss_weight_box"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        for name in ("cosine_floor", "track_score_thresh", "focal_alpha", "fast_fraction", "pedestrian_fraction"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ConfigError(f"{name} must be >= 0 and <= 1, got {getattr(self, name)!r}")
         if self.latent_dim % self.heads != 0:
             raise ConfigError("latent_dim must be divisible by heads")
         if self.image_height % self.patch or self.image_width % self.patch:

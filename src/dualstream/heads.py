@@ -1,5 +1,9 @@
 """Task heads: box decoding, Hungarian set matching, detection and
-segmentation losses, and greedy tracking-by-detection."""
+segmentation losses, and greedy tracking-by-detection.
+
+The tracker associates in the world frame in the style of AB3DMOT (Weng et
+al., arXiv:1907.03961), by center distance and without a motion filter. It
+keeps its live tracks as arrays sorted by id (``TrackerState``)."""
 
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ from .diffcore.tensor import (
     tanh,
 )
 from .dynstream import QuerySet
-from .geom3d import BoundingBox3D, Pose, transform_box
+from .geom3d import BoundingBox3D, Pose, rot2
 
 
 @dataclass
@@ -114,8 +118,6 @@ class Assignment:
     """Bipartite matching result: (prediction, ground-truth) index pairs."""
 
     pairs: list[tuple[int, int]]
-    unmatched_preds: list[int]
-    unmatched_gts: list[int]
 
 
 def hungarian_match(cost_matrix: np.ndarray) -> Assignment:
@@ -126,16 +128,9 @@ def hungarian_match(cost_matrix: np.ndarray) -> Assignment:
     if np.isnan(cost).any():
         raise ValueError("NaN in matching costs")
     if cost.size == 0:
-        return Assignment([], list(range(cost.shape[0])), list(range(cost.shape[1])))
+        return Assignment([])
     rows, cols = linear_sum_assignment(cost)
-    pairs = sorted(zip(rows.tolist(), cols.tolist()))
-    matched_p = {p for p, _ in pairs}
-    matched_g = {g for _, g in pairs}
-    return Assignment(
-        pairs=pairs,
-        unmatched_preds=[i for i in range(cost.shape[0]) if i not in matched_p],
-        unmatched_gts=[j for j in range(cost.shape[1]) if j not in matched_g],
-    )
+    return Assignment(sorted(zip(rows.tolist(), cols.tolist())))
 
 
 def center_distances(a, b) -> np.ndarray:
@@ -270,91 +265,22 @@ def segmentation_loss(logits: Tensor, gt_masks: np.ndarray, eps: float = 1e-6) -
     return add(bce, 1.0 - mean(dice))
 
 
-@dataclass
-class Track:
-    track_id: int
-    center: np.ndarray            # world frame
-    velocity: np.ndarray          # world frame
-    label: int
-    score: float
-    frames_since_update: int = 0
-
-
-def greedy_track(
-    detections: Sequence[BoundingBox3D],
-    prior_ids: Sequence[Optional[int]],
-    tracks: list[Track],
-    dt: float,
-    next_id: int,
-    max_dist: float = 2.0,
-    score_thresh: float = 0.3,
-    max_age: int = 3,
-) -> tuple[list[tuple[int, int]], list[Track], int]:
-    """Greedy center-distance association in a common frame.
-
-    Detections and tracks must already live in the same frame. A detection
-    carrying a prior identity claims that track first (within ``max_dist``);
-    the rest match greedily by descending score to the nearest velocity-
-    forward-predicted track. Unmatched detections above ``score_thresh``
-    spawn strictly increasing ids; unmatched tracks persist ``max_age``
-    frames. Returns (det_index, track_id) pairs, surviving tracks, next_id.
-    """
-    by_id = {t.track_id: t for t in tracks}
-    tids = sorted(by_id)   # columns in id order, so distance ties go to the lower id
-    col_of = {tid: c for c, tid in enumerate(tids)}
-    predicted = [by_id[tid].center[:2] + by_id[tid].velocity[:2] * dt for tid in tids]
-    dist = center_distances([d.center[:2] for d in detections], predicted)
-    order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
-    free = np.ones(len(tids), dtype=bool)
-    assigned: list[tuple[int, int]] = []
-
-    # pass 1: carried identities act as matching priors
-    for i in order:
-        c = col_of.get(prior_ids[i])
-        if c is not None and free[c] and dist[i, c] <= max_dist:
-            free[c] = False
-            assigned.append((i, tids[c]))
-    matched_dets = {i for i, _ in assigned}
-
-    # pass 2: greedy nearest-center for the rest
-    pairs = greedy_match(dist, [i for i in order if i not in matched_dets], max_dist, free)
-    assigned += [(i, tids[c]) for i, c, _ in pairs]
-    matched_dets.update(i for i, _, _ in pairs)
-
-    # pass 3: spawn new tracks
-    for i in order:
-        if i in matched_dets or detections[i].score < score_thresh:
-            continue
-        assigned.append((i, next_id))
-        next_id += 1
-
-    new_tracks: list[Track] = []
-    assigned_ids = {tid for _, tid in assigned}
-    for i, tid in assigned:
-        det = detections[i]
-        new_tracks.append(Track(track_id=tid, center=det.center.copy(),
-                                velocity=det.velocity.copy(), label=det.label,
-                                score=det.score, frames_since_update=0))
-    for t in tracks:
-        if t.track_id in assigned_ids:
-            continue
-        if t.frames_since_update + 1 <= max_age:
-            new_tracks.append(Track(track_id=t.track_id,
-                                    center=t.center + np.append(t.velocity[:2] * dt, 0.0),
-                                    velocity=t.velocity, label=t.label, score=t.score,
-                                    frames_since_update=t.frames_since_update + 1))
-    assigned.sort()
-    return assigned, new_tracks, next_id
-
-
 class TrackerState:
-    """Tracking-by-detection across a scene, associating in the world frame."""
+    """Greedy tracking-by-detection across one scene, in the world frame.
 
-    def __init__(self, max_dist: float = 2.0, score_thresh: float = 0.3, max_age: int = 3):
+    The live tracks are four arrays whose rows are in increasing id order:
+    ``ids`` (k,); world-frame ground-plane ``centers`` and ``velocities``
+    (k, 2); and ``ages`` (k,), the frames since each track was last matched.
+    """
+
+    def __init__(self, max_dist: float, score_thresh: float, max_age: int):
         self.max_dist = max_dist
         self.score_thresh = score_thresh
         self.max_age = max_age
-        self.tracks: list[Track] = []
+        self.ids = np.zeros(0, dtype=np.int64)
+        self.centers = np.zeros((0, 2))
+        self.velocities = np.zeros((0, 2))
+        self.ages = np.zeros(0, dtype=np.int64)
         self.next_id = 0
 
     def step(
@@ -364,10 +290,54 @@ class TrackerState:
         ego_pose: Pose,
         dt: float,
     ) -> list[tuple[int, int]]:
-        """Associate ego-frame detections; returns (det_index, track_id)."""
-        world = [transform_box(ego_pose, d) for d in detections]
-        assigned, self.tracks, self.next_id = greedy_track(
-            world, prior_ids, self.tracks, dt, self.next_id,
-            max_dist=self.max_dist, score_thresh=self.score_thresh, max_age=self.max_age,
-        )
-        return assigned
+        """Associate ego-frame detections; returns the (det_index, track_id)
+        pairs sorted by detection.
+
+        Mapped into the world frame, detections are visited by descending
+        score (ties to the lower index) against each track's prediction
+        ``center + velocity * dt``. First a detection carrying a live track's
+        id claims it within ``max_dist``. Then ``greedy_match`` gives each of
+        the rest the nearest free track within ``max_dist``, distance ties to
+        the lower id, as the tracks are in id order. Last, each detection still
+        unmatched that scores at least ``score_thresh`` starts a track under
+        the next id. A matched track takes its detection's center and
+        velocity; an unmatched one moves to its prediction and ages, and is
+        dropped once its age exceeds ``max_age``.
+        """
+        n = len(detections)
+        rot = rot2(ego_pose.rotation)
+        # stacked matrix-vector products, bitwise equal to transform_box's
+        ego_xy = np.array([d.center[:2] for d in detections]).reshape(n, 2, 1)
+        ego_vel = np.array([d.velocity for d in detections]).reshape(n, 2, 1)
+        world_xy = (rot @ ego_xy)[..., 0] + ego_pose.translation
+        world_vel = (rot @ ego_vel)[..., 0]
+        scores = np.array([d.score for d in detections])
+        predicted = self.centers + self.velocities * dt
+        dist = center_distances(world_xy, predicted)
+        order = np.argsort(-scores, kind="stable")
+        col_of = {tid: c for c, tid in enumerate(self.ids.tolist())}
+        col = np.full(n, -1)   # each detection's matched track, as a column of dist
+        free = np.ones(len(self.ids), dtype=bool)
+        for i in order.tolist():
+            c = col_of.get(prior_ids[i])
+            if c is not None and free[c] and dist[i, c] <= self.max_dist:
+                free[c] = False
+                col[i] = c
+        for i, c, _ in greedy_match(dist, order[col[order] < 0], self.max_dist, free):
+            col[i] = c
+        spawn = order[(col[order] < 0) & (scores[order] >= self.score_thresh)]
+        spawn_ids = self.next_id + np.arange(len(spawn))
+        self.next_id += len(spawn)
+
+        matched = np.flatnonzero(col >= 0)
+        hit = col[matched]
+        pairs = sorted(zip(np.concatenate([matched, spawn]).tolist(),
+                           np.concatenate([self.ids[hit], spawn_ids]).tolist()))
+        centers, velocities, ages = predicted, self.velocities.copy(), self.ages + 1
+        centers[hit], velocities[hit], ages[hit] = world_xy[matched], world_vel[matched], 0
+        keep = ages <= self.max_age
+        self.ids = np.concatenate([self.ids[keep], spawn_ids])
+        self.centers = np.concatenate([centers[keep], world_xy[spawn]])
+        self.velocities = np.concatenate([velocities[keep], world_vel[spawn]])
+        self.ages = np.concatenate([ages[keep], np.zeros(len(spawn), dtype=np.int64)])
+        return pairs

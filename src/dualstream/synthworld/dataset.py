@@ -239,6 +239,11 @@ class Dataset:
         self.cameras = {name: _camera_from_json(doc) for name, doc in index["cameras"].items()}
         self.scenes = [{"id": int(s["id"]), "n_frames": int(s["n_frames"]), "seed": int(s["seed"])}
                        for s in index["scenes"]]
+        if not self.scenes:
+            raise DatasetError(f"{self.root / 'index.json'}: the dataset has no scenes")
+        empty = [s["id"] for s in self.scenes if s["n_frames"] < 1]
+        if empty:
+            raise DatasetError(f"{self.root / 'index.json'}: scene {empty[0]} has no frames")
         return index
 
     def n_scenes(self) -> int:

@@ -249,8 +249,6 @@ def streaming_train(
     is, retraces the uninterrupted run exactly. This process records
     nothing on a tape of its own: no tape joins the scenes.
     """
-    if dataset.n_scenes() == 0:
-        raise ValueError("dataset is empty")
     opt = opt or OptimizerState.fresh(model.store)
     result = TrainResult()
     total_steps = total_optimizer_steps(dataset, cfg)

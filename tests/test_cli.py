@@ -336,6 +336,19 @@ def nan_camera_entry(name, key, *at):
     return rewrite_text(edit)
 
 
+def index_scenes(edit):
+    """Rewrite index.json's scene list through ``edit`` (old list to new)."""
+    def rewrite(text):
+        doc = json.loads(text)
+        doc["scenes"] = edit(doc["scenes"])
+        return json.dumps(doc)
+    return rewrite_text(rewrite)
+
+
+def first_scene_without_frames(scenes):
+    return [dict(scenes[0], n_frames=0)] + scenes[1:]
+
+
 def rewrite_meta(edit):
     """Rewrite the JSON meta of a DSTN container through ``edit`` (in place), keeping its tensors."""
     def rewrite(path):
@@ -355,6 +368,10 @@ CORRUPT_JSON = {
     "eval-meta": ("eval", "ckpt/meta.json", rewrite_text(lambda _: '{"format_version": 2}')),
     "eval-frame-pose": ("eval", "data/scene_0/frame_0.dstn",
                         rewrite_meta(lambda meta: meta.update(yaw=[], translation=[], ego_velocity=[]))),
+    "train-index-no-scenes": ("train", "data/index.json", index_scenes(lambda scenes: [])),
+    "eval-index-no-scenes": ("eval", "data/index.json", index_scenes(lambda scenes: [])),
+    "train-index-scene-without-frames": ("train", "data/index.json", index_scenes(first_scene_without_frames)),
+    "eval-index-scene-without-frames": ("eval", "data/index.json", index_scenes(first_scene_without_frames)),
     "train-index-nan-fx": ("train", "data/index.json", nan_camera_entry("front", "fx")),
     "train-index-nan-rotation": ("train", "data/index.json", nan_camera_entry("back", "rotation", 1, 2)),
     "train-frame-nan-box-center": ("train", "data/scene_0/frame_1.dstn", rewrite_meta(lambda meta: meta.update(

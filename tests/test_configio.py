@@ -80,6 +80,19 @@ OUT_OF_RANGE = [
     ("ap_threshold_scale = 0", "ap_threshold_scale must be > 0, got 0.0"),
     ("cosine_floor = -1", "cosine_floor must be >= 0 and <= 1, got -1.0"),
     ("cosine_floor = 1.5", "cosine_floor must be >= 0 and <= 1, got 1.5"),
+    ("track_max_dist = 0", "track_max_dist must be > 0, got 0.0"),
+    ("track_max_age = -1", "track_max_age must be >= 0, got -1"),
+    ("track_score_thresh = 2", "track_score_thresh must be >= 0 and <= 1, got 2.0"),
+    ("track_score_thresh = -0.5", "track_score_thresh must be >= 0 and <= 1, got -0.5"),
+    ("highspeed_vmin = -1", "highspeed_vmin must be >= 0, got -1.0"),
+    ("focal_alpha = 1.5", "focal_alpha must be >= 0 and <= 1, got 1.5"),
+    ("focal_gamma = -1", "focal_gamma must be >= 0, got -1.0"),
+    ("loss_weight_seg = -1", "loss_weight_seg must be >= 0, got -1.0"),
+    ("loss_weight_cls = -1", "loss_weight_cls must be >= 0, got -1.0"),
+    ("loss_weight_center = -1", "loss_weight_center must be >= 0, got -1.0"),
+    ("loss_weight_box = -1", "loss_weight_box must be >= 0, got -1.0"),
+    ("fast_fraction = 2", "fast_fraction must be >= 0 and <= 1, got 2.0"),
+    ("pedestrian_fraction = -1", "pedestrian_fraction must be >= 0 and <= 1, got -1.0"),
     ("pillar_heights = nan,inf", "pillar_heights must be finite, got 'nan,inf'"),
     ("pillar_heights = 0,-inf", "pillar_heights must be finite, got '0,-inf'"),
 ]

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import tracker_oracle as oracle
 from check import finite_diff_check
 from util import t64
 
@@ -10,18 +11,17 @@ from dualstream.configio import Config
 from dualstream.diffcore import Tensor, active_tape
 from dualstream.diffcore.tensor import ShapeError
 from dualstream.dynstream import MotionParams, QuerySet, propagate
-from dualstream.geom3d import BoundingBox3D, Pose
+from dualstream.geom3d import BoundingBox3D, Pose, invert, transform_box
 from dualstream.heads import (
     Assignment,
     HeadOutputs,
     LossWeights,
-    Track,
+    TrackerState,
     center_distances,
     decode_boxes,
     detection_cost_matrix,
     detection_loss,
     greedy_match,
-    greedy_track,
     hungarian_match,
     segmentation_loss,
 )
@@ -117,7 +117,6 @@ class TestHungarian:
     def test_single_pair(self):
         a = hungarian_match(np.array([[3.0]]))
         assert a.pairs == [(0, 0)]
-        assert a.unmatched_preds == [] and a.unmatched_gts == []
 
     def test_two_by_two_diagonal(self):
         a = hungarian_match(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -145,7 +144,7 @@ class TestHungarian:
 
     def test_empty_sides(self):
         a = hungarian_match(np.zeros((0, 3)))
-        assert a.pairs == [] and a.unmatched_gts == [0, 1, 2]
+        assert a.pairs == []
 
 
 def gt_box(center, yaw=0.0, vel=(0.0, 0.0), label=0, size=(1.5, 2.5, 1.5)):
@@ -189,7 +188,7 @@ class TestDetectionLoss:
         p = decode_params()
         qs = queries(rng, 4)
         out, _ = decode_boxes(qs, qs.latents, p)
-        a = Assignment(pairs=[], unmatched_preds=list(range(4)), unmatched_gts=[])
+        a = Assignment(pairs=[])
         w = LossWeights()
         loss = detection_loss(out, [], a, RANGES, w, p.size_prior, n_classes=2)
         # hand-computed background focal
@@ -278,41 +277,43 @@ def det(center, score, vel=(0.0, 0.0), label=0):
                          yaw=0.0, velocity=np.array(vel, dtype=float), label=label, score=score)
 
 
+def tracker(ids=(), centers=(), velocities=None, next_id=0, max_dist=2.0, score_thresh=0.3, max_age=3):
+    """A tracker whose live tracks (rows in id order, all just matched) are seeded directly."""
+    t = TrackerState(max_dist=max_dist, score_thresh=score_thresh, max_age=max_age)
+    t.ids = np.array(ids, dtype=np.int64)
+    t.centers = np.array(centers, dtype=float).reshape(-1, 2)
+    t.velocities = np.zeros_like(t.centers) if velocities is None else np.array(velocities, dtype=float)
+    t.ages = np.zeros(len(t.ids), dtype=np.int64)
+    t.next_id = next_id
+    return t
+
+
 class TestGreedyTrack:
     def test_id_carried_within_range(self):
-        tracks = [Track(track_id=7, center=np.array([1.0, 0.0, 0.0]),
-                        velocity=np.array([2.0, 0.0]), label=0, score=0.9)]
-        assigned, new_tracks, next_id = greedy_track(
-            [det([2.0, 0.1, 0.0], 0.8)], [None], tracks, dt=0.5, next_id=10)
+        t = tracker([7], [[1.0, 0.0]], [[2.0, 0.0]], next_id=10)
+        assigned = t.step([det([2.0, 0.1, 0.0], 0.8)], [None], Pose.identity(), dt=0.5)
         assert assigned == [(0, 7)]
-        assert next_id == 10
+        assert t.next_id == 10
 
     def test_far_detection_spawns_new_id(self):
-        tracks = [Track(track_id=7, center=np.array([0.0, 0.0, 0.0]),
-                        velocity=np.zeros(2), label=0, score=0.9)]
-        assigned, new_tracks, next_id = greedy_track(
-            [det([10.0, 10.0, 0.0], 0.8)], [None], tracks, dt=0.5, next_id=10)
+        t = tracker([7], [[0.0, 0.0]], next_id=10)
+        assigned = t.step([det([10.0, 10.0, 0.0], 0.8)], [None], Pose.identity(), dt=0.5)
         assert assigned == [(0, 10)]
-        assert next_id == 11
+        assert t.next_id == 11
 
     def test_below_threshold_not_spawned(self):
-        assigned, new_tracks, next_id = greedy_track(
-            [det([0.0, 0.0, 0.0], 0.1)], [None], [], dt=0.5, next_id=0)
+        t = tracker()
+        assigned = t.step([det([0.0, 0.0, 0.0], 0.1)], [None], Pose.identity(), dt=0.5)
         assert assigned == []
-        assert new_tracks == []
+        assert t.ids.size == 0
 
     def test_crossing_tracks_match_exhaustive_oracle(self):
         # two tracks cross; greedy picks the globally nearest pairs in score
         # order, verified against the exhaustive 2x2 minimum
-        tracks = [
-            Track(track_id=0, center=np.array([0.0, 1.0, 0.0]), velocity=np.array([2.0, 0.0]),
-                  label=0, score=0.9),
-            Track(track_id=1, center=np.array([0.0, -1.0, 0.0]), velocity=np.array([2.0, 0.0]),
-                  label=0, score=0.9),
-        ]
+        t = tracker([0, 1], [[0.0, 1.0], [0.0, -1.0]], [[2.0, 0.0], [2.0, 0.0]], next_id=5)
         d0 = det([1.0, 0.8, 0.0], 0.9)
         d1 = det([1.0, -0.8, 0.0], 0.8)
-        assigned, _, _ = greedy_track([d0, d1], [None, None], tracks, dt=0.5, next_id=5)
+        assigned = t.step([d0, d1], [None, None], Pose.identity(), dt=0.5)
         pred = {0: np.array([1.0, 1.0]), 1: np.array([1.0, -1.0])}
         dets = {0: d0.center[:2], 1: d1.center[:2]}
         best_perm, best_cost = None, math.inf
@@ -324,46 +325,124 @@ class TestGreedyTrack:
         assert assigned == want
 
     def test_equal_distances_go_to_the_lower_track_id(self):
-        # the higher id comes first in ``tracks``; both are exactly 1 m away
-        tracks = [
-            Track(track_id=9, center=np.array([1.0, 0.0, 0.0]), velocity=np.zeros(2), label=0, score=0.9),
-            Track(track_id=4, center=np.array([-1.0, 0.0, 0.0]), velocity=np.zeros(2), label=0, score=0.9),
-        ]
-        assigned, _, _ = greedy_track([det([0.0, 0.0, 0.0], 0.8)], [None], tracks, dt=0.5, next_id=10)
+        # both tracks are exactly 1 m away; the higher id lies on the +x side
+        t = tracker([4, 9], [[-1.0, 0.0], [1.0, 0.0]], next_id=10)
+        assigned = t.step([det([0.0, 0.0, 0.0], 0.8)], [None], Pose.identity(), dt=0.5)
         assert assigned == [(0, 4)]
 
     def test_prior_identity_claims_track_first(self):
-        tracks = [
-            Track(track_id=0, center=np.array([0.0, 0.0, 0.0]), velocity=np.zeros(2),
-                  label=0, score=0.9),
-            Track(track_id=1, center=np.array([0.5, 0.0, 0.0]), velocity=np.zeros(2),
-                  label=0, score=0.9),
-        ]
+        t = tracker([0, 1], [[0.0, 0.0], [0.5, 0.0]], next_id=5)
         # the detection is nearest to track 1 but carries identity 0
-        assigned, _, _ = greedy_track([det([0.4, 0.0, 0.0], 0.9)], [0], tracks, dt=0.0, next_id=5)
+        assigned = t.step([det([0.4, 0.0, 0.0], 0.9)], [0], Pose.identity(), dt=0.0)
         assert assigned == [(0, 0)]
 
     def test_no_duplicate_ids_and_increasing_spawns(self, rng):
-        tracks = []
-        next_id = 0
+        t = tracker()
         spawned = []
         for frame in range(5):
             dets = [det([rng.uniform(-5, 5), rng.uniform(-5, 5), 0.0], float(rng.uniform(0.4, 1.0)))
                     for _ in range(4)]
-            assigned, tracks, next_id = greedy_track(dets, [None] * 4, tracks, dt=0.5, next_id=next_id)
+            assigned = t.step(dets, [None] * 4, Pose.identity(), dt=0.5)
             ids = [tid for _, tid in assigned]
             assert len(ids) == len(set(ids))
             spawned.extend(tid for _, tid in assigned)
+        next_id = t.next_id
         assert all(b >= a for a, b in zip(spawned, spawned[1:]) if b >= next_id - 1 and a >= next_id - 1)
 
     def test_track_ages_out(self):
-        tracks = [Track(track_id=3, center=np.zeros(3), velocity=np.zeros(2), label=0,
-                        score=0.9, frames_since_update=0)]
+        t = tracker([3], [[0.0, 0.0]], next_id=10, max_age=3)
         for k in range(3):
-            _, tracks, _ = greedy_track([], [], tracks, dt=0.5, next_id=10, max_age=3)
-            assert len(tracks) == 1
-        _, tracks, _ = greedy_track([], [], tracks, dt=0.5, next_id=10, max_age=3)
-        assert tracks == []
+            t.step([], [], Pose.identity(), dt=0.5)
+            assert len(t.ids) == 1
+        t.step([], [], Pose.identity(), dt=0.5)
+        assert t.ids.size == 0
+
+
+def bits(rows):
+    return np.asarray(rows, dtype=np.float64).tobytes()
+
+
+def random_frame(rng, ref, grid, max_dist, dt):
+    """One frame's ego pose and detections for ``ref``'s live tracks.
+
+    A grid frame has the identity pose, half-metre positions and velocities
+    and a few distinct scores, so equal scores and equal distances to two
+    tracks happen. Otherwise the pose is rotated and translated, and about
+    half the detections lie near a track's prediction, as seen from the ego.
+    """
+    n = int(rng.choice([0, 1, 3, 6, 10]))
+    if grid:
+        pose = Pose.identity()
+        centers = np.c_[rng.integers(-4, 5, (n, 2)) * 0.5, np.zeros(n)]
+        vels = rng.integers(-2, 3, (n, 2)) * 0.5
+        scores = rng.choice([0.3, 0.5, 0.8, 1.0], n)
+    else:
+        pose = Pose.se2(rng.uniform(-np.pi, np.pi), *rng.uniform(-20.0, 20.0, 2))
+        world = rng.uniform(-8.0, 8.0, (n, 2))
+        near = [t.center[:2] + t.velocity * dt for t in ref.tracks]
+        for i in range(n):
+            if near and rng.random() < 0.5:
+                world[i] = near[rng.integers(len(near))] + rng.normal(0.0, 0.5 * max_dist, 2)
+        centers = np.c_[invert(pose).apply_points(world), rng.normal(0.0, 0.5, n)]
+        vels = rng.normal(0.0, 3.0, (n, 2))
+        scores = np.where(rng.random(n) < 0.2, 0.5, rng.uniform(0.0, 1.0, n))
+    dets = [det(c, float(sc), v, label=int(rng.integers(2)))
+            for c, v, sc in zip(centers, vels, scores)]
+    priors = [None if rng.random() < 0.5 else int(rng.integers(ref.next_id + 3)) for _ in range(n)]
+    return pose, dets, priors
+
+
+def frame_cases(ref, pose, dets, priors, dt):
+    """Which of the cases the randomized test must cover this frame shows."""
+    live = {t.track_id: t for t in ref.tracks}
+    tids = sorted(live)
+    world = [transform_box(pose, d).center[:2] for d in dets]
+    pred = [live[tid].center[:2] + live[tid].velocity * dt for tid in tids]
+    dist = center_distances(world, pred)
+    cases = set()
+    if not dets:
+        cases.add("empty frame")
+    if len({d.score for d in dets}) < len(dets):
+        cases.add("equal scores")
+    if any((row <= ref.max_dist).any() and (row == row.min()).sum() > 1 for row in dist):
+        cases.add("equal distances")
+    for i, prior in enumerate(priors):
+        if prior is not None and prior < ref.next_id and prior not in live:
+            cases.add("stale prior")
+        if prior in live and dist[i, tids.index(prior)] > ref.max_dist:
+            cases.add("prior beyond max_dist")
+    if pose.rotation != 0.0 and pose.translation.any():
+        cases.add("rotated and translated ego")
+    return cases
+
+
+class TestTrackerMatchesOracle:
+    def test_random_scenes_match_the_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(28)
+        seen = set()
+        for scene in range(240):
+            settings = dict(max_dist=float(rng.choice([0.5, 1.0, 2.0, 4.0])),
+                            score_thresh=float(rng.choice([0.0, 0.3, 0.6, 1.0])),
+                            max_age=int(rng.choice([0, 1, 3])))
+            dt = float(rng.choice([0.0, 0.5, rng.uniform(0.1, 1.0)]))
+            seen |= {f"{k} = {v:g}" for k, v in dict(settings, dt=dt).items()}
+            ref, got = oracle.TrackerState(**settings), TrackerState(**settings)
+            for frame in range(int(rng.integers(2, 8))):
+                pose, dets, priors = random_frame(rng, ref, scene % 2 == 0, settings["max_dist"], dt)
+                seen |= frame_cases(ref, pose, dets, priors, dt)
+                assigned = got.step(dets, priors, pose, dt)
+                assert assigned == ref.step(dets, priors, pose, dt), (scene, frame)
+                assert all(type(i) is int and type(tid) is int for i, tid in assigned)
+                assert got.next_id == ref.next_id
+                tracks = sorted(ref.tracks, key=lambda t: t.track_id)
+                assert got.ids.tolist() == [t.track_id for t in tracks]
+                assert got.ages.tolist() == [t.frames_since_update for t in tracks]
+                assert got.centers.dtype == got.velocities.dtype == np.float64
+                assert bits(got.centers) == bits([t.center[:2] for t in tracks]), (scene, frame)
+                assert bits(got.velocities) == bits([t.velocity for t in tracks]), (scene, frame)
+        assert {"empty frame", "equal scores", "equal distances", "stale prior", "prior beyond max_dist",
+                "rotated and translated ego", "max_age = 0", "dt = 0", "score_thresh = 0",
+                "score_thresh = 1"} <= seen
 
 
 class TestGreedyMatch:
