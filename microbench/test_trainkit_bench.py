@@ -12,8 +12,8 @@ The training step is ``streaming_train`` over a dataset of two one-frame
 scenes at the default config: both scenes' forward and losses, backward,
 clip and AdamW. The scenes run on ``worker_count(2)`` runners: on a machine
 with two CPUs, this process and one worker process that each call forks and
-joins, so the fork is part of the time; ``DUALSTREAM_THREADS=1`` runs both
-scenes in this process, in turn, and forks nothing.
+joins, so the fork is part of the time; run under ``taskset -c 0``, it runs
+both scenes in this process, in turn, and forks nothing.
 """
 
 from dataclasses import replace

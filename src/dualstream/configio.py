@@ -35,8 +35,8 @@ class Config:
     # f32 | f64: the dtype of parameters, activations, the tape and gradients;
     # AdamW moments, geometry and decoded boxes and scores stay f64
     dtype: str = "f32"
-    # the training runner count is not configuration: it comes from the
-    # machine (``worker_count``); gen-data runs on one thread
+    # the training runner count is not configuration: it is the CPU affinity
+    # (``worker_count``); gen-data runs on one thread
     # world generation
     scene_frames: int = 14
     scene_dt: float = 0.5
@@ -87,7 +87,6 @@ class Config:
     focal_alpha: float = 0.25
     focal_gamma: float = 2.0
     velocity_norm: float = 10.0
-    freeze_backbone: bool = False
     # tracking / evaluation
     track_max_dist: float = 2.0
     track_score_thresh: float = 0.3
@@ -174,9 +173,8 @@ def _parse_value(name: str, raw: str, line_no: int):
         raise ConfigError(f"line {line_no}: bad value for {name!r}: {e}") from None
 
 
-def parse_config(text: str, base: Config | None = None) -> Config:
-    """Parse ``key = value`` lines with ``#`` comments over a base config."""
-    cfg = base or Config()
+def parse_config(text: str) -> Config:
+    """Parse ``key = value`` lines with ``#`` comments over the defaults."""
     updates = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -188,9 +186,7 @@ def parse_config(text: str, base: Config | None = None) -> Config:
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {line_no}: unknown config key {key!r}")
         updates[key] = _parse_value(key, raw, line_no)
-    cfg = replace(cfg, **updates)
-    cfg.validate()
-    return cfg
+    return config_from_dict(updates)
 
 
 def load_config(path) -> Config:
@@ -230,16 +226,8 @@ def config_from_dict(doc: dict) -> Config:
 def worker_count(jobs: int) -> int:
     """Runners for a training frame-batch of ``jobs`` scenes (the calling
     process and forked worker processes): one per scene, at most one per CPU
-    the process may run on, capped by the environment's
-    ``DUALSTREAM_THREADS``; at least 1."""
-    workers = min(jobs, len(os.sched_getaffinity(0)))
-    cap = os.environ.get("DUALSTREAM_THREADS")
-    if cap is not None:
-        try:
-            workers = min(workers, int(cap))
-        except ValueError:
-            raise ConfigError(f"DUALSTREAM_THREADS must be an integer, got {cap!r}") from None
-    return max(1, workers)
+    in the process's affinity (``taskset -c 0 dualstream train`` runs one)."""
+    return max(1, min(jobs, len(os.sched_getaffinity(0))))
 
 
 def content_hash(*chunks: bytes) -> str:

@@ -34,7 +34,8 @@ from .statstream import (
     segmentation_head,
     warp_bev,
 )
-from .synthworld.dataset import FrameSample
+from .synthworld.dataset import SEG_CLASSES, FrameSample
+from .synthworld.scene import CLASS_NAMES
 
 _MODEL_SEED_SALT = 0xD0A1
 
@@ -116,7 +117,7 @@ def build_layer_params(store: ParamStore, prefix: str, rng, cfg: Config) -> Dual
 
 
 def build_decode_params(store: ParamStore, prefix: str, rng, cfg: Config) -> DecodeParams:
-    L, H, C = cfg.latent_dim, cfg.decode_hidden, 2
+    L, H, C = cfg.latent_dim, cfg.decode_hidden, len(CLASS_NAMES)
     yaw_bias = np.zeros(2)
     yaw_bias[1] = 1.0  # cos branch starts at 1 so a zero head decodes yaw 0
     return DecodeParams(
@@ -166,7 +167,7 @@ class DualStreamModel:
         self.fresh_cell = store.tensor("bev.fresh", rng.normal(0.0, 0.02, (L,)))
         self.layers = [build_layer_params(store, f"layer{i}", rng, cfg) for i in range(cfg.n_layers)]
         self.decode = build_decode_params(store, "decode", rng, cfg)
-        self.seg = SegHeadParams(mlp=make_mlp_params(store, "seg", rng, L, L, 3))
+        self.seg = SegHeadParams(mlp=make_mlp_params(store, "seg", rng, L, L, len(SEG_CLASSES)))
         self.store = store
         self.pillar_reads = PillarReads()
 

@@ -23,14 +23,14 @@ from .evalkit import (
 )
 from .heads import TrackerState
 from .model import DualStreamModel, StepResult
-from .synthworld.dataset import Dataset
-from .synthworld.scene import alternating_schedule
+from .synthworld.dataset import SEG_CLASSES, Dataset
+from .synthworld.scene import CLASS_NAMES, alternating_schedule
 
 
 @dataclass
 class InferenceOutput:
     records: list[SceneRecord]
-    seg_intersection: np.ndarray   # (3,) pooled over frames
+    seg_intersection: np.ndarray   # (len(SEG_CLASSES),) pooled over frames
     seg_union: np.ndarray
 
 
@@ -51,8 +51,8 @@ def run_inference(
     ``NumericError`` naming the scene, the frame and the first such output.
     """
     records = []
-    inter = np.zeros(3, dtype=np.int64)
-    union = np.zeros(3, dtype=np.int64)
+    inter = np.zeros(len(SEG_CLASSES), dtype=np.int64)
+    union = np.zeros(len(SEG_CLASSES), dtype=np.int64)
     with no_grad():
         for meta in dataset.scenes:
             sid = meta["id"]
@@ -115,9 +115,6 @@ def _first_non_finite(res: StepResult) -> Optional[str]:
     return next((name for name, arr in named if not np.all(np.isfinite(arr))), None)
 
 
-SEG_CLASS_NAMES = ("drivable", "lanes", "crossing")
-
-
 def assemble_report(
     out: InferenceOutput,
     cfg: Config,
@@ -126,17 +123,17 @@ def assemble_report(
     slices: tuple[str, ...] = ("all",),
 ) -> EvalReport:
     thresholds = [t * cfg.ap_threshold_scale for t in BASE_AP_THRESHOLDS]
-    labels = (0, 1)
+    labels = tuple(CLASS_NAMES)
     slice_metrics = {"all": evaluate_detection_slice(out.records, labels, thresholds)}
     if "high-velocity" in slices:
         sliced = velocity_slice_records(out.records, cfg.highspeed_vmin, thresholds[2])
         slice_metrics["high_velocity"] = evaluate_detection_slice(sliced, labels, thresholds)
 
     seg = {}
-    for c, name in enumerate(SEG_CLASS_NAMES):
+    for c, name in enumerate(SEG_CLASSES):
         u = out.seg_union[c]
         seg[name] = 1.0 if u == 0 else float(out.seg_intersection[c] / u)
-    seg["miou"] = float(np.mean([seg[n] for n in SEG_CLASS_NAMES]))
+    seg["miou"] = float(np.mean([seg[n] for n in SEG_CLASSES]))
 
     conventions = {
         "ap_thresholds_m": thresholds,

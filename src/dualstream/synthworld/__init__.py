@@ -13,7 +13,6 @@ from .scene import (
     full_schedule,
     generate_scene,
     step_agents,
-    straight_road_map,
 )
 from .render import id_brightness, render_camera
 from .dataset import (

@@ -54,20 +54,17 @@ class FrameSample:
     availability: dict[str, bool]
 
 
-def rasterize_gt_bev(scene: SceneSpec, t: int, bev_spec: BevSpec,
-                     lane_width: float = 1.0) -> np.ndarray:
+def rasterize_gt_bev(scene: SceneSpec, t: int, bev_spec: BevSpec) -> np.ndarray:
     """Per-class masks on the BEV lattice: a cell is 1 iff its center lies
-    inside the class geometry (polylines dilated to ``lane_width``).
-
-    The default dilation of 1 m matches the desk grid resolution; the
-    rendered 0.3 m paint stripe would miss every cell center at 1 m cells.
+    inside the class geometry, lane lines dilated to 1 m, the desk grid's
+    resolution (the rendered 0.3 m paint stripe would miss every cell center).
     """
     x, y = np.ascontiguousarray(scene.ego_trajectory[t].apply_points(cell_center_grid(bev_spec)).T)
     m = scene.static_map
     masks = np.stack([map_mask(x, y, m, "drivable"),
-                      map_mask(x, y, m, "lane_lines", lane_width / 2.0),
+                      map_mask(x, y, m, "lane_lines", 0.5),
                       map_mask(x, y, m, "crossings")]).astype(np.float32)
-    return masks.reshape(3, *bev_spec.dims)
+    return masks.reshape(len(SEG_CLASSES), *bev_spec.dims)
 
 
 def ego_frame_boxes(scene: SceneSpec, t: int, ranges: Optional[np.ndarray] = None):
@@ -258,7 +255,6 @@ def generate_and_write(
     path,
     world: WorldConfig,
     bev_spec: BevSpec,
-    cameras: Optional[dict[str, CameraModel]] = None,
     config_echo: Optional[dict] = None,
     ranges: Optional[np.ndarray] = None,
     schedule_kind: str = "full",
@@ -272,7 +268,7 @@ def generate_and_write(
     is kept only because ``perfbench/workloads.py`` still passes it."""
     if workers != 1:
         raise ValueError(f"gen-data runs on one thread, got workers={workers}")
-    cams = cameras or build_camera_rig(width=image_size[1], height=image_size[0])
+    cams = build_camera_rig(width=image_size[1], height=image_size[0])
     scenes = [generate_scene(seed, world) for seed in seeds]
     with atomic_directory(path) as root:
         for k, scene in enumerate(scenes):

@@ -21,6 +21,11 @@ PEDESTRIAN_SIZE = np.array([0.7, 0.7, 1.8])
 
 LANE_LINE_WIDTH = 0.3  # m, width of the rendered lane paint stripe; rasterize_gt_bev dilates by its own 1 m
 
+# the one road every scene drives on (m): lanes, its extent along x, crossings
+N_LANES, LANE_WIDTH = 4, 3.5
+ROAD_X_MIN, ROAD_X_MAX, CROSSING_SPACING = -120.0, 240.0, 60.0
+ROAD_HALF_WIDTH = N_LANES * LANE_WIDTH / 2.0
+
 
 class SceneConfigError(ValueError):
     """Scene generation asked for an infeasible configuration."""
@@ -134,24 +139,22 @@ def step_agents(states: list[AgentState], dt: float) -> list[AgentState]:
     return out
 
 
-def straight_road_map(n_lanes: int = 4, lane_width: float = 3.5,
-                      x_min: float = -120.0, x_max: float = 240.0,
-                      crossing_spacing: float = 60.0) -> MapSpec:
+def straight_road_map() -> MapSpec:
     """Straight road along +x centered on y=0; half the lanes run each way."""
-    half = n_lanes * lane_width / 2.0
-    drivable = [np.array([[x_min, -half], [x_max, -half], [x_max, half], [x_min, half]])]
+    half = ROAD_HALF_WIDTH
+    drivable = [np.array([[ROAD_X_MIN, -half], [ROAD_X_MAX, -half], [ROAD_X_MAX, half], [ROAD_X_MIN, half]])]
     lane_lines = [
-        np.array([[x_min, y], [x_max, y]])
-        for y in np.linspace(-half, half, n_lanes + 1)
+        np.array([[ROAD_X_MIN, y], [ROAD_X_MAX, y]])
+        for y in np.linspace(-half, half, N_LANES + 1)
     ]
     crossings = []
-    x = crossing_spacing / 2.0
-    while x < x_max:
+    x = CROSSING_SPACING / 2.0
+    while x < ROAD_X_MAX:
         crossings.append(np.array([[x - 2.0, -half], [x + 2.0, -half], [x + 2.0, half], [x - 2.0, half]]))
-        x += crossing_spacing
+        x += CROSSING_SPACING
     lane_centers = []
-    for k in range(n_lanes):
-        y = -half + (k + 0.5) * lane_width
+    for k in range(N_LANES):
+        y = -half + (k + 0.5) * LANE_WIDTH
         heading = 0.0 if y < 0 else math.pi  # right-hand traffic: y<0 lanes head +x
         lane_centers.append((y, heading))
     return MapSpec(drivable=drivable, lane_lines=lane_lines, crossings=crossings,
@@ -160,7 +163,8 @@ def straight_road_map(n_lanes: int = 4, lane_width: float = 3.5,
 
 @dataclass(frozen=True)
 class WorldConfig:
-    """Knobs for scene generation; mirrored by the config file keys."""
+    """Knobs for scene generation, each set from its config file key but
+    ``spawn_x_min`` and ``spawn_x_max``, which only callers of the API set."""
 
     duration: int = 14
     dt: float = 0.5
@@ -175,9 +179,6 @@ class WorldConfig:
     ego_speed: float = 4.0
     spawn_x_min: float = -24.0
     spawn_x_max: float = 40.0
-    n_lanes: int = 4
-    lane_width: float = 3.5
-    crossing_spacing: float = 60.0
 
     def validate(self) -> None:
         if self.duration < 1:
@@ -186,8 +187,10 @@ class WorldConfig:
             raise SceneConfigError("dt must be > 0")
         if self.agents_min > self.agents_max or self.agents_min < 0:
             raise SceneConfigError("bad agent count range")
-        if self.n_lanes < 2:
-            raise SceneConfigError("need at least 2 lanes")
+        for band, low, high in (("agent speed", self.speed_min, self.speed_max),
+                                ("fast speed", self.fast_speed_min, self.fast_speed_max)):
+            if not 0 <= low <= high:
+                raise SceneConfigError(f"bad {band} band {low!r}..{high!r}: need 0 <= min <= max")
 
 
 def generate_scene(seed: int, config: WorldConfig) -> SceneSpec:
@@ -195,7 +198,7 @@ def generate_scene(seed: int, config: WorldConfig) -> SceneSpec:
     lane; cars follow lanes, pedestrians walk across near crossings."""
     config.validate()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5CE2E]))
-    m = straight_road_map(config.n_lanes, config.lane_width, crossing_spacing=config.crossing_spacing)
+    m = straight_road_map()
 
     ego_lane_y = m.lane_centers[0][0]  # outer right lane, heading +x
     ego_traj = [
@@ -209,10 +212,9 @@ def generate_scene(seed: int, config: WorldConfig) -> SceneSpec:
     for aid in range(n_agents):
         is_ped = rng.uniform() < config.pedestrian_fraction
         if is_ped:
-            cx = float(rng.choice([c[:, 0].mean() for c in m.crossings] or [10.0]))
+            cx = float(rng.choice([c[:, 0].mean() for c in m.crossings]))
             x = cx + rng.uniform(-1.5, 1.5)
-            y = rng.uniform(-config.n_lanes * config.lane_width / 2 - 2.0,
-                            config.n_lanes * config.lane_width / 2 + 2.0)
+            y = rng.uniform(-ROAD_HALF_WIDTH - 2.0, ROAD_HALF_WIDTH + 2.0)
             heading = math.pi / 2 if rng.uniform() < 0.5 else -math.pi / 2
             speed = float(rng.uniform(0.8, 1.8))
             size = PEDESTRIAN_SIZE

@@ -21,8 +21,9 @@ from .heads import LossWeights, detection_cost_matrix, detection_loss, hungarian
 from .model import DualStreamModel, StreamState
 from .scenepool import DETACH, RESET, ScenePool
 from .synthworld.dataset import Dataset
+from .synthworld.scene import CLASS_NAMES
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -78,7 +79,6 @@ def optimizer_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-    skip_prefixes: tuple[str, ...] = (),
 ) -> None:
     """Decoupled-weight-decay adaptive moment update.
 
@@ -94,8 +94,6 @@ def optimizer_step(
     bc1 = 1.0 - beta1 ** opt.step
     bc2 = 1.0 - beta2 ** opt.step
     for name, t in store.items():
-        if any(name.startswith(p) for p in skip_prefixes):
-            continue
         m, v = opt.m[name], opt.v[name]
         g = t.grad.astype(np.float64) if t.grad is not None else np.zeros(t.data.shape)
         buf = g * (1.0 - beta2)
@@ -134,9 +132,6 @@ class TrainLogRow:
 class TrainResult:
     rows: list[TrainLogRow] = field(default_factory=list)
 
-    def losses(self) -> np.ndarray:
-        return np.array([r.loss for r in self.rows])
-
     def to_csv(self) -> str:
         lines = ["step,epoch,frame,loss,det_loss,seg_loss,lr,grad_norm"]
         for r in self.rows:
@@ -156,7 +151,7 @@ def frame_loss(model: DualStreamModel, result, frame, cfg: Config):
                                  model.decode.size_prior)
     assignment = hungarian_match(cost)
     det = detection_loss(result.outputs, frame.gt_boxes, assignment, model.ranges, weights,
-                         model.decode.size_prior, n_classes=2)
+                         model.decode.size_prior, n_classes=len(CLASS_NAMES))
     seg = segmentation_loss(result.seg_logits, frame.gt_seg)
     return det, seg
 
@@ -252,7 +247,6 @@ def streaming_train(
     opt = opt or OptimizerState.fresh(model.store)
     result = TrainResult()
     total_steps = total_optimizer_steps(dataset, cfg)
-    skip = ("backbone.",) if cfg.freeze_backbone else ()
     horizon = cfg.truncation_horizon
     groups = _scene_groups(dataset, cfg)
     workers = worker_count(max(len(group) for group in groups))
@@ -283,7 +277,7 @@ def streaming_train(
                     raise NumericError(f"non-finite gradient norm {norm} at step {step}; "
                                        f"first non-finite gradient: {bad}")
                 lr = cosine_lr(cfg.learning_rate, cfg.cosine_floor, step, total_steps)
-                optimizer_step(model.store, opt, lr, cfg.weight_decay, skip_prefixes=skip)
+                optimizer_step(model.store, opt, lr, cfg.weight_decay)
                 bad = next((name for name, t in model.store.items() if not np.all(np.isfinite(t.data))), None)
                 if bad is not None:
                     raise NumericError(f"optimizer update at step {step} made a parameter non-finite: {bad}")

@@ -96,7 +96,6 @@ def test_nan_anchor_in_a_concurrent_scene_is_exit_4(tmp_path, monkeypatch, capsy
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY, encoding="utf-8")
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data"), "--seeds", "7..8"]) == EXIT_OK
-    monkeypatch.delenv("DUALSTREAM_THREADS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})   # two scene runners: scene 1 in a worker
     poison_anchors(monkeypatch, Dataset(tmp_path / "data").scenes[1]["id"], 1)
     args = ["train", "--config", str(cfg), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "run")]
@@ -106,33 +105,10 @@ def test_nan_anchor_in_a_concurrent_scene_is_exit_4(tmp_path, monkeypatch, capsy
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("cap,want", [(None, 4), ("2", 2), ("8", 4), ("0", 1)])
-def test_thread_cap_applies(monkeypatch, cap, want):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    if cap is None:
-        monkeypatch.delenv("DUALSTREAM_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("DUALSTREAM_THREADS", cap)
-    assert worker_count(4) == want
-
-
 @pytest.mark.parametrize("jobs,want", [(1, 1), (2, 2), (5, 2)])
 def test_workers_are_at_most_one_per_cpu(monkeypatch, jobs, want):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3})
-    monkeypatch.delenv("DUALSTREAM_THREADS", raising=False)
     assert worker_count(jobs) == want
-
-
-def test_non_integer_thread_cap_is_a_config_error(tmp_path, monkeypatch, capsys):
-    # training is the one reader of the cap: gen-data runs on one thread
-    cfg = tmp_path / "tiny.cfg"
-    cfg.write_text(TINY, encoding="utf-8")
-    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")]) == EXIT_OK
-    monkeypatch.setenv("DUALSTREAM_THREADS", "two")
-    args = ["train", "--config", str(cfg), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "run")]
-    assert main(args) == EXIT_CONFIG
-    assert "DUALSTREAM_THREADS must be an integer" in capsys.readouterr().err
-    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("spec", ["abc", "1..x", "..3", "2..", "-1", "-2..1"])
@@ -155,8 +131,14 @@ def test_seed_specs():
         parse_seeds("-2..1")
 
 
-@pytest.mark.parametrize("line,refused", [("seed = -3", "seed must be >= 0"),
-                                          ("ego_speed = nan", "ego_speed must be finite")])
+@pytest.mark.parametrize("line,refused", [
+    ("seed = -3", "seed must be >= 0"),
+    ("ego_speed = nan", "ego_speed must be finite"),
+    # scene generation, not the config, knows the speed bands
+    ("agent_speed_min = 8\nagent_speed_max = 2", "bad agent speed band 8.0..2.0"),
+    ("agent_speed_min = -1", "bad agent speed band -1.0..8.0"),
+    ("fast_fraction = 1\nfast_speed_min = 14\nfast_speed_max = 10", "bad fast speed band 14.0..10.0"),
+])
 def test_bad_world_setting_stops_gen_data(tmp_path, capsys, line, refused):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(TINY + line + "\n", encoding="utf-8")
@@ -184,7 +166,8 @@ def test_nan_learning_rate_is_a_config_error(tiny_data, tmp_path, capsys):
 
 @pytest.mark.parametrize("line,refused", [("seed = -3", "seed must be >= 0"),
                                           ("track_max_dist = nan", "track_max_dist must be finite"),
-                                          ("pillar_heights = nan,inf", "pillar_heights must be finite")])
+                                          ("pillar_heights = nan,inf", "pillar_heights must be finite"),
+                                          ("freeze_backbone = true", "unknown config key 'freeze_backbone'")])
 def test_bad_setting_stops_train(tiny_data, tmp_path, capsys, line, refused):
     bad = tmp_path / "bad.cfg"
     bad.write_text(TINY + line + "\n", encoding="utf-8")
@@ -365,7 +348,7 @@ CORRUPT_JSON = {
     "train-index-without-dt": ("train", "data/index.json", rewrite_text(without_dt)),
     "train-frame-boxes": ("train", "data/scene_0/frame_1.dstn",
                           rewrite_meta(lambda meta: meta.update(boxes=[{"center": [0, 0]}]))),
-    "eval-meta": ("eval", "ckpt/meta.json", rewrite_text(lambda _: '{"format_version": 2}')),
+    "eval-meta": ("eval", "ckpt/meta.json", rewrite_text(lambda _: '{"format_version": 3}')),
     "eval-frame-pose": ("eval", "data/scene_0/frame_0.dstn",
                         rewrite_meta(lambda meta: meta.update(yaw=[], translation=[], ego_velocity=[]))),
     "train-index-no-scenes": ("train", "data/index.json", index_scenes(lambda scenes: [])),
@@ -449,11 +432,27 @@ def test_version_1_artifact_is_an_io_error_naming_file_and_version(tiny_data, tm
     shutil.copytree(tiny_data / "data", tmp_path / "data")
     model = DualStreamModel(parse_config(TINY))
     save_checkpoint(tmp_path / "ckpt", model, OptimizerState.fresh(model.store), model.cfg, step=0, epoch=1)
-    path = tmp_path / {"checkpoint": "ckpt/meta.json", "dataset": "data/index.json"}[artifact]
-    rewrite_text(lambda text: text.replace('"format_version": 2', '"format_version": 1'))(path)
+    name, version = {"checkpoint": ("ckpt/meta.json", 3), "dataset": ("data/index.json", 2)}[artifact]
+    path = tmp_path / name
+    rewrite_text(lambda text: text.replace(f'"format_version": {version}', '"format_version": 1'))(path)
     args = ["eval", "--ckpt", str(tmp_path / "ckpt"), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "run")]
     assert main(args) == EXIT_IO
-    assert f"{path}: format version 1, expected 2" in capsys.readouterr().err
+    assert f"{path}: format version 1, expected {version}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "train-resume"])
+def test_version_2_checkpoint_is_an_io_error_naming_file_and_version(tiny_data, tmp_path, capsys, command):
+    # every version-2 checkpoint's config names a setting that is gone
+    model = DualStreamModel(parse_config(TINY))
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, model, OptimizerState.fresh(model.store), model.cfg, step=2, epoch=1)
+    rewrite_text(lambda text: text.replace('"format_version": 3', '"format_version": 2'))(ckpt / "meta.json")
+    data, out = str(tiny_data / "data"), str(tmp_path / "run")
+    args = {"eval": ["eval", "--ckpt", str(ckpt), "--data", data, "--out", out],
+            "train-resume": ["train", "--resume", str(ckpt), "--data", data, "--out", out]}[command]
+    assert main(args) == EXIT_IO
+    assert f"{ckpt / 'meta.json'}: format version 2, expected 3" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

@@ -1,7 +1,10 @@
+import ast
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import dualstream
 from dualstream.configio import Config, ConfigError, config_from_dict, config_to_dict, parse_config
 
 
@@ -21,6 +24,23 @@ def test_threads_key_is_rejected():
         parse_config("threads = 1")
     with pytest.raises(ConfigError, match="threads"):
         config_from_dict({**config_to_dict(Config()), "threads": 1})
+
+
+def test_the_program_reads_no_environment_variable():
+    # the program's inputs are the config, the CLI arguments, the dataset and
+    # the CPU affinity; a variable read from the environment would be a hidden one
+    hidden = {"environ", "environb", "getenv", "getenvb"}
+    root = Path(dualstream.__file__).parent
+    reads = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in hidden
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                reads.append(f"{path.relative_to(root)}:{node.lineno} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [f"{path.relative_to(root)}:{node.lineno} from os import {a.name}"
+                          for a in node.names if a.name in hidden]
+    assert reads == []
 
 
 @pytest.mark.parametrize("line", [

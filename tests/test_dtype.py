@@ -2,6 +2,7 @@
 model output; AdamW moments and decoded boxes stay float64."""
 
 import hashlib
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -67,7 +68,7 @@ def test_training_step_computes_in_the_configured_dtype(data, name, monkeypatch)
         seen["moments"] = {m.dtype for m in [*opt.m.values(), *opt.v.values()]}
 
     # one runner, so that every entry is recorded in this process
-    monkeypatch.setenv("DUALSTREAM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(Tape, "record", recorded)
     _train(data, replace(CFG, dtype=name), 1, check)
     assert seen["tape"] == {want}

@@ -24,7 +24,6 @@ from dualstream.synthworld import (
     render_camera,
     render_views,
     step_agents,
-    straight_road_map,
 )
 from dualstream.synthworld.render import CLASS_COLORS, id_brightness
 from dualstream.synthworld.scene import CAR_SIZE, SceneConfigError
@@ -123,10 +122,13 @@ class TestGenerateScene:
         assert len(ids) == len(set(ids))
 
     def test_infeasible_config_rejected(self):
-        with pytest.raises(SceneConfigError):
-            generate_scene(0, WorldConfig(duration=0))
-        with pytest.raises(SceneConfigError):
-            generate_scene(0, WorldConfig(n_lanes=1))
+        for bad in ({"duration": 0},
+                    {"speed_min": 8.0, "speed_max": 2.0},
+                    {"speed_min": -1.0},
+                    {"fast_fraction": 1.0, "fast_speed_min": 14.0, "fast_speed_max": 10.0},
+                    {"fast_speed_min": -1.0}):
+            with pytest.raises(SceneConfigError):
+                generate_scene(0, WorldConfig(**bad))
 
 
 class TestRender:
