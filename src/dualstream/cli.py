@@ -194,7 +194,7 @@ def cmd_ablate(args) -> int:
         model = DualStreamModel(cfg)
         result, opt = streaming_train(data, model, cfg)
         vdir = out / name
-        save_checkpoint(vdir / "checkpoint", model, opt, cfg, opt.step)
+        save_checkpoint(vdir / "checkpoint", model, opt, cfg, opt.step, epoch=cfg.epochs)
         atomic_write_text(vdir / "loss.csv", result.to_csv())
         inference = run_inference(data, model, cfg)
         report = assemble_report(inference, cfg, run_id=name, code_version=__version__)

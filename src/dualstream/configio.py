@@ -1,7 +1,8 @@
 """Flat run configuration and the line-oriented ``key = value`` file format.
 
-Unknown keys are errors (reported with their line number); the file is
-authoritative and CLI flags override individual fields afterwards.
+Unknown and repeated keys are errors (reported with their line numbers);
+the file is authoritative and CLI flags override individual fields
+afterwards.
 """
 
 from __future__ import annotations
@@ -154,6 +155,7 @@ class Config:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
+_PYTHON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
 
 
 def _parse_value(name: str, raw: str, line_no: int):
@@ -175,7 +177,7 @@ def _parse_value(name: str, raw: str, line_no: int):
 
 def parse_config(text: str) -> Config:
     """Parse ``key = value`` lines with ``#`` comments over the defaults."""
-    updates = {}
+    updates, first_line = {}, {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -185,7 +187,9 @@ def parse_config(text: str) -> Config:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {line_no}: unknown config key {key!r}")
-        updates[key] = _parse_value(key, raw, line_no)
+        if key in updates:
+            raise ConfigError(f"line {line_no}: config key {key!r} repeats line {first_line[key]}")
+        updates[key], first_line[key] = _parse_value(key, raw, line_no), line_no
     return config_from_dict(updates)
 
 
@@ -215,10 +219,23 @@ def config_to_dict(cfg: Config) -> dict:
 
 
 def config_from_dict(doc: dict) -> Config:
+    """The validated config of ``doc``'s settings over the defaults. Each
+    value must be of its field's type: a bool for a bool, an int (not a bool)
+    for an int, an int or float (not a bool) for a float, which is stored
+    as a float, and a str for a str."""
     unknown = set(doc) - set(_FIELD_TYPES)
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
-    cfg = replace(Config(), **doc)
+    values = {}
+    for key, value in doc.items():
+        kind = _FIELD_TYPES[key]
+        if not isinstance(value, _PYTHON_TYPES[kind]) or isinstance(value, bool) != (kind == "bool"):
+            raise ConfigError(f"config key {key!r} must be a {kind}, got {value!r}")
+        try:
+            values[key] = float(value) if kind == "float" else value
+        except OverflowError:
+            raise ConfigError(f"config key {key!r} is an int beyond the float range") from None
+    cfg = replace(Config(), **values)
     cfg.validate()
     return cfg
 

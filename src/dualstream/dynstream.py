@@ -116,13 +116,6 @@ def spawn_queries(n_new: int, params: SpawnParams, ranges: np.ndarray) -> QueryS
                     velocities=np.zeros((n_new, 2)), scores=np.zeros(n_new), ids=np.full(n_new, -1))
 
 
-@dataclass
-class MotionParams:
-    """Residual MLP conditioning the latent on the ego motion and dt."""
-
-    mlp: MlpParams
-
-
 def _flatten_se2(delta: Pose) -> np.ndarray:
     c, s = np.cos(delta.rotation), np.sin(delta.rotation)
     tx, ty = delta.translation
@@ -133,7 +126,7 @@ def propagate(
     memory: QuerySet,
     delta: Pose,
     dt: float,
-    params: MotionParams,
+    params: MlpParams,
     compensate_object_motion: bool = True,
 ) -> QuerySet:
     """Carry memory queries one step forward.
@@ -141,7 +134,7 @@ def propagate(
     Geometric part: a constant-velocity step in the old frame (object
     motion), then re-expression of anchor and velocity in the new ego frame
     (ego motion). Learned part: a residual MLP on the latent conditioned on
-    the flattened SE(2) ego delta and dt.
+    the flattened SE(2) ego delta and dt (``params``).
     """
     if dt < 0:
         raise ValueError("dt must be >= 0")
@@ -158,7 +151,7 @@ def propagate(
     latents = memory.latents
     cond = np.tile(np.concatenate([_flatten_se2(delta), [dt]]), (len(memory), 1))
     feats = concat([latents, Tensor(cond.astype(latents.dtype))], axis=1)
-    new_latents = add(latents, mlp(feats, params.mlp))
+    new_latents = add(latents, mlp(feats, params))
     return replace(memory, latents=new_latents, anchors=Tensor(new_anchors.astype(latents.dtype)),
                    velocities=new_vels)
 

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .configio import Config
 from .diffcore import ShapeError, Tensor, gelu, matmul, no_grad, sigmoid, softplus
 from .diffcore.tensor import (
     absolute,
@@ -162,55 +163,44 @@ def greedy_match(dist: np.ndarray, order: Sequence[int], max_dist: float,
     return pairs
 
 
-@dataclass
-class LossWeights:
-    cls: float = 1.0
-    center: float = 5.0
-    box: float = 1.0
-    focal_alpha: float = 0.25
-    focal_gamma: float = 2.0
-    velocity_norm: float = 10.0
-
-
-def _normalized_gt(box: BoundingBox3D, ranges: np.ndarray, weights: LossWeights,
-                   size_prior: np.ndarray) -> np.ndarray:
+def _normalized_gt(box: BoundingBox3D, ranges: np.ndarray, cfg: Config, size_prior: np.ndarray) -> np.ndarray:
     lo, hi = np.asarray(ranges[0]), np.asarray(ranges[1])
     center = (box.center - lo) / (hi - lo)
     log_size = np.log(box.size / size_prior)
     sc = np.array([math.sin(box.yaw), math.cos(box.yaw)])
-    vel = box.velocity / weights.velocity_norm
+    vel = box.velocity / cfg.velocity_norm
     return np.concatenate([center, log_size, sc, vel])
 
 
-def _normalized_pred(out: HeadOutputs, ranges: np.ndarray, weights: LossWeights) -> Tensor:
+def _normalized_pred(out: HeadOutputs, ranges: np.ndarray, cfg: Config) -> Tensor:
     """(n, 10) box parameters in the units of ``_normalized_gt``."""
     lo, hi = np.asarray(ranges[0]), np.asarray(ranges[1])
     center = div(sub(out.center, lo), hi - lo)
     return concat([center, out.log_size, out.sincos,
-                   mul(out.velocity, 1.0 / weights.velocity_norm)], axis=1)
+                   mul(out.velocity, 1.0 / cfg.velocity_norm)], axis=1)
 
 
 def detection_cost_matrix(
     out: HeadOutputs,
     gt_boxes: Sequence[BoundingBox3D],
     ranges: np.ndarray,
-    weights: LossWeights,
+    cfg: Config,
     size_prior: np.ndarray,
 ) -> np.ndarray:
     """Matching cost with the same terms as the loss: negative class
-    probability plus weighted L1 on the normalized box parameters. Nothing
-    is recorded on the tape."""
+    probability plus L1 on the normalized box parameters, weighted by
+    ``cfg``'s ``loss_weight_*``. Nothing is recorded on the tape."""
     n, m = len(out), len(gt_boxes)
     if n == 0 or m == 0:
         return np.zeros((n, m))
     with no_grad():
-        pred = _normalized_pred(out, ranges, weights).data
+        pred = _normalized_pred(out, ranges, cfg).data
     probs = 1.0 / (1.0 + np.exp(-out.class_logits.data))
-    gt = np.stack([_normalized_gt(b, ranges, weights, size_prior) for b in gt_boxes])
+    gt = np.stack([_normalized_gt(b, ranges, cfg, size_prior) for b in gt_boxes])
     l1 = np.abs(pred[:, None, :] - gt[None, :, :])
     cls_term = -probs[:, [b.label for b in gt_boxes]]
-    return (weights.cls * cls_term + weights.center * l1[:, :, :3].sum(axis=2)
-            + weights.box * l1[:, :, 3:].sum(axis=2))
+    return (cfg.loss_weight_cls * cls_term + cfg.loss_weight_center * l1[:, :, :3].sum(axis=2)
+            + cfg.loss_weight_box * l1[:, :, 3:].sum(axis=2))
 
 
 def detection_loss(
@@ -218,12 +208,13 @@ def detection_loss(
     gt_boxes: Sequence[BoundingBox3D],
     assignment: Assignment,
     ranges: np.ndarray,
-    weights: LossWeights,
+    cfg: Config,
     size_prior: np.ndarray,
     n_classes: int,
 ) -> Tensor:
     """Focal classification over all queries (unmatched -> background) plus
-    L1 on the matched normalized box parameters."""
+    L1 on the matched normalized box parameters, with ``cfg``'s loss weights
+    and focal settings."""
     if not len(out):
         raise ValueError("detection_loss needs at least one detection")
     logits = out.class_logits
@@ -232,23 +223,23 @@ def detection_loss(
         targets[p, gt_boxes[g].label] = 1.0
 
     p = sigmoid(logits)
-    a, gamma = weights.focal_alpha, weights.focal_gamma
+    a, gamma = cfg.focal_alpha, cfg.focal_gamma
     # log p = -softplus(-x), log(1-p) = -softplus(x): stable in both tails
     pos = mul(mul(power(1.0 - p, gamma), softplus(scale(logits, -1.0))), a)
     neg = mul(mul(power(p, gamma), softplus(logits)), 1.0 - a)
     focal = add(mul(pos, targets), mul(neg, 1.0 - targets))
     denom = max(len(assignment.pairs), 1)
-    loss = mul(sum_(focal), weights.cls / denom)
+    loss = mul(sum_(focal), cfg.loss_weight_cls / denom)
 
     if assignment.pairs:
-        pred = take_rows(_normalized_pred(out, ranges, weights), [pi for pi, _ in assignment.pairs])
-        gt = np.stack([_normalized_gt(gt_boxes[gi], ranges, weights, size_prior)
+        pred = take_rows(_normalized_pred(out, ranges, cfg), [pi for pi, _ in assignment.pairs])
+        gt = np.stack([_normalized_gt(gt_boxes[gi], ranges, cfg, size_prior)
                        for _, gi in assignment.pairs])
         l1 = absolute(sub(pred, gt.astype(pred.dtype)))
         center_l1 = sum_(getitem(l1, (slice(None), slice(0, 3))))
         box_l1 = sum_(getitem(l1, (slice(None), slice(3, None))))
-        loss = add(loss, mul(center_l1, weights.center / denom))
-        loss = add(loss, mul(box_l1, weights.box / denom))
+        loss = add(loss, mul(center_l1, cfg.loss_weight_center / denom))
+        loss = add(loss, mul(box_l1, cfg.loss_weight_box / denom))
     return loss
 
 

@@ -11,8 +11,8 @@ import numpy as np
 
 from .configio import Config
 from .diffcore import FeatureMap, ShapeError, Tensor, patch_embed
-from .dualformer import DualLayerParams, FfnParams, VariantFlags, forward_stack
-from .dynstream import MotionParams, QuerySet, SetAttnParams, SpawnParams, propagate, select_topk, spawn_queries
+from .dualformer import DualLayerParams, FfnParams, forward_stack
+from .dynstream import QuerySet, SetAttnParams, SpawnParams, propagate, select_topk, spawn_queries
 from .geom3d import CAMERA_SLOTS, CameraModel, Pose, ego_delta
 from .heads import DecodeParams, Detection, HeadOutputs, decode_boxes
 from .params import (
@@ -24,16 +24,7 @@ from .params import (
     make_mlp_params,
     make_patch_embed_params,
 )
-from .statstream import (
-    BevGrid,
-    BevSpec,
-    CameraReadParams,
-    GridReadParams,
-    PillarReads,
-    SegHeadParams,
-    segmentation_head,
-    warp_bev,
-)
+from .statstream import BevSpec, CameraReadParams, GridReadParams, PillarReads, segmentation_head, warp_bev
 from .synthworld.dataset import SEG_CLASSES, FrameSample
 from .synthworld.scene import CLASS_NAMES
 
@@ -42,19 +33,18 @@ _MODEL_SEED_SALT = 0xD0A1
 
 @dataclass
 class StreamState:
-    """Belief carried between frames: top-k query memory, BEV grid, last ego pose."""
+    """Belief carried between frames: the top-k query memory, the last
+    frame's (H*W, L) BEV cells on the model's ``BevSpec`` (None before the
+    first frame) and the last ego pose."""
 
     memory: QuerySet
-    grid: Optional[BevGrid]
+    cells: Optional[Tensor]
     prev_pose: Optional[Pose]
 
     def detached(self) -> "StreamState":
         """Cut the gradient history of the carried belief."""
-        grid = None
-        if self.grid is not None:
-            grid = BevGrid(spec=self.grid.spec, cells=self.grid.cells.detach(),
-                           validity=self.grid.validity)
-        return StreamState(memory=self.memory.detached(), grid=grid, prev_pose=self.prev_pose)
+        cells = None if self.cells is None else self.cells.detach()
+        return StreamState(memory=self.memory.detached(), cells=cells, prev_pose=self.prev_pose)
 
 
 @dataclass
@@ -144,7 +134,6 @@ class DualStreamModel:
     def __init__(self, cfg: Config):
         cfg.validate()
         self.cfg = cfg
-        self.flags = VariantFlags(interaction=cfg.interaction, temporal_bev=cfg.temporal_bev)
         self.bev_spec = BevSpec(
             dims=(cfg.bev_cells, cfg.bev_cells),
             extent=(-cfg.bev_extent, cfg.bev_extent, -cfg.bev_extent, cfg.bev_extent),
@@ -161,18 +150,18 @@ class DualStreamModel:
             embeddings=store.tensor("spawn.embeddings", rng.normal(0.0, 1.0 / math.sqrt(L), (cfg.n_queries, L))),
             anchor_logits=store.tensor("spawn.anchors", rng.uniform(-2.0, 2.0, (cfg.n_queries, 3))),
         )
-        self.motion = MotionParams(mlp=make_mlp_params(store, "motion", rng, L + 7, L, L))
+        self.motion = make_mlp_params(store, "motion", rng, L + 7, L, L)
         h, w = self.bev_spec.dims
         self.bev_init = store.tensor("bev.init", np.ascontiguousarray(rng.normal(0.0, 0.02, (L, h * w)).T))
         self.fresh_cell = store.tensor("bev.fresh", rng.normal(0.0, 0.02, (L,)))
         self.layers = [build_layer_params(store, f"layer{i}", rng, cfg) for i in range(cfg.n_layers)]
         self.decode = build_decode_params(store, "decode", rng, cfg)
-        self.seg = SegHeadParams(mlp=make_mlp_params(store, "seg", rng, L, L, len(SEG_CLASSES)))
+        self.seg = make_mlp_params(store, "seg", rng, L, L, len(SEG_CLASSES))
         self.store = store
         self.pillar_reads = PillarReads()
 
     def initial_state(self) -> StreamState:
-        return StreamState(memory=QuerySet.empty(self.cfg.latent_dim, self.cfg.np_dtype()), grid=None, prev_pose=None)
+        return StreamState(memory=QuerySet.empty(self.cfg.latent_dim, self.cfg.np_dtype()), cells=None, prev_pose=None)
 
     def encode_images(self, images: Mapping[str, Optional[np.ndarray]]) -> FeatureMap:
         """The frame's one camera feature table: one backbone pass over the
@@ -206,17 +195,14 @@ class DualStreamModel:
                                 compensate_object_motion=cfg.compensate_object_motion)
         queries = queries + spawn_queries(max(cfg.n_queries - len(queries), 0), self.spawn, self.ranges)
 
-        h, w = self.bev_spec.dims
-        grid = BevGrid(spec=self.bev_spec, cells=self.bev_init, validity=np.ones((h, w), dtype=bool))
         warped = None
-        if state.grid is not None:
-            warped = warp_bev(state.grid, delta, self.fresh_cell)
+        if state.cells is not None:
+            warped = warp_bev(state.cells, self.bev_spec, delta, self.fresh_cell)
 
-        latents, grid_out = forward_stack(
-            queries, grid, warped, features, cameras, self.flags, self.layers, self.ranges, self.pillar_reads
-        )
+        latents, cells = forward_stack(queries, self.bev_init, warped, self.bev_spec, features, cameras, cfg,
+                                       self.layers, self.ranges, self.pillar_reads)
         outputs, detections = decode_boxes(queries, latents, self.decode)
-        seg_logits = segmentation_head(grid_out, self.seg)
+        seg_logits = segmentation_head(cells, self.bev_spec.dims, self.seg)
 
         decoded = QuerySet(latents=latents, anchors=Tensor(outputs.center.data),
                            velocities=outputs.velocity.data, scores=outputs.scores, ids=queries.ids)
@@ -225,6 +211,6 @@ class DualStreamModel:
             detections=detections,
             outputs=outputs,
             seg_logits=seg_logits,
-            state=StreamState(memory=memory, grid=grid_out, prev_pose=frame.ego_pose),
+            state=StreamState(memory=memory, cells=cells, prev_pose=frame.ego_pose),
             memory_source_indices=source,
         )

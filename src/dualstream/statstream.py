@@ -17,6 +17,11 @@ cell-center hull. The hull is the region where a warp source counts as
 "inside the previous extent": it is inset half a cell from the metric extent
 and is exactly where bilinear interpolation is well-defined without border
 effects.
+
+The BEV stream is its (H*W, L) cells tensor alone; the blocks take the
+model's ``BevSpec`` beside it. The one validity is the warp's: ``warp_bev``
+returns the warped cells with an (H*W,) mask of the cells whose source lay
+inside the previous hull, and the temporal attention reads that pair.
 """
 
 from __future__ import annotations
@@ -101,36 +106,15 @@ def grid_coords(spec: BevSpec) -> np.ndarray:
     return np.stack([ii.reshape(-1), jj.reshape(-1)], axis=1).astype(np.float64)
 
 
-@dataclass
-class BevGrid:
-    """Latent BEV belief: the (H*W, L) row-major cells plus an (H, W)
-    propagated-history mask."""
-
-    spec: BevSpec
-    cells: Tensor
-    validity: np.ndarray
-
-    def __post_init__(self):
-        h, w = self.spec.dims
-        if self.cells.ndim != 2 or self.cells.data.shape[0] != h * w:
-            raise ShapeError(f"cells {self.cells.data.shape} do not match spec dims {(h, w)}")
-        if self.validity.shape != (h, w):
-            raise ShapeError("validity mask must match grid dims")
-
-    @property
-    def latent_dim(self) -> int:
-        return self.cells.data.shape[1]
-
-
-def warp_bev(prev: BevGrid, delta: Pose, fresh_embedding: Tensor) -> BevGrid:
-    """Rigidly warp the previous BEV belief into the current ego frame.
+def warp_bev(cells: Tensor, spec: BevSpec, delta: Pose, fresh_embedding: Tensor) -> tuple[Tensor, np.ndarray]:
+    """Rigidly warp the previous frame's (H*W, L) BEV cells into the current
+    ego frame; returns the warped cells and their (H*W,) validity.
 
     Each new cell bilinearly samples the previous grid at the back-mapped
     location of its metric center. Cells whose source falls outside the
     previous cell-center hull receive the learned fresh-cell embedding and
     validity False.
     """
-    spec = prev.spec
     h, w = spec.dims
     centers = cell_center_grid(spec)                       # new-frame metric
     src = invert(delta).apply_points(centers)              # previous-frame metric
@@ -143,11 +127,10 @@ def warp_bev(prev: BevGrid, delta: Pose, fresh_embedding: Tensor) -> BevGrid:
         (coords[:, 0] >= 0) & (coords[:, 0] <= h - 1)
         & (coords[:, 1] >= 0) & (coords[:, 1] <= w - 1)
     )
-    sampled = bilinear_sample(prev.cells, spec.dims, coords)   # (HW, L), zeros outside
+    sampled = bilinear_sample(cells, spec.dims, coords)    # (HW, L), zeros outside
     vf = valid.astype(sampled.dtype)[:, None]
     fresh = reshape(fresh_embedding, (1, -1))
-    combined = add(mul(sampled, vf), mul(fresh, 1.0 - vf))
-    return BevGrid(spec=spec, cells=combined, validity=valid.reshape(h, w))
+    return add(mul(sampled, vf), mul(fresh, 1.0 - vf)), valid
 
 
 @dataclass
@@ -160,25 +143,24 @@ class GridReadParams:
     ln_b: Tensor
 
 
-def temporal_grid_attention(curr: BevGrid, warped_prev: Optional[BevGrid], params: GridReadParams) -> BevGrid:
-    """Each cell deformably attends to the current grid and, when present,
-    the warped previous grid at its own coordinates, and averages over the
-    grids where it kept at least one valid sample. Both grids form one
-    stacked value table, read by one deformable call."""
-    if warped_prev is not None and warped_prev.spec != curr.spec:
-        raise ShapeError("temporal attention requires matching BEV specs")
-    q = curr.cells
-    refs = grid_coords(curr.spec)
+def temporal_grid_attention(cells: Tensor, spec: BevSpec, warped_prev: Optional[tuple[Tensor, np.ndarray]],
+                            params: GridReadParams) -> Tensor:
+    """Each of the (H*W, L) ``cells`` deformably attends to the current grid
+    and, when present, the warped previous grid (``warp_bev``'s cells and
+    validity) at its own coordinates, and averages over the grids where it
+    kept at least one valid sample. Both grids form one stacked value table,
+    read by one deformable call."""
+    refs = grid_coords(spec)
     n = refs.shape[0]
-    table, mask = q, np.ones(n, dtype=bool)
+    table, mask = cells, np.ones(n, dtype=bool)
     if warped_prev is not None:
-        table = concat([q, warped_prev.cells], axis=0)
-        mask = np.concatenate([mask, warped_prev.validity.ravel()])
+        prev, validity = warped_prev
+        table = concat([cells, prev], axis=0)
+        mask = np.concatenate([mask, validity])
     k = table.data.shape[0] // n
-    out, _ = _deformable_core(q, np.repeat(refs, k, axis=0), table, curr.spec.dims, params.deform,
+    out, _ = _deformable_core(cells, np.repeat(refs, k, axis=0), table, spec.dims, params.deform,
                               valid_mask=mask, owner=np.repeat(np.arange(n), k), grid_of=np.tile(np.arange(k), n))
-    cells = layernorm(add(q, out), params.ln_g, params.ln_b)
-    return BevGrid(spec=curr.spec, cells=cells, validity=curr.validity)
+    return layernorm(add(cells, out), params.ln_g, params.ln_b)
 
 
 @dataclass
@@ -300,24 +282,16 @@ def camera_read(queries: Tensor, reads: CameraReads, features: FeatureMap, param
     return add(out, pe)
 
 
-def bev_image_cross_attention(grid: BevGrid, reads: CameraReads, features: FeatureMap,
-                              params: CameraReadParams) -> BevGrid:
+def bev_image_cross_attention(cells: Tensor, reads: CameraReads, features: FeatureMap,
+                              params: CameraReadParams) -> Tensor:
     """Each cell averages its camera reads of its pillar points over all
     hits (``camera_read`` of ``PillarReads.reads``). Cells with no valid
     projection pass through on the residual path."""
-    q = grid.cells
-    update = camera_read(q, reads, features, params)
-    cells = layernorm(add(q, update), params.ln_g, params.ln_b)
-    return BevGrid(spec=grid.spec, cells=cells, validity=grid.validity)
+    update = camera_read(cells, reads, features, params)
+    return layernorm(add(cells, update), params.ln_g, params.ln_b)
 
 
-@dataclass
-class SegHeadParams:
-    mlp: MlpParams
-
-
-def segmentation_head(grid: BevGrid, params: SegHeadParams) -> Tensor:
-    """Per-cell MLP decoding to class logits, shape (n_classes, H, W)."""
-    flat = mlp(grid.cells, params.mlp)
-    h, w = grid.spec.dims
-    return reshape(transpose(flat, (1, 0)), (-1, h, w))
+def segmentation_head(cells: Tensor, dims: tuple[int, int], params: MlpParams) -> Tensor:
+    """Per-cell MLP decoding of the (H*W, L) cells of an H x W grid
+    (``dims``) to class logits, shape (n_classes, H, W)."""
+    return reshape(transpose(mlp(cells, params), (1, 0)), (-1, *dims))

@@ -17,7 +17,7 @@ import numpy as np
 from .configio import Config, config_from_dict, config_to_dict, worker_count
 from .diffcore import NumericError
 from .diffcore.dstn import DstnError, atomic_directory, read_json, read_tensor, write_tensor
-from .heads import LossWeights, detection_cost_matrix, detection_loss, hungarian_match, segmentation_loss
+from .heads import detection_cost_matrix, detection_loss, hungarian_match, segmentation_loss
 from .model import DualStreamModel, StreamState
 from .scenepool import DETACH, RESET, ScenePool
 from .synthworld.dataset import Dataset
@@ -143,14 +143,9 @@ class TrainResult:
 
 def frame_loss(model: DualStreamModel, result, frame, cfg: Config):
     """Detection + weighted segmentation loss for one frame result."""
-    weights = LossWeights(
-        cls=cfg.loss_weight_cls, center=cfg.loss_weight_center, box=cfg.loss_weight_box,
-        focal_alpha=cfg.focal_alpha, focal_gamma=cfg.focal_gamma, velocity_norm=cfg.velocity_norm,
-    )
-    cost = detection_cost_matrix(result.outputs, frame.gt_boxes, model.ranges, weights,
-                                 model.decode.size_prior)
+    cost = detection_cost_matrix(result.outputs, frame.gt_boxes, model.ranges, cfg, model.decode.size_prior)
     assignment = hungarian_match(cost)
-    det = detection_loss(result.outputs, frame.gt_boxes, assignment, model.ranges, weights,
+    det = detection_loss(result.outputs, frame.gt_boxes, assignment, model.ranges, cfg,
                          model.decode.size_prior, n_classes=len(CLASS_NAMES))
     seg = segmentation_loss(result.seg_logits, frame.gt_seg)
     return det, seg
@@ -321,10 +316,11 @@ def save_checkpoint(path, model: DualStreamModel, opt: OptimizerState, cfg: Conf
 def load_checkpoint(path) -> tuple[Config, dict, OptimizerState, int]:
     """Returns (config, param arrays, optimizer state, step)."""
     root = Path(path)
-    config, names, opt_step, step = read_json(root / "meta.json", DstnError, lambda meta: (
-        dict(meta["config"]), [str(name) for name in meta["param_names"]], int(meta["opt_step"]), int(meta["step"])
+    # a config error in meta.json is a ValueError, which read_json reports naming the file
+    cfg, names, opt_step, step = read_json(root / "meta.json", DstnError, lambda meta: (
+        config_from_dict(dict(meta["config"])), [str(name) for name in meta["param_names"]], int(meta["opt_step"]),
+        int(meta["step"])
     ), CHECKPOINT_VERSION)
-    cfg = config_from_dict(config)
     state, _ = read_tensor(root / "state.dstn")
     want = {f"{group}/{name}" for group in ("params", "opt_m", "opt_v") for name in names}
     if state.keys() != want:

@@ -24,7 +24,7 @@ from dualstream.diffcore import Tensor, layernorm, matmul, sincos_encoding
 from dualstream.diffcore.ops import _bilinear_flat, sampling_plan
 from dualstream.diffcore.tensor import add, concat, mul, reshape, sparse_matmul, sum_, take_rows, transpose
 from dualstream.geom3d import CAMERA_SLOTS, project_points
-from dualstream.statstream import BevGrid, cell_center_grid, grid_coords, metric_to_cell
+from dualstream.statstream import cell_center_grid, grid_coords, metric_to_cell
 
 
 def grid_of_table(table, dims):
@@ -93,12 +93,12 @@ def deformable_core(queries, reference_points, value_grid, params, valid_mask: O
     return mul(out, any_valid.astype(out.dtype)[:, None]), any_valid
 
 
-def temporal_grid_attention(curr, warped_prev, params):
-    q = curr.cells
-    refs = grid_coords(curr.spec)
-    targets = [(grid_of_table(curr.cells, curr.spec.dims), None)]
+def temporal_grid_attention(q, spec, warped_prev, params):
+    refs = grid_coords(spec)
+    targets = [(grid_of_table(q, spec.dims), None)]
     if warped_prev is not None:
-        targets.append((grid_of_table(warped_prev.cells, curr.spec.dims), warped_prev.validity))
+        prev, validity = warped_prev
+        targets.append((grid_of_table(prev, spec.dims), validity))
     outs, counts = [], np.zeros(refs.shape[0])
     for cells, validity in targets:
         out_t, valid_t = deformable_core(q, refs, cells, params.deform, valid_mask=validity)
@@ -108,14 +108,11 @@ def temporal_grid_attention(curr, warped_prev, params):
     for o in outs[1:]:
         combined = add(combined, o)
     combined = mul(combined, (1.0 / np.maximum(counts, 1.0))[:, None])
-    new_flat = layernorm(add(q, combined), params.ln_g, params.ln_b)
-    return BevGrid(spec=curr.spec, cells=new_flat, validity=curr.validity)
+    return layernorm(add(q, combined), params.ln_g, params.ln_b)
 
 
-def bev_image_cross_attention(grid, features, cameras, params):
-    spec = grid.spec
+def bev_image_cross_attention(q, spec, features, cameras, params):
     n = spec.dims[0] * spec.dims[1]
-    q = grid.cells
     centers = cell_center_grid(spec)
     nz = len(spec.pillar_heights)
     pts = np.concatenate([np.concatenate([centers, np.full((n, 1), z)], axis=1) for z in spec.pillar_heights])
@@ -143,8 +140,7 @@ def bev_image_cross_attention(grid, features, cameras, params):
         total = sparse_matmul(pick.T.tocsr(), out)
         counts = np.bincount(cells, weights=anyv, minlength=n)
         combined = mul(total, (1.0 / np.maximum(counts, 1.0))[:, None])
-    new_flat = layernorm(add(q, combined), params.ln_g, params.ln_b)
-    return BevGrid(spec=spec, cells=new_flat, validity=grid.validity)
+    return layernorm(add(q, combined), params.ln_g, params.ln_b)
 
 
 def obj_image_cross_attention(latents, anchors, features, cameras, params):
@@ -171,10 +167,10 @@ def obj_image_cross_attention(latents, anchors, features, cameras, params):
     return layernorm(add(latents, combined), params.ln_g, params.ln_b)
 
 
-def dynamic_static_core(latents, anchors, grid, params):
-    h, w = grid.spec.dims
-    refs = metric_to_cell(grid.spec, anchors[:, :2])
+def dynamic_static_core(latents, anchors, cells, spec, params):
+    h, w = spec.dims
+    refs = metric_to_cell(spec, anchors[:, :2])
     in_hull = (refs[:, 0] >= 0) & (refs[:, 0] <= h - 1) & (refs[:, 1] >= 0) & (refs[:, 1] <= w - 1)
-    out, _ = deformable_core(latents, refs, grid_of_table(grid.cells, grid.spec.dims), params.deform,
+    out, _ = deformable_core(latents, refs, grid_of_table(cells, spec.dims), params.deform,
                              query_valid=in_hull)
     return layernorm(add(latents, out), params.ln_g, params.ln_b)

@@ -73,3 +73,46 @@ def test_microbench_runs_once_with_timing_disabled(tmp_path):
     proc = subprocess.run(cmd, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+
+
+def test_every_layer_span_target_is_called(bench, tmp_path, monkeypatch):
+    # a target the program calls by another name (an import of its own, a
+    # method) escapes its span: count the calls each wrapped attribute gets
+    # over a tiny gen-data, two training steps and a bidirectional eval
+    from collections import Counter
+    from dataclasses import replace
+
+    from dualstream import runner, trainkit
+    from dualstream.cli import bev_from_config, world_from_config
+    from dualstream.configio import Config, config_to_dict
+    from dualstream.model import DualStreamModel
+    from dualstream.synthworld.dataset import Dataset, generate_and_write
+
+    calls = Counter()
+
+    def counted(target, orig):
+        def call(*args, **kwargs):
+            calls[target] += 1
+            return orig(*args, **kwargs)
+        return call
+
+    targets = [f"{span}: {owner.__name__}.{attr}" for span, owner, attr in bench.LAYER_SPANS]
+    for target, (_, owner, attr) in zip(targets, bench.LAYER_SPANS):
+        monkeypatch.setattr(owner, attr, counted(target, vars(owner)[attr]))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})   # every scene in this process
+
+    cfg = Config(seed=7, scene_frames=2, epochs=1, n_layers=1, latent_dim=16, n_queries=8, topk=4,
+                 decode_hidden=16, bev_cells=8, image_height=32, image_width=64)
+    generate_and_write([7], tmp_path / "data", world_from_config(cfg), bev_from_config(cfg),
+                       config_echo=config_to_dict(cfg), ranges=cfg.detection_ranges(),
+                       image_size=(cfg.image_height, cfg.image_width))
+    data = Dataset(tmp_path / "data")
+    model = DualStreamModel(cfg)
+    opt = trainkit.OptimizerState.fresh(model.store)
+    result, _ = trainkit.streaming_train(data, model, cfg, opt=opt, on_step=lambda row: trainkit.save_checkpoint(
+        tmp_path / "ckpt", model, opt, cfg, row.step))
+    assert len(result.rows) == 2
+    bidir = replace(cfg, interaction="bidirectional")
+    inference = runner.run_inference(data, DualStreamModel(bidir), bidir, schedule_override="alternating")
+    runner.assemble_report(inference, bidir, run_id="targets", code_version="test")
+    assert [target for target in targets if not calls[target]] == []

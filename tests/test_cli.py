@@ -80,6 +80,13 @@ TINY = ("seed = 7\nscene_frames = 2\nepochs = 1\nn_layers = 1\nlatent_dim = 16\n
         "decode_hidden = 16\nbev_cells = 8\nimage_height = 32\nimage_width = 64\n")
 
 
+def tiny_with(lines):
+    """TINY with the ``key = value`` lines ``lines`` in place of TINY's lines of the same keys."""
+    keys = {line.split("=")[0].strip() for line in lines.splitlines()}
+    kept = [line for line in TINY.splitlines() if line.split("=")[0].strip() not in keys]
+    return "\n".join(kept + lines.splitlines()) + "\n"
+
+
 def test_numeric_failure_is_exit_4(tmp_path, capsys):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY, encoding="utf-8")
@@ -141,7 +148,7 @@ def test_seed_specs():
 ])
 def test_bad_world_setting_stops_gen_data(tmp_path, capsys, line, refused):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(TINY + line + "\n", encoding="utf-8")
+    cfg.write_text(tiny_with(line), encoding="utf-8")
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert refused in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -167,10 +174,11 @@ def test_nan_learning_rate_is_a_config_error(tiny_data, tmp_path, capsys):
 @pytest.mark.parametrize("line,refused", [("seed = -3", "seed must be >= 0"),
                                           ("track_max_dist = nan", "track_max_dist must be finite"),
                                           ("pillar_heights = nan,inf", "pillar_heights must be finite"),
-                                          ("freeze_backbone = true", "unknown config key 'freeze_backbone'")])
+                                          ("freeze_backbone = true", "unknown config key 'freeze_backbone'"),
+                                          ("epochs = 3\nepochs = 5", "line 12: config key 'epochs' repeats line 11")])
 def test_bad_setting_stops_train(tiny_data, tmp_path, capsys, line, refused):
     bad = tmp_path / "bad.cfg"
-    bad.write_text(TINY + line + "\n", encoding="utf-8")
+    bad.write_text(tiny_with(line), encoding="utf-8")
     args = ["train", "--config", str(bad), "--data", str(tiny_data / "data"), "--out", str(tmp_path / "run")]
     assert main(args) == EXIT_CONFIG
     assert refused in capsys.readouterr().err
@@ -253,16 +261,49 @@ def test_eval_writes_reproducible_reports(tiny_data, tmp_path):
     assert fast["report.json"] == again["report.json"] and fast["report.csv"] == again["report.csv"]
 
 
-def test_ablate_trains_and_reports_every_variant(tiny_data, tmp_path):
-    out = tmp_path / "ablate"
+@pytest.fixture(scope="module")
+def ablation(tiny_data):
+    out = tiny_data / "ablate"
     assert main(["ablate", "--config", str(tiny_data / "tiny.cfg"), "--data", str(tiny_data / "data"),
                  "--out", str(out)]) == EXIT_OK
+    return out
+
+
+def test_ablate_trains_and_reports_every_variant(ablation):
+    out = ablation
     table = read_outputs(out, ("ablation.csv", "manifest.json"))["ablation.csv"]
     header, *rows = csv.reader(table.splitlines())
     assert header[:3] == ["variant", "interaction", "temporal_bev"]
     assert [tuple(row[:3]) for row in rows] == [(n, i, str(t)) for n, i, t in ABLATION_GRID]
     for name, _, _ in ABLATION_GRID:
         read_outputs(out / name)
+
+
+def test_resuming_an_ablation_variant_trains_nothing(tiny_data, ablation, tmp_path):
+    # each variant's checkpoint records the epoch its training finished at
+    for name, _, _ in ABLATION_GRID:
+        ckpt, out = ablation / name / "checkpoint", tmp_path / name
+        assert main(["train", "--resume", str(ckpt), "--data", str(tiny_data / "data"), "--out", str(out)]) == EXIT_OK
+        _, want, _, want_step = load_checkpoint(ckpt)
+        _, got, _, got_step = load_checkpoint(out / "checkpoint")
+        assert got_step == want_step == 2, name
+        assert all(got[p].tobytes() == want[p].tobytes() for p in want), name
+
+
+def test_gen_data_replaces_a_non_empty_directory_only_with_force(tmp_path, capsys):
+    cfg, out = tmp_path / "tiny.cfg", tmp_path / "data"
+    cfg.write_text(TINY, encoding="utf-8")
+    args = ["gen-data", "--config", str(cfg), "--out", str(out)]
+    assert main(args + ["--seeds", "8"]) == EXIT_OK
+    (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert main(args) == EXIT_IO
+    assert f"{out}: output directory not empty (use --force)" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    assert main(args + ["--force"]) == EXIT_OK
+    assert not (out / "notes.txt").exists()
+    assert [scene["seed"] for scene in Dataset(out).scenes] == [7]
+    assert (out / "scene_0" / "frame_0.dstn").read_bytes() != before[out / "scene_0" / "frame_0.dstn"]
 
 
 @pytest.mark.parametrize("text", [TINY + "bev_extent = 8\n", TINY.replace("bev_cells = 8", "bev_cells = 6")],
@@ -341,6 +382,15 @@ def rewrite_meta(edit):
     return rewrite
 
 
+def checkpoint_config(**changes):
+    """Rewrite a checkpoint's meta.json with ``changes`` to its config."""
+    def edit(text):
+        doc = json.loads(text)
+        doc["config"].update(changes)
+        return json.dumps(doc)
+    return rewrite_text(edit)
+
+
 # case: (command, file to corrupt relative to the run directory, its corruption)
 CORRUPT_JSON = {
     "inspect-index": ("inspect", "data/index.json", rewrite_text(lambda _: "{not json")),
@@ -368,6 +418,11 @@ CORRUPT_JSON = {
                                        rewrite_meta(lambda meta: meta.update(translation=[0.0, INF]))),
     "train-frame-nan-ego-velocity": ("train", "data/scene_0/frame_1.dstn",
                                      rewrite_meta(lambda meta: meta.update(ego_velocity=[NAN, 0.0]))),
+    "eval-meta-config-bool-string": ("eval", "ckpt/meta.json", checkpoint_config(temporal_bev="false")),
+    "eval-meta-config-float-string": ("eval", "ckpt/meta.json", checkpoint_config(learning_rate="0.1")),
+    "eval-meta-config-int-float": ("eval", "ckpt/meta.json", checkpoint_config(latent_dim=16.0)),
+    "eval-meta-config-unknown-key": ("eval", "ckpt/meta.json", checkpoint_config(no_such_key=1)),
+    "eval-meta-config-float-huge-int": ("eval", "ckpt/meta.json", checkpoint_config(learning_rate=10**400)),
 }
 
 
@@ -414,9 +469,9 @@ def test_non_finite_eval_output_is_exit_4(tiny_data, tmp_path, capsys, monkeypat
     ckpt = tmp_path / "ckpt"
     save_checkpoint(ckpt, model, OptimizerState.fresh(model.store), model.cfg, step=0, epoch=1)
 
-    def nan_seg_head(grid, params):
+    def nan_seg_head(cells, dims, params):
         # finite parameters load; the seg head's output is what goes bad
-        return Tensor(np.full_like(segmentation_head(grid, params).data, np.nan))
+        return Tensor(np.full_like(segmentation_head(cells, dims, params).data, np.nan))
 
     monkeypatch.setattr(model_mod, "segmentation_head", nan_seg_head)
     args = ["eval", "--ckpt", str(ckpt), "--data", str(tiny_data / "data"), "--out", str(tmp_path / "run")]

@@ -123,3 +123,21 @@ def test_setting_out_of_range_is_rejected(line, refused):
     # each of these used to be coerced or to fail later with a bare ValueError
     with pytest.raises(ConfigError, match=refused):
         parse_config(line)
+
+
+@pytest.mark.parametrize("key,value", [("temporal_bev", "false"), ("temporal_bev", 1), ("latent_dim", 16.0),
+                                       ("latent_dim", True), ("learning_rate", "0.1"), ("learning_rate", False),
+                                       ("dtype", 32)])
+def test_config_value_of_another_type_is_rejected_naming_its_key(key, value):
+    with pytest.raises(ConfigError, match=f"config key '{key}' must be a"):
+        config_from_dict({key: value})
+
+
+def test_an_int_for_a_float_setting_is_stored_as_a_float():
+    cfg = config_from_dict({"learning_rate": 1, "grad_clip": 10})
+    assert (type(cfg.learning_rate), cfg.learning_rate, type(cfg.grad_clip)) == (float, 1.0, float)
+
+
+def test_a_repeated_key_is_rejected_naming_both_lines():
+    with pytest.raises(ConfigError, match="line 3: config key 'epochs' repeats line 1"):
+        parse_config("epochs = 3\nseed = 1\nepochs = 5")

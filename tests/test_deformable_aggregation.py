@@ -15,7 +15,7 @@ from deformable_oracle import (
     obj_image_cross_attention as oracle_obj_image,
     temporal_grid_attention as oracle_temporal,
 )
-from test_dualformer import CAMERA_SUBSETS, make_grid, make_queries, micro_frame, micro_model, seen_anchors
+from test_dualformer import CAMERA_SUBSETS, make_queries, micro_frame, micro_model, seen_anchors
 from test_sampling_plan import points, reference_bilinear
 from util import anchor_reads, encode, make_deformable_params, pillar_reads, rows, t64
 
@@ -24,7 +24,7 @@ from dualstream.diffcore.ops import _bilinear_flat, _deformable_core, sampling_p
 from dualstream.diffcore.tensor import ShapeError, mul
 from dualstream.dualformer import _dynamic_static_core
 from dualstream.dynstream import _obj_image_cross_attention
-from dualstream.statstream import BevGrid, bev_image_cross_attention, temporal_grid_attention
+from dualstream.statstream import bev_image_cross_attention, temporal_grid_attention
 
 
 def perturbed_model(rng):
@@ -58,10 +58,9 @@ def assert_match(got, want):
         np.testing.assert_allclose(got[2][name], want[2][name], rtol=0, atol=1e-12, err_msg=name)
 
 
-def random_grid(rng, spec, validity=None):
-    h, w = spec.dims
-    return BevGrid(spec=spec, cells=Tensor(rows(rng.normal(size=(8, h, w))), requires_grad=True),
-                   validity=np.ones((h, w), bool) if validity is None else validity)
+def random_cells(rng, spec):
+    """Random (H*W, 8) BEV cells of ``spec``'s grid, as a gradient leaf."""
+    return Tensor(rows(rng.normal(size=(8,) + spec.dims)), requires_grad=True)
 
 
 @pytest.mark.parametrize("with_prev", [True, False], ids=["prev", "no-prev"])
@@ -69,13 +68,13 @@ def test_temporal_matches_oracle(rng, with_prev):
     model = perturbed_model(rng)
     p = model.layers[0].bev_temporal
     spec = model.bev_spec
-    curr = random_grid(rng, spec)
-    prev = random_grid(rng, spec, validity=rng.uniform(size=spec.dims) > 0.4) if with_prev else None
-    leaves = [curr.cells] + ([prev.cells] if with_prev else [])
+    curr = random_cells(rng, spec)
+    prev = (random_cells(rng, spec), rng.uniform(size=spec.dims).ravel() > 0.4) if with_prev else None
+    leaves = [curr] + ([prev[0]] if with_prev else [])
     mix = rows(rng.normal(size=(8,) + spec.dims))
-    got = run(lambda: temporal_grid_attention(curr, prev, p).cells, leaves, model.store, mix)
-    want = run(lambda: oracle_temporal(curr, prev, p).cells, leaves, model.store, mix)
-    assert np.abs(got[0] - curr.cells.data).max() > 1e-3
+    got = run(lambda: temporal_grid_attention(curr, spec, prev, p), leaves, model.store, mix)
+    want = run(lambda: oracle_temporal(curr, spec, prev, p), leaves, model.store, mix)
+    assert np.abs(got[0] - curr.data).max() > 1e-3
     assert_match(got, want)
 
 
@@ -84,12 +83,13 @@ def test_bev_image_matches_oracle(rng, cams):
     model = perturbed_model(rng)
     frames, rig, _ = micro_frame(model)
     p = model.layers[0].bev_image
-    grid = random_grid(rng, model.bev_spec)
+    spec = model.bev_spec
+    cells = random_cells(rng, spec)
     feats = encode(model, frames[0].images, cams)
-    mix = rng.normal(size=grid.cells.data.shape)
-    got = run(lambda: bev_image_cross_attention(grid, pillar_reads(grid, feats, rig, p), feats, p).cells,
-              [grid.cells], model.store, mix)
-    want = run(lambda: oracle_bev_image(grid, feats, rig, p).cells, [grid.cells], model.store, mix)
+    mix = rng.normal(size=cells.data.shape)
+    got = run(lambda: bev_image_cross_attention(cells, pillar_reads(spec, feats, rig, p), feats, p),
+              [cells], model.store, mix)
+    want = run(lambda: oracle_bev_image(cells, spec, feats, rig, p), [cells], model.store, mix)
     assert_match(got, want)
 
 
@@ -139,13 +139,14 @@ def test_obj_image_overlapping_cameras_match_oracle(rng, cams):
 def test_dyn_static_matches_oracle(rng, span):
     model = perturbed_model(rng)
     p = model.layers[0].dyn_static
-    grid = random_grid(rng, model.bev_spec)
+    spec = model.bev_spec
+    cells = random_cells(rng, spec)
     q = make_queries(rng, 12, anchors=rng.uniform(-span, span, (12, 3)))
     q.latents.requires_grad = True
     mix = rng.normal(size=q.latents.data.shape)
-    leaves = [q.latents, grid.cells]
-    got = run(lambda: _dynamic_static_core(q.latents, q.anchor_xyz, grid, p), leaves, model.store, mix)
-    want = run(lambda: oracle_dyn_static(q.latents, q.anchor_xyz, grid, p), leaves, model.store, mix)
+    leaves = [q.latents, cells]
+    got = run(lambda: _dynamic_static_core(q.latents, q.anchor_xyz, cells, spec, p), leaves, model.store, mix)
+    want = run(lambda: oracle_dyn_static(q.latents, q.anchor_xyz, cells, spec, p), leaves, model.store, mix)
     assert_match(got, want)
 
 
@@ -153,11 +154,12 @@ def test_blocks_bitwise_reproducible(rng):
     model = perturbed_model(rng)
     frames, rig, _ = micro_frame(model)
     p = model.layers[0].bev_image
-    grid = random_grid(rng, model.bev_spec)
+    spec = model.bev_spec
+    cells = random_cells(rng, spec)
     feats = model.encode_images(frames[0].images)
-    mix = rng.normal(size=grid.cells.data.shape)
-    first, second = (run(lambda: bev_image_cross_attention(grid, pillar_reads(grid, feats, rig, p), feats, p).cells,
-                         [grid.cells], model.store, mix) for _ in range(2))
+    mix = rng.normal(size=cells.data.shape)
+    first, second = (run(lambda: bev_image_cross_attention(cells, pillar_reads(spec, feats, rig, p), feats, p),
+                         [cells], model.store, mix) for _ in range(2))
     np.testing.assert_array_equal(first[0], second[0])
     np.testing.assert_array_equal(first[1][0], second[1][0])
     for name in first[2]:

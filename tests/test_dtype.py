@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dualstream.cli import bev_from_config, world_from_config
+from dualstream.cli import ABLATION_GRID, bev_from_config, world_from_config
 from dualstream.configio import Config, config_to_dict
 from dualstream.diffcore import Tape, fresh_tape, no_grad
 from dualstream.model import DualStreamModel
@@ -95,7 +95,7 @@ def test_inference_frames_compute_in_the_configured_dtype(data, name):
             state = res.state
             out = res.outputs
             tensors = [out.class_logits, out.center, out.log_size, out.sincos, out.velocity,
-                       res.seg_logits, state.memory.latents, state.memory.anchors, state.grid.cells]
+                       res.seg_logits, state.memory.latents, state.memory.anchors, state.cells]
             assert {x.data.dtype for x in tensors} == {want}
             assert out.scores.dtype == np.float64
             box = res.detections[0].box
@@ -135,3 +135,41 @@ def test_training_is_bitwise_pinned(data, name):
 
     losses = _train(data, replace(CFG, dtype=name), 3, fingerprint)
     assert ([x.hex() for x in losses], digest["params"]) == TRAIN_CANARY[name]
+
+
+# Each ablation variant of CFG (``cli.ABLATION_GRID``): its first two
+# training steps' losses as ``float.hex``, and a sha256 of an untrained
+# model's second inference frame (seg logits, then the decoded centers,
+# velocities and scores); the second frame warps the first's grid and
+# propagates its memory. The pins hold for one numpy/BLAS build.
+VARIANT_CANARY = {
+    "full_temporal": (["0x1.97f2d60000000p+2", "0x1.7823240000000p+2"],
+                      "b45adfefbfe2182ce3fdf2c57054e81602ae513bb148ccb991fab678de66a506"),
+    "full_static": (["0x1.97f2d60000000p+2", "0x1.8460420000000p+2"],
+                    "a3eabee4375c296d0168d00cb8c2e3a7fdd3f316e227e2c003a8f6742df43745"),
+    "none_temporal": (["0x1.8e19ec0000000p+2", "0x1.7efb400000000p+2"],
+                      "1c2ddd5874632682c00828d4b0a2a7cf5d301308f9e364241f2a8396971737fb"),
+    "none_static": (["0x1.8e19ec0000000p+2", "0x1.80d9280000000p+2"],
+                    "085f7752fdebe72add77418a78c11f27c2490b1851c292aac3b737954ef79079"),
+    "bidir_temporal": (["0x1.8c87680000000p+2", "0x1.848b780000000p+2"],
+                       "4819dfb02d7747c4f9bcc4f9145e1deee818df140027889ac3a0c40ed02d42eb"),
+    "bidir_static": (["0x1.8c87680000000p+2", "0x1.7eb3600000000p+2"],
+                     "b26b20bc1aa06228034bb79fc3211c2e286e7d98e314d388f5b6677259958ec4"),
+}
+
+
+@pytest.mark.parametrize("variant", [name for name, _, _ in ABLATION_GRID])
+def test_every_ablation_variant_is_bitwise_pinned(data, variant):
+    _, interaction, temporal = next(row for row in ABLATION_GRID if row[0] == variant)
+    cfg = replace(CFG, interaction=interaction, temporal_bev=temporal)
+    losses = [x.hex() for x in _train(data, cfg, 2)]
+    model = DualStreamModel(cfg)
+    state = model.initial_state()
+    with no_grad():
+        for t in range(2):
+            res = model.forward_frame(data.load_frame(data.scenes[0]["id"], t), data.cameras, state, data.dt)
+            state = res.state
+    h = hashlib.sha256()
+    for a in (res.seg_logits.data, res.outputs.center.data, res.outputs.velocity.data, res.outputs.scores):
+        h.update(a.tobytes())
+    assert (losses, h.hexdigest()) == VARIANT_CANARY[variant]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from check import finite_diff_check
@@ -7,7 +9,6 @@ from dualstream.configio import Config
 from dualstream.diffcore import Tensor, backward, fresh_tape, layernorm
 from dualstream.diffcore.tensor import mul, sum_
 from dualstream.dualformer import (
-    VariantFlags,
     _dynamic_static_core,
     _static_dynamic_core,
     forward_layer,
@@ -16,7 +17,7 @@ from dualstream.dualformer import (
 from dualstream.dynstream import QuerySet
 from dualstream.model import DualStreamModel, build_layer_params
 from dualstream.params import ParamStore
-from dualstream.statstream import BevGrid, BevSpec, metric_to_cell
+from dualstream.statstream import BevSpec, metric_to_cell
 
 # float64 models, so the finite-difference and per-camera checks keep tight tolerances
 CFG = Config(dtype="f64", latent_dim=8, heads=2, n_layers=1, n_queries=6, topk=3, n_points=2,
@@ -42,19 +43,19 @@ def make_queries(rng, n=1, anchors=None):
     )
 
 
-def make_grid(rng, spec=SPEC):
+def make_cells(rng, spec=SPEC):
+    """Random (H*W, L) BEV cells of ``spec``'s grid."""
     h, w = spec.dims
-    return BevGrid(spec=spec, cells=Tensor(rows(rng.normal(size=(L, h, w)))),
-                   validity=np.ones((h, w), dtype=bool))
+    return Tensor(rows(rng.normal(size=(L, h, w))))
 
 
 class TestDynamicStatic:
     def test_anchor_outside_extent_residual(self, rng):
         params, _ = layer_params()
         p = params.dyn_static
-        grid = make_grid(rng)
+        cells = make_cells(rng)
         q = make_queries(rng, anchors=[[10.0, 0.0, 0.0]])
-        out = _dynamic_static_core(q.latents, q.anchor_xyz, grid, p)
+        out = _dynamic_static_core(q.latents, q.anchor_xyz, cells, SPEC, p)
         want = layernorm(q.latents, p.ln_g, p.ln_b).data
         np.testing.assert_allclose(out.data, want, atol=1e-12)
 
@@ -66,23 +67,23 @@ class TestDynamicStatic:
         g_, b_ = make_ln(L)
         p = GridReadParams(deform=make_deformable_params(rng, L, L, 1, degenerate=True),
                            ln_g=g_, ln_b=b_)
-        grid = make_grid(rng)
+        cells = make_cells(rng)
         q = make_queries(rng, anchors=[[0.7, -1.2, 0.0]])
-        out = _dynamic_static_core(q.latents, q.anchor_xyz, grid, p)
+        out = _dynamic_static_core(q.latents, q.anchor_xyz, cells, SPEC, p)
         ref = metric_to_cell(SPEC, np.array([0.7, -1.2]))
-        sample = bilinear_sample(grid.cells, SPEC.dims, t64(ref[None, :])).data[0]
+        sample = bilinear_sample(cells, SPEC.dims, t64(ref[None, :])).data[0]
         want = layernorm(t64(q.latents.data + sample), p.ln_g, p.ln_b).data
         np.testing.assert_allclose(out.data, want, atol=1e-10)
 
     def test_batch_matches_per_query_loop(self, rng):
         params, _ = layer_params()
         p = params.dyn_static
-        grid = make_grid(rng)
+        cells = make_cells(rng)
         qs = make_queries(rng, 3)
-        batch = _dynamic_static_core(qs.latents, qs.anchor_xyz, grid, p).data
+        batch = _dynamic_static_core(qs.latents, qs.anchor_xyz, cells, SPEC, p).data
         for i in range(3):
             q = qs.take([i])
-            solo = _dynamic_static_core(q.latents, q.anchor_xyz, grid, p).data[0]
+            solo = _dynamic_static_core(q.latents, q.anchor_xyz, cells, SPEC, p).data[0]
             np.testing.assert_allclose(batch[i], solo, atol=1e-5)
 
 
@@ -97,38 +98,35 @@ class TestStaticDynamic:
     def test_zero_queries_identity_path(self, rng):
         params = self.bidir_params()
         p = params.static_dyn
-        grid = make_grid(rng)
-        out = _static_dynamic_core(grid, t64(np.zeros((0, L))), np.zeros((0, 3)), p, RANGES)
-        want = layernorm(grid.cells, p.ln_g, p.ln_b).data
-        np.testing.assert_allclose(out.cells.data, want, atol=1e-12)
+        cells = make_cells(rng)
+        out = _static_dynamic_core(cells, t64(np.zeros((0, L))), np.zeros((0, 3)), p, RANGES)
+        want = layernorm(cells, p.ln_g, p.ln_b).data
+        np.testing.assert_allclose(out.data, want, atol=1e-12)
 
     def test_single_query_single_key_oracle(self, rng):
         params = self.bidir_params()
         p = params.static_dyn
-        grid = make_grid(rng)
+        cells = make_cells(rng)
         q = make_queries(rng)
-        out = _static_dynamic_core(grid, q.latents, q.anchor_xyz, p, RANGES)
+        out = _static_dynamic_core(cells, q.latents, q.anchor_xyz, p, RANGES)
         # single-key attention: every cell receives proj(v)
         v = q.latents.data[0] @ p.attn.wv.data + p.attn.bv.data
         proj = v @ p.attn.wo.data + p.attn.bo.data
-        flat = grid.cells.data
-        want = layernorm(t64(flat + proj[None, :]), p.ln_g, p.ln_b).data
-        np.testing.assert_allclose(out.cells.data, want, atol=1e-10)
+        want = layernorm(t64(cells.data + proj[None, :]), p.ln_g, p.ln_b).data
+        np.testing.assert_allclose(out.data, want, atol=1e-10)
 
     def test_permutation_invariance_over_keys(self, rng):
         params = self.bidir_params()
         p = params.static_dyn
-        grid = make_grid(rng)
+        cells = make_cells(rng)
         qs = make_queries(rng, 5)
         moved = qs.take(rng.permutation(5))
-        out1 = _static_dynamic_core(grid, qs.latents, qs.anchor_xyz, p, RANGES)
-        out2 = _static_dynamic_core(grid, moved.latents, moved.anchor_xyz, p, RANGES)
-        np.testing.assert_array_equal(out1.cells.data, out2.cells.data)
+        out1 = _static_dynamic_core(cells, qs.latents, qs.anchor_xyz, p, RANGES)
+        out2 = _static_dynamic_core(cells, moved.latents, moved.anchor_xyz, p, RANGES)
+        np.testing.assert_array_equal(out1.data, out2.data)
 
 
 def micro_model(interaction="full", temporal=True, seed=0):
-    from dataclasses import replace
-
     cfg = replace(CFG, interaction=interaction, temporal_bev=temporal, seed=seed)
     return DualStreamModel(cfg)
 
@@ -145,11 +143,11 @@ def micro_frame(model, rng_seed=0, n_agents=2):
     return frames, rig, world.dt
 
 
-def layer_reads(queries, grid, features, rig, model):
+def layer_reads(queries, features, rig, model):
     """The anchors' and the pillars' camera reads, as ``forward_stack`` plans them."""
     layer = model.layers[0]
     return (anchor_reads(queries.anchor_xyz, features, rig, layer.obj_image),
-            pillar_reads(grid, features, rig, layer.bev_image))
+            pillar_reads(model.bev_spec, features, rig, layer.bev_image))
 
 
 class TestForwardLayerAblations:
@@ -158,12 +156,12 @@ class TestForwardLayerAblations:
         frames, rig, dt = micro_frame(model)
         features = model.encode_images(frames[0].images)
         queries = make_queries(rng, 4)
-        grid_a = make_grid(rng, model.bev_spec)
-        grid_b = make_grid(rng, model.bev_spec)  # arbitrary other grid
-        flags = VariantFlags(interaction="none", temporal_bev=False)
-        out_a, _ = forward_stack(queries, grid_a, None, features, rig, flags,
+        cells_a = make_cells(rng, model.bev_spec)
+        cells_b = make_cells(rng, model.bev_spec)  # arbitrary other grid
+        cfg = replace(model.cfg, temporal_bev=False)
+        out_a, _ = forward_stack(queries, cells_a, None, model.bev_spec, features, rig, cfg,
                                  model.layers, model.ranges, model.pillar_reads)
-        out_b, _ = forward_stack(queries, grid_b, None, features, rig, flags,
+        out_b, _ = forward_stack(queries, cells_b, None, model.bev_spec, features, rig, cfg,
                                  model.layers, model.ranges, model.pillar_reads)
         np.testing.assert_array_equal(out_a.data, out_b.data)
 
@@ -171,30 +169,28 @@ class TestForwardLayerAblations:
         model = micro_model(interaction="full")
         frames, rig, dt = micro_frame(model)
         features = model.encode_images(frames[0].images)
-        grid = make_grid(rng, model.bev_spec)
-        flags = VariantFlags(interaction="full", temporal_bev=True)
+        cells = make_cells(rng, model.bev_spec)
         qs_a = make_queries(rng, 4)
         qs_b = make_queries(rng, 4)
-        _, grid_a = forward_stack(qs_a, grid, None, features, rig, flags,
-                                  model.layers, model.ranges, model.pillar_reads)
-        _, grid_b = forward_stack(qs_b, grid, None, features, rig, flags,
-                                  model.layers, model.ranges, model.pillar_reads)
-        np.testing.assert_array_equal(grid_a.cells.data, grid_b.cells.data)
+        _, cells_a = forward_stack(qs_a, cells, None, model.bev_spec, features, rig, model.cfg,
+                                   model.layers, model.ranges, model.pillar_reads)
+        _, cells_b = forward_stack(qs_b, cells, None, model.bev_spec, features, rig, model.cfg,
+                                   model.layers, model.ranges, model.pillar_reads)
+        np.testing.assert_array_equal(cells_a.data, cells_b.data)
 
     def test_interaction_liveness_grid_perturbation_reaches_queries(self, rng):
         model = micro_model(interaction="full")
         frames, rig, dt = micro_frame(model)
         features = model.encode_images(frames[0].images)
-        flags = VariantFlags(interaction="full", temporal_bev=False)
+        cfg = replace(model.cfg, temporal_bev=False)
         queries = make_queries(rng, 2, anchors=np.tile([0.5, 0.5, 0.0], (2, 1)))
-        grid = make_grid(rng, model.bev_spec)
-        out1, _ = forward_stack(queries, grid, None, features, rig, flags,
+        cells = make_cells(rng, model.bev_spec)
+        out1, _ = forward_stack(queries, cells, None, model.bev_spec, features, rig, cfg,
                                 model.layers, model.ranges, model.pillar_reads)
-        cells2 = grid.cells.data.copy()
+        cells2 = cells.data.copy()
         ref = metric_to_cell(model.bev_spec, np.array([0.5, 0.5]))
         cells2[int(round(ref[0])) * model.bev_spec.dims[1] + int(round(ref[1]))] += 1.0
-        grid2 = BevGrid(spec=grid.spec, cells=Tensor(cells2), validity=grid.validity)
-        out2, _ = forward_stack(queries, grid2, None, features, rig, flags,
+        out2, _ = forward_stack(queries, Tensor(cells2), None, model.bev_spec, features, rig, cfg,
                                 model.layers, model.ranges, model.pillar_reads)
         assert np.abs(out1.data - out2.data).max() > 1e-9
 
@@ -202,15 +198,14 @@ class TestForwardLayerAblations:
         model = micro_model()
         frames, rig, dt = micro_frame(model)
         features = model.encode_images(frames[0].images)
-        flags = model.flags
         queries = make_queries(rng, 5)
-        grid = make_grid(rng, model.bev_spec)
-        latents, grid_out = forward_layer(
-            queries.latents, queries.anchor_xyz, grid, None, features,
-            *layer_reads(queries, grid, features, rig, model),
-            flags, model.layers[0], model.ranges)
+        cells = make_cells(rng, model.bev_spec)
+        latents, cells_out = forward_layer(
+            queries.latents, queries.anchor_xyz, cells, None, model.bev_spec, features,
+            *layer_reads(queries, features, rig, model),
+            model.cfg, model.layers[0], model.ranges)
         assert latents.data.shape == (5, L)
-        assert grid_out.cells.data.shape == grid.cells.data.shape
+        assert cells_out.data.shape == cells.data.shape
 
     def test_permutation_equivariance_all_flag_combinations(self, rng):
         for interaction in ("full", "none", "bidirectional"):
@@ -218,14 +213,13 @@ class TestForwardLayerAblations:
                 model = micro_model(interaction=interaction, temporal=temporal)
                 frames, rig, dt = micro_frame(model)
                 features = model.encode_images(frames[0].images)
-                flags = VariantFlags(interaction=interaction, temporal_bev=temporal)
                 qs = make_queries(rng, 4)
                 perm = rng.permutation(4)
-                grid = make_grid(rng, model.bev_spec)
-                out1, _ = forward_stack(qs, grid, None, features, rig, flags,
+                cells = make_cells(rng, model.bev_spec)
+                out1, _ = forward_stack(qs, cells, None, model.bev_spec, features, rig, model.cfg,
                                         model.layers, model.ranges, model.pillar_reads)
-                out2, _ = forward_stack(qs.take(perm), grid, None, features, rig,
-                                        flags, model.layers, model.ranges, model.pillar_reads)
+                out2, _ = forward_stack(qs.take(perm), cells, None, model.bev_spec, features, rig,
+                                        model.cfg, model.layers, model.ranges, model.pillar_reads)
                 np.testing.assert_array_equal(out1.data[perm], out2.data)
 
 
@@ -235,15 +229,15 @@ class TestForwardStack:
         frames, rig, dt = micro_frame(model)
         features = model.encode_images(frames[0].images)
         queries = make_queries(rng, 4)
-        grid = make_grid(rng, model.bev_spec)
-        stacked, grid_s = forward_stack(queries, grid, None, features, rig, model.flags,
-                                        model.layers[:1], model.ranges, model.pillar_reads)
-        single, grid_l = forward_layer(
-            queries.latents, queries.anchor_xyz, grid, None, features,
-            *layer_reads(queries, grid, features, rig, model),
-            model.flags, model.layers[0], model.ranges)
+        cells = make_cells(rng, model.bev_spec)
+        stacked, cells_s = forward_stack(queries, cells, None, model.bev_spec, features, rig, model.cfg,
+                                         model.layers[:1], model.ranges, model.pillar_reads)
+        single, cells_l = forward_layer(
+            queries.latents, queries.anchor_xyz, cells, None, model.bev_spec, features,
+            *layer_reads(queries, features, rig, model),
+            model.cfg, model.layers[0], model.ranges)
         np.testing.assert_array_equal(stacked.data, single.data)
-        np.testing.assert_array_equal(grid_s.cells.data, grid_l.cells.data)
+        np.testing.assert_array_equal(cells_s.data, cells_l.data)
 
     def test_deterministic_given_seed(self, rng):
         runs = []
@@ -252,30 +246,26 @@ class TestForwardStack:
             frames, rig, dt = micro_frame(model)
             features = model.encode_images(frames[0].images)
             queries = make_queries(np.random.default_rng(1), 4)
-            grid = make_grid(np.random.default_rng(2), model.bev_spec)
-            out, _ = forward_stack(queries, grid, None, features, rig, model.flags,
+            cells = make_cells(np.random.default_rng(2), model.bev_spec)
+            out, _ = forward_stack(queries, cells, None, model.bev_spec, features, rig, model.cfg,
                                    model.layers, model.ranges, model.pillar_reads)
             runs.append(out.data.copy())
         np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_gradient_reaches_layer0_through_two_layer_stack(self, rng):
-        from dataclasses import replace
-
         cfg = replace(CFG, n_layers=2)
         model = DualStreamModel(cfg)
         frames, rig, dt = micro_frame(model)
         features = model.encode_images(frames[0].images)
         queries = make_queries(rng, 3)
-        grid = BevGrid(spec=model.bev_spec, cells=model.bev_init,
-                       validity=np.ones(model.bev_spec.dims, bool))
 
         # a plain sum over a layernorm output with unit gamma is
         # identically constant, so mix rows with fixed random weights
         mix = rng.normal(size=(3, L))
         probe = model.layers[0].obj_self.attn.wq
         with fresh_tape():
-            latents, grid_out = forward_stack(queries, grid, None, features, rig,
-                                              model.flags, model.layers, model.ranges, model.pillar_reads)
+            latents, _ = forward_stack(queries, model.bev_init, None, model.bev_spec, features, rig,
+                                       model.cfg, model.layers, model.ranges, model.pillar_reads)
             loss = sum_(mul(latents, mix))
             model.store.zero_grads()
             backward(loss)
@@ -284,8 +274,8 @@ class TestForwardStack:
         # finite differences directly on the layer-0 parameter object;
         # fn re-reads the probe tensor each evaluation
         def fn(w):
-            out, _ = forward_stack(queries, grid, None, features, rig,
-                                   model.flags, model.layers, model.ranges, model.pillar_reads)
+            out, _ = forward_stack(queries, model.bev_init, None, model.bev_spec, features, rig,
+                                   model.cfg, model.layers, model.ranges, model.pillar_reads)
             return sum_(mul(out, mix))
 
         err = finite_diff_check(fn, [probe], eps=1e-5, coord_limit=12)
@@ -307,7 +297,7 @@ def step_frames(frames, rigs, dt, fresh):
             res = model.forward_frame(frame, rig, state, dt)
         state = res.state
         outs.append([res.seg_logits.data.tobytes(), state.memory.latents.data.tobytes(),
-                     state.grid.cells.data.tobytes()])
+                     state.cells.data.tobytes()])
     return outs
 
 
@@ -401,7 +391,7 @@ class TestConfigReachesBlocks:
                 float(z) for z in heights.split(","))
             frames, rig, dt = micro_frame(model)
             res = model.forward_frame(frames[0], rig, model.initial_state(), dt)
-            grids.append(res.state.grid.cells.data)
+            grids.append(res.state.cells.data)
         assert np.abs(grids[0] - grids[1]).max() > 1e-6
 
     def test_without_propagation_the_memory_changes_no_bit(self):
@@ -411,7 +401,7 @@ class TestConfigReachesBlocks:
 
         def step_bytes(res):
             heads = [getattr(res.outputs, f.name) for f in fields(res.outputs)]
-            arrays = [res.seg_logits, res.state.memory.latents, res.state.memory.anchors, res.state.grid.cells,
+            arrays = [res.seg_logits, res.state.memory.latents, res.state.memory.anchors, res.state.cells,
                       res.state.memory.velocities, res.state.memory.scores, res.state.memory.ids,
                       res.memory_source_indices] + heads
             return [getattr(a, "data", a).tobytes() for a in arrays] + [
@@ -427,7 +417,7 @@ class TestConfigReachesBlocks:
         assert got == want
 
 
-def per_camera_bev_image(grid, features, cameras, p):
+def per_camera_bev_image(cells, spec, features, cameras, p):
     """BEV-to-image attention as one deformable call per camera, each camera's
     pillar hits summed, then the cameras added in name order."""
     from dualstream.diffcore import matmul, sincos_encoding
@@ -437,11 +427,11 @@ def per_camera_bev_image(grid, features, cameras, p):
     from dualstream.geom3d import project_points
     from dualstream.statstream import cell_center_grid
 
-    n = grid.spec.dims[0] * grid.spec.dims[1]
-    q = grid.cells
-    nz = len(grid.spec.pillar_heights)
-    centers = cell_center_grid(grid.spec)
-    pts = np.concatenate([np.concatenate([centers, np.full((n, 1), z)], axis=1) for z in grid.spec.pillar_heights])
+    n = spec.dims[0] * spec.dims[1]
+    q = cells
+    nz = len(spec.pillar_heights)
+    centers = cell_center_grid(spec)
+    pts = np.concatenate([np.concatenate([centers, np.full((n, 1), z)], axis=1) for z in spec.pillar_heights])
     q_rep = concat([q] * nz)
     total, counts = None, np.zeros(n)
     for name in sorted(features.names):
@@ -533,13 +523,13 @@ class TestCameraBlocksMatchPerCameraLoop:
         model = micro_model()
         frames, rig, _ = micro_frame(model)
         p = model.layers[0].bev_image
-        grid = make_grid(rng, model.bev_spec)
-        grid.cells.requires_grad = True
+        cells, spec = make_cells(rng, model.bev_spec), model.bev_spec
+        cells.requires_grad = True
         feats = encode(model, frames[0].images, cams)
-        got = self.run(lambda: bev_image_cross_attention(grid, pillar_reads(grid, feats, rig, p), feats, p).cells,
-                       grid.cells, model, rng)
-        want = self.run(lambda: per_camera_bev_image(grid, feats, rig, p), grid.cells, model, rng)
-        assert np.abs(got[0] - grid.cells.data).max() > 1e-3   # the cameras contribute
+        got = self.run(lambda: bev_image_cross_attention(cells, pillar_reads(spec, feats, rig, p), feats, p),
+                       cells, model, rng)
+        want = self.run(lambda: per_camera_bev_image(cells, spec, feats, rig, p), cells, model, rng)
+        assert np.abs(got[0] - cells.data).max() > 1e-3   # the cameras contribute
         self.check(got, want)
 
     @pytest.mark.parametrize("cams", CAMERA_SUBSETS, ids=["all", "three", "one"])

@@ -16,7 +16,6 @@ from util import (
 from dualstream.configio import Config
 from dualstream.diffcore import FeatureMap, active_tape, layernorm
 from dualstream.dynstream import (
-    MotionParams,
     QuerySet,
     SetAttnParams,
     SpawnParams,
@@ -73,7 +72,7 @@ class TestSpawn:
 
 
 def zero_motion_params():
-    return MotionParams(mlp=make_mlp_params(np.random.default_rng(0), L + 7, 4, L, zero=True))
+    return make_mlp_params(np.random.default_rng(0), L + 7, 4, L, zero=True)
 
 
 class TestPropagate:
@@ -106,7 +105,7 @@ class TestPropagate:
         np.testing.assert_allclose(out.anchor_xyz, [[1.0, 1.0, 0.0]], atol=1e-12)
 
     def test_latent_gets_motion_mlp_residual(self, rng):
-        params = MotionParams(mlp=make_mlp_params(rng, L + 7, 6, L))
+        params = make_mlp_params(rng, L + 7, 6, L)
         mem = make_queries(rng)
         out = propagate(mem, Pose.se2(0.1, 1.0, -0.5), 0.5, params)
         assert not np.allclose(out.latents.data, mem.latents.data)
@@ -182,7 +181,7 @@ class TestTapeCountIndependentOfQueryCount:
     def counts(self, n):
         rng = np.random.default_rng(n)
         mem = make_queries(rng, n, grad=True)
-        params = MotionParams(mlp=make_mlp_params(rng, L + 7, 6, L))
+        params = make_mlp_params(rng, L + 7, 6, L)
         spawn = spawn_params(rng, n=n)
         decode = build_decode_params(ParamStore(np.float32), "decode", rng, Config(latent_dim=L, decode_hidden=6))
         return (

@@ -10,12 +10,11 @@ from util import t64
 from dualstream.configio import Config
 from dualstream.diffcore import Tensor, active_tape
 from dualstream.diffcore.tensor import ShapeError
-from dualstream.dynstream import MotionParams, QuerySet, propagate
+from dualstream.dynstream import QuerySet, propagate
 from dualstream.geom3d import BoundingBox3D, Pose, invert, transform_box
 from dualstream.heads import (
     Assignment,
     HeadOutputs,
-    LossWeights,
     TrackerState,
     center_distances,
     decode_boxes,
@@ -75,7 +74,7 @@ class TestDecodeBoxes:
                        velocities=out.velocity.data, scores=out.scores, ids=qs.ids)
         from util import make_mlp_params
 
-        zero_mlp = MotionParams(mlp=make_mlp_params(np.random.default_rng(0), L + 7, 4, L, zero=True))
+        zero_mlp = make_mlp_params(np.random.default_rng(0), L + 7, 4, L, zero=True)
         moved = propagate(mem, Pose.identity(), 0.5, zero_mlp)
         want = dets[0].box.center.copy()
         want[:2] += vel * 0.5
@@ -178,7 +177,7 @@ class TestDetectionLoss:
         p = decode_params()
         gts = [gt_box([1.0, 2.0, 0.0]), gt_box([-3.0, 0.5, 0.2], label=1)]
         dets = perfect_detections(gts, p, confident=20.0)
-        w = LossWeights()
+        w = Config()
         cost = detection_cost_matrix(dets, gts, RANGES, w, p.size_prior)
         a = hungarian_match(cost)
         loss = detection_loss(dets, gts, a, RANGES, w, p.size_prior, n_classes=2)
@@ -189,7 +188,7 @@ class TestDetectionLoss:
         qs = queries(rng, 4)
         out, _ = decode_boxes(qs, qs.latents, p)
         a = Assignment(pairs=[])
-        w = LossWeights()
+        w = Config()
         loss = detection_loss(out, [], a, RANGES, w, p.size_prior, n_classes=2)
         # hand-computed background focal
         logits = out.class_logits.data
@@ -202,7 +201,7 @@ class TestDetectionLoss:
         gts = [gt_box([1.0, 2.0, 0.0]), gt_box([-3.0, 0.5, 0.2], label=1)]
         qs = queries(rng, 3)
         latents = Tensor(qs.latents.data.copy(), requires_grad=True)
-        w = LossWeights()
+        w = Config()
 
         def fn(lat):
             out, _ = decode_boxes(qs, lat, p)
@@ -218,7 +217,7 @@ class TestDetectionLoss:
                gt_box([4.0, -2.0, 0.1])]
         qs = queries(rng, 5)
         dets, _ = decode_boxes(qs, qs.latents, p)
-        w = LossWeights()
+        w = Config()
 
         def full_loss(dets_, gts_):
             cost = detection_cost_matrix(dets_, gts_, RANGES, w, p.size_prior)
@@ -237,7 +236,7 @@ class TestDetectionLoss:
         out, _ = decode_boxes(qs, latents, p)
         tape = active_tape()
         before = tape.position()
-        cost = detection_cost_matrix(out, gts, RANGES, LossWeights(), p.size_prior)
+        cost = detection_cost_matrix(out, gts, RANGES, Config(), p.size_prior)
         assert tape.position() == before
         assert cost.shape == (4, 2) and np.all(np.isfinite(cost))
         tape.drop_before(tape.position())

@@ -9,12 +9,10 @@ from dualstream.diffcore import FeatureMap, Tensor, backward, fresh_tape, layern
 from dualstream.diffcore.tensor import ShapeError, sum_
 from dualstream.geom3d import Pose, invert
 from dualstream.statstream import (
-    BevGrid,
     BevSpec,
     CameraReadParams,
     GridReadParams,
     PillarReads,
-    SegHeadParams,
     bev_image_cross_attention,
     cell_to_metric,
     grid_coords,
@@ -28,11 +26,9 @@ L = 6
 SPEC = BevSpec(dims=(8, 8), extent=(-4.0, 4.0, -4.0, 4.0))
 
 
-def make_grid(rng, spec=SPEC, grad=False, validity=None):
-    h, w = spec.dims
-    cells = Tensor(rows(rng.normal(size=(L, h, w))), requires_grad=grad)
-    v = validity if validity is not None else np.ones((h, w), dtype=bool)
-    return BevGrid(spec=spec, cells=cells, validity=v)
+def make_cells(rng, spec=SPEC, grad=False):
+    """Random (H*W, L) BEV cells of ``spec``'s grid."""
+    return Tensor(rows(rng.normal(size=(L,) + spec.dims)), requires_grad=grad)
 
 
 class TestBevSpec:
@@ -67,60 +63,58 @@ def fresh_embedding(rng, grad=True):
 
 class TestWarp:
     def test_identity_delta_identity_grid(self, rng):
-        g = make_grid(rng)
-        out = warp_bev(g, Pose.identity(), fresh_embedding(rng))
-        np.testing.assert_allclose(out.cells.data, g.cells.data, atol=1e-12)
-        assert out.validity.all()
+        g = make_cells(rng)
+        out, valid = warp_bev(g, SPEC, Pose.identity(), fresh_embedding(rng))
+        np.testing.assert_allclose(out.data, g.data, atol=1e-12)
+        assert valid.shape == (SPEC.dims[0] * SPEC.dims[1],) and valid.all()
 
     def test_one_cell_shift_oracle(self, rng):
-        g = make_grid(rng)
+        g = make_cells(rng)
         fresh = fresh_embedding(rng)
         res = SPEC.resolution
         delta = Pose.se2(0.0, -res, 0.0)  # ego advanced one cell forward
-        out = warp_bev(g, delta, fresh)
+        out, valid = warp_bev(g, SPEC, delta, fresh)
         h, w = SPEC.dims
+        valid = valid.reshape(h, w)
         # integer index-shift oracle: new row i holds previous row i+1
-        got, prev = chw(out.cells.data, SPEC.dims), chw(g.cells.data, SPEC.dims)
+        got, prev = chw(out.data, SPEC.dims), chw(g.data, SPEC.dims)
         np.testing.assert_allclose(got[:, : h - 1, :], prev[:, 1:, :], atol=1e-12)
         for j in range(w):
             np.testing.assert_allclose(got[:, h - 1, j], fresh.data, atol=1e-12)
-        assert out.validity[: h - 1].all() and not out.validity[h - 1].any()
+        assert valid[: h - 1].all() and not valid[h - 1].any()
 
     def test_180_rotation_point_reflection(self, rng):
         h, w = SPEC.dims
         cells = np.zeros((L, h, w))
         hot = np.arange(1, L + 1, dtype=np.float64)
         cells[:, 2, 5] = hot
-        g = BevGrid(spec=SPEC, cells=Tensor(rows(cells)), validity=np.ones((h, w), bool))
-        out = warp_bev(g, Pose.se2(math.pi, 0.0, 0.0), fresh_embedding(rng))
+        out, valid = warp_bev(Tensor(rows(cells)), SPEC, Pose.se2(math.pi, 0.0, 0.0), fresh_embedding(rng))
         # coordinate-reflection oracle
-        np.testing.assert_allclose(chw(out.cells.data, SPEC.dims)[:, h - 1 - 2, w - 1 - 5], hot, atol=1e-9)
-        assert out.validity.all()
+        np.testing.assert_allclose(chw(out.data, SPEC.dims)[:, h - 1 - 2, w - 1 - 5], hot, atol=1e-9)
+        assert valid.all()
 
     def test_roundtrip_lattice_aligned(self, rng):
-        g = make_grid(rng)
+        g = make_cells(rng)
         fresh = fresh_embedding(rng)
         res = SPEC.resolution
         for delta in (Pose.se2(0.0, -2 * res, res), Pose.se2(math.pi / 2, 0.0, 0.0),
                       Pose.se2(math.pi, res, 0.0)):
-            fwd = warp_bev(g, delta, fresh)
-            back = warp_bev(fwd, invert(delta), fresh)
-            both = fwd.validity & back.validity
-            diff = np.abs(chw(back.cells.data, SPEC.dims) - chw(g.cells.data, SPEC.dims)).max(axis=0)
+            fwd, fwd_valid = warp_bev(g, SPEC, delta, fresh)
+            back, back_valid = warp_bev(fwd, SPEC, invert(delta), fresh)
+            both = (fwd_valid & back_valid).reshape(SPEC.dims)
+            diff = np.abs(chw(back.data, SPEC.dims) - chw(g.data, SPEC.dims)).max(axis=0)
             assert diff[both].max() <= 1e-9
 
     def test_constant_grid_stays_constant(self, rng):
         h, w = SPEC.dims
-        g = BevGrid(spec=SPEC, cells=Tensor(rows(np.full((L, h, w), 2.5))), validity=np.ones((h, w), bool))
         delta = Pose.se2(0.37, 0.83, -0.41)  # deliberately off-lattice
-        out = warp_bev(g, delta, fresh_embedding(rng))
-        vals = chw(out.cells.data, SPEC.dims)[:, out.validity]
+        out, valid = warp_bev(Tensor(rows(np.full((L, h, w), 2.5))), SPEC, delta, fresh_embedding(rng))
+        vals = chw(out.data, SPEC.dims)[:, valid.reshape(h, w)]
         np.testing.assert_allclose(vals, 2.5, atol=1e-9)
 
     def test_validity_matches_geometric_oracle(self, rng):
-        g = make_grid(rng)
         delta = Pose.se2(0.3, -1.2, 0.7)
-        out = warp_bev(g, delta, fresh_embedding(rng))
+        _, valid = warp_bev(make_cells(rng), SPEC, delta, fresh_embedding(rng))
         from dualstream.statstream import cell_center_grid
 
         centers = cell_center_grid(SPEC)
@@ -132,25 +126,25 @@ class TestWarp:
         want = (
             (src[:, 0] >= x_min + res / 2) & (src[:, 0] <= x_max - res / 2)
             & (src[:, 1] >= y_min + res / 2) & (src[:, 1] <= y_max - res / 2)
-        ).reshape(h, w)
-        np.testing.assert_array_equal(out.validity, want)
+        )
+        np.testing.assert_array_equal(valid, want)
 
     def test_gradients_flow_into_previous_cells(self, rng):
         with fresh_tape():
-            g = make_grid(rng, grad=True)
+            g = make_cells(rng, grad=True)
             fresh = fresh_embedding(rng)
-            out = warp_bev(g, Pose.se2(0.05, -0.3, 0.2), fresh)
-            backward(sum_(out.cells))
-            assert g.cells.grad is not None
-            interior = chw(g.cells.grad, SPEC.dims)[:, 2:-2, 2:-2]
+            out, _ = warp_bev(g, SPEC, Pose.se2(0.05, -0.3, 0.2), fresh)
+            backward(sum_(out))
+            assert g.grad is not None
+            interior = chw(g.grad, SPEC.dims)[:, 2:-2, 2:-2]
             assert np.abs(interior).sum() > 0
 
     def test_fresh_embedding_receives_gradient(self, rng):
         with fresh_tape():
-            g = make_grid(rng, grad=False)
+            g = make_cells(rng, grad=False)
             fresh = fresh_embedding(rng)
-            out = warp_bev(g, Pose.se2(0.0, -3.9, 0.0), fresh)  # shifts most rows out
-            backward(sum_(out.cells))
+            out, _ = warp_bev(g, SPEC, Pose.se2(0.0, -3.9, 0.0), fresh)  # shifts most rows out
+            backward(sum_(out))
             assert fresh.grad is not None and np.abs(fresh.grad).sum() > 0
 
 
@@ -165,20 +159,19 @@ def temporal_params(rng, degenerate=False, n_points=2):
 class TestTemporalGridAttention:
     def test_all_invalid_prev_reduces_to_self_only(self, rng):
         p = temporal_params(rng)
-        curr = make_grid(rng)
+        curr = make_cells(rng)
         h, w = SPEC.dims
-        prev = make_grid(rng, validity=np.zeros((h, w), bool))
-        with_prev = temporal_grid_attention(curr, prev, p).cells.data
-        self_only = temporal_grid_attention(curr, None, p).cells.data
+        prev = (make_cells(rng), np.zeros(h * w, bool))
+        with_prev = temporal_grid_attention(curr, SPEC, prev, p).data
+        self_only = temporal_grid_attention(curr, SPEC, None, p).data
         np.testing.assert_allclose(with_prev, self_only, atol=1e-12)
 
     def test_degenerate_fixed_point_structure(self, rng):
         p = temporal_params(rng, degenerate=True)
-        curr = make_grid(rng)
-        prev = BevGrid(spec=SPEC, cells=Tensor(curr.cells.data.copy()),
-                       validity=np.ones(SPEC.dims, bool))
-        out = temporal_grid_attention(curr, prev, p).cells.data
-        flat = curr.cells.data
+        curr = make_cells(rng)
+        prev = (Tensor(curr.data.copy()), np.ones(SPEC.dims[0] * SPEC.dims[1], bool))
+        out = temporal_grid_attention(curr, SPEC, prev, p).data
+        flat = curr.data
         want = layernorm(t64(flat + flat), p.ln_g, p.ln_b).data  # proj is identity
         np.testing.assert_allclose(out, want, atol=1e-10)
 
@@ -186,33 +179,22 @@ class TestTemporalGridAttention:
         spec = BevSpec(dims=(4, 4), extent=(-2.0, 2.0, -2.0, 2.0))
         p = temporal_params(rng, n_points=2)
         h, w = spec.dims
-        curr = BevGrid(spec=spec, cells=Tensor(rows(rng.normal(size=(L, h, w)))),
-                       validity=np.ones((h, w), bool))
-        prev_validity = rng.uniform(size=(h, w)) > 0.3
-        prev = BevGrid(spec=spec, cells=Tensor(rows(rng.normal(size=(L, h, w)))),
-                       validity=prev_validity)
-        got = temporal_grid_attention(curr, prev, p).cells.data
+        q = make_cells(rng, spec)
+        prev_validity = rng.uniform(size=h * w) > 0.3
+        prev_cells = make_cells(rng, spec)
+        got = temporal_grid_attention(q, spec, (prev_cells, prev_validity), p).data
 
         # explicit enumeration: run the dense deformable oracle per target
         from dualstream.diffcore.ops import _deformable_core
 
-        q = curr.cells
         refs = grid_coords(spec)
-        o1, v1 = _deformable_core(q, refs, curr.cells, spec.dims, p.deform)
-        o2, v2 = _deformable_core(q, refs, prev.cells, spec.dims, p.deform, valid_mask=prev.validity)
+        o1, v1 = _deformable_core(q, refs, q, spec.dims, p.deform)
+        o2, v2 = _deformable_core(q, refs, prev_cells, spec.dims, p.deform, valid_mask=prev_validity)
         counts = np.maximum(v1 + v2, 1.0)
         want_flat = layernorm(
             t64(q.data + (o1.data + o2.data) / counts[:, None]), p.ln_g, p.ln_b
         ).data
         np.testing.assert_allclose(got, want_flat, atol=1e-5)
-
-    def test_spec_mismatch_rejected(self, rng):
-        p = temporal_params(rng)
-        other = BevSpec(dims=(4, 4), extent=(-2.0, 2.0, -2.0, 2.0))
-        curr = make_grid(rng)
-        prev = BevGrid(spec=other, cells=Tensor(np.zeros((16, L))), validity=np.ones((4, 4), bool))
-        with pytest.raises(ShapeError):
-            temporal_grid_attention(curr, prev, p)
 
 
 def bev_img_params(rng, degenerate=False):
@@ -238,21 +220,22 @@ def tiny_camera(name="front", backwards=False):
 class TestBevImageCrossAttention:
     def test_no_cameras_residual_path(self, rng):
         p = bev_img_params(rng)
-        grid = make_grid(rng)
+        cells = make_cells(rng)
         none = FeatureMap(data=t64(np.zeros((0, L))), dims=(4, 8), stride=8, names=())
-        out = bev_image_cross_attention(grid, pillar_reads(grid, none, {}, p), none, p)
-        want = layernorm(grid.cells, p.ln_g, p.ln_b).data
-        np.testing.assert_allclose(out.cells.data, want, atol=1e-12)
+        out = bev_image_cross_attention(cells, pillar_reads(SPEC, none, {}, p), none, p)
+        want = layernorm(cells, p.ln_g, p.ln_b).data
+        np.testing.assert_allclose(out.data, want, atol=1e-12)
 
     def test_cells_behind_camera_residual(self, rng):
         p = bev_img_params(rng)
         cam = tiny_camera()
         fm = feature_map(rng.normal(size=(L, 4, 8)), stride=8)
-        grid = make_grid(rng, replace(SPEC, pillar_heights=(0.0,)))
-        out = bev_image_cross_attention(grid, pillar_reads(grid, fm, {"front": cam}, p), fm, p)
+        cells = make_cells(rng)
+        out = bev_image_cross_attention(cells, pillar_reads(replace(SPEC, pillar_heights=(0.0,)), fm, {"front": cam}, p),
+                                        fm, p)
         # rows with x < 0 sit behind the forward camera: pure residual
-        flat = layernorm(grid.cells, p.ln_g, p.ln_b).data
-        got = out.cells.data
+        flat = layernorm(cells, p.ln_g, p.ln_b).data
+        got = out.data
         behind = np.array([cell_to_metric(SPEC, ij)[0] < -0.5 for ij in grid_coords(SPEC)])
         np.testing.assert_allclose(got[behind], flat[behind], atol=1e-12)
 
@@ -263,11 +246,12 @@ class TestBevImageCrossAttention:
         from dualstream.geom3d import project_points
 
         fm = feature_map(rng.normal(size=(L, 4, 8)), stride=8)
-        grid = make_grid(rng, replace(SPEC, pillar_heights=(0.5,)))
-        out = bev_image_cross_attention(grid, pillar_reads(grid, fm, {"front": cam}, p), fm, p)
-        got = out.cells.data
+        cells = make_cells(rng)
+        out = bev_image_cross_attention(cells, pillar_reads(replace(SPEC, pillar_heights=(0.5,)), fm, {"front": cam}, p),
+                                        fm, p)
+        got = out.data
         centers = cell_to_metric(SPEC, grid_coords(SPEC))
-        flat = grid.cells.data
+        flat = cells.data
         hf, wf = fm.dims
         for n, (x, y) in enumerate(centers):
             (uv,), _, (valid,) = project_points(cam, [[x, y, 0.5]])
@@ -289,11 +273,12 @@ class TestBevImageCrossAttention:
 
         fm = feature_map(rng.normal(size=(L, 8, 16)), stride=4)
         heights = (-0.3, 0.3)
-        grid = make_grid(rng, replace(SPEC, pillar_heights=heights))
-        out = bev_image_cross_attention(grid, pillar_reads(grid, fm, {"front": cam}, p), fm, p)
-        got = out.cells.data
+        cells = make_cells(rng)
+        out = bev_image_cross_attention(cells, pillar_reads(replace(SPEC, pillar_heights=heights), fm,
+                                                            {"front": cam}, p), fm, p)
+        got = out.data
         centers = cell_to_metric(SPEC, grid_coords(SPEC))
-        flat = grid.cells.data
+        flat = cells.data
         checked = 0
         hf, wf = fm.dims
         for n, (x, y) in enumerate(centers):
@@ -334,49 +319,45 @@ def test_pillar_reads_are_reused_by_value_and_bounded(rng):
 def test_camera_reads_planned_for_other_queries_are_refused(rng):
     p = bev_img_params(rng)
     none = FeatureMap(data=t64(np.zeros((0, L))), dims=(4, 8), stride=8, names=())
-    reads = pillar_reads(make_grid(rng), none, {}, p)
-    small = make_grid(rng, BevSpec(dims=(4, 4), extent=(-2.0, 2.0, -2.0, 2.0)))
+    reads = pillar_reads(SPEC, none, {}, p)
+    small = make_cells(rng, BevSpec(dims=(4, 4), extent=(-2.0, 2.0, -2.0, 2.0)))
     with pytest.raises(ShapeError, match="planned for 64 queries, got 16"):
         bev_image_cross_attention(small, reads, none, p)
 
 
 def test_camera_reads_planned_for_other_cameras_are_refused(rng):
     p = bev_img_params(rng)
-    grid = make_grid(rng)
+    cells = make_cells(rng)
     both = stack_maps(*(feature_map(rng.normal(size=(L, 4, 8)), stride=8, name=name) for name in ("front", "back")))
-    reads = pillar_reads(grid, both, {"front": tiny_camera(), "back": tiny_camera("back", backwards=True)}, p)
+    reads = pillar_reads(SPEC, both, {"front": tiny_camera(), "back": tiny_camera("back", backwards=True)}, p)
     swapped = FeatureMap(data=both.data, dims=both.dims, stride=both.stride, names=("back", "front"))
     for table in (feature_map(rng.normal(size=(L, 4, 8)), stride=8), swapped):
         with pytest.raises(ShapeError, match=r"planned for cameras \('front', 'back'\)"):
-            bev_image_cross_attention(grid, reads, table, p)
+            bev_image_cross_attention(cells, reads, table, p)
 
 class TestSegmentationHead:
     def test_zero_grid_zero_init_gives_half_sigmoid(self):
         rng = np.random.default_rng(0)
-        params = SegHeadParams(mlp=make_mlp_params(rng, L, 4, 3, zero=True))
+        params = make_mlp_params(rng, L, 4, 3, zero=True)
         h, w = SPEC.dims
-        grid = BevGrid(spec=SPEC, cells=Tensor(np.zeros((h * w, L))), validity=np.ones((h, w), bool))
-        logits = segmentation_head(grid, params)
+        logits = segmentation_head(Tensor(np.zeros((h * w, L))), SPEC.dims, params)
         np.testing.assert_allclose(logits.data, 0.0, atol=1e-12)
         sig = 1.0 / (1.0 + np.exp(-logits.data))
         np.testing.assert_allclose(sig, 0.5, atol=1e-12)
 
     def test_shape_contract(self, rng):
-        params = SegHeadParams(mlp=make_mlp_params(rng, L, 4, 3))
-        grid = make_grid(rng)
-        assert segmentation_head(grid, params).data.shape == (3,) + SPEC.dims
+        params = make_mlp_params(rng, L, 4, 3)
+        assert segmentation_head(make_cells(rng), SPEC.dims, params).data.shape == (3,) + SPEC.dims
 
     def test_bce_gradient_through_cells(self, rng):
         from check import finite_diff_check
         from dualstream.heads import segmentation_loss
 
-        spec = BevSpec(dims=(3, 3), extent=(-1.5, 1.5, -1.5, 1.5))
-        params = SegHeadParams(mlp=make_mlp_params(rng, L, 4, 3))
+        params = make_mlp_params(rng, L, 4, 3)
         gt = (rng.uniform(size=(3, 3, 3)) > 0.5).astype(np.float64)
         cells = Tensor(rows(rng.normal(size=(L, 3, 3))), requires_grad=True)
 
         def fn(c):
-            grid = BevGrid(spec=spec, cells=c, validity=np.ones((3, 3), bool))
-            return segmentation_loss(segmentation_head(grid, params), gt)
+            return segmentation_loss(segmentation_head(c, (3, 3), params), gt)
 
         assert finite_diff_check(fn, [cells], eps=1e-6) <= 1e-4

@@ -414,7 +414,7 @@ class TestEgoFrameBoxes:
 
     def test_propagation_consistency_with_world(self):
         # exact-velocity propagation lands on the GT next-frame center
-        from dualstream.dynstream import MotionParams, QuerySet, propagate
+        from dualstream.dynstream import QuerySet, propagate
         from dualstream.geom3d import ego_delta
         from dualstream.diffcore import MlpParams, Tensor
 
@@ -433,7 +433,7 @@ class TestEgoFrameBoxes:
                            velocities=np.stack([b.velocity for b in boxes_t]),
                            scores=np.ones(n), ids=ids_t)
             delta = ego_delta(scene.ego_trajectory[t], scene.ego_trajectory[t + 1])
-            moved = propagate(mem, delta, scene.dt, MotionParams(mlp=zeros_mlp))
+            moved = propagate(mem, delta, scene.dt, zeros_mlp)
             for anchor, tid in zip(moved.anchor_xyz, moved.ids):
                 want = boxes_t1[ids_t1.index(tid)].center
                 np.testing.assert_allclose(anchor, want, atol=1e-6)

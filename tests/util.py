@@ -42,9 +42,9 @@ def encode(model, images, cams=None):
     return model.encode_images({k: v for k, v in images.items() if cams is None or k in cams})
 
 
-def pillar_reads(grid, features, cameras, params):
-    """The planned camera reads of ``grid``'s pillar points, one query per cell."""
-    return PillarReads().reads(grid.spec, features, cameras, params)
+def pillar_reads(spec, features, cameras, params):
+    """The planned camera reads of the pillar points of ``spec``'s grid, one query per cell."""
+    return PillarReads().reads(spec, features, cameras, params)
 
 
 def anchor_reads(anchors, features, cameras, params):
