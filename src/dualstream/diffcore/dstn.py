@@ -182,7 +182,7 @@ def read_json(path: Path, error: type = DstnError, parse: Optional[Callable] = N
         raise
     except FileNotFoundError:
         raise error(f"{path}: missing file") from None
-    except (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError) as e:
+    except (OSError, ValueError, OverflowError, KeyError, IndexError, TypeError, AttributeError) as e:
         raise error(f"{path}: corrupt or incomplete ({type(e).__name__}: {e})") from None
 
 

@@ -22,7 +22,7 @@ Conventions (echoed into every report):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -112,8 +112,8 @@ def _envelope_ap(recalls: np.ndarray, precisions: np.ndarray, min_recall: float 
 
 
 def tp_errors(matches: Sequence[tuple[BoundingBox3D, BoundingBox3D, float]]):
-    """(mATE, mAOE, mAVE) over matched (pred, gt, distance) triples; None
-    each when no matches."""
+    """mATE, mAOE and mAVE over matched (pred, gt, distance) triples, None
+    each when no matches, keyed by their ``SliceMetrics`` field names."""
     if not matches:
         return {"mATE": None, "mAOE": None, "mAVE": None}
     ate = float(np.mean([d for _, _, d in matches]))
@@ -173,8 +173,9 @@ def _tracking_counts(matched: Sequence[Sequence[tuple]], min_score: float):
 def amota(scenes: Sequence[SceneRecord], threshold: float):
     """Recall-swept tracking metrics.
 
-    Returns dict with AMOTA, AMOTP, recall (max achieved), IDS (headline,
-    at no score cut). Each frame is matched once; every cut reads a prefix.
+    Returns AMOTA, AMOTP, recall (max achieved) and IDS (headline, at no
+    score cut), keyed by their ``SliceMetrics`` field names. Each frame is
+    matched once; every cut reads a prefix.
     At each recall target the first cut reaching it scores the nuScenes
     devkit's MOTAR at its achieved recall, ``max(0, 1 - (IDS + FP) / TP)``.
     """
@@ -267,14 +268,6 @@ class SliceMetrics:
     IDS: int
     empty: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "mAP": self.mAP, "per_class_ap": self.per_class_ap,
-            "mATE": self.mATE, "mAOE": self.mAOE, "mAVE": self.mAVE, "NDS": self.NDS,
-            "AMOTA": self.AMOTA, "AMOTP": self.AMOTP, "recall": self.recall,
-            "IDS": self.IDS, "empty": self.empty,
-        }
-
 
 def evaluate_detection_slice(scenes: Sequence[SceneRecord], labels: Sequence[int],
                              thresholds: Sequence[float]) -> SliceMetrics:
@@ -295,14 +288,8 @@ def evaluate_detection_slice(scenes: Sequence[SceneRecord], labels: Sequence[int
             per_class[str(label)] = per_thr
     mean_ap = float(np.mean(aps)) if aps else 0.0
     errs = tp_errors(matches_tp)
-    track = amota(scenes, thresholds[TP_THRESHOLD_INDEX])
-    return SliceMetrics(
-        mAP=mean_ap, per_class_ap=per_class,
-        mATE=errs["mATE"], mAOE=errs["mAOE"], mAVE=errs["mAVE"],
-        NDS=nds(mean_ap, errs),
-        AMOTA=track["AMOTA"], AMOTP=track["AMOTP"], recall=track["recall"], IDS=track["IDS"],
-        empty=(n_gt_total == 0),
-    )
+    return SliceMetrics(mAP=mean_ap, per_class_ap=per_class, **errs, NDS=nds(mean_ap, errs),
+                        **amota(scenes, thresholds[TP_THRESHOLD_INDEX]), empty=(n_gt_total == 0))
 
 
 @dataclass
@@ -315,20 +302,12 @@ class EvalReport:
     seg: dict[str, float] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        doc = {
-            "run_id": self.run_id,
-            "code_version": self.code_version,
-            "config": self.config,
-            "conventions": self.conventions,
-            "slices": {name: m.to_dict() for name, m in self.slices.items()},
-            "seg": self.seg,
-        }
-        return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=1) + "\n"
 
     def to_csv(self) -> str:
         lines = ["slice,metric,value"]
         for name, m in sorted(self.slices.items()):
-            for key, val in sorted(m.to_dict().items()):
+            for key, val in sorted(asdict(m).items()):
                 if key == "per_class_ap":
                     for cls, thr_map in sorted(val.items()):
                         for thr, ap in sorted(thr_map.items()):

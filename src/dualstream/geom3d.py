@@ -154,7 +154,7 @@ class CameraModel:
     translation: np.ndarray
     width: int
     height: int
-    name: str = "front"
+    name: str
 
     def __post_init__(self):
         r = np.asarray(self.rotation, dtype=np.float64)

@@ -12,7 +12,8 @@ Layout:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -24,6 +25,7 @@ from ..statstream import BevSpec, cell_center_grid
 from .render import map_mask, render_camera
 from .scene import (
     CAMERA_SLOTS,
+    CLASS_NAMES,
     SceneSpec,
     WorldConfig,
     alternating_schedule,
@@ -144,33 +146,28 @@ def _finite(doc: dict, key: str) -> np.ndarray:
     return value
 
 
+def _count(doc: dict, key: str, stop: float = math.inf) -> int:
+    """``doc[key]``, which must be an int (not a bool) in [0, ``stop``)."""
+    value = doc[key]
+    if type(value) is not int or not 0 <= value < stop:
+        raise ValueError(f"{key} must be an int in [0, {stop}), got {value!r}")
+    return value
+
+
 def _box_from_json(doc: dict) -> tuple[BoundingBox3D, int]:
     box = BoundingBox3D(
         center=_finite(doc, "center"),
         size=_finite(doc, "size"),
         yaw=_finite(doc, "yaw"),
         velocity=_finite(doc, "velocity"),
-        label=doc["label"],
+        label=_count(doc, "label", len(CLASS_NAMES)),
         score=1.0,
     )
-    return box, doc["track_id"]
+    return box, _count(doc, "track_id")
 
 
 def _camera_to_json(cam: CameraModel) -> dict:
-    return {
-        "fx": cam.fx, "fy": cam.fy, "cx": cam.cx, "cy": cam.cy,
-        "width": cam.width, "height": cam.height, "name": cam.name,
-        "rotation": [list(map(float, row)) for row in cam.rotation],
-        "translation": list(map(float, cam.translation)),
-    }
-
-
-def _camera_from_json(doc: dict) -> CameraModel:
-    return CameraModel(
-        fx=doc["fx"], fy=doc["fy"], cx=doc["cx"], cy=doc["cy"],
-        rotation=np.array(doc["rotation"]), translation=np.array(doc["translation"]),
-        width=doc["width"], height=doc["height"], name=doc["name"],
-    )
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value for key, value in asdict(cam).items()}
 
 
 def _dump_json(path: Path, doc) -> None:
@@ -231,9 +228,12 @@ class Dataset:
         self.index = read_json(self.root / "index.json", DatasetError, self._read_index, FORMAT_VERSION)
 
     def _read_index(self, index: dict) -> dict:
-        self.dt: float = float(index["dt"])
+        dt = index["dt"]
+        if type(dt) not in (int, float) or not 0 < dt < math.inf:
+            raise DatasetError(f"{self.root / 'index.json'}: dt must be a finite number > 0, got {dt!r}")
+        self.dt: float = float(dt)
         self.bev_spec = BevSpec(dims=tuple(index["bev"]["dims"]), extent=tuple(index["bev"]["extent"]))
-        self.cameras = {name: _camera_from_json(doc) for name, doc in index["cameras"].items()}
+        self.cameras = {name: CameraModel(**doc) for name, doc in index["cameras"].items()}
         self.scenes = [{"id": int(s["id"]), "n_frames": int(s["n_frames"]), "seed": int(s["seed"])}
                        for s in index["scenes"]]
         if not self.scenes:

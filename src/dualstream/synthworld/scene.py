@@ -1,10 +1,9 @@
 """Deterministic synthetic driving world: a straight multi-lane road with
-cars and crossing pedestrians under constant-velocity / constant-yaw-rate
-motion, plus the ego trajectory and the six-camera rig."""
+cars and crossing pedestrians under constant-velocity motion, plus the ego
+trajectory and the six-camera rig."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -65,7 +64,6 @@ class AgentState:
     center: np.ndarray   # (3,) world
     yaw: float
     speed: float
-    yaw_rate: float
     size: np.ndarray     # (3,)
 
     def to_box(self) -> BoundingBox3D:
@@ -81,7 +79,6 @@ class AgentTrack:
     agent_id: int
     label: int
     speed: float
-    yaw_rate: float
     boxes: list[BoundingBox3D]  # world frame, one per timestep
 
 
@@ -94,48 +91,16 @@ class SceneSpec:
     dt: float
     ego_trajectory: list[Pose]   # SE(2), world frame
 
-    def to_json(self) -> str:
-        """Canonical serialization used for the determinism contract."""
-        doc = {
-            "seed": self.seed,
-            "duration": self.duration,
-            "dt": self.dt,
-            "ego": [[p.rotation, p.translation[0], p.translation[1]] for p in self.ego_trajectory],
-            "agents": [
-                {
-                    "id": a.agent_id,
-                    "label": a.label,
-                    "speed": a.speed,
-                    "yaw_rate": a.yaw_rate,
-                    "boxes": [
-                        [list(b.center), list(b.size), b.yaw, list(b.velocity)] for b in a.boxes
-                    ],
-                }
-                for a in self.agents
-            ],
-        }
-        return json.dumps(doc, sort_keys=True)
-
 
 def step_agents(states: list[AgentState], dt: float) -> list[AgentState]:
-    """Advance agents by one step of constant-speed, constant-yaw-rate motion.
-
-    Uses the exact circular-arc displacement (the yaw_rate -> 0 limit is the
-    straight-line step), so closed trajectories return to their start.
-    """
+    """Advance agents by one step of constant-velocity motion along their yaw."""
     if dt < 0:
         raise ValueError("dt must be >= 0")
     out = []
     for s in states:
-        w = s.yaw_rate
-        if abs(w) < 1e-12:
-            local = np.array([s.speed * dt, 0.0])
-        else:
-            local = np.array([s.speed * math.sin(w * dt) / w,
-                              s.speed * (1.0 - math.cos(w * dt)) / w])
-        delta = rot2(s.yaw) @ local
+        delta = rot2(s.yaw) @ np.array([s.speed * dt, 0.0])
         center = s.center + np.array([delta[0], delta[1], 0.0])
-        out.append(replace(s, center=center, yaw=wrap_angle(s.yaw + w * dt)))
+        out.append(replace(s, center=center, yaw=wrap_angle(s.yaw)))
     return out
 
 
@@ -219,7 +184,6 @@ def generate_scene(seed: int, config: WorldConfig) -> SceneSpec:
             speed = float(rng.uniform(0.8, 1.8))
             size = PEDESTRIAN_SIZE
             label = CLASS_PEDESTRIAN
-            yaw_rate = 0.0
         else:
             lane_y, heading = m.lane_centers[int(rng.integers(len(m.lane_centers)))]
             for _ in range(20):
@@ -233,14 +197,13 @@ def generate_scene(seed: int, config: WorldConfig) -> SceneSpec:
                 speed = float(rng.uniform(config.speed_min, config.speed_max))
             size = CAR_SIZE
             label = CLASS_CAR
-            yaw_rate = 0.0
         occupied.append((x, y))
         states.append(AgentState(agent_id=aid, label=label,
                                  center=np.array([x, y, size[2] / 2.0]),
-                                 yaw=heading, speed=speed, yaw_rate=yaw_rate, size=size.copy()))
+                                 yaw=heading, speed=speed, size=size.copy()))
 
-    tracks = [AgentTrack(agent_id=s.agent_id, label=s.label, speed=s.speed,
-                         yaw_rate=s.yaw_rate, boxes=[s.to_box()]) for s in states]
+    tracks = [AgentTrack(agent_id=s.agent_id, label=s.label, speed=s.speed, boxes=[s.to_box()])
+              for s in states]
     for _ in range(1, config.duration):
         states = step_agents(states, config.dt)
         for tr, s in zip(tracks, states):

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from functools import partial
 from itertools import product
 from pathlib import Path
@@ -133,11 +133,8 @@ class TrainResult:
     rows: list[TrainLogRow] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        lines = ["step,epoch,frame,loss,det_loss,seg_loss,lr,grad_norm"]
-        for r in self.rows:
-            lines.append(
-                f"{r.step},{r.epoch},{r.frame},{r.loss!r},{r.det_loss!r},{r.seg_loss!r},{r.lr!r},{r.grad_norm!r}"
-            )
+        lines = [",".join(f.name for f in fields(TrainLogRow))]
+        lines += [",".join(map(repr, astuple(r))) for r in self.rows]
         return "\n".join(lines) + "\n"
 
 

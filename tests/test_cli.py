@@ -235,6 +235,45 @@ def test_resume_cannot_stop_before_its_epoch(tiny_data, tmp_path, capsys):
     assert not (tmp_path / "again").exists()
 
 
+def test_resume_with_a_disagreeing_config_is_a_config_error(tiny_data, tmp_path, capsys):
+    model = DualStreamModel(parse_config(TINY))
+    save_checkpoint(tmp_path / "ckpt", model, OptimizerState.fresh(model.store), model.cfg, step=0, epoch=1)
+    other = tmp_path / "other.cfg"
+    other.write_text(tiny_with("epochs = 2"), encoding="utf-8")
+    data = str(tiny_data / "data")
+
+    def resume(cfg, out):
+        return main(["train", "--resume", str(tmp_path / "ckpt"), "--config", str(cfg), "--data", data,
+                     "--out", str(tmp_path / out)])
+
+    assert resume(tiny_data / "tiny.cfg", "same") == EXIT_OK
+    assert resume(other, "other") == EXIT_CONFIG
+    assert "--config disagrees with the checkpoint's config" in capsys.readouterr().err
+    assert not (tmp_path / "other").exists()
+
+
+def test_train_without_config_or_resume_is_a_config_error(tiny_data, tmp_path, capsys):
+    assert main(["train", "--data", str(tiny_data / "data"), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert "train needs --config (or --resume)" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_inspect_report_prints_its_json(tiny_data, tmp_path, capsys):
+    model = DualStreamModel(parse_config(TINY))
+    save_checkpoint(tmp_path / "ckpt", model, OptimizerState.fresh(model.store), model.cfg, step=0, epoch=1)
+    args = ["eval", "--ckpt", str(tmp_path / "ckpt"), "--data", str(tiny_data / "data"), "--out", str(tmp_path / "run")]
+    assert main(args) == EXIT_OK
+    capsys.readouterr()
+    report = tmp_path / "run" / "report.json"
+    assert main(["inspect", str(report)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == json.loads(report.read_text(encoding="utf-8"))
+
+
+def test_inspect_dataset_lists_its_scenes(tiny_data, capsys):
+    assert main(["inspect", str(tiny_data / "data")]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["dataset: 1 scenes, dt=0.5", "  scene 0: 2 frames (seed 7)"]
+
+
 def read_outputs(out, names=("report.json", "report.csv", "manifest.json")):
     """The named files of a command's output directory, each checked to parse."""
     files = {name: (out / name).read_text(encoding="utf-8") for name in names}
@@ -336,15 +375,18 @@ def test_ablate_refuses_a_dataset_of_another_bev_extent(tiny_data, tmp_path, cap
     assert not (tmp_path / "ab").exists()
 
 
-def without_dt(text):
-    doc = json.loads(text)
-    del doc["dt"]
-    return json.dumps(doc)
-
-
 def rewrite_text(edit):
     """Rewrite a text file through ``edit`` (old text to new)."""
     return lambda path: path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+
+
+def rewrite_index(edit):
+    """Rewrite index.json through ``edit``, which changes its document in place."""
+    def rewrite(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return rewrite_text(rewrite)
 
 
 def nan_camera_entry(name, key, *at):
@@ -382,6 +424,13 @@ def rewrite_meta(edit):
     return rewrite
 
 
+def one_box(**changes):
+    """Rewrite a frame's boxes as one valid box with ``changes`` to its fields."""
+    box = {"center": [1.0, 0.0, 0.5], "size": [1.0, 2.0, 1.5], "yaw": 0.0, "velocity": [0.0, 0.0],
+           "label": 0, "track_id": 3}
+    return rewrite_meta(lambda meta: meta.update(boxes=[dict(box, **changes)]))
+
+
 def checkpoint_config(**changes):
     """Rewrite a checkpoint's meta.json with ``changes`` to its config."""
     def edit(text):
@@ -395,7 +444,11 @@ def checkpoint_config(**changes):
 CORRUPT_JSON = {
     "inspect-index": ("inspect", "data/index.json", rewrite_text(lambda _: "{not json")),
     "inspect-meta": ("inspect", "ckpt/meta.json", rewrite_text(lambda text: text[: len(text) // 2])),
-    "train-index-without-dt": ("train", "data/index.json", rewrite_text(without_dt)),
+    "train-index-without-dt": ("train", "data/index.json", rewrite_index(lambda doc: doc.pop("dt"))),
+    "train-index-negative-dt": ("train", "data/index.json", rewrite_index(lambda doc: doc.update(dt=-0.5))),
+    "eval-index-negative-dt": ("eval", "data/index.json", rewrite_index(lambda doc: doc.update(dt=-0.5))),
+    "train-index-nan-dt": ("train", "data/index.json", rewrite_index(lambda doc: doc.update(dt=NAN))),
+    "train-index-dt-past-the-floats": ("train", "data/index.json", rewrite_index(lambda doc: doc.update(dt=10**400))),
     "train-frame-boxes": ("train", "data/scene_0/frame_1.dstn",
                           rewrite_meta(lambda meta: meta.update(boxes=[{"center": [0, 0]}]))),
     "eval-meta": ("eval", "ckpt/meta.json", rewrite_text(lambda _: '{"format_version": 3}')),
@@ -407,12 +460,20 @@ CORRUPT_JSON = {
     "eval-index-scene-without-frames": ("eval", "data/index.json", index_scenes(first_scene_without_frames)),
     "train-index-nan-fx": ("train", "data/index.json", nan_camera_entry("front", "fx")),
     "train-index-nan-rotation": ("train", "data/index.json", nan_camera_entry("back", "rotation", 1, 2)),
-    "train-frame-nan-box-center": ("train", "data/scene_0/frame_1.dstn", rewrite_meta(lambda meta: meta.update(
-        boxes=[{"center": [NAN, 0.0, 0.5], "size": [1.0, 2.0, 1.5], "yaw": 0.0, "velocity": [0.0, 0.0],
-                "label": 0, "track_id": 3}]))),
-    "eval-frame-inf-box-yaw": ("eval", "data/scene_0/frame_0.dstn", rewrite_meta(lambda meta: meta.update(
-        boxes=[{"center": [1.0, 0.0, 0.5], "size": [1.0, 2.0, 1.5], "yaw": INF, "velocity": [0.0, 0.0],
-                "label": 0, "track_id": 3}]))),
+    "train-index-unknown-camera-key": ("train", "data/index.json",
+                                       rewrite_index(lambda doc: doc["cameras"]["front"].update(k1=0.1))),
+    "eval-index-camera-without-name": ("eval", "data/index.json",
+                                       rewrite_index(lambda doc: doc["cameras"]["back"].pop("name"))),
+    "train-frame-nan-box-center": ("train", "data/scene_0/frame_1.dstn", one_box(center=[NAN, 0.0, 0.5])),
+    "eval-frame-inf-box-yaw": ("eval", "data/scene_0/frame_0.dstn", one_box(yaw=INF)),
+    "train-frame-label-past-the-classes": ("train", "data/scene_0/frame_1.dstn", one_box(label=7)),
+    "train-frame-float-label": ("train", "data/scene_0/frame_1.dstn", one_box(label=1.0)),
+    "train-frame-string-label": ("train", "data/scene_0/frame_1.dstn", one_box(label="car")),
+    "train-frame-negative-label": ("train", "data/scene_0/frame_1.dstn", one_box(label=-1)),
+    "eval-frame-bool-label": ("eval", "data/scene_0/frame_0.dstn", one_box(label=True)),
+    "train-frame-float-track-id": ("train", "data/scene_0/frame_1.dstn", one_box(track_id=1.0)),
+    "eval-frame-string-track-id": ("eval", "data/scene_0/frame_0.dstn", one_box(track_id="car")),
+    "eval-frame-bool-track-id": ("eval", "data/scene_0/frame_0.dstn", one_box(track_id=True)),
     "eval-frame-nan-ego-yaw": ("eval", "data/scene_0/frame_0.dstn", rewrite_meta(lambda meta: meta.update(yaw=NAN))),
     "eval-frame-inf-ego-translation": ("eval", "data/scene_0/frame_0.dstn",
                                        rewrite_meta(lambda meta: meta.update(translation=[0.0, INF]))),

@@ -1,11 +1,11 @@
 import ast
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 import dualstream
-from dualstream.configio import Config, ConfigError, config_from_dict, config_to_dict, parse_config
+from dualstream.configio import Config, ConfigError, config_from_dict, config_to_dict, parse_config, serialize_config
 
 
 def test_unread_key_is_rejected():
@@ -115,6 +115,15 @@ OUT_OF_RANGE = [
     ("pedestrian_fraction = -1", "pedestrian_fraction must be >= 0 and <= 1, got -1.0"),
     ("pillar_heights = nan,inf", "pillar_heights must be finite, got 'nan,inf'"),
     ("pillar_heights = 0,-inf", "pillar_heights must be finite, got '0,-inf'"),
+    ("pillar_heights = ,", "pillar_heights must not be empty"),
+    ("pillar_heights = a,b", "bad pillar_heights: could not convert string to float: 'a'"),
+    ("dtype = f16", "dtype must be f32 or f64, got 'f16'"),
+    ("interaction = both", "bad interaction mode 'both'"),
+    ("schedule = sometimes", "bad schedule 'sometimes'"),
+    ("truncation_horizon = 0", "truncation_horizon must be >= 1"),
+    ("heads = 3", "latent_dim must be divisible by heads"),
+    ("patch = 12", "image size must be divisible by patch"),
+    ("temporal_bev = yes", "line 1: bad value for 'temporal_bev': expected true or false"),
 ]
 
 
@@ -131,6 +140,12 @@ def test_setting_out_of_range_is_rejected(line, refused):
 def test_config_value_of_another_type_is_rejected_naming_its_key(key, value):
     with pytest.raises(ConfigError, match=f"config key '{key}' must be a"):
         config_from_dict({key: value})
+
+
+def test_a_non_default_config_survives_its_text_form():
+    cfg = replace(Config(), temporal_bev=False, propagate_queries=False, compensate_object_motion=False,
+                  dtype="f64", interaction="none", schedule="alternating")
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 def test_an_int_for_a_float_setting_is_stored_as_a_float():

@@ -80,7 +80,7 @@ def scene_with_box(center, size=CAR_SIZE, yaw=0.0):
     ego = scene.ego_trajectory[0]
     box = BoundingBox3D(center=ego.apply_point(np.asarray(center, dtype=np.float64)),
                         size=np.asarray(size, dtype=np.float64), yaw=yaw + ego.rotation, label=CLASS_CAR)
-    scene.agents.append(AgentTrack(agent_id=7, label=CLASS_CAR, speed=0.0, yaw_rate=0.0, boxes=[box]))
+    scene.agents.append(AgentTrack(agent_id=7, label=CLASS_CAR, speed=0.0, boxes=[box]))
     return scene
 
 
