@@ -129,10 +129,6 @@ class Tensor:
         self._is_leaf = True
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
     def ndim(self) -> int:
         return self.data.ndim
 
@@ -148,10 +144,6 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g.astype(self.data.dtype, copy=False).reshape(self.data.shape)
-
-    def __repr__(self):
-        flag = ", grad" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
 
     # ``c - x`` for a constant c: one subtraction in x's dtype, one tape entry
     def __rsub__(self, other):
@@ -253,8 +245,6 @@ def add(a: Tensor, b) -> Tensor:
 
 
 def sub(a: Tensor, b) -> Tensor:
-    if isinstance(b, (int, float)):
-        return add(a, -b)
     b = _wrap(b, like=a)
     data = a.data - b.data
 
@@ -284,8 +274,6 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def div(a: Tensor, b) -> Tensor:
-    if isinstance(b, (int, float)):
-        return scale(a, 1.0 / float(b))
     b = _wrap(b, like=a)
     data = a.data / b.data
     ad, bd = a.data, b.data

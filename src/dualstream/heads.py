@@ -1,6 +1,12 @@
 """Task heads: box decoding, Hungarian set matching, detection and
 segmentation losses, and greedy tracking-by-detection.
 
+The set matching is DETR's one-to-one match (Carion et al.,
+arXiv:2005.12872), solved by Crouse's shortest augmenting path (Crouse, "On
+implementing 2D rectangular assignment algorithms", IEEE TAES 52(4), 2016)
+as scipy's ``linear_sum_assignment`` (``rectangular_lsap.cpp``) runs it,
+step for step, so both return the same pairs, ties included.
+
 The tracker associates in the world frame in the style of AB3DMOT (Weng et
 al., arXiv:1907.03961), by center distance and without a motion filter. It
 keeps its live tracks as arrays sorted by id (``TrackerState``)."""
@@ -12,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .configio import Config
 from .diffcore import ShapeError, Tensor, gelu, matmul, no_grad, sigmoid, softplus
@@ -130,8 +135,66 @@ def hungarian_match(cost_matrix: np.ndarray) -> Assignment:
         raise ValueError("NaN in matching costs")
     if cost.size == 0:
         return Assignment([])
-    rows, cols = linear_sum_assignment(cost)
-    return Assignment(sorted(zip(rows.tolist(), cols.tolist())))
+    rows, cols = _min_cost_assignment(cost)
+    return Assignment(list(zip(rows.tolist(), cols.tolist())))
+
+
+def _min_cost_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of a minimum-cost assignment of the non-empty float64
+    matrix ``cost`` (no NaN), rows ascending: scipy's
+    ``linear_sum_assignment`` step for step, with its errors."""
+    transpose = cost.shape[1] < cost.shape[0]
+    if transpose:
+        cost = cost.T
+    if np.isneginf(cost).any():
+        raise ValueError("matrix contains invalid numeric entries")
+    nr, nc = cost.shape
+    u, v = np.zeros(nr), np.zeros(nc)
+    path, col4row, row4col = np.full(nc, -1), np.full(nr, -1), np.full(nc, -1)
+    for cur in range(nr):
+        # the shortest augmenting path from row ``cur`` to a free column
+        spc = np.full(nc, math.inf)
+        seen_rows, seen_cols = np.zeros(nr, bool), np.zeros(nc, bool)
+        remaining = np.arange(nc - 1, -1, -1)   # reversed: a constant matrix gives the identity
+        min_val, i, sink = 0.0, cur, -1
+        while sink < 0:
+            seen_rows[i] = True
+            r = ((min_val + cost[i, remaining]) - u[i]) - v[remaining]
+            shorter = r < spc[remaining]
+            path[remaining[shorter]] = i
+            spc[remaining[shorter]] = r[shorter]
+            # the first lowest entry, or the last equal one after it whose column is free
+            reach = spc[remaining]
+            index = int(np.argmin(reach))
+            min_val = reach[index]
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            free_ties = np.flatnonzero((reach[index + 1:] == min_val) & (row4col[remaining[index + 1:]] < 0))
+            if free_ties.size:
+                index += 1 + int(free_ties[-1])
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols[j] = True
+            remaining[index] = remaining[-1]
+            remaining = remaining[:-1]
+        u[cur] += min_val
+        seen_rows[cur] = False
+        u[seen_rows] += min_val - spc[col4row[seen_rows]]
+        v[seen_cols] -= min_val - spc[seen_cols]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        order = np.argsort(col4row)
+        return col4row[order], order
+    return np.arange(nr), col4row
 
 
 def center_distances(a, b) -> np.ndarray:

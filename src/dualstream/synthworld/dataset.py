@@ -188,11 +188,9 @@ def write_frame(path: Path, frame: FrameSample) -> None:
 
 
 def read_frame(path: Path, index: int) -> FrameSample:
-    """The frame ``write_frame`` wrote at ``path``, as frame ``index``. A
-    missing file or incomplete meta raises ``DatasetError``, a corrupt
+    """The frame ``write_frame`` wrote at ``path``, as frame ``index``.
+    Incomplete meta raises ``DatasetError``, a missing file or corrupt
     container ``DstnError``, each naming the file."""
-    if not path.is_file():
-        raise DatasetError(f"{path}: missing frame file")
     tensors, meta = read_tensor(path)
     try:
         availability = dict(meta["schedule"])
@@ -241,13 +239,22 @@ class Dataset:
         empty = [s["id"] for s in self.scenes if s["n_frames"] < 1]
         if empty:
             raise DatasetError(f"{self.root / 'index.json'}: scene {empty[0]} has no frames")
+        for s in self.scenes:
+            for t in range(s["n_frames"]):
+                path = self.frame_path(s["id"], t)
+                if not path.is_file():
+                    raise DatasetError(f"{path}: missing frame file ({self.root / 'index.json'} "
+                                       f"lists {s['n_frames']} frames for scene {s['id']})")
         return index
+
+    def frame_path(self, scene_id: int, t: int) -> Path:
+        return self.root / f"scene_{scene_id}" / f"frame_{t}.dstn"
 
     def n_scenes(self) -> int:
         return len(self.scenes)
 
     def load_frame(self, scene_id: int, t: int) -> FrameSample:
-        return read_frame(self.root / f"scene_{scene_id}" / f"frame_{t}.dstn", t)
+        return read_frame(self.frame_path(scene_id, t), t)
 
 
 def generate_and_write(

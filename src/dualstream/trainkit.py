@@ -20,7 +20,7 @@ from .diffcore.dstn import DstnError, atomic_directory, read_json, read_tensor, 
 from .heads import detection_cost_matrix, detection_loss, hungarian_match, segmentation_loss
 from .model import DualStreamModel, StreamState
 from .scenepool import DETACH, RESET, ScenePool
-from .synthworld.dataset import Dataset
+from .synthworld.dataset import Dataset, DatasetError
 from .synthworld.scene import CLASS_NAMES
 
 CHECKPOINT_VERSION = 3
@@ -159,14 +159,20 @@ def _scene_frame(model: DualStreamModel, dataset: Dataset, cfg: Config, meta: di
 
 
 def total_optimizer_steps(dataset: Dataset, cfg: Config) -> int:
-    groups = _scene_groups(dataset, cfg)
-    per_epoch = sum(min(meta["n_frames"] for meta in group) for group in groups)
-    return cfg.epochs * per_epoch
+    return cfg.epochs * sum(group[0]["n_frames"] for group in _scene_groups(dataset, cfg))
 
 
 def _scene_groups(dataset: Dataset, cfg: Config) -> list[list[dict]]:
+    """The frame-batches: ``batch_scenes`` scenes at a time, in index order.
+    A frame-batch steps its scenes together, so they must be equally long."""
     metas, size = list(dataset.scenes), cfg.batch_scenes
-    return [metas[i:i + size] for i in range(0, len(metas), size)]
+    groups = [metas[i:i + size] for i in range(0, len(metas), size)]
+    for group in groups:
+        if len({meta["n_frames"] for meta in group}) > 1:
+            lengths = ", ".join(f"scene {meta['id']} has {meta['n_frames']}" for meta in group)
+            raise DatasetError(f"{dataset.root / 'index.json'}: a frame-batch's scenes differ in "
+                               f"length ({lengths} frames)")
+    return groups
 
 
 def step_loss(losses: list[tuple[np.ndarray, np.ndarray]], seg_weight: float):
@@ -245,8 +251,7 @@ def streaming_train(
     with ScenePool(model.store, groups, workers, model.initial_state,
                    partial(_scene_frame, model, dataset, cfg)) as scenes:
         for epoch, (index, group) in product(range(cfg.epochs) if epochs is None else epochs, enumerate(groups)):
-            n_frames = min(meta["n_frames"] for meta in group)
-            for t in range(n_frames):
+            for t in range(group[0]["n_frames"]):
                 if t == 0 or (cfg.sequence_length > 0 and t % cfg.sequence_length == 0):
                     cut = RESET
                 else:

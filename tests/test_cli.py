@@ -415,6 +415,10 @@ def first_scene_without_frames(scenes):
     return [dict(scenes[0], n_frames=0)] + scenes[1:]
 
 
+def first_scene_five_frames(scenes):
+    return [dict(scenes[0], n_frames=5)] + scenes[1:]
+
+
 def rewrite_meta(edit):
     """Rewrite the JSON meta of a DSTN container through ``edit`` (in place), keeping its tensors."""
     def rewrite(path):
@@ -458,6 +462,8 @@ CORRUPT_JSON = {
     "eval-index-no-scenes": ("eval", "data/index.json", index_scenes(lambda scenes: [])),
     "train-index-scene-without-frames": ("train", "data/index.json", index_scenes(first_scene_without_frames)),
     "eval-index-scene-without-frames": ("eval", "data/index.json", index_scenes(first_scene_without_frames)),
+    "train-index-more-frames-than-files": ("train", "data/index.json", index_scenes(first_scene_five_frames)),
+    "eval-index-more-frames-than-files": ("eval", "data/index.json", index_scenes(first_scene_five_frames)),
     "train-index-nan-fx": ("train", "data/index.json", nan_camera_entry("front", "fx")),
     "train-index-nan-rotation": ("train", "data/index.json", nan_camera_entry("back", "rotation", 1, 2)),
     "train-index-unknown-camera-key": ("train", "data/index.json",
@@ -506,6 +512,20 @@ def test_corrupt_json_is_an_io_error_naming_the_file(tiny_data, tmp_path, capsys
     }[command]
     assert main(args) == EXIT_IO
     assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_refuses_a_frame_batch_of_unequal_scenes(tmp_path, capsys):
+    # a frame-batch steps its scenes together: a shorter scene is refused, not
+    # trimmed to, and the longer scene's extra frames are not skipped
+    (tmp_path / "tiny.cfg").write_text(TINY, encoding="utf-8")
+    data = tmp_path / "data"
+    assert main(["gen-data", "--config", str(tmp_path / "tiny.cfg"), "--out", str(data), "--seeds", "7..8"]) == EXIT_OK
+    index_scenes(lambda scenes: [scenes[0], dict(scenes[1], n_frames=1)])(data / "index.json")
+    args = ["train", "--config", str(tmp_path / "tiny.cfg"), "--data", str(data), "--out", str(tmp_path / "run")]
+    assert main(args) == EXIT_IO
+    err = capsys.readouterr().err
+    assert f"{data / 'index.json'}: a frame-batch's scenes differ in length (scene 0 has 2, scene 1 has 1 frames)" in err
     assert not (tmp_path / "run").exists()
 
 

@@ -1,9 +1,15 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import tracker_oracle as oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 from check import finite_diff_check
 from util import t64
 
@@ -144,6 +150,80 @@ class TestHungarian:
     def test_empty_sides(self):
         a = hungarian_match(np.zeros((0, 3)))
         assert a.pairs == []
+
+
+@st.composite
+def assignment_costs(draw):
+    """A cost matrix of shape 0-8 x 0-8: floats, small integers (many ties),
+    a constant, or small integers with +inf entries and perhaps one -inf."""
+    n, m = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["float", "int", "constant", "inf"]))
+    if kind == "float":
+        cells = st.floats(-10.0, 10.0, allow_nan=False)
+    elif kind == "constant":
+        cells = st.just(draw(st.sampled_from([-1.0, 0.0, 2.5])))
+    else:
+        cells = st.integers(0, 3).map(float)
+        if kind == "inf":
+            cells = st.one_of(cells, st.just(math.inf))
+    cost = np.array(draw(st.lists(cells, min_size=n * m, max_size=n * m)), dtype=np.float64).reshape(n, m)
+    if kind == "inf" and cost.size and draw(st.integers(0, 9)) == 0:
+        cost[draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))] = -math.inf
+    return cost
+
+
+def pairs_or_error(match, cost):
+    """The (row, col) pairs ``match`` returns for ``cost``, or its ValueError's message."""
+    try:
+        return match(cost)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+class TestHungarianIsScipys:
+    """``hungarian_match`` picks the pairs ``scipy.optimize.linear_sum_assignment``
+    picks, ties included, and raises its errors."""
+
+    @staticmethod
+    def scipy_pairs(cost):
+        return sorted(zip(*(a.tolist() for a in linear_sum_assignment(cost))))
+
+    @settings(max_examples=400)
+    @given(assignment_costs())
+    def test_same_pairs_and_errors(self, cost):
+        assert pairs_or_error(lambda c: hungarian_match(c).pairs, cost) == pairs_or_error(self.scipy_pairs, cost)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 5), (5, 2)])
+    def test_constant_matrix_gives_the_identity(self, shape):
+        cost = np.ones(shape)
+        assert hungarian_match(cost).pairs == self.scipy_pairs(cost) == [(k, k) for k in range(min(shape))]
+
+    @pytest.mark.parametrize("cost, message", [
+        ([[1.0, -math.inf], [0.0, 2.0]], "invalid numeric entries"),
+        ([[1.0], [-math.inf], [0.0]], "invalid numeric entries"),
+        ([[math.inf, math.inf], [1.0, 2.0]], "infeasible"),
+        ([[math.inf], [math.inf]], "infeasible"),
+        ([[1.0, math.inf], [2.0, math.inf], [math.inf, math.inf]], "infeasible"),
+    ])
+    def test_scipys_errors(self, cost, message):
+        cost = np.array(cost)
+        for match in (hungarian_match, linear_sum_assignment):
+            with pytest.raises(ValueError, match=message):
+                match(cost)
+
+
+def test_program_does_not_load_scipy_optimize():
+    # importing scipy.optimize costs every process about 27 MB and 250 ms;
+    # the program solves its matching in ``heads`` instead
+    code = ("import sys\n"
+            "import dualstream.cli, dualstream.trainkit, dualstream.runner, dualstream.model, "
+            "dualstream.dualformer, dualstream.heads\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def gt_box(center, yaw=0.0, vel=(0.0, 0.0), label=0, size=(1.5, 2.5, 1.5)):

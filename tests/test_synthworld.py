@@ -339,9 +339,8 @@ class TestDataset:
         cfg = WorldConfig(duration=2, agents_min=1, agents_max=1)
         generate_and_write([0], tmp_path / "d", cfg, BEV, config_echo={}, ranges=RANGES)
         (tmp_path / "d" / "scene_0" / "frame_1.dstn").unlink()
-        ds = Dataset(tmp_path / "d")
-        with pytest.raises(DatasetError, match="frame"):
-            ds.load_frame(0, 1)
+        with pytest.raises(DatasetError, match="frame_1.dstn: missing frame file"):
+            Dataset(tmp_path / "d")
 
     def test_frame_is_one_container(self, tmp_path):
         cfg = WorldConfig(duration=2, agents_min=2, agents_max=2)
